@@ -74,9 +74,28 @@ class CharTable:
     def class_weights(self) -> np.ndarray:
         return self.classes.sizes / self.group.order
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """<f, g> = (1/|G|) sum_g f conj(g), via class sizes."""
-        return complex(np.sum(self.class_weights() * np.asarray(f) * np.conj(g)))
+    def kernel_masks(self) -> list[int]:
+        """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
+
+        chi(c) is a sum of chi(1) roots of unity whose orders divide the
+        order o(c) of the class's elements, so off the kernel
+        d = chi(1) - Re chi(c) is at least 1 - cos(2 pi / o(c)). A class is
+        in the kernel when d <= TOL*chi(1) and outside it when d is within
+        TOL*chi(1) of that bound or above; anything else is not certified.
+        """
+        G, C = self.group, self.classes
+        orders = np.array([G.element_order(int(x)) for x in C.representatives])
+        slack = config.TOL * self.dims[:, None]
+        d = self.dims[:, None] - self.values.real
+        inside = d <= slack
+        outside = (d >= 1.0 - np.cos(2 * np.pi / orders) - slack) & (orders > 1)
+        unsure = np.argwhere(inside == outside)
+        if len(unsure):
+            lam, c = (int(v) for v in unsure[0])
+            raise CharTableError(
+                f"kernel membership of class {c} in irreducible {lam} is not "
+                f"certified (chi(1) - Re chi = {d[lam, c]:.3e})")
+        return [sum(1 << int(c) for c in np.flatnonzero(row)) for row in inside]
 
     def __repr__(self):
         return f"CharTable(order={self.group.order}, dims={self.dims.tolist()})"
@@ -171,12 +190,7 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
         chars = chars[order_key]
         dims_i = dims_i[order_key]
 
-        weights = sizes / n
-        gram = (chars * weights[None, :]) @ chars.conj().T
-        row_res = float(np.max(np.abs(gram - np.eye(r))))
-        col = chars.conj().T @ chars
-        col_target = np.diag(n / sizes)
-        col_res = float(np.max(np.abs((col - col_target) * (sizes[None, :] / n))))
+        row_res, col_res = _orthogonality_residuals(chars, sizes, n)
         if row_res > tol or col_res > tol:
             last_error = f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})"
             continue
@@ -188,6 +202,17 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
                          quality=quality)
     raise CharTableError(
         f"character table not certified after {max_attempts} attempts: {last_error}")
+
+
+def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,
+                             n: int) -> tuple[float, float]:
+    """Largest deviations from row and (size-weighted) column orthonormality."""
+    weights = sizes / n
+    gram = (chars * weights[None, :]) @ chars.conj().T
+    row_res = float(np.max(np.abs(gram - np.eye(len(sizes)))))
+    col = chars.conj().T @ chars
+    col_res = float(np.max(np.abs((col - np.diag(n / sizes)) * weights[None, :])))
+    return row_res, col_res
 
 
 def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> list[int]:
@@ -276,14 +301,17 @@ def from_interchange(doc: dict, *, tol: float = config.TOL,
     r = C.num_classes
     if values.shape != (r, r) or len(dims) != r:
         raise CharTableError("imported table has wrong shape")
+    if not np.array_equal(dims, np.rint(values[:, 0].real)):
+        raise CharTableError("imported dims disagree with the identity column")
     if int(np.sum(dims ** 2)) != G.order:
         raise CharTableError("imported dims violate sum of squares")
-    weights = C.sizes / G.order
-    gram = (values * weights[None, :]) @ values.conj().T
-    row_res = float(np.max(np.abs(gram - np.eye(r))))
-    if row_res > tol:
-        raise CharTableError(f"imported table fails orthogonality ({row_res:.2e})")
-    quality = {"row_residual": row_res, "col_residual": row_res,
+    if float(np.max(np.abs(values[0] - 1.0))) > tol:
+        raise CharTableError("imported first row is not the trivial character")
+    row_res, col_res = _orthogonality_residuals(values, C.sizes, G.order)
+    if row_res > tol or col_res > tol:
+        raise CharTableError(
+            f"imported table fails orthogonality ({row_res:.2e}/{col_res:.2e})")
+    quality = {"row_residual": row_res, "col_residual": col_res,
                "dim_roundoff": 0.0, "attempts": 0, "seed": None}
     return CharTable(group=G, classes=C, dims=dims, values=values,
                      quality=quality, source="imported")

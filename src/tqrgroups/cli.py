@@ -6,8 +6,9 @@ CSV; outputs embed the group spec, parameters, seed and package version so a
 rerun with the same seed reproduces the report byte for byte.
 
 Exit codes: 0 success, 1 a verified failure (a covering guarantee violated or
-a stationarity check broken, which would falsify the implementation), 2 usage
-errors.
+a stationarity check broken, which would falsify the implementation), 2 bad
+input (usage errors, malformed specs, out-of-range parameters, groups above a
+size cap).
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def run_group(args: dict) -> tuple[dict, int]:
         "quotient_chain_orders": [H.order for H in center_free_quotient_chain(G)],
     }
     if args.get("normal_subgroups"):
-        payload["normal_subgroup_orders"] = [s.order for s in normal_subgroups(G, C)]
+        T = compute_char_table(G, C)
+        payload["normal_subgroup_orders"] = [s.order for s in normal_subgroups(T)]
     return _envelope("group", spec, {}, payload), 0
 
 
@@ -264,13 +266,13 @@ def run_markov(args: dict) -> tuple[dict, int]:
             1 if violated else 0)
 
 
-def _pick_normal(G, C, selector: str):
-    subs = normal_subgroups(G, C)
+def _pick_normal(T, selector: str):
+    subs = normal_subgroups(T)
     s = selector.strip().lower()
     if s == "group":
         return subs[-1]
     if s == "center":
-        zen = center(G)
+        zen = center(T.group)
         for N in subs:
             if N.members == zen.members:
                 return N
@@ -295,7 +297,7 @@ def _pick_normal(G, C, selector: str):
 def run_counterexample(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     G, C, T = _load_table(spec)
-    N = _pick_normal(G, C, args.get("normal", "group"))
+    N = _pick_normal(T, args.get("normal", "group"))
     eps = args.get("epsilon")
     eps = Fraction(str(eps)) if eps is not None else None
     V, report = build_counterexample_rep(G, C, T, N, int(args.get("m", 3)),

@@ -22,7 +22,7 @@ from .chartable import CharTable, ClassFunction, induce_character
 from .classfuncs import (RepMultiset, decompose, mask_to_support,
                          plancherel_frac, power_support_mask,
                          support_measure_frac)
-from .groups import (ClassData, GroupError, GroupTable, Subgroup,
+from .groups import (ClassData, GroupError, GroupTable, Subgroup, _is_prime,
                      center_of_subset)
 
 
@@ -197,16 +197,17 @@ def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     return AbelianStructure(KA, to_parent, from_parent)
 
 
+def _elem_order(mul_fn, identity, x) -> int:
+    n, y = 1, x
+    while y != identity:
+        y = mul_fn(y, x)
+        n += 1
+    return n
+
+
 def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
     """Primary decomposition + per-prime basis; returns [(generator, order)]."""
-    def elem_order(x):
-        n, y = 1, x
-        while y != identity:
-            y = mul_fn(y, x)
-            n += 1
-        return n
-
-    orders = {x: elem_order(x) for x in elems}
+    orders = {x: _elem_order(mul_fn, identity, x) for x in elems}
     n = len(elems)
     primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
     basis = []
@@ -214,10 +215,6 @@ def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
         primary = [x for x in elems if _is_prime_power(orders[x], p)]
         basis.extend(_p_group_basis(mul_fn, identity, primary, p))
     return basis
-
-
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def _is_prime_power(n, p):
@@ -235,14 +232,7 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
     if len(elems) == 1:
         return []
 
-    def elem_order(x):
-        n, y = 1, x
-        while y != identity:
-            y = mul_fn(y, x)
-            n += 1
-        return n
-
-    orders = {x: elem_order(x) for x in elems}
+    orders = {x: _elem_order(mul_fn, identity, x) for x in elems}
     a1 = min(elems, key=lambda x: (-orders[x], x))
     d1 = orders[a1]
     pow_list = [identity]
@@ -425,6 +415,12 @@ def _accumulate(group, acc, gen, times, add):
 # Invariant small-doubling sets
 
 
+class EpsilonError(ValueError, RuntimeError):
+    """A caller's epsilon override is too large for the m-fold sumset of the
+    grown set to miss half of K. It is bad input, so a ValueError; it is also
+    a RuntimeError, like the other failed checks of the construction."""
+
+
 def default_epsilon(k: int, m: int) -> Fraction:
     """Half the proof-bound 1/(10km)^(k+1); any value below the bound works."""
     return Fraction(1, 2 * (10 * k * m) ** (k + 1))
@@ -446,7 +442,8 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
     if L.group is not K:
         raise ValueError("action does not act on K")
     k = len(L)
-    if epsilon is None:
+    overridden = epsilon is not None
+    if not overridden:
         epsilon = default_epsilon(k, m)
     epsilon = Fraction(str(epsilon)) if not isinstance(epsilon, Fraction) else epsilon
     if epsilon <= 0:
@@ -479,9 +476,10 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
         if {p[x] for x in A} != A:
             raise RuntimeError("output set is not action-invariant")
     if 2 * len(mA) > K.order:
-        raise RuntimeError(
-            f"m-fold sumset too large (|mA|={len(mA)}, |K|={K.order}); "
-            "epsilon override too aggressive")
+        msg = f"m-fold sumset too large (|mA|={len(mA)}, |K|={K.order})"
+        if overridden:
+            raise EpsilonError(f"{msg}; epsilon override too aggressive")
+        raise RuntimeError(msg)
     diag = {"epsilon": float(epsilon), "k": k, "m": m,
             "small_branch": small_branch, "iterations": iterations,
             "set_size": len(A), "m_fold_size": len(mA),

@@ -234,7 +234,7 @@ def check_tqr(G: GroupTable, C: ClassData, T: CharTable,
     reports = [_tqr1(G, C, params, pjson),
                _tqr2(T, params, pjson),
                _tqr3(T, params, pjson),
-               _tqr4(G, C, params, pjson)]
+               _tqr4(T, params, pjson)]
     return reports
 
 
@@ -344,11 +344,9 @@ def _tqr3(T, params, pjson) -> CriterionReport:
                            details={"supports_checked": checked})
 
 
-def _tqr4(G, C, params, pjson) -> CriterionReport:
-    try:
-        subs = normal_subgroups(G, C)
-    except GroupError as exc:
-        return CriterionReport("tqr4", None, pjson, error=str(exc))
+def _tqr4(T, params, pjson) -> CriterionReport:
+    G = T.group
+    subs = normal_subgroups(T)
     witness = None
     for N in subs:
         if 1 < N.order <= params.normal_size:
@@ -379,11 +377,10 @@ def check_qr(G: GroupTable, T: CharTable,
     """Evaluate the four product-set quasi-randomness criteria."""
     params = params or CriteriaParams()
     pjson = params.to_json_dict()
-    C = T.classes
     return [_qr1(T, params, pjson),
             _qr23(G, params, pjson, triple=True),
             _qr23(G, params, pjson, triple=False),
-            _qr4(G, C, params, pjson)]
+            _qr4(T, params, pjson)]
 
 
 def _qr1(T, params, pjson) -> CriterionReport:
@@ -432,12 +429,10 @@ def _qr23(G, params, pjson, triple: bool) -> CriterionReport:
                            mode="randomized", details=details)
 
 
-def _qr4(G, C, params, pjson) -> CriterionReport:
-    try:
-        subs = normal_subgroups(G, C)
-    except GroupError as exc:
-        return CriterionReport("qr4", None, pjson, error=str(exc))
-    D = derived_subgroup(G, C)
+def _qr4(T, params, pjson) -> CriterionReport:
+    G = T.group
+    subs = normal_subgroups(T)
+    D = derived_subgroup(T)
     witness = None
     if D.order < G.order:
         # the maximal abelian quotient, G / [G, G]

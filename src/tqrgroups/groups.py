@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import config
+
+if TYPE_CHECKING:
+    from .chartable import CharTable
 
 
 class GroupError(ValueError):
@@ -63,14 +67,6 @@ class GroupTable:
             y = int(self.mul[y, x])
             n += 1
         return n
-
-    def power(self, x: int, e: int) -> int:
-        if e < 0:
-            return self.power(int(self.inv[x]), -e)
-        acc = self.identity
-        for _ in range(e):
-            acc = int(self.mul[acc, x])
-        return acc
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -340,14 +336,31 @@ def _perm_closure(degree: int, generators: list[tuple[int, ...]]) -> GroupTable:
                                    "generators": [list(g) for g in generators]})
 
 
+def _field(spec: dict, key: str):
+    """spec[key], with a missing key reported as a bad group spec."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise GroupError(f"group spec is missing {key!r} (in {spec!r})") from None
+
+
+def _int_field(spec: dict, key: str) -> int:
+    value = _field(spec, key)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise GroupError(f"group spec field {key!r} must be an integer, "
+                         f"not {value!r}") from None
+
+
 _FAMILIES = {
-    "cyclic": lambda params: _cyclic(int(params["n"])),
-    "dihedral": lambda params: _dihedral(int(params["n"])),
-    "symmetric": lambda params: _perm_family(int(params["n"]), False, "symmetric"),
-    "alternating": lambda params: _perm_family(int(params["n"]), True, "alternating"),
+    "cyclic": lambda params: _cyclic(_int_field(params, "n")),
+    "dihedral": lambda params: _dihedral(_int_field(params, "n")),
+    "symmetric": lambda params: _perm_family(_int_field(params, "n"), False, "symmetric"),
+    "alternating": lambda params: _perm_family(_int_field(params, "n"), True, "alternating"),
     "quaternion8": lambda params: _quaternion8(),
-    "extraspecial": lambda params: _extraspecial(int(params["p"])),
-    "affine": lambda params: _affine(int(params["p"])),
+    "extraspecial": lambda params: _extraspecial(_int_field(params, "p")),
+    "affine": lambda params: _affine(_int_field(params, "p")),
 }
 
 
@@ -359,12 +372,16 @@ def build_group(spec: dict) -> GroupTable:
       {"type": "cayley", "table": [[int]]}   explicit table, 0-based indices
       {"type": "permutation", "degree": d, "generators": [[int]]}
     """
+    if not isinstance(spec, dict):
+        raise GroupError(f"group spec must be a JSON object, not {spec!r}")
     if "family" in spec:
         name = spec["family"]
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise GroupError(f"group spec params must be a JSON object, not {params!r}")
         if name in ("product", "direct_product"):
-            left = build_group(params["left"])
-            right = build_group(params["right"])
+            left = build_group(_field(params, "left"))
+            right = build_group(_field(params, "right"))
             return _direct_product(left, right,
                                    {"family": "product",
                                     "params": {"left": left.source, "right": right.source}})
@@ -373,14 +390,14 @@ def build_group(spec: dict) -> GroupTable:
         return _FAMILIES[name](params)
     kind = spec.get("type")
     if kind == "cayley":
-        table = np.asarray(spec["table"], dtype=np.int64)
+        table = np.asarray(_field(spec, "table"), dtype=np.int64)
         if table.shape[0] > config.MAX_ORDER:
             raise GroupError(f"order exceeds MAX_ORDER={config.MAX_ORDER}")
         return _finalize(table, spec.get("labels"),
                          {"type": "cayley", "table": table.tolist()})
     if kind == "permutation":
-        gens = [tuple(g) for g in spec["generators"]]
-        return _perm_closure(int(spec["degree"]), gens)
+        gens = [tuple(g) for g in _field(spec, "generators")]
+        return _perm_closure(_int_field(spec, "degree"), gens)
     raise GroupError(f"unrecognized group spec: {spec!r}")
 
 
@@ -414,84 +431,54 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
                      representatives=reps, min_nontrivial_size=c_min)
 
 
-def _closure(G: GroupTable, seed: set[int]) -> frozenset[int]:
-    """Subgroup generated by `seed` (must contain the identity eventually)."""
-    members = {G.identity} | set(seed)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        arr = np.fromiter(members, dtype=np.int64)
-        for x in frontier:
-            prods = np.unique(G.mul[x, arr])
-            for y in prods:
-                if y not in members:
-                    members.add(int(y))
-                    nxt.append(int(y))
-        frontier = nxt
-    return frozenset(members)
-
-
 def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
     """Validate a member set into a Subgroup, computing its flags."""
     mset = frozenset(int(m) for m in members)
     if G.identity not in mset:
         raise GroupError("subgroup must contain the identity")
     arr = np.fromiter(sorted(mset), dtype=np.int64)
-    prods = G.mul[np.ix_(arr, arr)]
-    if not set(np.unique(prods)) <= mset:
+    inside = np.zeros(G.order, dtype=bool)
+    inside[arr] = True
+    if not inside[G.mul[np.ix_(arr, arr)]].all():
         raise GroupError("member set is not closed under multiplication")
     if G.order % len(mset):
         raise GroupError("subgroup order does not divide group order")
-    cls = {int(c) for c in np.unique(C.class_of[arr])}
-    is_normal = sum(int(C.sizes[c]) for c in cls) == len(mset)
-    center_mask = _center_mask(G)
-    is_central = bool(center_mask[arr].all())
+    is_normal = int(C.sizes[np.unique(C.class_of[arr])].sum()) == len(mset)
+    # every member commutes with every element: row a of mul equals column a
+    is_central = bool(np.array_equal(G.mul[arr], G.mul[:, arr].T))
     return Subgroup(members=tuple(int(x) for x in arr), is_normal=is_normal,
                     is_central=is_central, index=G.order // len(mset))
 
 
-def _center_mask(G: GroupTable) -> np.ndarray:
-    return np.all(G.mul == G.mul.T, axis=1)
-
-
 def center(G: GroupTable) -> Subgroup:
     """Elements commuting with everything (the singleton conjugacy classes)."""
-    members = np.flatnonzero(_center_mask(G))
+    members = np.flatnonzero(np.all(G.mul == G.mul.T, axis=1))
     C = conjugacy_classes(G)
     return subgroup_from_members(G, C, members)
 
 
-def normal_subgroups(G: GroupTable, C: ClassData | None = None) -> list[Subgroup]:
-    """All normal subgroups, as closures of class unions.
+def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
+    """The union of the classes whose bits are set, validated as a subgroup."""
+    C = T.classes
+    members = np.concatenate([C.classes[c] for c in range(C.num_classes)
+                              if mask >> c & 1])
+    return subgroup_from_members(T.group, C, members)
 
-    Every normal subgroup is a union of conjugacy classes closed under
-    multiplication, hence the join of the normal closures of its classes; the
-    search enumerates those joins instead of raw class subsets, which keeps it
-    polynomial in the (small) number of normal subgroups.
+
+def normal_subgroups(T: CharTable) -> list[Subgroup]:
+    """All normal subgroups, read off the character table.
+
+    Every normal subgroup is an intersection of kernels of irreducible
+    characters (Isaacs, Character Theory of Finite Groups, ch. 2), so the
+    lattice is the closure of the kernels' class masks, plus the full mask,
+    under intersection. Each mask is still verified against the Cayley table
+    by subgroup_from_members.
     """
-    if G.order > config.MAX_ORDER:
-        raise GroupError(f"order exceeds MAX_ORDER={config.MAX_ORDER}")
-    if C is None:
-        C = conjugacy_classes(G)
-    atoms = set()
-    for cls in C.classes:
-        atoms.add(_closure(G, set(int(x) for x in cls)))
-    found = {frozenset([G.identity])} | atoms
-    worklist = list(found)
-    while worklist:
-        cur = worklist.pop()
-        for other in list(found):
-            join = cur | other
-            if join in found:
-                continue
-            join = _closure(G, set(join))
-            if join not in found:
-                found.add(join)
-                worklist.append(join)
-    subs = [subgroup_from_members(G, C, m) for m in found]
+    found = {(1 << T.classes.num_classes) - 1}
+    for kernel in T.kernel_masks():
+        found |= {m & kernel for m in found}
+    subs = [_subgroup_of_mask(T, m) for m in found]
     subs.sort(key=lambda s: (s.order, s.members))
-    for s in subs:
-        assert s.is_normal
     return subs
 
 
@@ -533,17 +520,14 @@ def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
         chain.append(cur)
 
 
-def derived_subgroup(G: GroupTable, C: ClassData | None = None) -> Subgroup:
-    """Commutator subgroup; the smallest normal subgroup with abelian quotient."""
-    if C is None:
-        C = conjugacy_classes(G)
-    comms = set()
-    for rep in C.representatives:
-        x = int(rep)
-        # commutators [g, x] = g x g^-1 x^-1 for class representatives suffice
-        conj = G.mul[G.mul[:, x], G.inv]
-        comms.update(int(v) for v in np.unique(G.mul[conj, G.inv[x]]))
-    return subgroup_from_members(G, C, _closure(G, comms))
+def derived_subgroup(T: CharTable) -> Subgroup:
+    """Commutator subgroup, the intersection of the kernels of the linear
+    characters; the smallest normal subgroup with abelian quotient."""
+    mask = (1 << T.classes.num_classes) - 1
+    for kernel, dim in zip(T.kernel_masks(), T.dims):
+        if dim == 1:
+            mask &= kernel
+    return _subgroup_of_mask(T, mask)
 
 
 def center_of_subset(G: GroupTable, members: tuple[int, ...]) -> tuple[int, ...]:
@@ -587,5 +571,5 @@ def conjugation_action_on_class(G: GroupTable, C: ClassData, cid: int):
         img = tuple(pos[G.conjugate(g, x)] for x in cls)
         perms.append(img)
     idn = tuple(range(len(cls)))
-    kernel = _closure(G, {g for g in range(G.order) if perms[g] == idn})
+    kernel = [g for g in range(G.order) if perms[g] == idn]
     return perms, subgroup_from_members(G, C, kernel)

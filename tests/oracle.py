@@ -3,8 +3,8 @@
 Nothing here touches the class-matrix solver or the fusion machinery: the
 character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, subgroups from
-exhaustive closure search, and the affine-group table is assembled from its
-known structure.
+exhaustive closure search, normal and derived subgroups from element-level
+closures, and the affine-group table is assembled from its known structure.
 """
 
 from __future__ import annotations
@@ -74,6 +74,55 @@ def brute_normal_subgroups(G, max_order=48):
                for g in range(G.order) for h in H):
             out.append(H)
     return out
+
+
+def _closure(G, seed):
+    """Subgroup generated by `seed`, as a frozenset of element indices."""
+    members = {G.identity} | set(seed)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        arr = np.fromiter(members, dtype=np.int64)
+        for x in frontier:
+            for y in np.unique(G.mul[x, arr]):
+                if y not in members:
+                    members.add(int(y))
+                    nxt.append(int(y))
+        frontier = nxt
+    return frozenset(members)
+
+
+def closure_join_normal_subgroups(G, C):
+    """All normal subgroups by element-level search, sorted by (order, members).
+
+    Every normal subgroup is a union of conjugacy classes closed under
+    multiplication, hence the join of the normal closures of its classes;
+    the search closes the class closures under join.
+    """
+    found = {frozenset([G.identity])}
+    found |= {_closure(G, (int(x) for x in cls)) for cls in C.classes}
+    worklist = list(found)
+    while worklist:
+        cur = worklist.pop()
+        for other in list(found):
+            join = cur | other
+            if join in found:
+                continue
+            join = _closure(G, join)
+            if join not in found:
+                found.add(join)
+                worklist.append(join)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def closure_derived_subgroup(G, C):
+    """[G, G] as the closure of the commutators [g, x] over class representatives."""
+    comms = set()
+    for rep in C.representatives:
+        x = int(rep)
+        conj = G.mul[G.mul[:, x], G.inv]
+        comms.update(int(v) for v in np.unique(G.mul[conj, G.inv[x]]))
+    return _closure(G, comms)
 
 
 def regular_rep_char_table(G, seed=11, tol=1e-7, attempts=8):

@@ -182,6 +182,34 @@ def test_interchange_rejects_tampering():
         from_interchange(doc2)
 
 
+def test_interchange_rejects_dims_contradicting_identity_column():
+    doc = json.loads(dumps_interchange(get_table("S3")))
+    assert doc["dims"] == [1, 1, 2]
+    doc["dims"] = [1, 2, 1]      # squares still sum to |G|
+    with pytest.raises(CharTableError, match="identity column"):
+        from_interchange(doc)
+
+
+def test_interchange_rejects_nontrivial_first_row():
+    doc = json.loads(dumps_interchange(get_table("S3")))
+    doc["values"][0], doc["values"][1] = doc["values"][1], doc["values"][0]
+    with pytest.raises(CharTableError, match="trivial character"):
+        from_interchange(doc)
+
+
+def test_interchange_computes_column_residual():
+    T = get_table("aff7")
+    T2 = loads_interchange(dumps_interchange(T))
+    # the values round-trip bit for bit, so both residuals are recomputed
+    # from the same numbers as the computed table's
+    assert T2.quality["row_residual"] == T.quality["row_residual"]
+    assert T2.quality["col_residual"] == T.quality["col_residual"]
+    doc = json.loads(dumps_interchange(T))
+    doc["values"][1][1][0] += 1e-3
+    with pytest.raises(CharTableError, match="orthogonality"):
+        from_interchange(doc)
+
+
 def test_quality_metrics_present():
     T = get_table("A5")
     assert T.quality["row_residual"] < 1e-10

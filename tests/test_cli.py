@@ -179,3 +179,28 @@ def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     summary = json.loads((tmp_path / "one" / "summary.json").read_text())
     statuses = {e["id"]: e["status"] for e in summary["experiments"]}
     assert statuses == {"q8": "ok", "cover": "ok", "bad": "error", "walk": "ok"}
+
+
+def test_overridden_epsilon_too_large_is_bad_input(capsys):
+    code = cli.main(["counterexample", "--group", "cyclic:12", "--m", "2",
+                     "--epsilon", "1/2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_spec_file_missing_parameter_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "cyclic"}))
+    assert cli.main(["group", "--group", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'n'" in err
+
+
+def test_normal_subgroups_above_chartable_cap_is_bad_input(monkeypatch, capsys):
+    from tqrgroups import config
+    monkeypatch.setattr(config, "CHARTABLE_CAP", 10)
+    assert cli.main(["group", "--group", "symmetric:4", "--normal-subgroups"]) == 2
+    assert "CHARTABLE_CAP=10" in capsys.readouterr().err
+    # without the lattice, the group report needs no character table
+    code, doc = _run(["group", "--group", "symmetric:4"], capsys)
+    assert code == 0 and "normal_subgroup_orders" not in doc["report"]

@@ -216,7 +216,7 @@ def test_small_doubling_rejects_overridden_epsilon_that_breaks_contract():
 
 def test_counterexample_cyclic12():
     G, C, T = get_group("C12"), get_classes("C12"), get_table("C12")
-    N = [s for s in normal_subgroups(G, C) if s.order == 12][0]
+    N = [s for s in normal_subgroups(T) if s.order == 12][0]
     V, rep = build_counterexample_rep(G, C, T, N, 2, epsilon=Fraction(1, 4))
     assert rep["set_size"] == 3
     assert plancherel_frac(T, V) == Fraction(1, 4)
@@ -229,7 +229,7 @@ def test_counterexample_cyclic12():
 
 def test_counterexample_q8_small_branch():
     G, C, T = get_group("Q8"), get_classes("Q8"), get_table("Q8")
-    N = [s for s in normal_subgroups(G, C) if s.order == 8][0]
+    N = [s for s in normal_subgroups(T) if s.order == 8][0]
     V, rep = build_counterexample_rep(G, C, T, N, 3)
     assert rep["algorithm"]["small_branch"]
     assert rep["set_size"] == 1
@@ -241,7 +241,7 @@ def test_counterexample_q8_small_branch():
 
 def test_counterexample_c2xs3():
     G, C, T = get_group("C2xS3"), get_classes("C2xS3"), get_table("C2xS3")
-    N = [s for s in normal_subgroups(G, C) if s.order == 12][0]
+    N = [s for s in normal_subgroups(T) if s.order == 12][0]
     V, rep = build_counterexample_rep(G, C, T, N, 4, epsilon=Fraction(1, 2))
     assert rep["center_order"] == 2
     assert plancherel_frac(T, V) == Fraction(1, 2)
@@ -255,7 +255,7 @@ def test_counterexample_orbit_blocks_partition():
     # C4 characters induce blocks partitioning the five irreducibles with
     # measures 1/4, 1/4, 1/2
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
-    N = [s for s in normal_subgroups(G, C)
+    N = [s for s in normal_subgroups(T)
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
     V, rep = build_counterexample_rep(G, C, T, N, 2, epsilon=Fraction(1, 4))
     assert rep["orbit_partition_ok"] and rep["orbit_measures_ok"]
@@ -265,7 +265,7 @@ def test_counterexample_orbit_blocks_partition():
 
 def test_counterexample_requires_nontrivial_center():
     G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
-    N = [s for s in normal_subgroups(G, C) if s.order == 6][0]
+    N = [s for s in normal_subgroups(T) if s.order == 6][0]
     with pytest.raises(Exception, match="center"):
         build_counterexample_rep(G, C, T, N, 2)
 
@@ -276,7 +276,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     # character of Ind_K^G(theta): zero off K and
     # (|N|/|K|) * sum over cosets of theta composed with conjugation on K
     G, C, T = get_group(name), get_classes(name), get_table(name)
-    N = [s for s in normal_subgroups(G, C) if s.order == n_order]
+    N = [s for s in normal_subgroups(T) if s.order == n_order]
     N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
     K_members = center_of_subset(G, N.members)
     dec = abelian_structure(G, K_members)
@@ -306,7 +306,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     # D4 with N = the rotation subgroup: the reflection flips the characters
     # of C4, giving dual orbits {0}, {2}, {1,3}
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
-    N = [s for s in normal_subgroups(G, C)
+    N = [s for s in normal_subgroups(T)
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
     K_members = center_of_subset(G, N.members)
     assert len(K_members) == 4

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
-from conftest import FIXTURE_SPECS, get_classes, get_group
-from tqrgroups import (GroupError, build_group, center,
+from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
+from tqrgroups import (CharTable, CharTableError, GroupError, build_group, center,
                        center_free_quotient_chain, conjugacy_classes,
                        derived_subgroup, normal_subgroups, quotient,
                        subgroup_from_members, subgroup_table)
@@ -115,29 +115,52 @@ def test_center_q8_s3_c7():
 
 
 def test_normal_subgroups_s3():
-    G = get_group("S3")
-    subs = normal_subgroups(G)
+    subs = normal_subgroups(get_table("S3"))
     assert [s.order for s in subs] == [1, 3, 6]
     a3 = subs[1]
     assert a3.is_normal and a3.index == 2
 
 
 def test_normal_subgroups_cyclic6():
-    G = get_group("C6")
-    assert [s.order for s in normal_subgroups(G)] == [1, 2, 3, 6]
+    assert [s.order for s in normal_subgroups(get_table("C6"))] == [1, 2, 3, 6]
 
 
 def test_normal_subgroups_a5_simple():
-    G = get_group("A5")
-    assert [s.order for s in normal_subgroups(G)] == [1, 60]
+    assert [s.order for s in normal_subgroups(get_table("A5"))] == [1, 60]
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "A4", "Q8", "D4", "C12", "C2xS3"])
 def test_normal_subgroups_match_brute_force(name):
     G = get_group(name)
-    got = {frozenset(s.members) for s in normal_subgroups(G)}
+    got = {frozenset(s.members) for s in normal_subgroups(get_table(name))}
     expect = set(oracle.brute_normal_subgroups(G))
     assert got == expect
+
+
+@pytest.mark.parametrize("name", ["ES5", "aff11", "aff13", "S5", "A5", "C64",
+                                  "C2xS4", "C3xD4"])
+def test_character_kernels_match_closure_join_oracle(name):
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    subs = normal_subgroups(T)
+    assert [frozenset(s.members) for s in subs] == \
+        oracle.closure_join_normal_subgroups(G, C)
+    assert all(s.is_normal for s in subs)
+    assert frozenset(derived_subgroup(T).members) == \
+        oracle.closure_derived_subgroup(G, C)
+
+
+def test_uncertified_kernel_value_raises():
+    T = get_table("S3")
+    values = T.values.copy()
+    # the sign character is -1 on the transpositions; 1 - 1e-4 is neither
+    # within tolerance of chi(1) nor at least 1 - cos(2 pi / 2) below it
+    assert values[1, 1].real == pytest.approx(-1.0)
+    values[1, 1] = 1 - 1e-4
+    nudged = CharTable(T.group, T.classes, T.dims, values)
+    with pytest.raises(CharTableError, match="not certified"):
+        normal_subgroups(nudged)
+    with pytest.raises(CharTableError, match="not certified"):
+        derived_subgroup(nudged)
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "Q8", "D4", "A4"])
@@ -152,7 +175,7 @@ def test_normal_iff_class_union(name):
 
 def test_quotient_orders_and_identity():
     G = get_group("S3")
-    subs = normal_subgroups(G)
+    subs = normal_subgroups(get_table("S3"))
     for N in subs:
         Q = quotient(G, N)
         assert Q.order * N.order == G.order
@@ -188,11 +211,11 @@ def test_center_free_quotient_chain():
 
 def test_derived_subgroup():
     # [S3, S3] = A3; affine(5) derived = translations
-    D = derived_subgroup(get_group("S3"))
+    D = derived_subgroup(get_table("S3"))
     assert D.order == 3
-    Da = derived_subgroup(get_group("aff5"))
+    Da = derived_subgroup(get_table("aff5"))
     assert Da.order == 5
-    assert derived_subgroup(get_group("A5")).order == 60
+    assert derived_subgroup(get_table("A5")).order == 60
 
 
 def test_subgroup_table_affine_translations():

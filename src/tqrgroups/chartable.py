@@ -56,7 +56,6 @@ class CharTable:
     values: np.ndarray
     quality: dict = field(default_factory=dict)
     source: str = "computed"
-    _fusion_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.dims = np.ascontiguousarray(self.dims, dtype=np.int64)

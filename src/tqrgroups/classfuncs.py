@@ -41,10 +41,7 @@ class RepMultiset:
         return tuple(int(i) for i in np.flatnonzero(self.mult))
 
     def support_mask(self) -> int:
-        mask = 0
-        for i in self.support():
-            mask |= 1 << i
-        return mask
+        return sum(1 << i for i in self.support())
 
     def to_json_dict(self) -> dict:
         return {"mult": self.mult.tolist()}
@@ -80,9 +77,7 @@ class PlancherelMeasure:
 
 def plancherel_frac(T: CharTable, V: RepMultiset) -> Fraction:
     """Exact Plancherel measure of the support of V."""
-    n = T.group.order
-    return sum((Fraction(int(T.dims[i]) ** 2, n) for i in V.support()),
-               Fraction(0))
+    return support_measure_frac(T, V.support_mask())
 
 
 def plancherel(T: CharTable, V: RepMultiset) -> float:
@@ -191,28 +186,18 @@ def decomposition_residual(T: CharTable, f: ClassFunction) -> float:
 # Support ("fusion") arithmetic, integer-exact
 
 
-def fusion_multiplicities(T: CharTable, lam: int, mu: int) -> np.ndarray:
-    """Multiplicity vector of lam (x) mu, cached on the table."""
-    key = (min(lam, mu), max(lam, mu))
-    cached = T._fusion_cache.get(key)
-    if cached is None:
-        prod = ClassFunction(T.group, T.classes, T.values[lam] * T.values[mu])
-        cached = decompose(T, prod).mult
-        T._fusion_cache[key] = cached
-    return cached
-
-
 def tensor_support_mask(T: CharTable, mask1: int, mask2: int) -> int:
-    """Support of the tensor product of two supports, as a bitmask."""
-    out = 0
-    idx1 = [i for i in range(T.num_irreps) if mask1 >> i & 1]
-    idx2 = [i for i in range(T.num_irreps) if mask2 >> i & 1]
-    for a in idx1:
-        for b in idx2:
-            m = fusion_multiplicities(T, a, b)
-            for c in np.flatnonzero(m):
-                out |= 1 << int(c)
-    return out
+    """Support of the tensor product of two supports, as a bitmask.
+
+    Tensor multiplicities are non-negative integers, so nothing cancels: the
+    support of (sum_{a in S1} chi_a)(sum_{b in S2} chi_b) is the union of the
+    supports of the chi_a chi_b, and one certified decomposition gives it.
+    """
+    if not (mask1 and mask2):
+        return 0
+    chi1, chi2 = (T.values[list(mask_to_support(m))].sum(axis=0)
+                  for m in (mask1, mask2))
+    return decompose(T, ClassFunction(T.group, T.classes, chi1 * chi2)).support_mask()
 
 
 def power_support_mask(T: CharTable, mask: int, m: int) -> int:
@@ -226,13 +211,7 @@ def power_support_mask(T: CharTable, mask: int, m: int) -> int:
 
 
 def mask_to_support(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            out.append(i)
-        i += 1
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def support_measure_frac(T: CharTable, mask: int) -> Fraction:

@@ -25,8 +25,9 @@ from .chartable import (CharTableError, compute_char_table, dumps_interchange,
 from .classfuncs import rep_from_selector
 from .counterexample import (AbelianGroup, build_counterexample_rep,
                              m_fold_sumset, translate_cover)
-from .criteria import (CriteriaParams, check_qr, check_tqr, multiplicity_profile,
-                       three_factor_cover, two_factor_cover)
+from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
+                       check_tqr, multiplicity_profile, three_factor_cover,
+                       two_factor_cover)
 from .groups import (GroupError, build_group, center,
                      center_free_quotient_chain, conjugacy_classes,
                      normal_subgroups)
@@ -180,32 +181,28 @@ def run_chartable(args: dict) -> tuple[dict, int]:
     return _envelope("chartable", spec, {}, payload), 0
 
 
-_TQR_IDS = ("tqr1", "tqr2", "tqr3", "tqr4")
-_QR_IDS = ("qr1", "qr2", "qr3", "qr4")
+def _criteria_params(args: dict) -> CriteriaParams:
+    """CriteriaParams from check options; an omitted option keeps the
+    dataclass default, and --k sets every small-structure threshold."""
+    given = {key: conv(args[key]) for key, conv in (
+        ("density", float), ("power", int), ("seed", int), ("trials", int),
+        ("exhaustive_cap", int)) if args.get(key) is not None}
+    if args.get("k") is not None:
+        given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
+                                    "normal_index", "quotient_size"), int(args["k"])))
+    return CriteriaParams(**given)
 
 
 def run_check(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     G, C, T = _load_table(spec)
-    k = int(args.get("k", 4))
-    params = CriteriaParams(
-        class_threshold=k, dim_threshold=k, normal_size=k, normal_index=k,
-        quotient_size=k,
-        density=float(args.get("density", 0.1)),
-        power=int(args.get("power", 3)),
-        seed=int(args.get("seed", 0)),
-        trials=int(args.get("trials", 1000)),
-        exhaustive_cap=int(args.get("exhaustive_cap", 20)),
-    )
+    params = _criteria_params(args)
     which = args.get("criterion", "all")
-    wanted = set(_TQR_IDS + _QR_IDS) if which == "all" else {which}
-    if not wanted <= set(_TQR_IDS + _QR_IDS):
+    if which not in ("all", *TQR_CRITERIA, *QR_CRITERIA):
         raise UsageError(f"unknown criterion {which!r}")
-    reports = []
-    if wanted & set(_TQR_IDS):
-        reports += [r for r in check_tqr(G, C, T, params) if r.criterion in wanted]
-    if wanted & set(_QR_IDS):
-        reports += [r for r in check_qr(G, T, params) if r.criterion in wanted]
+    names = (*TQR_CRITERIA, *QR_CRITERIA) if which == "all" else (which,)
+    reports = (check_tqr(G, C, T, params, [n for n in names if n in TQR_CRITERIA])
+               + check_qr(G, T, params, [n for n in names if n in QR_CRITERIA]))
     payload = {"criteria": [r.to_json_dict() for r in reports]}
     return (_envelope("check", spec, params.to_json_dict(), payload,
                       seed=params.seed), 0)
@@ -416,14 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("check", help="evaluate TQR / QR criteria")
     k.add_argument("--group", required=True)
     k.add_argument("--criterion", default="all",
-                   choices=["all", *_TQR_IDS, *_QR_IDS])
-    k.add_argument("--k", type=int, default=4)
-    k.add_argument("--density", type=float, default=0.1)
-    k.add_argument("--power", type=int, default=3)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--trials", type=int, default=1000)
-    k.add_argument("--exhaustive-cap", type=int, default=20,
-                   dest="exhaustive_cap")
+                   choices=["all", *TQR_CRITERIA, *QR_CRITERIA])
+    # omitted options fall back to the CriteriaParams defaults
+    k.add_argument("--k", type=int)
+    k.add_argument("--density", type=float)
+    k.add_argument("--power", type=int)
+    k.add_argument("--seed", type=int)
+    k.add_argument("--trials", type=int)
+    k.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
     k.add_argument("--out")
 
     v = sub.add_parser("cover", help="two/three-factor covering check")

@@ -7,6 +7,7 @@ every failed criterion carries a concrete, checkable witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,10 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from .chartable import CharTable, ClassFunction
-from .classfuncs import (RepMultiset, lp_norm, mask_to_support, plancherel_frac,
-                         power_support_mask, split_off_identity,
-                         support_measure_frac, tensor_support_mask)
+from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
+                         mask_to_support, plancherel_frac, power_support_mask,
+                         reduce_rep, split_off_identity, support_measure_frac,
+                         tensor_support_mask)
 from .groups import ClassData, GroupError, GroupTable, derived_subgroup, normal_subgroups, center_of_subset
+
+TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
+QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
 
 
 @dataclass
@@ -109,10 +114,7 @@ def two_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset) -> CoverRep
     m1, m2 = plancherel_frac(T, V1), plancherel_frac(T, V2)
     guaranteed = (m1 + m2) > 1
     full = (1 << T.num_irreps) - 1
-    if V1.is_zero or V2.is_zero:
-        prod = 0
-    else:
-        prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
+    prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
     covered = prod == full
     missing = mask_to_support(full & ~prod)
     return CoverReport("two_factor", [float(m1), float(m2)], bool(guaranteed),
@@ -130,11 +132,8 @@ def three_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset,
     # exact comparison: (M1 M2 M3)^2 * c > 1 avoids the irrational sqrt
     guaranteed = prod_m > 0 and (prod_m * prod_m * c) > 1
     full = (1 << T.num_irreps) - 1
-    if any(V.is_zero for V in (V1, V2, V3)):
-        mask = 0
-    else:
-        mask = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
-        mask = tensor_support_mask(T, mask, V3.support_mask())
+    mask = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
+    mask = tensor_support_mask(T, mask, V3.support_mask())
     covered = mask == full
     missing = mask_to_support(full & ~mask)
     return CoverReport("three_factor", [float(m) for m in ms], bool(guaranteed),
@@ -146,8 +145,6 @@ def multiplicity_profile(T: CharTable, V1: RepMultiset, V2: RepMultiset,
     """Exact multiplicities of each irreducible in the tensor product of the
     three reduced representations, with deviation from proportionality to dim.
     """
-    from .classfuncs import character_of, decompose, reduce_rep
-
     n = T.group.order
     if any(V.is_zero for V in (V1, V2, V3)):
         return {"multiplicities": [0] * T.num_irreps, "deviations": None,
@@ -226,16 +223,24 @@ def _random_support(T: CharTable, rng, dens: Fraction, max_tries: int = 200) -> 
 
 
 def check_tqr(G: GroupTable, C: ClassData, T: CharTable,
-              params: CriteriaParams | None = None) -> list[CriterionReport]:
-    """Evaluate all four tensor-quasi-randomness criteria with explicit
-    thresholds; failed criteria carry concrete witnesses."""
+              params: CriteriaParams | None = None,
+              names=TQR_CRITERIA) -> list[CriterionReport]:
+    """Evaluate the named tensor-quasi-randomness criteria (all four by
+    default) with explicit thresholds; failed criteria carry concrete
+    witnesses."""
     params = params or CriteriaParams()
     pjson = params.to_json_dict()
-    reports = [_tqr1(G, C, params, pjson),
-               _tqr2(T, params, pjson),
-               _tqr3(T, params, pjson),
-               _tqr4(T, params, pjson)]
-    return reports
+    return _evaluate(names, {"tqr1": lambda: _tqr1(G, C, params, pjson),
+                             "tqr2": lambda: _tqr2(T, params, pjson),
+                             "tqr3": lambda: _tqr3(T, params, pjson),
+                             "tqr4": lambda: _tqr4(T, params, pjson)})
+
+
+def _evaluate(names, evaluators: dict) -> list[CriterionReport]:
+    unknown = [n for n in names if n not in evaluators]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}")
+    return [evaluators[n]() for n in names]
 
 
 def _tqr1(G, C, params, pjson) -> CriterionReport:
@@ -266,15 +271,13 @@ def _tqr2(T, params, pjson) -> CriterionReport:
         minimal = _minimal_supports(T, dens)
         triples = len(minimal) ** 3
         if triples <= 2_000_000:
-            for m1 in minimal:
-                for m2 in minimal:
-                    m12 = tensor_support_mask(T, m1, m2)
-                    for m3 in minimal:
-                        checked += 1
-                        if tensor_support_mask(T, m12, m3) != full:
-                            witness = _support_witness(T, [m1, m2, m3], m12, m3)
-                            break
-                    if witness:
+            for m1, m2 in itertools.product(minimal, repeat=2):
+                m12 = tensor_support_mask(T, m1, m2)
+                for m3 in minimal:
+                    checked += 1
+                    m123 = tensor_support_mask(T, m12, m3)
+                    if m123 != full:
+                        witness = _support_witness(T, [m1, m2, m3], m123)
                         break
                 if witness:
                     break
@@ -290,17 +293,16 @@ def _tqr2(T, params, pjson) -> CriterionReport:
         if any(m is None for m in ms):
             continue
         checked += 1
-        m12 = tensor_support_mask(T, ms[0], ms[1])
-        if tensor_support_mask(T, m12, ms[2]) != full:
-            witness = _support_witness(T, ms, m12, ms[2])
+        m123 = tensor_support_mask(T, tensor_support_mask(T, ms[0], ms[1]), ms[2])
+        if m123 != full:
+            witness = _support_witness(T, ms, m123)
     return CriterionReport("tqr2", witness is None, pjson, witness=witness,
                            mode="+".join(modes),
                            details={"triples_checked": checked})
 
 
-def _support_witness(T, masks, m12, m3) -> dict:
-    missing = mask_to_support(((1 << T.num_irreps) - 1)
-                              & ~tensor_support_mask(T, m12, m3))
+def _support_witness(T, masks, product_mask) -> dict:
+    missing = mask_to_support(((1 << T.num_irreps) - 1) & ~product_mask)
     return {"supports": [list(mask_to_support(m)) for m in masks],
             "measures": [float(support_measure_frac(T, m)) for m in masks],
             "missing": list(missing)}
@@ -315,13 +317,8 @@ def _tqr3(T, params, pjson) -> CriterionReport:
         modes.append("exhaustive-minimal")
         for m in _minimal_supports(T, dens):
             checked += 1
-            pw = power_support_mask(T, m, params.power)
-            measure = support_measure_frac(T, pw)
-            if measure <= params.power_measure_threshold:
-                witness = {"support": list(mask_to_support(m)),
-                           "measure": float(support_measure_frac(T, m)),
-                           "power_support": list(mask_to_support(pw)),
-                           "power_measure": float(measure)}
+            witness = _power_witness(T, m, params)
+            if witness:
                 break
     rng = np.random.default_rng(params.seed + 3001)
     modes.append("randomized")
@@ -332,16 +329,22 @@ def _tqr3(T, params, pjson) -> CriterionReport:
         if m is None:
             continue
         checked += 1
-        pw = power_support_mask(T, m, params.power)
-        measure = support_measure_frac(T, pw)
-        if measure <= params.power_measure_threshold:
-            witness = {"support": list(mask_to_support(m)),
-                       "measure": float(support_measure_frac(T, m)),
-                       "power_support": list(mask_to_support(pw)),
-                       "power_measure": float(measure)}
+        witness = _power_witness(T, m, params)
     return CriterionReport("tqr3", witness is None, pjson, witness=witness,
                            mode="+".join(modes),
                            details={"supports_checked": checked})
+
+
+def _power_witness(T, m, params) -> dict | None:
+    """The TQR3 witness for support m, or None if its power is large enough."""
+    pw = power_support_mask(T, m, params.power)
+    measure = support_measure_frac(T, pw)
+    if measure > params.power_measure_threshold:
+        return None
+    return {"support": list(mask_to_support(m)),
+            "measure": float(support_measure_frac(T, m)),
+            "power_support": list(mask_to_support(pw)),
+            "power_measure": float(measure)}
 
 
 def _tqr4(T, params, pjson) -> CriterionReport:
@@ -372,15 +375,16 @@ def _tqr4(T, params, pjson) -> CriterionReport:
 # Product-set (quasi-randomness) criteria
 
 
-def check_qr(G: GroupTable, T: CharTable,
-             params: CriteriaParams | None = None) -> list[CriterionReport]:
-    """Evaluate the four product-set quasi-randomness criteria."""
+def check_qr(G: GroupTable, T: CharTable, params: CriteriaParams | None = None,
+             names=QR_CRITERIA) -> list[CriterionReport]:
+    """Evaluate the named product-set quasi-randomness criteria (all four by
+    default)."""
     params = params or CriteriaParams()
     pjson = params.to_json_dict()
-    return [_qr1(T, params, pjson),
-            _qr23(G, params, pjson, triple=True),
-            _qr23(G, params, pjson, triple=False),
-            _qr4(T, params, pjson)]
+    return _evaluate(names, {"qr1": lambda: _qr1(T, params, pjson),
+                             "qr2": lambda: _qr23(G, params, pjson, triple=True),
+                             "qr3": lambda: _qr23(G, params, pjson, triple=False),
+                             "qr4": lambda: _qr4(T, params, pjson)})
 
 
 def _qr1(T, params, pjson) -> CriterionReport:

@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -209,8 +210,6 @@ def _perm_family(n: int, even_only: bool, family: str) -> GroupTable:
         perms = [p for p in perms if _perm_parity(p) == 0]
     index = {p: k for k, p in enumerate(perms)}
     m = len(perms)
-    if m > config.MAX_ORDER:
-        raise GroupError(f"order {m} exceeds MAX_ORDER={config.MAX_ORDER}")
     mul = np.zeros((m, m), dtype=np.int64)
     for a, p in enumerate(perms):
         for b, q in enumerate(perms):
@@ -295,8 +294,7 @@ def _affine(p: int) -> GroupTable:
 
 def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
     na, nb = left.order, right.order
-    if na * nb > config.MAX_ORDER:
-        raise GroupError(f"order {na * nb} exceeds MAX_ORDER={config.MAX_ORDER}")
+    _check_order(na * nb)
     mul = (left.mul[:, None, :, None] * nb + right.mul[None, :, None, :])
     mul = mul.reshape(na * nb, na * nb)
     labels = None
@@ -353,14 +351,31 @@ def _int_field(spec: dict, key: str) -> int:
                          f"not {value!r}") from None
 
 
+def _check_order(order: int) -> None:
+    """Refuse a group above MAX_ORDER before its Cayley table is allocated."""
+    if order > config.MAX_ORDER:
+        raise GroupError(f"order {order} exceeds MAX_ORDER={config.MAX_ORDER}")
+
+
+def _family_order(name: str, k: int) -> int | float:
+    """Order of the family member with parameter k, from k alone."""
+    if name in ("symmetric", "alternating"):
+        if k > 20:  # 21! > 2^64: not multiplied out, so a huge degree costs nothing
+            return math.inf
+        order = math.factorial(max(k, 0))
+        return order // 2 if name == "alternating" and k > 1 else order
+    return {"cyclic": k, "dihedral": 2 * k, "extraspecial": k ** 3,
+            "affine": k * (k - 1)}[name]
+
+
+# family -> (parameter name, constructor taking that parameter)
 _FAMILIES = {
-    "cyclic": lambda params: _cyclic(_int_field(params, "n")),
-    "dihedral": lambda params: _dihedral(_int_field(params, "n")),
-    "symmetric": lambda params: _perm_family(_int_field(params, "n"), False, "symmetric"),
-    "alternating": lambda params: _perm_family(_int_field(params, "n"), True, "alternating"),
-    "quaternion8": lambda params: _quaternion8(),
-    "extraspecial": lambda params: _extraspecial(_int_field(params, "p")),
-    "affine": lambda params: _affine(_int_field(params, "p")),
+    "cyclic": ("n", _cyclic),
+    "dihedral": ("n", _dihedral),
+    "symmetric": ("n", lambda n: _perm_family(n, False, "symmetric")),
+    "alternating": ("n", lambda n: _perm_family(n, True, "alternating")),
+    "extraspecial": ("p", _extraspecial),
+    "affine": ("p", _affine),
 }
 
 
@@ -385,14 +400,18 @@ def build_group(spec: dict) -> GroupTable:
             return _direct_product(left, right,
                                    {"family": "product",
                                     "params": {"left": left.source, "right": right.source}})
+        if name == "quaternion8":
+            return _quaternion8()
         if name not in _FAMILIES:
             raise GroupError(f"unknown family {name!r}")
-        return _FAMILIES[name](params)
+        key, construct = _FAMILIES[name]
+        k = _int_field(params, key)
+        _check_order(_family_order(name, k))
+        return construct(k)
     kind = spec.get("type")
     if kind == "cayley":
         table = np.asarray(_field(spec, "table"), dtype=np.int64)
-        if table.shape[0] > config.MAX_ORDER:
-            raise GroupError(f"order exceeds MAX_ORDER={config.MAX_ORDER}")
+        _check_order(table.shape[0])
         return _finalize(table, spec.get("labels"),
                          {"type": "cayley", "table": table.tolist()})
     if kind == "permutation":

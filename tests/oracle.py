@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to validate the library.
 
-Nothing here touches the class-matrix solver or the fusion machinery: the
-character-table oracle decomposes the regular representation by explicit
+Nothing here touches the class-matrix solver or the library's decomposition:
+the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
-closures, and the affine-group table is assembled from its known structure.
+closures, tensor supports from one product of irreducibles at a time, and the
+affine-group table is assembled from its known structure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -123,6 +125,35 @@ def closure_derived_subgroup(G, C):
         conj = G.mul[G.mul[:, x], G.inv]
         comms.update(int(v) for v in np.unique(G.mul[conj, G.inv[x]]))
     return _closure(G, comms)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_multiplicities(T, a, b):
+    """<chi_a chi_b, chi_c> for every c, checked to be non-negative integers."""
+    w = T.classes.sizes / T.group.order
+    raw = (w * T.values[a] * T.values[b]) @ T.values.conj().T
+    mult = np.rint(raw.real).astype(np.int64)
+    assert np.max(np.abs(raw - mult)) < 1e-8 and mult.min() >= 0
+    return mult
+
+
+def pairwise_tensor_support(T, mask1, mask2):
+    """Support of S1 (x) S2 as the union of supp(chi_a chi_b) over every pair."""
+    out = 0
+    for a in range(T.num_irreps):
+        for b in range(T.num_irreps):
+            if mask1 >> a & 1 and mask2 >> b & 1:
+                for c in np.flatnonzero(_pair_multiplicities(T, a, b)):
+                    out |= 1 << int(c)
+    return out
+
+
+def pairwise_power_support(T, mask, m):
+    """Support of the m-fold tensor power, one pairwise product at a time."""
+    out = mask
+    for _ in range(m - 1):
+        out = pairwise_tensor_support(T, out, mask)
+    return out
 
 
 def regular_rep_char_table(G, seed=11, tol=1e-7, attempts=8):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (DecompositionError, character_of, decompose, direct_sum,
                        inner_product, lp_norm, plancherel, plancherel_frac,
@@ -192,3 +193,16 @@ def test_support_mask_arithmetic():
     assert power_support_mask(T, 0b001, 5) == 0b001
     assert support_measure_frac(T, 0b111) == 1
     assert support_measure_frac(T, 0b100) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+@settings(deadline=None)  # the first example fills the oracle's pair cache
+@given(data=st.data())
+def test_support_masks_match_pairwise_oracle(name, data):
+    T = get_table(name)
+    masks = st.sets(st.integers(0, T.num_irreps - 1)).map(
+        lambda s: sum(1 << i for i in s))
+    m1, m2 = data.draw(masks), data.draw(masks)
+    m = data.draw(st.integers(1, 4))
+    assert tensor_support_mask(T, m1, m2) == oracle.pairwise_tensor_support(T, m1, m2)
+    assert power_support_mask(T, m1, m) == oracle.pairwise_power_support(T, m1, m)

@@ -204,3 +204,37 @@ def test_normal_subgroups_above_chartable_cap_is_bad_input(monkeypatch, capsys):
     # without the lattice, the group report needs no character table
     code, doc = _run(["group", "--group", "symmetric:4"], capsys)
     assert code == 0 and "normal_subgroup_orders" not in doc["report"]
+
+
+def test_check_evaluates_only_the_requested_criterion(monkeypatch, capsys):
+    from tqrgroups import criteria
+
+    def not_requested(*args):
+        raise AssertionError("tqr3 evaluated for --criterion tqr2")
+
+    monkeypatch.setattr(criteria, "_tqr3", not_requested)
+    code, doc = _run(["check", "--group", "quaternion8", "--criterion", "tqr2"],
+                     capsys)
+    assert code == 0
+    assert [r["criterion"] for r in doc["report"]["criteria"]] == ["tqr2"]
+
+
+def test_check_params_default_to_criteria_params(capsys):
+    from tqrgroups.criteria import CriteriaParams
+    _, doc = _run(["check", "--group", "quaternion8", "--criterion", "tqr1"], capsys)
+    assert doc["params"] == CriteriaParams().to_json_dict()
+    _, doc = _run(["check", "--group", "quaternion8", "--criterion", "tqr1",
+                   "--k", "6", "--density", "0.25", "--seed", "9"], capsys)
+    assert doc["params"] == CriteriaParams(
+        class_threshold=6, dim_threshold=6, normal_size=6, normal_index=6,
+        quotient_size=6, density=0.25, seed=9).to_json_dict()
+
+
+@pytest.mark.parametrize("spec", ["symmetric:13", "cyclic:20001",
+                                  "extraspecial:29", "affine:149"])
+def test_family_above_max_order_is_refused_before_building(spec, monkeypatch,
+                                                           capsys):
+    from tqrgroups import config
+    monkeypatch.setattr(config, "MAX_ORDER", 20000)
+    assert cli.main(["group", "--group", spec]) == 2
+    assert "exceeds MAX_ORDER=20000" in capsys.readouterr().err

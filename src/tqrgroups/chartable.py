@@ -70,9 +70,6 @@ class CharTable:
     def irrep_character(self, lam: int) -> ClassFunction:
         return ClassFunction(self.group, self.classes, self.values[lam].copy())
 
-    def class_weights(self) -> np.ndarray:
-        return self.classes.sizes / self.group.order
-
     def kernel_masks(self) -> list[int]:
         """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
 

@@ -73,15 +73,9 @@ class AutAction:
 
     def __post_init__(self):
         K = self.group
-        for p in self.perms:
-            if sorted(p.values()) != sorted(K.elements):
-                raise ValueError("action map is not a bijection")
-            for x in K.elements:
-                for y in K.elements:
-                    if p[K.add(x, y)] != K.add(p[x], p[y]):
-                        raise ValueError("action map is not an automorphism")
-        # dedupe preserving the given order, then close under composition so
-        # that an already-closed input keeps its indexing
+        # dedupe preserving the given order, so each distinct map is validated
+        # once, then close under composition so that an already-closed input
+        # keeps its indexing
         ordered = []
         seen = set()
         for p in self.perms:
@@ -89,6 +83,13 @@ class AutAction:
             if k not in seen:
                 seen.add(k)
                 ordered.append(p)
+        for p in ordered:
+            if sorted(p.values()) != sorted(K.elements):
+                raise ValueError("action map is not a bijection")
+            for x in K.elements:
+                for y in K.elements:
+                    if p[K.add(x, y)] != K.add(p[x], p[y]):
+                        raise ValueError("action map is not an automorphism")
         idn = {t: t for t in K.elements}
         if self._key(idn) not in seen:
             seen.add(self._key(idn))
@@ -511,14 +512,7 @@ def conjugation_action_on_center(G: GroupTable, N: Subgroup,
                 raise GroupError("conjugation does not preserve the center of N")
             p[t] = dec.from_parent[y]
         perms.append(p)
-    uniq = []
-    keys = set()
-    for p in perms:
-        key = AutAction._key(p)
-        if key not in keys:
-            keys.add(key)
-            uniq.append(p)
-    return AutAction(K, uniq)
+    return AutAction(K, perms)
 
 
 def central_induced_character(G: GroupTable, C: ClassData, dec: AbelianStructure,

@@ -52,12 +52,6 @@ class GroupTable:
         name = self.source.get("family", self.source.get("type", "group"))
         return f"GroupTable({name}, order={self.order})"
 
-    def product(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
@@ -117,9 +111,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -167,6 +158,45 @@ def _check_group_axioms(mul: np.ndarray, rng_seed: int = 0) -> tuple[int, np.nda
     return identity, inv
 
 
+def _rows(tuples, width: int) -> np.ndarray:
+    """Equal-length integer tuples as the rows of an (m, width) array."""
+    return np.array(tuples, dtype=np.int64).reshape(len(tuples), width)
+
+
+def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
+    """Cayley table of a group given by its elements and their product law.
+
+    `elems` holds the m elements as distinct integer rows in ascending
+    lexicographic order; compose(x, elems) gives the rows of x*y for every y.
+    A product row is ranked one column at a time: the rank of its first j+1
+    entries is the position of rank_j * span_j + col_j among the elements'
+    own prefix keys, so no key exceeds m * span_j. The table is filled one
+    row at a time, with extra memory O(m * width). Every ranked row is
+    compared with the element it names, so a product that is not an element
+    raises GroupError and a wrong rank can never enter the table.
+    """
+    m, width = elems.shape
+    span = elems.max(axis=0) + 1
+    levels = []
+    prefix = np.zeros(m, dtype=np.int64)
+    for j in range(width):
+        key = prefix * span[j] + elems[:, j]
+        levels.append(np.unique(key))
+        prefix = np.searchsorted(levels[-1], key)
+
+    mul = np.empty((m, m), dtype=np.int64)
+    for x in range(m):
+        rows = compose(elems[x], elems)
+        rank = np.zeros(m, dtype=np.int64)
+        for j, keys in enumerate(levels):
+            rank = np.searchsorted(keys, rank * span[j] + rows[:, j])
+        rank = np.minimum(rank, m - 1)
+        if not np.array_equal(elems[rank], rows):
+            raise GroupError("member set is not closed under multiplication")
+        mul[x] = rank
+    return mul
+
+
 def _finalize(mul, labels, source) -> GroupTable:
     mul = np.asarray(mul, dtype=np.int64)
     identity, inv = _check_group_axioms(mul)
@@ -208,14 +238,14 @@ def _perm_family(n: int, even_only: bool, family: str) -> GroupTable:
     perms = list(itertools.permutations(range(n)))
     if even_only:
         perms = [p for p in perms if _perm_parity(p) == 0]
-    index = {p: k for k, p in enumerate(perms)}
-    m = len(perms)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for a, p in enumerate(perms):
-        for b, q in enumerate(perms):
-            mul[a, b] = index[tuple(p[q[k]] for k in range(n))]
+    mul = _table_from_rows(_rows(perms, n), _compose_perms)
     labels = ["".join(map(str, p)) for p in perms]
     return _finalize(mul, labels, {"family": family, "params": {"n": n}})
+
+
+def _compose_perms(p, Q):
+    """Rows of p∘q (k -> p[q[k]]) for every row q of Q."""
+    return p[Q]
 
 
 def _perm_parity(p) -> int:
@@ -235,24 +265,15 @@ def _perm_parity(p) -> int:
 
 
 def _quaternion8() -> GroupTable:
-    # elements: 1, -1, i, -i, j, -j, k, -k
+    # (u, s) is (-1)^s u for the units u = 1, i, j, k, which lists the
+    # elements as 1, -1, i, -i, j, -j, k, -k; the unit part of u*v is u xor v
+    # and NEG[u, v] is its sign (i*i = -1, i*j = k, j*i = -k, ...)
+    NEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    unit = {("1", "1"): ("+", "1"), ("1", "i"): ("+", "i"), ("1", "j"): ("+", "j"),
-            ("1", "k"): ("+", "k"), ("i", "1"): ("+", "i"), ("j", "1"): ("+", "j"),
-            ("k", "1"): ("+", "k"), ("i", "i"): ("-", "1"), ("j", "j"): ("-", "1"),
-            ("k", "k"): ("-", "1"), ("i", "j"): ("+", "k"), ("j", "i"): ("-", "k"),
-            ("j", "k"): ("+", "i"), ("k", "j"): ("-", "i"), ("k", "i"): ("+", "j"),
-            ("i", "k"): ("-", "j")}
-
-    def mult(a, b):
-        sa, ua = ("-", a[1:]) if a.startswith("-") else ("+", a)
-        sb, ub = ("-", b[1:]) if b.startswith("-") else ("+", b)
-        sc, uc = unit[(ua, ub)]
-        neg = [sa, sb, sc].count("-") % 2
-        return ("-" if neg else "") + uc
-
-    index = {s: k for k, s in enumerate(names)}
-    mul = np.array([[index[mult(a, b)] for b in names] for a in names])
+    mul = _table_from_rows(
+        _rows(list(itertools.product(range(4), range(2))), 2),
+        lambda x, Y: np.stack([x[0] ^ Y[:, 0],
+                               (x[1] + Y[:, 1] + NEG[x[0], Y[:, 0]]) % 2], axis=1))
     return _finalize(mul, names, {"family": "quaternion8", "params": {}})
 
 
@@ -266,12 +287,14 @@ def _extraspecial(p: int) -> GroupTable:
     """Upper unitriangular 3x3 matrices over F_p; order p^3, center of order p."""
     if not _is_prime(p):
         raise GroupError("extraspecial parameter must be prime")
-    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {e: k for k, e in enumerate(elems)}
-    mul = np.zeros((p ** 3, p ** 3), dtype=np.int64)
-    for x, (a, b, c) in enumerate(elems):
-        for y, (d, e, f) in enumerate(elems):
-            mul[x, y] = index[((a + d) % p, (b + e) % p, (c + f + a * e) % p)]
+    elems = list(itertools.product(range(p), repeat=3))
+
+    def compose(x, Y):
+        # (a, b, c) . (d, e, f) = (a + d, b + e, c + f + a e)
+        return np.stack([(x[0] + Y[:, 0]) % p, (x[1] + Y[:, 1]) % p,
+                         (x[2] + Y[:, 2] + x[0] * Y[:, 1]) % p], axis=1)
+
+    mul = _table_from_rows(_rows(elems, 3), compose)
     labels = [f"({a},{b},{c})" for a, b, c in elems]
     return _finalize(mul, labels, {"family": "extraspecial", "params": {"p": p}})
 
@@ -281,13 +304,12 @@ def _affine(p: int) -> GroupTable:
     if not _is_prime(p):
         raise GroupError("affine parameter must be prime")
     elems = [(a, b) for a in range(1, p) for b in range(p)]
-    index = {e: k for k, e in enumerate(elems)}
-    m = len(elems)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for x, (a, b) in enumerate(elems):
-        for y, (a2, b2) in enumerate(elems):
-            # (a, b) . (a2, b2): first apply x -> a2 x + b2, then x -> a x + b
-            mul[x, y] = index[((a * a2) % p, (a * b2 + b) % p)]
+
+    def compose(x, Y):
+        # (a, b) . (a2, b2): first apply x -> a2 x + b2, then x -> a x + b
+        return np.stack([x[0] * Y[:, 0] % p, (x[0] * Y[:, 1] + x[1]) % p], axis=1)
+
+    mul = _table_from_rows(_rows(elems, 2), compose)
     labels = [f"x->{a}x+{b}" for a, b in elems]
     return _finalize(mul, labels, {"family": "affine", "params": {"p": p}})
 
@@ -323,12 +345,7 @@ def _perm_closure(degree: int, generators: list[tuple[int, ...]]) -> GroupTable:
                     nxt.append(q)
         frontier = nxt
     elems = sorted(seen)
-    index = {p: k for k, p in enumerate(elems)}
-    m = len(elems)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for a, p in enumerate(elems):
-        for b, q in enumerate(elems):
-            mul[a, b] = index[tuple(p[q[k]] for k in range(degree))]
+    mul = _table_from_rows(_rows(elems, degree), _compose_perms)
     labels = ["".join(map(str, p)) if degree <= 10 else str(p) for p in elems]
     return _finalize(mul, labels, {"type": "permutation", "degree": degree,
                                    "generators": [list(g) for g in generators]})
@@ -506,23 +523,11 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     if not N.is_normal:
         raise GroupError("quotient requires a normal subgroup")
     members = np.fromiter(N.members, dtype=np.int64)
-    coset_rep = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(G.order):
-        if coset_rep[g] >= 0:
-            continue
-        coset = np.unique(G.mul[g, members])
-        rep = int(coset.min())
-        coset_rep[coset] = rep
-        reps.append(rep)
-    reps.sort()
-    rep_index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for a, ra in enumerate(reps):
-        row = coset_rep[G.mul[ra, reps]]
-        mul[a] = [rep_index[int(r)] for r in row]
-    labels = [f"[{G.label(r)}]" for r in reps]
+    coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
+    reps = np.unique(coset_rep)
+    mul = _table_from_rows(reps[:, None],
+                           lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
+    labels = [f"[{G.label(r)}]" for r in reps.tolist()]
     return _finalize(mul, labels, {"type": "quotient", "parent": G.source,
                                    "kernel_order": N.order})
 
@@ -564,13 +569,7 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     indices (sorted ascending, so index 0 need not be the identity of G).
     """
     elems = sorted(int(m) for m in members)
-    pos = {e: i for i, e in enumerate(elems)}
-    arr = np.fromiter(elems, dtype=np.int64)
-    block = G.mul[np.ix_(arr, arr)]
-    try:
-        mul = np.vectorize(pos.__getitem__)(block)
-    except KeyError:
-        raise GroupError("member set is not closed under multiplication")
+    mul = _table_from_rows(_rows(elems, 1), lambda x, Y: G.mul[x[0], Y[:, 0]][:, None])
     labels = [G.label(e) for e in elems] if G.labels is not None else None
     table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,
                                     "members": elems})

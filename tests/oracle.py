@@ -4,8 +4,9 @@ Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
-closures, tensor supports from one product of irreducibles at a time, and the
-affine-group table is assembled from its known structure.
+closures, tensor supports from one product of irreducibles at a time, Cayley
+tables from a dict lookup of every pairwise product, and the affine-group
+table is assembled from its known structure.
 """
 
 from __future__ import annotations
@@ -125,6 +126,88 @@ def closure_derived_subgroup(G, C):
         conj = G.mul[G.mul[:, x], G.inv]
         comms.update(int(v) for v in np.unique(G.mul[conj, G.inv[x]]))
     return _closure(G, comms)
+
+
+def dict_cayley_table(elems, compose):
+    """Cayley table by indexing the elements in a dict and looking up every
+    pairwise product compose(x, y), pure python; KeyError if not closed."""
+    index = {e: k for k, e in enumerate(elems)}
+    return np.array([[index[compose(x, y)] for y in elems] for x in elems],
+                    dtype=np.int64).reshape(len(elems), len(elems))
+
+
+def table_inverses(mul):
+    """inv[a] = the b with a*b the identity, by scanning rows."""
+    n = len(mul)
+    e = next(x for x in range(n) if list(mul[x]) == list(range(n)))
+    return np.array([list(mul[a]).index(e) for a in range(n)], dtype=np.int64)
+
+
+def _compose_perms(p, q):
+    return tuple(p[q[k]] for k in range(len(p)))
+
+
+def _perm_is_even(p):
+    return sum(p[a] > p[b] for a in range(len(p)) for b in range(a + 1, len(p))) % 2 == 0
+
+
+def _quaternion_mult(a, b):
+    units = {("1", u): ("+", u) for u in "1ijk"}
+    units.update({(u, "1"): ("+", u) for u in "ijk"})
+    units.update({(u, u): ("-", "1") for u in "ijk"})
+    for u, v, w in (("i", "j", "k"), ("j", "k", "i"), ("k", "i", "j")):
+        units[(u, v)] = ("+", w)
+        units[(v, u)] = ("-", w)
+    sa, ua = ("-", a[1:]) if a.startswith("-") else ("+", a)
+    sb, ub = ("-", b[1:]) if b.startswith("-") else ("+", b)
+    sc, uc = units[(ua, ub)]
+    return ("-" if [sa, sb, sc].count("-") % 2 else "") + uc
+
+
+def enumerated_group(spec):
+    """(elements, compose, labels) of an enumerated family or permutation
+    spec, in the element order the library's constructors use."""
+    if spec.get("type") == "permutation":
+        degree, gens = spec["degree"], [tuple(g) for g in spec["generators"]]
+        seen = {tuple(range(degree))}
+        frontier = list(seen)
+        while frontier:
+            frontier = [q for q in {_compose_perms(p, g) for p in frontier for g in gens}
+                        if q not in seen]
+            seen.update(frontier)
+        elems = sorted(seen)
+        labels = ["".join(map(str, p)) if degree <= 10 else str(p) for p in elems]
+        return elems, _compose_perms, labels
+    family, params = spec["family"], spec["params"]
+    if family in ("symmetric", "alternating"):
+        elems = [p for p in itertools.permutations(range(params["n"]))
+                 if family == "symmetric" or _perm_is_even(p)]
+        return elems, _compose_perms, ["".join(map(str, p)) for p in elems]
+    if family == "quaternion8":
+        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+        return names, _quaternion_mult, names
+    p = params["p"]
+    if family == "extraspecial":
+        elems = list(itertools.product(range(p), repeat=3))
+        return (elems,
+                lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p,
+                              (x[2] + y[2] + x[0] * y[1]) % p),
+                [f"({a},{b},{c})" for a, b, c in elems])
+    assert family == "affine"
+    elems = [(a, b) for a in range(1, p) for b in range(p)]
+    return (elems, lambda x, y: (x[0] * y[0] % p, (x[0] * y[1] + x[1]) % p),
+            [f"x->{a}x+{b}" for a, b in elems])
+
+
+def dict_quotient_table(G, members):
+    """Cayley table of G/N on the sorted minimal coset representatives."""
+    coset_rep = {}
+    for g in range(G.order):
+        coset = {int(G.mul[g, n]) for n in members}
+        for h in coset:
+            coset_rep[h] = min(coset)
+    reps = sorted(set(coset_rep.values()))
+    return dict_cayley_table(reps, lambda a, b: coset_rep[int(G.mul[a, b])]), reps
 
 
 @functools.lru_cache(maxsize=None)

@@ -227,6 +227,58 @@ def test_subgroup_table_affine_translations():
     assert all(H.element_order(x) in (1, 5) for x in range(5))
 
 
+_ENUMERATED_SPECS = (
+    [{"family": f, "params": {"n": n}} for f in ("symmetric", "alternating")
+     for n in (1, 2, 3, 4, 5)]
+    + [{"family": "alternating", "params": {"n": 6}},
+       {"family": "quaternion8", "params": {}}]
+    + [{"family": "extraspecial", "params": {"p": p}} for p in (2, 3, 5)]
+    + [{"family": "affine", "params": {"p": p}} for p in (2, 3, 5, 7, 13)]
+    + [{"type": "permutation", "degree": 0, "generators": []},
+       {"type": "permutation", "degree": 4,
+        "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
+       # x -> 3x and x -> x + 1 on F_17: the affine group of order 272
+       {"type": "permutation", "degree": 17,
+        "generators": [[3 * x % 17 for x in range(17)],
+                       [(x + 1) % 17 for x in range(17)]]}])
+
+
+@pytest.mark.parametrize("spec", _ENUMERATED_SPECS, ids=str)
+def test_enumerated_tables_match_dict_oracle(spec):
+    G = build_group(spec)
+    elems, compose, labels = oracle.enumerated_group(spec)
+    mul = oracle.dict_cayley_table(elems, compose)
+    assert np.array_equal(G.mul, mul)
+    assert np.array_equal(G.inv, oracle.table_inverses(mul))
+    assert G.labels == labels
+
+
+def test_degree_zero_permutation_spec_is_trivial():
+    G = build_group({"type": "permutation", "degree": 0, "generators": []})
+    assert G.order == 1 and G.identity == 0 and G.mul.tolist() == [[0]]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_quotient_and_subgroup_tables_match_dict_oracle(name):
+    G = get_group(name)
+    for N in normal_subgroups(get_table(name)):
+        mul, reps = oracle.dict_quotient_table(G, N.members)
+        Q = quotient(G, N)
+        assert np.array_equal(Q.mul, mul)
+        assert Q.labels == [f"[{G.label(r)}]" for r in reps]
+        H, elems = subgroup_table(G, N.members)
+        assert elems == list(N.members)
+        assert np.array_equal(
+            H.mul, oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b])))
+
+
+def test_subgroup_table_rejects_non_closed_members():
+    G = get_group("S3")
+    assert G.labels[:3] == ["012", "021", "102"]  # the identity and two transpositions
+    with pytest.raises(GroupError, match="not closed"):
+        subgroup_table(G, [0, 1, 2])
+
+
 @given(st.integers(min_value=1, max_value=40))
 def test_cyclic_props(n):
     G = build_group({"family": "cyclic", "params": {"n": n}})

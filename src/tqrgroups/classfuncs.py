@@ -215,9 +215,9 @@ def mask_to_support(mask: int) -> tuple[int, ...]:
 
 
 def support_measure_frac(T: CharTable, mask: int) -> Fraction:
-    n = T.group.order
-    return sum((Fraction(int(T.dims[i]) ** 2, n) for i in mask_to_support(mask)),
-               Fraction(0))
+    """Exact Plancherel measure of a support: sum of dim^2 over |G|."""
+    return Fraction(sum(int(T.dims[i]) ** 2 for i in mask_to_support(mask)),
+                    T.group.order)
 
 
 # ---------------------------------------------------------------------------

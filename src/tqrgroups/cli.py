@@ -142,6 +142,7 @@ def run_group(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     G = build_group(spec)
     C = conjugacy_classes(G)
+    chain = center_free_quotient_chain(G)
     payload = {
         "order": G.order,
         "num_classes": C.num_classes,
@@ -149,8 +150,8 @@ def run_group(args: dict) -> tuple[dict, int]:
         "class_representatives": [G.label(int(r)) for r in C.representatives],
         "min_nontrivial_class": C.min_nontrivial_size,
         "abelian": G.is_abelian(),
-        "center_order": center(G).order,
-        "quotient_chain_orders": [H.order for H in center_free_quotient_chain(G)],
+        "center_order": G.order // chain[1].order if len(chain) > 1 else 1,
+        "quotient_chain_orders": [H.order for H in chain],
     }
     if args.get("normal_subgroups"):
         T = compute_char_table(G, C)
@@ -195,8 +196,8 @@ def _criteria_params(args: dict) -> CriteriaParams:
 
 def run_check(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
-    G, C, T = _load_table(spec)
     params = _criteria_params(args)
+    G, C, T = _load_table(spec)
     which = args.get("criterion", "all")
     if which not in ("all", *TQR_CRITERIA, *QR_CRITERIA):
         raise UsageError(f"unknown criterion {which!r}")

@@ -42,6 +42,10 @@ class CriteriaParams:
     support_trials: int = 200           # randomized support triples
     exhaustive_cap: int = 20            # max #irreps for exhaustive support search
 
+    def __post_init__(self):
+        if not 0 < self.density <= 1:  # also refuses nan
+            raise ValueError(f"density must be in (0, 1], got {self.density!r}")
+
     def density_frac(self) -> Fraction:
         return Fraction(str(self.density))
 
@@ -169,40 +173,33 @@ def multiplicity_profile(T: CharTable, V1: RepMultiset, V2: RepMultiset,
 # Support search machinery
 
 
-def _support_measures(T: CharTable) -> np.ndarray:
-    return T.dims.astype(np.float64) ** 2 / T.group.order
-
-
 def _minimal_supports(T: CharTable, dens: Fraction) -> list[int]:
-    """All support masks of measure >= dens minimal under element removal.
+    """All support masks of measure >= dens minimal under element removal,
+    in ascending order.
 
     Covering failure is preserved by shrinking supports, so exhaustive search
     over these masks is exhaustive over all supports of measure >= dens.
+    Exact integer depth-first search by descending dim: a branch is emitted
+    once its sum of dim^2 * q reaches p * |G| (dens = p/q), so its last and
+    lightest member took it over and every removal falls below; it is cut
+    once the weights left cannot reach that.
     """
-    r = T.num_irreps
-    probs = _support_measures(T)
-    dens_f = float(dens)
-    masks = []
-    for m in range(1, 1 << r):
-        total = 0.0
-        mm = m
-        while mm:
-            low = mm & -mm
-            total += probs[low.bit_length() - 1]
-            mm ^= low
-        if total < dens_f - 1e-12:
-            continue
-        minimal = True
-        mm = m
-        while mm:
-            low = mm & -mm
-            if total - probs[low.bit_length() - 1] >= dens_f - 1e-12:
-                minimal = False
+    order = sorted(range(T.num_irreps), key=lambda i: (-int(T.dims[i]), i))
+    weight = [int(T.dims[i]) ** 2 * dens.denominator for i in order]
+    need = dens.numerator * T.group.order
+    rest = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
+    masks, branches = [], [(0, 0, 0)]   # (next position, weight sum, mask)
+    while branches:
+        start, total, mask = branches.pop()
+        for j in range(start, len(order)):
+            if total + rest[j] < need:
                 break
-            mm ^= low
-        if minimal and support_measure_frac(T, m) >= dens:
-            masks.append(m)
-    return masks
+            t, m = total + weight[j], mask | 1 << order[j]
+            if t >= need:
+                masks.append(m)
+            else:
+                branches.append((j + 1, t, m))
+    return sorted(masks)
 
 
 def _random_support(T: CharTable, rng, dens: Fraction, max_tries: int = 200) -> int | None:

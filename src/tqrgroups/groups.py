@@ -487,10 +487,10 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
 
 
 def center(G: GroupTable) -> Subgroup:
-    """Elements commuting with everything (the singleton conjugacy classes)."""
+    """Elements commuting with everything: the rows of mul equal to columns."""
     members = np.flatnonzero(np.all(G.mul == G.mul.T, axis=1))
-    C = conjugacy_classes(G)
-    return subgroup_from_members(G, C, members)
+    return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
+                    is_central=True, index=G.order // len(members))
 
 
 def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:

@@ -4,15 +4,17 @@ Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
-closures, tensor supports from one product of irreducibles at a time, Cayley
-tables from a dict lookup of every pairwise product, and the affine-group
-table is assembled from its known structure.
+closures, tensor supports from one product of irreducibles at a time,
+minimal supports from a scan of every mask, Cayley tables from a dict lookup
+of every pairwise product, and the affine-group table is assembled from its
+known structure.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -237,6 +239,34 @@ def pairwise_power_support(T, mask, m):
     for _ in range(m - 1):
         out = pairwise_tensor_support(T, out, mask)
     return out
+
+
+def fraction_sum_measure(T, mask):
+    """Plancherel measure of a support as a sum of one Fraction per member."""
+    n = T.group.order
+    return sum((Fraction(int(T.dims[i]) ** 2, n) for i in range(T.num_irreps)
+                if mask >> i & 1), Fraction(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_dim_square_sums(T):
+    """sum of dim^2 over every one of the 2^r masks, indexed by mask."""
+    sq = [int(d) ** 2 for d in T.dims]
+    sums = [0] * (1 << len(sq))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + sq[low.bit_length() - 1]
+    return sums
+
+
+def brute_force_minimal_supports(T, dens):
+    """Every mask of measure >= dens whose one-element removals all fall below
+    dens, by scanning all 2^r masks with exact Fraction comparisons."""
+    n = T.group.order
+    reaches = [Fraction(s, n) >= dens for s in _mask_dim_square_sums(T)]
+    return [m for m in range(1, len(reaches)) if reaches[m]
+            and not any(reaches[m & ~(1 << i)] for i in range(T.num_irreps)
+                        if m >> i & 1)]
 
 
 def regular_rep_char_table(G, seed=11, tol=1e-7, attempts=8):

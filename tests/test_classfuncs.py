@@ -206,3 +206,11 @@ def test_support_masks_match_pairwise_oracle(name, data):
     m = data.draw(st.integers(1, 4))
     assert tensor_support_mask(T, m1, m2) == oracle.pairwise_tensor_support(T, m1, m2)
     assert power_support_mask(T, m1, m) == oracle.pairwise_power_support(T, m1, m)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+@given(data=st.data())
+def test_support_measure_matches_fraction_sum_oracle(name, data):
+    T = get_table(name)
+    mask = data.draw(st.integers(0, (1 << T.num_irreps) - 1))
+    assert support_measure_frac(T, mask) == oracle.fraction_sum_measure(T, mask)

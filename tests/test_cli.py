@@ -238,3 +238,30 @@ def test_family_above_max_order_is_refused_before_building(spec, monkeypatch,
     monkeypatch.setattr(config, "MAX_ORDER", 20000)
     assert cli.main(["group", "--group", spec]) == 2
     assert "exceeds MAX_ORDER=20000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion", ["tqr2", "all"])
+@pytest.mark.parametrize("density", ["0", "-0.5", "1.5", "nan"])
+def test_density_outside_the_unit_interval_is_bad_input(criterion, density, capsys):
+    assert cli.main(["check", "--group", "quaternion8", "--criterion", criterion,
+                     "--density", density]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: density must be in (0, 1]")
+
+
+def test_suite_records_a_bad_density_as_an_error(tmp_path, capsys):
+    config = {"experiments": [
+        {"id": "bad", "command": "check",
+         "args": {"group": "quaternion8", "criterion": "tqr2", "density": 1.5}},
+        {"id": "q8", "command": "check",
+         "args": {"group": "quaternion8", "criterion": "tqr1"}},
+    ]}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["suite", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [e["status"] for e in entries] == ["error", "ok"]
+    assert entries[0]["error"].startswith("ValueError: density must be in (0, 1]")
+    assert not (tmp_path / "bad.json").exists()

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
-from conftest import get_classes, get_group, get_table
+from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
+                      get_table_for_spec)
 from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
                        covering_lemma_check, decompose, lp_norm,
                        multiplicity_profile, quotient, reduced_character,
@@ -13,7 +17,7 @@ from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
                        three_factor_cover, two_factor_cover)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, rep_from_selector
-from tqrgroups.criteria import CriteriaParams
+from tqrgroups.criteria import CriteriaParams, _minimal_supports
 from tqrgroups.groups import conjugation_action_on_class
 
 
@@ -343,3 +347,41 @@ def test_affine_family_structure(p):
             block = G.mul[np.ix_(sorted(H), sorted(H))]
             is_abelian = np.array_equal(block, block.T)
             assert len(linear_parts) > 1 or is_abelian
+
+
+# ---------------------------------------------------------------------------
+# minimal supports
+
+
+def _densities(n):
+    """Exact measure boundaries k/n, the floats just either side of them as
+    the CLI reads them, and short decimals."""
+    k = st.integers(1, n)
+    return st.one_of(
+        k.map(lambda k: Fraction(k, n)),
+        st.tuples(k, st.sampled_from([-1e-13, 1e-13])).map(
+            lambda t: Fraction(str(t[0] / n + t[1]))),
+        st.integers(1, 1000).map(lambda v: Fraction(v, 1000)))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIXTURE_SPECS) if get_table(n).num_irreps <= 14])
+@settings(deadline=None)  # the first example fills the oracle's mask sums
+@given(data=st.data())
+def test_minimal_supports_match_brute_force_oracle(name, data):
+    T = get_table(name)
+    dens = data.draw(_densities(T.group.order))
+    assert _minimal_supports(T, dens) == oracle.brute_force_minimal_supports(T, dens)
+
+
+def test_minimal_supports_are_exact_just_above_a_measure_boundary():
+    # On D30 (|G| = 60) a linear character weighs 1/60 and a 2-dim one 4/60.
+    # Just above 6/60 the minimal supports are {2, 2} (91 of them) and
+    # {2, 1, 1, 1} (56): dropping a linear character from the latter leaves
+    # exactly 6/60, below the density by less than 1e-12.
+    spec = {"family": "dihedral", "params": {"n": 30}}
+    _, _, T = get_table_for_spec(json.dumps(spec))
+    dens = Fraction("0.1000000000001")
+    found = _minimal_supports(T, dens)
+    assert len(found) == 147
+    assert found == oracle.brute_force_minimal_supports(T, dens)

@@ -184,6 +184,13 @@ def test_quotient_orders_and_identity():
     assert np.array_equal(Q.mul, G.mul)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_center_is_the_validated_union_of_singleton_classes(name):
+    G, C = get_group(name), get_classes(name)
+    members = [int(cls[0]) for cls in C.classes if len(cls) == 1]
+    assert center(G) == subgroup_from_members(G, C, members)
+
+
 def test_quotient_q8_center_is_klein_four():
     G = get_group("Q8")
     Q = quotient(G, center(G))

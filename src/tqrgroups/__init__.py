@@ -12,22 +12,19 @@ from .groups import (GroupTable, ClassData, Subgroup, GroupError, build_group,
                      center_free_quotient_chain, derived_subgroup,
                      subgroup_table, subgroup_from_members)
 from .chartable import (CharTable, ClassFunction, CharTableError,
-                        compute_char_table, class_multiplication_matrix,
-                        induce_character, restrict_character,
+                        compute_char_table, induce_character,
                         to_interchange, from_interchange,
                         dumps_interchange, loads_interchange)
-from .classfuncs import (RepMultiset, PlancherelMeasure, DecompositionError,
-                         plancherel, plancherel_frac, reduced_character,
-                         character_of, reduce_rep, split_off_identity, lp_norm,
-                         inner_product, tensor, direct_sum, decompose,
+from .classfuncs import (RepMultiset, DecompositionError, plancherel_frac,
+                         reduced_character, character_of, reduce_rep,
+                         split_off_identity, lp_norm, inner_product, decompose,
                          rep_from_selector)
 from .criteria import (CriteriaParams, CriterionReport, CoverReport,
                        covering_lemma_check, two_factor_cover,
                        three_factor_cover, multiplicity_profile, check_tqr,
                        check_qr)
 from .markov import (ChainModel, MixingReport, build_chain,
-                     t_step_distribution, direct_t_step_distribution,
-                     mixing_time, mixing_experiment,
+                     t_step_distribution, mixing_time, mixing_experiment,
                      stationarity_residual, distances_to_stationary)
 from .counterexample import (AbelianGroup, AutAction, AbelianStructure,
                              abelian_structure, dual_action, character_value,

@@ -31,9 +31,6 @@ class ClassFunction:
         if self.values.shape != (self.classes.num_classes,):
             raise ValueError("class function has wrong length")
 
-    def at_identity(self) -> complex:
-        return complex(self.values[0])
-
     def same_basis(self, other: "ClassFunction") -> bool:
         return self.classes is other.classes
 
@@ -99,26 +96,6 @@ class CharTable:
 
 # ---------------------------------------------------------------------------
 # Class multiplication matrices
-
-
-def class_multiplication_matrix(G: GroupTable, C: ClassData, i: int) -> np.ndarray:
-    """M_i[j][k] = #{(x, y) in C_i x C_j : x*y = z} for a fixed z in C_k.
-
-    The count is verified to be independent of the chosen z.
-    """
-    r = C.num_classes
-    n = G.order
-    per_z = np.zeros((r, n), dtype=np.int64)
-    cl = C.class_of
-    for x in C.classes[i]:
-        np.add.at(per_z, (cl, G.mul[x]), 1)
-    M = np.zeros((r, r), dtype=np.int64)
-    for k in range(r):
-        block = per_z[:, C.classes[k]]
-        if not np.all(block == block[:, :1]):
-            raise CharTableError("class product count depends on representative")
-        M[:, k] = block[:, 0]
-    return M
 
 
 def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> np.ndarray:
@@ -259,13 +236,6 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members,
         conj = G.mul[G.mul[:, int(rep)], G.inv]
         out[c] = by_elem[conj].sum() / len(members)
     return ClassFunction(G, C, out)
-
-
-def restrict_character(G: GroupTable, C: ClassData, f: ClassFunction,
-                       subgroup_members) -> dict[int, complex]:
-    """Restriction of a class function of G to a subgroup, element by element."""
-    return {int(m): complex(f.values[C.class_of[int(m)]])
-            for m in subgroup_members}
 
 
 # ---------------------------------------------------------------------------

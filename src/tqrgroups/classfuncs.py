@@ -53,35 +53,10 @@ class RepMultiset:
             mult[int(i)] = 1
         return cls(table, mult)
 
-    @classmethod
-    def from_json_dict(cls, table: CharTable, doc: dict) -> "RepMultiset":
-        return cls(table, np.asarray(doc["mult"], dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class PlancherelMeasure:
-    """M_G(lam) = dim(lam)^2 / |G| over the irreducibles of one table."""
-
-    probs: tuple[float, ...]
-    fracs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, table: CharTable) -> "PlancherelMeasure":
-        n = table.group.order
-        fracs = tuple(Fraction(int(d) ** 2, n) for d in table.dims)
-        return cls(probs=tuple(float(f) for f in fracs), fracs=fracs)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.probs)
-
 
 def plancherel_frac(T: CharTable, V: RepMultiset) -> Fraction:
     """Exact Plancherel measure of the support of V."""
     return support_measure_frac(T, V.support_mask())
-
-
-def plancherel(T: CharTable, V: RepMultiset) -> float:
-    return float(plancherel_frac(T, V))
 
 
 def reduced_character(T: CharTable, V: RepMultiset) -> ClassFunction:
@@ -143,43 +118,34 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> complex:
     return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
-def tensor(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    if not f.same_basis(g):
-        raise ValueError("class functions live on different groups")
-    return f.copy_with(f.values * g.values)
-
-
-def direct_sum(f: ClassFunction, g: ClassFunction) -> ClassFunction:
-    if not f.same_basis(g):
-        raise ValueError("class functions live on different groups")
-    return f.copy_with(f.values + g.values)
-
-
-def decompose(T: CharTable, f: ClassFunction, *, tol: float = config.TOL) -> RepMultiset:
+def decompose(T: CharTable, f, *, tol: float = config.TOL):
     """Multiplicities <f, chi_lam>, certified to round to non-negative integers.
 
-    Raises DecompositionError when f is not a genuine character of the group.
+    f is one ClassFunction, giving a RepMultiset, or a (b, num_classes) stack
+    of class-function values on T.classes, giving the (b, num_irreps) int64
+    multiplicities of every row from one matrix product. Raises
+    DecompositionError when any input is not a genuine character of the group.
     """
-    if f.classes is not T.classes:
-        raise ValueError("class function does not match the table's group")
+    if isinstance(f, ClassFunction):
+        if f.classes is not T.classes:
+            raise ValueError("class function does not match the table's group")
+        values = f.values
+    else:
+        values = np.asarray(f)
+        if values.ndim != 2 or values.shape[1] != T.classes.num_classes:
+            raise ValueError("a stack of class functions must have shape "
+                             "(b, number of classes)")
     w = T.classes.sizes / T.group.order
-    raw = (w * f.values) @ T.values.conj().T
+    raw = (w * values) @ T.values.conj().T
     mult = np.rint(raw.real).astype(np.int64)
     scale = np.maximum(1.0, np.abs(raw))
-    err = np.max(np.abs(raw - mult) / scale)
+    err = np.max(np.abs(raw - mult) / scale, initial=0.0)
     if err > tol:
         raise DecompositionError(
             f"inner products are not integers (residual {float(err):.2e})")
     if mult.min(initial=0) < 0:
         raise DecompositionError("negative multiplicity: not a character")
-    return RepMultiset(T, mult)
-
-
-def decomposition_residual(T: CharTable, f: ClassFunction) -> float:
-    """Max distance of <f, chi_lam> from the nearest integer (quality metric)."""
-    w = T.classes.sizes / T.group.order
-    raw = (w * f.values) @ T.values.conj().T
-    return float(np.max(np.abs(raw - np.rint(raw.real))))
+    return RepMultiset(T, mult) if values.ndim == 1 else mult
 
 
 # ---------------------------------------------------------------------------

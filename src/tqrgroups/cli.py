@@ -241,7 +241,10 @@ def run_markov(args: dict) -> tuple[dict, int]:
     t_max = int(args.get("tmax", 64))
     start = None
     if args.get("start") is not None:
-        start = next(iter(rep_from_selector(T, args["start"]).support()))
+        chosen = rep_from_selector(T, args["start"]).support()
+        if not chosen:
+            raise UsageError(f"start selector {args['start']!r} selects no irreducible")
+        start = chosen[0]
     rep = mixing_time(chain, metric, epsilon, t_max=t_max, start=start)
     payload = rep.to_json_dict()
     resid = stationarity_residual(chain)

@@ -557,23 +557,10 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     # the dual orbits index blocks that partition Irrep(G), each of
     # Plancherel measure (orbit size)/|K|
     orbits = _dual_orbits(dual)
-    blocks = []
-    union: set[int] = set()
-    disjoint = True
-    measures_ok = True
-    for orb in orbits:
-        f = central_induced_character(G, C, dec, orb[0])
-        W = decompose(T, f)
-        sup = set(W.support())
-        if sup & union:
-            disjoint = False
-        union |= sup
-        measure = plancherel_frac(T, W)
-        if measure != Fraction(len(orb), kk):
-            measures_ok = False
-        blocks.append({"orbit_size": len(orb), "support": sorted(sup),
-                       "measure": float(measure)})
-    orbit_partition_ok = disjoint and union == set(range(T.num_irreps))
+    blocks, orbit_partition_ok, measures_ok = _partition_check(
+        T, [central_induced_character(G, C, dec, orb[0]) for orb in orbits],
+        [Fraction(len(orb), kk) for orb in orbits])
+    blocks = [{"orbit_size": len(orb), **b} for orb, b in zip(orbits, blocks)]
 
     report = {
         "set_size": len(A),
@@ -621,22 +608,24 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
         raise GroupError("K must be central in N")
     dec = abelian_structure(N_table, K_members)
     kk = dec.group.order
-    blocks = []
-    union: set[int] = set()
-    disjoint = True
-    measures_exact = True
-    for theta in dec.group.elements:
-        f = central_induced_character(N_table, C_N, dec, theta)
-        W = decompose(T_N, f)
-        sup = set(W.support())
-        if sup & union:
-            disjoint = False
-        union |= sup
-        measure = plancherel_frac(T_N, W)
-        if measure != Fraction(1, kk):
-            measures_exact = False
-        blocks.append({"theta": list(theta), "support": sorted(sup),
-                       "measure": float(measure)})
-    partition_ok = disjoint and union == set(range(T_N.num_irreps))
+    thetas = dec.group.elements
+    blocks, partition_ok, measures_exact = _partition_check(
+        T_N, [central_induced_character(N_table, C_N, dec, t) for t in thetas],
+        [Fraction(1, kk)] * kk)
+    blocks = [{"theta": list(t), **b} for t, b in zip(thetas, blocks)]
     return {"blocks": blocks, "partition_ok": partition_ok,
             "measures_exact": measures_exact, "center_order": kk}
+
+
+def _partition_check(T: CharTable, chars: list[ClassFunction],
+                     measures: list[Fraction]) -> tuple[list[dict], bool, bool]:
+    """Decompose the characters in one stacked call. Returns one block per
+    character (its support and Plancherel measure), whether the supports
+    partition Irrep(G), and whether each block has its expected measure."""
+    mult = decompose(T, np.array([f.values for f in chars]))
+    reps = [RepMultiset(T, row) for row in mult]
+    got = [plancherel_frac(T, W) for W in reps]
+    blocks = [{"support": list(W.support()), "measure": float(m)}
+              for W, m in zip(reps, got)]
+    partition_ok = bool(np.all(np.count_nonzero(mult, axis=0) == 1))
+    return blocks, partition_ok, got == measures

@@ -268,16 +268,20 @@ def _tqr2(T, params, pjson) -> CriterionReport:
         minimal = _minimal_supports(T, dens)
         triples = len(minimal) ** 3
         if triples <= 2_000_000:
-            for m1, m2 in itertools.product(minimal, repeat=2):
-                m12 = tensor_support_mask(T, m1, m2)
-                for m3 in minimal:
-                    checked += 1
-                    m123 = tensor_support_mask(T, m12, m3)
-                    if m123 != full:
-                        witness = _support_witness(T, [m1, m2, m3], m123)
-                        break
-                if witness:
+            chars = np.array([T.values[list(mask_to_support(m))].sum(axis=0)
+                              for m in minimal])
+            for i, j in itertools.product(range(len(minimal)), repeat=2):
+                # one decomposition for every third support; the first short one wins
+                mult = decompose(T, chars[i] * chars[j] * chars)
+                short = np.flatnonzero(~mult.all(axis=1))
+                if len(short):
+                    k = int(short[0])
+                    checked += k + 1
+                    witness = _support_witness(
+                        T, [minimal[i], minimal[j], minimal[k]],
+                        RepMultiset(T, mult[k]).support_mask())
                     break
+                checked += len(minimal)
         else:
             modes[-1] = "exhaustive-truncated"
 

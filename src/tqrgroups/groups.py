@@ -574,20 +574,3 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,
                                     "members": elems})
     return table, elems
-
-
-def conjugation_action_on_class(G: GroupTable, C: ClassData, cid: int):
-    """Permutation action of G on one conjugacy class, with its kernel.
-
-    Returns (perms, kernel) where perms[g] is the tuple of positions the
-    sorted class elements map to under x -> g x g^-1.
-    """
-    cls = [int(x) for x in C.classes[cid]]
-    pos = {x: i for i, x in enumerate(cls)}
-    perms = []
-    for g in range(G.order):
-        img = tuple(pos[G.conjugate(g, x)] for x in cls)
-        perms.append(img)
-    idn = tuple(range(len(cls)))
-    kernel = [g for g in range(G.order) if perms[g] == idn]
-    return perms, subgroup_from_members(G, C, kernel)

@@ -1,7 +1,7 @@
 """The tensor-product Markov chain on Irrep(G): from an irreducible, tensor
 with a fixed reduced representation and sample an irreducible constituent
 weighted by multiplicity times dimension. The kernel is computed exactly from
-characters; trajectories may additionally be sampled for demonstrations.
+characters, with one certified decomposition for all of its rows.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .chartable import CharTable, ClassFunction
+from .chartable import CharTable
 from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
                          power_support_mask, reduce_rep, support_measure_frac)
 
@@ -62,13 +62,9 @@ def build_chain(T: CharTable, V: RepMultiset) -> ChainModel:
     red = reduce_rep(V)
     red_char = character_of(T, red)
     dim_red = int(np.sum(T.dims[list(V.support())] ** 2))
-    r = T.num_irreps
-    kernel = np.zeros((r, r))
     dims = T.dims.astype(np.float64)
-    for lam in range(r):
-        prod = ClassFunction(T.group, T.classes, T.values[lam] * red_char.values)
-        mult = decompose(T, prod).mult
-        kernel[lam] = mult * dims / (dims[lam] * dim_red)
+    mult = decompose(T, T.values * red_char.values)
+    kernel = mult * dims / (dims[:, None] * dim_red)
     row_err = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if row_err > config.TOL:
         raise RuntimeError(f"kernel rows do not sum to 1 (residual {row_err:.2e})")
@@ -80,6 +76,7 @@ def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
     """Distribution after t steps started from the point mass at lam."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    _check_start(M, lam)
     dist = np.zeros(M.num_states)
     dist[lam] = 1.0
     for _ in range(t):
@@ -87,24 +84,20 @@ def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
     return dist
 
 
-def direct_t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
-    """Same distribution computed by decomposing lam (x) reduced(V)^(x t) in
-    one shot instead of iterating the kernel; used as a cross-check."""
-    T = M.table
-    red_char = character_of(T, M.reduced)
-    vals = T.values[lam] * red_char.values ** t
-    mult = decompose(T, ClassFunction(T.group, T.classes, vals)).mult
-    weights = mult * T.dims
-    return weights / weights.sum()
+def _check_start(M: ChainModel, lam: int) -> None:
+    if not 0 <= lam < M.num_states:
+        raise ValueError(f"start {lam} is not an irreducible index "
+                         f"(0..{M.num_states - 1})")
 
 
-def distances_to_stationary(M: ChainModel, dist: np.ndarray) -> dict:
-    """All implemented distances between one distribution and Plancherel."""
+def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
+    """All implemented distances to Plancherel, each the worst over the rows
+    of a stack of distributions (or of the one distribution given)."""
     pi = M.stationary()
     return {
-        "uniform": float(np.max(np.abs(dist / pi - 1.0))),
-        "tv_max": float(np.max(np.abs(dist - pi))),
-        "tv_half_l1": float(0.5 * np.sum(np.abs(dist - pi))),
+        "uniform": float(np.max(np.abs(dists / pi - 1.0))),
+        "tv_max": float(np.max(np.abs(dists - pi))),
+        "tv_half_l1": float(np.max(0.5 * np.sum(np.abs(dists - pi), axis=-1))),
     }
 
 
@@ -124,25 +117,27 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
         metric = "tv_max"
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS} (or 'tv')")
-    if epsilon <= 0:
+    if not epsilon > 0:  # also refuses nan
         raise ValueError("epsilon must be positive")
-    starts = range(M.num_states) if start is None else [start]
-    dists = {lam: np.eye(M.num_states)[lam] for lam in starts}
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
+    if start is None:
+        dists = np.eye(M.num_states)
+    else:
+        _check_start(M, start)
+        dists = np.eye(M.num_states)[[start]]
     curve = []
     mixing_times: dict[str, int | None] = {m: None for m in _METRICS}
     for t in range(t_max + 1):
-        worst = {m: 0.0 for m in _METRICS}
-        for lam in starts:
-            d = distances_to_stationary(M, dists[lam])
-            for m in _METRICS:
-                worst[m] = max(worst[m], d[m])
+        worst = distances_to_stationary(M, dists)
         curve.append({"t": t, **worst})
         for m in _METRICS:
             if mixing_times[m] is None and worst[m] <= epsilon:
                 mixing_times[m] = t
         if t < t_max:
-            for lam in starts:
-                dists[lam] = dists[lam] @ M.kernel
+            # row by row: one D @ K product rounds differently in the last bits
+            for row in dists:
+                row[:] = row @ M.kernel
     return MixingReport(start=start, metric=metric, epsilon=epsilon,
                         mixing_time=mixing_times[metric], t_max=t_max,
                         curve=curve, mixing_times=mixing_times)
@@ -151,17 +146,6 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
 def stationarity_residual(M: ChainModel) -> float:
     pi = M.stationary()
     return float(np.max(np.abs(pi @ M.kernel - pi)))
-
-
-def sample_trajectory(M: ChainModel, start: int, steps: int, seed: int = 0) -> list[int]:
-    """Demonstration sampler; all analysis above is exact and does not use it."""
-    rng = np.random.default_rng(seed)
-    out = [start]
-    cur = start
-    for _ in range(steps):
-        cur = int(rng.choice(M.num_states, p=M.kernel[cur]))
-        out.append(cur)
-    return out
 
 
 def mixing_experiment(T: CharTable, V: RepMultiset, epsilon: float,
@@ -177,10 +161,7 @@ def mixing_experiment(T: CharTable, V: RepMultiset, epsilon: float,
     c = T.classes.min_nontrivial_size
     mv = plancherel_frac(T, V)
 
-    worst3 = 0.0
-    for lam in range(chain.num_states):
-        d = distances_to_stationary(chain, t_step_distribution(chain, lam, 3))
-        worst3 = max(worst3, d["uniform"])
+    worst3 = mixing_time(chain, "uniform", epsilon, t_max=3).curve[3]["uniform"]
     bound = float(c ** -0.5 / float(mv) ** 3) if (c is not None and mv > 0) else None
 
     dist_m = t_step_distribution(chain, 0, m)

@@ -2,7 +2,9 @@
 
 Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
-matrix arithmetic, conjugacy classes come from a double loop, subgroups from
+matrix arithmetic, conjugacy classes come from a double loop, class
+multiplication matrices from counting the products of one class at a time,
+restrictions from reading a class function element by element, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
 minimal supports from a scan of every mask, Cayley tables from a dict lookup
@@ -212,6 +214,29 @@ def dict_quotient_table(G, members):
     return dict_cayley_table(reps, lambda a, b: coset_rep[int(G.mul[a, b])]), reps
 
 
+def class_multiplication_matrix(G, C, i):
+    """M_i[j][k] = #{(x, y) in C_i x C_j : x*y = z} for a fixed z in C_k.
+
+    The count is checked to be independent of the chosen z.
+    """
+    r = C.num_classes
+    per_z = np.zeros((r, G.order), dtype=np.int64)
+    for x in C.classes[i]:
+        np.add.at(per_z, (C.class_of, G.mul[x]), 1)
+    M = np.zeros((r, r), dtype=np.int64)
+    for k in range(r):
+        block = per_z[:, C.classes[k]]
+        assert np.all(block == block[:, :1]), "class product count depends on z"
+        M[:, k] = block[:, 0]
+    return M
+
+
+def restrict_character(C, f, subgroup_members):
+    """Restriction of a class function to a subgroup, element by element."""
+    return {int(m): complex(f.values[C.class_of[int(m)]])
+            for m in subgroup_members}
+
+
 @functools.lru_cache(maxsize=None)
 def _pair_multiplicities(T, a, b):
     """<chi_a chi_b, chi_c> for every c, checked to be non-negative integers."""
@@ -239,6 +264,20 @@ def pairwise_power_support(T, mask, m):
     for _ in range(m - 1):
         out = pairwise_tensor_support(T, out, mask)
     return out
+
+
+def brute_force_tqr2_search(T, minimal):
+    """Every triple of the given supports in lexicographic order, its product
+    support built pairwise. Returns the number of triples checked and the
+    first triple whose product misses an irreducible, with that product
+    support, or None for both."""
+    full = (1 << T.num_irreps) - 1
+    for checked, triple in enumerate(itertools.product(minimal, repeat=3), 1):
+        prod = pairwise_tensor_support(
+            T, pairwise_tensor_support(T, triple[0], triple[1]), triple[2])
+        if prod != full:
+            return checked, triple, prod
+    return len(minimal) ** 3, None, None
 
 
 def fraction_sum_measure(T, mask):

@@ -5,12 +5,11 @@ import pytest
 
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
-from tqrgroups import (CharTableError, build_group, center,
-                       class_multiplication_matrix, compute_char_table,
+from tqrgroups import (CharTableError, build_group, center, compute_char_table,
                        conjugacy_classes, decompose, dumps_interchange,
                        from_interchange, induce_character, inner_product,
-                       loads_interchange, restrict_character, subgroup_table)
-from tqrgroups.chartable import ClassFunction
+                       loads_interchange, subgroup_table)
+from tqrgroups.chartable import _combined_class_matrix
 
 
 def _sorted_chars(values, dims):
@@ -42,10 +41,10 @@ def test_trivial_group_table():
 
 def test_class_multiplication_matrix_s3():
     G, C = get_group("S3"), get_classes("S3")
-    M0 = class_multiplication_matrix(G, C, 0)
+    M0 = oracle.class_multiplication_matrix(G, C, 0)
     assert np.array_equal(M0, np.eye(3, dtype=int))
     # transpositions times transpositions: 3 ways to reach the identity
-    Mt = class_multiplication_matrix(G, C, 1)
+    Mt = oracle.class_multiplication_matrix(G, C, 1)
     assert Mt[1][0] == 3
     # row sums: |C_i| * |C_j| products distribute over classes
     for j in range(3):
@@ -56,9 +55,21 @@ def test_class_matrices_abelian_are_permutations():
     G = build_group({"family": "cyclic", "params": {"n": 4}})
     C = conjugacy_classes(G)
     for i in range(4):
-        M = class_multiplication_matrix(G, C, i)
+        M = oracle.class_multiplication_matrix(G, C, i)
         assert np.array_equal(M.sum(axis=0), np.ones(4, dtype=int))
         assert np.array_equal(M.sum(axis=1), np.ones(4, dtype=int))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_combined_class_matrix_matches_oracle(name):
+    # the solver's one-pass recombination equals sum_i coeffs[i] * M_i built
+    # from the oracle's class-by-class product counts
+    G, C = get_group(name), get_classes(name)
+    coeffs = np.random.default_rng(23).uniform(1.0, 2.0, C.num_classes)
+    expected = sum(c * oracle.class_multiplication_matrix(G, C, i)
+                   for i, c in enumerate(coeffs))
+    assert np.allclose(_combined_class_matrix(G, C, coeffs), expected,
+                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8"])
@@ -129,7 +140,7 @@ def test_frobenius_reciprocity(name, members):
         ind = induce_character(G, C, elems, theta)
         for lam in range(T.num_irreps):
             lhs = inner_product(ind, T.irrep_character(lam))
-            res = restrict_character(G, C, T.irrep_character(lam), elems)
+            res = oracle.restrict_character(C, T.irrep_character(lam), elems)
             rhs = sum(theta[e] * np.conj(res[e]) for e in elems) / len(elems)
             assert abs(lhs - rhs) < 1e-8
 
@@ -215,15 +226,6 @@ def test_quality_metrics_present():
     assert T.quality["row_residual"] < 1e-10
     assert T.quality["col_residual"] < 1e-10
     assert T.quality["attempts"] >= 1
-
-
-def test_decomposition_residual_metric():
-    from tqrgroups.classfuncs import decomposition_residual
-    T = get_table("S4")
-    f = ClassFunction(T.group, T.classes, T.values[1] * T.values[3])
-    assert decomposition_residual(T, f) < 1e-10
-    g = ClassFunction(T.group, T.classes, T.values[1] * 0.5)
-    assert decomposition_residual(T, g) > 0.1
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))

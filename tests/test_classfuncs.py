@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
-from tqrgroups import (DecompositionError, character_of, decompose, direct_sum,
-                       inner_product, lp_norm, plancherel, plancherel_frac,
-                       reduce_rep, reduced_character, split_off_identity,
-                       tensor)
+from tqrgroups import (DecompositionError, character_of, decompose,
+                       inner_product, lp_norm, plancherel_frac, reduce_rep,
+                       reduced_character, split_off_identity)
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.classfuncs import (PlancherelMeasure, RepMultiset,
-                                  power_support_mask, rep_from_selector,
-                                  support_measure_frac, tensor_support_mask)
+from tqrgroups.classfuncs import (RepMultiset, power_support_mask,
+                                  rep_from_selector, support_measure_frac,
+                                  tensor_support_mask)
 
 
 def _rep(T, support):
@@ -23,19 +22,19 @@ def _rep(T, support):
 
 def test_plancherel_examples():
     T = get_table("S3")
-    assert plancherel(T, _rep(T, [2])) == pytest.approx(4 / 6)
-    assert plancherel(T, rep_from_selector(T, "all")) == pytest.approx(1.0)
-    assert plancherel(T, _rep(T, [0])) == pytest.approx(1 / 6)
+    assert float(plancherel_frac(T, _rep(T, [2]))) == pytest.approx(4 / 6)
+    assert float(plancherel_frac(T, rep_from_selector(T, "all"))) == pytest.approx(1.0)
+    assert float(plancherel_frac(T, _rep(T, [0]))) == pytest.approx(1 / 6)
     assert plancherel_frac(T, _rep(T, [2])) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
 def test_plancherel_sums_to_one(name):
     T = get_table(name)
-    pm = PlancherelMeasure.of(T)
-    assert sum(pm.fracs, Fraction(0)) == 1
-    assert abs(sum(pm.probs) - 1) < 1e-12
-    assert all(p > 0 for p in pm.probs)
+    fracs = [plancherel_frac(T, _rep(T, [lam])) for lam in range(T.num_irreps)]
+    assert sum(fracs, Fraction(0)) == 1
+    assert abs(sum(float(f) for f in fracs) - 1) < 1e-12
+    assert all(f > 0 for f in fracs)
 
 
 def test_reduced_character_examples():
@@ -88,8 +87,9 @@ def test_l2_norm_is_sqrt_measure(name):
             continue
         V = RepMultiset(T, mask)
         f = reduced_character(T, V)
-        assert lp_norm(f, 2) == pytest.approx(math.sqrt(plancherel(T, V)))
-        assert f.at_identity() == pytest.approx(plancherel(T, V))
+        measure = float(plancherel_frac(T, V))
+        assert lp_norm(f, 2) == pytest.approx(math.sqrt(measure))
+        assert f.values[0] == pytest.approx(measure)
         _, f0 = split_off_identity(f)
         assert lp_norm(f0, 2) <= 1 + 1e-12
 
@@ -114,7 +114,7 @@ def test_linf_bound_exhaustive(name):
 def test_decompose_examples():
     T = get_table("S3")
     std = T.irrep_character(2)
-    sq = tensor(std, std)
+    sq = std.copy_with(std.values * std.values)
     assert np.allclose(sq.values, [4, 0, 1])
     assert decompose(T, sq).mult.tolist() == [1, 1, 1]
     reg = ClassFunction(T.group, T.classes, [6, 0, 0])
@@ -131,16 +131,43 @@ def test_decompose_rejects_negative_multiplicity():
         decompose(T, f)
 
 
-def test_tensor_and_direct_sum():
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+@given(data=st.data())
+def test_decompose_stack_matches_rows(name, data):
+    T = get_table(name)
+    mults = data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=T.num_irreps,
+                 max_size=T.num_irreps), min_size=1, max_size=6))
+    stack = np.array(mults, dtype=np.int64) @ T.values
+    got = decompose(T, stack)
+    assert got.dtype == np.int64 and got.shape == (len(mults), T.num_irreps)
+    rows = [decompose(T, ClassFunction(T.group, T.classes, row)).mult
+            for row in stack]
+    assert np.array_equal(got, np.array(rows))
+    assert got.tolist() == mults
+
+
+@pytest.mark.parametrize("bad", ["fraction", "negative"])
+@pytest.mark.parametrize("where", [1, 3])
+def test_decompose_stack_rejects_any_bad_row(bad, where):
+    # one bad row anywhere in the stack fails the whole call
+    T = get_table("S4")
+    stack = np.array([T.values[0] * (k + 1) for k in range(4)])
+    assert decompose(T, stack).shape == (4, T.num_irreps)
+    stack[where] = (0.5 * T.values[1] if bad == "fraction"
+                    else T.values[0] - T.values[2])
+    with pytest.raises(DecompositionError):
+        decompose(T, stack)
+
+
+def test_decompose_stack_shapes():
     T = get_table("S3")
-    triv, sign, std = (T.irrep_character(i) for i in range(3))
-    assert np.allclose(tensor(triv, std).values, std.values)
-    assert np.allclose(tensor(sign, std).values, [2, 0, -1])
-    zero = ClassFunction(T.group, T.classes, np.zeros(3))
-    assert np.allclose(direct_sum(std, zero).values, std.values)
-    other = get_table("S4")
+    assert decompose(T, np.zeros((0, 3))).shape == (0, 3)
+    for wrong in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError):
+            decompose(T, wrong)
     with pytest.raises(ValueError):
-        tensor(std, other.irrep_character(0))
+        decompose(T, get_table("S4").irrep_character(0))
 
 
 def test_reduce_examples():

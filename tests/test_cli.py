@@ -150,6 +150,18 @@ def test_markov_start_selector(capsys):
     assert doc["report"]["curve"][1]["tv_half_l1"] == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("extra", [["--start", "dim>=99"], ["--tmax", "-1"],
+                                   ["--epsilon", "nan"]])
+def test_markov_bad_start_tmax_or_epsilon_is_bad_input(extra, tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    code = cli.main(["markov", "--group", "symmetric:3", "--rep", "all",
+                     "--csv", str(csv), *extra])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and not csv.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     config = {"experiments": [
         {"id": "q8", "command": "check",

@@ -12,7 +12,8 @@ from tqrgroups import (AbelianGroup, AutAction, abelian_structure, build_group,
                        m_fold_sumset, normal_subgroups, plancherel_frac,
                        translate_cover, verify_vtheta_partition)
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.counterexample import conjugation_action_on_center
+from tqrgroups.counterexample import (_partition_check,
+                                     conjugation_action_on_center)
 from tqrgroups.groups import center_of_subset, subgroup_from_members
 
 
@@ -352,3 +353,21 @@ def test_vtheta_partition_requires_central():
     G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
     with pytest.raises(Exception, match="central"):
         verify_vtheta_partition(G, C, T, (0, 3, 4))   # the 3-cycle subgroup
+
+
+def test_partition_check_flags_overlaps_gaps_and_measures():
+    T = get_table("S3")  # dims 1, 1, 2; measures 1/6, 1/6, 2/3
+    chi = [T.irrep_character(i) for i in range(3)]
+    both = chi[0].copy_with(chi[1].values + chi[2].values)
+    blocks, partition, measures = _partition_check(
+        T, [chi[0], both], [Fraction(1, 6), Fraction(5, 6)])
+    assert blocks == [{"support": [0], "measure": 1 / 6},
+                      {"support": [1, 2], "measure": 5 / 6}]
+    assert partition and measures
+    overlap = chi[0].copy_with(chi[0].values + chi[2].values)
+    _, partition, measures = _partition_check(
+        T, [overlap, both], [Fraction(5, 6), Fraction(5, 6)])
+    assert not partition and measures
+    _, partition, measures = _partition_check(
+        T, [chi[0], chi[1]], [Fraction(1, 6), Fraction(1, 3)])
+    assert not partition and not measures

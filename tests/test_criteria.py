@@ -13,16 +13,29 @@ from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
 from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
                        covering_lemma_check, decompose, lp_norm,
                        multiplicity_profile, quotient, reduced_character,
-                       split_off_identity, subgroup_from_members, tensor,
+                       split_off_identity, subgroup_from_members,
                        three_factor_cover, two_factor_cover)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, rep_from_selector
 from tqrgroups.criteria import CriteriaParams, _minimal_supports
-from tqrgroups.groups import conjugation_action_on_class
 
 
 def _rep(T, support):
     return RepMultiset.from_support(T, support)
+
+
+def conjugation_action_on_class(G, C, cid):
+    """Permutation action of G on one conjugacy class, with its kernel.
+
+    Returns (perms, kernel) where perms[g] is the tuple of positions the
+    sorted class elements map to under x -> g x g^-1.
+    """
+    cls = [int(x) for x in C.classes[cid]]
+    pos = {x: i for i, x in enumerate(cls)}
+    perms = [tuple(pos[G.conjugate(g, x)] for x in cls) for g in range(G.order)]
+    idn = tuple(range(len(cls)))
+    kernel = [g for g in range(G.order) if perms[g] == idn]
+    return perms, subgroup_from_members(G, C, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +398,24 @@ def test_minimal_supports_are_exact_just_above_a_measure_boundary():
     found = _minimal_supports(T, dens)
     assert len(found) == 147
     assert found == oracle.brute_force_minimal_supports(T, dens)
+
+
+@pytest.mark.parametrize("name, density", [
+    ("A5", 0.1), ("A5", 0.3), ("S4", 0.4), ("S5", 0.3), ("C6", 0.4),
+    ("C2xS3", 0.4), ("C2xS3", 0.5), ("D8", 0.4), ("D8", 0.5)])
+def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
+    # no random phase, so the count and the witness are the exhaustive
+    # search's own; the witnesses here sit at every position of a pair's row
+    T = get_table(name)
+    params = CriteriaParams(density=density, support_trials=0)
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
+    checked, triple, prod = oracle.brute_force_tqr2_search(T, minimal)
+    assert rep.details["triples_checked"] == checked
+    if triple is None:
+        assert rep.holds and rep.witness is None
+    else:
+        bits = [[i for i in range(T.num_irreps) if m >> i & 1]
+                for m in (*triple, ~prod)]
+        assert rep.witness["supports"] == bits[:3]
+        assert rep.witness["missing"] == bits[3]

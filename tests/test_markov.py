@@ -1,22 +1,70 @@
-import math
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import get_classes, get_group, get_table
+from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (build_chain, build_group, compute_char_table,
-                       conjugacy_classes, mixing_experiment,
-                       direct_t_step_distribution, distances_to_stationary,
+                       decompose, mixing_experiment, distances_to_stationary,
                        lp_norm, mixing_time, plancherel_frac,
                        reduced_character, split_off_identity,
                        stationarity_residual, t_step_distribution)
-from tqrgroups.classfuncs import RepMultiset, rep_from_selector
-from tqrgroups.markov import sample_trajectory
+from tqrgroups.chartable import ClassFunction
+from tqrgroups.classfuncs import (RepMultiset, character_of, reduce_rep,
+                                  rep_from_selector)
 
 
 def _rep(T, support):
     return RepMultiset.from_support(T, support)
+
+
+def direct_t_step_distribution(M, lam, t):
+    """The t-step distribution from one decomposition of
+    lam (x) reduced(V)^(x t), instead of iterating the kernel."""
+    T = M.table
+    vals = T.values[lam] * character_of(T, M.reduced).values ** t
+    weights = decompose(T, ClassFunction(T.group, T.classes, vals)).mult * T.dims
+    return weights / weights.sum()
+
+
+def kernel_row_by_row(T, V):
+    """The transition kernel with one decomposition per row."""
+    red_char = character_of(T, reduce_rep(V))
+    dim_red = int(np.sum(T.dims[list(V.support())] ** 2))
+    dims = T.dims.astype(np.float64)
+    kernel = np.zeros((T.num_irreps, T.num_irreps))
+    for lam in range(T.num_irreps):
+        prod = ClassFunction(T.group, T.classes, T.values[lam] * red_char.values)
+        kernel[lam] = decompose(T, prod).mult * dims / (dims[lam] * dim_red)
+    return kernel
+
+
+def mixing_report_per_start(M, metric, epsilon, t_max, start):
+    """The mixing report with one distribution and one distance per start."""
+    pi = M.stationary()
+    starts = range(M.num_states) if start is None else [start]
+    dists = {lam: np.eye(M.num_states)[lam] for lam in starts}
+    names = ("uniform", "tv_max", "tv_half_l1")
+    curve, times = [], {m: None for m in names}
+    for t in range(t_max + 1):
+        worst = {m: 0.0 for m in names}
+        for lam in starts:
+            d = dists[lam]
+            row = {"uniform": float(np.max(np.abs(d / pi - 1.0))),
+                   "tv_max": float(np.max(np.abs(d - pi))),
+                   "tv_half_l1": float(0.5 * np.sum(np.abs(d - pi)))}
+            worst = {m: max(worst[m], row[m]) for m in names}
+        curve.append({"t": t, **worst})
+        for m in names:
+            if times[m] is None and worst[m] <= epsilon:
+                times[m] = t
+        if t < t_max:
+            for lam in starts:
+                dists[lam] = dists[lam] @ M.kernel
+    return {"start": start, "metric": metric, "epsilon": epsilon,
+            "mixing_time": times[metric], "t_max": t_max,
+            "mixing_times": times, "curve": curve}
 
 
 def test_s3_kernel_rows():
@@ -134,14 +182,6 @@ def test_mixing_metric_validation():
         mixing_time(M, "tv", 0.0)
 
 
-def test_sample_trajectory_deterministic():
-    T = get_table("S3")
-    M = build_chain(T, _rep(T, [2]))
-    a = sample_trajectory(M, 0, 20, seed=5)
-    b = sample_trajectory(M, 0, 20, seed=5)
-    assert a == b and len(a) == 21
-
-
 def test_mixing_experiment_affine11():
     T = get_table("aff11")
     V = _rep(T, [T.num_irreps - 1])
@@ -220,3 +260,52 @@ def test_uniform_distance_decreases_along_affine_family():
                     for lam in range(M.num_states))
         dists.append(worst)
     assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+def _driving_reps(T):
+    yield rep_from_selector(T, "all")
+    yield _rep(T, [T.num_irreps - 1])
+    if T.dims.max() >= 2:
+        yield rep_from_selector(T, "dim>=2")
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_kernel_matches_row_by_row_oracle(name):
+    T = get_table(name)
+    for V in _driving_reps(T):
+        assert np.array_equal(build_chain(T, V).kernel, kernel_row_by_row(T, V))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_mixing_report_matches_per_start_oracle(name):
+    # the stacked curve must equal the per-start loop to the last bit, since
+    # the CLI writes these floats with repr
+    T = get_table(name)
+    for V in _driving_reps(T):
+        M = build_chain(T, V)
+        for start in (None, T.num_irreps - 1):
+            got = mixing_time(M, "tv", 0.25, start=start)
+            want = mixing_report_per_start(M, "tv_max", 0.25, 64, start)
+            assert (json.dumps(got.to_json_dict(), sort_keys=True)
+                    == json.dumps(want, sort_keys=True))
+
+
+def test_start_outside_the_irreducibles_is_refused():
+    T = get_table("S3")
+    M = build_chain(T, _rep(T, [2]))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            mixing_time(M, "tv", 0.25, t_max=4, start=bad)
+        with pytest.raises(ValueError):
+            t_step_distribution(M, bad, 2)
+    with pytest.raises(ValueError):
+        mixing_time(M, "tv", 0.25, t_max=-1)
+
+
+def test_distances_take_the_worst_row():
+    T = get_table("S4")
+    M = build_chain(T, _rep(T, [T.num_irreps - 1]))
+    stack = np.array([t_step_distribution(M, lam, 2) for lam in range(M.num_states)])
+    rows = [distances_to_stationary(M, d) for d in stack]
+    assert distances_to_stationary(M, stack) == {
+        m: max(r[m] for r in rows) for m in rows[0]}

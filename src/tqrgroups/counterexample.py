@@ -438,6 +438,8 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
     first time |A| reaches epsilon |K|. With |K| <= 1/epsilon this returns
     {0} immediately. The m-fold sumset bound is re-verified exactly.
     """
+    if m < 1:  # before default_epsilon, which divides by a power of m
+        raise ValueError("m must be >= 1")
     if K.order <= 1:
         raise ValueError("K must be nontrivial")
     if L.group is not K:

@@ -45,6 +45,11 @@ class CriteriaParams:
     def __post_init__(self):
         if not 0 < self.density <= 1:  # also refuses nan
             raise ValueError(f"density must be in (0, 1], got {self.density!r}")
+        for name, least in (("power", 1), ("trials", 1), ("support_trials", 0),
+                            ("exhaustive_cap", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
 
     def density_frac(self) -> Fraction:
         return Fraction(str(self.density))

@@ -116,6 +116,9 @@ class Subgroup:
 # Validation
 
 
+_SLAB_CELLS = 1 << 20   # table cells per slab in the inverse scan
+
+
 def _check_group_axioms(mul: np.ndarray, rng_seed: int = 0) -> tuple[int, np.ndarray]:
     """Verify identity/inverse laws exhaustively and associativity up to the
     configured cap (seeded sampling above it). Returns (identity, inv)."""
@@ -134,12 +137,17 @@ def _check_group_axioms(mul: np.ndarray, rng_seed: int = 0) -> tuple[int, np.nda
     if identity is None:
         raise GroupError("no identity element")
 
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(mul[a] == identity)
-        if len(hits) != 1 or mul[hits[0], a] != identity:
-            raise GroupError(f"element {a} has no two-sided inverse")
-        inv[a] = hits[0]
+    # a*b == identity for exactly one b per row a, and b*a == identity too;
+    # scanned in slabs of rows so the mask stays O(slab * n)
+    inv = np.empty(n, dtype=np.int64)
+    slab = max(1, _SLAB_CELLS // n)
+    for lo in range(0, n, slab):
+        hit = mul[lo:lo + slab] == identity
+        rows = np.arange(lo, lo + hit.shape[0])
+        inv[rows] = hit.argmax(axis=1)
+        bad = (hit.sum(axis=1) != 1) | (mul[inv[rows], rows] != identity)
+        if bad.any():
+            raise GroupError(f"element {lo + int(bad.argmax())} has no two-sided inverse")
 
     if n <= config.ASSOC_EXHAUSTIVE_CAP:
         # (a*b)*c == a*(b*c), checked in slabs over a.
@@ -164,16 +172,22 @@ def _rows(tuples, width: int) -> np.ndarray:
 
 
 def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
-    """Cayley table of a group given by its elements and their product law.
+    """Cayley table of a group given by its elements and their associative
+    product law.
 
     `elems` holds the m elements as distinct integer rows in ascending
     lexicographic order; compose(x, elems) gives the rows of x*y for every y.
-    A product row is ranked one column at a time: the rank of its first j+1
-    entries is the position of rank_j * span_j + col_j among the elements'
-    own prefix keys, so no key exceeds m * span_j. The table is filled one
-    row at a time, with extra memory O(m * width). Every ranked row is
-    compared with the element it names, so a product that is not an element
-    raises GroupError and a wrong rank can never enter the table.
+    Only the rows of a greedy generating set are ranked: the first element
+    not yet reached becomes a generator g, and its product rows are ranked
+    one column at a time (the rank of the first j+1 entries is the position
+    of rank_j * span_j + col_j among the elements' own prefix keys, so no key
+    exceeds m * span_j). Every ranked row is compared with the element it
+    names, so a product that is not an element raises GroupError. Every other
+    row is the left product of a generator g and a filled row y,
+    (g*y)*z = g*(y*z), so row g*y is mul[g][mul[y]]. Each generator at least
+    doubles the subgroup reached, so at most floor(log2 m) + 1 rows are
+    ranked, and the member set is closed once they all rank cleanly. The
+    table is filled one row at a time, with extra memory O(m * width).
     """
     m, width = elems.shape
     span = elems.max(axis=0) + 1
@@ -185,7 +199,11 @@ def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
         prefix = np.searchsorted(levels[-1], key)
 
     mul = np.empty((m, m), dtype=np.int64)
+    filled = np.zeros(m, dtype=bool)
+    gens: list[int] = []
     for x in range(m):
+        if filled[x]:
+            continue
         rows = compose(elems[x], elems)
         rank = np.zeros(m, dtype=np.int64)
         for j, keys in enumerate(levels):
@@ -194,6 +212,22 @@ def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
         if not np.array_equal(elems[rank], rows):
             raise GroupError("member set is not closed under multiplication")
         mul[x] = rank
+        filled[x] = True
+        gens.append(x)
+        # BFS: left-multiply every filled row by every generator until the
+        # subgroup generated so far is closed
+        frontier = np.flatnonzero(filled)
+        while frontier.size:
+            reached = []
+            for g in gens:
+                # row g is a permutation, so the fresh targets are distinct
+                targets = mul[g, frontier]
+                fresh = ~filled[targets]
+                for y, z in zip(frontier[fresh].tolist(), targets[fresh].tolist()):
+                    mul[z] = mul[g][mul[y]]
+                    reached.append(z)
+                filled[targets[fresh]] = True
+            frontier = np.array(reached, dtype=np.int64)
     return mul
 
 

@@ -193,6 +193,14 @@ def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     assert statuses == {"q8": "ok", "cover": "ok", "bad": "error", "walk": "ok"}
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_counterexample_m_below_one_is_bad_input(m, capsys):
+    assert cli.main(["counterexample", "--group", "cyclic:12", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m must be >= 1\n"
+
+
 def test_overridden_epsilon_too_large_is_bad_input(capsys):
     code = cli.main(["counterexample", "--group", "cyclic:12", "--m", "2",
                      "--epsilon", "1/2"])
@@ -252,14 +260,27 @@ def test_family_above_max_order_is_refused_before_building(spec, monkeypatch,
     assert "exceeds MAX_ORDER=20000" in capsys.readouterr().err
 
 
+_BAD_CHECK_OPTIONS = (
+    [pytest.param("--density", d, "density must be in (0, 1]", id=d)
+     for d in ("0", "-0.5", "1.5", "nan")]
+    + [pytest.param(flag, value, message, id=f"{flag[2:]}={value}")
+       for flag, value, message in (
+           ("--trials", "-5", "trials must be >= 1, got -5"),
+           ("--trials", "0", "trials must be >= 1, got 0"),
+           ("--power", "0", "power must be >= 1, got 0"),
+           ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"))])
+
+
 @pytest.mark.parametrize("criterion", ["tqr2", "all"])
-@pytest.mark.parametrize("density", ["0", "-0.5", "1.5", "nan"])
-def test_density_outside_the_unit_interval_is_bad_input(criterion, density, capsys):
+@pytest.mark.parametrize("flag, value, message", _BAD_CHECK_OPTIONS)
+def test_density_outside_the_unit_interval_is_bad_input(criterion, flag, value,
+                                                        message, capsys):
     assert cli.main(["check", "--group", "quaternion8", "--criterion", criterion,
-                     "--density", density]) == 2
+                     flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: density must be in (0, 1]")
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_suite_records_a_bad_density_as_an_error(tmp_path, capsys):

@@ -419,3 +419,12 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
                 for m in (*triple, ~prod)]
         assert rep.witness["supports"] == bits[:3]
         assert rep.witness["missing"] == bits[3]
+
+
+@pytest.mark.parametrize("field, value, least", [
+    ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1),
+    ("support_trials", -1, 0), ("exhaustive_cap", -1, 0)])
+def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
+    with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+        CriteriaParams(**{field: value})
+    CriteriaParams(**{field: least})  # the floor itself is legal

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
@@ -8,6 +8,7 @@ from tqrgroups import (CharTable, CharTableError, GroupError, build_group, cente
                        center_free_quotient_chain, conjugacy_classes,
                        derived_subgroup, normal_subgroups, quotient,
                        subgroup_from_members, subgroup_table)
+from tqrgroups import groups
 
 
 def test_family_orders():
@@ -284,6 +285,74 @@ def test_subgroup_table_rejects_non_closed_members():
     assert G.labels[:3] == ["012", "021", "102"]  # the identity and two transpositions
     with pytest.raises(GroupError, match="not closed"):
         subgroup_table(G, [0, 1, 2])
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "symmetric", "params": {"n": 6}},
+    {"family": "alternating", "params": {"n": 6}},
+    {"family": "affine", "params": {"p": 31}},
+    {"family": "extraspecial", "params": {"p": 7}}], ids=str)
+def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, monkeypatch):
+    # each generator at least doubles the subgroup reached, so a table of
+    # order m ranks at most floor(log2 m) + 1 product rows; the rest are filled
+    ranked = []
+    build = groups._table_from_rows
+
+    def counting(elems, compose):
+        calls = []
+
+        def counted(x, Y):
+            calls.append(1)
+            return compose(x, Y)
+
+        mul = build(elems, counted)
+        ranked.append((len(elems), len(calls)))
+        return mul
+
+    monkeypatch.setattr(groups, "_table_from_rows", counting)
+    chain = center_free_quotient_chain(build_group(spec))
+    assert [m for m, _ in ranked] == [G.order for G in chain]
+    assert all(1 <= calls <= m.bit_length() for m, calls in ranked), ranked
+
+
+@settings(deadline=None)  # the first example of each group builds its table
+@given(st.sampled_from(sorted(FIXTURE_SPECS)),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=3),
+       st.sampled_from(["drawn", "generated", "generated+1", "generated-1"]))
+def test_subgroup_table_raises_exactly_when_members_are_not_closed(name, picks, shape):
+    G = get_group(name)
+    members = {p % G.order for p in picks}
+    if shape != "drawn":
+        members = set(oracle._closure(G, members))
+        outside = sorted(set(range(G.order)) - members)
+        if shape == "generated+1" and outside:
+            members.add(outside[len(picks) % len(outside)])
+        if shape == "generated-1" and len(members) > 1:
+            members.remove(max(members))
+    closed = all(int(G.mul[a, b]) in members for a in members for b in members)
+    if not closed:
+        with pytest.raises(GroupError, match="not closed"):
+            subgroup_table(G, members)
+        return
+    H, elems = subgroup_table(G, members)
+    assert elems == sorted(members)
+    assert np.array_equal(
+        H.mul, oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b])))
+
+
+@pytest.mark.parametrize("family, order, num_classes", [
+    ("symmetric", 5040, 15), ("alternating", 2520, 9)])
+def test_degree_seven_tables_compose_their_permutation_labels(family, order,
+                                                              num_classes):
+    G = build_group({"family": family, "params": {"n": 7}})
+    assert G.order == order
+    assert conjugacy_classes(G).num_classes == num_classes
+    perms = np.array([[int(c) for c in label] for label in G.labels])
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(0, order, (2, 10_000))
+    # mul[a, b] is the permutation k -> p[q[k]] for p = perms[a], q = perms[b]
+    assert np.array_equal(perms[G.mul[a, b]],
+                          np.take_along_axis(perms[a], perms[b], axis=1))
 
 
 @given(st.integers(min_value=1, max_value=40))

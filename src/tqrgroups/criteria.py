@@ -16,13 +16,19 @@ import numpy as np
 
 from .chartable import CharTable, ClassFunction
 from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
-                         mask_to_support, plancherel_frac, power_support_mask,
-                         reduce_rep, split_off_identity, support_measure_frac,
+                         mask_to_support, plancherel_frac, reduce_rep,
+                         split_off_identity, support_measure_frac,
                          tensor_support_mask)
 from .groups import ClassData, GroupError, GroupTable, derived_subgroup, normal_subgroups, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
 QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
+
+# Class-function rows per stacked decompose in the support searches.
+_STACK_ROWS = 4096
+# Rows (pairs * irreducibles) the exhaustive TQR2 pair search may decompose
+# before it stops and reports mode exhaustive-truncated.
+TQR2_ROW_BUDGET = 2_000_000
 
 
 @dataclass
@@ -207,17 +213,62 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> list[int]:
     return sorted(masks)
 
 
-def _random_support(T: CharTable, rng, dens: Fraction, max_tries: int = 200) -> int | None:
+def _mask_rows(masks, r: int) -> np.ndarray:
+    """Support bitmasks as the rows of a (len(masks), r) boolean indicator."""
+    out = np.zeros((len(masks), r), dtype=bool)
+    for lo in range(0, r, 62):
+        width = min(62, r - lo)
+        word = np.array([m >> lo & (1 << width) - 1 for m in masks], dtype=np.int64)
+        out[:, lo:lo + width] = word[:, None] >> np.arange(width) & 1
+    return out
+
+
+def _row_mask(row) -> int:
+    return sum(1 << int(i) for i in np.flatnonzero(row))
+
+
+def _density_floor(T: CharTable, dens: Fraction) -> int:
+    """The least sum of dim^2 whose support has measure >= dens."""
+    return -(-dens.numerator * T.group.order // dens.denominator)
+
+
+def _random_support_rows(T: CharTable, rng, dens: Fraction, count: int,
+                         max_tries: int = 200) -> np.ndarray:
+    """The next `count` random supports of measure >= dens, as the rows of a
+    (count, r) boolean array; a row stays empty where max_tries tries failed.
+
+    Try t of a support keeps irreducible i when the i-th of r fresh uniforms
+    is below (0.5, 0.7, 0.9, 1.0)[t % 4]. Uniforms are drawn in blocks of one
+    row per support still open, which never draws past the last try, so the
+    generator advances exactly as under one scalar draw per irreducible and
+    try, and consecutive calls continue one sequence.
+    """
     r = T.num_irreps
-    for t in range(max_tries):
-        q = (0.5, 0.7, 0.9, 1.0)[t % 4]
-        mask = 0
-        for i in range(r):
-            if rng.random() < q:
-                mask |= 1 << i
-        if mask and support_measure_frac(T, mask) >= dens:
-            return mask
-    return None
+    sq = T.dims.astype(np.int64) ** 2
+    need = _density_floor(T, dens)
+    qs = np.array((0.5, 0.7, 0.9, 1.0))
+    out = np.zeros((count, r), dtype=bool)
+    done, t = 0, 0
+    while done < count:
+        block = rng.random((count - done, r))
+        # ok[row][c]: the support drawn from this row at cutoff qs[c] is heavy enough
+        ok = ((block[:, None, :] < qs[:, None]) @ sq >= need).tolist()
+        for row, accept in enumerate(ok):
+            if accept[t % 4]:
+                out[done] = block[row] < qs[t % 4]
+            elif t + 1 < max_tries:
+                t += 1
+                continue
+            done, t = done + 1, 0
+    return out
+
+
+def _random_support_blocks(T, rng, dens, count):
+    """`count` random supports in stacks of at most _STACK_ROWS rows, the
+    failed (empty) draws left out."""
+    for lo in range(0, count, _STACK_ROWS):
+        rows = _random_support_rows(T, rng, dens, min(_STACK_ROWS, count - lo))
+        yield rows[rows.any(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,48 +314,82 @@ def _tqr1(G, C, params, pjson) -> CriterionReport:
 
 def _tqr2(T, params, pjson) -> CriterionReport:
     dens = params.density_frac()
-    full = (1 << T.num_irreps) - 1
     checked = 0
     witness = None
     modes = []
 
     if T.num_irreps <= params.exhaustive_cap:
-        modes.append("exhaustive-minimal")
-        minimal = _minimal_supports(T, dens)
-        triples = len(minimal) ** 3
-        if triples <= 2_000_000:
-            chars = np.array([T.values[list(mask_to_support(m))].sum(axis=0)
-                              for m in minimal])
-            for i, j in itertools.product(range(len(minimal)), repeat=2):
-                # one decomposition for every third support; the first short one wins
-                mult = decompose(T, chars[i] * chars[j] * chars)
-                short = np.flatnonzero(~mult.all(axis=1))
-                if len(short):
-                    k = int(short[0])
-                    checked += k + 1
-                    witness = _support_witness(
-                        T, [minimal[i], minimal[j], minimal[k]],
-                        RepMultiset(T, mult[k]).support_mask())
-                    break
-                checked += len(minimal)
-        else:
-            modes[-1] = "exhaustive-truncated"
+        checked, witness, complete = _tqr2_pair_search(T, _minimal_supports(T, dens), dens)
+        modes.append("exhaustive-minimal" if complete else "exhaustive-truncated")
 
-    rng = np.random.default_rng(params.seed + 2001)
     modes.append("randomized")
-    for _ in range(params.support_trials):
-        if witness:
-            break
-        ms = [_random_support(T, rng, dens) for _ in range(3)]
-        if any(m is None for m in ms):
-            continue
-        checked += 1
-        m123 = tensor_support_mask(T, tensor_support_mask(T, ms[0], ms[1]), ms[2])
-        if m123 != full:
-            witness = _support_witness(T, ms, m123)
+    if witness is None:
+        # support_trials random triples, one stacked decompose of their
+        # products per _STACK_ROWS triples; the first short product wins
+        rng = np.random.default_rng(params.seed + 2001)
+        for lo in range(0, params.support_trials, _STACK_ROWS):
+            n = min(_STACK_ROWS, params.support_trials - lo)
+            triples = _random_support_rows(T, rng, dens, 3 * n).reshape(n, 3, -1)
+            triples = triples[triples.any(axis=2).all(axis=1)]
+            chars = triples @ T.values
+            mult = decompose(T, chars[:, 0] * chars[:, 1] * chars[:, 2])
+            short = np.flatnonzero(~mult.all(axis=1))
+            if short.size:
+                t = int(short[0])
+                checked += t + 1
+                witness = _support_witness(T, [_row_mask(m) for m in triples[t]],
+                                           _row_mask(mult[t]))
+                break
+            checked += len(triples)
     return CriterionReport("tqr2", witness is None, pjson, witness=witness,
                            mode="+".join(modes),
                            details={"triples_checked": checked})
+
+
+def _tqr2_pair_search(T, minimal, dens):
+    """Exhaustive TQR2 search over triples of the given supports, walked as
+    pairs. Returns (triples checked, witness or None, whether it finished).
+
+    nu is in the support of chi1 chi2 chi3 iff S3 meets
+    D_nu = supp(conj(chi1 chi2) chi_nu), so a pair (S1, S2) ends a triple
+    that misses nu iff Irrep minus D_nu has measure >= dens, which is an
+    integer comparison of dim^2 sums. The pairs i <= j are walked in
+    lexicographic order, every D_nu of a chunk of pairs from one stacked
+    decompose. The first pair with a witness is also the first in the order
+    of all triples (i, j, k) (swapping i and j changes no product), so its
+    first third support k avoiding some D_nu gives the witness and the count
+    (i*s + j)*s + k + 1. The walk stops after TQR2_ROW_BUDGET decomposed
+    rows; the count is then the triples whose pair was walked.
+    """
+    r, s = T.num_irreps, len(minimal)
+    sq = T.dims.astype(np.int64) ** 2
+    need = _density_floor(T, dens)
+    ind = _mask_rows(minimal, r)
+    row_start = np.concatenate(([0], np.cumsum(np.arange(s, 0, -1))))
+    pairs = s * (s + 1) // 2
+    walked = min(pairs, TQR2_ROW_BUDGET // r)
+    step = max(1, _STACK_ROWS // r)
+    for lo in range(0, walked, step):
+        t = np.arange(lo, min(lo + step, walked))
+        i = np.searchsorted(row_start, t, side="right") - 1
+        j = i + t - row_start[i]
+        dual = np.conj((ind[i] @ T.values) * (ind[j] @ T.values))
+        mult = decompose(T, (dual[:, None, :] * T.values).reshape(-1, T.values.shape[1]))
+        hit = mult.reshape(len(t), r, r) > 0       # hit[p, nu, mu]: mu in D_nu
+        found = np.flatnonzero(((~hit) @ sq >= need).any(axis=1))
+        if found.size:
+            p = int(found[0])
+            i, j = int(i[p]), int(j[p])
+            k = int(np.flatnonzero(~(ind @ hit[p].T).all(axis=1))[0])
+            chars = ind[[i, j, k]] @ T.values
+            missing = decompose(T, (chars[0] * chars[1] * chars[2])[None])[0]
+            witness = _support_witness(T, [minimal[i], minimal[j], minimal[k]],
+                                       _row_mask(missing))
+            return (i * s + j) * s + k + 1, witness, True
+    if walked == pairs:
+        return s ** 3, None, True
+    diagonal = int(np.searchsorted(row_start, walked, side="left"))
+    return (2 * walked - diagonal) * s, None, False
 
 
 def _support_witness(T, masks, product_mask) -> dict:
@@ -316,41 +401,42 @@ def _support_witness(T, masks, product_mask) -> dict:
 
 def _tqr3(T, params, pjson) -> CriterionReport:
     dens = params.density_frac()
-    witness = None
-    checked = 0
+    r = T.num_irreps
+    stacks = []
     modes = []
-    if T.num_irreps <= params.exhaustive_cap:
+    if r <= params.exhaustive_cap:
         modes.append("exhaustive-minimal")
-        for m in _minimal_supports(T, dens):
-            checked += 1
-            witness = _power_witness(T, m, params)
-            if witness:
-                break
+        minimal = _mask_rows(_minimal_supports(T, dens), r)
+        stacks.append(minimal[lo:lo + _STACK_ROWS]
+                      for lo in range(0, len(minimal), _STACK_ROWS))
     rng = np.random.default_rng(params.seed + 3001)
     modes.append("randomized")
-    for _ in range(params.support_trials):
-        if witness:
+    stacks.append(_random_support_blocks(T, rng, dens, params.support_trials))
+
+    sq = T.dims.astype(np.int64) ** 2
+    # the largest sum of dim^2 at or below the measure cutoff
+    bound = math.floor(Fraction(params.power_measure_threshold) * T.group.order)
+    witness = None
+    checked = 0
+    for rows in itertools.chain(*stacks):
+        chars = rows @ T.values
+        power = rows
+        for _ in range(params.power - 1):
+            power = decompose(T, (power @ T.values) * chars) > 0
+        small = np.flatnonzero(power @ sq <= bound)
+        if small.size:
+            t = int(small[0])
+            checked += t + 1
+            m, pw = _row_mask(rows[t]), _row_mask(power[t])
+            witness = {"support": list(mask_to_support(m)),
+                       "measure": float(support_measure_frac(T, m)),
+                       "power_support": list(mask_to_support(pw)),
+                       "power_measure": float(support_measure_frac(T, pw))}
             break
-        m = _random_support(T, rng, dens)
-        if m is None:
-            continue
-        checked += 1
-        witness = _power_witness(T, m, params)
+        checked += len(rows)
     return CriterionReport("tqr3", witness is None, pjson, witness=witness,
                            mode="+".join(modes),
                            details={"supports_checked": checked})
-
-
-def _power_witness(T, m, params) -> dict | None:
-    """The TQR3 witness for support m, or None if its power is large enough."""
-    pw = power_support_mask(T, m, params.power)
-    measure = support_measure_frac(T, pw)
-    if measure > params.power_measure_threshold:
-        return None
-    return {"support": list(mask_to_support(m)),
-            "measure": float(support_measure_frac(T, m)),
-            "power_support": list(mask_to_support(pw)),
-            "power_measure": float(measure)}
 
 
 def _tqr4(T, params, pjson) -> CriterionReport:

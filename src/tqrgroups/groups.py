@@ -64,7 +64,10 @@ class GroupTable:
         return n
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        """True iff the generators of generating_set(self) commute pairwise."""
+        gens = generating_set(self)
+        block = self.mul[np.ix_(gens, gens)]
+        return bool(np.array_equal(block, block.T))
 
     def label(self, x: int) -> str:
         if self.labels is not None:
@@ -520,9 +523,29 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
                     is_central=is_central, index=G.order // len(mset))
 
 
+def generating_set(G: GroupTable) -> list[int]:
+    """A greedy generating set: in index order, every element outside the
+    subgroup generated so far joins it. Each one at least doubles that
+    subgroup, so there are at most floor(log2 |G|) of them."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        # a set holding the identity and closed under right multiplication
+        # by the generators is the subgroup they generate
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            nxt = np.unique(G.mul[np.ix_(frontier, gens)])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+    return gens
+
+
 def center(G: GroupTable) -> Subgroup:
-    """Elements commuting with everything: the rows of mul equal to columns."""
-    members = np.flatnonzero(np.all(G.mul == G.mul.T, axis=1))
+    """Elements commuting with every generator of generating_set(G)."""
+    gens = generating_set(G)
+    members = np.flatnonzero(np.all(G.mul[:, gens] == G.mul[gens].T, axis=1))
     return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
                     is_central=True, index=G.order // len(members))
 

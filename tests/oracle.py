@@ -7,9 +7,9 @@ multiplication matrices from counting the products of one class at a time,
 restrictions from reading a class function element by element, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
-minimal supports from a scan of every mask, Cayley tables from a dict lookup
-of every pairwise product, and the affine-group table is assembled from its
-known structure.
+minimal supports from a scan of every mask, random supports from one scalar
+draw per irreducible, Cayley tables from a dict lookup of every pairwise
+product, and the affine-group table is assembled from its known structure.
 """
 
 from __future__ import annotations
@@ -247,6 +247,7 @@ def _pair_multiplicities(T, a, b):
     return mult
 
 
+@functools.lru_cache(maxsize=None)
 def pairwise_tensor_support(T, mask1, mask2):
     """Support of S1 (x) S2 as the union of supp(chi_a chi_b) over every pair."""
     out = 0
@@ -285,6 +286,65 @@ def fraction_sum_measure(T, mask):
     n = T.group.order
     return sum((Fraction(int(T.dims[i]) ** 2, n) for i in range(T.num_irreps)
                 if mask >> i & 1), Fraction(0))
+
+
+def scalar_random_support(T, rng, dens, max_tries=200):
+    """One random support of measure >= dens, or None: try t keeps each
+    irreducible, in index order, when one scalar draw falls below
+    (0.5, 0.7, 0.9, 1.0)[t % 4]."""
+    for t in range(max_tries):
+        q = (0.5, 0.7, 0.9, 1.0)[t % 4]
+        mask = 0
+        for i in range(T.num_irreps):
+            if rng.random() < q:
+                mask |= 1 << i
+        if mask and fraction_sum_measure(T, mask) >= dens:
+            return mask
+    return None
+
+
+def _bits(mask, r):
+    return [i for i in range(r) if mask >> i & 1]
+
+
+def scalar_random_tqr_report(T, params, criterion):
+    """The tqr2 or tqr3 report of a search with the exhaustive phase off:
+    params.support_trials random triples (tqr2) or supports (tqr3), drawn and
+    checked one at a time, product supports built pairwise."""
+    dens = params.density_frac()
+    r = T.num_irreps
+    full = (1 << r) - 1
+    rng = np.random.default_rng(params.seed + (2001 if criterion == "tqr2" else 3001))
+    checked, witness = 0, None
+    for _ in range(params.support_trials):
+        if criterion == "tqr2":
+            ms = [scalar_random_support(T, rng, dens) for _ in range(3)]
+            if None in ms:
+                continue
+            checked += 1
+            prod = pairwise_tensor_support(
+                T, pairwise_tensor_support(T, ms[0], ms[1]), ms[2])
+            if prod != full:
+                witness = {"supports": [_bits(m, r) for m in ms],
+                           "measures": [float(fraction_sum_measure(T, m)) for m in ms],
+                           "missing": _bits(full & ~prod, r)}
+        else:
+            m = scalar_random_support(T, rng, dens)
+            if m is None:
+                continue
+            checked += 1
+            pw = pairwise_power_support(T, m, params.power)
+            if fraction_sum_measure(T, pw) <= params.power_measure_threshold:
+                witness = {"support": _bits(m, r),
+                           "measure": float(fraction_sum_measure(T, m)),
+                           "power_support": _bits(pw, r),
+                           "power_measure": float(fraction_sum_measure(T, pw))}
+        if witness:
+            break
+    key = "triples_checked" if criterion == "tqr2" else "supports_checked"
+    return {"criterion": criterion, "holds": witness is None, "mode": "randomized",
+            "parameters": params.to_json_dict(), "witness": witness,
+            "details": {key: checked}, "error": None}
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
@@ -17,7 +17,8 @@ from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
                        three_factor_cover, two_factor_cover)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, rep_from_selector
-from tqrgroups.criteria import CriteriaParams, _minimal_supports
+from tqrgroups import criteria
+from tqrgroups.criteria import CriteriaParams, _minimal_supports, _random_support_rows
 
 
 def _rep(T, support):
@@ -428,3 +429,121 @@ def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         CriteriaParams(**{field: value})
     CriteriaParams(**{field: least})  # the floor itself is legal
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIXTURE_SPECS) if get_table(n).num_irreps <= 12])
+@settings(deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_tqr2_pair_search_matches_triple_oracle_on_random_densities(name, data):
+    # the whole report of the exhaustive search, count and witness, against
+    # the oracle's walk over every ordered triple of minimal supports
+    T = get_table(name)
+    dens = data.draw(_densities(T.group.order).filter(lambda d: d <= 1))
+    params = CriteriaParams(density=float(dens), support_trials=0)
+    minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
+    assume(len(minimal) <= 40)  # the oracle walks up to len(minimal)**3 triples
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    checked, triple, prod = oracle.brute_force_tqr2_search(T, minimal)
+    witness = None
+    if triple is not None:
+        bits = [[i for i in range(T.num_irreps) if m >> i & 1]
+                for m in (*triple, ~prod)]
+        witness = {"supports": bits[:3],
+                   "measures": [float(oracle.fraction_sum_measure(T, m)) for m in triple],
+                   "missing": bits[3]}
+    assert rep.to_json_dict() == {
+        "criterion": "tqr2", "holds": triple is None,
+        "mode": "exhaustive-minimal+randomized", "parameters": params.to_json_dict(),
+        "witness": witness, "details": {"triples_checked": checked}, "error": None}
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D8", "C12", "ES3", "aff7", "aff13",
+                                  "C2xS4", "C3xD4"])
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("criterion", ["tqr2", "tqr3"])
+def test_random_phase_matches_scalar_oracle(name, density, criterion):
+    # block-drawn supports and one stacked decompose give the report of the
+    # scalar loop, draw for draw; seed 0 and 5 at every density, seed 1 at two
+    T = get_table(name)
+    for seed in (0, 5) if density in (0.3, 0.9) else (0, 1, 5):
+        params = CriteriaParams(density=density, seed=seed, exhaustive_cap=0)
+        rep, = check_tqr(T.group, T.classes, T, params, names=(criterion,))
+        want = oracle.scalar_random_tqr_report(T, params, criterion)
+        assert json.dumps(rep.to_json_dict()) == json.dumps(want)
+
+
+def test_random_support_rows_continue_one_sequence():
+    # block draws take exactly the uniforms of the scalar loop, so the rows
+    # match it support for support, leave the generator where it leaves it,
+    # and consecutive calls continue one sequence. At density 0.9 on A5 most
+    # supports need several tries, which span block boundaries.
+    T = get_table("A5")
+    dens = Fraction(9, 10)
+    rng_rows, rng_scalar = np.random.default_rng(4), np.random.default_rng(4)
+    rows = _random_support_rows(T, rng_rows, dens, 50)
+    masks = [oracle.scalar_random_support(T, rng_scalar, dens) for _ in range(50)]
+    assert [sum(1 << int(i) for i in np.flatnonzero(row)) for row in rows] == masks
+    assert rng_rows.random() == rng_scalar.random()
+    rng = np.random.default_rng(4)
+    parts = [_random_support_rows(T, rng, dens, n) for n in (1, 7, 0, 42)]
+    assert np.array_equal(np.concatenate(parts), rows)
+
+
+_ROADMAP_WITNESSES = [
+    ({"family": "dihedral", "params": {"n": 30}}, 0.1),
+    ({"family": "product", "params": {"left": {"family": "symmetric", "params": {"n": 4}},
+                                      "right": {"family": "symmetric", "params": {"n": 3}}}}, 0.1),
+    ({"family": "product", "params": {"left": {"family": "alternating", "params": {"n": 5}},
+                                      "right": {"family": "alternating", "params": {"n": 4}}}}, 0.1),
+    ({"family": "dihedral", "params": {"n": 30}}, 0.3),
+]
+
+
+@pytest.mark.parametrize("spec, density", _ROADMAP_WITNESSES)
+def test_tqr2_finds_witness_where_the_triple_cap_truncated(spec, density):
+    # each of these has more than 125 minimal supports, so the old triple
+    # cap skipped the exhaustive phase and 200 random triples said "holds"
+    G, C, T = get_table_for_spec(json.dumps(spec))
+    params = CriteriaParams(density=density)
+    rep, = check_tqr(G, C, T, params, names=("tqr2",))
+    assert rep.holds is False and rep.mode == "exhaustive-minimal+randomized"
+    masks = [sum(1 << i for i in s) for s in rep.witness["supports"]]
+    assert all(oracle.fraction_sum_measure(T, m) >= params.density_frac() for m in masks)
+    assert rep.witness["measures"] == [float(oracle.fraction_sum_measure(T, m))
+                                       for m in masks]
+    prod = oracle.pairwise_tensor_support(
+        T, oracle.pairwise_tensor_support(T, masks[0], masks[1]), masks[2])
+    missing = [i for i in range(T.num_irreps) if not prod >> i & 1]
+    assert missing and rep.witness["missing"] == missing
+
+
+def test_tqr2_pair_budget_stops_the_search_and_says_so(monkeypatch):
+    # A5 at density 0.2: TQR2 holds, proved over all 15 pairs of its 5
+    # minimal supports; a budget of two pairs' rows stops after (0,0), (0,1)
+    T = get_table("A5")
+    params = CriteriaParams(density=0.2, support_trials=0)
+    s = len(_minimal_supports(T, params.density_frac()))
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    assert rep.holds and rep.mode == "exhaustive-minimal+randomized"
+    assert rep.details["triples_checked"] == s ** 3
+    monkeypatch.setattr(criteria, "TQR2_ROW_BUDGET", 2 * T.num_irreps)
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    assert rep.mode == "exhaustive-truncated+randomized"
+    # (0,0) covers s ordered triples, (0,1) and (1,0) another 2s
+    assert rep.details["triples_checked"] == 3 * s
+    with_random = CriteriaParams(density=0.2)
+    rep, = check_tqr(T.group, T.classes, T, with_random, names=("tqr2",))
+    assert rep.mode == "exhaustive-truncated+randomized"
+    assert rep.details["triples_checked"] == 3 * s + with_random.support_trials
+
+
+def test_mask_rows_round_trip_past_one_word():
+    # exhaustive_cap may exceed 62 irreducibles, so masks span several words
+    rng = np.random.default_rng(1)
+    masks = [int.from_bytes(rng.bytes(17), "little") >> 6 for _ in range(20)]
+    masks += [0, (1 << 130) - 1]
+    rows = criteria._mask_rows(masks, 130)
+    assert rows.tolist() == [[bool(m >> i & 1) for i in range(130)] for m in masks]
+    assert [criteria._row_mask(row) for row in rows] == masks

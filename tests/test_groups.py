@@ -381,3 +381,21 @@ def test_dihedral_center(n):
         assert z == 2 * n       # abelian
     else:
         assert z == (2 if n % 2 == 0 else 1)
+
+
+_DEGREE_SEVEN = {"S7": {"family": "symmetric", "params": {"n": 7}},
+                 "A7": {"family": "alternating", "params": {"n": 7}}}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_DEGREE_SEVEN))
+def test_center_and_abelian_from_generators_match_full_table_compare(name):
+    G = (build_group(_DEGREE_SEVEN[name]) if name in _DEGREE_SEVEN
+         else get_group(name))
+    gens = groups.generating_set(G)
+    assert len(gens) <= int(np.log2(G.order))
+    if G.order <= 1000:  # the oracle's closure is quadratic in the order
+        assert oracle._closure(G, gens) == frozenset(range(G.order))
+    # the old tests: every row of mul against its column
+    commutes_with_all = np.all(G.mul == G.mul.T, axis=1)
+    assert center(G).members == tuple(np.flatnonzero(commutes_with_all).tolist())
+    assert G.is_abelian() is bool(commutes_with_all.all())

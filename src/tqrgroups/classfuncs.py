@@ -40,8 +40,8 @@ class RepMultiset:
     def support(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.mult))
 
-    def support_mask(self) -> int:
-        return sum(1 << i for i in self.support())
+    def support_mask(self) -> np.ndarray:
+        return self.mult > 0
 
     def to_json_dict(self) -> dict:
         return {"mult": self.mult.tolist()}
@@ -152,22 +152,22 @@ def decompose(T: CharTable, f, *, tol: float = config.TOL):
 # Support ("fusion") arithmetic, integer-exact
 
 
-def tensor_support_mask(T: CharTable, mask1: int, mask2: int) -> int:
-    """Support of the tensor product of two supports, as a bitmask.
+def tensor_support_mask(T: CharTable, mask1: np.ndarray, mask2: np.ndarray) -> np.ndarray:
+    """Support of the tensor product of two supports.
 
-    Tensor multiplicities are non-negative integers, so nothing cancels: the
-    support of (sum_{a in S1} chi_a)(sum_{b in S2} chi_b) is the union of the
-    supports of the chi_a chi_b, and one certified decomposition gives it.
+    A support is a boolean mask over the irreducibles: one (r,) row, or a
+    (b, r) stack of them taken row by row. Tensor multiplicities are
+    non-negative integers, so nothing cancels: the support of
+    (sum_{a in S1} chi_a)(sum_{b in S2} chi_b) is the union of the supports
+    of the chi_a chi_b, and one stacked decomposition gives every row.
     """
-    if not (mask1 and mask2):
-        return 0
-    chi1, chi2 = (T.values[list(mask_to_support(m))].sum(axis=0)
-                  for m in (mask1, mask2))
-    return decompose(T, ClassFunction(T.group, T.classes, chi1 * chi2)).support_mask()
+    chars = (mask1 @ T.values) * (mask2 @ T.values)
+    mult = decompose(T, chars.reshape(-1, T.classes.num_classes))
+    return mult.reshape(chars.shape[:-1] + (T.num_irreps,)) > 0
 
 
-def power_support_mask(T: CharTable, mask: int, m: int) -> int:
-    """Support of the m-fold tensor power of a support."""
+def power_support_mask(T: CharTable, mask: np.ndarray, m: int) -> np.ndarray:
+    """Support of the m-fold tensor power of a support (or of each row)."""
     if m < 1:
         raise ValueError("tensor power must be >= 1")
     out = mask
@@ -176,14 +176,9 @@ def power_support_mask(T: CharTable, mask: int, m: int) -> int:
     return out
 
 
-def mask_to_support(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def support_measure_frac(T: CharTable, mask: int) -> Fraction:
+def support_measure_frac(T: CharTable, mask: np.ndarray) -> Fraction:
     """Exact Plancherel measure of a support: sum of dim^2 over |G|."""
-    return Fraction(sum(int(T.dims[i]) ** 2 for i in mask_to_support(mask)),
-                    T.group.order)
+    return Fraction(int(mask @ T.dims.astype(np.int64) ** 2), T.group.order)
 
 
 # ---------------------------------------------------------------------------

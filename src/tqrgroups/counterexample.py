@@ -19,11 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .chartable import CharTable, ClassFunction, induce_character
-from .classfuncs import (RepMultiset, decompose, mask_to_support,
-                         plancherel_frac, power_support_mask,
-                         support_measure_frac)
-from .groups import (ClassData, GroupError, GroupTable, Subgroup, _is_prime,
-                     center_of_subset)
+from .classfuncs import (RepMultiset, decompose, plancherel_frac,
+                         power_support_mask, support_measure_frac)
+from .groups import (ClassData, GroupError, GroupTable, Subgroup, _check_order,
+                     _is_prime, center_of_subset)
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +36,9 @@ class AbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        if any(d < 1 for d in self.factors):
+            raise ValueError(f"factors must be >= 1, got {list(self.factors)}")
+        _check_order(math.prod(self.factors))
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
                 raise ValueError("factors must form a divisibility chain")
@@ -578,7 +580,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
         "m_fold_set_size": len(mA),
         "m_fold_mass_bound_ok": m_pw <= Fraction(len(mA), kk),
         "support": list(V.support()),
-        "power_support": list(mask_to_support(pw_mask)),
+        "power_support": np.flatnonzero(pw_mask).tolist(),
         "orbit_blocks": blocks,
         "orbit_partition_ok": orbit_partition_ok,
         "orbit_measures_ok": measures_ok,

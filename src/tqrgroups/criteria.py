@@ -16,7 +16,7 @@ import numpy as np
 
 from .chartable import CharTable, ClassFunction
 from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
-                         mask_to_support, plancherel_frac, reduce_rep,
+                         plancherel_frac, power_support_mask, reduce_rep,
                          split_off_identity, support_measure_frac,
                          tensor_support_mask)
 from .groups import ClassData, GroupError, GroupTable, derived_subgroup, normal_subgroups, center_of_subset
@@ -128,12 +128,9 @@ def two_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset) -> CoverRep
     """Guarantee M(V1)+M(V2) > 1 versus the exact covering status of V1 (x) V2."""
     m1, m2 = plancherel_frac(T, V1), plancherel_frac(T, V2)
     guaranteed = (m1 + m2) > 1
-    full = (1 << T.num_irreps) - 1
     prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
-    covered = prod == full
-    missing = mask_to_support(full & ~prod)
     return CoverReport("two_factor", [float(m1), float(m2)], bool(guaranteed),
-                       covered, missing)
+                       bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()))
 
 
 def three_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset,
@@ -146,13 +143,11 @@ def three_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset,
     prod_m = ms[0] * ms[1] * ms[2]
     # exact comparison: (M1 M2 M3)^2 * c > 1 avoids the irrational sqrt
     guaranteed = prod_m > 0 and (prod_m * prod_m * c) > 1
-    full = (1 << T.num_irreps) - 1
-    mask = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
-    mask = tensor_support_mask(T, mask, V3.support_mask())
-    covered = mask == full
-    missing = mask_to_support(full & ~mask)
+    prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
+    prod = tensor_support_mask(T, prod, V3.support_mask())
     return CoverReport("three_factor", [float(m) for m in ms], bool(guaranteed),
-                       covered, missing, threshold=c ** -0.5)
+                       bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()),
+                       threshold=c ** -0.5)
 
 
 def multiplicity_profile(T: CharTable, V1: RepMultiset, V2: RepMultiset,
@@ -184,12 +179,12 @@ def multiplicity_profile(T: CharTable, V1: RepMultiset, V2: RepMultiset,
 # Support search machinery
 
 
-def _minimal_supports(T: CharTable, dens: Fraction) -> list[int]:
-    """All support masks of measure >= dens minimal under element removal,
-    in ascending order.
+def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
+    """All supports of measure >= dens minimal under element removal, as the
+    rows of an (s, r) boolean array in ascending order of sum 2^i.
 
     Covering failure is preserved by shrinking supports, so exhaustive search
-    over these masks is exhaustive over all supports of measure >= dens.
+    over these supports is exhaustive over all supports of measure >= dens.
     Exact integer depth-first search by descending dim: a branch is emitted
     once its sum of dim^2 * q reaches p * |G| (dens = p/q), so its last and
     lightest member took it over and every removal falls below; it is cut
@@ -199,32 +194,21 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> list[int]:
     weight = [int(T.dims[i]) ** 2 * dens.denominator for i in order]
     need = dens.numerator * T.group.order
     rest = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
-    masks, branches = [], [(0, 0, 0)]   # (next position, weight sum, mask)
+    found, branches = [], [(0, 0, [])]   # (next position, weight sum, members)
     while branches:
-        start, total, mask = branches.pop()
+        start, total, members = branches.pop()
         for j in range(start, len(order)):
             if total + rest[j] < need:
                 break
-            t, m = total + weight[j], mask | 1 << order[j]
+            t, m = total + weight[j], members + [order[j]]
             if t >= need:
-                masks.append(m)
+                found.append(m)
             else:
                 branches.append((j + 1, t, m))
-    return sorted(masks)
-
-
-def _mask_rows(masks, r: int) -> np.ndarray:
-    """Support bitmasks as the rows of a (len(masks), r) boolean indicator."""
-    out = np.zeros((len(masks), r), dtype=bool)
-    for lo in range(0, r, 62):
-        width = min(62, r - lo)
-        word = np.array([m >> lo & (1 << width) - 1 for m in masks], dtype=np.int64)
-        out[:, lo:lo + width] = word[:, None] >> np.arange(width) & 1
-    return out
-
-
-def _row_mask(row) -> int:
-    return sum(1 << int(i) for i in np.flatnonzero(row))
+    rows = np.zeros((len(found), T.num_irreps), dtype=bool)
+    for row, members in zip(rows, found):
+        row[members] = True
+    return rows[np.lexsort(rows.T)]
 
 
 def _density_floor(T: CharTable, dens: Fraction) -> int:
@@ -337,8 +321,7 @@ def _tqr2(T, params, pjson) -> CriterionReport:
             if short.size:
                 t = int(short[0])
                 checked += t + 1
-                witness = _support_witness(T, [_row_mask(m) for m in triples[t]],
-                                           _row_mask(mult[t]))
+                witness = _support_witness(T, triples[t], mult[t] > 0)
                 break
             checked += len(triples)
     return CriterionReport("tqr2", witness is None, pjson, witness=witness,
@@ -364,7 +347,6 @@ def _tqr2_pair_search(T, minimal, dens):
     r, s = T.num_irreps, len(minimal)
     sq = T.dims.astype(np.int64) ** 2
     need = _density_floor(T, dens)
-    ind = _mask_rows(minimal, r)
     row_start = np.concatenate(([0], np.cumsum(np.arange(s, 0, -1))))
     pairs = s * (s + 1) // 2
     walked = min(pairs, TQR2_ROW_BUDGET // r)
@@ -373,18 +355,18 @@ def _tqr2_pair_search(T, minimal, dens):
         t = np.arange(lo, min(lo + step, walked))
         i = np.searchsorted(row_start, t, side="right") - 1
         j = i + t - row_start[i]
-        dual = np.conj((ind[i] @ T.values) * (ind[j] @ T.values))
+        dual = np.conj((minimal[i] @ T.values) * (minimal[j] @ T.values))
         mult = decompose(T, (dual[:, None, :] * T.values).reshape(-1, T.values.shape[1]))
         hit = mult.reshape(len(t), r, r) > 0       # hit[p, nu, mu]: mu in D_nu
         found = np.flatnonzero(((~hit) @ sq >= need).any(axis=1))
         if found.size:
             p = int(found[0])
             i, j = int(i[p]), int(j[p])
-            k = int(np.flatnonzero(~(ind @ hit[p].T).all(axis=1))[0])
-            chars = ind[[i, j, k]] @ T.values
-            missing = decompose(T, (chars[0] * chars[1] * chars[2])[None])[0]
-            witness = _support_witness(T, [minimal[i], minimal[j], minimal[k]],
-                                       _row_mask(missing))
+            k = int(np.flatnonzero(~(minimal @ hit[p].T).all(axis=1))[0])
+            triple = minimal[[i, j, k]]
+            product = tensor_support_mask(T, triple[0], triple[1])
+            product = tensor_support_mask(T, product, triple[2])
+            witness = _support_witness(T, triple, product)
             return (i * s + j) * s + k + 1, witness, True
     if walked == pairs:
         return s ** 3, None, True
@@ -392,21 +374,19 @@ def _tqr2_pair_search(T, minimal, dens):
     return (2 * walked - diagonal) * s, None, False
 
 
-def _support_witness(T, masks, product_mask) -> dict:
-    missing = mask_to_support(((1 << T.num_irreps) - 1) & ~product_mask)
-    return {"supports": [list(mask_to_support(m)) for m in masks],
-            "measures": [float(support_measure_frac(T, m)) for m in masks],
-            "missing": list(missing)}
+def _support_witness(T, supports, product) -> dict:
+    return {"supports": [np.flatnonzero(row).tolist() for row in supports],
+            "measures": [float(support_measure_frac(T, row)) for row in supports],
+            "missing": np.flatnonzero(~product).tolist()}
 
 
 def _tqr3(T, params, pjson) -> CriterionReport:
     dens = params.density_frac()
-    r = T.num_irreps
     stacks = []
     modes = []
-    if r <= params.exhaustive_cap:
+    if T.num_irreps <= params.exhaustive_cap:
         modes.append("exhaustive-minimal")
-        minimal = _mask_rows(_minimal_supports(T, dens), r)
+        minimal = _minimal_supports(T, dens)
         stacks.append(minimal[lo:lo + _STACK_ROWS]
                       for lo in range(0, len(minimal), _STACK_ROWS))
     rng = np.random.default_rng(params.seed + 3001)
@@ -419,19 +399,15 @@ def _tqr3(T, params, pjson) -> CriterionReport:
     witness = None
     checked = 0
     for rows in itertools.chain(*stacks):
-        chars = rows @ T.values
-        power = rows
-        for _ in range(params.power - 1):
-            power = decompose(T, (power @ T.values) * chars) > 0
+        power = power_support_mask(T, rows, params.power)
         small = np.flatnonzero(power @ sq <= bound)
         if small.size:
             t = int(small[0])
             checked += t + 1
-            m, pw = _row_mask(rows[t]), _row_mask(power[t])
-            witness = {"support": list(mask_to_support(m)),
-                       "measure": float(support_measure_frac(T, m)),
-                       "power_support": list(mask_to_support(pw)),
-                       "power_measure": float(support_measure_frac(T, pw))}
+            witness = {"support": np.flatnonzero(rows[t]).tolist(),
+                       "measure": float(support_measure_frac(T, rows[t])),
+                       "power_support": np.flatnonzero(power[t]).tolist(),
+                       "power_measure": float(support_measure_frac(T, power[t]))}
             break
         checked += len(rows)
     return CriterionReport("tqr3", witness is None, pjson, witness=witness,

@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
@@ -68,6 +69,16 @@ def get_table_for_spec(spec_key):
     G = build_group(json.loads(spec_key))
     C = conjugacy_classes(G)
     return G, C, compute_char_table(G, C)
+
+
+def mask_row(mask, r):
+    """An oracle's int bitmask as the library's (r,) boolean support row."""
+    return np.array([bool(mask >> i & 1) for i in range(r)])
+
+
+def row_mask(row):
+    """A library support row as an oracle's int bitmask."""
+    return sum(1 << int(i) for i in np.flatnonzero(row))
 
 
 @pytest.fixture(scope="session")

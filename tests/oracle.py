@@ -281,6 +281,18 @@ def brute_force_tqr2_search(T, minimal):
     return len(minimal) ** 3, None, None
 
 
+def brute_force_tqr3_search(T, minimal, power, threshold):
+    """Every given support in order, its power support built pairwise.
+    Returns the number of supports checked and the first support whose
+    power-fold tensor power has measure <= threshold, with that power
+    support, or None for both."""
+    for checked, mask in enumerate(minimal, 1):
+        pw = pairwise_power_support(T, mask, power)
+        if fraction_sum_measure(T, pw) <= threshold:
+            return checked, mask, pw
+    return len(minimal), None, None
+
+
 def fraction_sum_measure(T, mask):
     """Plancherel measure of a support as a sum of one Fraction per member."""
     n = T.group.order

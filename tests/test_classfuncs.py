@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
+from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table, mask_row,
+                      row_mask)
 from tqrgroups import (DecompositionError, character_of, decompose,
                        inner_product, lp_norm, plancherel_frac, reduce_rep,
                        reduced_character, split_off_identity)
@@ -216,10 +217,11 @@ def test_rep_selectors():
 def test_support_mask_arithmetic():
     T = get_table("S3")
     m_std = _rep(T, [2]).support_mask()
-    assert tensor_support_mask(T, m_std, m_std) == 0b111
-    assert power_support_mask(T, 0b001, 5) == 0b001
-    assert support_measure_frac(T, 0b111) == 1
-    assert support_measure_frac(T, 0b100) == Fraction(2, 3)
+    assert tensor_support_mask(T, m_std, m_std).tolist() == [True, True, True]
+    trivial = np.array([True, False, False])
+    assert power_support_mask(T, trivial, 5).tolist() == [True, False, False]
+    assert support_measure_frac(T, np.ones(3, dtype=bool)) == 1
+    assert support_measure_frac(T, np.array([False, False, True])) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
@@ -231,8 +233,13 @@ def test_support_masks_match_pairwise_oracle(name, data):
         lambda s: sum(1 << i for i in s))
     m1, m2 = data.draw(masks), data.draw(masks)
     m = data.draw(st.integers(1, 4))
-    assert tensor_support_mask(T, m1, m2) == oracle.pairwise_tensor_support(T, m1, m2)
-    assert power_support_mask(T, m1, m) == oracle.pairwise_power_support(T, m1, m)
+    r1, r2 = mask_row(m1, T.num_irreps), mask_row(m2, T.num_irreps)
+    want = oracle.pairwise_tensor_support(T, m1, m2)
+    assert row_mask(tensor_support_mask(T, r1, r2)) == want
+    assert row_mask(power_support_mask(T, r1, m)) == oracle.pairwise_power_support(T, m1, m)
+    # a (b, r) stack is taken row by row
+    stacked = tensor_support_mask(T, np.stack([r1, r2]), np.stack([r2, r1]))
+    assert [row_mask(row) for row in stacked] == [want, want]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
@@ -240,4 +247,5 @@ def test_support_masks_match_pairwise_oracle(name, data):
 def test_support_measure_matches_fraction_sum_oracle(name, data):
     T = get_table(name)
     mask = data.draw(st.integers(0, (1 << T.num_irreps) - 1))
-    assert support_measure_frac(T, mask) == oracle.fraction_sum_measure(T, mask)
+    assert (support_measure_frac(T, mask_row(mask, T.num_irreps))
+            == oracle.fraction_sum_measure(T, mask))

@@ -193,6 +193,18 @@ def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     assert statuses == {"q8": "ok", "cover": "ok", "bad": "error", "walk": "ok"}
 
 
+@pytest.mark.parametrize("factors, message", [
+    ("0", "factors must be >= 1, got [0]"),
+    ("-3", "factors must be >= 1, got [-3]"),
+    ("20001", "order 20001 exceeds MAX_ORDER=20000")])
+def test_sumset_bad_factors_are_bad_input(factors, message, capsys):
+    # the order is refused before any element is enumerated
+    assert cli.main(["sumset", "--factors", factors, "--set", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_counterexample_m_below_one_is_bad_input(m, capsys):
     assert cli.main(["counterexample", "--group", "cyclic:12", "--m", m]) == 2

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
-                      get_table_for_spec)
+                      get_table_for_spec, row_mask)
 from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
                        covering_lemma_check, decompose, lp_norm,
                        multiplicity_profile, quotient, reduced_character,
@@ -385,7 +385,8 @@ def _densities(n):
 def test_minimal_supports_match_brute_force_oracle(name, data):
     T = get_table(name)
     dens = data.draw(_densities(T.group.order))
-    assert _minimal_supports(T, dens) == oracle.brute_force_minimal_supports(T, dens)
+    rows = _minimal_supports(T, dens)
+    assert [row_mask(row) for row in rows] == oracle.brute_force_minimal_supports(T, dens)
 
 
 def test_minimal_supports_are_exact_just_above_a_measure_boundary():
@@ -398,7 +399,7 @@ def test_minimal_supports_are_exact_just_above_a_measure_boundary():
     dens = Fraction("0.1000000000001")
     found = _minimal_supports(T, dens)
     assert len(found) == 147
-    assert found == oracle.brute_force_minimal_supports(T, dens)
+    assert [row_mask(row) for row in found] == oracle.brute_force_minimal_supports(T, dens)
 
 
 @pytest.mark.parametrize("name, density", [
@@ -459,6 +460,33 @@ def test_tqr2_pair_search_matches_triple_oracle_on_random_densities(name, data):
         "witness": witness, "details": {"triples_checked": checked}, "error": None}
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIXTURE_SPECS) if get_table(n).num_irreps <= 12])
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_tqr3_exhaustive_search_matches_power_oracle(name, power, data):
+    # the whole report of the exhaustive phase, count and witness, against
+    # the oracle's walk over the minimal supports in order
+    T = get_table(name)
+    dens = data.draw(_densities(T.group.order).filter(lambda d: d <= 1))
+    params = CriteriaParams(density=float(dens), power=power, support_trials=0)
+    minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr3",))
+    checked, support, pw = oracle.brute_force_tqr3_search(
+        T, minimal, power, params.power_measure_threshold)
+    witness = None
+    if support is not None:
+        witness = {"support": [i for i in range(T.num_irreps) if support >> i & 1],
+                   "measure": float(oracle.fraction_sum_measure(T, support)),
+                   "power_support": [i for i in range(T.num_irreps) if pw >> i & 1],
+                   "power_measure": float(oracle.fraction_sum_measure(T, pw))}
+    assert json.dumps(rep.to_json_dict()) == json.dumps({
+        "criterion": "tqr3", "holds": support is None,
+        "mode": "exhaustive-minimal+randomized", "parameters": params.to_json_dict(),
+        "witness": witness, "details": {"supports_checked": checked}, "error": None})
+
+
 @pytest.mark.parametrize("name", ["S4", "A5", "D8", "C12", "ES3", "aff7", "aff13",
                                   "C2xS4", "C3xD4"])
 @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 0.9])
@@ -484,7 +512,7 @@ def test_random_support_rows_continue_one_sequence():
     rng_rows, rng_scalar = np.random.default_rng(4), np.random.default_rng(4)
     rows = _random_support_rows(T, rng_rows, dens, 50)
     masks = [oracle.scalar_random_support(T, rng_scalar, dens) for _ in range(50)]
-    assert [sum(1 << int(i) for i in np.flatnonzero(row)) for row in rows] == masks
+    assert [row_mask(row) for row in rows] == masks
     assert rng_rows.random() == rng_scalar.random()
     rng = np.random.default_rng(4)
     parts = [_random_support_rows(T, rng, dens, n) for n in (1, 7, 0, 42)]
@@ -539,11 +567,15 @@ def test_tqr2_pair_budget_stops_the_search_and_says_so(monkeypatch):
     assert rep.details["triples_checked"] == 3 * s + with_random.support_trials
 
 
-def test_mask_rows_round_trip_past_one_word():
-    # exhaustive_cap may exceed 62 irreducibles, so masks span several words
-    rng = np.random.default_rng(1)
-    masks = [int.from_bytes(rng.bytes(17), "little") >> 6 for _ in range(20)]
-    masks += [0, (1 << 130) - 1]
-    rows = criteria._mask_rows(masks, 130)
-    assert rows.tolist() == [[bool(m >> i & 1) for i in range(130)] for m in masks]
-    assert [criteria._row_mask(row) for row in rows] == masks
+def test_support_search_past_one_word_of_irreducibles():
+    # cyclic:64 has r = 64 irreducibles, more than a 62-bit word holds; at
+    # density 63/64 every minimal support drops exactly one irreducible
+    T = get_table("C64")
+    params = CriteriaParams(density=0.984375, exhaustive_cap=64)
+    rows = _minimal_supports(T, params.density_frac())
+    assert rows.shape == (64, 64)
+    for k, row in enumerate(rows):
+        assert np.flatnonzero(~row).tolist() == [63 - k]
+    tqr2, tqr3 = check_tqr(T.group, T.classes, T, params, names=("tqr2", "tqr3"))
+    assert tqr2.holds and tqr2.details["triples_checked"] == 262344
+    assert tqr3.holds and tqr3.details["supports_checked"] == 264

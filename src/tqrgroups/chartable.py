@@ -254,19 +254,47 @@ def to_interchange(T: CharTable) -> dict:
 
 def from_interchange(doc: dict, *, tol: float = config.TOL,
                      group: GroupTable | None = None) -> CharTable:
-    """Rebuild a CharTable from its interchange form, revalidating everything."""
-    G = group if group is not None else build_group(doc["group"])
+    """Rebuild a CharTable from its interchange form, revalidating everything.
+
+    A document that is not of the interchange shape, including one whose
+    group spec build_group refuses, raises CharTableError.
+    """
+    if not isinstance(doc, dict):
+        raise CharTableError("interchange document must be a JSON object")
+    for key in ("class_sizes", "class_reps", "dims"):
+        if not (isinstance(doc.get(key), list)
+                and all(type(v) is int for v in doc[key])):
+            raise CharTableError(f"interchange field {key!r} must be a list of integers")
+    rows = doc.get("values")
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(_is_number_pair(v) for v in row)
+            for row in rows)):
+        raise CharTableError("interchange field 'values' must be rows of "
+                             "[re, im] number pairs")
+    G = group
+    if G is None:
+        try:
+            G = build_group(doc.get("group"))
+        except GroupError as exc:
+            raise CharTableError(f"interchange group spec: {exc}") from None
     C = conjugacy_classes(G)
-    if C.sizes.tolist() != list(doc["class_sizes"]):
+    if C.sizes.tolist() != doc["class_sizes"]:
         raise CharTableError("imported class sizes disagree with canonical order")
-    if C.representatives.tolist() != list(doc["class_reps"]):
+    if C.representatives.tolist() != doc["class_reps"]:
         raise CharTableError("imported class representatives disagree")
-    dims = np.asarray(doc["dims"], dtype=np.int64)
-    values = np.array([[complex(re, im) for re, im in row] for row in doc["values"]],
-                      dtype=np.complex128)
     r = C.num_classes
-    if values.shape != (r, r) or len(dims) != r:
+    if len(doc["dims"]) != r or len(rows) != r or any(len(row) != r for row in rows):
         raise CharTableError("imported table has wrong shape")
+    if min(doc["dims"]) < 1:
+        raise CharTableError("imported dims must be positive")
+    try:
+        dims = np.array(doc["dims"], dtype=np.int64)
+        values = np.array([[complex(re, im) for re, im in row] for row in rows],
+                          dtype=np.complex128)
+    except OverflowError:
+        raise CharTableError("imported numbers out of range") from None
+    if not np.isfinite(values).all():
+        raise CharTableError("imported values must be finite")
     if not np.array_equal(dims, np.rint(values[:, 0].real)):
         raise CharTableError("imported dims disagree with the identity column")
     if int(np.sum(dims ** 2)) != G.order:
@@ -281,6 +309,12 @@ def from_interchange(doc: dict, *, tol: float = config.TOL,
                "dim_roundoff": 0.0, "attempts": 0, "seed": None}
     return CharTable(group=G, classes=C, dims=dims, values=values,
                      quality=quality, source="imported")
+
+
+def _is_number_pair(v) -> bool:
+    """True for a [re, im] pair of JSON numbers (a bool is not one)."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(type(x) in (int, float) for x in v))
 
 
 def dumps_interchange(T: CharTable) -> str:

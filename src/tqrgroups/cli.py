@@ -28,9 +28,8 @@ from .counterexample import (AbelianGroup, build_counterexample_rep,
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
-from .groups import (GroupError, build_group, center,
-                     center_free_quotient_chain, conjugacy_classes,
-                     normal_subgroups)
+from .groups import (build_group, center, center_free_quotient_chain,
+                     conjugacy_classes, normal_subgroups)
 from .markov import (build_chain, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -373,7 +372,7 @@ def run_suite(args: dict) -> tuple[dict, int]:
         command = exp["command"]
         entry = {"id": exp_id, "command": command}
         try:
-            if command not in _RUNNERS or command == "suite":
+            if command not in _RUNNERS:
                 raise UsageError(f"unknown suite command {command!r}")
             exp_args = dict(exp.get("args", {}))
             exp_args["_filedir"] = outdir
@@ -489,13 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             doc, code = _RUNNERS[command](args)
             _emit(doc, out)
         return code
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, FileNotFoundError, CharTableError, ValueError) as exc:
+        # GroupError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GroupError, CharTableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

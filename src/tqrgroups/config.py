@@ -1,29 +1,51 @@
-"""Shared numeric tolerances and size caps, overridable via environment."""
+"""Shared numeric tolerances and size caps, overridable via environment.
 
+A knob set to a value outside its range raises ValueError on import, naming
+the variable.
+"""
+
+import math
 import os
 
 
 def _env_int(name, default):
+    """A positive integer knob."""
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
-def _env_float(name, default):
+def _env_tol(name, default):
+    """A tolerance knob: finite and strictly between 0 and 0.5, so that every
+    `residual > tol` test can fail and rounding to the nearest integer stays
+    unambiguous."""
     raw = os.environ.get(name)
-    return float(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 0.5:
+        raise ValueError(f"{name} must be a number with 0 < {name} < 0.5, got {raw!r}")
+    return value
 
 
 # One tolerance knob for all certified-rounding and orthogonality checks.
-TOL = _env_float("TQR_TOL", 1e-8)
+TOL = _env_tol("TQR_TOL", 1e-8)
 
 # Largest group we will enumerate at all (permutation closure, cosets, ...).
 MAX_ORDER = _env_int("TQR_MAX_ORDER", 20000)
 
 # Largest group for which a character table is computed from scratch.
 CHARTABLE_CAP = _env_int("TQR_CHARTABLE_CAP", 2000)
-
-# Associativity is checked exhaustively up to this order, sampled above it.
-ASSOC_EXHAUSTIVE_CAP = _env_int("TQR_ASSOC_CAP", 300)
 
 # Eigenvalues of the recombined class matrix closer than this are a collision.
 EIG_COLLISION = 1e-6

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -119,12 +120,12 @@ class Subgroup:
 # Validation
 
 
-_SLAB_CELLS = 1 << 20   # table cells per slab in the inverse scan
+_SLAB_CELLS = 1 << 20   # table cells per slab in the inverse and associativity scans
 
 
-def _check_group_axioms(mul: np.ndarray, rng_seed: int = 0) -> tuple[int, np.ndarray]:
-    """Verify identity/inverse laws exhaustively and associativity up to the
-    configured cap (seeded sampling above it). Returns (identity, inv)."""
+def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:
+    """Verify the range, identity and inverse laws; returns (identity, inv).
+    Associativity is checked by _check_associative, on cayley input only."""
     n = mul.shape[0]
     if mul.shape != (n, n):
         raise GroupError("multiplication table is not square")
@@ -151,22 +152,18 @@ def _check_group_axioms(mul: np.ndarray, rng_seed: int = 0) -> tuple[int, np.nda
         bad = (hit.sum(axis=1) != 1) | (mul[inv[rows], rows] != identity)
         if bad.any():
             raise GroupError(f"element {lo + int(bad.argmax())} has no two-sided inverse")
-
-    if n <= config.ASSOC_EXHAUSTIVE_CAP:
-        # (a*b)*c == a*(b*c), checked in slabs over a.
-        for a in range(n):
-            left = mul[mul[a], :]          # (n, n): (a*b)*c
-            right = mul[a][mul]            # (n, n): a*(b*c)
-            if not np.array_equal(left, right):
-                raise GroupError("multiplication table is not associative")
-    else:
-        rng = np.random.default_rng(rng_seed)
-        a = rng.integers(0, n, 100_000)
-        b = rng.integers(0, n, 100_000)
-        c = rng.integers(0, n, 100_000)
-        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-            raise GroupError("multiplication table is not associative (sampled)")
     return identity, inv
+
+
+def _check_associative(G: GroupTable) -> None:
+    """Light's test (Clifford-Preston I, 1.2): the s with (x*s)*y == x*(s*y) for
+    all x, y hold e and are closed under products, so the generators suffice."""
+    slab = max(1, _SLAB_CELLS // G.order)
+    for s in generating_set(G):
+        for lo in range(0, G.order, slab):
+            rows = G.mul[lo:lo + slab]
+            if not np.array_equal(G.mul[rows[:, s]], rows[:, G.mul[s]]):
+                raise GroupError("multiplication table is not associative")
 
 
 def _rows(tuples, width: int) -> np.ndarray:
@@ -397,12 +394,11 @@ def _field(spec: dict, key: str):
 
 
 def _int_field(spec: dict, key: str) -> int:
+    """spec[key] as an integer; a float, string or bool is refused."""
     value = _field(spec, key)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise GroupError(f"group spec field {key!r} must be an integer, "
-                         f"not {value!r}") from None
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise GroupError(f"group spec field {key!r} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def _check_order(order: int) -> None:
@@ -464,14 +460,42 @@ def build_group(spec: dict) -> GroupTable:
         return construct(k)
     kind = spec.get("type")
     if kind == "cayley":
-        table = np.asarray(_field(spec, "table"), dtype=np.int64)
-        _check_order(table.shape[0])
-        return _finalize(table, spec.get("labels"),
-                         {"type": "cayley", "table": table.tolist()})
+        table = _cayley_table(_field(spec, "table"))
+        labels = spec.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and len(labels) == len(table)
+                and all(isinstance(x, str) for x in labels)):
+            raise GroupError(f"cayley labels must be a list of {len(table)} strings")
+        G = _finalize(table, labels, {"type": "cayley", "table": table.tolist()})
+        _check_associative(G)
+        return G
     if kind == "permutation":
-        gens = [tuple(g) for g in _field(spec, "generators")]
-        return _perm_closure(_int_field(spec, "degree"), gens)
+        degree = _int_field(spec, "degree")
+        if degree < 0:
+            raise GroupError(f"permutation degree must be >= 0, not {degree}")
+        gens = _field(spec, "generators")
+        if not (isinstance(gens, list) and all(_is_int_list(g) for g in gens)):
+            raise GroupError("permutation generators must be a list of integer lists")
+        return _perm_closure(degree, [tuple(g) for g in gens])
     raise GroupError(f"unrecognized group spec: {spec!r}")
+
+
+def _is_int_list(value) -> bool:
+    """True for a list of JSON integers (a bool is not one)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
+
+
+def _cayley_table(table) -> np.ndarray:
+    """The table of a cayley spec, n >= 1 lists of n JSON integers, as an
+    (n, n) array; _check_group_axioms checks that they lie in 0..n-1."""
+    n = len(table) if isinstance(table, list) else 0
+    _check_order(n)
+    if not (n and all(_is_int_list(row) and len(row) == n for row in table)):
+        raise GroupError("cayley table must be a square array of integers")
+    try:
+        return np.array(table, dtype=np.int64)
+    except OverflowError:
+        raise GroupError("table entries out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +550,13 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
 def generating_set(G: GroupTable) -> list[int]:
     """A greedy generating set: in index order, every element outside the
     subgroup generated so far joins it. Each one at least doubles that
-    subgroup, so there are at most floor(log2 |G|) of them."""
+    subgroup (Lagrange), so there are at most floor(log2 |G|) of them; one
+    that does not shows the table is not associative and raises GroupError."""
     reached = np.zeros(G.order, dtype=bool)
     reached[G.identity] = True
     gens: list[int] = []
     while not reached.all():
+        size = reached.sum()
         gens.append(int(np.argmin(reached)))
         # a set holding the identity and closed under right multiplication
         # by the generators is the subgroup they generate
@@ -539,6 +565,8 @@ def generating_set(G: GroupTable) -> list[int]:
             nxt = np.unique(G.mul[np.ix_(frontier, gens)])
             frontier = nxt[~reached[nxt]]
             reached[frontier] = True
+        if reached.sum() < 2 * size:
+            raise GroupError("table is not associative: a generator does not double")
     return gens
 
 

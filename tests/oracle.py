@@ -9,7 +9,8 @@ exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
 minimal supports from a scan of every mask, random supports from one scalar
 draw per irreducible, Cayley tables from a dict lookup of every pairwise
-product, and the affine-group table is assembled from its known structure.
+product, associativity from every triple, and the affine-group table is
+assembled from its known structure.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ def dict_cayley_table(elems, compose):
     index = {e: k for k, e in enumerate(elems)}
     return np.array([[index[compose(x, y)] for y in elems] for x in elems],
                     dtype=np.int64).reshape(len(elems), len(elems))
+
+
+def brute_force_is_associative(mul):
+    """(a*b)*c == a*(b*c) for every triple, one pair (a, b) at a time with
+    every c at once: n^3 lookups, no appeal to generators."""
+    n = len(mul)
+    return all(np.array_equal(mul[mul[a, b]], mul[a][mul[b]])
+               for a in range(n) for b in range(n))
 
 
 def table_inverses(mul):

@@ -238,3 +238,37 @@ def test_orthogonality_and_dims(name):
     assert int(np.sum(T.dims ** 2)) == G.order
     assert np.allclose(T.values[:, 0].real, T.dims)
     assert np.allclose(T.values[0], 1.0)
+
+
+_C2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "class_sizes": [1, 1],
+       "class_reps": [0, 1], "dims": [1, 1],
+       "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "'class_sizes' must be"),
+    ([1, 2], "JSON object"),
+    (None, "JSON object"),
+    ({**_C2, "values": [[1, 1], [1, -1]]}, "'values' must be"),
+    ({**_C2, "values": [[[1, 0, 0], [1, 0]], [[1, 0], [-1, 0]]]}, "'values' must be"),
+    ({**_C2, "values": [[[True, 0], [1, 0]], [[1, 0], [-1, 0]]]}, "'values' must be"),
+    ({**_C2, "values": 7}, "'values' must be"),
+    ({**_C2, "dims": [1, 1.0]}, "'dims' must be"),
+    ({**_C2, "dims": 2}, "'dims' must be"),
+    ({**_C2, "class_reps": [0, "1"]}, "'class_reps' must be"),
+    ({**_C2, "group": None}, "group spec"),
+    ({**_C2, "group": {"family": "cyclic", "params": {"n": 0}}}, "group spec"),
+    ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]}, "wrong shape"),
+    ({**_C2, "dims": [1, 2 ** 70]}, "out of range"),
+    # orthogonal, with squares summing to |G|, but a character of degree -1
+    ({**_C2, "dims": [1, -1], "values": [[[1.0, 0.0], [1.0, 0.0]],
+                                         [[-1.0, 0.0], [1.0, 0.0]]]}, "positive"),
+    ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2 ** 1100, 0]]]},
+     "out of range"),
+    ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [float("nan"), 0]]]},
+     "finite"),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v)[-40:])
+def test_interchange_rejects_malformed_documents(doc, message):
+    assert from_interchange(_C2).dims.tolist() == [1, 1]
+    with pytest.raises(CharTableError, match=message):
+        from_interchange(doc)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -310,3 +312,82 @@ def test_suite_records_a_bad_density_as_an_error(tmp_path, capsys):
     assert [e["status"] for e in entries] == ["error", "ok"]
     assert entries[0]["error"].startswith("ValueError: density must be in (0, 1]")
     assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "cayley", "table": 5},
+    {"type": "cayley", "table": [[0.5]]},
+    {"type": "cayley", "table": [[0, 1], [1, 0]], "labels": ["a"]},
+    {"type": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+    {"type": "permutation", "degree": -1, "generators": []},
+    {"type": "permutation", "degree": 3, "generators": 5},
+], ids=str)
+def test_malformed_group_spec_file_is_bad_input(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["group", "--group", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [1, 2],
+    {"group": {"family": "cyclic", "params": {"n": 2}}, "class_sizes": [1, 1],
+     "class_reps": [0, 1], "dims": [1, 1], "values": [[1, 1], [1, -1]]},
+], ids=["empty", "list", "bare-numbers"])
+def test_malformed_interchange_document_is_bad_input(doc, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["chartable", "--import", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_non_finite_interchange_values_are_bad_input(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    assert cli.main(["chartable", "--group", "symmetric:3", "--export", str(table),
+                     "--out", os.devnull]) == 0
+    doc = json.loads(table.read_text())
+    doc["values"][1][1][0] = float("nan")   # json writes NaN, and reads it back
+    table.write_text(json.dumps(doc))
+    assert cli.main(["chartable", "--import", str(table)]) == 2
+    assert capsys.readouterr().err == "error: imported values must be finite\n"
+
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _python(args, **env):
+    """A fresh interpreter on this checkout's src/, with extra environment."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("TQR_TOL", "nan"), ("TQR_TOL", "inf"), ("TQR_TOL", "abc"), ("TQR_TOL", "0"),
+    ("TQR_TOL", "-1e-8"), ("TQR_TOL", "0.5"),
+    ("TQR_MAX_ORDER", "0"), ("TQR_MAX_ORDER", "-5"), ("TQR_MAX_ORDER", "1.5"),
+    ("TQR_MAX_ORDER", "many"), ("TQR_CHARTABLE_CAP", "0"),
+    ("TQR_CHARTABLE_CAP", "2e3")])
+def test_bad_environment_knob_is_refused_on_import(name, value):
+    # python -m tqrgroups runs the `tqr` entry point
+    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:3"], **{name: value})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {name} must be ")
+    assert done.stderr.count("\n") == 1
+    imported = _python(["-c", "import tqrgroups.config"], **{name: value})
+    assert imported.returncode == 1
+    assert f"ValueError: {name} must be " in imported.stderr
+
+
+def test_in_range_environment_knobs_are_used():
+    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:30"],
+                   TQR_TOL="1e-6", TQR_MAX_ORDER="20", TQR_CHARTABLE_CAP="10")
+    assert done.returncode == 2
+    assert done.stderr == "error: order 30 exceeds MAX_ORDER=20\n"
+    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:12"],
+                   TQR_MAX_ORDER="20")
+    assert done.returncode == 0 and json.loads(done.stdout)["report"]["order"] == 12

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -399,3 +401,162 @@ def test_center_and_abelian_from_generators_match_full_table_compare(name):
     commutes_with_all = np.all(G.mul == G.mul.T, axis=1)
     assert center(G).members == tuple(np.flatnonzero(commutes_with_all).tolist())
     assert G.is_abelian() is bool(commutes_with_all.all())
+
+
+# ---------------------------------------------------------------------------
+# Associativity: Light's test on cayley input
+
+
+def _cayley(mul, **extra):
+    return {"type": "cayley", "table": np.asarray(mul).tolist(), **extra}
+
+
+def _flip_intercalate(mul, a, b, t):
+    """mul with the intercalate on rows a, a*t and columns b, t*b flipped.
+
+    For an involution t the four cells hold a*b at (a, b) and (a*t, t*b) and
+    a*t*b at the other two, so swapping the two values keeps a Latin square.
+    """
+    out = np.array(mul)
+    at, tb = out[a, t], out[t, b]
+    out[a, b], out[a, tb] = out[a, tb], out[a, b]
+    out[at, b], out[at, tb] = out[at, tb], out[at, b]
+    return out
+
+
+def _z2000_loop(a, b):
+    i = np.arange(2000)
+    return _flip_intercalate((i[:, None] + i) % 2000, a, b, 1000)
+
+
+@pytest.mark.parametrize("a, b", [(7, 11), (13, 17), (19, 23), (29, 31), (37, 41)])
+def test_non_associative_order_2000_loops_are_refused(a, b):
+    # a sampled check of 100k triples accepted each of these
+    mul = _z2000_loop(a, b)
+    z = np.arange(2000)
+    assert int((mul[mul[a, b], z] != mul[a, mul[b, z]]).sum()) == 1998
+    with pytest.raises(GroupError, match="not associative"):
+        build_group(_cayley(mul))
+
+
+def test_a_greedy_generator_that_fails_to_double_is_refused():
+    # a loop of order 6: generator 1 reaches {0, 1, 4, 5}, and adding the
+    # generator 2 reaches 6 < 8 elements, which no group allows
+    table = [[0, 1, 2, 3, 4, 5], [1, 5, 3, 2, 0, 4], [2, 3, 5, 4, 1, 0],
+             [3, 2, 4, 0, 5, 1], [4, 0, 1, 5, 3, 2], [5, 4, 0, 1, 2, 3]]
+    identity, inv = groups._check_group_axioms(np.array(table))
+    loop = groups.GroupTable(6, identity, np.array(table), inv)
+    with pytest.raises(GroupError, match="does not double"):
+        groups.generating_set(loop)
+    with pytest.raises(GroupError, match="does not double"):
+        build_group(_cayley(table))
+    assert not oracle.brute_force_is_associative(np.array(table))
+
+
+_SMALL_GROUPS = (
+    [("cyclic", n) for n in range(1, 25)]
+    + [("dihedral", n) for n in range(1, 13)]
+    + [(name, None) for name in sorted(FIXTURE_SPECS)])
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_SMALL_GROUPS), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+def test_light_test_agrees_with_the_brute_force_oracle(group, a, b, t, flip):
+    family, n = group
+    G = (get_group(family) if n is None
+         else build_group({"family": family, "params": {"n": n}}))
+    mul = G.mul
+    involutions = np.flatnonzero(mul[np.arange(G.order), np.arange(G.order)]
+                                 == G.identity)
+    involutions = involutions[involutions != G.identity]
+    if flip and involutions.size:
+        mul = _flip_intercalate(mul, a % G.order, b % G.order,
+                                int(involutions[t % involutions.size]))
+    try:
+        groups._check_group_axioms(mul)
+    except GroupError:
+        # the flip put the identity into the intercalate; not a loop
+        with pytest.raises(GroupError):
+            build_group(_cayley(mul))
+        return
+    if oracle.brute_force_is_associative(mul):
+        assert np.array_equal(build_group(_cayley(mul)).mul, mul)
+    else:
+        with pytest.raises(GroupError, match="not associative"):
+            build_group(_cayley(mul))
+
+
+# sha256 prefixes of the mul and inv arrays of each group's center-free
+# quotient chain and of the quotient and subgroup tables of its normal
+# subgroups (for S7 and A7, of the table of the even permutations), as
+# built before Light's test replaced the exhaustive and sampled checks
+_TABLE_DIGESTS = {
+    "A4": "68bbb88527c7e5d1", "A5": "d077d64ac3fc6995", "A7": "7ee0d92ca0f7ed67",
+    "C12": "b692e579a27f837e", "C2xS3": "e5e3c4281297954c",
+    "C2xS4": "b3011dd55b261328", "C3xD4": "5e2cf2e6fde8e6ea",
+    "C6": "e42153a8efcd5995", "C64": "dfe6ffb1662883c7", "D4": "0a1e669023e3ddcd",
+    "D5": "4707b0e984aa694f", "D8": "4044477e9f153ec6", "ES3": "a49febf22639295a",
+    "ES5": "bd8318af697814df", "Q8": "d5b9c38754dc6651", "S3": "39742ec45d716a1b",
+    "S4": "caf33a7676b8a8c2", "S5": "81a4ce2935efb57b", "S7": "aeb66b6be51ff516",
+    "aff11": "34a7572069fb8b88", "aff13": "1548a16fe5c0bb26",
+    "aff5": "4e2850aebbfcab71", "aff7": "6a0845177854fa82"}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_DIGESTS))
+def test_constructed_tables_pass_light_test_and_are_unchanged(name):
+    G = (build_group(_DEGREE_SEVEN[name]) if name in _DEGREE_SEVEN
+         else get_group(name))
+    tables = center_free_quotient_chain(G)
+    if name in _DEGREE_SEVEN:
+        even = [x for x, label in enumerate(G.labels)
+                if sum(p > q for i, p in enumerate(label) for q in label[i + 1:]) % 2 == 0]
+        tables.append(subgroup_table(G, even)[0])
+    else:
+        for N in normal_subgroups(get_table(name)):
+            tables += [quotient(G, N), subgroup_table(G, N.members)[0]]
+    digest = hashlib.sha256()
+    for H in tables:
+        groups._check_associative(H)
+        digest.update(H.mul.astype("<i8").tobytes())
+        digest.update(H.inv.astype("<i8").tobytes())
+    assert digest.hexdigest()[:16] == _TABLE_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Group-spec validation
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"type": "cayley", "table": 5}, "square array of integers"),
+    ({"type": "cayley", "table": []}, "square array of integers"),
+    ({"type": "cayley", "table": [[0.5]]}, "square array of integers"),
+    ({"type": "cayley", "table": [[0.0]]}, "square array of integers"),
+    ({"type": "cayley", "table": [[False]]}, "square array of integers"),
+    ({"type": "cayley", "table": [[0, True], [True, 0]]}, "square array of integers"),
+    ({"type": "cayley", "table": [["0"]]}, "square array of integers"),
+    ({"type": "cayley", "table": [[0, 1], [1]]}, "square array of integers"),
+    ({"type": "cayley", "table": [[0, 1], [1, 2 ** 70]]}, "out of range"),
+    ({"type": "cayley", "table": [[0, 1], [1, 2]]}, "out of range"),
+    ({"type": "cayley", "table": [[0, 1], [1, 0]], "labels": ["a"]}, "2 strings"),
+    ({"type": "cayley", "table": [[0, 1], [1, 0]], "labels": ["a", 1]}, "2 strings"),
+    ({"type": "cayley", "table": [[0, 1], [1, 0]], "labels": "ab"}, "2 strings"),
+    ({"type": "permutation", "degree": -1, "generators": []}, "degree must be >= 0"),
+    ({"type": "permutation", "degree": 2.5, "generators": []}, "must be an integer"),
+    ({"family": "cyclic", "params": {"n": 2.5}}, "must be an integer"),
+    ({"family": "cyclic", "params": {"n": "12"}}, "must be an integer"),
+    ({"family": "dihedral", "params": {"n": True}}, "must be an integer"),
+    ({"type": "permutation", "degree": 2, "generators": 5}, "integer lists"),
+    ({"type": "permutation", "degree": 2, "generators": [5]}, "integer lists"),
+    ({"type": "permutation", "degree": 2, "generators": [[1.0, 0.0]]}, "integer lists"),
+    ({"type": "permutation", "degree": 2, "generators": [[True, False]]},
+     "integer lists"),
+], ids=str)
+def test_malformed_group_specs_are_refused(spec, message):
+    with pytest.raises(GroupError, match=message):
+        build_group(spec)
+
+
+def test_cayley_labels_are_kept():
+    G = build_group(_cayley([[0, 1], [1, 0]], labels=["e", "s"]))
+    assert G.labels == ["e", "s"] and G.label(1) == "s"

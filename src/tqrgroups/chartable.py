@@ -243,6 +243,8 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members,
 
 
 def to_interchange(T: CharTable) -> dict:
+    """The interchange document of T. A cayley group spec in it holds its
+    table as an array; dumps_interchange writes it as lists."""
     return {
         "group": T.group.source,
         "class_sizes": T.classes.sizes.tolist(),
@@ -318,7 +320,7 @@ def _is_number_pair(v) -> bool:
 
 
 def dumps_interchange(T: CharTable) -> str:
-    return json.dumps(to_interchange(T), indent=2)
+    return json.dumps(to_interchange(T), indent=2, default=np.ndarray.tolist)
 
 
 def loads_interchange(text: str, **kw) -> CharTable:

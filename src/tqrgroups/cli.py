@@ -19,6 +19,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__, config
 from .chartable import (CharTableError, compute_char_table, dumps_interchange,
                         loads_interchange)
@@ -119,7 +121,8 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2) + "\n"
+    # a cayley group's source holds its table as an array (see build_group)
+    text = json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
     if out:
         _atomic_write(out, text)
     else:

@@ -29,6 +29,9 @@ _STACK_ROWS = 4096
 # Rows (pairs * irreducibles) the exhaustive TQR2 pair search may decompose
 # before it stops and reports mode exhaustive-truncated.
 TQR2_ROW_BUDGET = 2_000_000
+# Index entries (trials * |G| * subset size) one block of QR2/QR3 trials may
+# gather from the Cayley table per product step.
+_QR_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -211,9 +214,11 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
     return rows[np.lexsort(rows.T)]
 
 
-def _density_floor(T: CharTable, dens: Fraction) -> int:
-    """The least sum of dim^2 whose support has measure >= dens."""
-    return -(-dens.numerator * T.group.order // dens.denominator)
+def _density_floor(order: int, dens: Fraction) -> int:
+    """The least count m with m / order >= dens, exactly: the least sum of
+    dim^2 of a support of measure >= dens, and the least size of a subset of
+    density >= dens."""
+    return -(-dens.numerator * order // dens.denominator)
 
 
 def _random_support_rows(T: CharTable, rng, dens: Fraction, count: int,
@@ -229,7 +234,7 @@ def _random_support_rows(T: CharTable, rng, dens: Fraction, count: int,
     """
     r = T.num_irreps
     sq = T.dims.astype(np.int64) ** 2
-    need = _density_floor(T, dens)
+    need = _density_floor(T.group.order, dens)
     qs = np.array((0.5, 0.7, 0.9, 1.0))
     out = np.zeros((count, r), dtype=bool)
     done, t = 0, 0
@@ -346,7 +351,7 @@ def _tqr2_pair_search(T, minimal, dens):
     """
     r, s = T.num_irreps, len(minimal)
     sq = T.dims.astype(np.int64) ** 2
-    need = _density_floor(T, dens)
+    need = _density_floor(T.group.order, dens)
     row_start = np.concatenate(([0], np.cumsum(np.arange(s, 0, -1))))
     pairs = s * (s + 1) // 2
     walked = min(pairs, TQR2_ROW_BUDGET // r)
@@ -470,35 +475,65 @@ def _qr1(T, params, pjson) -> CriterionReport:
                            details={"min_nontrivial_dim": mind})
 
 
-def _subset_product(G, A, B) -> np.ndarray:
-    return np.unique(G.mul[np.ix_(A, B)])
-
-
 def _qr23(G, params, pjson, triple: bool) -> CriterionReport:
+    """Sampled QR2 (is ABC = G?) or QR3 (is A^power = G?) over params.trials
+    random subsets of size ceil(a*|G|), one rng.choice per subset in trial
+    order; the first trial whose product misses G is the witness.
+
+    Trials run in blocks of 1, 2, 4, ... of at most _QR_BLOCK_ENTRIES index
+    entries. A product is a (b, |G|) boolean mask, and multiplying it by a
+    subset is one scatter through the Cayley table. Draws past the witness
+    in its block are from a generator local to this call and change nothing.
+    A QR3 row retires once its size stops growing: |A^(k+1)| = |A^k| gives
+    A^(k+1) = A^k a for each a in A, so A^(k+2) = A^(k+1) a has that size too.
+    """
     name = "qr2" if triple else "qr3"
-    size = max(1, math.ceil(params.density * G.order))
+    n = G.order
+    size = _density_floor(n, params.density_frac())
     rng = np.random.default_rng(params.seed + (4001 if triple else 5001))
-    witness = None
-    for _ in range(params.trials):
-        if triple:
-            sets = [np.sort(rng.choice(G.order, size, replace=False))
-                    for _ in range(3)]
-            prod = _subset_product(G, sets[0], sets[1])
-            prod = _subset_product(G, prod, sets[2])
-        else:
-            A = np.sort(rng.choice(G.order, size, replace=False))
-            sets = [A]
-            prod = A
-            for _ in range(params.power - 1):
-                prod = _subset_product(G, prod, A)
-        if len(prod) != G.order:
-            witness = {"subsets": [s.tolist() for s in sets],
-                       "product_size": int(len(prod))}
-            break
+    cap = max(1, _QR_BLOCK_ENTRIES // (n * size))
+    witness, done, b = None, 0, 1
+    while witness is None and done < params.trials:
+        b = min(b, cap, params.trials - done)
+        sets = np.sort([rng.choice(n, size, replace=False)
+                        for _ in range(b * (3 if triple else 1))])
+        sets = sets.reshape(b, -1, size)
+        sizes = _product_sizes(G.mul, sets, triple, params.power)
+        short = np.flatnonzero(sizes < n)
+        if short.size:
+            t = int(short[0])
+            witness = {"subsets": sets[t].tolist(), "product_size": int(sizes[t])}
+        done, b = done + b, 2 * b
     details = {"trials": params.trials, "subset_size": size,
                "note": "sampled search; absence of a witness is evidence, not proof"}
     return CriterionReport(name, witness is None, pjson, witness=witness,
                            mode="randomized", details=details)
+
+
+def _product_sizes(mul, sets, triple, power) -> np.ndarray:
+    """|S0 S1 S2| (triple) or |S0^power| for each row of a (b, k, size) stack
+    of subsets; a row stops being multiplied once it is all of G or, for a
+    power, once its size stops growing."""
+    b, _, size = sets.shape
+    n = len(mul)
+    rows = np.arange(b)
+    mask = np.zeros((b, n), dtype=bool)
+    mask[rows[:, None], sets[:, 0]] = True
+    sizes = np.full(b, size)
+    live = rows[sizes < n]
+    factors = (sets[:, 1], sets[:, 2]) if triple else itertools.repeat(sets[:, 0], power - 1)
+    for factor in factors:
+        if not live.size:
+            break
+        t, x = np.nonzero(mask[live])
+        step = np.zeros((len(live), n), dtype=bool)
+        step[t[:, None], mul[x[:, None], factor[live][t]]] = True
+        grown = step.sum(axis=1)
+        mask[live] = step
+        keep = grown < n if triple else (grown < n) & (grown > sizes[live])
+        sizes[live] = grown
+        live = live[keep]
+    return sizes
 
 
 def _qr4(T, params, pjson) -> CriterionReport:

@@ -466,7 +466,9 @@ def build_group(spec: dict) -> GroupTable:
                 isinstance(labels, list) and len(labels) == len(table)
                 and all(isinstance(x, str) for x in labels)):
             raise GroupError(f"cayley labels must be a list of {len(table)} strings")
-        G = _finalize(table, labels, {"type": "cayley", "table": table.tolist()})
+        # the source shares the read-only mul array rather than keeping a
+        # Python-int copy; the JSON writers turn it into lists
+        G = _finalize(table, labels, {"type": "cayley", "table": table})
         _check_associative(G)
         return G
     if kind == "permutation":

@@ -8,7 +8,8 @@ restrictions from reading a class function element by element, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
 minimal supports from a scan of every mask, random supports from one scalar
-draw per irreducible, Cayley tables from a dict lookup of every pairwise
+draw per irreducible, sampled product sets from one np.unique per trial and
+product, Cayley tables from a dict lookup of every pairwise
 product, associativity from every triple, and the affine-group table is
 assembled from its known structure.
 """
@@ -366,6 +367,36 @@ def scalar_random_tqr_report(T, params, criterion):
     return {"criterion": criterion, "holds": witness is None, "mode": "randomized",
             "parameters": params.to_json_dict(), "witness": witness,
             "details": {key: checked}, "error": None}
+
+
+def per_trial_qr23_report(G, params, triple):
+    """The qr2 (triple) or qr3 report of params.trials random trials checked
+    one at a time: each subset one rng.choice of the exact size
+    ceil(p*|G|/q) for the density p/q, and each product set one np.unique
+    over a pairwise product table, power - 1 of them for qr3."""
+    dens = params.density_frac()
+    size = -(-dens.numerator * G.order // dens.denominator)
+    rng = np.random.default_rng(params.seed + (4001 if triple else 5001))
+    witness = None
+    for _ in range(params.trials):
+        sets = [np.sort(rng.choice(G.order, size, replace=False))
+                for _ in range(3 if triple else 1)]
+        if triple:
+            prod = np.unique(G.mul[np.ix_(sets[0], sets[1])])
+            prod = np.unique(G.mul[np.ix_(prod, sets[2])])
+        else:
+            prod = sets[0]
+            for _ in range(params.power - 1):
+                prod = np.unique(G.mul[np.ix_(prod, sets[0])])
+        if len(prod) != G.order:
+            witness = {"subsets": [s.tolist() for s in sets],
+                       "product_size": len(prod)}
+            break
+    details = {"trials": params.trials, "subset_size": size,
+               "note": "sampled search; absence of a witness is evidence, not proof"}
+    return {"criterion": "qr2" if triple else "qr3", "holds": witness is None,
+            "mode": "randomized", "parameters": params.to_json_dict(),
+            "witness": witness, "details": details, "error": None}
 
 
 @functools.lru_cache(maxsize=None)

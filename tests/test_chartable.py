@@ -181,6 +181,16 @@ def test_interchange_round_trip_bit_exact():
     assert T2.source == "imported"
 
 
+def test_cayley_interchange_keeps_one_table_and_writes_lists():
+    table = get_group("S3").mul.tolist()
+    G = build_group({"type": "cayley", "table": table})
+    assert G.source["table"] is G.mul           # no second copy of the table
+    T = compute_char_table(G, conjugacy_classes(G))
+    text = dumps_interchange(T)
+    assert json.loads(text)["group"] == {"type": "cayley", "table": table}
+    assert dumps_interchange(loads_interchange(text)) == text
+
+
 def test_interchange_rejects_tampering():
     T = get_table("S3")
     doc = json.loads(dumps_interchange(T))

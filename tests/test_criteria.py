@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -305,6 +306,66 @@ def test_qr23_sampling():
     reports = {r.criterion: r for r in check_qr(G, T, full)}
     assert reports["qr2"].holds and reports["qr3"].holds
     assert "evidence" in reports["qr2"].details["note"]
+
+
+def _qr23_json(G, params, triple):
+    return json.dumps(criteria._qr23(G, params, params.to_json_dict(), triple)
+                      .to_json_dict())
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_qr23_blocks_match_per_trial_oracle(name):
+    # density 1 covers G with no product step; 20 trials span up to five blocks
+    G = get_group(name)
+    for density, seed, power, trials in itertools.product(
+            (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0), (0, 1, 2), (1, 2, 3, 5), (1, 20)):
+        params = CriteriaParams(density=density, seed=seed, power=power, trials=trials)
+        for triple in (True, False):
+            want = oracle.per_trial_qr23_report(G, params, triple)
+            assert _qr23_json(G, params, triple) == json.dumps(want), (density, seed,
+                                                                       power, trials, triple)
+
+
+@pytest.mark.parametrize("name, density, seed, triple, first_miss", [
+    ("S4", 0.2, 0, True, 26),     # the fifth block, trials 15..30
+    ("A4", 0.3, 1, False, 29),
+])
+def test_qr23_witness_in_a_later_block(name, density, seed, triple, first_miss):
+    G = get_group(name)
+    params = CriteriaParams(density=density, seed=seed, trials=40)
+    before = CriteriaParams(density=density, seed=seed, trials=first_miss)
+    assert oracle.per_trial_qr23_report(G, before, triple)["holds"]
+    want = oracle.per_trial_qr23_report(G, params, triple)
+    assert want["holds"] is False
+    assert _qr23_json(G, params, triple) == json.dumps(want)
+
+
+def test_qr23_subset_size_is_exact():
+    # 0.14 * 50 is 7.000000000000001 in floats; the first power is the set
+    G = build_group({"family": "dihedral", "params": {"n": 25}})
+    params = CriteriaParams(density=0.14, power=1, trials=1)
+    rep = criteria._qr23(G, params, params.to_json_dict(), triple=False)
+    assert rep.details["subset_size"] == 7
+    assert len(rep.witness["subsets"][0]) == 7
+    assert _qr23_json(G, params, False) == json.dumps(
+        oracle.per_trial_qr23_report(G, params, False))
+
+
+@pytest.mark.parametrize("name, density, seed", [
+    ("Q8", 0.1, 0),      # a singleton: every power has one element
+    ("A5", 0.02, 0),     # stalls at 10 elements
+    ("S4", 0.05, 2),     # stalls at 12 elements
+    ("S5", 0.02, 1),     # alternates between A5 and its coset, 60 each
+    ("A5", 0.2, 0),      # every power covers A5
+])
+def test_qr3_stall_rule_answers_a_huge_power(name, density, seed):
+    G = get_group(name)
+    huge = CriteriaParams(density=density, seed=seed, power=10 ** 9, trials=5)
+    rep = criteria._qr23(G, huge, huge.to_json_dict(), triple=False)
+    at_order = CriteriaParams(density=density, seed=seed, power=G.order, trials=5)
+    want = oracle.per_trial_qr23_report(G, at_order, False)
+    assert (rep.holds, rep.witness, rep.details) == (want["holds"], want["witness"],
+                                                     want["details"])
 
 
 def test_qr_a5_no_abelian_quotient():

@@ -34,9 +34,8 @@ _EXPORTS = {name: module for module, names in {
                "t_step_distribution", "mixing_time", "mixing_experiment",
                "stationarity_residual", "distances_to_stationary"),
     "counterexample": ("AbelianGroup", "AutAction", "AbelianStructure",
-                       "abelian_structure", "dual_action", "character_value",
-                       "m_fold_sumset", "translate_cover",
-                       "invariant_small_doubling_set",
+                       "abelian_structure", "dual_action", "m_fold_sumset",
+                       "translate_cover", "invariant_small_doubling_set",
                        "build_counterexample_rep", "verify_vtheta_partition",
                        "default_epsilon"),
 }.items() for name in names}

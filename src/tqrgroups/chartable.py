@@ -201,13 +201,14 @@ def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> list[int]:
 # Induction
 
 
-def induce_character(G: GroupTable, C: ClassData, subgroup_members,
-                     theta) -> ClassFunction:
-    """Induce a class function from a subgroup H up to G.
+def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
+    """Induce class functions from a subgroup H up to G.
 
-    `theta` maps H elements to complex values: a dict {element: value} or a
-    sequence aligned with sorted(subgroup_members). The induced function is
-    (1/|H|) sum_{g in G} theta0(g^-1 x g) with theta0 = theta on H, 0 outside.
+    `theta` maps H elements to complex values: a dict {element: value}, a
+    sequence aligned with sorted(subgroup_members), giving a ClassFunction,
+    or a (b, |H|) stack of such sequences, giving the (b, num_classes)
+    induced values as `decompose` takes them. On a class c,
+    Ind theta(c) = |G| / (|H| |c|) * (sum of theta over H ∩ c).
     """
     members = sorted(int(m) for m in subgroup_members)
     mset = set(members)
@@ -216,26 +217,17 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members,
     arr = np.fromiter(members, dtype=np.int64)
     if not set(np.unique(G.mul[np.ix_(arr, arr)]).tolist()) <= mset:
         raise GroupError("induction source is not a subgroup")
-
-    by_elem = np.zeros(G.order, dtype=np.complex128)
     if isinstance(theta, dict):
         if set(theta) != mset:
             raise GroupError("theta must be defined exactly on the subgroup")
-        for m, v in theta.items():
-            by_elem[int(m)] = v
-    else:
-        vals = list(theta)
-        if len(vals) != len(members):
-            raise GroupError("theta length does not match subgroup order")
-        by_elem[arr] = vals
-    in_h = np.zeros(G.order, dtype=bool)
-    in_h[arr] = True
-
-    out = np.zeros(C.num_classes, dtype=np.complex128)
-    for c, rep in enumerate(C.representatives):
-        conj = G.mul[G.mul[:, int(rep)], G.inv]
-        out[c] = by_elem[conj].sum() / len(members)
-    return ClassFunction(G, C, out)
+        theta = [theta[m] for m in members]
+    values = np.asarray(theta, dtype=np.complex128)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(members):
+        raise GroupError("theta length does not match subgroup order")
+    in_class = np.zeros((len(members), C.num_classes))
+    in_class[np.arange(len(members)), C.class_of[arr]] = 1.0
+    out = (values @ in_class) * (G.order / (len(members) * C.sizes))
+    return ClassFunction(G, C, out) if values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

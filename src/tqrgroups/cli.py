@@ -337,6 +337,11 @@ def run_sumset(args: dict) -> tuple[dict, int]:
     group = AbelianGroup(factors) if factors else None
     rank = len(factors) if factors else int(args.get("rank", 1))
     elems = _parse_tuples(args["set"], rank)
+    if factors:
+        for e in elems:
+            if not all(0 <= x < d for x, d in zip(e, factors)):
+                raise UsageError(f"element {','.join(map(str, e))} is outside the "
+                                 f"group: need 0 <= x_i < d_i for factors {list(factors)}")
     m = int(args.get("m", 2))
     params = {"factors": list(factors) if factors else None, "rank": rank,
               "set": [list(e) for e in elems], "m": m}

@@ -3,9 +3,11 @@ iterated sumsets, the invariant small-doubling set algorithm on a dual group,
 and the induced representation built from it whose m-th tensor power misses
 at least half of Irrep(G) in Plancherel measure.
 
-Characters of an abelian group are exponent tuples against its invariant
-factor decomposition, so all sumset arithmetic is exact integer arithmetic;
-complex values appear only at evaluation boundaries.
+An abelian group's elements are integer indices into its exponent tuples,
+subsets are boolean masks, automorphisms are index permutations, and a
+character is an exponent row against the invariant factors, so all sumset
+arithmetic is exact integer arithmetic; complex values appear only where a
+character is evaluated.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartable import CharTable, ClassFunction, induce_character
+from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (ClassData, GroupError, GroupTable, Subgroup, _check_order,
@@ -26,12 +28,18 @@ from .groups import (ClassData, GroupError, GroupTable, Subgroup, _check_order,
 
 
 # ---------------------------------------------------------------------------
-# Abelian groups as exponent tuples
+# Abelian groups on integer indices
 
 
 @dataclass(eq=False)
 class AbelianGroup:
-    """Z_{d1} x ... x Z_{dr} with d1 | d2 | ... | dr; elements are tuples."""
+    """Z_{d1} x ... x Z_{dr} with d1 | d2 | ... | dr.
+
+    Element i is the i-th exponent tuple in lexicographic order, coords[i];
+    a subset is a boolean mask over the elements, and the character with
+    exponent row theta is x -> exp(2 pi i sum_j theta_j x_j / d_j). The
+    tuple add/neg/zero serve the sumsets and translate covers of `tqr sumset`.
+    """
 
     factors: tuple[int, ...]
 
@@ -42,13 +50,32 @@ class AbelianGroup:
         for a, b in zip(self.factors, self.factors[1:]):
             if b % a:
                 raise ValueError("factors must form a divisibility chain")
-        self.elements = [tuple(t) for t in
-                         itertools.product(*(range(d) for d in self.factors))]
-        self.index = {t: i for i, t in enumerate(self.elements)}
+        rank = len(self.factors)
+        self._moduli = np.array(self.factors, dtype=np.int64)
+        self._strides = np.array([math.prod(self.factors[i + 1:]) for i in range(rank)],
+                                 dtype=np.int64)
+        self.coords = np.indices(self.factors).reshape(rank, self.order).T
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(self.factors)
+
+    @property
+    def exponent(self) -> int:
+        return self.factors[-1] if self.factors else 1
+
+    def index(self, coords) -> np.ndarray:
+        """Element indices of coordinate rows (..., rank), reduced mod the
+        factors."""
+        return (np.asarray(coords) % self._moduli) @ self._strides
+
+    def characters(self, thetas) -> np.ndarray:
+        """The (b, order) values of the characters with exponent rows
+        coords[thetas]: theta(x) = roots[sum_j theta_j x_j (e/d_j) mod e]
+        for the exponent e, with roots[k] = exp(2 pi i k/e)."""
+        e = self.exponent
+        roots = np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)])
+        return roots[(self.coords[thetas] * (e // self._moduli)) @ self.coords.T % e]
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -64,98 +91,68 @@ class AbelianGroup:
         return f"AbelianGroup{self.factors}"
 
 
+def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
+    """(k, rank, rank) coordinates of each map's images of the unit vectors."""
+    return K.coords[perms[:, K.index(np.eye(len(K.factors), dtype=np.int64))]]
+
+
 @dataclass(eq=False)
 class AutAction:
-    """A finite group of automorphisms of an AbelianGroup, stored as element
-    permutations. The given maps are validated as automorphisms and closed
-    under composition (so generators may be passed)."""
+    """A finite group of automorphisms of an AbelianGroup, as a (k, |K|)
+    array of element permutations. The given maps are validated as
+    automorphisms and closed under composition (so generators may be passed);
+    an already closed input keeps its order."""
 
     group: AbelianGroup
-    perms: list[dict]
+    perms: np.ndarray
 
     def __post_init__(self):
         K = self.group
-        # dedupe preserving the given order, so each distinct map is validated
-        # once, then close under composition so that an already-closed input
-        # keeps its indexing
-        ordered = []
-        seen = set()
-        for p in self.perms:
-            k = self._key(p)
-            if k not in seen:
-                seen.add(k)
-                ordered.append(p)
-        for p in ordered:
-            if sorted(p.values()) != sorted(K.elements):
-                raise ValueError("action map is not a bijection")
-            for x in K.elements:
-                for y in K.elements:
-                    if p[K.add(x, y)] != K.add(p[x], p[y]):
-                        raise ValueError("action map is not an automorphism")
-        idn = {t: t for t in K.elements}
-        if self._key(idn) not in seen:
-            seen.add(self._key(idn))
-            ordered.append(idn)
-        frontier = list(ordered)
-        while frontier:
-            p = frontier.pop(0)
-            for q in list(ordered):
-                for comp in ({t: p[q[t]] for t in K.elements},
-                             {t: q[p[t]] for t in K.elements}):
-                    k = self._key(comp)
-                    if k not in seen:
-                        seen.add(k)
-                        ordered.append(comp)
-                        frontier.append(comp)
-        self.perms = ordered
-
-    @staticmethod
-    def _key(p):
-        return tuple(sorted(p.items()))
+        n = K.order
+        given = np.asarray(self.perms, dtype=np.int64).reshape(-1, n)
+        if not np.array_equal(np.sort(given, axis=1),
+                              np.broadcast_to(np.arange(n), given.shape)):
+            raise ValueError("action map is not a bijection")
+        # p is a homomorphism iff d_i p(e_i) = 0 for every unit e_i and
+        # p(x) = sum_i x_i p(e_i) for every x
+        images = _unit_images(K, given)
+        d = K._moduli
+        if (np.any(d[:, None] * images % d) or not np.array_equal(
+                K.index(np.einsum("xi,pij->pxj", K.coords, images)), given)):
+            raise ValueError("action map is not an automorphism")
+        found = {p.tobytes(): p for p in given}
+        gens = list(found.values())
+        found.setdefault(np.arange(n).tobytes(), np.arange(n))
+        queue = list(found.values())
+        for p in queue:
+            for g in gens:
+                q = p[g]
+                if found.setdefault(q.tobytes(), q) is q:
+                    queue.append(q)
+        self.perms = np.array(queue)
 
     def __len__(self):
         return len(self.perms)
 
-    def orbit(self, x) -> set:
-        return {p[x] for p in self.perms}
-
-
-def character_value(factors, theta, x) -> complex:
-    """Evaluate the character with exponent tuple theta at element x."""
-    angle = sum(Fraction(t * e, d) for t, e, d in zip(theta, x, factors))
-    frac = angle - math.floor(angle)
-    return cmath.exp(2j * cmath.pi * float(frac))
+    def orbit(self, x) -> np.ndarray:
+        return np.unique(self.perms[:, x])
 
 
 def dual_action(action: AutAction) -> AutAction:
     """Push an action on K forward to K^*: (alpha . theta)(x) = theta(alpha(x)).
 
-    The dual group is identified with K via exponent tuples against the same
+    The dual group is identified with K via exponent rows against the same
     invariant factors, so this returns an action on the same AbelianGroup.
+    With U the coordinates of alpha(e_i), the new exponents are
+    theta'_i = d_i sum_j theta_j U_ij / d_j mod d_i, taken as numerators
+    over the exponent e of K.
     """
     K = action.group
-    factors = K.factors
-    units = []
-    for i in range(len(factors)):
-        u = [0] * len(factors)
-        u[i] = 1
-        units.append(tuple(u))
-    perms = []
-    for p in action.perms:
-        images = [p[u] for u in units]  # coordinates of alpha(b_i)
-        q = {}
-        for theta in K.elements:
-            t_new = []
-            for i, d_i in enumerate(factors):
-                angle = sum(Fraction(theta[j] * images[i][j], factors[j])
-                            for j in range(len(factors)))
-                val = angle * d_i
-                if val.denominator != 1:
-                    raise ValueError("dual action produced a non-integer exponent")
-                t_new.append(val.numerator % d_i)
-            q[theta] = tuple(t_new)
-        perms.append(q)
-    return AutAction(K, perms)
+    d, e = K._moduli, K.exponent
+    num = np.einsum("tj,pij->pti", K.coords * (e // d), _unit_images(K, action.perms)) % e
+    if np.any(num * d % e):
+        raise ValueError("dual action produced a non-integer exponent")
+    return AutAction(K, K.index(num * d // e))
 
 
 # ---------------------------------------------------------------------------
@@ -165,57 +162,61 @@ def dual_action(action: AutAction) -> AutAction:
 @dataclass(eq=False)
 class AbelianStructure:
     group: AbelianGroup
-    to_parent: dict            # tuple -> parent element index
-    from_parent: dict          # parent element index -> tuple
+    to_parent: np.ndarray      # element index of group -> parent element index
 
 
 def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     """Invariant factor decomposition of an abelian subgroup of G."""
-    elems = sorted(int(m) for m in members)
-    arr = np.fromiter(elems, dtype=np.int64)
+    arr = np.unique(np.fromiter(members, dtype=np.int64))
     block = G.mul[np.ix_(arr, arr)]
     if not np.array_equal(block, block.T):
         raise GroupError("subgroup is not abelian")
-    if len(elems) == 1:
-        KA = AbelianGroup(())
-        return AbelianStructure(KA, {(): G.identity}, {G.identity: ()})
+    if len(arr) == 1:
+        return AbelianStructure(AbelianGroup(()), np.array([G.identity]))
 
     def mul_fn(x, y):
-        return int(G.mul[x, y])
+        return G.mul[x, y]
 
-    basis = _abelian_basis(mul_fn, G.identity, elems)
+    basis = _abelian_basis(mul_fn, G.identity, arr)
     basis = _merge_invariant_factors(mul_fn, G.identity, basis)
-    factors = tuple(d for _, d in basis)
-    KA = AbelianGroup(factors)
-    to_parent = {}
-    for t in KA.elements:
-        g = G.identity
-        for e, (gen, _) in zip(t, basis):
-            for _ in range(e):
-                g = mul_fn(g, gen)
-        to_parent[t] = g
-    if sorted(to_parent.values()) != elems:
+    to_parent = np.array([G.identity])
+    for gen, d in basis:
+        to_parent = G.mul[to_parent[:, None], _powers(mul_fn, G.identity, gen, d)].ravel()
+    if not np.array_equal(np.sort(to_parent), arr):
         raise GroupError("abelian basis does not enumerate the subgroup")
-    from_parent = {g: t for t, g in to_parent.items()}
-    return AbelianStructure(KA, to_parent, from_parent)
+    return AbelianStructure(AbelianGroup(tuple(d for _, d in basis)), to_parent)
 
 
-def _elem_order(mul_fn, identity, x) -> int:
-    n, y = 1, x
-    while y != identity:
-        y = mul_fn(y, x)
-        n += 1
-    return n
+def _orders(mul_fn, identity, elems) -> np.ndarray:
+    """Order of each element of an index array, all powers taken at once."""
+    orders = np.ones(len(elems), dtype=np.int64)
+    y = elems.copy()
+    live = y != identity
+    while live.any():
+        y[live] = mul_fn(y[live], elems[live])
+        orders += live
+        live &= y != identity
+    return orders
+
+
+def _powers(mul_fn, identity, g, d) -> np.ndarray:
+    """g^0, ..., g^(d-1)."""
+    out = [identity]
+    for _ in range(d - 1):
+        out.append(mul_fn(out[-1], g))
+    return np.array(out, dtype=np.int64)
 
 
 def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
-    """Primary decomposition + per-prime basis; returns [(generator, order)]."""
-    orders = {x: _elem_order(mul_fn, identity, x) for x in elems}
+    """Primary decomposition + per-prime basis; returns [(generator, order)].
+
+    `mul_fn` multiplies element indices elementwise, on ints or arrays."""
+    orders = _orders(mul_fn, identity, elems)
     n = len(elems)
     primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
     basis = []
     for p in primes:
-        primary = [x for x in elems if _is_prime_power(orders[x], p)]
+        primary = elems[[_is_prime_power(int(o), p) for o in orders]]
         basis.extend(_p_group_basis(mul_fn, identity, primary, p))
     return basis
 
@@ -227,7 +228,7 @@ def _is_prime_power(n, p):
 
 
 def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
-    """Basis of an abelian p-group given as explicit elements.
+    """Basis of an abelian p-group given as a sorted index array.
 
     Splits off a maximal-order cyclic subgroup, recurses on the quotient, and
     lifts quotient generators to genuine direct-sum generators.
@@ -235,40 +236,29 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
     if len(elems) == 1:
         return []
 
-    orders = {x: _elem_order(mul_fn, identity, x) for x in elems}
-    a1 = min(elems, key=lambda x: (-orders[x], x))
-    d1 = orders[a1]
-    pow_list = [identity]
-    for _ in range(d1 - 1):
-        pow_list.append(mul_fn(pow_list[-1], a1))
-    log_a1 = {y: s for s, y in enumerate(pow_list)}
+    orders = _orders(mul_fn, identity, elems)
+    a1 = int(elems[np.argmax(orders)])    # the least element of maximal order
+    d1 = int(orders.max())
+    pow_list = _powers(mul_fn, identity, a1, d1)
+    log_a1 = {int(y): s for s, y in enumerate(pow_list)}
     if d1 == len(elems):
         return [(a1, d1)]
 
-    rep_of = {}
-    reps = []
-    for x in sorted(elems):
-        if x in rep_of:
-            continue
-        coset = sorted(mul_fn(x, a) for a in pow_list)
-        for c in coset:
-            rep_of[c] = coset[0]
-        reps.append(coset[0])
+    # each coset of <a1> is represented by its least element
+    rep_of = np.zeros(int(elems.max()) + 1, dtype=np.int64)
+    rep_of[elems] = mul_fn(elems[:, None], pow_list).min(axis=1)
 
     def q_mul(x, y):
         return rep_of[mul_fn(x, y)]
 
     out = [(a1, d1)]
-    for gbar, mord in _p_group_basis(q_mul, rep_of[identity], reps, p):
-        gm = identity
-        for _ in range(mord):
-            gm = mul_fn(gm, gbar)
-        s = log_a1[gm]
+    for gbar, mord in _p_group_basis(q_mul, int(rep_of[identity]),
+                                     np.unique(rep_of[elems]), p):
+        s = log_a1[int(_powers(mul_fn, identity, gbar, mord + 1)[-1])]
         if s % mord:
             raise GroupError("p-group basis lifting failed")  # impossible by theory
         t = (-(s // mord)) % d1
-        g = mul_fn(gbar, pow_list[t])
-        out.append((g, mord))
+        out.append((int(mul_fn(gbar, pow_list[t])), mord))
     return out
 
 
@@ -429,11 +419,26 @@ def default_epsilon(k: int, m: int) -> Fraction:
     return Fraction(1, 2 * (10 * k * m) ** (k + 1))
 
 
+def _sumset_mask(K: AbelianGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The mask of A + B for a mask A and an index array B over K."""
+    out = np.zeros(K.order, dtype=bool)
+    out[K.index(K.coords[A][:, None] + K.coords[B])] = True
+    return out
+
+
+def m_fold_mask(K: AbelianGroup, A: np.ndarray, m: int) -> np.ndarray:
+    """A + A + ... + A (m times) for a mask A over K."""
+    out = A
+    for _ in range(m - 1):
+        out = _sumset_mask(K, out, np.flatnonzero(A))
+    return out
+
+
 def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
                                  epsilon: Fraction | float | None = None
-                                 ) -> tuple[set, dict]:
+                                 ) -> tuple[np.ndarray, dict]:
     """Grow an L-invariant subset A of K with |A| >= epsilon |K| whose m-fold
-    sumset still misses at least half of K.
+    sumset still misses at least half of K; A is returned as a mask.
 
     Iteratively absorbs orbit translates A + L.a, switching to the smallest
     element outside A whenever the current one stabilizes; terminates the
@@ -454,41 +459,41 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    ratio_bound = (10 * k * m) ** k
-    A = {K.zero}
-    a = min(t for t in K.elements if t != K.zero)
+    ratio_bound = (10 * k * m) ** k      # a Python int: it outgrows int64
+    A = np.arange(K.order) == 0
+    size = 1
+    mA = A                               # the m-fold sumset of {0}
+    a = 1
     iterations = 0
     growth = []
-    small_branch = Fraction(len(A)) >= epsilon * K.order
-    while Fraction(len(A)) < epsilon * K.order:
-        orbit = L.orbit(a)
-        new = A | {K.add(x, y) for x in A for y in orbit}
-        if new == A:
-            rest = [t for t in K.elements if t not in A]
-            if not rest:
+    small_branch = Fraction(size) >= epsilon * K.order
+    while Fraction(size) < epsilon * K.order:
+        new = A | _sumset_mask(K, A, L.orbit(a))
+        grown = int(np.count_nonzero(new))
+        if grown == size:
+            if A.all():
                 break
-            a = min(rest)
+            a = int(np.argmin(A))
             continue
         iterations += 1
-        growth.append({"size": len(new), "grew_by": len(new) / len(A)})
-        A = new
-        mA = m_fold_sumset(K, A, m)
-        if len(mA) > ratio_bound * len(A):
+        growth.append({"size": grown, "grew_by": grown / size})
+        A, size = new, grown
+        mA = m_fold_mask(K, A, m)
+        if int(np.count_nonzero(mA)) > ratio_bound * size:
             raise RuntimeError("iterative sumset ratio bound violated")
 
-    mA = m_fold_sumset(K, A, m)
-    for p in L.perms:
-        if {p[x] for x in A} != A:
-            raise RuntimeError("output set is not action-invariant")
-    if 2 * len(mA) > K.order:
-        msg = f"m-fold sumset too large (|mA|={len(mA)}, |K|={K.order})"
+    if np.any(A[L.perms] != A):
+        raise RuntimeError("output set is not action-invariant")
+    m_size = int(np.count_nonzero(mA))
+    if 2 * m_size > K.order:
+        msg = f"m-fold sumset too large (|mA|={m_size}, |K|={K.order})"
         if overridden:
             raise EpsilonError(f"{msg}; epsilon override too aggressive")
         raise RuntimeError(msg)
     diag = {"epsilon": float(epsilon), "k": k, "m": m,
             "small_branch": small_branch, "iterations": iterations,
-            "set_size": len(A), "m_fold_size": len(mA),
-            "m_fold_ratio": len(mA) / K.order, "growth": growth}
+            "set_size": size, "m_fold_size": m_size,
+            "m_fold_ratio": m_size / K.order, "growth": growth}
     return A, diag
 
 
@@ -498,33 +503,24 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
 
 def conjugation_action_on_center(G: GroupTable, N: Subgroup,
                                  dec: AbelianStructure) -> AutAction:
-    """Automorphisms of K = Z(N) induced by conjugation, one per coset of N."""
-    K = dec.group
-    members = set(dec.from_parent)
-    seen_cosets = set()
-    perms = []
-    nset = np.fromiter(N.members, dtype=np.int64)
-    for g in range(G.order):
-        coset = frozenset(int(v) for v in G.mul[g, nset])
-        if coset in seen_cosets:
-            continue
-        seen_cosets.add(coset)
-        p = {}
-        for t, x in dec.to_parent.items():
-            y = G.conjugate(g, x)
-            if y not in members:
-                raise GroupError("conjugation does not preserve the center of N")
-            p[t] = dec.from_parent[y]
-        perms.append(p)
-    return AutAction(K, perms)
+    """Automorphisms of K = Z(N) induced by conjugation, one per coset of N
+    (by its least element)."""
+    reps = np.unique(G.mul[:, np.fromiter(N.members, dtype=np.int64)].min(axis=1))
+    conj = G.mul[G.mul[reps[:, None], dec.to_parent], G.inv[reps][:, None]]
+    position = np.full(G.order, -1)
+    position[dec.to_parent] = np.arange(dec.group.order)
+    perms = position[conj]
+    if np.any(perms < 0):
+        raise GroupError("conjugation does not preserve the center of N")
+    return AutAction(dec.group, perms)
 
 
-def central_induced_character(G: GroupTable, C: ClassData, dec: AbelianStructure,
-                              theta: tuple) -> ClassFunction:
-    """Character of the representation induced from one character of K."""
-    values = {dec.to_parent[t]: character_value(dec.group.factors, theta, t)
-              for t in dec.group.elements}
-    return induce_character(G, C, sorted(values), [values[e] for e in sorted(values)])
+def _induced_characters(G: GroupTable, C: ClassData, dec: AbelianStructure,
+                        thetas: np.ndarray) -> np.ndarray:
+    """(b, num_classes) values of Ind_K^G of the characters coords[thetas]."""
+    order = np.argsort(dec.to_parent)
+    return induce_character(G, C, dec.to_parent[order],
+                            dec.group.characters(thetas)[:, order])
 
 
 def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
@@ -541,44 +537,42 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
     dec = abelian_structure(G, K_members)
+    K = dec.group
     action = conjugation_action_on_center(G, N, dec)
     dual = dual_action(action)
-    A, diag = invariant_small_doubling_set(dec.group, dual, m, epsilon)
+    A, diag = invariant_small_doubling_set(K, dual, m, epsilon)
 
-    thetas = sorted(A)
-    chi = None
-    for theta in thetas:
-        f = central_induced_character(G, C, dec, theta)
-        chi = f if chi is None else chi.copy_with(chi.values + f.values)
-    V = decompose(T, chi)
+    # the dual orbits, each named by its least element, index blocks that
+    # partition Irrep(G), each of Plancherel measure (orbit size)/|K|
+    orbits, orbit_sizes = np.unique(dual.perms.min(axis=0), return_counts=True)
+    thetas = np.flatnonzero(A)
+    mult = decompose(T, _induced_characters(G, C, dec,
+                                            np.concatenate([thetas, orbits])))
+    V = RepMultiset(T, mult[:len(thetas)].sum(axis=0))
 
-    kk = len(K_members)
+    kk = K.order
     mv = plancherel_frac(T, V)
     pw_mask = power_support_mask(T, V.support_mask(), m)
     m_pw = support_measure_frac(T, pw_mask)
-    mA = m_fold_sumset(dec.group, A, m)
+    m_fold_size = diag["m_fold_size"]
 
-    # the dual orbits index blocks that partition Irrep(G), each of
-    # Plancherel measure (orbit size)/|K|
-    orbits = _dual_orbits(dual)
     blocks, orbit_partition_ok, measures_ok = _partition_check(
-        T, [central_induced_character(G, C, dec, orb[0]) for orb in orbits],
-        [Fraction(len(orb), kk) for orb in orbits])
-    blocks = [{"orbit_size": len(orb), **b} for orb, b in zip(orbits, blocks)]
+        T, mult[len(thetas):], [Fraction(int(s), kk) for s in orbit_sizes])
+    blocks = [{"orbit_size": int(s), **b} for s, b in zip(orbit_sizes, blocks)]
 
     report = {
-        "set_size": len(A),
-        "set": [list(t) for t in thetas],
+        "set_size": len(thetas),
+        "set": K.coords[thetas].tolist(),
         "center_order": kk,
         "num_coset_automorphisms": len(action),
         "measure_v": float(mv),
         "measure_v_exact": [mv.numerator, mv.denominator],
-        "measure_identity_ok": mv == Fraction(len(A), kk),
+        "measure_identity_ok": mv == Fraction(len(thetas), kk),
         "m": m,
         "measure_v_power_m": float(m_pw),
         "power_measure_at_most_half": m_pw <= Fraction(1, 2),
-        "m_fold_set_size": len(mA),
-        "m_fold_mass_bound_ok": m_pw <= Fraction(len(mA), kk),
+        "m_fold_set_size": m_fold_size,
+        "m_fold_mass_bound_ok": m_pw <= Fraction(m_fold_size, kk),
         "support": list(V.support()),
         "power_support": np.flatnonzero(pw_mask).tolist(),
         "orbit_blocks": blocks,
@@ -587,19 +581,6 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
         "algorithm": diag,
     }
     return V, report
-
-
-def _dual_orbits(dual: AutAction) -> list[list[tuple]]:
-    K = dual.group
-    seen = set()
-    orbits = []
-    for t in K.elements:
-        if t in seen:
-            continue
-        orb = sorted(dual.orbit(t))
-        seen.update(orb)
-        orbits.append(orb)
-    return orbits
 
 
 def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
@@ -612,24 +593,23 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
         raise GroupError("K must be central in N")
     dec = abelian_structure(N_table, K_members)
     kk = dec.group.order
-    thetas = dec.group.elements
+    thetas = np.arange(kk)
     blocks, partition_ok, measures_exact = _partition_check(
-        T_N, [central_induced_character(N_table, C_N, dec, t) for t in thetas],
+        T_N, decompose(T_N, _induced_characters(N_table, C_N, dec, thetas)),
         [Fraction(1, kk)] * kk)
-    blocks = [{"theta": list(t), **b} for t, b in zip(thetas, blocks)]
+    blocks = [{"theta": t, **b} for t, b in zip(dec.group.coords.tolist(), blocks)]
     return {"blocks": blocks, "partition_ok": partition_ok,
             "measures_exact": measures_exact, "center_order": kk}
 
 
-def _partition_check(T: CharTable, chars: list[ClassFunction],
+def _partition_check(T: CharTable, mult: np.ndarray,
                      measures: list[Fraction]) -> tuple[list[dict], bool, bool]:
-    """Decompose the characters in one stacked call. Returns one block per
-    character (its support and Plancherel measure), whether the supports
-    partition Irrep(G), and whether each block has its expected measure."""
-    mult = decompose(T, np.array([f.values for f in chars]))
-    reps = [RepMultiset(T, row) for row in mult]
-    got = [plancherel_frac(T, W) for W in reps]
-    blocks = [{"support": list(W.support()), "measure": float(m)}
-              for W, m in zip(reps, got)]
+    """For a (b, r) stack of multiplicities: one block per row (its support
+    and Plancherel measure), whether the supports partition Irrep(G), and
+    whether each block has its expected measure."""
+    masks = mult > 0
+    got = [support_measure_frac(T, row) for row in masks]
+    blocks = [{"support": np.flatnonzero(row).tolist(), "measure": float(m)}
+              for row, m in zip(masks, got)]
     partition_ok = bool(np.all(np.count_nonzero(mult, axis=0) == 1))
     return blocks, partition_ok, got == measures

@@ -4,20 +4,24 @@ Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, class
 multiplication matrices from counting the products of one class at a time,
-restrictions from reading a class function element by element, subgroups from
+restrictions from reading a class function element by element, induced
+characters from a conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
 minimal supports from a scan of every mask, random supports from one scalar
 draw per irreducible, sampled product sets from one np.unique per trial and
 product, Cayley tables from a dict lookup of every pairwise
-product, associativity from every triple, and the affine-group table is
+product, associativity from every triple, abelian characters and their
+dual actions from one Fraction per value, and the affine-group table is
 assembled from its known structure.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +249,19 @@ def restrict_character(C, f, subgroup_members):
     """Restriction of a class function to a subgroup, element by element."""
     return {int(m): complex(f.values[C.class_of[int(m)]])
             for m in subgroup_members}
+
+
+def conjugation_sum_induce(G, C, subgroup_members, theta):
+    """Ind_H^G of {element: value} on H, one class at a time:
+    (1/|H|) sum over g in G of theta0(g x g^-1) at each representative x."""
+    by_elem = np.zeros(G.order, dtype=np.complex128)
+    for m, v in theta.items():
+        by_elem[int(m)] = v
+    out = np.zeros(C.num_classes, dtype=np.complex128)
+    for c, rep in enumerate(C.representatives):
+        conj = G.mul[G.mul[:, int(rep)], G.inv]
+        out[c] = by_elem[conj].sum() / len(subgroup_members)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -526,6 +543,37 @@ def _primitive_root(p):
         if len(seen) == p - 1:
             return g
     raise ValueError(f"no primitive root mod {p}")
+
+
+def character_value(factors, theta, x) -> complex:
+    """The character with exponent tuple theta at element x, through one
+    exact Fraction angle per value."""
+    angle = sum(Fraction(t * e, d) for t, e, d in zip(theta, x, factors))
+    frac = angle - math.floor(angle)
+    return cmath.exp(2j * cmath.pi * float(frac))
+
+
+def fraction_dual_action(factors, maps):
+    """The dual of each automorphism map {x: alpha(x)} of Z_{d1} x ... x Z_{dr}
+    on exponent tuples, one Fraction per coordinate: theta' = theta o alpha."""
+    rank = len(factors)
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    out = []
+    for p in maps:
+        images = [p[u] for u in units]
+        q = {}
+        for theta in p:
+            t_new = []
+            for i, d_i in enumerate(factors):
+                angle = sum(Fraction(theta[j] * images[i][j], factors[j])
+                            for j in range(rank))
+                val = angle * d_i
+                if val.denominator != 1:
+                    raise ValueError("dual action produced a non-integer exponent")
+                t_new.append(val.numerator % d_i)
+            q[theta] = tuple(t_new)
+        out.append(q)
+    return out
 
 
 def naive_sumset(add_fn, A, B):

@@ -307,7 +307,7 @@ def test_c08_translate_cover_batch():
             K = AbelianGroup(tuple(factors))
             pts = set()
             while len(pts) < min(k + 1, K.order):
-                pts.add(K.elements[int(rng.integers(K.order))])
+                pts.add(tuple(K.coords[int(rng.integers(K.order))].tolist()))
             if len(pts) < k + 1:
                 continue
             tc = translate_cover(sorted(pts), n, m, group=K)

@@ -8,7 +8,7 @@ from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (CharTableError, build_group, center, compute_char_table,
                        conjugacy_classes, decompose, dumps_interchange,
                        from_interchange, induce_character, inner_product,
-                       loads_interchange, subgroup_table)
+                       loads_interchange, normal_subgroups, subgroup_table)
 from tqrgroups.chartable import _combined_class_matrix
 
 
@@ -143,6 +143,31 @@ def test_frobenius_reciprocity(name, members):
             res = oracle.restrict_character(C, T.irrep_character(lam), elems)
             rhs = sum(theta[e] * np.conj(res[e]) for e in elems) / len(elems)
             assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["S4", "D4", "Q8", "aff5", "ES3", "C2xS3"])
+def test_stacked_induction_matches_conjugation_sums(name):
+    # every normal subgroup and the cyclic subgroup of each class
+    # representative, against the per-class conjugation sum; the sums run in
+    # another order, so they agree to a few ulps of |G|
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    subgroups = [N.members for N in normal_subgroups(T)]
+    for x in C.representatives.tolist():
+        powers = [G.identity]
+        while int(G.mul[powers[-1], x]) != G.identity:
+            powers.append(int(G.mul[powers[-1], x]))
+        subgroups.append(powers)
+    rng = np.random.default_rng(G.order)
+    for members in subgroups:
+        elems = sorted(members)
+        stack = rng.normal(size=(3, len(elems))) + 1j * rng.normal(size=(3, len(elems)))
+        got = induce_character(G, C, members, stack)
+        assert got.shape == (3, C.num_classes)
+        for row, values in zip(got, stack):
+            want = oracle.conjugation_sum_induce(G, C, elems, dict(zip(elems, values)))
+            assert np.abs(row - want).max() <= 1e-12 * G.order
+        single = induce_character(G, C, members, dict(zip(elems, stack[0])))
+        assert np.abs(single.values - got[0]).max() <= 1e-12 * G.order
 
 
 @pytest.mark.parametrize("name", ["Q8", "ES3"])

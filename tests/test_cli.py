@@ -207,6 +207,26 @@ def test_sumset_bad_factors_are_bad_input(factors, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("factors, elements, m, shown", [
+    ("12", "13", "1", "13"), ("12", "-1", "1", "-1"), ("12", "13", "2", "13"),
+    ("2,4", "0,0;1,4", "1", "1,4"), ("2,4", "0,1;-1,0", "1", "-1,0")])
+@pytest.mark.parametrize("cover", [False, True])
+def test_sumset_elements_outside_the_group_are_bad_input(factors, elements, m,
+                                                         shown, cover, capsys):
+    argv = ["sumset", "--factors", factors, "--set", elements, "--m", m]
+    assert cli.main(argv + ["--cover"] * cover) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: element {shown} is outside the group: need "
+                            f"0 <= x_i < d_i for factors [{factors.replace(',', ', ')}]\n")
+
+
+def test_sumset_lattice_elements_are_unbounded(capsys):
+    code, doc = _run(["sumset", "--set", "13;-1", "--m", "1"], capsys)
+    assert code == 0
+    assert doc["report"]["sumset"] == [[-1], [13]]
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_counterexample_m_below_one_is_bad_input(m, capsys):
     assert cli.main(["counterexample", "--group", "cyclic:12", "--m", m]) == 2

@@ -1,11 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import get_classes, get_group, get_table
+import oracle
+from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (AbelianGroup, AutAction, abelian_structure, build_group,
-                       build_counterexample_rep, center, character_value,
+                       build_counterexample_rep, center,
                        compute_char_table, conjugacy_classes, decompose,
                        default_epsilon, dual_action, induce_character,
                        inner_product, invariant_small_doubling_set,
@@ -13,8 +16,22 @@ from tqrgroups import (AbelianGroup, AutAction, abelian_structure, build_group,
                        translate_cover, verify_vtheta_partition)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.counterexample import (_partition_check,
-                                     conjugation_action_on_center)
+                                     conjugation_action_on_center, m_fold_mask)
 from tqrgroups.groups import center_of_subset, subgroup_from_members
+
+
+def _tuples(K, A):
+    """A mask or index array over K as the set of its exponent tuples."""
+    return {tuple(t) for t in K.coords[A].tolist()}
+
+
+def _elements(K):
+    return [tuple(t) for t in K.coords.tolist()]
+
+
+def _rotation(K):
+    """(x1, x2) -> (x2, -x1) on Z_d x Z_d, as an index permutation."""
+    return K.index(K.coords[:, ::-1] * [1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +58,8 @@ def test_abelian_structure_q8_center():
     G = get_group("Q8")
     dec = abelian_structure(G, center(G).members)
     assert dec.group.factors == (2,)
-    assert dec.to_parent[(0,)] == 0 and dec.to_parent[(1,)] == 1
+    K = dec.group
+    assert dec.to_parent[K.index((0,))] == 0 and dec.to_parent[K.index((1,))] == 1
 
 
 def test_abelian_structure_klein_and_mixed():
@@ -68,29 +86,75 @@ def test_abelian_structure_rejects_nonabelian():
 
 def test_character_values_are_roots_of_unity():
     K = AbelianGroup((3, 6))
-    for theta in K.elements:
-        for x in K.elements:
-            v = character_value(K.factors, theta, x)
-            assert abs(abs(v) - 1) < 1e-12
+    for v in K.characters(np.arange(K.order)).ravel():
+        assert abs(abs(v) - 1) < 1e-12
     # multiplicativity
-    v1 = character_value((12,), (5,), (3,))
-    v2 = character_value((12,), (5,), (4,))
-    v12 = character_value((12,), (5,), (7,))
+    v1, v2, v12 = AbelianGroup((12,)).characters([5])[0, [3, 4, 7]]
     assert abs(v1 * v2 - v12) < 1e-12
+
+
+@pytest.mark.parametrize("factors", [(2,), (12,), (2, 4), (3, 6), (2, 2, 2),
+                                     (5, 5), (3, 30)])
+def test_character_values_match_fraction_oracle(factors):
+    # bit for bit: k/e is the same correctly rounded float as the Fraction
+    K = AbelianGroup(factors)
+    values = K.characters(np.arange(K.order))
+    elements = _elements(K)
+    for i, theta in enumerate(elements):
+        assert values[i].tolist() == [oracle.character_value(factors, theta, x)
+                                      for x in elements]
 
 
 def test_dual_action_is_adjoint():
     K = AbelianGroup((5, 5))
-    rot = {t: (t[1], (-t[0]) % 5) for t in K.elements}
-    act = AutAction(K, [rot])
+    act = AutAction(K, [_rotation(K)])
     assert len(act) == 4
     dual = dual_action(act)
+    chars = K.characters(np.arange(K.order))    # chars[theta, x]
     for p, q in zip(act.perms, dual.perms):
-        for theta in K.elements:
-            for x in K.elements:
-                lhs = character_value(K.factors, q[theta], x)
-                rhs = character_value(K.factors, theta, p[x])
-                assert abs(lhs - rhs) < 1e-10
+        # (q . theta)(x) = theta(p(x)) for every theta and x
+        assert np.abs(chars[q] - chars[:, p]).max() < 1e-10
+
+
+def _assert_dual_matches_oracle(action):
+    K = action.group
+    elements = _elements(K)
+    maps = [{elements[x]: elements[y] for x, y in enumerate(p)} for p in action.perms]
+    expect = oracle.fraction_dual_action(K.factors, maps)
+    dual = dual_action(action)
+    assert len(dual) == len(action)
+    for q, want in zip(dual.perms, expect):
+        assert {elements[t]: elements[y] for t, y in enumerate(q)} == want
+
+
+@pytest.mark.parametrize("factors", [(5, 5), (13, 13), (4, 4)])
+def test_dual_action_of_rotations_matches_fraction_oracle(factors):
+    K = AbelianGroup(factors)
+    _assert_dual_matches_oracle(AutAction(K, [_rotation(K)]))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_dual_action_of_conjugation_matches_fraction_oracle(name):
+    G, T = get_group(name), get_table(name)
+    for N in normal_subgroups(T):
+        K_members = center_of_subset(G, N.members)
+        if len(K_members) > 1:
+            dec = abelian_structure(G, K_members)
+            _assert_dual_matches_oracle(conjugation_action_on_center(G, N, dec))
+
+
+def test_aut_action_refuses_a_linear_bijection_that_is_not_a_homomorphism():
+    # on Z2 x Z4, (x1, x2) -> (x2 mod 2, x1 + x2 mod 4) is sum_i x_i p(e_i)
+    # with p(e1) = (0, 1), p(e2) = (1, 1), and a bijection, but
+    # 2 p(e1) = (0, 2) is not 0
+    K = AbelianGroup((2, 4))
+    x1, x2 = K.coords.T
+    p = K.index(np.stack([x2, x1 + x2], axis=1))
+    assert sorted(p.tolist()) == list(range(8))
+    with pytest.raises(ValueError, match="not an automorphism"):
+        AutAction(K, [p])
+    with pytest.raises(ValueError, match="not a bijection"):
+        AutAction(K, [np.zeros(8, dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +166,20 @@ def test_m_fold_sumset_examples():
     assert m_fold_sumset(K, [(0,)], 5) == {(0,)}
     S = m_fold_sumset(K, [(0,), (1,), (2,)], 2)
     assert S == {(0,), (1,), (2,), (3,), (4,)}
-    full = m_fold_sumset(K, K.elements, 2)
-    assert full == set(K.elements)
+    full = m_fold_sumset(K, _elements(K), 2)
+    assert full == set(_elements(K))
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 6), (2, 2, 2), (5, 5)])
+def test_mask_sumsets_match_tuple_sumsets(factors):
+    K = AbelianGroup(factors)
+    rng = np.random.default_rng(sum(factors))
+    for _ in range(6):
+        A = rng.random(K.order) < 0.2
+        A[0] = True
+        for m in (1, 2, 3):
+            assert _tuples(K, m_fold_mask(K, A, m)) == \
+                m_fold_sumset(K, _tuples(K, A), m)
 
 
 def test_translate_cover_interval():
@@ -143,7 +219,7 @@ def test_translate_cover_seeded_batch():
             K = AbelianGroup(factors)
             pts = set()
             while len(pts) < k + 1:
-                pts.add(K.elements[int(rng.integers(K.order))])
+                pts.add(tuple(K.coords[int(rng.integers(K.order))].tolist()))
             tc = translate_cover(sorted(pts), n, m, group=K)
         assert tc.count <= tc.bound
         checked += 1
@@ -158,7 +234,7 @@ def test_small_doubling_z12_interval():
     K = AbelianGroup((12,))
     L = AutAction(K, [])
     A, diag = invariant_small_doubling_set(K, L, 2, epsilon=Fraction(1, 4))
-    assert A == {(0,), (1,), (2,)}
+    assert _tuples(K, A) == {(0,), (1,), (2,)}
     assert diag["m_fold_size"] == 5
     assert diag["m_fold_size"] <= 6
 
@@ -167,7 +243,7 @@ def test_small_doubling_small_group_branch():
     K = AbelianGroup((2,))
     L = AutAction(K, [])
     A, diag = invariant_small_doubling_set(K, L, 3)
-    assert A == {(0,)}
+    assert _tuples(K, A) == {(0,)}
     assert diag["small_branch"]
 
 
@@ -176,32 +252,32 @@ def test_small_doubling_default_epsilon():
     K = AbelianGroup((12,))
     L = AutAction(K, [])
     A, diag = invariant_small_doubling_set(K, L, 2)
-    assert A == {(0,)}   # 12 <= 1/epsilon puts us in the small branch
+    assert _tuples(K, A) == {(0,)}   # 12 <= 1/epsilon puts us in the small branch
 
 
 def test_small_doubling_invariant_under_rotation_small_branch():
     # |K| = 25 sits below 1/epsilon for any epsilon meeting the proof bound,
     # so the output is {0}: invariant, and trivially |2A| <= 12
     K = AbelianGroup((5, 5))
-    rot = {t: (t[1], (-t[0]) % 5) for t in K.elements}
-    L = AutAction(K, [rot])
+    L = AutAction(K, [_rotation(K)])
     assert len(L) == 4
     A, diag = invariant_small_doubling_set(K, L, 2)
-    assert A == {(0, 0)} and diag["small_branch"]
-    assert len(m_fold_sumset(K, A, 2)) <= 12
+    assert _tuples(K, A) == {(0, 0)} and diag["small_branch"]
+    assert len(m_fold_sumset(K, _tuples(K, A), 2)) <= 12
+    A = set(np.flatnonzero(A).tolist())
     for p in L.perms:
         assert {p[x] for x in A} == A
 
 
 def test_small_doubling_invariant_under_rotation_nontrivial():
     K = AbelianGroup((13, 13))
-    rot = {t: (t[1], (-t[0]) % 13) for t in K.elements}
-    L = AutAction(K, [rot])
+    L = AutAction(K, [_rotation(K)])
     A, diag = invariant_small_doubling_set(K, L, 2, epsilon=Fraction(2, 169))
+    assert 2 * len(m_fold_sumset(K, _tuples(K, A), 2)) <= K.order
+    A = set(np.flatnonzero(A).tolist())
     assert len(A) >= 2
     for p in L.perms:
         assert {p[x] for x in A} == A
-    assert 2 * len(m_fold_sumset(K, A, 2)) <= K.order
 
 
 def test_small_doubling_rejects_overridden_epsilon_that_breaks_contract():
@@ -284,9 +360,12 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     action = conjugation_action_on_center(G, N, dec)
     kk = len(K_members)
     coset_count = G.order // N.order
-    for theta in dec.group.elements:
-        values = {dec.to_parent[t]: character_value(dec.group.factors, theta, t)
-                  for t in dec.group.elements}
+    elements = _elements(dec.group)
+    to_parent = dec.to_parent.tolist()
+    from_parent = {g: t for t, g in enumerate(to_parent)}
+    for theta in elements:
+        values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
+                  for t, x in enumerate(elements)}
         ind = induce_character(G, C, sorted(values),
                                [values[e] for e in sorted(values)])
         # orbit-sum formula, assembled from the coset automorphisms; the
@@ -294,9 +373,9 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
         for cid, rep_el in enumerate(C.representatives):
             rep_el = int(rep_el)
             if rep_el in values:
-                t = dec.from_parent[rep_el]
+                t = from_parent[rep_el]
                 expect = (N.order / kk) * sum(
-                    character_value(dec.group.factors, theta, p[t])
+                    oracle.character_value(dec.group.factors, theta, elements[p[t]])
                     for p in action.perms) * (coset_count / len(action))
                 assert abs(ind.values[cid] - expect) < 1e-9
             else:
@@ -314,14 +393,16 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     dec = abelian_structure(G, K_members)
     action = conjugation_action_on_center(G, N, dec)
     dual = dual_action(action)
+    elements = _elements(dec.group)
+    to_parent = dec.to_parent.tolist()
     chars = {}
-    for theta in dec.group.elements:
-        values = {dec.to_parent[t]: character_value(dec.group.factors, theta, t)
-                  for t in dec.group.elements}
-        chars[theta] = induce_character(G, C, sorted(values),
-                                        [values[e] for e in sorted(values)])
-    for t1 in dec.group.elements:
-        for t2 in dec.group.elements:
+    for i, theta in enumerate(elements):
+        values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
+                  for t, x in enumerate(elements)}
+        chars[i] = induce_character(G, C, sorted(values),
+                                    [values[e] for e in sorted(values)])
+    for t1 in range(len(elements)):
+        for t2 in range(len(elements)):
             same_orbit = t2 in dual.orbit(t1)
             ip = inner_product(chars[t1], chars[t2])
             if same_orbit:
@@ -359,15 +440,56 @@ def test_partition_check_flags_overlaps_gaps_and_measures():
     T = get_table("S3")  # dims 1, 1, 2; measures 1/6, 1/6, 2/3
     chi = [T.irrep_character(i) for i in range(3)]
     both = chi[0].copy_with(chi[1].values + chi[2].values)
+
+    def mult(*fs):
+        return decompose(T, np.array([f.values for f in fs]))
+
     blocks, partition, measures = _partition_check(
-        T, [chi[0], both], [Fraction(1, 6), Fraction(5, 6)])
+        T, mult(chi[0], both), [Fraction(1, 6), Fraction(5, 6)])
     assert blocks == [{"support": [0], "measure": 1 / 6},
                       {"support": [1, 2], "measure": 5 / 6}]
     assert partition and measures
     overlap = chi[0].copy_with(chi[0].values + chi[2].values)
     _, partition, measures = _partition_check(
-        T, [overlap, both], [Fraction(5, 6), Fraction(5, 6)])
+        T, mult(overlap, both), [Fraction(5, 6), Fraction(5, 6)])
     assert not partition and measures
     _, partition, measures = _partition_check(
-        T, [chi[0], chi[1]], [Fraction(1, 6), Fraction(1, 3)])
+        T, mult(chi[0], chi[1]), [Fraction(1, 6), Fraction(1, 3)])
     assert not partition and not measures
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+# sha256 of the JSON of every construction on the grid below, error
+# messages included, as the tuple, dict and Fraction implementation gave it
+_GRID_DIGEST = "414d3439978408026e82f9276e5cd1d20d80b9a8096b9f204cbe8ed562149f76"
+
+
+def test_constructions_are_unchanged_on_the_fixture_grid():
+    # every fixture group x every normal subgroup with a nontrivial centre x
+    # m in {1, 2, 3} x epsilon in {default, 1/4, 1/2}, and the central
+    # partition of each group
+    out = []
+    for name in FIXTURE_SPECS:
+        G, C, T = get_group(name), get_classes(name), get_table(name)
+        for N in normal_subgroups(T):
+            if len(center_of_subset(G, N.members)) <= 1:
+                continue
+            for m in (1, 2, 3):
+                for eps in (None, Fraction(1, 4), Fraction(1, 2)):
+                    def build():
+                        V, rep = build_counterexample_rep(G, C, T, N, m, eps)
+                        return {"rep": V.to_json_dict(), "construction": rep}
+                    out.append({"group": name, "normal": list(N.members), "m": m,
+                                "eps": None if eps is None else str(eps),
+                                "result": _outcome(build)})
+        out.append({"group": name, "vtheta": _outcome(
+            lambda: verify_vtheta_partition(G, C, T, center(G).members))})
+    assert len(out) == 669
+    blob = json.dumps(out, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _GRID_DIGEST

@@ -113,15 +113,14 @@ def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> n
 # Burnside eigenvector method
 
 
-def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
-                       tol: float = config.TOL, seed: int = 0,
-                       max_attempts: int = config.MAX_EIG_ATTEMPTS) -> CharTable:
+def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
     """Compute the full character table of G.
 
     A random real recombination of the class multiplication matrices is
     diagonalized; each eigenvector, scaled to 1 on the identity class, is the
     vector of normalized class sums of one irreducible. Eigenvalue collisions
-    trigger a retry with a fresh seed, and the finished table is certified by
+    trigger a retry with the next seed (0, 1, ... up to
+    config.MAX_EIG_ATTEMPTS tries), and the finished table is certified by
     orthogonality and exact integer dimension checks before it is returned.
     """
     if G.order > config.CHARTABLE_CAP:
@@ -134,8 +133,8 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
     sizes = C.sizes.astype(np.float64)
 
     last_error = None
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng(seed + attempt)
+    for attempt in range(config.MAX_EIG_ATTEMPTS):
+        rng = np.random.default_rng(attempt)
         coeffs = rng.uniform(1.0, 2.0, r)
         Mc = _combined_class_matrix(G, C, coeffs)
         eigvals, eigvecs = np.linalg.eig(Mc)
@@ -155,7 +154,7 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
 
         dims_i = np.rint(dims_f).astype(np.int64)
         dim_err = float(np.max(np.abs(dims_f - dims_i) / np.maximum(1.0, dims_f)))
-        if dim_err > tol or np.any(dims_i < 1) or int(np.sum(dims_i ** 2)) != n:
+        if dim_err > config.TOL or np.any(dims_i < 1) or int(np.sum(dims_i ** 2)) != n:
             last_error = f"dimension certification failed (err {dim_err:.2e})"
             continue
 
@@ -164,17 +163,17 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None, *,
         dims_i = dims_i[order_key]
 
         row_res, col_res = _orthogonality_residuals(chars, sizes, n)
-        if row_res > tol or col_res > tol:
+        if row_res > config.TOL or col_res > config.TOL:
             last_error = f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})"
             continue
 
         quality = {"row_residual": row_res, "col_residual": col_res,
                    "dim_roundoff": dim_err, "attempts": attempt + 1,
-                   "seed": seed}
+                   "seed": 0}
         return CharTable(group=G, classes=C, dims=dims_i, values=chars,
                          quality=quality)
     raise CharTableError(
-        f"character table not certified after {max_attempts} attempts: {last_error}")
+        f"character table not certified after {config.MAX_EIG_ATTEMPTS} attempts: {last_error}")
 
 
 def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,
@@ -188,13 +187,14 @@ def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,
     return row_res, col_res
 
 
-def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> list[int]:
-    def key(lam):
-        row = chars[lam]
-        rounded = tuple((round(float(v.real), 8), round(float(v.imag), 8)) for v in row)
-        is_trivial = all(abs(v - 1.0) < 1e-6 for v in row)
-        return (0 if is_trivial else 1, int(dims[lam]), rounded)
-    return sorted(range(len(dims)), key=key)
+def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Row order: the trivial character first, then by dimension, then
+    lexicographically on the values rounded to 8 decimals, the real and
+    imaginary part of each class in turn."""
+    trivial = np.all(np.abs(chars - 1.0) < 1e-6, axis=1)
+    rounded = np.stack((np.round(chars.real, 8), np.round(chars.imag, 8)), axis=2)
+    keys = rounded.reshape(len(dims), -1).T[::-1]
+    return np.lexsort((*keys, dims, ~trivial))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,7 @@ def to_interchange(T: CharTable) -> dict:
     }
 
 
-def from_interchange(doc: dict, *, tol: float = config.TOL,
-                     group: GroupTable | None = None) -> CharTable:
+def from_interchange(doc: dict) -> CharTable:
     """Rebuild a CharTable from its interchange form, revalidating everything.
 
     A document that is not of the interchange shape, including one whose
@@ -265,12 +264,10 @@ def from_interchange(doc: dict, *, tol: float = config.TOL,
             for row in rows)):
         raise CharTableError("interchange field 'values' must be rows of "
                              "[re, im] number pairs")
-    G = group
-    if G is None:
-        try:
-            G = build_group(doc.get("group"))
-        except GroupError as exc:
-            raise CharTableError(f"interchange group spec: {exc}") from None
+    try:
+        G = build_group(doc.get("group"))
+    except GroupError as exc:
+        raise CharTableError(f"interchange group spec: {exc}") from None
     C = conjugacy_classes(G)
     if C.sizes.tolist() != doc["class_sizes"]:
         raise CharTableError("imported class sizes disagree with canonical order")
@@ -293,10 +290,10 @@ def from_interchange(doc: dict, *, tol: float = config.TOL,
         raise CharTableError("imported dims disagree with the identity column")
     if int(np.sum(dims ** 2)) != G.order:
         raise CharTableError("imported dims violate sum of squares")
-    if float(np.max(np.abs(values[0] - 1.0))) > tol:
+    if float(np.max(np.abs(values[0] - 1.0))) > config.TOL:
         raise CharTableError("imported first row is not the trivial character")
     row_res, col_res = _orthogonality_residuals(values, C.sizes, G.order)
-    if row_res > tol or col_res > tol:
+    if row_res > config.TOL or col_res > config.TOL:
         raise CharTableError(
             f"imported table fails orthogonality ({row_res:.2e}/{col_res:.2e})")
     quality = {"row_residual": row_res, "col_residual": col_res,
@@ -315,5 +312,5 @@ def dumps_interchange(T: CharTable) -> str:
     return json.dumps(to_interchange(T), indent=2, default=np.ndarray.tolist)
 
 
-def loads_interchange(text: str, **kw) -> CharTable:
-    return from_interchange(json.loads(text), **kw)
+def loads_interchange(text: str) -> CharTable:
+    return from_interchange(json.loads(text))

@@ -118,7 +118,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> complex:
     return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
-def decompose(T: CharTable, f, *, tol: float = config.TOL):
+def decompose(T: CharTable, f):
     """Multiplicities <f, chi_lam>, certified to round to non-negative integers.
 
     f is one ClassFunction, giving a RepMultiset, or a (b, num_classes) stack
@@ -140,7 +140,7 @@ def decompose(T: CharTable, f, *, tol: float = config.TOL):
     mult = np.rint(raw.real).astype(np.int64)
     scale = np.maximum(1.0, np.abs(raw))
     err = np.max(np.abs(raw - mult) / scale, initial=0.0)
-    if err > tol:
+    if err > config.TOL:
         raise DecompositionError(
             f"inner products are not integers (residual {float(err):.2e})")
     if mult.min(initial=0) < 0:
@@ -167,13 +167,22 @@ def tensor_support_mask(T: CharTable, mask1: np.ndarray, mask2: np.ndarray) -> n
 
 
 def power_support_mask(T: CharTable, mask: np.ndarray, m: int) -> np.ndarray:
-    """Support of the m-fold tensor power of a support (or of each row)."""
+    """Support of the m-fold tensor power of a support (or of each row).
+
+    The support of a tensor product depends only on the supports of its
+    factors, so supp(S^(a+b)) = supp(S^a (x) S^b), and binary powering takes
+    at most 2 log2(m) stacked two-factor steps.
+    """
     if m < 1:
         raise ValueError("tensor power must be >= 1")
-    out = mask
-    for _ in range(m - 1):
-        out = tensor_support_mask(T, out, mask)
-    return out
+    out, square = None, mask            # square = supp(S^(2^t))
+    while True:
+        if m & 1:
+            out = square if out is None else tensor_support_mask(T, out, square)
+        m >>= 1
+        if not m:
+            return out
+        square = tensor_support_mask(T, square, square)
 
 
 def support_measure_frac(T: CharTable, mask: np.ndarray) -> Fraction:

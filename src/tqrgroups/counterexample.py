@@ -427,10 +427,21 @@ def _sumset_mask(K: AbelianGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def m_fold_mask(K: AbelianGroup, A: np.ndarray, m: int) -> np.ndarray:
-    """A + A + ... + A (m times) for a mask A over K."""
-    out = A
-    for _ in range(m - 1):
-        out = _sumset_mask(K, out, np.flatnonzero(A))
+    """A + A + ... + A (m times) for a mask A over K.
+
+    Once |kA| = |(k+1)A|, (k+1)A = kA + a for every a in A, so every later
+    sumset is a translate: mA = (k+1)A + (m-k-1)a. The multiple m-k-1 is
+    reduced modulo the exponent of K first, so no coordinate product
+    overflows.
+    """
+    members = np.flatnonzero(A)
+    out, size = A, len(members)           # out = kA
+    for k in range(1, m):
+        out, last = _sumset_mask(K, out, members), size
+        size = int(np.count_nonzero(out))
+        if size == last:
+            shift = (m - k - 1) % K.exponent
+            return _sumset_mask(K, out, K.index(shift * K.coords[members[:1]]))
     return out
 
 

@@ -26,9 +26,6 @@ QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
 
 # Class-function rows per stacked decompose in the support searches.
 _STACK_ROWS = 4096
-# Rows (pairs * irreducibles) the exhaustive TQR2 pair search may decompose
-# before it stops and reports mode exhaustive-truncated.
-TQR2_ROW_BUDGET = 2_000_000
 # Index entries (trials * |G| * subset size) one block of QR2/QR3 trials may
 # gather from the Cayley table per product step.
 _QR_BLOCK_ENTRIES = 1 << 14
@@ -308,8 +305,8 @@ def _tqr2(T, params, pjson) -> CriterionReport:
     modes = []
 
     if T.num_irreps <= params.exhaustive_cap:
-        checked, witness, complete = _tqr2_pair_search(T, _minimal_supports(T, dens), dens)
-        modes.append("exhaustive-minimal" if complete else "exhaustive-truncated")
+        modes.append("exhaustive-minimal")
+        checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
 
     modes.append("randomized")
     if witness is None:
@@ -334,49 +331,67 @@ def _tqr2(T, params, pjson) -> CriterionReport:
                            details={"triples_checked": checked})
 
 
-def _tqr2_pair_search(T, minimal, dens):
-    """Exhaustive TQR2 search over triples of the given supports, walked as
-    pairs. Returns (triples checked, witness or None, whether it finished).
+def _tqr2_search(T, minimal, dens):
+    """Exhaustive TQR2 search over triples of the given supports. Returns
+    the number of triples checked and the witness of the first triple, in
+    lexicographic order, whose product misses an irreducible, or None.
 
     nu is in the support of chi1 chi2 chi3 iff S3 meets
-    D_nu = supp(conj(chi1 chi2) chi_nu), so a pair (S1, S2) ends a triple
-    that misses nu iff Irrep minus D_nu has measure >= dens, which is an
-    integer comparison of dim^2 sums. The pairs i <= j are walked in
-    lexicographic order, every D_nu of a chunk of pairs from one stacked
-    decompose. The first pair with a witness is also the first in the order
-    of all triples (i, j, k) (swapping i and j changes no product), so its
-    first third support k avoiding some D_nu gives the witness and the count
-    (i*s + j)*s + k + 1. The walk stops after TQR2_ROW_BUDGET decomposed
-    rows; the count is then the triples whose pair was walked.
+    D_nu = {mu : nu in supp(chi1 chi2 chi_mu)}, so a pair (S1, S2) ends a
+    triple that misses nu iff Irrep minus D_nu has measure >= dens. Supports
+    of products depend only on the supports of the factors, so D follows
+    from the supports F of the r^2 products chi_a chi_b by two 0/1 matrix
+    products. The first S1 = minimal[i] for which _pairs_fail finds an S2 is
+    also the first of any failing triple (permuting a triple changes no
+    product), so only its pairs (i, j >= i) are walked: the first j and
+    third support k avoiding some D_nu give the witness and the count
+    (i*s + j)*s + k + 1.
     """
     r, s = T.num_irreps, len(minimal)
     sq = T.dims.astype(np.int64) ** 2
     need = _density_floor(T.group.order, dens)
-    row_start = np.concatenate(([0], np.cumsum(np.arange(s, 0, -1))))
-    pairs = s * (s + 1) // 2
-    walked = min(pairs, TQR2_ROW_BUDGET // r)
-    step = max(1, _STACK_ROWS // r)
-    for lo in range(0, walked, step):
-        t = np.arange(lo, min(lo + step, walked))
-        i = np.searchsorted(row_start, t, side="right") - 1
-        j = i + t - row_start[i]
-        dual = np.conj((minimal[i] @ T.values) * (minimal[j] @ T.values))
-        mult = decompose(T, (dual[:, None, :] * T.values).reshape(-1, T.values.shape[1]))
-        hit = mult.reshape(len(t), r, r) > 0       # hit[p, nu, mu]: mu in D_nu
-        found = np.flatnonzero(((~hit) @ sq >= need).any(axis=1))
-        if found.size:
-            p = int(found[0])
-            i, j = int(i[p]), int(j[p])
-            k = int(np.flatnonzero(~(minimal @ hit[p].T).all(axis=1))[0])
-            triple = minimal[[i, j, k]]
-            product = tensor_support_mask(T, triple[0], triple[1])
-            product = tensor_support_mask(T, product, triple[2])
-            witness = _support_witness(T, triple, product)
-            return (i * s + j) * s + k + 1, witness, True
-    if walked == pairs:
-        return s ** 3, None, True
-    diagonal = int(np.searchsorted(row_start, walked, side="left"))
-    return (2 * walked - diagonal) * s, None, False
+    pairs = (T.values[:, None, :] * T.values).reshape(r * r, r)
+    F = np.concatenate([decompose(T, pairs[lo:lo + _STACK_ROWS]) > 0
+                        for lo in range(0, r * r, _STACK_ROWS)])
+    F = F.reshape(r, r * r).astype(np.float32)     # F[a, (b, c)]: c in chi_a chi_b
+    order = sorted(range(r), key=lambda i: (-int(T.dims[i]), i))
+    for i, row in enumerate(minimal):
+        pair = (row @ F).reshape(r, r) @ F > 0     # pair[b, (mu, nu)]: D of (S_i, {b})
+        if not _pairs_fail(pair[order].reshape(r, r, r), sq[order], sq, need):
+            continue
+        step = max(1, _STACK_ROWS // r)
+        for lo in range(i, s, step):
+            D = (minimal[lo:lo + step] @ pair).reshape(-1, r, r)
+            found = np.flatnonzero((sq @ ~D >= need).any(axis=1))
+            if found.size:
+                j = lo + int(found[0])
+                product = minimal @ D[found[0]]    # supp of (S_i, S_j, S_k)
+                k = int(np.flatnonzero(~product.all(axis=1))[0])
+                witness = _support_witness(T, minimal[[i, j, k]], product[k])
+                return (i * s + j) * s + k + 1, witness
+        raise AssertionError("the pair walk missed a failing pair")
+    return s ** 3, None
+
+
+def _pairs_fail(pair, weight, sq, need) -> bool:
+    """Whether some S2 of dim^2 sum >= need leaves some nu a dim^2 sum >=
+    need outside D, the OR of pair[b] over b in S2, by a depth-first search
+    over S2 adding one b at a time in the order of pair and weight. D only
+    grows, so a branch is cut once no nu is left enough or once the b left
+    cannot reach need."""
+    rest = np.cumsum(weight[::-1])[::-1]   # rest[j]: weight[j:] summed
+    branches = [(0, 0, np.zeros(pair.shape[1:], dtype=bool))]
+    while branches:
+        start, total, D = branches.pop()
+        grown = D | pair[start:]
+        open_ = (sq @ ~grown >= need).any(axis=1)
+        totals = total + weight[start:]
+        if (open_ & (totals >= need)).any():
+            return True
+        reach = total + rest[start:] >= need
+        for c in np.flatnonzero(open_ & reach)[::-1]:
+            branches.append((start + c + 1, totals[c], grown[c]))
+    return False
 
 
 def _support_witness(T, supports, product) -> dict:

@@ -8,7 +8,10 @@ restrictions from reading a class function element by element, induced
 characters from a conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
-minimal supports from a scan of every mask, random supports from one scalar
+tensor powers and sumsets from one factor at a time, the exhaustive TQR2
+search from a walk over every pair of minimal supports, minimal supports
+from a scan of every mask, the canonical irreducible order from one sort key
+of rounded tuples per row, random supports from one scalar
 draw per irreducible, sampled product sets from one np.unique per trial and
 product, Cayley tables from a dict lookup of every pairwise
 product, associativity from every triple, abelian characters and their
@@ -320,6 +323,85 @@ def brute_force_tqr3_search(T, minimal, power, threshold):
     return len(minimal), None, None
 
 
+def _stacked_multiplicities(T, values):
+    """<f, chi_c> for every row f of a (b, classes) stack and every c, by
+    the weighted inner products, checked to be non-negative integers."""
+    w = T.classes.sizes / T.group.order
+    raw = (w * values) @ T.values.conj().T
+    mult = np.rint(raw.real).astype(np.int64)
+    assert np.max(np.abs(raw - mult), initial=0.0) < 1e-8 and mult.min(initial=0) >= 0
+    return mult
+
+
+def stepwise_power_support(T, mask, m):
+    """Support of the m-fold tensor power of a support row, or of each row
+    of a (b, r) stack, by m - 1 two-factor steps."""
+    out = mask
+    for _ in range(m - 1):
+        chars = (out @ T.values) * (mask @ T.values)
+        out = _stacked_multiplicities(T, chars.reshape(-1, chars.shape[-1])
+                                      ).reshape(out.shape) > 0
+    return out
+
+
+def stepwise_m_fold_mask(factors, A, m):
+    """The m-fold sumset of a mask A over Z_{d1} x ... x Z_{dr}, elements in
+    lexicographic order of their exponent tuples, by m - 1 sumsets."""
+    coords = np.indices(factors).reshape(len(factors), -1).T
+    out = A
+    for _ in range(m - 1):
+        sums = (coords[out][:, None] + coords[A]) % factors
+        out = np.zeros(len(A), dtype=bool)
+        out[np.ravel_multi_index(sums.reshape(-1, len(factors)).T, factors)] = True
+    return out
+
+
+def pair_walk_tqr2_search(T, minimal, dens):
+    """Every pair i <= j of the given support rows, in lexicographic order.
+    A pair ends a triple missing nu iff the irreducibles outside
+    D_nu = supp(conj(chi_i chi_j) chi_nu) have measure >= dens; the first such
+    pair and its first third support k avoiding some D_nu are the first
+    failing triple of all, counted (i*s + j)*s + k + 1. Returns the count
+    and the witness dict, or s^3 and None."""
+    r, s = T.num_irreps, len(minimal)
+    n = T.group.order
+    sq = T.dims.astype(np.int64) ** 2
+    for i, j in itertools.combinations_with_replacement(range(s), 2):
+        dual = np.conj((minimal[i] @ T.values) * (minimal[j] @ T.values))
+        hit = _stacked_multiplicities(T, dual * T.values) > 0   # hit[nu, mu]
+        if not any(Fraction(int(sq[~row].sum()), n) >= dens for row in hit):
+            continue
+        k = next(k for k, row in enumerate(minimal)
+                 if not (row @ hit.T).all())
+        triple = minimal[[i, j, k]]
+        chars = triple @ T.values
+        product = _stacked_multiplicities(T, (chars[0] * chars[1] * chars[2])[None])[0] > 0
+        witness = {"supports": [np.flatnonzero(row).tolist() for row in triple],
+                   "measures": [float(Fraction(int(row @ sq), n)) for row in triple],
+                   "missing": np.flatnonzero(~product).tolist()}
+        return (i * s + j) * s + k + 1, witness
+    return s ** 3, None
+
+
+def pair_walk_tqr2_report(T, params):
+    """The tqr2 report of an exhaustive phase over the minimal supports of
+    brute_force_minimal_supports, walked by pair_walk_tqr2_search, followed
+    by the scalar random phase when it finds no witness."""
+    dens = params.density_frac()
+    r = T.num_irreps
+    minimal = np.array([[m >> i & 1 for i in range(r)]
+                        for m in brute_force_minimal_supports(T, dens)], dtype=bool)
+    checked, witness = pair_walk_tqr2_search(T, minimal, dens)
+    if witness is None:
+        rand = scalar_random_tqr_report(T, params, "tqr2")
+        checked += rand["details"]["triples_checked"]
+        witness = rand["witness"]
+    return {"criterion": "tqr2", "holds": witness is None,
+            "mode": "exhaustive-minimal+randomized",
+            "parameters": params.to_json_dict(), "witness": witness,
+            "details": {"triples_checked": checked}, "error": None}
+
+
 def fraction_sum_measure(T, mask):
     """Plancherel measure of a support as a sum of one Fraction per member."""
     n = T.group.order
@@ -435,6 +517,17 @@ def brute_force_minimal_supports(T, dens):
     return [m for m in range(1, len(reaches)) if reaches[m]
             and not any(reaches[m & ~(1 << i)] for i in range(T.num_irreps)
                         if m >> i & 1)]
+
+
+def rounded_tuple_irrep_order(chars, dims):
+    """Row order of a character table by the key (nontrivial, dim, the
+    tuple of (re, im) pairs each rounded by Python's round to 8 places)."""
+    def key(lam):
+        row = chars[lam]
+        rounded = tuple((round(float(v.real), 8), round(float(v.imag), 8)) for v in row)
+        is_trivial = all(abs(v - 1.0) < 1e-6 for v in row)
+        return (0 if is_trivial else 1, int(dims[lam]), rounded)
+    return sorted(range(len(dims)), key=key)
 
 
 def regular_rep_char_table(G, seed=11, tol=1e-7, attempts=8):

@@ -9,7 +9,7 @@ from tqrgroups import (CharTableError, build_group, center, compute_char_table,
                        conjugacy_classes, decompose, dumps_interchange,
                        from_interchange, induce_character, inner_product,
                        loads_interchange, normal_subgroups, subgroup_table)
-from tqrgroups.chartable import _combined_class_matrix
+from tqrgroups.chartable import _canonical_irrep_order, _combined_class_matrix
 
 
 def _sorted_chars(values, dims):
@@ -254,6 +254,23 @@ def test_interchange_computes_column_residual():
     doc["values"][1][1][0] += 1e-3
     with pytest.raises(CharTableError, match="orthogonality"):
         from_interchange(doc)
+
+
+@pytest.mark.parametrize("spec", [*FIXTURE_SPECS.values(),
+                                  {"family": "cyclic", "params": {"n": 120}},
+                                  {"family": "extraspecial", "params": {"p": 7}},
+                                  {"family": "affine", "params": {"p": 31}}])
+def test_canonical_irrep_order_matches_rounded_tuple_key(spec):
+    # the finished table is already in canonical order, so shuffle its rows
+    G = build_group(spec)
+    T = compute_char_table(G)
+    rng = np.random.default_rng(T.num_irreps)
+    for _ in range(3):
+        shuffle = rng.permutation(T.num_irreps)
+        chars, dims = T.values[shuffle], T.dims[shuffle]
+        order = _canonical_irrep_order(chars, dims)
+        assert order.tolist() == oracle.rounded_tuple_irrep_order(chars, dims)
+        assert np.array_equal(chars[order], T.values)
 
 
 def test_quality_metrics_present():

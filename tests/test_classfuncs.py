@@ -249,3 +249,31 @@ def test_support_measure_matches_fraction_sum_oracle(name, data):
     mask = data.draw(st.integers(0, (1 << T.num_irreps) - 1))
     assert (support_measure_frac(T, mask_row(mask, T.num_irreps))
             == oracle.fraction_sum_measure(T, mask))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_power_support_matches_stepwise_oracle(name):
+    # binary powering against m - 1 steps, on a (b, r) stack: every single
+    # irreducible and three random supports
+    T = get_table(name)
+    r = T.num_irreps
+    rng = np.random.default_rng(r)
+    stack = np.concatenate([np.eye(r, dtype=bool), rng.random((3, r)) < 0.3])
+    for m in range(1, 13):
+        assert np.array_equal(power_support_mask(T, stack, m),
+                              oracle.stepwise_power_support(T, stack, m))
+    assert np.array_equal(power_support_mask(T, stack[r], 7),
+                          oracle.stepwise_power_support(T, stack[r], 7))
+
+
+def test_power_support_of_a_cycling_row():
+    # the sign irreducible of S3 squares to the trivial one, so its powers
+    # alternate and never stall in size; a billion is even
+    T = get_table("S3")
+    sign = np.array([False, True, False])
+    trivial = np.array([True, False, False])
+    for m in range(1, 13):
+        assert np.array_equal(power_support_mask(T, sign, m),
+                              oracle.stepwise_power_support(T, sign, m))
+    assert np.array_equal(power_support_mask(T, sign, 10 ** 9), trivial)
+    assert np.array_equal(power_support_mask(T, sign, 10 ** 9 + 1), sign)

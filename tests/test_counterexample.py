@@ -182,6 +182,32 @@ def test_mask_sumsets_match_tuple_sumsets(factors):
                 m_fold_sumset(K, _tuples(K, A), m)
 
 
+@pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 6), (2, 2, 2), (5, 5), (4, 8)])
+def test_m_fold_mask_matches_stepwise_oracle(factors):
+    # sparse and dense random sets, a lone element (every sumset one
+    # translate of it) and a coset of a subgroup
+    K = AbelianGroup(factors)
+    rng = np.random.default_rng(K.order)
+    sets = [rng.random(K.order) < q for q in (0.05, 0.1, 0.3)]
+    sets += [np.arange(K.order) == K.order - 1, np.arange(K.order) % 2 == 1]
+    for A in sets:
+        for m in range(1, 13):
+            assert np.array_equal(m_fold_mask(K, A, m),
+                                  oracle.stepwise_m_fold_mask(factors, A, m))
+
+
+def test_m_fold_mask_of_a_huge_m_is_a_translate():
+    # every k-fold sumset stalls by k = |K|, after which mA depends only on
+    # m modulo the exponent
+    K = AbelianGroup((3, 6))
+    rng = np.random.default_rng(7)
+    for A in (np.arange(K.order) == 5, rng.random(K.order) < 0.15):
+        for m in (10 ** 18, 10 ** 18 + 1, 2 ** 63 + 5):
+            small = K.order + 1 + (m - K.order - 1) % K.exponent
+            assert np.array_equal(m_fold_mask(K, A, m),
+                                  oracle.stepwise_m_fold_mask(K.factors, A, small))
+
+
 def test_translate_cover_interval():
     tc = translate_cover([(0,), (1,)], 2, 3)
     assert tc.count == 3

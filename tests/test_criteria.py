@@ -587,13 +587,17 @@ _ROADMAP_WITNESSES = [
     ({"family": "product", "params": {"left": {"family": "alternating", "params": {"n": 5}},
                                       "right": {"family": "alternating", "params": {"n": 4}}}}, 0.1),
     ({"family": "dihedral", "params": {"n": 30}}, 0.3),
+    ({"family": "dihedral", "params": {"n": 30}}, 0.4),
+    ({"family": "dihedral", "params": {"n": 30}}, 0.5),
 ]
 
 
 @pytest.mark.parametrize("spec, density", _ROADMAP_WITNESSES)
 def test_tqr2_finds_witness_where_the_triple_cap_truncated(spec, density):
     # each of these has more than 125 minimal supports, so the old triple
-    # cap skipped the exhaustive phase and 200 random triples said "holds"
+    # cap skipped the exhaustive phase and 200 random triples said "holds";
+    # D30 at 0.4 and 0.5 (23,595 minimal supports at 0.5) still said "holds"
+    # after a walk over pairs stopped at a budget of 2M decomposed rows
     G, C, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density)
     rep, = check_tqr(G, C, T, params, names=("tqr2",))
@@ -608,24 +612,37 @@ def test_tqr2_finds_witness_where_the_triple_cap_truncated(spec, density):
     assert missing and rep.witness["missing"] == missing
 
 
-def test_tqr2_pair_budget_stops_the_search_and_says_so(monkeypatch):
-    # A5 at density 0.2: TQR2 holds, proved over all 15 pairs of its 5
-    # minimal supports; a budget of two pairs' rows stops after (0,0), (0,1)
-    T = get_table("A5")
-    params = CriteriaParams(density=0.2, support_trials=0)
+# (name, density) of every fixture group with r <= 20 at five densities; the
+# oracle walks up to s(s+1)/2 pairs one at a time, so cases with more than
+# 200 minimal supports are left to the regression tests below
+_PAIR_WALK_CASES = [
+    (name, density) for name in sorted(FIXTURE_SPECS) for density in (0.1, 0.3, 0.5, 0.7, 0.9)
+    if get_table(name).num_irreps <= 20
+    and len(_minimal_supports(get_table(name), Fraction(str(density)))) <= 200]
+
+
+@pytest.mark.parametrize("support_trials", [0, 200])
+@pytest.mark.parametrize("name, density", _PAIR_WALK_CASES)
+def test_tqr2_search_matches_pair_walk_oracle(name, density, support_trials):
+    T = get_table(name)
+    params = CriteriaParams(density=density, support_trials=support_trials)
+    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    assert json.dumps(rep.to_json_dict()) == json.dumps(oracle.pair_walk_tqr2_report(T, params))
+
+
+@pytest.mark.parametrize("spec, density", [
+    ({"family": "product", "params": {"left": {"family": "cyclic", "params": {"n": 3}},
+                                      "right": {"family": "dihedral", "params": {"n": 4}}}}, 0.6),
+    ({"family": "product", "params": {"left": {"family": "symmetric", "params": {"n": 4}},
+                                      "right": {"family": "symmetric", "params": {"n": 3}}}}, 0.5)])
+def test_tqr2_holds_after_every_triple_of_minimal_supports(spec, density):
+    # a proof: every one of the s^3 triples, then the 200 random ones
+    G, C, T = get_table_for_spec(json.dumps(spec))
+    params = CriteriaParams(density=density)
     s = len(_minimal_supports(T, params.density_frac()))
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    rep, = check_tqr(G, C, T, params, names=("tqr2",))
     assert rep.holds and rep.mode == "exhaustive-minimal+randomized"
-    assert rep.details["triples_checked"] == s ** 3
-    monkeypatch.setattr(criteria, "TQR2_ROW_BUDGET", 2 * T.num_irreps)
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
-    assert rep.mode == "exhaustive-truncated+randomized"
-    # (0,0) covers s ordered triples, (0,1) and (1,0) another 2s
-    assert rep.details["triples_checked"] == 3 * s
-    with_random = CriteriaParams(density=0.2)
-    rep, = check_tqr(T.group, T.classes, T, with_random, names=("tqr2",))
-    assert rep.mode == "exhaustive-truncated+randomized"
-    assert rep.details["triples_checked"] == 3 * s + with_random.support_trials
+    assert rep.details["triples_checked"] == s ** 3 + params.support_trials
 
 
 def test_support_search_past_one_word_of_irreducibles():

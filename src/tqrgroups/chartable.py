@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .groups import ClassData, GroupTable, GroupError, build_group, conjugacy_classes
+from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
+                     element_orders)
 
 
 class CharTableError(RuntimeError):
@@ -77,7 +78,7 @@ class CharTable:
         TOL*chi(1) of that bound or above; anything else is not certified.
         """
         G, C = self.group, self.classes
-        orders = np.array([G.element_order(int(x)) for x in C.representatives])
+        orders = element_orders(lambda a, b: G.mul[a, b], G.identity, C.representatives)
         slack = config.TOL * self.dims[:, None]
         d = self.dims[:, None] - self.values.real
         inside = d <= slack

@@ -280,19 +280,13 @@ def _pick_normal(T, selector: str):
             if N.members == zen.members:
                 return N
         raise UsageError("center not found among normal subgroups")
-    if s.startswith("order:"):
-        want = int(s.split(":", 1)[1])
-        hits = [N for N in subs if N.order == want]
+    key, _, value = s.partition(":")
+    if key in ("order", "index"):
+        want = int(value)
+        hits = [N for N in subs if getattr(N, key) == want]
         if len(hits) != 1:
             raise UsageError(
-                f"{len(hits)} normal subgroups of order {want}; need exactly 1")
-        return hits[0]
-    if s.startswith("index:"):
-        want = int(s.split(":", 1)[1])
-        hits = [N for N in subs if N.index == want]
-        if len(hits) != 1:
-            raise UsageError(
-                f"{len(hits)} normal subgroups of index {want}; need exactly 1")
+                f"{len(hits)} normal subgroups of {key} {want}; need exactly 1")
         return hits[0]
     raise UsageError(f"unknown normal-subgroup selector {selector!r}")
 
@@ -302,7 +296,11 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
     G, C, T = _load_table(spec)
     N = _pick_normal(T, args.get("normal", "group"))
     eps = args.get("epsilon")
-    eps = Fraction(str(eps)) if eps is not None else None
+    if eps is not None:
+        try:
+            eps = Fraction(str(eps))
+        except ZeroDivisionError:
+            raise UsageError(f"epsilon {eps} has a zero denominator") from None
     V, report = build_counterexample_rep(G, C, T, N, int(args.get("m", 3)),
                                          epsilon=eps)
     payload = {"rep": V.to_json_dict(), "normal_order": N.order,
@@ -316,18 +314,13 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
 
 
 def _parse_tuples(text: str, rank: int) -> list[tuple]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coords = tuple(int(v) for v in chunk.split(","))
-        if len(coords) != rank:
-            raise UsageError(f"element {chunk!r} does not have rank {rank}")
-        out.append(coords)
-    if not out:
+    chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+    if not chunks:
         raise UsageError("empty element set")
-    return out
+    for chunk in chunks:
+        if len(chunk.split(",")) != rank:
+            raise UsageError(f"element {chunk!r} does not have rank {rank}")
+    return [tuple(int(v) for v in chunk.split(",")) for chunk in chunks]
 
 
 def run_sumset(args: dict) -> tuple[dict, int]:
@@ -352,7 +345,7 @@ def run_sumset(args: dict) -> tuple[dict, int]:
         payload = tc.to_json_dict()
     else:
         S = m_fold_sumset(group, elems, m)
-        payload = {"sumset": sorted([list(t) for t in S]), "size": len(S)}
+        payload = {"sumset": S.tolist(), "size": len(S)}
     return _envelope("sumset", None, params, payload), 0
 
 
@@ -367,9 +360,29 @@ _RUNNERS = {
 }
 
 
+def _check_suite_config(cfg) -> None:
+    """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
+    with string commands, object args and ids that are new plain file names."""
+    if not isinstance(cfg, dict):
+        raise UsageError("suite config must be a JSON object")
+    exps = cfg.get("experiments", [])
+    if not isinstance(exps, list) or not all(isinstance(e, dict) for e in exps):
+        raise UsageError("suite experiments must be a list of objects")
+    ids = [exp.get("id") for exp in exps]
+    for i, (exp_id, exp) in enumerate(zip(ids, exps)):
+        if (not isinstance(exp_id, str) or exp_id in ids[:i] or exp_id in ("", ".", "..")
+                or "/" in exp_id or os.sep in exp_id):
+            raise UsageError(f"suite experiment id {exp_id!r} is not a new plain file name")
+        if not (isinstance(exp.get("command"), str)
+                and isinstance(exp.get("args", {}), dict)):
+            raise UsageError(f"suite experiment {exp_id!r} needs a string command "
+                             f"and, if it has args, an args object")
+
+
 def run_suite(args: dict) -> tuple[dict, int]:
     with open(args["config"]) as fh:
         cfg = json.load(fh)
+    _check_suite_config(cfg)
     outdir = args.get("outdir", ".")
     os.makedirs(outdir, exist_ok=True)
     summary = {"version": __version__, "config": args["config"],
@@ -496,7 +509,8 @@ def main(argv: list[str] | None = None) -> int:
             doc, code = _RUNNERS[command](args)
             _emit(doc, out)
         return code
-    except (UsageError, FileNotFoundError, CharTableError, ValueError) as exc:
-        # GroupError and json.JSONDecodeError are ValueErrors
+    except (UsageError, OSError, CharTableError, ValueError) as exc:
+        # GroupError and json.JSONDecodeError are ValueErrors; OSError covers
+        # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,8 @@ character is evaluated.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,7 @@ from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (ClassData, GroupError, GroupTable, Subgroup, _check_order,
-                     _is_prime, center_of_subset)
+                     _is_prime, center_of_subset, element_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +36,7 @@ class AbelianGroup:
 
     Element i is the i-th exponent tuple in lexicographic order, coords[i];
     a subset is a boolean mask over the elements, and the character with
-    exponent row theta is x -> exp(2 pi i sum_j theta_j x_j / d_j). The
-    tuple add/neg/zero serve the sumsets and translate covers of `tqr sumset`.
+    exponent row theta is x -> exp(2 pi i sum_j theta_j x_j / d_j).
     """
 
     factors: tuple[int, ...]
@@ -76,16 +74,6 @@ class AbelianGroup:
         e = self.exponent
         roots = np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)])
         return roots[(self.coords[thetas] * (e // self._moduli)) @ self.coords.T % e]
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return tuple(0 for _ in self.factors)
-
-    def add(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(x, self.factors))
 
     def __repr__(self):
         return f"AbelianGroup{self.factors}"
@@ -187,18 +175,6 @@ def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     return AbelianStructure(AbelianGroup(tuple(d for _, d in basis)), to_parent)
 
 
-def _orders(mul_fn, identity, elems) -> np.ndarray:
-    """Order of each element of an index array, all powers taken at once."""
-    orders = np.ones(len(elems), dtype=np.int64)
-    y = elems.copy()
-    live = y != identity
-    while live.any():
-        y[live] = mul_fn(y[live], elems[live])
-        orders += live
-        live &= y != identity
-    return orders
-
-
 def _powers(mul_fn, identity, g, d) -> np.ndarray:
     """g^0, ..., g^(d-1)."""
     out = [identity]
@@ -207,24 +183,20 @@ def _powers(mul_fn, identity, g, d) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
-    """Primary decomposition + per-prime basis; returns [(generator, order)].
+def _abelian_basis(mul_fn, identity, elems) -> list[list[tuple[int, int]]]:
+    """Primary decomposition + per-prime basis: for each prime dividing
+    |elems|, in increasing order, [(generator, order)] by decreasing order.
 
     `mul_fn` multiplies element indices elementwise, on ints or arrays."""
-    orders = _orders(mul_fn, identity, elems)
+    orders = element_orders(mul_fn, identity, elems)
     n = len(elems)
-    primes = sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)})
     basis = []
-    for p in primes:
-        primary = elems[[_is_prime_power(int(o), p) for o in orders]]
-        basis.extend(_p_group_basis(mul_fn, identity, primary, p))
+    for p in (p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)):
+        # an order divides n, so it is a power of p iff it divides the p-part
+        primary = elems[math.gcd(n, p ** n.bit_length()) % orders == 0]
+        basis.append(sorted(_p_group_basis(mul_fn, identity, primary, p),
+                            key=lambda t: -t[1]))
     return basis
-
-
-def _is_prime_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
@@ -236,7 +208,7 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
     if len(elems) == 1:
         return []
 
-    orders = _orders(mul_fn, identity, elems)
+    orders = element_orders(mul_fn, identity, elems)
     a1 = int(elems[np.argmax(orders)])    # the least element of maximal order
     d1 = int(orders.max())
     pow_list = _powers(mul_fn, identity, a1, d1)
@@ -263,19 +235,14 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
 
 
 def _merge_invariant_factors(mul_fn, identity, basis) -> list[tuple[int, int]]:
-    """Combine primary cyclic factors into invariant factors d1 | d2 | ... ."""
-    by_prime: dict[int, list[tuple[int, int]]] = {}
-    for gen, order in basis:
-        p = _smallest_prime_factor(order)
-        by_prime.setdefault(p, []).append((gen, order))
-    for lst in by_prime.values():
-        lst.sort(key=lambda t: -t[1])
+    """Combine the per-prime cyclic factors of _abelian_basis into invariant
+    factors d1 | d2 | ... ."""
     merged = []
-    while any(by_prime.values()):
+    while any(basis):
         gen, order = identity, 1
-        for p in sorted(by_prime):
-            if by_prime[p]:
-                g, d = by_prime[p].pop(0)
+        for factors in basis:
+            if factors:
+                g, d = factors.pop(0)
                 # coprime orders: the product generates a cyclic group of order*d
                 gen = mul_fn(gen, g)
                 order *= d
@@ -284,146 +251,24 @@ def _merge_invariant_factors(mul_fn, identity, basis) -> list[tuple[int, int]]:
     return merged
 
 
-def _smallest_prime_factor(n):
-    for p in range(2, n + 1):
-        if n % p == 0:
-            return p
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Sumsets and translate covers
+#
+# Besides masks, a set of elements is an array of distinct int64 coordinate
+# rows in lexicographic order, reduced mod the factors in an AbelianGroup and
+# exact in the integer lattice (group=None).
 
 
-def m_fold_sumset(group: AbelianGroup | None, A, m: int) -> set:
-    """A + A + ... + A (m times), exactly."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    add = group.add if group is not None else _tuple_add
-    A = {tuple(a) for a in A}
-    out = set(A)
-    for _ in range(m - 1):
-        out = {add(x, a) for x in out for a in A}
+def _mask(K: AbelianGroup, coords) -> np.ndarray:
+    """The mask over K of coordinate rows (..., rank), reduced mod the factors."""
+    out = np.zeros(K.order, dtype=bool)
+    out[K.index(coords)] = True
     return out
-
-
-def _tuple_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _tuple_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-@dataclass
-class TranslateCover:
-    translates: list[tuple]
-    count: int
-    bound: int
-    n_set_size: int
-    mn_set_size: int
-
-    def to_json_dict(self) -> dict:
-        return {"translates": [list(t) for t in self.translates],
-                "count": self.count, "bound": self.bound,
-                "n_set_size": self.n_set_size, "mn_set_size": self.mn_set_size}
-
-
-def translate_cover(B, n: int, m: int,
-                    group: AbelianGroup | None = None) -> TranslateCover:
-    """Cover the (mn)-fold sumset of B by at most (10km)^k translates of the
-    n-fold sumset, where |B| = k+1.
-
-    B lives either in an AbelianGroup (tuples mod factors) or, with
-    group=None, in the integer lattice. The produced cover is verified by
-    exhaustive membership before returning.
-    """
-    B = sorted({tuple(b) for b in B})
-    if not B:
-        raise ValueError("B must be nonempty")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    k = len(B) - 1
-    add = group.add if group is not None else _tuple_add
-    if group is not None:
-        base = B[0]
-        shifted = [group.add(b, group.neg(base)) for b in B]
-    else:
-        base = B[0]
-        shifted = [_tuple_sub(b, base) for b in B]
-    # shifted[0] == 0; psi maps the j-th standard basis vector to shifted[j]
-    gens = shifted[1:]
-    nB = m_fold_sumset(group, B, n)
-    mnB = m_fold_sumset(group, B, m * n)
-    bound = (10 * k * m) ** k if k > 0 else 1
-
-    if m == 1 or k == 0:
-        # mnB equals nB (or B is a single point): the zero translate suffices
-        cover = [_scale(group, base, (m - 1) * n, add)]
-    else:
-        j = 1 + n // k
-        big = m * n + 1
-        q = -(-big // j)  # ceil
-        cover = []
-        base_shift = _scale(group, base, (m - 1) * n, add)
-        for a in itertools.product(range(q), repeat=k):
-            acc = base_shift
-            for coord, gen in zip(a, gens):
-                acc = _accumulate(group, acc, gen, j * coord, add)
-            cover.append(acc)
-        cover = sorted(set(cover))
-
-    kept = []
-    covered = set()
-    for t in cover:
-        cell = {add(t, x) for x in nB}
-        hit = cell & mnB
-        if hit:
-            kept.append(t)
-            covered |= hit
-    if covered != mnB:
-        raise RuntimeError("translate cover failed exhaustive verification")
-    if len(kept) > bound:
-        raise RuntimeError(
-            f"translate count {len(kept)} exceeds bound {bound}")
-    return TranslateCover(translates=kept, count=len(kept), bound=bound,
-                          n_set_size=len(nB), mn_set_size=len(mnB))
-
-
-def _scale(group, x, times, add):
-    zero = group.zero if group is not None else tuple(0 for _ in x)
-    acc = zero
-    for _ in range(times):
-        acc = add(acc, x)
-    return acc
-
-
-def _accumulate(group, acc, gen, times, add):
-    for _ in range(times):
-        acc = add(acc, gen)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Invariant small-doubling sets
-
-
-class EpsilonError(ValueError, RuntimeError):
-    """A caller's epsilon override is too large for the m-fold sumset of the
-    grown set to miss half of K. It is bad input, so a ValueError; it is also
-    a RuntimeError, like the other failed checks of the construction."""
-
-
-def default_epsilon(k: int, m: int) -> Fraction:
-    """Half the proof-bound 1/(10km)^(k+1); any value below the bound works."""
-    return Fraction(1, 2 * (10 * k * m) ** (k + 1))
 
 
 def _sumset_mask(K: AbelianGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The mask of A + B for a mask A and an index array B over K."""
-    out = np.zeros(K.order, dtype=bool)
-    out[K.index(K.coords[A][:, None] + K.coords[B])] = True
-    return out
+    return _mask(K, K.coords[A][:, None] + K.coords[B])
 
 
 def m_fold_mask(K: AbelianGroup, A: np.ndarray, m: int) -> np.ndarray:
@@ -443,6 +288,135 @@ def m_fold_mask(K: AbelianGroup, A: np.ndarray, m: int) -> np.ndarray:
             shift = (m - k - 1) % K.exponent
             return _sumset_mask(K, out, K.index(shift * K.coords[members[:1]]))
     return out
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])]
+
+
+def _element_rows(group: AbelianGroup | None, A, times: int) -> np.ndarray:
+    """The elements A as a set of rows. In the lattice, A is refused unless
+    `times` times its largest coordinate (and `times` itself) fits in int64."""
+    A = [[int(x) for x in a] for a in A]
+    if group is not None:
+        return group.coords[_mask(group, np.array(A, dtype=np.int64))]
+    top = max(abs(x) for a in A for x in a)
+    if max(top, 1) * times > np.iinfo(np.int64).max:
+        raise ValueError(f"lattice coordinates are int64, and {times} times "
+                         f"the coordinate {top} leaves that range")
+    return _unique_rows(np.array(A, dtype=np.int64))
+
+
+def _sumset(group: AbelianGroup | None, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X + Y for sets of rows X and Y."""
+    sums = X[:, None] + Y
+    if group is not None:
+        return group.coords[_mask(group, sums)]
+    return _unique_rows(sums.reshape(-1, X.shape[1]))
+
+
+def _keys(group: AbelianGroup | None, rows: np.ndarray) -> np.ndarray:
+    """A key per coordinate row (..., rank), equal iff the elements are: the
+    element index in a group, the row's bytes in the lattice."""
+    if group is not None:
+        return group.index(rows)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
+
+
+def m_fold_sumset(group: AbelianGroup | None, A, m: int) -> np.ndarray:
+    """A + A + ... + A (m times), exactly, as a set of rows: m_fold_mask in
+    a group; in the lattice only a single point a stalls, with mA = m·a."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    A = _element_rows(group, A, m)
+    if group is not None:
+        return group.coords[m_fold_mask(group, _mask(group, A), m)]
+    if len(A) == 1:
+        return m * A
+    out = A
+    for _ in range(m - 1):
+        out = _sumset(None, out, A)
+    return out
+
+
+@dataclass
+class TranslateCover:
+    translates: np.ndarray    # a set of rows
+    count: int
+    bound: int
+    n_set_size: int
+    mn_set_size: int
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "translates": self.translates.tolist()}
+
+
+def translate_cover(B, n: int, m: int,
+                    group: AbelianGroup | None = None) -> TranslateCover:
+    """Cover the (mn)-fold sumset of B by at most (10km)^k translates of the
+    n-fold sumset, where |B| = k+1, in an AbelianGroup or the lattice.
+
+    With b0 the least element and g_i = b_i - b0, the candidates are the
+    iterated sumset (m-1)n b0 + sum_i {0, j g_i, ..., (q-1) j g_i}, where
+    j = 1 + n//k and q = ceil((mn+1)/j); in a group a multiple matters only
+    modulo the exponent, so there are at most |K|. Those whose translate of
+    nB meets mnB are kept, and the cover is verified by exhaustive membership.
+    """
+    B = list(B)
+    if not B:
+        raise ValueError("B must be nonempty")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    # no coordinate below reaches (2k+1)mn times the largest one of B
+    B = _element_rows(group, B, 2 * len(B) * m * n)
+    k = len(B) - 1
+    nB = m_fold_sumset(group, B, n)
+    mnB = m_fold_sumset(group, B, m * n)
+    bound = (10 * k * m) ** k if k > 0 else 1
+
+    mod = (lambda c: c % group.exponent) if group is not None else (lambda c: c)
+    cover = _element_rows(group, mod((m - 1) * n) * B[:1], 1)
+    if m > 1 and k > 0:    # otherwise mnB = nB + (m-1)n b0 already
+        j = 1 + n // k
+        q = -(-(m * n + 1) // j)  # ceil
+        steps = mod(np.arange(q if group is None else min(q, group.exponent)) * mod(j))
+        for g in B[1:] - B[0]:
+            cover = _sumset(group, cover, steps[:, None] * g)
+
+    mn_keys = _keys(group, mnB)
+    kept = np.zeros(len(cover), dtype=bool)
+    covered = np.zeros(len(mnB), dtype=bool)
+    block = max(1, len(mnB) // len(nB))    # about |mnB| sums at a time
+    for i in range(0, len(cover), block):
+        keys = _keys(group, cover[i:i + block, None] + nB)
+        hit = np.isin(keys, mn_keys)
+        kept[i:i + block] = hit.any(axis=1)
+        covered |= np.isin(mn_keys, keys[hit])
+    if not covered.all():
+        raise RuntimeError("translate cover failed exhaustive verification")
+    translates = cover[kept]
+    if len(translates) > bound:
+        raise RuntimeError(f"translate count {len(translates)} exceeds bound {bound}")
+    return TranslateCover(translates=translates, count=len(translates), bound=bound,
+                          n_set_size=len(nB), mn_set_size=len(mnB))
+
+
+# ---------------------------------------------------------------------------
+# Invariant small-doubling sets
+
+
+class EpsilonError(ValueError, RuntimeError):
+    """A caller's epsilon override is too large for the m-fold sumset of the
+    grown set to miss half of K. It is bad input, so a ValueError; it is also
+    a RuntimeError, like the other failed checks of the construction."""
+
+
+def default_epsilon(k: int, m: int) -> Fraction:
+    """Half the proof-bound 1/(10km)^(k+1); any value below the bound works."""
+    return Fraction(1, 2 * (10 * k * m) ** (k + 1))
 
 
 def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,

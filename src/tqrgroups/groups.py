@@ -58,11 +58,8 @@ class GroupTable:
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def element_order(self, x: int) -> int:
-        n, y = 1, x
-        while y != self.identity:
-            y = int(self.mul[y, x])
-            n += 1
-        return n
+        return int(element_orders(lambda a, b: self.mul[a, b], self.identity,
+                                  np.array([x]))[0])
 
     def is_abelian(self) -> bool:
         """True iff the generators of generating_set(self) commute pairwise."""
@@ -74,6 +71,19 @@ class GroupTable:
         if self.labels is not None:
             return self.labels[x]
         return str(x)
+
+
+def element_orders(mul_fn, identity, elems) -> np.ndarray:
+    """Order of each element of an index array, all powers taken at once by
+    `mul_fn`, which multiplies index arrays elementwise."""
+    orders = np.ones(len(elems), dtype=np.int64)
+    y = np.array(elems, dtype=np.int64)
+    live = y != identity
+    while live.any():
+        y[live] = mul_fn(y[live], elems[live])
+        orders += live
+        live &= y != identity
+    return orders
 
 
 @dataclass(eq=False)

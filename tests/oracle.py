@@ -8,7 +8,8 @@ restrictions from reading a class function element by element, induced
 characters from a conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, tensor supports from one product of irreducibles at a time,
-tensor powers and sumsets from one factor at a time, the exhaustive TQR2
+tensor powers and sumsets from one factor at a time, sumsets and translate
+covers also on Python tuple sets, the exhaustive TQR2
 search from a walk over every pair of minimal supports, minimal supports
 from a scan of every mask, the canonical irreducible order from one sort key
 of rounded tuples per row, random supports from one scalar
@@ -668,6 +669,108 @@ def fraction_dual_action(factors, maps):
         out.append(q)
     return out
 
+
+def _tuple_group_ops(factors):
+    """zero, add and neg on exponent tuples of Z_{d1} x ... x Z_{dr}."""
+    zero = tuple(0 for _ in factors)
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
+
+    def neg(x):
+        return tuple((-a) % d for a, d in zip(x, factors))
+
+    return zero, add, neg
+
+
+def _tuple_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _tuple_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def tuple_m_fold_sumset(factors, A, m):
+    """A + A + ... + A (m times) as a set of tuples, by m - 1 set
+    comprehensions; factors=None is the integer lattice."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    add = _tuple_group_ops(factors)[1] if factors is not None else _tuple_add
+    A = {tuple(a) for a in A}
+    out = set(A)
+    for _ in range(m - 1):
+        out = {add(x, a) for x in out for a in A}
+    return out
+
+
+def tuple_translate_cover(B, n, m, factors=None):
+    """The JSON dict of a translate cover, built on tuples: every candidate
+    (m-1)n b0 + sum_i c_i j g_i by repeated addition, each cell a set."""
+    B = sorted({tuple(b) for b in B})
+    if not B:
+        raise ValueError("B must be nonempty")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    k = len(B) - 1
+    if factors is not None:
+        zero, add, neg = _tuple_group_ops(factors)
+        base = B[0]
+        shifted = [add(b, neg(base)) for b in B]
+    else:
+        zero, add = tuple(0 for _ in B[0]), _tuple_add
+        base = B[0]
+        shifted = [_tuple_sub(b, base) for b in B]
+    # shifted[0] == 0; psi maps the j-th standard basis vector to shifted[j]
+    gens = shifted[1:]
+    nB = tuple_m_fold_sumset(factors, B, n)
+    mnB = tuple_m_fold_sumset(factors, B, m * n)
+    bound = (10 * k * m) ** k if k > 0 else 1
+
+    if m == 1 or k == 0:
+        # mnB equals nB (or B is a single point): the zero translate suffices
+        cover = [_scale(zero, base, (m - 1) * n, add)]
+    else:
+        j = 1 + n // k
+        big = m * n + 1
+        q = -(-big // j)  # ceil
+        cover = []
+        base_shift = _scale(zero, base, (m - 1) * n, add)
+        for a in itertools.product(range(q), repeat=k):
+            acc = base_shift
+            for coord, gen in zip(a, gens):
+                acc = _accumulate(acc, gen, j * coord, add)
+            cover.append(acc)
+        cover = sorted(set(cover))
+
+    kept = []
+    covered = set()
+    for t in cover:
+        cell = {add(t, x) for x in nB}
+        hit = cell & mnB
+        if hit:
+            kept.append(t)
+            covered |= hit
+    if covered != mnB:
+        raise RuntimeError("translate cover failed exhaustive verification")
+    if len(kept) > bound:
+        raise RuntimeError(
+            f"translate count {len(kept)} exceeds bound {bound}")
+    return {"translates": [list(t) for t in kept], "count": len(kept),
+            "bound": bound, "n_set_size": len(nB), "mn_set_size": len(mnB)}
+
+
+def _scale(zero, x, times, add):
+    acc = zero
+    for _ in range(times):
+        acc = add(acc, x)
+    return acc
+
+
+def _accumulate(acc, gen, times, add):
+    for _ in range(times):
+        acc = add(acc, gen)
+    return acc
 
 def naive_sumset(add_fn, A, B):
     return {add_fn(x, y) for x in A for y in B}

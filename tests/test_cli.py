@@ -227,6 +227,86 @@ def test_sumset_lattice_elements_are_unbounded(capsys):
     assert doc["report"]["sumset"] == [[-1], [13]]
 
 
+@pytest.mark.parametrize("argv, key, want", [
+    (["--factors", "12", "--set", "0;1", "--m", "1000000000"],
+     "sumset", [[x] for x in range(12)]),
+    (["--factors", "12", "--set", "0;1", "--m", "1000000000", "--n", "1000000000",
+      "--cover"], "translates", [[x] for x in range(12)]),
+    (["--set", "5", "--m", "1000000000000"], "sumset", [[5000000000000]])])
+def test_sumset_of_a_huge_m_returns_at_once(argv, key, want, capsys):
+    code, doc = _run(["sumset", *argv], capsys)
+    assert code == 0
+    assert doc["report"][key] == want
+
+
+def test_sumset_lattice_multiples_up_to_int64_are_exact(capsys):
+    code, doc = _run(["sumset", "--set", "4611686018427387903", "--m", "2"], capsys)
+    assert code == 0
+    assert doc["report"]["sumset"] == [[9223372036854775806]]
+
+
+@pytest.mark.parametrize("argv, times, top", [
+    (["--set", "9223372036854775807", "--m", "2"], 2, 9223372036854775807),
+    (["--set", "10000000000000000000", "--m", "1"], 1, 10 ** 19),
+    (["--rank", "2", "--set", "0,-10000000000000000000", "--m", "1"], 1, 10 ** 19),
+    (["--set", "0;1152921504606846976", "--m", "2", "--n", "2", "--cover"],
+     16, 2 ** 60)])
+def test_sumset_lattice_beyond_int64_is_bad_input(argv, times, top, capsys):
+    # lattice coordinates are int64: refused, never wrapped
+    assert cli.main(["sumset", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: lattice coordinates are int64, and {times} "
+                            f"times the coordinate {top} leaves that range\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "@{tmp}"],
+    ["chartable", "--import", "{tmp}"],
+    ["suite", "--config", "{tmp}", "--outdir", "{tmp}/out"],
+    ["counterexample", "--group", "cyclic:12", "--epsilon", "1/0"]],
+    ids=["group-spec-directory", "import-directory", "suite-config-directory",
+         "epsilon-zero-denominator"])
+def test_unreadable_file_or_zero_denominator_is_bad_input(argv, tmp_path, capsys):
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_GROUP = {"command": "group", "args": {"group": "cyclic:2"}}
+
+
+@pytest.mark.parametrize("cfg", [
+    5, [1], {"experiments": 5}, {"experiments": [1]},
+    {"experiments": [_GROUP]},
+    {"experiments": [{"id": "a", "command": 5}]},
+    {"experiments": [{"id": "a", "command": "group", "args": [1]}]},
+    {"experiments": [{"id": 7, **_GROUP}]},
+    {"experiments": [{"id": "a", **_GROUP}, {"id": "../x", **_GROUP}]},
+    {"experiments": [{"id": "a", **_GROUP}, {"id": "..", **_GROUP}]},
+    {"experiments": [{"id": "a", **_GROUP}, {"id": "", **_GROUP}]},
+    {"experiments": [{"id": "a", **_GROUP}, {"id": "a", **_GROUP}]},
+], ids=str)
+def test_malformed_suite_config_is_refused_before_anything_runs(cfg, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_suite_config_without_experiments_runs_nothing(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text("{}")
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "summary.json").read_text())["experiments"] == []
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_counterexample_m_below_one_is_bad_input(m, capsys):
     assert cli.main(["counterexample", "--group", "cyclic:12", "--m", m]) == 2

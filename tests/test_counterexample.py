@@ -29,6 +29,11 @@ def _elements(K):
     return [tuple(t) for t in K.coords.tolist()]
 
 
+def _set(rows):
+    """A set of rows as a set of tuples."""
+    return {tuple(t) for t in rows.tolist()}
+
+
 def _rotation(K):
     """(x1, x2) -> (x2, -x1) on Z_d x Z_d, as an index permutation."""
     return K.index(K.coords[:, ::-1] * [1, -1])
@@ -41,8 +46,6 @@ def _rotation(K):
 def test_abelian_group_basics():
     K = AbelianGroup((2, 4))
     assert K.order == 8
-    assert K.add((1, 3), (1, 2)) == (0, 1)
-    assert K.neg((1, 3)) == (1, 1)
     with pytest.raises(ValueError):
         AbelianGroup((4, 2))   # not a divisibility chain
 
@@ -163,11 +166,15 @@ def test_aut_action_refuses_a_linear_bijection_that_is_not_a_homomorphism():
 
 def test_m_fold_sumset_examples():
     K = AbelianGroup((12,))
-    assert m_fold_sumset(K, [(0,)], 5) == {(0,)}
-    S = m_fold_sumset(K, [(0,), (1,), (2,)], 2)
+    assert _set(m_fold_sumset(K, [(0,)], 5)) == {(0,)}
+    S = _set(m_fold_sumset(K, [(0,), (1,), (2,)], 2))
     assert S == {(0,), (1,), (2,), (3,), (4,)}
-    full = m_fold_sumset(K, _elements(K), 2)
+    full = _set(m_fold_sumset(K, _elements(K), 2))
     assert full == set(_elements(K))
+
+
+def _assert_sorted_rows(rows, want):
+    assert rows.dtype == np.int64 and rows.tolist() == sorted(map(list, want))
 
 
 @pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 6), (2, 2, 2), (5, 5)])
@@ -177,9 +184,37 @@ def test_mask_sumsets_match_tuple_sumsets(factors):
     for _ in range(6):
         A = rng.random(K.order) < 0.2
         A[0] = True
-        for m in (1, 2, 3):
-            assert _tuples(K, m_fold_mask(K, A, m)) == \
-                m_fold_sumset(K, _tuples(K, A), m)
+        for m in range(1, 13):
+            want = oracle.tuple_m_fold_sumset(factors, _tuples(K, A), m)
+            assert _tuples(K, m_fold_mask(K, A, m)) == want
+            _assert_sorted_rows(m_fold_sumset(K, _tuples(K, A), m), want)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_lattice_sumsets_match_tuple_sumsets(rank):
+    rng = np.random.default_rng(rank)
+    sets = [[(0,) * rank], [(-3,) * rank]]
+    sets += [[tuple(int(v) for v in rng.integers(-4, 5, rank)) for _ in range(size)]
+             for size in (2, 3, 4)]
+    for A in sets:
+        for m in range(1, 13 if rank < 3 else 7):
+            _assert_sorted_rows(m_fold_sumset(None, A, m),
+                                oracle.tuple_m_fold_sumset(None, A, m))
+
+
+def test_lattice_sumset_of_one_point_is_its_multiple():
+    assert m_fold_sumset(None, [(5, -7)], 10 ** 12).tolist() == \
+        [[5 * 10 ** 12, -7 * 10 ** 12]]
+    top = 2 ** 62 - 1
+    assert m_fold_sumset(None, [(top,), (-top,)], 2).tolist() == \
+        [[-2 * top], [0], [2 * top]]
+
+
+@pytest.mark.parametrize("A, m", [([(2 ** 62,)], 2), ([(0,), (-2 ** 62,)], 2),
+                                  ([(10 ** 19,)], 1), ([(0,)], 2 ** 63)])
+def test_lattice_sumset_refuses_multiples_beyond_int64(A, m):
+    with pytest.raises(ValueError, match="lattice coordinates are int64"):
+        m_fold_sumset(None, A, m)
 
 
 @pytest.mark.parametrize("factors", [(12,), (2, 4), (3, 6), (2, 2, 2), (5, 5), (4, 8)])
@@ -224,6 +259,50 @@ def test_translate_cover_rank2():
     tc = translate_cover([(0, 0), (1, 0), (0, 1)], 4, 2)
     assert tc.count <= (10 * 2 * 2) ** 2
     assert tc.mn_set_size == len(m_fold_sumset(None, [(0, 0), (1, 0), (0, 1)], 8))
+
+
+def _cover_instance(rng, kind, k):
+    """k+1 distinct points as in the seeded batch: in the lattice box
+    [-4, 4]^k, or in a random AbelianGroup of rank k."""
+    if kind == "lattice":
+        pts = set()
+        while len(pts) < k + 1:
+            pts.add(tuple(int(v) for v in rng.integers(-4, 5, k)))
+        return sorted(pts), None
+    factors = tuple(sorted(int(f) for f in rng.choice([2, 3, 4, 6, 12], k)))
+    factors = tuple(int(np.lcm.reduce(factors[:i + 1])) for i in range(k))
+    K = AbelianGroup(factors)
+    pts = set()
+    while len(pts) < k + 1:       # |K| >= 2^k > k
+        pts.add(tuple(K.coords[int(rng.integers(K.order))].tolist()))
+    return sorted(pts), K
+
+
+@pytest.mark.parametrize("kind", ["lattice", "group"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_translate_cover_matches_tuple_oracle_on_a_grid(kind, k):
+    # 2 kinds x 3 ranks x 4 m x 6 n x 3 seeds = 432 covers
+    rng = np.random.default_rng([k, kind == "group"])
+    for m in range(1, 5):
+        for n in range(1, 7):
+            for _ in range(3):
+                B, K = _cover_instance(rng, kind, k)
+                got = translate_cover(B, n, m, group=K).to_json_dict()
+                assert got == oracle.tuple_translate_cover(
+                    B, n, m, None if K is None else K.factors), (B, n, m, K)
+                assert json.dumps(got)
+
+
+def test_translate_cover_of_a_huge_m_in_a_group():
+    # a multiple matters only modulo the exponent: at most |K| candidates
+    K = AbelianGroup((12,))
+    tc = translate_cover([(0,), (1,)], 10 ** 9, 10 ** 9, group=K)
+    assert tc.translates.tolist() == [[x] for x in range(12)]
+    assert (tc.count, tc.bound, tc.n_set_size, tc.mn_set_size) == (12, 10 ** 10, 12, 12)
+    # every sumset has stalled by m = 12, and 10^12 = 12 modulo the exponent 4
+    got = translate_cover([(1, 3), (0, 2)], 7, 10 ** 12, group=AbelianGroup((2, 4)))
+    want = oracle.tuple_translate_cover([(1, 3), (0, 2)], 7, 12, (2, 4))
+    assert got.to_json_dict() == want | {"bound": 10 ** 13}
 
 
 def test_translate_cover_seeded_batch():

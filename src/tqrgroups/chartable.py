@@ -12,7 +12,7 @@ import numpy as np
 
 from . import config
 from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
-                     element_orders)
+                     element_orders, subgroup_from_members)
 
 
 class CharTableError(RuntimeError):
@@ -211,22 +211,15 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
     induced values as `decompose` takes them. On a class c,
     Ind theta(c) = |G| / (|H| |c|) * (sum of theta over H ∩ c).
     """
-    members = sorted(int(m) for m in subgroup_members)
-    mset = set(members)
-    if G.identity not in mset:
-        raise GroupError("subgroup must contain the identity")
-    arr = np.fromiter(members, dtype=np.int64)
-    if not set(np.unique(G.mul[np.ix_(arr, arr)]).tolist()) <= mset:
-        raise GroupError("induction source is not a subgroup")
+    members = subgroup_from_members(G, C, subgroup_members).members
     if isinstance(theta, dict):
-        if set(theta) != mset:
+        if set(theta) != set(members):
             raise GroupError("theta must be defined exactly on the subgroup")
         theta = [theta[m] for m in members]
     values = np.asarray(theta, dtype=np.complex128)
     if values.ndim not in (1, 2) or values.shape[-1] != len(members):
         raise GroupError("theta length does not match subgroup order")
-    in_class = np.zeros((len(members), C.num_classes))
-    in_class[np.arange(len(members)), C.class_of[arr]] = 1.0
+    in_class = np.eye(C.num_classes)[C.class_of[list(members)]]
     out = (values @ in_class) * (G.order / (len(members) * C.sizes))
     return ClassFunction(G, C, out) if values.ndim == 1 else out
 

@@ -30,7 +30,7 @@ from .counterexample import (AbelianGroup, build_counterexample_rep,
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
-from .groups import (build_group, center, center_free_quotient_chain,
+from .groups import (_FAMILIES, build_group, center, center_free_quotient_chain,
                      conjugacy_classes, normal_subgroups)
 from .markov import (build_chain, mixing_experiment, mixing_time,
                      stationarity_residual)
@@ -91,14 +91,11 @@ def _parse_compact(s: str) -> dict:
                            "right": _parse_compact(args[1])}}
     if name == "quaternion8":
         return {"family": name, "params": {}}
-    if name in ("affine", "extraspecial"):
+    if name in _FAMILIES:
+        key = _FAMILIES[name][0]
         if len(args) != 1:
-            raise UsageError(f"{name} takes one parameter p")
-        return {"family": name, "params": {"p": int(args[0])}}
-    if name in ("cyclic", "dihedral", "symmetric", "alternating"):
-        if len(args) != 1:
-            raise UsageError(f"{name} takes one parameter n")
-        return {"family": name, "params": {"n": int(args[0])}}
+            raise UsageError(f"{name} takes one parameter {key}")
+        return {"family": name, "params": {key: int(args[0])}}
     raise UsageError(f"unknown group family {name!r}")
 
 
@@ -162,8 +159,11 @@ def run_group(args: dict) -> tuple[dict, int]:
 
 
 def _side_path(args: dict, rel: str) -> str:
-    base = args.get("_filedir")
-    return os.path.join(base, rel) if base else rel
+    """`rel` on the command line; inside the output directory in a suite."""
+    base, norm = args.get("_filedir"), os.path.normpath(rel)
+    if base and (os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir):
+        raise UsageError(f"side file {rel!r} is outside the suite's output directory")
+    return os.path.join(base, norm) if base else rel
 
 
 def run_chartable(args: dict) -> tuple[dict, int]:

@@ -518,7 +518,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     """
     if not N.is_normal:
         raise GroupError("N must be normal")
-    K_members = center_of_subset(G, N.members)
+    K_members = center_of_subset(G, C, N.members)
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
     dec = abelian_structure(G, K_members)
@@ -573,7 +573,7 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
     """Induce every character of a central subgroup K up to N and check that
     the supports partition Irrep(N) with Plancherel measure exactly 1/|K| each.
     """
-    central = set(center_of_subset(N_table, tuple(range(N_table.order))))
+    central = set(center_of_subset(N_table, C_N, range(N_table.order)))
     if not set(int(x) for x in K_members) <= central:
         raise GroupError("K must be central in N")
     dec = abelian_structure(N_table, K_members)

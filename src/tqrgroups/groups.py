@@ -118,7 +118,6 @@ class Subgroup:
 
     members: tuple[int, ...]
     is_normal: bool
-    is_central: bool
     index: int
 
     @property
@@ -540,23 +539,31 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
                      representatives=reps, min_nontrivial_size=c_min)
 
 
+def _witnesses(G: GroupTable, C: ClassData, members):
+    """(sorted members, each one's witness, whether they are a union of
+    classes N). N's witnesses are its class representatives: x*hgh^-1 =
+    h*(h^-1 x h)*g*h^-1 puts N*(class of g) in N once N*g is, and x commutes
+    with N iff its representative does. Other sets are their own witnesses."""
+    arr = np.unique(np.fromiter(members, dtype=np.int64))
+    if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
+        raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    cls = C.class_of[arr]
+    union = bool(C.sizes[np.unique(cls)].sum() == arr.size)
+    return arr, (C.representatives[cls] if union else arr), union
+
+
 def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
     """Validate a member set into a Subgroup, computing its flags."""
-    mset = frozenset(int(m) for m in members)
-    if G.identity not in mset:
+    arr, owner, is_normal = _witnesses(G, C, members)
+    if G.identity not in arr:
         raise GroupError("subgroup must contain the identity")
-    arr = np.fromiter(sorted(mset), dtype=np.int64)
-    inside = np.zeros(G.order, dtype=bool)
-    inside[arr] = True
-    if not inside[G.mul[np.ix_(arr, arr)]].all():
+    inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
+    if not inside[G.mul[arr[:, None], np.unique(owner)]].all():
         raise GroupError("member set is not closed under multiplication")
-    if G.order % len(mset):
+    if G.order % arr.size:
         raise GroupError("subgroup order does not divide group order")
-    is_normal = int(C.sizes[np.unique(C.class_of[arr])].sum()) == len(mset)
-    # every member commutes with every element: row a of mul equals column a
-    is_central = bool(np.array_equal(G.mul[arr], G.mul[:, arr].T))
-    return Subgroup(members=tuple(int(x) for x in arr), is_normal=is_normal,
-                    is_central=is_central, index=G.order // len(mset))
+    return Subgroup(members=tuple(arr.tolist()), is_normal=is_normal,
+                    index=G.order // arr.size)
 
 
 def generating_set(G: GroupTable) -> list[int]:
@@ -587,7 +594,7 @@ def center(G: GroupTable) -> Subgroup:
     gens = generating_set(G)
     members = np.flatnonzero(np.all(G.mul[:, gens] == G.mul[gens].T, axis=1))
     return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
-                    is_central=True, index=G.order // len(members))
+                    index=G.order // len(members))
 
 
 def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
@@ -605,7 +612,7 @@ def normal_subgroups(T: CharTable) -> list[Subgroup]:
     characters (Isaacs, Character Theory of Finite Groups, ch. 2), so the
     lattice is the closure of the kernels' class masks, plus the full mask,
     under intersection. Each mask is still verified against the Cayley table
-    by subgroup_from_members.
+    by subgroup_from_members, at its class representatives.
     """
     found = {(1 << T.classes.num_classes) - 1}
     for kernel in T.kernel_masks():
@@ -651,12 +658,13 @@ def derived_subgroup(T: CharTable) -> Subgroup:
     return _subgroup_of_mask(T, mask)
 
 
-def center_of_subset(G: GroupTable, members: tuple[int, ...]) -> tuple[int, ...]:
+def center_of_subset(G: GroupTable, C: ClassData, members) -> tuple[int, ...]:
     """Elements of `members` commuting with every element of `members`."""
-    arr = np.fromiter(members, dtype=np.int64)
-    block = G.mul[np.ix_(arr, arr)]
-    central = arr[np.all(block == block.T, axis=1)]
-    return tuple(int(x) for x in central)
+    arr, owner, _ = _witnesses(G, C, members)
+    wit = np.unique(owner)
+    central = np.zeros(G.order, dtype=bool)
+    central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
+    return tuple(arr[central[owner]].tolist())
 
 
 def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:

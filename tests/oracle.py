@@ -7,7 +7,8 @@ multiplication matrices from counting the products of one class at a time,
 restrictions from reading a class function element by element, induced
 characters from a conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
-closures, tensor supports from one product of irreducibles at a time,
+closures, subgroup closure and centres of member sets from every pairwise
+product, tensor supports from one product of irreducibles at a time,
 tensor powers and sumsets from one factor at a time, sumsets and translate
 covers also on Python tuple sets, the exhaustive TQR2
 search from a walk over every pair of minimal supports, minimal supports
@@ -107,6 +108,20 @@ def _closure(G, seed):
                     nxt.append(int(y))
         frontier = nxt
     return frozenset(members)
+
+
+def all_pairs_closed(G, members) -> bool:
+    """True iff the member set holds the identity and every pairwise
+    product of members."""
+    arr = np.array(sorted(set(int(x) for x in members)), dtype=np.int64)
+    return G.identity in arr and bool(np.isin(G.mul[np.ix_(arr, arr)], arr).all())
+
+
+def all_pairs_center(G, members) -> tuple[int, ...]:
+    """Members commuting with every member, each pair compared."""
+    arr = np.array(sorted(set(int(x) for x in members)), dtype=np.int64)
+    block = G.mul[np.ix_(arr, arr)]
+    return tuple(arr[np.all(block == block.T, axis=1)].tolist())
 
 
 def closure_join_normal_subgroups(G, C):

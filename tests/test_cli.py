@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tqrgroups import cli
+from tqrgroups import cli, groups
 
 
 def _run(argv, capsys):
@@ -23,6 +23,23 @@ def test_parse_group_specs():
     nested = cli.parse_group_spec("product(cyclic(2),symmetric(4))")
     assert nested["params"]["left"] == {"family": "cyclic", "params": {"n": 2}}
     assert nested["params"]["right"] == {"family": "symmetric", "params": {"n": 4}}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cyclic:1:2", "cyclic takes one parameter n"),
+    ("symmetric", "symmetric takes one parameter n"),
+    ("affine(5,7)", "affine takes one parameter p"),
+    ("extraspecial", "extraspecial takes one parameter p"),
+    ("nosuch:3", "unknown group family 'nosuch'"),
+])
+def test_parse_group_spec_errors(text, message):
+    with pytest.raises(cli.UsageError, match=f"^{message}$"):
+        cli.parse_group_spec(text)
+
+
+def test_parse_group_spec_reads_every_family_and_its_key():
+    for name, (key, _) in groups._FAMILIES.items():
+        assert cli.parse_group_spec(f"{name}:5") == {"family": name, "params": {key: 5}}
 
 
 def test_parse_group_spec_from_file(tmp_path):
@@ -193,6 +210,42 @@ def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     summary = json.loads((tmp_path / "one" / "summary.json").read_text())
     statuses = {e["id"]: e["status"] for e in summary["experiments"]}
     assert statuses == {"q8": "ok", "cover": "ok", "bad": "error", "walk": "ok"}
+
+
+@pytest.mark.parametrize("command, args", [
+    ("chartable", {"group": "cyclic:2", "export": "../esc.json"}),
+    ("chartable", {"group": "cyclic:2", "export": "in/../../esc.json"}),
+    ("chartable", {"group": "cyclic:2", "export": "ABS"}),
+    ("markov", {"group": "symmetric:3", "rep": "irrep:2", "tmax": 2,
+                "csv": "../esc.json"}),
+], ids=["parent", "normalised", "absolute", "markov-csv"])
+def test_suite_side_files_stay_inside_the_output_directory(command, args, tmp_path,
+                                                           capsys):
+    args = {k: str(tmp_path / "esc.json") if v == "ABS" else v for k, v in args.items()}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"id": "t", "command": command, "args": args},
+        {"id": "ok", "command": "chartable",
+         "args": {"group": "cyclic:2", "export": "sub/../in.json"}}]}))
+    outdir = tmp_path / "o"
+    assert cli.main(["suite", "--config", str(cfg), "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    entries = json.loads((outdir / "summary.json").read_text())["experiments"]
+    assert [e["status"] for e in entries] == ["error", "ok"]
+    assert "outside the suite's output directory" in entries[0]["error"]
+    assert not (tmp_path / "esc.json").exists()
+    assert sorted(os.listdir(outdir)) == ["in.json", "ok.json", "summary.json"]
+
+
+def test_command_line_side_files_take_any_path(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert cli.main(["chartable", "--group", "cyclic:2", "--export", "../t.json",
+                     "--out", os.devnull]) == 0
+    assert cli.main(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
+                     "--tmax", "2", "--csv", str(tmp_path / "c.csv"),
+                     "--out", os.devnull]) == 0
+    assert (tmp_path / "t.json").exists() and (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("factors, message", [

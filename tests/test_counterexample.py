@@ -138,9 +138,9 @@ def test_dual_action_of_rotations_matches_fraction_oracle(factors):
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
 def test_dual_action_of_conjugation_matches_fraction_oracle(name):
-    G, T = get_group(name), get_table(name)
+    G, C, T = get_group(name), get_classes(name), get_table(name)
     for N in normal_subgroups(T):
-        K_members = center_of_subset(G, N.members)
+        K_members = center_of_subset(G, C, N.members)
         if len(K_members) > 1:
             dec = abelian_structure(G, K_members)
             _assert_dual_matches_oracle(conjugation_action_on_center(G, N, dec))
@@ -459,8 +459,8 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     # (|N|/|K|) * sum over cosets of theta composed with conjugation on K
     G, C, T = get_group(name), get_classes(name), get_table(name)
     N = [s for s in normal_subgroups(T) if s.order == n_order]
-    N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
-    K_members = center_of_subset(G, N.members)
+    N = [s for s in N if len(center_of_subset(G, C, s.members)) > 1][0]
+    K_members = center_of_subset(G, C, N.members)
     dec = abelian_structure(G, K_members)
     action = conjugation_action_on_center(G, N, dec)
     kk = len(K_members)
@@ -493,7 +493,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
     N = [s for s in normal_subgroups(T)
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
-    K_members = center_of_subset(G, N.members)
+    K_members = center_of_subset(G, C, N.members)
     assert len(K_members) == 4
     dec = abelian_structure(G, K_members)
     action = conjugation_action_on_center(G, N, dec)
@@ -583,7 +583,7 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
     for name in FIXTURE_SPECS:
         G, C, T = get_group(name), get_classes(name), get_table(name)
         for N in normal_subgroups(T):
-            if len(center_of_subset(G, N.members)) <= 1:
+            if len(center_of_subset(G, C, N.members)) <= 1:
                 continue
             for m in (1, 2, 3):
                 for eps in (None, Fraction(1, 4), Fraction(1, 2)):

@@ -11,6 +11,7 @@ from tqrgroups import (CharTable, CharTableError, GroupError, build_group, cente
                        derived_subgroup, normal_subgroups, quotient,
                        subgroup_from_members, subgroup_table)
 from tqrgroups import groups
+from tqrgroups.groups import center_of_subset
 
 
 def test_family_orders():
@@ -192,6 +193,104 @@ def test_center_is_the_validated_union_of_singleton_classes(name):
     G, C = get_group(name), get_classes(name)
     members = [int(cls[0]) for cls in C.classes if len(cls) == 1]
     assert center(G) == subgroup_from_members(G, C, members)
+
+
+def _class_union(C, mask):
+    return np.concatenate([C.classes[c] for c in range(C.num_classes) if mask >> c & 1])
+
+
+def _witness_mismatches(G, C, masks):
+    """The class masks (each holding the identity class) on which
+    subgroup_from_members accepts or refuses differently from the all-pairs
+    oracle, or center_of_subset differs from the oracle's centre."""
+    bad = []
+    for mask in masks:
+        members = _class_union(C, mask)
+        try:
+            accepted = subgroup_from_members(G, C, members).is_normal
+        except GroupError:
+            accepted = False
+        if (accepted != oracle.all_pairs_closed(G, members)
+                or center_of_subset(G, C, members) != oracle.all_pairs_center(G, members)):
+            bad.append(mask)
+    return bad
+
+
+def _every_union(C):
+    return range(1, 1 << C.num_classes, 2)
+
+
+def _lattice_and_random_unions(T, seed=0, draws=200):
+    C = T.classes
+    kernels = [sum(1 << c for c in range(C.num_classes)
+                   if set(C.classes[c].tolist()) <= set(N.members))
+               for N in normal_subgroups(T)]
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(0, 2, size=(draws, C.num_classes - 1))
+    return kernels + [1 + 2 * int(sum(int(b) << i for i, b in enumerate(row)))
+                      for row in drawn]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in FIXTURE_SPECS
+                                        if get_classes(n).num_classes <= 13))
+def test_every_class_union_is_checked_as_the_all_pairs_oracle_checks_it(name):
+    # at the class representatives: x*hgh^-1 = h*(h^-1 x h)*g*h^-1
+    G, C = get_group(name), get_classes(name)
+    assert _witness_mismatches(G, C, _every_union(C)) == []
+
+
+@pytest.mark.parametrize("name", ["ES3", "ES5", "C64", "C3xD4"])
+def test_kernel_lattice_and_random_class_unions_match_the_all_pairs_oracle(name):
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    assert _witness_mismatches(G, C, _lattice_and_random_unions(T)) == []
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "aff11", "C3xD4"])
+def test_a_helper_that_drops_a_representative_is_caught(name, monkeypatch):
+    # the class of the largest representative stands on the identity,
+    # which is always closed against and commutes with everything
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    witnesses = groups._witnesses
+
+    def drop_one(G, C, members):
+        arr, owner, union = witnesses(G, C, members)
+        if union:
+            owner = np.where(owner == owner.max(), G.identity, owner)
+        return arr, owner, union
+
+    monkeypatch.setattr(groups, "_witnesses", drop_one)
+    masks = (_every_union(C) if C.num_classes <= 13
+             else _lattice_and_random_unions(T))
+    assert _witness_mismatches(G, C, masks) != []
+
+
+def test_a_set_that_is_not_a_class_union_takes_the_all_pairs_path():
+    G, C = get_group("S3"), get_classes("S3")
+    assert G.labels[:3] == ["012", "021", "102"]  # the identity and two transpositions
+    arr, owner, union = groups._witnesses(G, C, [0, 1])
+    assert owner.tolist() == arr.tolist() == [0, 1] and not union
+    H = subgroup_from_members(G, C, [0, 1])
+    assert (H.members, H.is_normal, H.index) == ((0, 1), False, 3)
+    assert center_of_subset(G, C, [0, 1]) == (0, 1)
+    assert center_of_subset(G, C, [0, 1, 2]) == oracle.all_pairs_center(G, [0, 1, 2]) == (0,)
+    with pytest.raises(GroupError, match="not closed"):
+        subgroup_from_members(G, C, [0, 1, 2])
+    # a union of classes stands on its representatives
+    arr, owner, union = groups._witnesses(G, C, range(6))
+    assert sorted(set(owner.tolist())) == C.representatives.tolist() and union
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, C: subgroup_from_members(G, C, [0, -1]),
+    lambda G, C: subgroup_from_members(G, C, [0, 6]),
+    lambda G, C: center_of_subset(G, C, (0, -1)),
+    lambda G, C: center_of_subset(G, C, (0, 6)),
+], ids=["member-minus-one", "member-order", "center-minus-one", "center-order"])
+def test_member_indices_outside_the_group_are_refused(call):
+    # -1 used to wrap to element 5 of S3, and 6 raised a bare IndexError
+    G, C = get_group("S3"), get_classes("S3")
+    with pytest.raises(GroupError, match=r"0\.\.5"):
+        call(G, C)
 
 
 def test_quotient_q8_center_is_klein_four():

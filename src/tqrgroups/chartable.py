@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
+from . import config, groups
 from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
                      element_orders, subgroup_from_members)
 
@@ -31,9 +31,6 @@ class ClassFunction:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.classes.num_classes,):
             raise ValueError("class function has wrong length")
-
-    def same_basis(self, other: "ClassFunction") -> bool:
-        return self.classes is other.classes
 
     def copy_with(self, values) -> "ClassFunction":
         return ClassFunction(self.group, self.classes, values)
@@ -100,14 +97,18 @@ class CharTable:
 
 
 def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * M_i without materializing the full r^3 tensor."""
-    r = C.num_classes
-    cl = C.class_of
-    acc = np.zeros((r, r), dtype=np.float64)
-    w = coeffs[cl]
-    for x in range(G.order):
-        np.add.at(acc, (cl, cl[G.mul[x]]), w[x])
-    return acc / C.sizes[None, :]
+    """sum_i coeffs[i] * M_i at the class representatives z_k: entry (j, k) is the
+    sum over y in C_j of coeffs[class(z_k*y^-1)], from one gather of mul and one
+    bincount per slab of at most groups._SLAB_CELLS cells, with no loop over G."""
+    r, cl = C.num_classes, C.class_of
+    slab = max(1, groups._SLAB_CELLS // G.order)
+    out = np.empty((r, r))
+    for lo in range(0, r, slab):
+        z = C.representatives[lo:lo + slab]
+        bins = cl + r * np.arange(len(z))[:, None]   # (k in the slab, class of y)
+        sums = np.bincount(bins.ravel(), coeffs[cl[G.mul[z[:, None], G.inv]]].ravel(), r * len(z))
+        out[:, lo:lo + len(z)] = sums.reshape(len(z), r).T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +118,11 @@ def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> n
 def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
     """Compute the full character table of G.
 
-    A random real recombination of the class multiplication matrices is
-    diagonalized; each eigenvector, scaled to 1 on the identity class, is the
-    vector of normalized class sums of one irreducible. Eigenvalue collisions
-    trigger a retry with the next seed (0, 1, ... up to
-    config.MAX_EIG_ATTEMPTS tries), and the finished table is certified by
+    A random real recombination of the class multiplication matrices, read off
+    mul at the class representatives, is diagonalized; each eigenvector, scaled
+    to 1 on the identity class, is the vector of normalized class sums of one
+    irreducible. Eigenvalue collisions trigger a retry with the next seed (0, 1,
+    ... up to config.MAX_EIG_ATTEMPTS tries), and the table is certified by
     orthogonality and exact integer dimension checks before it is returned.
     """
     if G.order > config.CHARTABLE_CAP:
@@ -129,8 +130,7 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
             f"order {G.order} exceeds CHARTABLE_CAP={config.CHARTABLE_CAP}")
     if C is None:
         C = conjugacy_classes(G)
-    r = C.num_classes
-    n = G.order
+    r, n = C.num_classes, G.order
     sizes = C.sizes.astype(np.float64)
 
     last_error = None
@@ -160,8 +160,7 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
             continue
 
         order_key = _canonical_irrep_order(chars, dims_i)
-        chars = chars[order_key]
-        dims_i = dims_i[order_key]
+        chars, dims_i = chars[order_key], dims_i[order_key]
 
         row_res, col_res = _orthogonality_residuals(chars, sizes, n)
         if row_res > config.TOL or col_res > config.TOL:

@@ -112,7 +112,7 @@ def lp_norm(f: ClassFunction, p) -> float:
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> complex:
     """<f, g> = (1/|G|) sum over elements of f * conj(g)."""
-    if not f.same_basis(g):
+    if f.classes is not g.classes:
         raise ValueError("class functions live on different groups")
     w = f.classes.sizes / f.group.order
     return complex(np.sum(w * f.values * np.conj(g.values)))

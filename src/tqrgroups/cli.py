@@ -358,6 +358,7 @@ _RUNNERS = {
     "counterexample": run_counterexample,
     "sumset": run_sumset,
 }
+_PARSER = [None, None]   # [the _build_parser that built it, its parser]; see main
 
 
 def _check_suite_config(cfg) -> None:
@@ -493,9 +494,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if _PARSER[0] is not _build_parser:   # first use, or a trace replaced it
+        _PARSER[:] = _build_parser, _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER[1].parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args = vars(ns)

@@ -135,9 +135,8 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
             if mixing_times[m] is None and worst[m] <= epsilon:
                 mixing_times[m] = t
         if t < t_max:
-            # row by row: one D @ K product rounds differently in the last bits
-            for row in dists:
-                row[:] = row @ M.kernel
+            # 1 x r rows, not one D @ K: each rounds as `row @ K` does, bit for bit
+            dists = (dists[:, None, :] @ M.kernel)[:, 0, :]
     return MixingReport(start=start, metric=metric, epsilon=epsilon,
                         mixing_time=mixing_times[metric], t_max=t_max,
                         curve=curve, mixing_times=mixing_times)

@@ -4,8 +4,9 @@ Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, class
 multiplication matrices from counting the products of one class at a time,
-restrictions from reading a class function element by element, induced
-characters from a conjugation sum per class, subgroups from
+their recombination from one scattered add per element, restrictions from
+reading a class function element by element, induced characters from a
+conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, subgroup closure and centres of member sets from every pairwise
 product, tensor supports from one product of irreducibles at a time,
@@ -17,7 +18,8 @@ of rounded tuples per row, random supports from one scalar
 draw per irreducible, sampled product sets from one np.unique per trial and
 product, Cayley tables from a dict lookup of every pairwise
 product, associativity from every triple, abelian characters and their
-dual actions from one Fraction per value, and the affine-group table is
+dual actions from one Fraction per value, mixing curves from one
+vector-matrix step per start row, and the affine-group table is
 assembled from its known structure.
 """
 
@@ -262,6 +264,19 @@ def class_multiplication_matrix(G, C, i):
         assert np.all(block == block[:, :1]), "class product count depends on z"
         M[:, k] = block[:, 0]
     return M
+
+
+def combined_class_matrix_loop(G, C, coeffs):
+    """sum_i coeffs[i] * M_i by one scattered add of |G| entries per element
+    x: the pair (y, x*y) adds coeffs[class(x)] at (class(y), class(x*y)),
+    and each column k is then divided by |C_k|."""
+    r = C.num_classes
+    cl = C.class_of
+    acc = np.zeros((r, r), dtype=np.float64)
+    w = coeffs[cl]
+    for x in range(G.order):
+        np.add.at(acc, (cl, cl[G.mul[x]]), w[x])
+    return acc / C.sizes[None, :]
 
 
 def restrict_character(C, f, subgroup_members):
@@ -837,3 +852,31 @@ def _partitions(n):
         for rest in _partitions(n - first):
             if not rest or rest[0] <= first:
                 yield [first] + rest
+
+
+def mixing_report_per_start(M, metric, epsilon, t_max, start):
+    """The mixing report with one distribution and one distance per start,
+    each stepped by the vector-matrix product `row @ kernel`."""
+    pi = M.stationary()
+    starts = range(M.num_states) if start is None else [start]
+    dists = {lam: np.eye(M.num_states)[lam] for lam in starts}
+    names = ("uniform", "tv_max", "tv_half_l1")
+    curve, times = [], {m: None for m in names}
+    for t in range(t_max + 1):
+        worst = {m: 0.0 for m in names}
+        for lam in starts:
+            d = dists[lam]
+            row = {"uniform": float(np.max(np.abs(d / pi - 1.0))),
+                   "tv_max": float(np.max(np.abs(d - pi))),
+                   "tv_half_l1": float(0.5 * np.sum(np.abs(d - pi)))}
+            worst = {m: max(worst[m], row[m]) for m in names}
+        curve.append({"t": t, **worst})
+        for m in names:
+            if times[m] is None and worst[m] <= epsilon:
+                times[m] = t
+        if t < t_max:
+            for lam in starts:
+                dists[lam] = dists[lam] @ M.kernel
+    return {"start": start, "metric": metric, "epsilon": epsilon,
+            "mixing_time": times[metric], "t_max": t_max,
+            "mixing_times": times, "curve": curve}

@@ -4,12 +4,34 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
-from tqrgroups import (CharTableError, build_group, center, compute_char_table,
-                       conjugacy_classes, decompose, dumps_interchange,
-                       from_interchange, induce_character, inner_product,
-                       loads_interchange, normal_subgroups, subgroup_table)
+from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
+                      get_table_for_spec)
+from tqrgroups import (CharTableError, build_group, center, chartable,
+                       compute_char_table, conjugacy_classes, decompose,
+                       dumps_interchange, from_interchange, groups,
+                       induce_character, inner_product, loads_interchange,
+                       normal_subgroups, subgroup_table)
 from tqrgroups.chartable import _canonical_irrep_order, _combined_class_matrix
+
+# Groups above the fixtures' orders on which the class matrix is checked:
+# up to 930 elements, and classes of up to 144 elements.
+LARGER_SPECS = {
+    "S6": {"family": "symmetric", "params": {"n": 6}},
+    "A6": {"family": "alternating", "params": {"n": 6}},
+    "aff23": {"family": "affine", "params": {"p": 23}},
+    "aff31": {"family": "affine", "params": {"p": 31}},
+    "ES7": {"family": "extraspecial", "params": {"p": 7}},
+    "A5xS3": {"family": "product", "params": {
+        "left": {"family": "alternating", "params": {"n": 5}},
+        "right": {"family": "symmetric", "params": {"n": 3}}}},
+}
+
+
+def _group_and_classes(name):
+    if name in FIXTURE_SPECS:
+        return get_group(name), get_classes(name)
+    G, C, _ = get_table_for_spec(json.dumps(LARGER_SPECS[name], sort_keys=True))
+    return G, C
 
 
 def _sorted_chars(values, dims):
@@ -60,16 +82,53 @@ def test_class_matrices_abelian_are_permutations():
         assert np.array_equal(M.sum(axis=1), np.ones(4, dtype=int))
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+@pytest.mark.parametrize("name", [*sorted(FIXTURE_SPECS), "S6", "aff31", "ES7"])
 def test_combined_class_matrix_matches_oracle(name):
-    # the solver's one-pass recombination equals sum_i coeffs[i] * M_i built
-    # from the oracle's class-by-class product counts
-    G, C = get_group(name), get_classes(name)
+    # the solver's gather at the class representatives equals
+    # sum_i coeffs[i] * M_i built from the oracle's class-by-class product counts
+    G, C = _group_and_classes(name)
     coeffs = np.random.default_rng(23).uniform(1.0, 2.0, C.num_classes)
     expected = sum(c * oracle.class_multiplication_matrix(G, C, i)
                    for i, c in enumerate(coeffs))
     assert np.allclose(_combined_class_matrix(G, C, coeffs), expected,
                        rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["C64", "S5", "aff13"])
+def test_combined_class_matrix_is_the_same_in_small_slabs(name, monkeypatch):
+    # 300 cells: 4 representatives per slab on C64, 2 on S5 (the last slab
+    # holds one), 1 on aff13
+    G, C = _group_and_classes(name)
+    coeffs = np.random.default_rng(5).uniform(1.0, 2.0, C.num_classes)
+    whole = _combined_class_matrix(G, C, coeffs)
+    monkeypatch.setattr(groups, "_SLAB_CELLS", 300)
+    slabbed = _combined_class_matrix(G, C, coeffs)
+    assert np.array_equal(slabbed, whole)
+    assert np.allclose(slabbed, oracle.combined_class_matrix_loop(G, C, coeffs),
+                       rtol=1e-12, atol=1e-12)
+
+
+def _assert_table_as_from_the_loop(G, C, monkeypatch):
+    # the gather only reorders the float sums of the loop's matrix: dims,
+    # irrep order and eigen attempts stay, values move in the last bits
+    T = compute_char_table(G, C)
+    with monkeypatch.context() as m:
+        m.setattr(chartable, "_combined_class_matrix", oracle.combined_class_matrix_loop)
+        ref = compute_char_table(G, C)
+    assert T.dims.tolist() == ref.dims.tolist()
+    assert T.quality["attempts"] == ref.quality["attempts"]
+    assert np.max(np.abs(T.values - ref.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURE_SPECS), *LARGER_SPECS])
+def test_table_from_the_gather_matches_the_loop(name, monkeypatch):
+    _assert_table_as_from_the_loop(*_group_and_classes(name), monkeypatch)
+
+
+def test_abelian_tables_from_the_gather_match_the_loop(monkeypatch):
+    for _, spec in oracle.abelian_group_specs_up_to(64):
+        G = build_group(spec)
+        _assert_table_as_from_the_loop(G, conjugacy_classes(G), monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8"])

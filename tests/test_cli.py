@@ -544,3 +544,54 @@ def test_in_range_environment_knobs_are_used():
     done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:12"],
                    TQR_MAX_ORDER="20")
     assert done.returncode == 0 and json.loads(done.stdout)["report"]["order"] == 12
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_PROBE = f"""
+import json, os, sys
+from tqrgroups.__main__ import main
+numpy_before = "numpy" in sys.modules
+main(["group", "--group", "cyclic:3"])
+print(json.dumps({{"numpy_before": numpy_before,
+                  **{{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}}}))
+"""
+
+
+@pytest.mark.parametrize("given, want", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+def test_entry_point_pins_blas_to_one_thread_unless_set(given, want, monkeypatch):
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    done = _python(["-c", _BLAS_PROBE], **given)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["numpy_before"] is False   # set before numpy reads them
+    assert [seen[v] for v in _BLAS_VARS] == want
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built, build = [], cli._build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    for _ in range(3):
+        assert _run(["group", "--group", "cyclic:3"], capsys)[0] == 0
+    assert cli.main(["check", "--group", "nosuch:3"]) == 2
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("flagged, plain", [
+    (["group", "--group", "quaternion8", "--normal-subgroups"],
+     ["group", "--group", "quaternion8"]),
+    (["cover", "--group", "affine:5", "--v1", "all", "--v2", "all", "--v3", "all",
+      "--profile"],
+     ["cover", "--group", "affine:5", "--v1", "all", "--v2", "all", "--v3", "all"])])
+def test_a_flag_does_not_leak_into_the_next_command(flagged, plain, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_PARSER", [None, None])
+    want = _run(plain, capsys)
+    assert _run(flagged, capsys) != want
+    assert _run(plain, capsys) == want

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (build_chain, build_group, compute_char_table,
                        decompose, mixing_experiment, distances_to_stationary,
@@ -11,6 +12,7 @@ from tqrgroups import (build_chain, build_group, compute_char_table,
                        reduced_character, split_off_identity,
                        stationarity_residual, t_step_distribution)
 from tqrgroups.chartable import ClassFunction
+from tqrgroups.cli import parse_group_spec
 from tqrgroups.classfuncs import (RepMultiset, character_of, reduce_rep,
                                   rep_from_selector)
 
@@ -38,33 +40,6 @@ def kernel_row_by_row(T, V):
         prod = ClassFunction(T.group, T.classes, T.values[lam] * red_char.values)
         kernel[lam] = decompose(T, prod).mult * dims / (dims[lam] * dim_red)
     return kernel
-
-
-def mixing_report_per_start(M, metric, epsilon, t_max, start):
-    """The mixing report with one distribution and one distance per start."""
-    pi = M.stationary()
-    starts = range(M.num_states) if start is None else [start]
-    dists = {lam: np.eye(M.num_states)[lam] for lam in starts}
-    names = ("uniform", "tv_max", "tv_half_l1")
-    curve, times = [], {m: None for m in names}
-    for t in range(t_max + 1):
-        worst = {m: 0.0 for m in names}
-        for lam in starts:
-            d = dists[lam]
-            row = {"uniform": float(np.max(np.abs(d / pi - 1.0))),
-                   "tv_max": float(np.max(np.abs(d - pi))),
-                   "tv_half_l1": float(0.5 * np.sum(np.abs(d - pi)))}
-            worst = {m: max(worst[m], row[m]) for m in names}
-        curve.append({"t": t, **worst})
-        for m in names:
-            if times[m] is None and worst[m] <= epsilon:
-                times[m] = t
-        if t < t_max:
-            for lam in starts:
-                dists[lam] = dists[lam] @ M.kernel
-    return {"start": start, "metric": metric, "epsilon": epsilon,
-            "mixing_time": times[metric], "t_max": t_max,
-            "mixing_times": times, "curve": curve}
 
 
 def test_s3_kernel_rows():
@@ -285,7 +260,7 @@ def test_mixing_report_matches_per_start_oracle(name):
         M = build_chain(T, V)
         for start in (None, T.num_irreps - 1):
             got = mixing_time(M, "tv", 0.25, start=start)
-            want = mixing_report_per_start(M, "tv_max", 0.25, 64, start)
+            want = oracle.mixing_report_per_start(M, "tv_max", 0.25, 64, start)
             assert (json.dumps(got.to_json_dict(), sort_keys=True)
                     == json.dumps(want, sort_keys=True))
 
@@ -309,3 +284,21 @@ def test_distances_take_the_worst_row():
     rows = [distances_to_stationary(M, d) for d in stack]
     assert distances_to_stationary(M, stack) == {
         m: max(r[m] for r in rows) for m in rows[0]}
+
+
+@pytest.mark.parametrize("group, selector, metric, t_max", [
+    ("extraspecial:5", "dim>=2", "tv", 64),
+    ("dihedral:30", "irrep:5", "tv", 64),
+    ("cyclic:120", "irrep:1", "tv", 64),
+    ("affine:11", "irrep:10", "uniform", 12)])
+def test_stacked_step_keeps_the_row_loop_bits(group, selector, metric, t_max):
+    # the benchmark's Markov commands and the suite's aff11 chain: one stacked
+    # product per step rounds exactly as `row @ K` per start row
+    G = build_group(parse_group_spec(group))
+    T = compute_char_table(G)
+    M = build_chain(T, rep_from_selector(T, selector))
+    got = mixing_time(M, metric, 0.25, t_max=t_max)
+    want = oracle.mixing_report_per_start(M, got.metric, 0.25, t_max, None)
+    assert np.array_equal([list(c.values()) for c in got.curve],
+                          [list(c.values()) for c in want["curve"]])
+    assert got.mixing_times == want["mixing_times"]

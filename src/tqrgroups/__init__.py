@@ -17,7 +17,8 @@ _EXPORTS = {name: module for module, names in {
     "groups": ("GroupTable", "ClassData", "Subgroup", "GroupError", "build_group",
                "conjugacy_classes", "center", "normal_subgroups", "quotient",
                "center_free_quotient_chain", "derived_subgroup",
-               "subgroup_table", "subgroup_from_members"),
+               "subgroup_table", "subgroup_from_members", "AbelianGroup",
+               "AbelianStructure", "abelian_structure"),
     "chartable": ("CharTable", "ClassFunction", "CharTableError",
                   "compute_char_table", "induce_character",
                   "to_interchange", "from_interchange",
@@ -33,8 +34,7 @@ _EXPORTS = {name: module for module, names in {
     "markov": ("ChainModel", "MixingReport", "build_chain",
                "t_step_distribution", "mixing_time", "mixing_experiment",
                "stationarity_residual", "distances_to_stationary"),
-    "counterexample": ("AbelianGroup", "AutAction", "AbelianStructure",
-                       "abelian_structure", "dual_action", "m_fold_sumset",
+    "counterexample": ("AutAction", "dual_action", "m_fold_sumset",
                        "translate_cover", "invariant_small_doubling_set",
                        "build_counterexample_rep", "verify_vtheta_partition",
                        "default_epsilon"),

@@ -1,7 +1,7 @@
-"""Complex character tables via simultaneous diagonalization of the class
-multiplication matrices, plus induced characters and a JSON interchange
-format for cross-checking against external systems.
-"""
+"""Complex character tables, read off the invariant-factor basis of an abelian
+group or by simultaneous diagonalization of the class multiplication matrices,
+plus induced characters and a JSON interchange format for cross-checking
+against external systems."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, groups
-from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
-                     element_orders, subgroup_from_members)
+from .groups import (ClassData, GroupTable, GroupError, abelian_structure, build_group,
+                     conjugacy_classes, element_orders, subgroup_from_members)
 
 
 class CharTableError(RuntimeError):
@@ -112,68 +112,78 @@ def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> n
 
 
 # ---------------------------------------------------------------------------
-# Burnside eigenvector method
+# Character tables
 
 
 def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
-    """Compute the full character table of G.
-
-    A random real recombination of the class multiplication matrices, read off
-    mul at the class representatives, is diagonalized; each eigenvector, scaled
-    to 1 on the identity class, is the vector of normalized class sums of one
-    irreducible. Eigenvalue collisions trigger a retry with the next seed (0, 1,
-    ... up to config.MAX_EIG_ATTEMPTS tries), and the table is certified by
-    orthogonality and exact integer dimension checks before it is returned.
-    """
+    """The character table of G, certified by exact integer dimensions and
+    orthogonality. G is abelian exactly when every class has one element; its
+    table is then AbelianGroup.characters in the invariant-factor basis of
+    abelian_structure, with no eigen-solve and no retry. Any other group's
+    table comes from _eigen_table."""
     if G.order > config.CHARTABLE_CAP:
         raise CharTableError(
             f"order {G.order} exceeds CHARTABLE_CAP={config.CHARTABLE_CAP}")
     if C is None:
         C = conjugacy_classes(G)
+    n = G.order
+    if C.num_classes < n:
+        return _eigen_table(G, C)
+    dec = abelian_structure(G, range(n))
+    chars = np.empty((n, n), dtype=np.complex128)
+    chars[:, C.class_of[dec.to_parent]] = dec.group.characters(np.arange(n))
+    return _certified_table(G, C, chars, attempts=0, seed=None)
+
+
+def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
+    """Burnside's method: a random real recombination of the class multiplication
+    matrices, read off mul at the class representatives, is diagonalized; each
+    eigenvector, scaled to 1 on the identity class, is the vector of normalized
+    class sums of one irreducible. An eigenvalue collision or a failed
+    certification retries with the next seed, up to config.MAX_EIG_ATTEMPTS."""
     r, n = C.num_classes, G.order
     sizes = C.sizes.astype(np.float64)
-
     last_error = None
     for attempt in range(config.MAX_EIG_ATTEMPTS):
-        rng = np.random.default_rng(attempt)
-        coeffs = rng.uniform(1.0, 2.0, r)
-        Mc = _combined_class_matrix(G, C, coeffs)
-        eigvals, eigvecs = np.linalg.eig(Mc)
-        if r > 1:
-            diff = np.abs(eigvals[:, None] - eigvals[None, :])
-            np.fill_diagonal(diff, np.inf)
-            if diff.min() < config.EIG_COLLISION:
-                last_error = f"eigenvalue collision (gap {diff.min():.2e})"
-                continue
+        coeffs = np.random.default_rng(attempt).uniform(1.0, 2.0, r)
+        eigvals, eigvecs = np.linalg.eig(_combined_class_matrix(G, C, coeffs))
+        diff = np.abs(eigvals[:, None] - eigvals[None, :])
+        np.fill_diagonal(diff, np.inf)
+        if diff.min() < config.EIG_COLLISION:
+            last_error = f"eigenvalue collision (gap {diff.min():.2e})"
+            continue
         if np.any(np.abs(eigvecs[0]) < 1e-12):
             last_error = "degenerate eigenvector at identity class"
             continue
         vecs = eigvecs / eigvecs[0]
         norms = np.sum(np.abs(vecs) ** 2 / sizes[:, None], axis=0)
-        dims_f = np.sqrt(n / norms)
-        chars = (dims_f[None, :] * vecs / sizes[:, None]).T  # rows = irreps
-
-        dims_i = np.rint(dims_f).astype(np.int64)
-        dim_err = float(np.max(np.abs(dims_f - dims_i) / np.maximum(1.0, dims_f)))
-        if dim_err > config.TOL or np.any(dims_i < 1) or int(np.sum(dims_i ** 2)) != n:
-            last_error = f"dimension certification failed (err {dim_err:.2e})"
-            continue
-
-        order_key = _canonical_irrep_order(chars, dims_i)
-        chars, dims_i = chars[order_key], dims_i[order_key]
-
-        row_res, col_res = _orthogonality_residuals(chars, sizes, n)
-        if row_res > config.TOL or col_res > config.TOL:
-            last_error = f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})"
-            continue
-
-        quality = {"row_residual": row_res, "col_residual": col_res,
-                   "dim_roundoff": dim_err, "attempts": attempt + 1,
-                   "seed": 0}
-        return CharTable(group=G, classes=C, dims=dims_i, values=chars,
-                         quality=quality)
+        chars = (np.sqrt(n / norms)[None, :] * vecs / sizes[:, None]).T  # rows = irreps
+        try:
+            return _certified_table(G, C, chars, attempts=attempt + 1, seed=0)
+        except CharTableError as exc:
+            last_error = str(exc)
     raise CharTableError(
         f"character table not certified after {config.MAX_EIG_ATTEMPTS} attempts: {last_error}")
+
+
+def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, **quality) -> CharTable:
+    """The table with rows `chars` in canonical order and `quality` beside its
+    residuals, once the dims read off the identity column are integers whose
+    squares sum to |G| and both residuals are within TOL; else CharTableError."""
+    dims_f = chars[:, 0].real
+    dims_i = np.rint(dims_f).astype(np.int64)
+    dim_err = float(np.max(np.abs(dims_f - dims_i) / np.maximum(1.0, dims_f)))
+    if dim_err > config.TOL or np.any(dims_i < 1) or int(np.sum(dims_i ** 2)) != G.order:
+        raise CharTableError(f"dimension certification failed (err {dim_err:.2e})")
+    order_key = _canonical_irrep_order(chars, dims_i)
+    chars, dims_i = chars[order_key], dims_i[order_key]
+    row_res, col_res = _orthogonality_residuals(chars, C.sizes, G.order)
+    if row_res > config.TOL or col_res > config.TOL:
+        raise CharTableError(
+            f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
+    quality = {"row_residual": row_res, "col_residual": col_res,
+               "dim_roundoff": dim_err, **quality}
+    return CharTable(group=G, classes=C, dims=dims_i, values=chars, quality=quality)
 
 
 def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,

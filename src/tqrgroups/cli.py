@@ -25,13 +25,12 @@ from . import __version__, config
 from .chartable import (CharTableError, compute_char_table, dumps_interchange,
                         loads_interchange)
 from .classfuncs import rep_from_selector
-from .counterexample import (AbelianGroup, build_counterexample_rep,
-                             m_fold_sumset, translate_cover)
+from .counterexample import build_counterexample_rep, m_fold_sumset, translate_cover
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
-from .groups import (_FAMILIES, build_group, center, center_free_quotient_chain,
-                     conjugacy_classes, normal_subgroups)
+from .groups import (_FAMILIES, AbelianGroup, build_group, center,
+                     center_free_quotient_chain, conjugacy_classes, normal_subgroups)
 from .markov import (build_chain, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -358,12 +357,20 @@ _RUNNERS = {
     "counterexample": run_counterexample,
     "sumset": run_sumset,
 }
-_PARSER = [None, None]   # [the _build_parser that built it, its parser]; see main
+_PARSER = [None, None]   # [the _build_parser that built it, its parser]
+
+
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built again whenever _build_parser is replaced (by a trace)."""
+    if _PARSER[0] is not _build_parser:
+        _PARSER[:] = _build_parser, _build_parser()
+    return _PARSER[1]
 
 
 def _check_suite_config(cfg) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
-    with string commands, object args and ids that are new plain file names."""
+    with string commands, args objects whose keys are the command's argument
+    names and ids that are new plain file names."""
     if not isinstance(cfg, dict):
         raise UsageError("suite config must be a JSON object")
     exps = cfg.get("experiments", [])
@@ -378,6 +385,13 @@ def _check_suite_config(cfg) -> None:
                 and isinstance(exp.get("args", {}), dict)):
             raise UsageError(f"suite experiment {exp_id!r} needs a string command "
                              f"and, if it has args, an args object")
+        if exp["command"] in _RUNNERS:   # an unknown one is run_suite's error
+            sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+            unknown = set(exp.get("args", {})).difference(
+                a.dest for a in sub.choices[exp["command"]]._actions)
+            if unknown:
+                raise UsageError(f"suite experiment {exp_id!r}: {min(unknown)!r} is not "
+                                 f"an option of tqr {exp['command']}")
 
 
 def run_suite(args: dict) -> tuple[dict, int]:
@@ -494,10 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if _PARSER[0] is not _build_parser:   # first use, or a trace replaced it
-        _PARSER[:] = _build_parser, _build_parser()
     try:
-        ns = _PARSER[1].parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args = vars(ns)

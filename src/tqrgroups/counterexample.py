@@ -3,17 +3,15 @@ iterated sumsets, the invariant small-doubling set algorithm on a dual group,
 and the induced representation built from it whose m-th tensor power misses
 at least half of Irrep(G) in Plancherel measure.
 
-An abelian group's elements are integer indices into its exponent tuples,
-subsets are boolean masks, automorphisms are index permutations, and a
-character is an exponent row against the invariant factors, so all sumset
-arithmetic is exact integer arithmetic; complex values appear only where a
-character is evaluated.
+Abelian groups are groups.AbelianGroup, whose basis compute_char_table also
+reads abelian tables off: elements are integer indices into exponent tuples,
+subsets are boolean masks, automorphisms are index permutations, a character
+is an exponent row against the invariant factors, so all sumset arithmetic is
+exact integer arithmetic; complex values appear only where one is evaluated.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -22,61 +20,8 @@ import numpy as np
 from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
-from .groups import (ClassData, GroupError, GroupTable, Subgroup, _check_order,
-                     _is_prime, center_of_subset, element_orders)
-
-
-# ---------------------------------------------------------------------------
-# Abelian groups on integer indices
-
-
-@dataclass(eq=False)
-class AbelianGroup:
-    """Z_{d1} x ... x Z_{dr} with d1 | d2 | ... | dr.
-
-    Element i is the i-th exponent tuple in lexicographic order, coords[i];
-    a subset is a boolean mask over the elements, and the character with
-    exponent row theta is x -> exp(2 pi i sum_j theta_j x_j / d_j).
-    """
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 1 for d in self.factors):
-            raise ValueError(f"factors must be >= 1, got {list(self.factors)}")
-        _check_order(math.prod(self.factors))
-        for a, b in zip(self.factors, self.factors[1:]):
-            if b % a:
-                raise ValueError("factors must form a divisibility chain")
-        rank = len(self.factors)
-        self._moduli = np.array(self.factors, dtype=np.int64)
-        self._strides = np.array([math.prod(self.factors[i + 1:]) for i in range(rank)],
-                                 dtype=np.int64)
-        self.coords = np.indices(self.factors).reshape(rank, self.order).T
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factors)
-
-    @property
-    def exponent(self) -> int:
-        return self.factors[-1] if self.factors else 1
-
-    def index(self, coords) -> np.ndarray:
-        """Element indices of coordinate rows (..., rank), reduced mod the
-        factors."""
-        return (np.asarray(coords) % self._moduli) @ self._strides
-
-    def characters(self, thetas) -> np.ndarray:
-        """The (b, order) values of the characters with exponent rows
-        coords[thetas]: theta(x) = roots[sum_j theta_j x_j (e/d_j) mod e]
-        for the exponent e, with roots[k] = exp(2 pi i k/e)."""
-        e = self.exponent
-        roots = np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)])
-        return roots[(self.coords[thetas] * (e // self._moduli)) @ self.coords.T % e]
-
-    def __repr__(self):
-        return f"AbelianGroup{self.factors}"
+from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
+                     GroupTable, Subgroup, abelian_structure, center_of_subset)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -141,114 +86,6 @@ def dual_action(action: AutAction) -> AutAction:
     if np.any(num * d % e):
         raise ValueError("dual action produced a non-integer exponent")
     return AutAction(K, K.index(num * d // e))
-
-
-# ---------------------------------------------------------------------------
-# Structure of an abelian subgroup of a GroupTable
-
-
-@dataclass(eq=False)
-class AbelianStructure:
-    group: AbelianGroup
-    to_parent: np.ndarray      # element index of group -> parent element index
-
-
-def abelian_structure(G: GroupTable, members) -> AbelianStructure:
-    """Invariant factor decomposition of an abelian subgroup of G."""
-    arr = np.unique(np.fromiter(members, dtype=np.int64))
-    block = G.mul[np.ix_(arr, arr)]
-    if not np.array_equal(block, block.T):
-        raise GroupError("subgroup is not abelian")
-    if len(arr) == 1:
-        return AbelianStructure(AbelianGroup(()), np.array([G.identity]))
-
-    def mul_fn(x, y):
-        return G.mul[x, y]
-
-    basis = _abelian_basis(mul_fn, G.identity, arr)
-    basis = _merge_invariant_factors(mul_fn, G.identity, basis)
-    to_parent = np.array([G.identity])
-    for gen, d in basis:
-        to_parent = G.mul[to_parent[:, None], _powers(mul_fn, G.identity, gen, d)].ravel()
-    if not np.array_equal(np.sort(to_parent), arr):
-        raise GroupError("abelian basis does not enumerate the subgroup")
-    return AbelianStructure(AbelianGroup(tuple(d for _, d in basis)), to_parent)
-
-
-def _powers(mul_fn, identity, g, d) -> np.ndarray:
-    """g^0, ..., g^(d-1)."""
-    out = [identity]
-    for _ in range(d - 1):
-        out.append(mul_fn(out[-1], g))
-    return np.array(out, dtype=np.int64)
-
-
-def _abelian_basis(mul_fn, identity, elems) -> list[list[tuple[int, int]]]:
-    """Primary decomposition + per-prime basis: for each prime dividing
-    |elems|, in increasing order, [(generator, order)] by decreasing order.
-
-    `mul_fn` multiplies element indices elementwise, on ints or arrays."""
-    orders = element_orders(mul_fn, identity, elems)
-    n = len(elems)
-    basis = []
-    for p in (p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)):
-        # an order divides n, so it is a power of p iff it divides the p-part
-        primary = elems[math.gcd(n, p ** n.bit_length()) % orders == 0]
-        basis.append(sorted(_p_group_basis(mul_fn, identity, primary, p),
-                            key=lambda t: -t[1]))
-    return basis
-
-
-def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
-    """Basis of an abelian p-group given as a sorted index array.
-
-    Splits off a maximal-order cyclic subgroup, recurses on the quotient, and
-    lifts quotient generators to genuine direct-sum generators.
-    """
-    if len(elems) == 1:
-        return []
-
-    orders = element_orders(mul_fn, identity, elems)
-    a1 = int(elems[np.argmax(orders)])    # the least element of maximal order
-    d1 = int(orders.max())
-    pow_list = _powers(mul_fn, identity, a1, d1)
-    log_a1 = {int(y): s for s, y in enumerate(pow_list)}
-    if d1 == len(elems):
-        return [(a1, d1)]
-
-    # each coset of <a1> is represented by its least element
-    rep_of = np.zeros(int(elems.max()) + 1, dtype=np.int64)
-    rep_of[elems] = mul_fn(elems[:, None], pow_list).min(axis=1)
-
-    def q_mul(x, y):
-        return rep_of[mul_fn(x, y)]
-
-    out = [(a1, d1)]
-    for gbar, mord in _p_group_basis(q_mul, int(rep_of[identity]),
-                                     np.unique(rep_of[elems]), p):
-        s = log_a1[int(_powers(mul_fn, identity, gbar, mord + 1)[-1])]
-        if s % mord:
-            raise GroupError("p-group basis lifting failed")  # impossible by theory
-        t = (-(s // mord)) % d1
-        out.append((int(mul_fn(gbar, pow_list[t])), mord))
-    return out
-
-
-def _merge_invariant_factors(mul_fn, identity, basis) -> list[tuple[int, int]]:
-    """Combine the per-prime cyclic factors of _abelian_basis into invariant
-    factors d1 | d2 | ... ."""
-    merged = []
-    while any(basis):
-        gen, order = identity, 1
-        for factors in basis:
-            if factors:
-                g, d = factors.pop(0)
-                # coprime orders: the product generates a cyclic group of order*d
-                gen = mul_fn(gen, g)
-                order *= d
-        merged.append((gen, order))
-    merged.sort(key=lambda t: t[1])
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -61,20 +61,7 @@ class CriteriaParams:
         return Fraction(str(self.density))
 
     def to_json_dict(self) -> dict:
-        return {
-            "class_threshold": self.class_threshold,
-            "dim_threshold": self.dim_threshold,
-            "density": self.density,
-            "power": self.power,
-            "power_measure_threshold": float(self.power_measure_threshold),
-            "normal_size": self.normal_size,
-            "normal_index": self.normal_index,
-            "quotient_size": self.quotient_size,
-            "seed": self.seed,
-            "trials": self.trials,
-            "support_trials": self.support_trials,
-            "exhaustive_cap": self.exhaustive_cap,
-        }
+        return {**vars(self), "power_measure_threshold": float(self.power_measure_threshold)}
 
 
 @dataclass
@@ -104,9 +91,7 @@ class CoverReport:
     threshold: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "measures": self.measures,
-                "guaranteed": self.guaranteed, "covered": self.covered,
-                "missing": list(self.missing), "threshold": self.threshold}
+        return {**vars(self), "missing": list(self.missing)}
 
 
 # ---------------------------------------------------------------------------

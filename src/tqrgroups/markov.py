@@ -45,14 +45,12 @@ class MixingReport:
     epsilon: float
     mixing_time: int | None
     t_max: int
-    curve: list[dict]
     mixing_times: dict
+    curve: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {"start": self.start, "metric": self.metric,
-                "epsilon": self.epsilon, "mixing_time": self.mixing_time,
-                "t_max": self.t_max, "mixing_times": self.mixing_times,
-                "curve": self.curve}
+        # the fields in order; dataclasses.asdict would deep-copy every curve value
+        return dict(vars(self))
 
 
 def build_chain(T: CharTable, V: RepMultiset) -> ChainModel:

@@ -11,7 +11,8 @@ from tqrgroups import (CharTableError, build_group, center, chartable,
                        dumps_interchange, from_interchange, groups,
                        induce_character, inner_product, loads_interchange,
                        normal_subgroups, subgroup_table)
-from tqrgroups.chartable import _canonical_irrep_order, _combined_class_matrix
+from tqrgroups.chartable import (_canonical_irrep_order, _combined_class_matrix,
+                                  _eigen_table)
 
 # Groups above the fixtures' orders on which the class matrix is checked:
 # up to 930 elements, and classes of up to 144 elements.
@@ -110,11 +111,12 @@ def test_combined_class_matrix_is_the_same_in_small_slabs(name, monkeypatch):
 
 def _assert_table_as_from_the_loop(G, C, monkeypatch):
     # the gather only reorders the float sums of the loop's matrix: dims,
-    # irrep order and eigen attempts stay, values move in the last bits
-    T = compute_char_table(G, C)
+    # irrep order and eigen attempts stay, values move in the last bits; the
+    # eigen path is called directly, since abelian groups no longer reach it
+    T = _eigen_table(G, C)
     with monkeypatch.context() as m:
         m.setattr(chartable, "_combined_class_matrix", oracle.combined_class_matrix_loop)
-        ref = compute_char_table(G, C)
+        ref = _eigen_table(G, C)
     assert T.dims.tolist() == ref.dims.tolist()
     assert T.quality["attempts"] == ref.quality["attempts"]
     assert np.max(np.abs(T.values - ref.values)) <= 1e-9
@@ -129,6 +131,54 @@ def test_abelian_tables_from_the_gather_match_the_loop(monkeypatch):
     for _, spec in oracle.abelian_group_specs_up_to(64):
         G = build_group(spec)
         _assert_table_as_from_the_loop(G, conjugacy_classes(G), monkeypatch)
+
+
+def _cyclic_product(*orders):
+    spec = {"family": "cyclic", "params": {"n": orders[0]}}
+    for n in orders[1:]:
+        spec = {"family": "product",
+                "params": {"left": spec, "right": {"family": "cyclic", "params": {"n": n}}}}
+    return spec
+
+
+_ABELIAN_SPECS = [spec for _, spec in oracle.abelian_group_specs_up_to(64)] + [
+    _cyclic_product(1), _cyclic_product(120), _cyclic_product(6, 10),
+    _cyclic_product(2, 2, 2, 2, 2, 2)]
+
+
+def test_abelian_tables_match_the_eigen_reference():
+    # the table read off the invariant-factor basis has the eigen-solve's
+    # dims, class order and irrep order, and values within its round-off
+    for spec in _ABELIAN_SPECS:
+        G = build_group(spec)
+        C = conjugacy_classes(G)
+        T, ref = compute_char_table(G, C), _eigen_table(G, C)
+        assert T.classes is C and T.dims.tolist() == ref.dims.tolist(), spec
+        assert np.max(np.abs(T.values - ref.values)) <= 1e-9, spec
+        assert T.quality["attempts"] == 0 and T.quality["seed"] is None, spec
+        assert T.quality["dim_roundoff"] == 0.0, spec
+        assert max(T.quality["row_residual"], T.quality["col_residual"]) <= 1e-13, spec
+
+
+@pytest.mark.parametrize("spec", [_cyclic_product(1), _cyclic_product(12),
+                                  _cyclic_product(2, 4)], ids=["C1", "C12", "C2xC4"])
+def test_abelian_tables_skip_the_eigen_solve(spec, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an abelian table reached the eigen-solve")
+
+    monkeypatch.setattr(chartable, "_combined_class_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    G = build_group(spec)
+    assert compute_char_table(G).dims.tolist() == [1] * G.order
+
+
+@pytest.mark.parametrize("name", sorted(set(FIXTURE_SPECS) - {"C6", "C12", "C64"}))
+def test_nonabelian_tables_are_the_eigen_tables(name):
+    G, C = get_group(name), get_classes(name)
+    assert C.num_classes < G.order
+    T, ref = compute_char_table(G, C), _eigen_table(G, C)
+    assert np.array_equal(T.values, ref.values) and np.array_equal(T.dims, ref.dims)
+    assert T.quality == ref.quality
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8"])

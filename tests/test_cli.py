@@ -467,6 +467,60 @@ def test_suite_records_a_bad_density_as_an_error(tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+# every option of each subcommand but --out (and --import, which --group
+# excludes), under the names the suite passes to its runner
+_EVERY_OPTION = {
+    "group": {"group": "quaternion8", "normal_subgroups": True},
+    "chartable": {"group": "symmetric:3", "export": "s3.json"},
+    "check": {"group": "quaternion8", "criterion": "tqr1", "k": 4, "density": 0.2,
+              "power": 2, "seed": 1, "trials": 5, "exhaustive_cap": 10},
+    "cover": {"group": "affine:5", "v1": "irrep:4", "v2": "irrep:4", "v3": "irrep:4",
+              "profile": True},
+    "markov": {"group": "symmetric:3", "rep": "irrep:2", "metric": "uniform",
+               "epsilon": 0.25, "tmax": 6, "start": "irrep:1", "experiment": 2,
+               "csv": "walk.csv"},
+    "counterexample": {"group": "cyclic:12", "normal": "group", "m": 2, "epsilon": "1/4"},
+    "sumset": {"factors": "12", "rank": 1, "set": "0;1", "m": 2, "cover": True, "n": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_OPTION))
+def test_suite_takes_every_option_of_each_command(command, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": command, "args": _EVERY_OPTION[command]}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [e["status"] for e in entries] == ["ok"]
+
+
+def test_a_misspelled_suite_argument_is_refused_before_anything_runs(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "q8", "command": "check", "args": {"group": "quaternion8"}},
+        {"id": "typo", "command": "check",
+         "args": {"group": "cyclic:12", "criterion": "tqr2", "denisty": 0.5}}]}))
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: suite experiment 'typo': 'denisty' is not an "
+                            "option of tqr check\n")
+    assert not out.exists()
+
+
+def test_an_unknown_suite_command_is_recorded_as_an_error(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": "nosuch", "args": {"anything": 1}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [(e["status"], e["error"]) for e in entries] == [
+        ("error", "UsageError: unknown suite command 'nosuch'")]
+
+
 @pytest.mark.parametrize("spec", [
     {"type": "cayley", "table": 5},
     {"type": "cayley", "table": [[0.5]]},

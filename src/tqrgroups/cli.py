@@ -14,6 +14,7 @@ size cap).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -117,8 +118,7 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit(doc: dict, out: str | None):
-    # a cayley group's source holds its table as an array (see build_group)
-    text = json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
     if out:
         _atomic_write(out, text)
     else:
@@ -128,8 +128,22 @@ def _emit(doc: dict, out: str | None):
 def _envelope(command: str, group_spec, params: dict, payload: dict,
               seed: int | None = None) -> dict:
     return {"version": __version__, "command": command,
-            "group_spec": group_spec, "seed": seed, "params": params,
+            "group_spec": _echo_spec(group_spec), "seed": seed, "params": params,
             "report": payload}
+
+
+def _echo_spec(spec):
+    """A group spec as reports echo it: each cayley table, here or in a
+    product factor, becomes its order and the sha256 of its compact JSON
+    (separators "," and ":"), so a report does not grow with |G|^2."""
+    if not isinstance(spec, dict):
+        return spec
+    if spec.get("type") == "cayley":
+        rows = np.asarray(spec["table"]).tolist()
+        text = json.dumps(rows, separators=(",", ":"))
+        return {"type": "cayley", "order": len(rows),
+                "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return {key: _echo_spec(value) for key, value in spec.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
                          plancherel_frac, power_support_mask, reduce_rep,
                          split_off_identity, support_measure_frac,
                          tensor_support_mask)
+from . import groups
 from .groups import ClassData, GroupError, GroupTable, derived_subgroup, normal_subgroups, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
@@ -455,8 +456,8 @@ def check_qr(G: GroupTable, T: CharTable, params: CriteriaParams | None = None,
     params = params or CriteriaParams()
     pjson = params.to_json_dict()
     return _evaluate(names, {"qr1": lambda: _qr1(T, params, pjson),
-                             "qr2": lambda: _qr23(G, params, pjson, triple=True),
-                             "qr3": lambda: _qr23(G, params, pjson, triple=False),
+                             "qr2": lambda: _qr23(T, params, pjson, triple=True),
+                             "qr3": lambda: _qr23(T, params, pjson, triple=False),
                              "qr4": lambda: _qr4(T, params, pjson)})
 
 
@@ -475,7 +476,109 @@ def _qr1(T, params, pjson) -> CriterionReport:
                            details={"min_nontrivial_dim": mind})
 
 
-def _qr23(G, params, pjson, triple: bool) -> CriterionReport:
+def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
+    """QR2 (is ABC = G for all A, B, C of size s = ceil(a*|G|)?) or QR3 (is
+    A^power = G for all such A?), decided exactly where the theory decides
+    and by _qr23_sampled in the gap.
+
+    Proofs: s = |G| leaves only A = G. Gowers (Quasirandom groups, CPC 17,
+    2008) gives ABC = G once |A||B||C| > |G|^3 / m, m the least nontrivial
+    dimension; with three sizes s that is s^3 m > |G|^3, which proves QR2,
+    and QR3 at power >= 3 since A^k = A^(k-3) A^3. Refutations: the s
+    smallest members of each set _qr23_candidates proposes, as A = B = C.
+    The product size is recomputed through the Cayley table, and a proposal
+    whose product covers G, or that has fewer than s members, is passed
+    over, so no rounding in a rule can produce a false witness.
+    """
+    G = T.group
+    n = G.order
+    dens = params.density_frac()
+    size = _density_floor(n, dens)
+    decided_by, witness = None, None
+    if size == n:
+        decided_by = "full_density"
+    elif (triple or params.power >= 3) and size ** 3 * int(T.dims[1:].min()) > n ** 3:
+        decided_by = "gowers_bound"
+    else:
+        for rule, members in _qr23_candidates(T, dens, size, triple, params.power):
+            if len(members) < size:
+                continue
+            sets = np.tile(members[:size], (1, 3 if triple else 1, 1))
+            product = int(_product_sizes(G.mul, sets, triple, params.power)[0])
+            if product < n:
+                decided_by = rule
+                witness = {"subsets": sets[0].tolist(), "product_size": product}
+                break
+    if decided_by is None:
+        return _qr23_sampled(G, params, pjson, triple)
+    return CriterionReport("qr2" if triple else "qr3", witness is None, pjson,
+                           witness=witness, mode="exact",
+                           details={"subset_size": size, "decided_by": decided_by})
+
+
+def _qr23_candidates(T, dens, size, triple, power):
+    """(rule, sorted members) of sets whose QR2 (triple) or QR3 product
+    misses G, in the order tried, for subsets of size ceil(dens*|G|) < |G|:
+
+    - power_one: for QR3 at power 1 any s-subset, since A^1 = A;
+    - normal_subgroup: a proper normal subgroup N with |N| >= s;
+    - linear_character: for chi of image order q the preimage of
+      {zeta^0, ..., zeta^(t-1)}, t = ceil(dens*q), of t*|G|/q >= s elements,
+      whose products take (factors)*(t-1)+1 < q values;
+    - centraliser: C_G(z) of a non-central class representative z, of order
+      |G|/|class| >= s;
+    - normaliser: N_G(C_G(z)) for the same z, when proper.
+
+    A proper subgroup has at most |G|/2 elements, so the subgroup rules are
+    skipped above that.
+    """
+    G, C = T.group, T.classes
+    n = G.order
+    subgroups = 2 * size <= n
+    if not triple and power == 1:
+        yield "power_one", np.arange(size)
+    if subgroups:
+        for N in normal_subgroups(T):
+            if size <= N.order < n:
+                yield "normal_subgroup", np.array(N.members)
+    linear = np.flatnonzero(T.dims == 1)[1:]
+    if linear.size:
+        # chi = exp(2 pi i K/n) on each class with K an integer, and the image
+        # is the subgroup of Z_n generated by the K: of order q = n / gcd
+        K = np.rint(np.angle(T.values[linear]) * n / (2 * np.pi)).astype(np.int64) % n
+        steps = np.gcd(np.gcd.reduce(K, axis=1), n)
+        for k, step in zip(K, steps.tolist()):
+            q = n // step
+            t = _density_floor(q, dens)
+            if (3 if triple else power) * (t - 1) + 1 < q:
+                yield "linear_character", np.flatnonzero(k[C.class_of] // step < t)
+    if subgroups:
+        z = C.representatives[C.sizes > 1]
+        cents = [np.flatnonzero(G.mul[:, x] == G.mul[x]) for x in z]
+        for H in cents:
+            if len(H) >= size:
+                yield "centraliser", H
+        for H in cents:
+            N = _normaliser(G, H)
+            if len(N) < n:
+                yield "normaliser", N
+
+
+def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
+    """N_G(H) = {g : g H g^-1 = H} for a subgroup H given by its sorted
+    members, as sorted members; the conjugates are gathered in slabs of at
+    most groups._SLAB_CELLS cells."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[H] = True
+    slab = max(1, groups._SLAB_CELLS // len(H))
+    keep = np.empty(G.order, dtype=bool)
+    for lo in range(0, G.order, slab):
+        g = np.arange(lo, min(lo + slab, G.order))
+        keep[g] = inside[G.mul[G.mul[g[:, None], H], G.inv[g][:, None]]].all(axis=1)
+    return np.flatnonzero(keep)
+
+
+def _qr23_sampled(G, params, pjson, triple: bool) -> CriterionReport:
     """Sampled QR2 (is ABC = G?) or QR3 (is A^power = G?) over params.trials
     random subsets of size ceil(a*|G|), one rng.choice per subset in trial
     order; the first trial whose product misses G is the witness.

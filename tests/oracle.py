@@ -16,7 +16,8 @@ search from a walk over every pair of minimal supports, minimal supports
 from a scan of every mask, the canonical irreducible order from one sort key
 of rounded tuples per row, random supports from one scalar
 draw per irreducible, sampled product sets from one np.unique per trial and
-product, Cayley tables from a dict lookup of every pairwise
+product, QR2 and QR3 verdicts from every subset or pair of subsets of the
+subset size, Cayley tables from a dict lookup of every pairwise
 product, associativity from every triple, abelian characters and their
 dual actions from one Fraction per value, mixing curves from one
 vector-matrix step per start row, and the affine-group table is
@@ -527,6 +528,30 @@ def per_trial_qr23_report(G, params, triple):
     return {"criterion": "qr2" if triple else "qr3", "holds": witness is None,
             "mode": "randomized", "parameters": params.to_json_dict(),
             "witness": witness, "details": details, "error": None}
+
+
+def product_set(G, subsets):
+    """S0 S1 ... of a list of subsets, one np.unique per product."""
+    prod = np.unique(subsets[0])
+    for S in subsets[1:]:
+        prod = np.unique(G.mul[np.ix_(prod, S)])
+    return prod
+
+
+def brute_force_qr3_fails(G, size, power) -> bool:
+    """Whether some subset A of `size` elements has A^power != G, trying
+    every such subset."""
+    return any(len(product_set(G, [A] * power)) < G.order
+               for A in itertools.combinations(range(G.order), size))
+
+
+def brute_force_qr2_fails(G, size) -> bool:
+    """Whether some A, B, C of `size` elements have ABC != G. ABC misses g
+    exactly when C avoids (AB)^-1 g, which a C of that size can iff
+    |AB| <= |G| - size, so every pair (A, B) is tried."""
+    subsets = list(itertools.combinations(range(G.order), size))
+    return any(len(product_set(G, [A, B])) <= G.order - size
+               for A in subsets for B in subsets)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,29 @@ def test_chartable_export_import(tmp_path, capsys):
     assert code2 == 0
     assert doc["report"]["source"] == "imported"
     assert doc["report"]["dims"] == [1, 1, 1, 1, 2]
+
+
+def test_reports_echo_a_cayley_table_as_its_order_and_sha256(tmp_path, capsys):
+    # Z_6, alone, as a product factor, and imported from an exported table
+    rows = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    cayley = {"type": "cayley", "table": rows, "labels": list("abcdef")}
+    echo = {"type": "cayley", "order": 6, "sha256": hashlib.sha256(
+        json.dumps(rows, separators=(",", ":")).encode()).hexdigest()}
+    alone, product = tmp_path / "z6.json", tmp_path / "z6xz2.json"
+    alone.write_text(json.dumps(cayley))
+    product.write_text(json.dumps({"family": "product", "params": {
+        "left": cayley, "right": {"family": "cyclic", "params": {"n": 2}}}}))
+    _, doc = _run(["group", "--group", f"@{alone}"], capsys)
+    assert doc["group_spec"] == echo
+    _, doc = _run(["group", "--group", f"@{product}"], capsys)
+    assert doc["group_spec"] == {"family": "product", "params": {
+        "left": echo, "right": {"family": "cyclic", "params": {"n": 2}}}}
+    table = tmp_path / "t.json"
+    assert cli.main(["chartable", "--group", f"@{alone}", "--export", str(table),
+                     "--out", os.devnull]) == 0
+    assert json.loads(table.read_text())["group"]["table"] == rows
+    _, doc = _run(["chartable", "--import", str(table)], capsys)
+    assert doc["group_spec"] == echo
 
 
 def test_usage_errors(capsys):

@@ -293,23 +293,106 @@ def test_qr1_cyclic_fails():
     assert check_qr(G, T)[0].holds is False
 
 
+# PSL(2,7) on the projective line over F_7 (point 7 is infinity), generated
+# by x -> x + 1 and x -> -1/x
+PSL27 = {"type": "permutation", "degree": 8,
+         "generators": [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}
+_DECIDED_BY = {"full_density", "gowers_bound", "power_one", "normal_subgroup",
+               "linear_character", "centraliser", "normaliser"}
+_QR23 = ("qr2", "qr3")
+
+
+@pytest.mark.parametrize("spec, density, power, names, holds, decided_by, product_size", [
+    # 42^3 * 3 = 222,264 > 60^3 = 216,000
+    (FIXTURE_SPECS["A5"], 0.7, 3, _QR23, True, "gowers_bound", None),
+    (FIXTURE_SPECS["A5"], 0.7, 1, ("qr3",), False, "power_one", 42),
+    # C3, the centraliser of a 3-cycle, holds ceil(0.05 * 60) = 3 elements
+    (FIXTURE_SPECS["A5"], 0.05, 3, _QR23, False, "centraliser", 3),
+    # A4 = N(V4), and 7:3 = N(C7) in PSL(2,7), are in no smaller rule
+    (FIXTURE_SPECS["A5"], 0.2, 3, _QR23, False, "normaliser", 12),
+    (PSL27, 0.1, 3, _QR23, False, "normaliser", 21),
+    # the 12 smallest members of A5 form a subgroup A4
+    (FIXTURE_SPECS["S5"], 0.1, 3, _QR23, False, "normal_subgroup", 12),
+    # image order 11: the preimage of {1, zeta} has 242 >= 134 elements
+    ({"family": "extraspecial", "params": {"p": 11}}, 0.1, 3, _QR23, False,
+     "linear_character", 484),
+])
+def test_qr23_exact_verdicts(spec, density, power, names, holds, decided_by,
+                             product_size):
+    G, _, T = get_table_for_spec(json.dumps(spec))
+    params = CriteriaParams(density=density, power=power)
+    size = criteria._density_floor(G.order, params.density_frac())
+    for rep in check_qr(G, T, params, names=names):
+        assert (rep.holds, rep.mode) == (holds, "exact")
+        assert rep.details == {"subset_size": size, "decided_by": decided_by}
+        if product_size is not None:
+            assert rep.witness["product_size"] == product_size
+            subsets = rep.witness["subsets"]
+            assert subsets == [subsets[0]] * (3 if rep.criterion == "qr2" else 1)
+
+
 def test_qr23_sampling():
-    # tiny density on a cyclic group: a singleton subset can never fill G
+    # a singleton is the trivial subgroup, so every product has one element
     G, T = get_group("C12"), get_table("C12")
     params = CriteriaParams(density=1 / 12, trials=5, power=3)
     reports = {r.criterion: r for r in check_qr(G, T, params)}
-    assert reports["qr2"].holds is False
-    assert reports["qr3"].holds is False
-    assert reports["qr2"].mode == "randomized"
-    # full-density subsets always multiply to G
+    for name in ("qr2", "qr3"):
+        assert (reports[name].holds, reports[name].mode) == (False, "exact")
+        assert reports[name].details == {"subset_size": 1, "decided_by": "normal_subgroup"}
+    assert reports["qr2"].witness == {"subsets": [[0], [0], [0]], "product_size": 1}
+    assert reports["qr3"].witness == {"subsets": [[0]], "product_size": 1}
+    # full-density subsets are G itself
     full = CriteriaParams(density=1.0, trials=3)
     reports = {r.criterion: r for r in check_qr(G, T, full)}
-    assert reports["qr2"].holds and reports["qr3"].holds
-    assert "evidence" in reports["qr2"].details["note"]
+    for name in ("qr2", "qr3"):
+        assert (reports[name].holds, reports[name].mode) == (True, "exact")
+        assert reports[name].details == {"subset_size": 12, "decided_by": "full_density"}
+    # A5 at 0.5: 30^3 * 3 < 60^3, and no proper subgroup holds 30 elements,
+    # so only sampling is left, and a pass is evidence
+    G, T = get_group("A5"), get_table("A5")
+    reports = {r.criterion: r for r in check_qr(G, T, CriteriaParams(density=0.5, trials=5))}
+    for name in ("qr2", "qr3"):
+        assert reports[name].mode == "randomized" and reports[name].holds
+        assert "evidence" in reports[name].details["note"]
+
+
+@pytest.mark.parametrize("spec, density", [(FIXTURE_SPECS["A5"], 0.5), (PSL27, 0.2)])
+def test_qr23_gap_reports_match_per_trial_oracle(spec, density):
+    G, _, T = get_table_for_spec(json.dumps(spec))
+    params = CriteriaParams(density=density, seed=7, trials=200)
+    for rep in check_qr(G, T, params, names=_QR23):
+        want = oracle.per_trial_qr23_report(G, params, rep.criterion == "qr2")
+        assert json.dumps(rep.to_json_dict()) == json.dumps(want)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_qr23_exact_verdicts_match_brute_force_oracle(name):
+    # the oracles try every subset (QR3, |G| <= 12) or pair of subsets
+    # (QR2, |G| <= 8); every witness is rechecked on all groups
+    G, T = get_group(name), get_table(name)
+    for density, power in itertools.product((0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0),
+                                            (1, 2, 3)):
+        params = CriteriaParams(density=density, power=power, trials=1)
+        size = criteria._density_floor(G.order, params.density_frac())
+        for rep in check_qr(G, T, params, names=_QR23):
+            if rep.mode != "exact":
+                continue
+            assert rep.details["decided_by"] in _DECIDED_BY
+            triple = rep.criterion == "qr2"
+            if rep.witness is not None:
+                subsets = rep.witness["subsets"]
+                assert len(subsets) == (3 if triple else 1)
+                assert all(len(set(S)) == len(S) == size for S in subsets)
+                product = oracle.product_set(G, subsets if triple else subsets * power)
+                assert len(product) == rep.witness["product_size"] < G.order
+            if triple and G.order <= 8:
+                assert rep.holds is not oracle.brute_force_qr2_fails(G, size)
+            if not triple and G.order <= 12:
+                assert rep.holds is not oracle.brute_force_qr3_fails(G, size, power)
 
 
 def _qr23_json(G, params, triple):
-    return json.dumps(criteria._qr23(G, params, params.to_json_dict(), triple)
+    return json.dumps(criteria._qr23_sampled(G, params, params.to_json_dict(), triple)
                       .to_json_dict())
 
 
@@ -344,7 +427,7 @@ def test_qr23_subset_size_is_exact():
     # 0.14 * 50 is 7.000000000000001 in floats; the first power is the set
     G = build_group({"family": "dihedral", "params": {"n": 25}})
     params = CriteriaParams(density=0.14, power=1, trials=1)
-    rep = criteria._qr23(G, params, params.to_json_dict(), triple=False)
+    rep = criteria._qr23_sampled(G, params, params.to_json_dict(), triple=False)
     assert rep.details["subset_size"] == 7
     assert len(rep.witness["subsets"][0]) == 7
     assert _qr23_json(G, params, False) == json.dumps(
@@ -361,7 +444,7 @@ def test_qr23_subset_size_is_exact():
 def test_qr3_stall_rule_answers_a_huge_power(name, density, seed):
     G = get_group(name)
     huge = CriteriaParams(density=density, seed=seed, power=10 ** 9, trials=5)
-    rep = criteria._qr23(G, huge, huge.to_json_dict(), triple=False)
+    rep = criteria._qr23_sampled(G, huge, huge.to_json_dict(), triple=False)
     at_order = CriteriaParams(density=density, seed=seed, power=G.order, trials=5)
     want = oracle.per_trial_qr23_report(G, at_order, False)
     assert (rep.holds, rep.witness, rep.details) == (want["holds"], want["witness"],

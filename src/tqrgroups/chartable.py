@@ -5,6 +5,7 @@ against external systems."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -65,7 +66,8 @@ class CharTable:
     def irrep_character(self, lam: int) -> ClassFunction:
         return ClassFunction(self.group, self.classes, self.values[lam].copy())
 
-    def kernel_masks(self) -> list[int]:
+    @functools.cached_property
+    def kernel_masks(self) -> tuple[int, ...]:
         """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
 
         chi(c) is a sum of chi(1) roots of unity whose orders divide the
@@ -86,7 +88,13 @@ class CharTable:
             raise CharTableError(
                 f"kernel membership of class {c} in irreducible {lam} is not "
                 f"certified (chi(1) - Re chi = {d[lam, c]:.3e})")
-        return [sum(1 << int(c) for c in np.flatnonzero(row)) for row in inside]
+        return tuple(sum(1 << int(c) for c in np.flatnonzero(row)) for row in inside)
+
+    @functools.cached_property
+    def normal_subgroups(self) -> tuple[groups.Subgroup, ...]:
+        """groups.normal_subgroups of this table, computed once: dims and
+        values are read-only, so neither can go stale."""
+        return groups.normal_subgroups(self)
 
     def __repr__(self):
         return f"CharTable(order={self.group.order}, dims={self.dims.tolist()})"

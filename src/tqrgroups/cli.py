@@ -31,7 +31,7 @@ from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
 from .groups import (_FAMILIES, AbelianGroup, build_group, center,
-                     center_free_quotient_chain, conjugacy_classes, normal_subgroups)
+                     center_free_quotient_chain, conjugacy_classes)
 from .markov import (build_chain, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -118,7 +118,8 @@ def _atomic_write(path: str, text: str):
 
 
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2) + "\n"
+    # NaN and Infinity are not JSON: a report holding one is refused
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if out:
         _atomic_write(out, text)
     else:
@@ -167,7 +168,7 @@ def run_group(args: dict) -> tuple[dict, int]:
     }
     if args.get("normal_subgroups"):
         T = compute_char_table(G, C)
-        payload["normal_subgroup_orders"] = [s.order for s in normal_subgroups(T)]
+        payload["normal_subgroup_orders"] = [s.order for s in T.normal_subgroups]
     return _envelope("group", spec, {}, payload), 0
 
 
@@ -267,7 +268,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     payload["plancherel"] = chain.stationary().tolist()
     if args.get("experiment") is not None:
         payload["mixing_experiment"] = mixing_experiment(
-            T, V, epsilon, int(args["experiment"]))
+            chain, epsilon, int(args["experiment"]))
     if args.get("csv"):
         lines = ["t,uniform,tv_max,tv_half_l1"]
         for row in rep.curve:
@@ -283,7 +284,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
 
 
 def _pick_normal(T, selector: str):
-    subs = normal_subgroups(T)
+    subs = T.normal_subgroups
     s = selector.strip().lower()
     if s == "group":
         return subs[-1]

@@ -20,7 +20,7 @@ from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
                          split_off_identity, support_measure_frac,
                          tensor_support_mask)
 from . import groups
-from .groups import ClassData, GroupError, GroupTable, derived_subgroup, normal_subgroups, center_of_subset
+from .groups import ClassData, GroupError, GroupTable, derived_subgroup, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
 QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
@@ -423,7 +423,7 @@ def _tqr3(T, params, pjson) -> CriterionReport:
 
 def _tqr4(T, params, pjson) -> CriterionReport:
     G = T.group
-    subs = normal_subgroups(T)
+    subs = T.normal_subgroups
     witness = None
     for N in subs:
         if 1 < N.order <= params.normal_size:
@@ -538,7 +538,7 @@ def _qr23_candidates(T, dens, size, triple, power):
     if not triple and power == 1:
         yield "power_one", np.arange(size)
     if subgroups:
-        for N in normal_subgroups(T):
+        for N in T.normal_subgroups:
             if size <= N.order < n:
                 yield "normal_subgroup", np.array(N.members)
     linear = np.flatnonzero(T.dims == 1)[1:]
@@ -641,7 +641,7 @@ def _product_sizes(mul, sets, triple, power) -> np.ndarray:
 
 def _qr4(T, params, pjson) -> CriterionReport:
     G = T.group
-    subs = normal_subgroups(T)
+    subs = T.normal_subgroups
     D = derived_subgroup(T)
     witness = None
     if D.order < G.order:

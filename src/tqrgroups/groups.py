@@ -606,21 +606,21 @@ def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
     return subgroup_from_members(T.group, C, members)
 
 
-def normal_subgroups(T: CharTable) -> list[Subgroup]:
+def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:
     """All normal subgroups, read off the character table.
 
     Every normal subgroup is an intersection of kernels of irreducible
     characters (Isaacs, Character Theory of Finite Groups, ch. 2), so the
     lattice is the closure of the kernels' class masks, plus the full mask,
     under intersection. Each mask is still verified against the Cayley table
-    by subgroup_from_members, at its class representatives.
+    by subgroup_from_members, at its class representatives. Callers holding
+    the table read it once through CharTable.normal_subgroups.
     """
     found = {(1 << T.classes.num_classes) - 1}
-    for kernel in T.kernel_masks():
+    for kernel in T.kernel_masks:
         found |= {m & kernel for m in found}
-    subs = [_subgroup_of_mask(T, m) for m in found]
-    subs.sort(key=lambda s: (s.order, s.members))
-    return subs
+    return tuple(sorted((_subgroup_of_mask(T, m) for m in found),
+                        key=lambda s: (s.order, s.members)))
 
 
 def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
@@ -653,7 +653,7 @@ def derived_subgroup(T: CharTable) -> Subgroup:
     """Commutator subgroup, the intersection of the kernels of the linear
     characters; the smallest normal subgroup with abelian quotient."""
     mask = (1 << T.classes.num_classes) - 1
-    for kernel, dim in zip(T.kernel_masks(), T.dims):
+    for kernel, dim in zip(T.kernel_masks, T.dims):
         if dim == 1:
             mask &= kernel
     return _subgroup_of_mask(T, mask)

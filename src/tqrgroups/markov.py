@@ -6,6 +6,7 @@ characters, with one certified decomposition for all of its rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,15 +71,48 @@ def build_chain(T: CharTable, V: RepMultiset) -> ChainModel:
                       reduced_dim=dim_red)
 
 
+class _CycleWatch:
+    """Brent's cycle search (Brent, BIT 20, 1980) on x_{s+1} = f(x_s) for a
+    fixed float map f, such as one step of the chain.
+
+    Call repeats(s, x_s) for s = 1, 2, ... in turn. One step is kept and
+    moved to each power-of-two step; once x_s has the bits of the kept x_mu,
+    x_u = x_{mu + (u - mu) % period} for every u >= mu, with period = s - mu.
+    Bits are compared, not values, so 0.0 never stands in for -0.0.
+    """
+
+    def __init__(self, x0: np.ndarray):
+        self.mu, self.period = 0, None
+        self._saved = x0.view(np.uint64)
+
+    def repeats(self, s: int, x: np.ndarray) -> bool:
+        bits = x.view(np.uint64)
+        if np.array_equal(bits, self._saved):
+            self.period = s - self.mu
+            return True
+        if s & (s - 1) == 0:
+            self.mu, self._saved = s, bits
+        return False
+
+
 def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
-    """Distribution after t steps started from the point mass at lam."""
+    """Distribution after t steps started from the point mass at lam.
+
+    The rows `dist @ K` are stepped until one repeats bit for bit; the row
+    at step t is then the one (t - s) mod period steps past that repeat s.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
     _check_start(M, lam)
     dist = np.zeros(M.num_states)
     dist[lam] = 1.0
-    for _ in range(t):
+    watch = _CycleWatch(dist)
+    for s in range(1, t + 1):
         dist = dist @ M.kernel
+        if watch.repeats(s, dist):
+            for _ in range((t - s) % watch.period):
+                dist = dist @ M.kernel
+            break
     return dist
 
 
@@ -92,10 +126,11 @@ def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
     """All implemented distances to Plancherel, each the worst over the rows
     of a stack of distributions (or of the one distribution given)."""
     pi = M.stationary()
+    dev = np.abs(dists - pi)
     return {
         "uniform": float(np.max(np.abs(dists / pi - 1.0))),
-        "tv_max": float(np.max(np.abs(dists - pi))),
-        "tv_half_l1": float(np.max(0.5 * np.sum(np.abs(dists - pi), axis=-1))),
+        "tv_max": float(np.max(dev)),
+        "tv_half_l1": float(np.max(0.5 * np.sum(dev, axis=-1))),
     }
 
 
@@ -110,13 +145,17 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
     conventional total variation distance; `uniform` is the relative
     (l-infinity) distance. With start=None the distances maximize over all
     starting irreducibles, matching the usual mixing-time definitions.
+
+    The stack of distributions is stepped until it repeats bit for bit; the
+    rest of the curve then repeats the steps already measured, so it is
+    copied by period and no metric first reaches epsilon there.
     """
     if metric == "tv":
         metric = "tv_max"
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS} (or 'tv')")
-    if not epsilon > 0:  # also refuses nan
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also refuses nan
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     if start is None:
@@ -126,7 +165,10 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
         dists = np.eye(M.num_states)[[start]]
     curve = []
     mixing_times: dict[str, int | None] = {m: None for m in _METRICS}
+    watch = _CycleWatch(dists)
     for t in range(t_max + 1):
+        if t and watch.repeats(t, dists):
+            break
         worst = distances_to_stationary(M, dists)
         curve.append({"t": t, **worst})
         for m in _METRICS:
@@ -135,6 +177,9 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
         if t < t_max:
             # 1 x r rows, not one D @ K: each rounds as `row @ K` does, bit for bit
             dists = (dists[:, None, :] @ M.kernel)[:, 0, :]
+    for t in range(len(curve), t_max + 1):
+        src = watch.mu + (t - watch.mu) % watch.period
+        curve.append({**curve[src], "t": t})
     return MixingReport(start=start, metric=metric, epsilon=epsilon,
                         mixing_time=mixing_times[metric], t_max=t_max,
                         curve=curve, mixing_times=mixing_times)
@@ -145,8 +190,7 @@ def stationarity_residual(M: ChainModel) -> float:
     return float(np.max(np.abs(pi @ M.kernel - pi)))
 
 
-def mixing_experiment(T: CharTable, V: RepMultiset, epsilon: float,
-                      m: int) -> dict:
+def mixing_experiment(chain: ChainModel, epsilon: float, m: int) -> dict:
     """Both directions of the constant-time mixing phenomenon on one chain.
 
     Positive side: the uniform distance at t=3 against the Hoelder bound
@@ -154,7 +198,7 @@ def mixing_experiment(T: CharTable, V: RepMultiset, epsilon: float,
     after m steps started at the trivial irreducible, with the exactly
     inaccessible Plancherel mass.
     """
-    chain = build_chain(T, V)
+    T, V = chain.table, chain.rep
     c = T.classes.min_nontrivial_size
     mv = plancherel_frac(T, V)
 

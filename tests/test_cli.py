@@ -205,6 +205,24 @@ def test_markov_bad_start_tmax_or_epsilon_is_bad_input(extra, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "1e999"])
+def test_markov_non_finite_epsilon_is_bad_input(epsilon, capsys):
+    # "Infinity" is not JSON: the report must be refused, not written
+    code = cli.main(["markov", "--group", "symmetric:3", "--rep", "all",
+                     "--epsilon", epsilon, "--experiment", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: epsilon must be positive and finite")
+
+
+def test_reports_never_carry_nan_or_infinity(tmp_path):
+    path = tmp_path / "report.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._emit({"report": {"value": bad}}, str(path))
+        assert not path.exists()
+
+
 def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     config = {"experiments": [
         {"id": "q8", "command": "check",

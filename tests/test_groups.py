@@ -125,6 +125,26 @@ def test_normal_subgroups_s3():
     assert a3.is_normal and a3.index == 2
 
 
+def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
+    from tqrgroups.criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams,
+                                    check_qr, check_tqr)
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return normal_subgroups(T)
+
+    monkeypatch.setattr(groups, "normal_subgroups", counted)
+    G, C = get_group("S4"), get_classes("S4")
+    T = CharTable(G, C, get_table("S4").dims, get_table("S4").values)
+    params = CriteriaParams(density=0.2, trials=5)
+    check_tqr(G, C, T, params, list(TQR_CRITERIA))
+    check_qr(G, T, params, list(QR_CRITERIA))
+    assert calls == [T]
+    assert T.normal_subgroups == normal_subgroups(get_table("S4"))
+    assert isinstance(T.normal_subgroups, tuple)
+
+
 def test_normal_subgroups_cyclic6():
     assert [s.order for s in normal_subgroups(get_table("C6"))] == [1, 2, 3, 6]
 

@@ -160,7 +160,7 @@ def test_mixing_metric_validation():
 def test_mixing_experiment_affine11():
     T = get_table("aff11")
     V = _rep(T, [T.num_irreps - 1])
-    out = mixing_experiment(T, V, 0.25, 3)
+    out = mixing_experiment(build_chain(T, V), 0.25, 3)
     assert out["c"] == 10
     assert out["measure"] == pytest.approx(100 / 110)
     assert out["uniform_distance_t3"] <= out["hoelder_bound_t3"]
@@ -190,14 +190,14 @@ def test_nonmixing_negative_direction_quotient_pullback():
         assert np.all(dist[nontrivial] == 0.0)   # exactly inaccessible
         d = distances_to_stationary(M, dist)
         assert d["tv_half_l1"] >= mass - 1e-8
-    out = mixing_experiment(T, V, 0.25, 8)
+    out = mixing_experiment(M, 0.25, 8)
     assert out["inaccessible_mass_after_m"] >= 0.5 - 1e-12
     assert out["tv_half_l1_after_m_from_trivial"] >= 0.25
 
 
 def test_mixing_experiment_full_driver_mixes_immediately():
     T = get_table("S4")
-    out = mixing_experiment(T, rep_from_selector(T, "all"), 0.25, 1)
+    out = mixing_experiment(build_chain(T, rep_from_selector(T, "all")), 0.25, 1)
     assert out["uniform_distance_t3"] == pytest.approx(0.0, abs=1e-10)
     assert out["within_epsilon_t3"]
     assert out["inaccessible_mass_after_m"] == pytest.approx(0.0, abs=1e-12)
@@ -302,3 +302,73 @@ def test_stacked_step_keeps_the_row_loop_bits(group, selector, metric, t_max):
     assert np.array_equal([list(c.values()) for c in got.curve],
                           [list(c.values()) for c in want["curve"]])
     assert got.mixing_times == want["mixing_times"]
+
+
+class _CountingKernel(np.ndarray):
+    """A kernel that counts the products taken with it and computes each on
+    the plain array, so the bits are those of the plain kernel."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _chain(group, selector):
+    G = build_group(parse_group_spec(group))
+    T = compute_char_table(G)
+    return build_chain(T, rep_from_selector(T, selector))
+
+
+def _counted(M):
+    counting = M.kernel.view(_CountingKernel)
+    counting.products = 0
+    M.kernel = counting
+    return counting
+
+
+@pytest.mark.parametrize("group, selector, stops", [
+    # an involution: stack 4 repeats stack 2
+    ("cyclic:120", "irrep:1", (4, 4)),
+    # fixed from t = 28: stack 33 repeats stack 32
+    ("extraspecial:5", "dim>=2", (33, 33)),
+    # the stack has period 2 from t = 25; the last row alone is fixed from t = 24
+    ("alternating:5", "irrep:4", (34, 33))])
+def test_mixing_time_stops_at_a_repeat_and_keeps_the_loop_bits(group, selector, stops):
+    M = _chain(group, selector)
+    for start, stop in zip((None, M.num_states - 1), stops):
+        counting = _counted(M)
+        got = mixing_time(M, "tv", 0.25, t_max=200, start=start)
+        # one product per step up to the repeated stack, not 200
+        assert counting.products == stop
+        M.kernel = np.asarray(counting)
+        want = oracle.mixing_report_per_start(M, "tv_max", 0.25, 200, start)
+        assert (json.dumps(got.to_json_dict(), sort_keys=True)
+                == json.dumps(want, sort_keys=True))
+
+
+def _row_loop(M, lam, t):
+    dist = np.eye(M.num_states)[lam]
+    for _ in range(t):
+        dist = dist @ M.kernel
+    return dist
+
+
+def test_t_step_distribution_past_a_long_period_keeps_the_loop_bits():
+    # the rows of dihedral:30 driven by irrep:5 first repeat at t = 1544
+    M = _chain("dihedral:30", "irrep:5")
+    for m in (1543, 1544, 1545, 3001):
+        got = t_step_distribution(M, 0, m)
+        assert np.array_equal(got.view(np.uint64), _row_loop(M, 0, m).view(np.uint64))
+
+
+def test_t_step_distribution_of_a_huge_m_is_the_point_mass_of_m_mod_n():
+    # a linear character of order 120 permutes the irreducibles of cyclic:120
+    M = _chain("cyclic:120", "irrep:7")
+    m = 10 ** 9
+    counting = _counted(M)
+    got = t_step_distribution(M, 0, m)
+    assert counting.products < 400
+    M.kernel = np.asarray(counting)
+    want = _row_loop(M, 0, m % 120)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sorted(got.tolist())[-1] == 1.0 and got.sum() == 1.0

@@ -32,7 +32,7 @@ from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        two_factor_cover)
 from .groups import (_FAMILIES, AbelianGroup, build_group, center,
                      center_free_quotient_chain, conjugacy_classes)
-from .markov import (build_chain, mixing_experiment, mixing_time,
+from .markov import (build_chain, check_t_max, mixing_experiment, mixing_time,
                      stationarity_residual)
 
 
@@ -248,13 +248,14 @@ def run_cover(args: dict) -> tuple[dict, int]:
 
 
 def run_markov(args: dict) -> tuple[dict, int]:
+    t_max = int(args.get("tmax", 64))
+    check_t_max(t_max)
     spec = parse_group_spec(args["group"])
     G, C, T = _load_table(spec)
     V = rep_from_selector(T, args["rep"])
     chain = build_chain(T, V)
     metric = args.get("metric", "tv")
     epsilon = float(args.get("epsilon", 0.25))
-    t_max = int(args.get("tmax", 64))
     start = None
     if args.get("start") is not None:
         chosen = rep_from_selector(T, args["start"]).support()

@@ -32,7 +32,8 @@ class GroupError(ValueError):
 
 @dataclass(eq=False)
 class GroupTable:
-    """A finite group on element indices 0..order-1 with a full Cayley table."""
+    """A finite group on element indices 0..order-1 with a full Cayley table,
+    and the generating set its constructor handed over (see generating_set)."""
 
     order: int
     identity: int
@@ -40,6 +41,7 @@ class GroupTable:
     inv: np.ndarray          # shape (order,)
     labels: list[str] | None = None
     source: dict = field(default_factory=dict)
+    generators: tuple[int, ...] | None = None
 
     def __post_init__(self):
         self.mul = np.ascontiguousarray(self.mul, dtype=np.int64)
@@ -181,9 +183,9 @@ def _rows(tuples, width: int) -> np.ndarray:
     return np.array(tuples, dtype=np.int64).reshape(len(tuples), width)
 
 
-def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
+def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]:
     """Cayley table of a group given by its elements and their associative
-    product law.
+    product law, and the greedy generating set whose rows were ranked.
 
     `elems` holds the m elements as distinct integer rows in ascending
     lexicographic order; compose(x, elems) gives the rows of x*y for every y.
@@ -238,14 +240,16 @@ def _table_from_rows(elems: np.ndarray, compose) -> np.ndarray:
                     reached.append(z)
                 filled[targets[fresh]] = True
             frontier = np.array(reached, dtype=np.int64)
-    return mul
+    return mul, gens
 
 
-def _finalize(mul, labels, source) -> GroupTable:
+def _finalize(mul, labels, source, gens=None) -> GroupTable:
     mul = np.asarray(mul, dtype=np.int64)
     identity, inv = _check_group_axioms(mul)
-    return GroupTable(order=mul.shape[0], identity=identity, mul=mul,
-                      inv=inv, labels=labels, source=source)
+    if gens is not None:
+        gens = tuple(g for g in gens if g != identity)
+    return GroupTable(order=mul.shape[0], identity=identity, mul=mul, inv=inv,
+                      labels=labels, source=source, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,7 @@ def _cyclic(n: int) -> GroupTable:
     i = np.arange(n)
     mul = (i[:, None] + i[None, :]) % n
     return _finalize(mul, [str(k) for k in range(n)],
-                     {"family": "cyclic", "params": {"n": n}})
+                     {"family": "cyclic", "params": {"n": n}}, [1] if n > 1 else [])
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -273,39 +277,26 @@ def _dihedral(n: int) -> GroupTable:
     mul[n:, :n] = (i[:, None] - i[None, :]) % n + n
     mul[n:, n:] = (i[:, None] - i[None, :]) % n
     labels = [f"r{k}" for k in range(n)] + [f"s·r{k}" for k in range(n)]
-    return _finalize(mul, labels, {"family": "dihedral", "params": {"n": n}})
+    # generated by the rotation r1 and the reflection s = s·r0
+    return _finalize(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
 
 
 def _perm_family(n: int, even_only: bool, family: str) -> GroupTable:
     if n < 1:
         raise GroupError("degree must be >= 1")
-    perms = list(itertools.permutations(range(n)))
-    if even_only:
-        perms = [p for p in perms if _perm_parity(p) == 0]
-    mul = _table_from_rows(_rows(perms, n), _compose_perms)
-    labels = ["".join(map(str, p)) for p in perms]
-    return _finalize(mul, labels, {"family": family, "params": {"n": n}})
+    perms = _rows(list(itertools.permutations(range(n))), n)
+    if even_only:  # an even permutation has an even number of inversions
+        inversions = sum((perms[:, [i]] > perms[:, i + 1:]).sum(axis=1) for i in range(n))
+        perms = perms[inversions % 2 == 0]
+    mul, gens = _table_from_rows(perms, _compose_perms)
+    # the digits of one uint8 buffer (the order cap keeps every entry one digit)
+    labels = np.frombuffer((perms + 48).astype(np.uint8).tobytes(), f"S{n}").astype(str).tolist()
+    return _finalize(mul, labels, {"family": family, "params": {"n": n}}, gens)
 
 
 def _compose_perms(p, Q):
     """Rows of p∘q (k -> p[q[k]]) for every row q of Q."""
     return p[Q]
-
-
-def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        length = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 def _quaternion8() -> GroupTable:
@@ -314,11 +305,11 @@ def _quaternion8() -> GroupTable:
     # and NEG[u, v] is its sign (i*i = -1, i*j = k, j*i = -k, ...)
     NEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul = _table_from_rows(
+    mul, gens = _table_from_rows(
         _rows(list(itertools.product(range(4), range(2))), 2),
         lambda x, Y: np.stack([x[0] ^ Y[:, 0],
                                (x[1] + Y[:, 1] + NEG[x[0], Y[:, 0]]) % 2], axis=1))
-    return _finalize(mul, names, {"family": "quaternion8", "params": {}})
+    return _finalize(mul, names, {"family": "quaternion8", "params": {}}, gens)
 
 
 def _is_prime(p: int) -> bool:
@@ -338,9 +329,9 @@ def _extraspecial(p: int) -> GroupTable:
         return np.stack([(x[0] + Y[:, 0]) % p, (x[1] + Y[:, 1]) % p,
                          (x[2] + Y[:, 2] + x[0] * Y[:, 1]) % p], axis=1)
 
-    mul = _table_from_rows(_rows(elems, 3), compose)
+    mul, gens = _table_from_rows(_rows(elems, 3), compose)
     labels = [f"({a},{b},{c})" for a, b, c in elems]
-    return _finalize(mul, labels, {"family": "extraspecial", "params": {"p": p}})
+    return _finalize(mul, labels, {"family": "extraspecial", "params": {"p": p}}, gens)
 
 
 def _affine(p: int) -> GroupTable:
@@ -353,9 +344,9 @@ def _affine(p: int) -> GroupTable:
         # (a, b) . (a2, b2): first apply x -> a2 x + b2, then x -> a x + b
         return np.stack([x[0] * Y[:, 0] % p, (x[0] * Y[:, 1] + x[1]) % p], axis=1)
 
-    mul = _table_from_rows(_rows(elems, 2), compose)
+    mul, gens = _table_from_rows(_rows(elems, 2), compose)
     labels = [f"x->{a}x+{b}" for a, b in elems]
-    return _finalize(mul, labels, {"family": "affine", "params": {"p": p}})
+    return _finalize(mul, labels, {"family": "affine", "params": {"p": p}}, gens)
 
 
 def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
@@ -366,7 +357,10 @@ def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupT
     labels = None
     if left.labels is not None and right.labels is not None:
         labels = [f"({la},{lb})" for la in left.labels for lb in right.labels]
-    return _finalize(mul, labels, source)
+    # (g, e) and (e, h) for the generators g of the left factor and h of the right
+    gens = ([g * nb + right.identity for g in generating_set(left)]
+            + [left.identity * nb + h for h in generating_set(right)])
+    return _finalize(mul, labels, source, gens)
 
 
 def _perm_closure(degree: int, generators: list[tuple[int, ...]]) -> GroupTable:
@@ -389,10 +383,10 @@ def _perm_closure(degree: int, generators: list[tuple[int, ...]]) -> GroupTable:
                     nxt.append(q)
         frontier = nxt
     elems = sorted(seen)
-    mul = _table_from_rows(_rows(elems, degree), _compose_perms)
+    mul, gens = _table_from_rows(_rows(elems, degree), _compose_perms)
     labels = ["".join(map(str, p)) if degree <= 10 else str(p) for p in elems]
     return _finalize(mul, labels, {"type": "permutation", "degree": degree,
-                                   "generators": [list(g) for g in generators]})
+                                   "generators": [list(g) for g in generators]}, gens)
 
 
 def _field(spec: dict, key: str):
@@ -519,25 +513,26 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
 
     Canonical order: the identity class first, then ascending minimal element
     index. With the family constructors' element enumerations this puts, e.g.,
-    the transpositions of a symmetric group before the 3-cycles.
+    the transpositions of a symmetric group before the 3-cycles. Each label,
+    first the element itself, takes the least label of its conjugates by the
+    generators and their inverses, then its label's label, until nothing
+    moves: then it is the least element of its class.
     """
-    n = G.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[np.ndarray] = []
-    # identity class first
-    order_seed = [G.identity] + [x for x in range(n) if x != G.identity]
-    for x in order_seed:
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(G.mul[G.mul[:, x], G.inv])
-        cid = len(classes)
-        classes.append(orbit)
-        class_of[orbit] = cid
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    reps = np.array([int(c.min()) for c in classes], dtype=np.int64)
-    c_min = int(sizes[1:].min()) if len(classes) > 1 else None
-    return ClassData(classes=classes, sizes=sizes, class_of=class_of,
-                     representatives=reps, min_nontrivial_size=c_min)
+    n, e = G.order, G.identity
+    gens = np.array(generating_set(G), dtype=np.int64)
+    both = np.concatenate([gens, G.inv[gens]])
+    maps = G.mul[G.mul[both], G.inv[both][:, None]]   # row i: x -> s x s^-1
+    low, prev = np.arange(n), None
+    while not np.array_equal(low, prev):
+        prev, low = low, np.minimum(low, low[maps].min(axis=0, initial=n))
+        low = low[low]
+    # the identity class first, then by least element
+    reps, class_of = np.unique(np.where(low == e, -1, low), return_inverse=True)
+    reps[0] = e
+    sizes = np.bincount(class_of)
+    classes = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
+    return ClassData(classes=classes, sizes=sizes, class_of=class_of, representatives=reps,
+                     min_nontrivial_size=int(sizes[1:].min()) if len(reps) > 1 else None)
 
 
 def _witnesses(G: GroupTable, C: ClassData, members):
@@ -567,11 +562,14 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
                     index=G.order // arr.size)
 
 
-def generating_set(G: GroupTable) -> list[int]:
-    """A greedy generating set: in index order, every element outside the
+def generating_set(G: GroupTable) -> tuple[int, ...]:
+    """The generating set G carries. A table built without one (cayley input)
+    gets a greedy one, found once: in index order, every element outside the
     subgroup generated so far joins it. Each one at least doubles that
     subgroup (Lagrange), so there are at most floor(log2 |G|) of them; one
     that does not shows the table is not associative and raises GroupError."""
+    if G.generators is not None:
+        return G.generators
     reached = np.zeros(G.order, dtype=bool)
     reached[G.identity] = True
     gens: list[int] = []
@@ -587,12 +585,13 @@ def generating_set(G: GroupTable) -> list[int]:
             reached[frontier] = True
         if reached.sum() < 2 * size:
             raise GroupError("table is not associative: a generator does not double")
-    return gens
+    G.generators = tuple(gens)
+    return G.generators
 
 
 def center(G: GroupTable) -> Subgroup:
     """Elements commuting with every generator of generating_set(G)."""
-    gens = generating_set(G)
+    gens = list(generating_set(G))
     members = np.flatnonzero(np.all(G.mul[:, gens] == G.mul[gens].T, axis=1))
     return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
                     index=G.order // len(members))
@@ -630,11 +629,11 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = np.unique(coset_rep)
-    mul = _table_from_rows(reps[:, None],
-                           lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
+    mul, gens = _table_from_rows(reps[:, None],
+                                 lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
     return _finalize(mul, labels, {"type": "quotient", "parent": G.source,
-                                   "kernel_order": N.order})
+                                   "kernel_order": N.order}, gens)
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
@@ -675,10 +674,11 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     indices (sorted ascending, so index 0 need not be the identity of G).
     """
     elems = sorted(int(m) for m in members)
-    mul = _table_from_rows(_rows(elems, 1), lambda x, Y: G.mul[x[0], Y[:, 0]][:, None])
+    mul, gens = _table_from_rows(_rows(elems, 1),
+                                 lambda x, Y: G.mul[x[0], Y[:, 0]][:, None])
     labels = [G.label(e) for e in elems] if G.labels is not None else None
     table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,
-                                    "members": elems})
+                                    "members": elems}, gens)
     return table, elems
 
 

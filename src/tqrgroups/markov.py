@@ -16,6 +16,16 @@ from .chartable import CharTable
 from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
                          power_support_mask, reduce_rep, support_measure_frac)
 
+# Longest mixing curve: a report holds all t_max + 1 rows, at about 1.2 KB of
+# memory each, so 100,000 steps cost about 120 MB.
+MAX_T_MAX = 100_000
+
+
+def check_t_max(t_max: int) -> None:
+    """Refuse a curve length outside 0..MAX_T_MAX (ValueError)."""
+    if not 0 <= t_max <= MAX_T_MAX:
+        raise ValueError(f"t_max must lie in 0..{MAX_T_MAX}, got {t_max}")
+
 
 @dataclass(eq=False)
 class ChainModel:
@@ -156,8 +166,7 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
         raise ValueError(f"metric must be one of {_METRICS} (or 'tv')")
     if not 0 < epsilon < math.inf:  # also refuses nan
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
+    check_t_max(t_max)
     if start is None:
         dists = np.eye(M.num_states)
     else:

@@ -3,6 +3,7 @@
 Nothing here touches the class-matrix solver or the library's decomposition:
 the character-table oracle decomposes the regular representation by explicit
 matrix arithmetic, conjugacy classes come from a double loop, class
+classes also from one np.unique conjugation orbit per class, class
 multiplication matrices from counting the products of one class at a time,
 their recombination from one scattered add per element, restrictions from
 reading a class function element by element, induced characters from a
@@ -50,6 +51,27 @@ def brute_conjugacy_classes(G):
             seen[y] = True
         classes.append(sorted(orbit))
     return classes
+
+
+def per_class_conjugacy_classes(G):
+    """ClassData in the canonical order, one np.unique of the orbit
+    {g x g^-1 : g in G} per class, each seeded by the least element not yet
+    classed (after the identity)."""
+    from tqrgroups.groups import ClassData
+    n = G.order
+    class_of = np.full(n, -1, dtype=np.int64)
+    classes = []
+    for x in [G.identity] + [x for x in range(n) if x != G.identity]:
+        if class_of[x] >= 0:
+            continue
+        orbit = np.unique(G.mul[G.mul[:, x], G.inv])
+        class_of[orbit] = len(classes)
+        classes.append(orbit)
+    sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    reps = np.array([int(c.min()) for c in classes], dtype=np.int64)
+    return ClassData(classes=classes, sizes=sizes, class_of=class_of,
+                     representatives=reps,
+                     min_nontrivial_size=int(sizes[1:].min()) if len(classes) > 1 else None)
 
 
 def brute_all_subgroups(G, max_order=48):

@@ -194,7 +194,7 @@ def test_markov_start_selector(capsys):
 
 
 @pytest.mark.parametrize("extra", [["--start", "dim>=99"], ["--tmax", "-1"],
-                                   ["--epsilon", "nan"]])
+                                   ["--tmax", "100001"], ["--epsilon", "nan"]])
 def test_markov_bad_start_tmax_or_epsilon_is_bad_input(extra, tmp_path, capsys):
     csv = tmp_path / "curve.csv"
     code = cli.main(["markov", "--group", "symmetric:3", "--rep", "all",
@@ -203,6 +203,21 @@ def test_markov_bad_start_tmax_or_epsilon_is_bad_input(extra, tmp_path, capsys):
     assert code == 2
     assert out == "" and not csv.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_markov_tmax_above_the_cap_is_refused_before_any_table(monkeypatch, capsys):
+    # a curve holds t_max + 1 rows, so the length is refused before the group,
+    # its character table or the chain is built
+    def unexpected(*args):
+        raise AssertionError("built a table for a refused --tmax")
+
+    monkeypatch.setattr(cli, "_load_table", unexpected)
+    monkeypatch.setattr(cli, "build_chain", unexpected)
+    code = cli.main(["markov", "--group", "symmetric:3", "--rep", "all",
+                     "--tmax", "10000000"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: t_max must lie in 0..100000, got 10000000\n"
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "1e999"])

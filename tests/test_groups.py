@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
 from tqrgroups import (CharTable, CharTableError, GroupError, build_group, center,
-                       center_free_quotient_chain, conjugacy_classes,
-                       derived_subgroup, normal_subgroups, quotient,
-                       subgroup_from_members, subgroup_table)
-from tqrgroups import groups
+                       center_free_quotient_chain, compute_char_table,
+                       conjugacy_classes, derived_subgroup, normal_subgroups,
+                       quotient, subgroup_from_members, subgroup_table)
+from tqrgroups import cli, groups
 from tqrgroups.groups import center_of_subset
 
 
@@ -108,6 +109,93 @@ def test_class_structure_invariants(name):
         g = int(rng.integers(G.order))
         x = int(rng.integers(G.order))
         assert C.class_of[G.conjugate(g, x)] == C.class_of[x]
+
+
+def _relabelled(G, seed):
+    """G as cayley input under a seeded relabelling that puts its identity
+    at the last index."""
+    perm = np.random.default_rng(seed).permutation(G.order)   # old -> new index
+    last = int(np.argmax(perm))
+    perm[[G.identity, last]] = perm[[last, G.identity]]
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(perm, perm)] = perm[G.mul]
+    return build_group(_cayley(mul))
+
+
+def _with_normal_quotients_and_subgroups(G):
+    T = compute_char_table(G, conjugacy_classes(G))
+    out = [G]
+    for N in T.normal_subgroups:
+        out += [quotient(G, N), subgroup_table(G, N.members)[0]]
+    return out
+
+
+def _family(name, **params):
+    return {"family": name, "params": params}
+
+
+_CLASS_CASES = {
+    **{f"relabelled-{name}": (lambda name=name, seed=seed: _with_normal_quotients_and_subgroups(
+        _relabelled(get_group(name), seed)))
+       for seed, name in enumerate(["S4", "Q8", "aff7", "C3xD4", "ES3", "C12", "A5"])},
+    **{f"normal-{name}": (lambda name=name: _with_normal_quotients_and_subgroups(
+        build_group(FIXTURE_SPECS[name])))
+       for name in ["S4", "D8", "ES5", "C2xS4", "aff13", "C64"]},
+    "products": lambda: [build_group(FIXTURE_SPECS[name]) for name in
+                         ["C2xS3", "C2xS4", "C3xD4"]] + [
+        build_group(_family("product", left=_family("quaternion8"),
+                            right=_family("affine", p=5))),
+        build_group(_family("product", left=_cayley(_relabelled(get_group("D5"), 9).mul),
+                            right=_family("dihedral", n=1)))],
+    "large": lambda: [build_group(_family("cyclic", n=2000)),
+                      build_group(_family("affine", p=97)),
+                      build_group(_family("extraspecial", p=11))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLASS_CASES))
+def test_classes_match_the_per_class_loop_field_for_field(case):
+    for G in _CLASS_CASES[case]():
+        got, want = conjugacy_classes(G), oracle.per_class_conjugacy_classes(G)
+        assert got.num_classes == want.num_classes
+        for a, b in zip(got.classes, want.classes):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for name in ("sizes", "class_of", "representatives"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.min_nontrivial_size == want.min_nontrivial_size
+        assert got.classes[0].tolist() == [G.identity]
+
+
+def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
+        monkeypatch, tmp_path, capsys):
+    calls = []   # the orders of the tables that had to search for a set
+    carried = groups.generating_set
+
+    def counted(G):
+        if G.generators is None:
+            calls.append(G.order)
+        return carried(G)
+
+    monkeypatch.setattr(groups, "generating_set", counted)
+    perm = tmp_path / "psl27.json"
+    perm.write_text(json.dumps({"type": "permutation", "degree": 8, "generators": [
+        [1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}))
+    for text in ["cyclic:1", "cyclic:12", "dihedral:1", "dihedral:6", "symmetric:4",
+                 "alternating:5", "quaternion8", "extraspecial:3", "affine:7",
+                 "product(dihedral(4),cyclic(3))", f"@{perm}"]:
+        # the quotient chain and the normal subgroups included
+        assert cli.main(["group", "--group", text, "--normal-subgroups"]) == 0, text
+    for G in _with_normal_quotients_and_subgroups(build_group(FIXTURE_SPECS["C2xS4"])):
+        conjugacy_classes(G)
+        center_free_quotient_chain(G)   # center and quotients
+        G.is_abelian()
+    assert calls == []
+    cayley = tmp_path / "s4.json"
+    cayley.write_text(json.dumps(_cayley(get_group("S4").mul)))
+    assert cli.main(["group", "--group", f"@{cayley}", "--normal-subgroups"]) == 0
+    assert calls == [24]
+    capsys.readouterr()
 
 
 def test_center_q8_s3_c7():
@@ -508,18 +596,32 @@ _DEGREE_SEVEN = {"S7": {"family": "symmetric", "params": {"n": 7}},
                  "A7": {"family": "alternating", "params": {"n": 7}}}
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_DEGREE_SEVEN))
+_SMALL_FAMILIES = {"C1": _family("cyclic", n=1), "D1": _family("dihedral", n=1),
+                   "D2": _family("dihedral", n=2),
+                   "D1xC1": _family("product", left=_family("dihedral", n=1),
+                                    right=_family("cyclic", n=1)),
+                   "D6xQ8": _family("product", left=_family("dihedral", n=6),
+                                    right=_family("quaternion8"))}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_DEGREE_SEVEN)
+                         + sorted(_SMALL_FAMILIES))
 def test_center_and_abelian_from_generators_match_full_table_compare(name):
-    G = (build_group(_DEGREE_SEVEN[name]) if name in _DEGREE_SEVEN
-         else get_group(name))
-    gens = groups.generating_set(G)
-    assert len(gens) <= int(np.log2(G.order))
-    if G.order <= 1000:  # the oracle's closure is quadratic in the order
-        assert oracle._closure(G, gens) == frozenset(range(G.order))
-    # the old tests: every row of mul against its column
-    commutes_with_all = np.all(G.mul == G.mul.T, axis=1)
-    assert center(G).members == tuple(np.flatnonzero(commutes_with_all).tolist())
-    assert G.is_abelian() is bool(commutes_with_all.all())
+    spec = {**FIXTURE_SPECS, **_DEGREE_SEVEN, **_SMALL_FAMILIES}[name]
+    G = build_group(spec)
+    assert G.generators is not None   # handed over by the constructor
+    # and the quotient and subgroup tables of every normal subgroup
+    tables = [G] if name in _DEGREE_SEVEN else _with_normal_quotients_and_subgroups(G)
+    for H in tables:
+        gens = groups.generating_set(H)
+        assert gens is H.generators and H.identity not in gens
+        assert len(gens) <= H.order.bit_length() - 1   # floor(log2 |H|)
+        if H.order <= 1000:  # the oracle's closure is quadratic in the order
+            assert oracle._closure(H, gens) == frozenset(range(H.order))
+        # the old tests: every row of mul against its column
+        commutes_with_all = np.all(H.mul == H.mul.T, axis=1)
+        assert center(H).members == tuple(np.flatnonzero(commutes_with_all).tolist())
+        assert H.is_abelian() is bool(commutes_with_all.all())
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .counterexample import build_counterexample_rep, m_fold_sumset, translate_c
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
-from .groups import (_FAMILIES, AbelianGroup, build_group, center,
+from .groups import (_FAMILIES, AbelianGroup, Subgroup, build_group, center,
                      center_free_quotient_chain, conjugacy_classes)
 from .markov import (build_chain, check_t_max, mixing_experiment, mixing_time,
                      stationarity_residual)
@@ -285,10 +285,11 @@ def run_markov(args: dict) -> tuple[dict, int]:
 
 
 def _pick_normal(T, selector: str):
-    subs = T.normal_subgroups
     s = selector.strip().lower()
-    if s == "group":
-        return subs[-1]
+    if s == "group":   # G itself, the lattice's last entry, without the lattice
+        n = T.group.order
+        return Subgroup(members=tuple(range(n)), is_normal=True, index=1)
+    subs = T.normal_subgroups
     if s == "center":
         zen = center(T.group)
         for N in subs:

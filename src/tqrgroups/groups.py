@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import config
 
@@ -37,14 +38,14 @@ class GroupTable:
 
     order: int
     identity: int
-    mul: np.ndarray          # shape (order, order), mul[a, b] = index of a*b
-    inv: np.ndarray          # shape (order,)
+    mul: np.ndarray          # shape (order, order), mul[a, b] = index of a*b, table_dtype(order)
+    inv: np.ndarray          # shape (order,), int64
     labels: list[str] | None = None
     source: dict = field(default_factory=dict)
     generators: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        self.mul = np.ascontiguousarray(self.mul, dtype=np.int64)
+        self.mul = np.ascontiguousarray(self.mul, dtype=table_dtype(self.order))
         self.inv = np.ascontiguousarray(self.inv, dtype=np.int64)
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
@@ -74,6 +75,13 @@ class GroupTable:
         if self.labels is not None:
             return self.labels[x]
         return str(x)
+
+
+def table_dtype(order: int) -> np.dtype:
+    """The Cayley table's entry type: int16 while every index 0..order-1 fits
+    (order <= 32768), else int32. Values read off a table are only indices;
+    arithmetic on them is done in int64."""
+    return np.dtype(np.int16 if order <= 1 << 15 else np.int32)
 
 
 def element_orders(mul_fn, identity, elems) -> np.ndarray:
@@ -185,7 +193,8 @@ def _rows(tuples, width: int) -> np.ndarray:
 
 def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]:
     """Cayley table of a group given by its elements and their associative
-    product law, and the greedy generating set whose rows were ranked.
+    product law, and the greedy generating set whose rows were ranked (a
+    ranked identity row generates nothing and is left out).
 
     `elems` holds the m elements as distinct integer rows in ascending
     lexicographic order; compose(x, elems) gives the rows of x*y for every y.
@@ -199,8 +208,11 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
     (g*y)*z = g*(y*z), so row g*y is mul[g][mul[y]]. Each generator at least
     doubles the subgroup reached, so at most floor(log2 m) + 1 rows are
     ranked, and the member set is closed once they all rank cleanly. The
-    table is filled one row at a time, with extra memory O(m * width).
+    table, of table_dtype(m), is filled in slabs of rows with extra memory
+    O(m * width + _SLAB_CELLS); the keys are int64 even where `elems` were
+    read off a narrow table (quotient and subgroup_table).
     """
+    elems = elems.astype(np.int64, copy=False)
     m, width = elems.shape
     span = elems.max(axis=0) + 1
     levels = []
@@ -210,8 +222,9 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
         levels.append(np.unique(key))
         prefix = np.searchsorted(levels[-1], key)
 
-    mul = np.empty((m, m), dtype=np.int64)
+    mul = np.empty((m, m), dtype=table_dtype(m))
     filled = np.zeros(m, dtype=bool)
+    slab = max(1, _SLAB_CELLS // m)
     gens: list[int] = []
     for x in range(m):
         if filled[x]:
@@ -225,6 +238,8 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
             raise GroupError("member set is not closed under multiplication")
         mul[x] = rank
         filled[x] = True
+        if np.array_equal(rows, elems):   # the identity, which reaches nothing
+            continue
         gens.append(x)
         # BFS: left-multiply every filled row by every generator until the
         # subgroup generated so far is closed
@@ -232,35 +247,46 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
         while frontier.size:
             reached = []
             for g in gens:
-                # row g is a permutation, so the fresh targets are distinct
-                targets = mul[g, frontier]
+                # row g is a permutation, so the fresh targets are distinct;
+                # cast once to intp, as they index three times below
+                targets = mul[g, frontier].astype(np.intp)
                 fresh = ~filled[targets]
-                for y, z in zip(frontier[fresh].tolist(), targets[fresh].tolist()):
-                    mul[z] = mul[g][mul[y]]
-                    reached.append(z)
-                filled[targets[fresh]] = True
-            frontier = np.array(reached, dtype=np.int64)
+                ys, zs = frontier[fresh], targets[fresh]
+                for lo in range(0, len(ys), slab):
+                    mul[zs[lo:lo + slab]] = mul[g][mul[ys[lo:lo + slab]]]
+                filled[zs] = True
+                reached.append(zs)
+            frontier = np.concatenate(reached)
     return mul, gens
 
 
 def _finalize(mul, labels, source, gens=None) -> GroupTable:
-    mul = np.asarray(mul, dtype=np.int64)
     identity, inv = _check_group_axioms(mul)
-    if gens is not None:
-        gens = tuple(g for g in gens if g != identity)
     return GroupTable(order=mul.shape[0], identity=identity, mul=mul, inv=inv,
-                      labels=labels, source=source, generators=gens)
+                      labels=labels, source=source,
+                      generators=None if gens is None else tuple(gens))
 
 
 # ---------------------------------------------------------------------------
 # Family constructors
 
 
+def _fill_circulant(out: np.ndarray, sign: int) -> None:
+    """out[a, b] = (a + sign*b) mod n on an (n, n) block of a table, sign =
+    +1 or -1. Row a is n consecutive entries of one 2n-entry row r,
+    read forwards from r[a] or backwards from r[n-1+a], so no n^2 array of
+    sums is formed; every read lies in r[0 .. 2n-2]."""
+    n = out.shape[0]
+    r = (np.arange(2 * n) + (sign < 0)) % n
+    step = r.strides[0]
+    out[:] = as_strided(r[0 if sign > 0 else n - 1:], (n, n), (step, sign * step))
+
+
 def _cyclic(n: int) -> GroupTable:
     if n < 1:
         raise GroupError("cyclic order must be >= 1")
-    i = np.arange(n)
-    mul = (i[:, None] + i[None, :]) % n
+    mul = np.empty((n, n), dtype=table_dtype(n))
+    _fill_circulant(mul, 1)
     return _finalize(mul, [str(k) for k in range(n)],
                      {"family": "cyclic", "params": {"n": n}}, [1] if n > 1 else [])
 
@@ -270,12 +296,12 @@ def _dihedral(n: int) -> GroupTable:
     if n < 1:
         raise GroupError("dihedral parameter must be >= 1")
     m = 2 * n
-    mul = np.zeros((m, m), dtype=np.int64)
-    i = np.arange(n)
-    mul[:n, :n] = (i[:, None] + i[None, :]) % n
-    mul[:n, n:] = (i[:, None] + i[None, :]) % n + n
-    mul[n:, :n] = (i[:, None] - i[None, :]) % n + n
-    mul[n:, n:] = (i[:, None] - i[None, :]) % n
+    mul = np.empty((m, m), dtype=table_dtype(m))
+    _fill_circulant(mul[:n, :n], 1)
+    _fill_circulant(mul[n:, n:], -1)
+    # below m, so in range of the table's type
+    np.add(mul[:n, :n], n, out=mul[:n, n:])
+    np.add(mul[n:, n:], n, out=mul[n:, :n])
     labels = [f"r{k}" for k in range(n)] + [f"s·r{k}" for k in range(n)]
     # generated by the rotation r1 and the reflection s = s·r0
     return _finalize(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
@@ -352,7 +378,11 @@ def _affine(p: int) -> GroupTable:
 def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
     na, nb = left.order, right.order
     _check_order(na * nb)
-    mul = (left.mul[:, None, :, None] * nb + right.mul[None, :, None, :])
+    # (a, b)(c, d) has index ac*nb + bd, summed in int64 and written straight
+    # into the narrow table, with no (na*nb)^2 int64 array in between
+    mul = np.empty((na, nb, na, nb), dtype=table_dtype(na * nb))
+    np.add((left.mul * np.int64(nb))[:, None, :, None], right.mul[None, :, None, :],
+           out=mul, casting="unsafe")
     mul = mul.reshape(na * nb, na * nb)
     labels = None
     if left.labels is not None and right.labels is not None:
@@ -470,9 +500,13 @@ def build_group(spec: dict) -> GroupTable:
                 isinstance(labels, list) and len(labels) == len(table)
                 and all(isinstance(x, str) for x in labels)):
             raise GroupError(f"cayley labels must be a list of {len(table)} strings")
-        # the source shares the read-only mul array rather than keeping a
-        # Python-int copy; the JSON writers turn it into lists
-        G = _finalize(table, labels, {"type": "cayley", "table": table})
+        # the range and axioms are checked on the int64 array, so no entry
+        # wraps into range when it is narrowed; the source then shares the
+        # read-only narrow mul rather than keeping a copy, and the JSON
+        # writers turn it into lists
+        source = {"type": "cayley", "table": table}
+        G = _finalize(table, labels, source)
+        source["table"] = G.mul
         _check_associative(G)
         return G
     if kind == "permutation":
@@ -521,7 +555,8 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     n, e = G.order, G.identity
     gens = np.array(generating_set(G), dtype=np.int64)
     both = np.concatenate([gens, G.inv[gens]])
-    maps = G.mul[G.mul[both], G.inv[both][:, None]]   # row i: x -> s x s^-1
+    # row i: x -> s x s^-1, as intp so the loop indexes with it uncast
+    maps = G.mul[G.mul[both], G.inv[both][:, None]].astype(np.intp)
     low, prev = np.arange(n), None
     while not np.array_equal(low, prev):
         prev, low = low, np.minimum(low, low[maps].min(axis=0, initial=n))
@@ -626,14 +661,16 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """Quotient group on the cosets of a normal subgroup."""
     if not N.is_normal:
         raise GroupError("quotient requires a normal subgroup")
+    source = {"type": "quotient", "parent": G.source, "kernel_order": N.order}
+    if N.order == G.order:   # one coset, named by its least element 0
+        return _finalize(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
     members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = np.unique(coset_rep)
     mul, gens = _table_from_rows(reps[:, None],
                                  lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
-    return _finalize(mul, labels, {"type": "quotient", "parent": G.source,
-                                   "kernel_order": N.order}, gens)
+    return _finalize(mul, labels, source, gens)
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:

@@ -56,7 +56,8 @@ def brute_conjugacy_classes(G):
 def per_class_conjugacy_classes(G):
     """ClassData in the canonical order, one np.unique of the orbit
     {g x g^-1 : g in G} per class, each seeded by the least element not yet
-    classed (after the identity)."""
+    classed (after the identity). Classes are int64 whatever the table's
+    entry type."""
     from tqrgroups.groups import ClassData
     n = G.order
     class_of = np.full(n, -1, dtype=np.int64)
@@ -64,7 +65,7 @@ def per_class_conjugacy_classes(G):
     for x in [G.identity] + [x for x in range(n) if x != G.identity]:
         if class_of[x] >= 0:
             continue
-        orbit = np.unique(G.mul[G.mul[:, x], G.inv])
+        orbit = np.unique(G.mul[G.mul[:, x], G.inv]).astype(np.int64)
         class_of[orbit] = len(classes)
         classes.append(orbit)
     sizes = np.array([len(c) for c in classes], dtype=np.int64)
@@ -227,8 +228,9 @@ def _quaternion_mult(a, b):
 
 
 def enumerated_group(spec):
-    """(elements, compose, labels) of an enumerated family or permutation
-    spec, in the element order the library's constructors use."""
+    """(elements, compose, labels) of a family (a product of families
+    included) or permutation spec, in the element order the library's
+    constructors use."""
     if spec.get("type") == "permutation":
         degree, gens = spec["degree"], [tuple(g) for g in spec["generators"]]
         seen = {tuple(range(degree))}
@@ -241,6 +243,20 @@ def enumerated_group(spec):
         labels = ["".join(map(str, p)) if degree <= 10 else str(p) for p in elems]
         return elems, _compose_perms, labels
     family, params = spec["family"], spec["params"]
+    if family == "product":
+        (ea, ca, la), (eb, cb, lb) = map(enumerated_group, (params["left"], params["right"]))
+        return ([(x, y) for x in ea for y in eb],
+                lambda u, v: (ca(u[0], v[0]), cb(u[1], v[1])),
+                [f"({x},{y})" for x in la for y in lb])
+    if family == "cyclic":
+        n = params["n"]
+        return list(range(n)), lambda x, y: (x + y) % n, [str(k) for k in range(n)]
+    if family == "dihedral":
+        # (f, k) is element f*n + k; a flag f = 1 negates the rotation after it
+        n = params["n"]
+        elems = [(f, k) for f in range(2) for k in range(n)]
+        return (elems, lambda x, y: ((x[0] + y[0]) % 2, (x[1] + (-1) ** x[0] * y[1]) % n),
+                [f"{'s·' * f}r{k}" for f, k in elems])
     if family in ("symmetric", "alternating"):
         elems = [p for p in itertools.permutations(range(params["n"]))
                  if family == "symmetric" or _perm_is_even(p)]

@@ -129,6 +129,19 @@ def test_counterexample_normal_selectors(capsys):
     assert doc2["report"]["normal_order"] == 2
 
 
+@pytest.mark.parametrize("text", ["cyclic:12", "cyclic:60", "quaternion8", "extraspecial:3",
+                                  "product(dihedral(3),cyclic(2))"])
+def test_normal_group_is_g_itself_without_the_lattice(text, capsys):
+    G, _, T = cli._load_table(cli.parse_group_spec(text))
+    N = cli._pick_normal(T, "group")
+    assert "kernel_masks" not in vars(T) and "normal_subgroups" not in vars(T)
+    assert N == T.normal_subgroups[-1] == cli._pick_normal(T, "index:1")
+    assert N.order == G.order
+    reports = [_run(["counterexample", "--group", text, "--normal", sel, "--m", "2"],
+                    capsys)[1]["report"] for sel in ("group", "index:1")]
+    assert reports[0] == reports[1]
+
+
 def test_sumset_subcommand(capsys):
     code, doc = _run(["sumset", "--factors", "12", "--set", "0;1;2", "--m", "2"],
                      capsys)

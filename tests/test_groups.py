@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,17 @@ def test_quotient_requires_normal():
         quotient(G, H)
 
 
+@pytest.mark.parametrize("name", ["C12", "S4", "relabelled-Q8"])
+def test_the_quotient_by_g_is_the_one_element_group(name, monkeypatch):
+    G = _relabelled(get_group("Q8"), 3) if name == "relabelled-Q8" else get_group(name)
+    monkeypatch.setattr(groups, "_table_from_rows", None)   # not built by ranking
+    N = subgroup_from_members(G, conjugacy_classes(G), range(G.order))
+    Q = quotient(G, N)
+    assert Q.order == 1 and Q.mul.tolist() == [[0]] and Q.generators == ()
+    assert Q.labels == [f"[{G.label(0)}]"]   # the coset G named by its least element
+    assert Q.source == {"type": "quotient", "parent": G.source, "kernel_order": G.order}
+
+
 def test_center_free_quotient_chain():
     chain_q8 = center_free_quotient_chain(get_group("Q8"))
     assert [g.order for g in chain_q8] == [8, 4, 1]
@@ -458,6 +470,13 @@ _ENUMERATED_SPECS = (
        {"type": "permutation", "degree": 17,
         "generators": [[3 * x % 17 for x in range(17)],
                        [(x + 1) % 17 for x in range(17)]]}])
+# the fixture groups not listed above (cyclic, dihedral, products, aff11) and
+# a product of products
+_ENUMERATED_SPECS += (
+    [spec for spec in FIXTURE_SPECS.values() if spec not in _ENUMERATED_SPECS]
+    + [_family("product", left=_family("dihedral", n=3),
+               right=_family("product", left=_family("quaternion8"),
+                             right=_family("cyclic", n=2)))])
 
 
 @pytest.mark.parametrize("spec", _ENUMERATED_SPECS, ids=str)
@@ -465,6 +484,7 @@ def test_enumerated_tables_match_dict_oracle(spec):
     G = build_group(spec)
     elems, compose, labels = oracle.enumerated_group(spec)
     mul = oracle.dict_cayley_table(elems, compose)
+    assert G.mul.dtype == np.int16 and mul.dtype == np.int64
     assert np.array_equal(G.mul, mul)
     assert np.array_equal(G.inv, oracle.table_inverses(mul))
     assert G.labels == labels
@@ -481,12 +501,55 @@ def test_quotient_and_subgroup_tables_match_dict_oracle(name):
     for N in normal_subgroups(get_table(name)):
         mul, reps = oracle.dict_quotient_table(G, N.members)
         Q = quotient(G, N)
+        assert Q.mul.dtype == np.int16 and mul.dtype == np.int64
         assert np.array_equal(Q.mul, mul)
         assert Q.labels == [f"[{G.label(r)}]" for r in reps]
         H, elems = subgroup_table(G, N.members)
-        assert elems == list(N.members)
+        assert elems == list(N.members) and H.mul.dtype == np.int16
         assert np.array_equal(
             H.mul, oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b])))
+
+
+def test_the_table_type_is_int16_up_to_order_32768():
+    # decided from the order alone: no table of that size is built
+    assert groups.table_dtype(1) == np.int16
+    assert groups.table_dtype(32768) == np.int16
+    assert groups.table_dtype(32769) == np.int32
+
+
+@pytest.mark.parametrize("text", [
+    "cyclic:2000", "dihedral:1000", "symmetric:6", "affine:31", "extraspecial:11",
+    "product(cyclic(40),symmetric(4))", "product(dihedral(30),cyclic(20))",
+    '{"type": "permutation", "degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}'])
+def test_building_a_table_allocates_no_int64_square(text):
+    spec = json.loads(text) if text.startswith("{") else cli.parse_group_spec(text)
+    tracemalloc.start()
+    try:
+        G = build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int16 table is n^2 * 2 bytes; an int64 square would be n^2 * 8
+    assert G.mul.nbytes == 2 * G.order ** 2 and peak < 4 * G.order ** 2, peak
+
+
+@pytest.mark.parametrize("row, col", [(1, 2), (3, 0), (0, 0)])
+def test_an_entry_raised_by_65536_is_refused_not_wrapped(row, col, tmp_path, capsys):
+    # the entry would wrap back to its true value in an int16 table, so the
+    # range is checked before the table is narrowed
+    table = get_group("C6").mul.tolist()
+    table[row][col] += 65536
+    with pytest.raises(GroupError, match="out of range"):
+        build_group(_cayley(table))
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(_cayley(table)))
+    assert cli.main(["group", "--group", f"@{path}"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_a_cayley_source_shares_the_narrow_table():
+    G = build_group(_cayley(get_group("S4").mul.tolist()))
+    assert G.source["table"] is G.mul and G.mul.dtype == np.int16
 
 
 def test_subgroup_table_rejects_non_closed_members():
@@ -520,7 +583,8 @@ def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, monkeypat
 
     monkeypatch.setattr(groups, "_table_from_rows", counting)
     chain = center_free_quotient_chain(build_group(spec))
-    assert [m for m, _ in ranked] == [G.order for G in chain]
+    # a quotient by all of G is the one-element group, built without ranking
+    assert [m for m, _ in ranked] == [G.order for G in chain if G.order > 1]
     assert all(1 <= calls <= m.bit_length() for m, calls in ranked), ranked
 
 

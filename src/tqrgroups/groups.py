@@ -141,6 +141,7 @@ class Subgroup:
 
 
 _SLAB_CELLS = 1 << 20   # table cells per slab in the inverse and associativity scans
+_FILL_CELLS = 1 << 16   # table cells per slab of rows filled by _table_from_rows
 
 
 def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:
@@ -167,10 +168,14 @@ def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:
     slab = max(1, _SLAB_CELLS // n)
     for lo in range(0, n, slab):
         hit = mul[lo:lo + slab] == identity
-        rows = np.arange(lo, lo + hit.shape[0])
-        inv[rows] = hit.argmax(axis=1)
-        bad = (hit.sum(axis=1) != 1) | (mul[inv[rows], rows] != identity)
-        if bad.any():
+        rows = np.arange(hit.shape[0])
+        first = hit.argmax(axis=1)
+        inv[lo:lo + len(rows)] = first
+        # one hit per row: a hit at each row's argmax and no more hits than
+        # rows; the per-row sum is taken only to name a failing row
+        if not (np.count_nonzero(hit) == len(rows) and hit[rows, first].all()
+                and (mul[first, lo + rows] == identity).all()):
+            bad = (hit.sum(axis=1) != 1) | (mul[first, lo + rows] != identity)
             raise GroupError(f"element {lo + int(bad.argmax())} has no two-sided inverse")
     return identity, inv
 
@@ -182,7 +187,8 @@ def _check_associative(G: GroupTable) -> None:
     for s in generating_set(G):
         for lo in range(0, G.order, slab):
             rows = G.mul[lo:lo + slab]
-            if not np.array_equal(G.mul[rows[:, s]], rows[:, G.mul[s]]):
+            if not np.array_equal(np.take(G.mul, rows[:, s], axis=0),
+                                  np.take(rows, G.mul[s], axis=1)):
                 raise GroupError("multiplication table is not associative")
 
 
@@ -194,7 +200,9 @@ def _rows(tuples, width: int) -> np.ndarray:
 def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]:
     """Cayley table of a group given by its elements and their associative
     product law, and the greedy generating set whose rows were ranked (a
-    ranked identity row generates nothing and is left out).
+    ranked identity row generates nothing and is left out). The symmetric,
+    alternating and permutation specs, quotient and subgroup_table build
+    their tables here; the other families write theirs from an index formula.
 
     `elems` holds the m elements as distinct integer rows in ascending
     lexicographic order; compose(x, elems) gives the rows of x*y for every y.
@@ -205,11 +213,12 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
     exceeds m * span_j). Every ranked row is compared with the element it
     names, so a product that is not an element raises GroupError. Every other
     row is the left product of a generator g and a filled row y,
-    (g*y)*z = g*(y*z), so row g*y is mul[g][mul[y]]. Each generator at least
-    doubles the subgroup reached, so at most floor(log2 m) + 1 rows are
-    ranked, and the member set is closed once they all rank cleanly. The
-    table, of table_dtype(m), is filled in slabs of rows with extra memory
-    O(m * width + _SLAB_CELLS); the keys are int64 even where `elems` were
+    (g*y)*z = g*(y*z), so row g*y is np.take(mul[g], mul[y]). Each generator
+    at least doubles the subgroup reached, so at most floor(log2 m) + 1 rows
+    are ranked, and the member set is closed once they all rank cleanly. The
+    table, of table_dtype(m), is filled in slabs of _FILL_CELLS cells, whose
+    narrow index np.take copies to intp, so the extra memory is
+    O(m * width + _FILL_CELLS); the keys are int64 even where `elems` were
     read off a narrow table (quotient and subgroup_table).
     """
     elems = elems.astype(np.int64, copy=False)
@@ -224,7 +233,7 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
 
     mul = np.empty((m, m), dtype=table_dtype(m))
     filled = np.zeros(m, dtype=bool)
-    slab = max(1, _SLAB_CELLS // m)
+    slab = max(1, _FILL_CELLS // m)
     gens: list[int] = []
     for x in range(m):
         if filled[x]:
@@ -253,7 +262,7 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
                 fresh = ~filled[targets]
                 ys, zs = frontier[fresh], targets[fresh]
                 for lo in range(0, len(ys), slab):
-                    mul[zs[lo:lo + slab]] = mul[g][mul[ys[lo:lo + slab]]]
+                    mul[zs[lo:lo + slab]] = np.take(mul[g], mul[ys[lo:lo + slab]])
                 filled[zs] = True
                 reached.append(zs)
             frontier = np.concatenate(reached)
@@ -326,16 +335,19 @@ def _compose_perms(p, Q):
 
 
 def _quaternion8() -> GroupTable:
-    # (u, s) is (-1)^s u for the units u = 1, i, j, k, which lists the
-    # elements as 1, -1, i, -i, j, -j, k, -k; the unit part of u*v is u xor v
-    # and NEG[u, v] is its sign (i*i = -1, i*j = k, j*i = -k, ...)
-    NEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    # (u, s) is (-1)^s u for the units u = 1, i, j, k, at index 2u + s, which
+    # lists the elements as 1, -1, i, -i, j, -j, k, -k; the unit part of u*v
+    # is u xor v and NEG[u, v] is its sign (i*i = -1, i*j = k, j*i = -k, ...),
+    # so (u, s).(v, t) has index 2 (u xor v) + (s + t + NEG[u, v]) mod 2,
+    # written on the axes [u, s, v, t]
+    dt = table_dtype(8)
+    NEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=dt)
+    u, s = np.arange(4, dtype=dt), np.arange(2, dtype=dt)
+    mul = (2 * (u[:, None, None, None] ^ u[:, None])
+           + (s[:, None, None] + s + NEG[:, None, :, None]) % 2).reshape(8, 8)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul, gens = _table_from_rows(
-        _rows(list(itertools.product(range(4), range(2))), 2),
-        lambda x, Y: np.stack([x[0] ^ Y[:, 0],
-                               (x[1] + Y[:, 1] + NEG[x[0], Y[:, 0]]) % 2], axis=1))
-    return _finalize(mul, names, {"family": "quaternion8", "params": {}}, gens)
+    # generated by i and j
+    return _finalize(mul, names, {"family": "quaternion8", "params": {}}, [2, 4])
 
 
 def _is_prime(p: int) -> bool:
@@ -348,31 +360,45 @@ def _extraspecial(p: int) -> GroupTable:
     """Upper unitriangular 3x3 matrices over F_p; order p^3, center of order p."""
     if not _is_prime(p):
         raise GroupError("extraspecial parameter must be prime")
-    elems = list(itertools.product(range(p), repeat=3))
+    m, dt = p ** 3, table_dtype(p ** 3)
+    # (a, b, c) has index a p^2 + b p + c, and (a, b, c).(d, e, f) is
+    # (a + d, b + e, c + f + a e); the index of the product is head[a, b, d, e]
+    # + tail[a, c, e, f], both p^4 arrays summed straight into the table
+    r = np.arange(p)
+    add = (r[:, None] + r) % p
+    head = (add[:, None, :, None] * p ** 2 + add[None, :, None, :] * p).astype(dt)
+    tail = ((r[:, None, None] + r + np.multiply.outer(r, r)[:, None, :, None]) % p).astype(dt)
+    mul = np.empty((p, p, p, p, p, p), dtype=dt)
+    np.add(head[:, :, None, :, :, None], tail[:, None, :, None, :, :], out=mul)
+    labels = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
+    # generated by (0, 1, 0) and (1, 0, 0), whose commutator is (0, 0, 1)
+    return _finalize(mul.reshape(m, m), labels,
+                     {"family": "extraspecial", "params": {"p": p}}, [p, p * p])
 
-    def compose(x, Y):
-        # (a, b, c) . (d, e, f) = (a + d, b + e, c + f + a e)
-        return np.stack([(x[0] + Y[:, 0]) % p, (x[1] + Y[:, 1]) % p,
-                         (x[2] + Y[:, 2] + x[0] * Y[:, 1]) % p], axis=1)
 
-    mul, gens = _table_from_rows(_rows(elems, 3), compose)
-    labels = [f"({a},{b},{c})" for a, b, c in elems]
-    return _finalize(mul, labels, {"family": "extraspecial", "params": {"p": p}}, gens)
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group of F_p, p prime."""
+    primes = [q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)]
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in primes))
 
 
 def _affine(p: int) -> GroupTable:
     """Invertible affine maps x -> a x + b of F_p; order p(p-1)."""
     if not _is_prime(p):
         raise GroupError("affine parameter must be prime")
-    elems = [(a, b) for a in range(1, p) for b in range(p)]
-
-    def compose(x, Y):
-        # (a, b) . (a2, b2): first apply x -> a2 x + b2, then x -> a x + b
-        return np.stack([x[0] * Y[:, 0] % p, (x[0] * Y[:, 1] + x[1]) % p], axis=1)
-
-    mul, gens = _table_from_rows(_rows(elems, 2), compose)
-    labels = [f"x->{a}x+{b}" for a, b in elems]
-    return _finalize(mul, labels, {"family": "affine", "params": {"p": p}}, gens)
+    m, dt = p * (p - 1), table_dtype(p * (p - 1))
+    # (a, b) has index (a - 1) p + b, and (a, b).(a2, b2), first x -> a2 x + b2
+    # and then x -> a x + b, is (a a2, a b2 + b); the index of the product is
+    # high[a, a2] + low[a, b, b2], summed straight into the table
+    labels = [f"x->{a}x+{b}" for a in range(1, p) for b in range(p)]
+    a, b = np.arange(1, p), np.arange(p)
+    high = ((np.multiply.outer(a, a) % p - 1) * p).astype(dt)
+    low = ((a[:, None, None] * b + b[:, None]) % p).astype(dt)
+    mul = np.empty((p - 1, p, p - 1, p), dtype=dt)
+    np.add(high[:, None, :, None], low[:, :, None, :], out=mul)
+    # generated by the translation x -> x + 1 and x -> r x for a primitive root r
+    gens = [1] if p == 2 else [1, (_primitive_root(p) - 1) * p]
+    return _finalize(mul.reshape(m, m), labels, {"family": "affine", "params": {"p": p}}, gens)
 
 
 def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
@@ -575,7 +601,10 @@ def _witnesses(G: GroupTable, C: ClassData, members):
     classes N). N's witnesses are its class representatives: x*hgh^-1 =
     h*(h^-1 x h)*g*h^-1 puts N*(class of g) in N once N*g is, and x commutes
     with N iff its representative does. Other sets are their own witnesses."""
-    arr = np.unique(np.fromiter(members, dtype=np.int64))
+    # an array (a union of classes from _subgroup_of_mask) is taken whole;
+    # fromiter would step through it one element at a time
+    arr = np.unique(np.asarray(members, dtype=np.int64) if isinstance(members, np.ndarray)
+                    else np.fromiter(members, dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
         raise GroupError(f"member indices must lie in 0..{G.order - 1}")
     cls = C.class_of[arr]
@@ -589,7 +618,7 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
     if G.identity not in arr:
         raise GroupError("subgroup must contain the identity")
     inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
-    if not inside[G.mul[arr[:, None], np.unique(owner)]].all():
+    if not np.take(inside, G.mul[arr[:, None], np.unique(owner)]).all():
         raise GroupError("member set is not closed under multiplication")
     if G.order % arr.size:
         raise GroupError("subgroup order does not divide group order")

@@ -183,12 +183,14 @@ def closure_derived_subgroup(G, C):
     return _closure(G, comms)
 
 
-def dict_cayley_table(elems, compose):
+def dict_cayley_table(elems, compose, rows=None):
     """Cayley table by indexing the elements in a dict and looking up every
-    pairwise product compose(x, y), pure python; KeyError if not closed."""
+    pairwise product compose(x, y), pure python; KeyError if not closed.
+    Only the given row indices are built when `rows` is set."""
     index = {e: k for k, e in enumerate(elems)}
-    return np.array([[index[compose(x, y)] for y in elems] for x in elems],
-                    dtype=np.int64).reshape(len(elems), len(elems))
+    xs = elems if rows is None else [elems[r] for r in rows]
+    return np.array([[index[compose(x, y)] for y in elems] for x in xs],
+                    dtype=np.int64).reshape(len(xs), len(elems))
 
 
 def brute_force_is_associative(mul):

@@ -461,8 +461,8 @@ _ENUMERATED_SPECS = (
      for n in (1, 2, 3, 4, 5)]
     + [{"family": "alternating", "params": {"n": 6}},
        {"family": "quaternion8", "params": {}}]
-    + [{"family": "extraspecial", "params": {"p": p}} for p in (2, 3, 5)]
-    + [{"family": "affine", "params": {"p": p}} for p in (2, 3, 5, 7, 13)]
+    + [{"family": "extraspecial", "params": {"p": p}} for p in (2, 3, 5, 11)]
+    + [{"family": "affine", "params": {"p": p}} for p in (2, 3, 5, 7, 13, 97)]
     + [{"type": "permutation", "degree": 0, "generators": []},
        {"type": "permutation", "degree": 4,
         "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
@@ -479,15 +479,28 @@ _ENUMERATED_SPECS += (
                              right=_family("cyclic", n=2)))])
 
 
+# the whole dict table of affine:97 (order 9312) is 87 million lookups, about
+# 40 s and a gigabyte of Python ints; above this order the oracle builds 128
+# rows spread evenly over the table, and the identity's row
+_DICT_ORACLE_CAP = 2000
+
+
 @pytest.mark.parametrize("spec", _ENUMERATED_SPECS, ids=str)
 def test_enumerated_tables_match_dict_oracle(spec):
     G = build_group(spec)
     elems, compose, labels = oracle.enumerated_group(spec)
-    mul = oracle.dict_cayley_table(elems, compose)
-    assert G.mul.dtype == np.int16 and mul.dtype == np.int64
-    assert np.array_equal(G.mul, mul)
-    assert np.array_equal(G.inv, oracle.table_inverses(mul))
-    assert G.labels == labels
+    assert G.mul.dtype == np.int16 and G.labels == labels
+    if G.order <= _DICT_ORACLE_CAP:
+        mul = oracle.dict_cayley_table(elems, compose)
+        assert mul.dtype == np.int64 and np.array_equal(G.mul, mul)
+        assert np.array_equal(G.inv, oracle.table_inverses(mul))
+        return
+    rows = np.unique(np.linspace(0, G.order - 1, 128).astype(np.int64))
+    mul = oracle.dict_cayley_table(elems, compose, rows)
+    assert mul.dtype == np.int64 and np.array_equal(G.mul[rows], mul)
+    identity_row = oracle.dict_cayley_table(elems, compose, [G.identity])[0]
+    assert np.array_equal(identity_row, np.arange(G.order))
+    assert [row.tolist().index(G.identity) for row in mul] == G.inv[rows].tolist()
 
 
 def test_degree_zero_permutation_spec_is_trivial():
@@ -518,7 +531,8 @@ def test_the_table_type_is_int16_up_to_order_32768():
 
 
 @pytest.mark.parametrize("text", [
-    "cyclic:2000", "dihedral:1000", "symmetric:6", "affine:31", "extraspecial:11",
+    "cyclic:2000", "dihedral:1000", "symmetric:6", "symmetric:7", "affine:31",
+    "extraspecial:11",
     "product(cyclic(40),symmetric(4))", "product(dihedral(30),cyclic(20))",
     '{"type": "permutation", "degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}'])
 def test_building_a_table_allocates_no_int64_square(text):
@@ -547,6 +561,19 @@ def test_an_entry_raised_by_65536_is_refused_not_wrapped(row, col, tmp_path, cap
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table, bad", [
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 0]], 1),   # row 1 never reaches the identity
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 1]], 1),   # row 1 reaches it twice
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], 1),   # 1*2 is the identity, 2*1 is not
+    ([[0, 1, 2], [1, 0, 2], [2, 1, 1]], 2)])  # rows 0 and 1 are fine
+@pytest.mark.parametrize("slab_cells", [1 << 20, 3])   # one slab, or one row a slab
+def test_a_missing_inverse_names_the_first_failing_element(table, bad, slab_cells,
+                                                            monkeypatch):
+    monkeypatch.setattr(groups, "_SLAB_CELLS", slab_cells)
+    with pytest.raises(GroupError, match=f"element {bad} has no two-sided inverse"):
+        groups._check_group_axioms(np.array(table))
+
+
 def test_a_cayley_source_shares_the_narrow_table():
     G = build_group(_cayley(get_group("S4").mul.tolist()))
     assert G.source["table"] is G.mul and G.mul.dtype == np.int16
@@ -559,12 +586,20 @@ def test_subgroup_table_rejects_non_closed_members():
         subgroup_table(G, [0, 1, 2])
 
 
-@pytest.mark.parametrize("spec", [
-    {"family": "symmetric", "params": {"n": 6}},
-    {"family": "alternating", "params": {"n": 6}},
-    {"family": "affine", "params": {"p": 31}},
-    {"family": "extraspecial", "params": {"p": 7}}], ids=str)
-def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, monkeypatch):
+_PSL27 = {"type": "permutation", "degree": 8,
+          "generators": [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}
+
+
+@pytest.mark.parametrize("spec, built_by_ranking", [
+    pytest.param(spec, orders, id=str(spec)) for spec, orders in [
+        ({"family": "symmetric", "params": {"n": 6}}, [720]),
+        ({"family": "alternating", "params": {"n": 6}}, [360]),
+        (_PSL27, [168]),
+        # extraspecial:7 writes its table from a formula; its quotient by the
+        # center, of order 49, ranks rows, and the next quotient is by all of it
+        ({"family": "extraspecial", "params": {"p": 7}}, [49])]])
+def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, built_by_ranking,
+                                                                 monkeypatch):
     # each generator at least doubles the subgroup reached, so a table of
     # order m ranks at most floor(log2 m) + 1 product rows; the rest are filled
     ranked = []
@@ -582,10 +617,21 @@ def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, monkeypat
         return mul
 
     monkeypatch.setattr(groups, "_table_from_rows", counting)
-    chain = center_free_quotient_chain(build_group(spec))
-    # a quotient by all of G is the one-element group, built without ranking
-    assert [m for m, _ in ranked] == [G.order for G in chain if G.order > 1]
+    center_free_quotient_chain(build_group(spec))
+    assert [m for m, _ in ranked] == built_by_ranking
     assert all(1 <= calls <= m.bit_length() for m, calls in ranked), ranked
+
+
+@pytest.mark.parametrize("text", [
+    "affine:2", "affine:3", "affine:31", "extraspecial:2",
+    "extraspecial:7", "quaternion8", "cyclic:12", "dihedral:6",
+    "product(affine(5),quaternion8)"])
+def test_closed_form_families_write_their_table_without_ranking_rows(text, monkeypatch):
+    monkeypatch.setattr(groups, "_table_from_rows", None)   # calling it fails
+    G = build_group(cli.parse_group_spec(text))
+    # the handed-over set generates G, and none of it is the identity
+    assert G.identity not in G.generators
+    assert oracle._closure(G, G.generators) == frozenset(range(G.order))
 
 
 @settings(deadline=None)  # the first example of each group builds its table
@@ -665,7 +711,8 @@ _SMALL_FAMILIES = {"C1": _family("cyclic", n=1), "D1": _family("dihedral", n=1),
                    "D1xC1": _family("product", left=_family("dihedral", n=1),
                                     right=_family("cyclic", n=1)),
                    "D6xQ8": _family("product", left=_family("dihedral", n=6),
-                                    right=_family("quaternion8"))}
+                                    right=_family("quaternion8")),
+                   "aff2": _family("affine", p=2), "ES2": _family("extraspecial", p=2)}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_DEGREE_SEVEN)

@@ -141,7 +141,7 @@ class Subgroup:
 
 
 _SLAB_CELLS = 1 << 20   # table cells per slab in the inverse and associativity scans
-_FILL_CELLS = 1 << 16   # table cells per slab of rows filled by _table_from_rows
+_FILL_CELLS = 1 << 15   # table cells per slab of rows filled by _table_from_rows
 
 
 def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:

@@ -213,13 +213,13 @@ def _criteria_params(args: dict) -> CriteriaParams:
 def run_check(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     params = _criteria_params(args)
-    G, C, T = _load_table(spec)
+    _, _, T = _load_table(spec)
     which = args.get("criterion", "all")
     if which not in ("all", *TQR_CRITERIA, *QR_CRITERIA):
         raise UsageError(f"unknown criterion {which!r}")
     names = (*TQR_CRITERIA, *QR_CRITERIA) if which == "all" else (which,)
-    reports = (check_tqr(G, C, T, params, [n for n in names if n in TQR_CRITERIA])
-               + check_qr(G, T, params, [n for n in names if n in QR_CRITERIA]))
+    reports = (check_tqr(T, params, [n for n in names if n in TQR_CRITERIA])
+               + check_qr(T, params, [n for n in names if n in QR_CRITERIA]))
     payload = {"criteria": [r.to_json_dict() for r in reports]}
     return (_envelope("check", spec, params.to_json_dict(), payload,
                       seed=params.seed), 0)

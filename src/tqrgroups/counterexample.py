@@ -21,7 +21,8 @@ from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
-                     GroupTable, Subgroup, abelian_structure, center_of_subset)
+                     GroupTable, Subgroup, abelian_structure, center_of_subset,
+                     permutation_closure)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -33,8 +34,8 @@ def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
 class AutAction:
     """A finite group of automorphisms of an AbelianGroup, as a (k, |K|)
     array of element permutations. The given maps are validated as
-    automorphisms and closed under composition (so generators may be passed);
-    an already closed input keeps its order."""
+    automorphisms and closed by groups.permutation_closure, so generators may
+    be passed and an already closed input keeps its order."""
 
     group: AbelianGroup
     perms: np.ndarray
@@ -53,16 +54,7 @@ class AutAction:
         if (np.any(d[:, None] * images % d) or not np.array_equal(
                 K.index(np.einsum("xi,pij->pxj", K.coords, images)), given)):
             raise ValueError("action map is not an automorphism")
-        found = {p.tobytes(): p for p in given}
-        gens = list(found.values())
-        found.setdefault(np.arange(n).tobytes(), np.arange(n))
-        queue = list(found.values())
-        for p in queue:
-            for g in gens:
-                q = p[g]
-                if found.setdefault(q.tobytes(), q) is q:
-                    queue.append(q)
-        self.perms = np.array(queue)
+        self.perms = permutation_closure(given)
 
     def __len__(self):
         return len(self.perms)

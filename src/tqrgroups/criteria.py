@@ -20,7 +20,7 @@ from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
                          split_off_identity, support_measure_frac,
                          tensor_support_mask)
 from . import groups
-from .groups import ClassData, GroupError, GroupTable, derived_subgroup, center_of_subset
+from .groups import GroupError, GroupTable, derived_subgroup, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
 QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
@@ -53,7 +53,7 @@ class CriteriaParams:
         if not 0 < self.density <= 1:  # also refuses nan
             raise ValueError(f"density must be in (0, 1], got {self.density!r}")
         for name, least in (("power", 1), ("trials", 1), ("support_trials", 0),
-                            ("exhaustive_cap", 0)):
+                            ("exhaustive_cap", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
@@ -247,15 +247,14 @@ def _random_support_blocks(T, rng, dens, count):
 # TQR criteria
 
 
-def check_tqr(G: GroupTable, C: ClassData, T: CharTable,
-              params: CriteriaParams | None = None,
+def check_tqr(T: CharTable, params: CriteriaParams | None = None,
               names=TQR_CRITERIA) -> list[CriterionReport]:
     """Evaluate the named tensor-quasi-randomness criteria (all four by
     default) with explicit thresholds; failed criteria carry concrete
     witnesses."""
     params = params or CriteriaParams()
     pjson = params.to_json_dict()
-    return _evaluate(names, {"tqr1": lambda: _tqr1(G, C, params, pjson),
+    return _evaluate(names, {"tqr1": lambda: _tqr1(T, params, pjson),
                              "tqr2": lambda: _tqr2(T, params, pjson),
                              "tqr3": lambda: _tqr3(T, params, pjson),
                              "tqr4": lambda: _tqr4(T, params, pjson)})
@@ -268,7 +267,8 @@ def _evaluate(names, evaluators: dict) -> list[CriterionReport]:
     return [evaluators[n]() for n in names]
 
 
-def _tqr1(G, C, params, pjson) -> CriterionReport:
+def _tqr1(T, params, pjson) -> CriterionReport:
+    G, C = T.group, T.classes
     c = C.min_nontrivial_size
     if c is None:
         return CriterionReport("tqr1", True, pjson,
@@ -449,7 +449,7 @@ def _tqr4(T, params, pjson) -> CriterionReport:
 # Product-set (quasi-randomness) criteria
 
 
-def check_qr(G: GroupTable, T: CharTable, params: CriteriaParams | None = None,
+def check_qr(T: CharTable, params: CriteriaParams | None = None,
              names=QR_CRITERIA) -> list[CriterionReport]:
     """Evaluate the named product-set quasi-randomness criteria (all four by
     default)."""

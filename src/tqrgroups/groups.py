@@ -192,17 +192,12 @@ def _check_associative(G: GroupTable) -> None:
                 raise GroupError("multiplication table is not associative")
 
 
-def _rows(tuples, width: int) -> np.ndarray:
-    """Equal-length integer tuples as the rows of an (m, width) array."""
-    return np.array(tuples, dtype=np.int64).reshape(len(tuples), width)
-
-
 def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]:
     """Cayley table of a group given by its elements and their associative
     product law, and the greedy generating set whose rows were ranked (a
-    ranked identity row generates nothing and is left out). The symmetric,
-    alternating and permutation specs, quotient and subgroup_table build
-    their tables here; the other families write theirs from an index formula.
+    ranked identity row generates nothing and is left out). Permutation
+    groups (_perm_group), quotient and subgroup_table build their tables
+    here; the other families write theirs from an index formula.
 
     `elems` holds the m elements as distinct integer rows in ascending
     lexicographic order; compose(x, elems) gives the rows of x*y for every y.
@@ -316,22 +311,56 @@ def _dihedral(n: int) -> GroupTable:
     return _finalize(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
 
 
-def _perm_family(n: int, even_only: bool, family: str) -> GroupTable:
+def _perm_family(n: int, family: str) -> GroupTable:
+    """S_n, the closure of (0 1) and (0 1 ... n-1), or A_n, the closure of
+    (0 1 2) and whichever of (0 1 ... n-1) and (1 ... n-1) is even."""
     if n < 1:
         raise GroupError("degree must be >= 1")
-    perms = _rows(list(itertools.permutations(range(n))), n)
-    if even_only:  # an even permutation has an even number of inversions
-        inversions = sum((perms[:, [i]] > perms[:, i + 1:]).sum(axis=1) for i in range(n))
-        perms = perms[inversions % 2 == 0]
-    mul, gens = _table_from_rows(perms, _compose_perms)
-    # the digits of one uint8 buffer (the order cap keeps every entry one digit)
-    labels = np.frombuffer((perms + 48).astype(np.uint8).tobytes(), f"S{n}").astype(str).tolist()
-    return _finalize(mul, labels, {"family": family, "params": {"n": n}}, gens)
+    if family == "symmetric":
+        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+    else:
+        gens = [[1, 2, 0, *range(3, n)],
+                [*range(1, n), 0] if n % 2 else [0, *range(2, n), 1]] if n > 2 else []
+    return _perm_group(n, gens, {"family": family, "params": {"n": n}})
 
 
-def _compose_perms(p, Q):
-    """Rows of p∘q (k -> p[q[k]]) for every row q of Q."""
-    return p[Q]
+def permutation_closure(gens: np.ndarray) -> np.ndarray:
+    """The group the permutation rows `gens` generate (row p maps k -> p[k]),
+    in their dtype: the distinct generators in order, then the identity, then
+    each new p∘g (k -> p[g[k]]) breadth first; more than MAX_ORDER elements
+    raise GroupError. Rows are multiplied out in slabs of about _FILL_CELLS
+    entries, each keyed by one np.void view, not by a numpy call an element."""
+    gens = np.ascontiguousarray(gens)
+    degree = gens.shape[1]
+    key = np.dtype((np.void, degree * gens.itemsize))
+    seen: set[bytes] = set()
+
+    def fresh(rows):   # the C-ordered rows not seen before, in order, now seen
+        new = [k for k in rows.view(key).ravel().tolist() if not (k in seen or seen.add(k))]
+        if len(seen) > config.MAX_ORDER:
+            raise GroupError(f"generator closure exceeds MAX_ORDER={config.MAX_ORDER}")
+        return np.frombuffer(b"".join(new), gens.dtype).reshape(-1, degree)
+
+    gens = fresh(gens)
+    found = [gens, fresh(np.arange(degree, dtype=gens.dtype)[None])]
+    slab = max(1, _FILL_CELLS // max(1, gens.size))
+    for rows in found:   # breadth first: `found` grows as it is read
+        for lo in range(0, len(rows), slab):
+            found.append(fresh(rows[lo:lo + slab].take(gens, axis=1).reshape(-1, degree)))
+    return np.concatenate(found)
+
+
+def _perm_group(degree: int, gens, source: dict) -> GroupTable:
+    """The closure of `gens` on its rows in lexicographic order, labelled by
+    their digits up to degree 10 and by str(tuple) above."""
+    if degree == 0:   # the one empty permutation, which no void key holds
+        return _finalize(np.zeros((1, 1), dtype=np.int64), [""], source, [])
+    perms = permutation_closure(np.array(gens, dtype=np.int64).reshape(-1, degree))
+    perms = perms[np.lexsort(perms.T[::-1])]
+    mul, table_gens = _table_from_rows(perms, lambda p, Q: p[Q])   # rows of p∘q
+    labels = ([str(tuple(p)) for p in perms.tolist()] if degree > 10 else np.frombuffer(
+        (perms + 48).astype(np.uint8).tobytes(), f"S{degree}").astype(str).tolist())
+    return _finalize(mul, labels, source, table_gens)
 
 
 def _quaternion8() -> GroupTable:
@@ -419,32 +448,6 @@ def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupT
     return _finalize(mul, labels, source, gens)
 
 
-def _perm_closure(degree: int, generators: list[tuple[int, ...]]) -> GroupTable:
-    idn = tuple(range(degree))
-    for g in generators:
-        if sorted(g) != list(range(degree)):
-            raise GroupError(f"{g} is not a permutation of 0..{degree - 1}")
-    frontier = [idn]
-    seen = {idn}
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(p[g[k]] for k in range(degree))
-                if q not in seen:
-                    if len(seen) >= config.MAX_ORDER:
-                        raise GroupError(
-                            f"generator closure exceeds MAX_ORDER={config.MAX_ORDER}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    elems = sorted(seen)
-    mul, gens = _table_from_rows(_rows(elems, degree), _compose_perms)
-    labels = ["".join(map(str, p)) if degree <= 10 else str(p) for p in elems]
-    return _finalize(mul, labels, {"type": "permutation", "degree": degree,
-                                   "generators": [list(g) for g in generators]}, gens)
-
-
 def _field(spec: dict, key: str):
     """spec[key], with a missing key reported as a bad group spec."""
     try:
@@ -482,8 +485,8 @@ def _family_order(name: str, k: int) -> int | float:
 _FAMILIES = {
     "cyclic": ("n", _cyclic),
     "dihedral": ("n", _dihedral),
-    "symmetric": ("n", lambda n: _perm_family(n, False, "symmetric")),
-    "alternating": ("n", lambda n: _perm_family(n, True, "alternating")),
+    "symmetric": ("n", lambda n: _perm_family(n, "symmetric")),
+    "alternating": ("n", lambda n: _perm_family(n, "alternating")),
     "extraspecial": ("p", _extraspecial),
     "affine": ("p", _affine),
 }
@@ -542,7 +545,11 @@ def build_group(spec: dict) -> GroupTable:
         gens = _field(spec, "generators")
         if not (isinstance(gens, list) and all(_is_int_list(g) for g in gens)):
             raise GroupError("permutation generators must be a list of integer lists")
-        return _perm_closure(degree, [tuple(g) for g in gens])
+        for g in gens:
+            if sorted(g) != list(range(degree)):
+                raise GroupError(f"{tuple(g)} is not a permutation of 0..{degree - 1}")
+        return _perm_group(degree, gens, {"type": "permutation", "degree": degree,
+                                          "generators": [list(g) for g in gens]})
     raise GroupError(f"unrecognized group spec: {spec!r}")
 
 
@@ -740,7 +747,7 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     indices (sorted ascending, so index 0 need not be the identity of G).
     """
     elems = sorted(int(m) for m in members)
-    mul, gens = _table_from_rows(_rows(elems, 1),
+    mul, gens = _table_from_rows(np.array(elems, dtype=np.int64)[:, None],
                                  lambda x, Y: G.mul[x[0], Y[:, 0]][:, None])
     labels = [G.label(e) for e in elems] if G.labels is not None else None
     table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,

@@ -19,7 +19,9 @@ of rounded tuples per row, random supports from one scalar
 draw per irreducible, sampled product sets from one np.unique per trial and
 product, QR2 and QR3 verdicts from every subset or pair of subsets of the
 subset size, Cayley tables from a dict lookup of every pairwise
-product, associativity from every triple, abelian characters and their
+product, symmetric and alternating groups from every itertools permutation
+and an inversion count, permutation closures one element at a time,
+associativity from every triple, abelian characters and their
 dual actions from one Fraction per value, mixing curves from one
 vector-matrix step per start row, and the affine-group table is
 assembled from its known structure.
@@ -277,6 +279,40 @@ def enumerated_group(spec):
     elems = [(a, b) for a in range(1, p) for b in range(p)]
     return (elems, lambda x, y: (x[0] * y[0] % p, (x[0] * y[1] + x[1]) % p),
             [f"x->{a}x+{b}" for a, b in elems])
+
+
+def itertools_perm_family(n, even_only):
+    """S_n, or A_n when `even_only`, built as the library once built it:
+    every permutation from itertools.permutations in lexicographic order,
+    the even ones picked by their inversion count, the table from
+    _table_from_rows, and each label the digits of the permutation."""
+    from tqrgroups import groups
+
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    if even_only:
+        inversions = sum((perms[:, [i]] > perms[:, i + 1:]).sum(axis=1) for i in range(n))
+        perms = perms[inversions % 2 == 0]
+    mul, gens = groups._table_from_rows(perms, lambda p, Q: p[Q])
+    labels = ["".join(map(str, p)) for p in perms.tolist()]
+    family = "alternating" if even_only else "symmetric"
+    return groups._finalize(mul, labels, {"family": family, "params": {"n": n}}, gens)
+
+
+def queue_closure(perms):
+    """The closure of permutation rows under composition, one element at a
+    time: the distinct rows in order, then the identity unless it is one of
+    them, then p[g] for each found p in order and each distinct row g."""
+    found = {p.tobytes(): p for p in perms}
+    gens = list(found.values())
+    degree = perms.shape[1]
+    found.setdefault(np.arange(degree).tobytes(), np.arange(degree))
+    queue = list(found.values())
+    for p in queue:
+        for g in gens:
+            q = p[g]
+            if found.setdefault(q.tobytes(), q) is q:
+                queue.append(q)
+    return np.array(queue)
 
 
 def dict_quotient_table(G, members):

@@ -341,9 +341,9 @@ def test_c10_affine_family_and_quotient_chains():
         G, C, T = table_of(f"affine:{p}")
         assert C.min_nontrivial_size == p - 1
         params = CriteriaParams(class_threshold=p - 2)
-        tqr1 = check_tqr(G, C, T, params)[0]
+        tqr1 = check_tqr(T, params)[0]
         assert tqr1.holds and tqr1.details["c"] == p - 1
-        qr4 = {r.criterion: r for r in check_qr(G, T)}["qr4"]
+        qr4 = {r.criterion: r for r in check_qr(T)}["qr4"]
         assert qr4.holds is False
         assert qr4.witness["kind"] == "abelian_quotient"
         assert qr4.witness["quotient_order"] == p - 1

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tqrgroups import cli, groups
+from tqrgroups.criteria import QR_CRITERIA, TQR_CRITERIA
 
 
 def _run(argv, capsys):
@@ -505,10 +506,15 @@ _BAD_CHECK_OPTIONS = (
            ("--trials", "-5", "trials must be >= 1, got -5"),
            ("--trials", "0", "trials must be >= 1, got 0"),
            ("--power", "0", "power must be >= 1, got 0"),
-           ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"))])
+           ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"),
+           # the samplers seed numpy with the seed plus 2001 to 5001, so
+           # -1500 and -5000 would be negative for none or some of them
+           ("--seed", "-1", "seed must be >= 0, got -1"),
+           ("--seed", "-1500", "seed must be >= 0, got -1500"),
+           ("--seed", "-5000", "seed must be >= 0, got -5000"))])
 
 
-@pytest.mark.parametrize("criterion", ["tqr2", "all"])
+@pytest.mark.parametrize("criterion", ["all", *TQR_CRITERIA, *QR_CRITERIA])
 @pytest.mark.parametrize("flag, value, message", _BAD_CHECK_OPTIONS)
 def test_density_outside_the_unit_interval_is_bad_input(criterion, flag, value,
                                                         message, capsys):

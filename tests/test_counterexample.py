@@ -7,13 +7,14 @@ import pytest
 
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
-from tqrgroups import (AbelianGroup, AutAction, abelian_structure, build_group,
-                       build_counterexample_rep, center,
+from tqrgroups import (AbelianGroup, AutAction, GroupError, abelian_structure,
+                       build_group, build_counterexample_rep, center,
                        compute_char_table, conjugacy_classes, decompose,
                        default_epsilon, dual_action, induce_character,
                        inner_product, invariant_small_doubling_set,
                        m_fold_sumset, normal_subgroups, plancherel_frac,
                        translate_cover, verify_vtheta_partition)
+from tqrgroups import config, groups
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.counterexample import (_partition_check,
                                      conjugation_action_on_center, m_fold_mask)
@@ -144,6 +145,41 @@ def test_dual_action_of_conjugation_matches_fraction_oracle(name):
         if len(K_members) > 1:
             dec = abelian_structure(G, K_members)
             _assert_dual_matches_oracle(conjugation_action_on_center(G, N, dec))
+
+
+def _swap(K):
+    """(x1, x2) -> (x2, x1) on Z_d x Z_d."""
+    return K.index(K.coords[:, ::-1])
+
+
+def _shear(K):
+    """(x1, x2) -> (x1 + x2, x2) on Z_d x Z_d."""
+    return K.index(K.coords + K.coords[:, 1:] * [1, 0])
+
+
+@pytest.mark.parametrize("fill_cells", [1, 1 << 15])
+@pytest.mark.parametrize("factors", [(3, 3), (4, 4), (5, 5)])
+def test_aut_action_closes_generators_in_queue_order(factors, fill_cells, monkeypatch):
+    # one product row per slab, or every row at once: the same order as a
+    # closure that takes one element at a time
+    monkeypatch.setattr(groups, "_FILL_CELLS", fill_cells)
+    K = AbelianGroup(factors)
+    for given in ([_rotation(K)], [_rotation(K), _swap(K), _rotation(K)],
+                  [_shear(K), np.arange(K.order), _swap(K)]):
+        act = AutAction(K, given)
+        assert np.array_equal(act.perms, oracle.queue_closure(np.array(given)))
+        # a closed input keeps its order
+        closed = act.perms[::-1]
+        assert np.array_equal(AutAction(K, closed).perms, closed)
+
+
+def test_aut_action_closure_past_max_order_raises(monkeypatch):
+    K = AbelianGroup((5, 5))
+    monkeypatch.setattr(config, "MAX_ORDER", 4)
+    assert len(AutAction(K, [_rotation(K)])) == 4
+    monkeypatch.setattr(config, "MAX_ORDER", 3)
+    with pytest.raises(GroupError, match="^generator closure exceeds MAX_ORDER=3$"):
+        AutAction(K, [_rotation(K)])
 
 
 def test_aut_action_refuses_a_linear_bijection_that_is_not_a_homomorphism():

@@ -197,8 +197,8 @@ def test_hoelder_chain(name):
 
 
 def test_tqr_q8():
-    G, C, T = get_group("Q8"), get_classes("Q8"), get_table("Q8")
-    reports = {r.criterion: r for r in check_tqr(G, C, T)}
+    T = get_table("Q8")
+    reports = {r.criterion: r for r in check_tqr(T)}
     r1 = reports["tqr1"]
     assert r1.holds is False
     assert r1.witness["class_size"] == 1
@@ -213,9 +213,9 @@ def test_tqr_q8():
 
 
 def test_tqr_a5_all_hold_at_density_point2():
-    G, C, T = get_group("A5"), get_classes("A5"), get_table("A5")
+    T = get_table("A5")
     params = CriteriaParams(class_threshold=5, density=0.2, power=3)
-    reports = check_tqr(G, C, T, params)
+    reports = check_tqr(T, params)
     assert all(r.holds for r in reports)
 
 
@@ -224,7 +224,7 @@ def test_tqr2_a5_fails_at_density_point1_with_verified_witness():
     # though each factor has Plancherel measure 0.15
     G, C, T = get_group("A5"), get_classes("A5"), get_table("A5")
     params = CriteriaParams(class_threshold=5, density=0.1, power=3)
-    reports = {r.criterion: r for r in check_tqr(G, C, T, params)}
+    reports = {r.criterion: r for r in check_tqr(T, params)}
     assert reports["tqr1"].holds and reports["tqr3"].holds and reports["tqr4"].holds
     r2 = reports["tqr2"]
     assert r2.holds is False
@@ -238,17 +238,17 @@ def test_tqr2_a5_fails_at_density_point1_with_verified_witness():
 
 
 def test_tqr1_affine7_threshold():
-    G, C, T = get_group("aff7"), get_classes("aff7"), get_table("aff7")
+    C, T = get_classes("aff7"), get_table("aff7")
     assert C.min_nontrivial_size == 6
-    below = check_tqr(G, C, T, CriteriaParams(class_threshold=5))[0]
+    below = check_tqr(T, CriteriaParams(class_threshold=5))[0]
     assert below.holds
-    at = check_tqr(G, C, T, CriteriaParams(class_threshold=6))[0]
+    at = check_tqr(T, CriteriaParams(class_threshold=6))[0]
     assert at.holds is False
 
 
 def test_tqr3_affine5_witness():
-    G, C, T = get_group("aff5"), get_classes("aff5"), get_table("aff5")
-    reports = {r.criterion: r for r in check_tqr(G, C, T)}
+    T = get_table("aff5")
+    reports = {r.criterion: r for r in check_tqr(T)}
     r3 = reports["tqr3"]
     assert r3.holds is False
     # 1-dim characters multiply among themselves: power support stays small
@@ -261,7 +261,7 @@ def test_tqr_trivial_group():
     C = conjugacy_classes(G)
     from tqrgroups import compute_char_table
     T = compute_char_table(G, C)
-    reports = check_tqr(G, C, T)
+    reports = check_tqr(T)
     assert reports[0].holds  # no nontrivial classes at all
 
 
@@ -270,8 +270,8 @@ def test_tqr_trivial_group():
 
 
 def test_qr_affine5():
-    G, T = get_group("aff5"), get_table("aff5")
-    reports = {r.criterion: r for r in check_qr(G, T)}
+    T = get_table("aff5")
+    reports = {r.criterion: r for r in check_qr(T)}
     r4 = reports["qr4"]
     assert r4.holds is False
     assert r4.witness["kind"] == "abelian_quotient"
@@ -281,16 +281,16 @@ def test_qr_affine5():
 
 
 def test_qr1_a5_threshold():
-    G, T = get_group("A5"), get_table("A5")
-    low = check_qr(G, T, CriteriaParams(dim_threshold=2))[0]
+    T = get_table("A5")
+    low = check_qr(T, CriteriaParams(dim_threshold=2))[0]
     assert low.holds and low.details["min_nontrivial_dim"] == 3
-    high = check_qr(G, T, CriteriaParams(dim_threshold=3))[0]
+    high = check_qr(T, CriteriaParams(dim_threshold=3))[0]
     assert high.holds is False
 
 
 def test_qr1_cyclic_fails():
-    G, T = get_group("C6"), get_table("C6")
-    assert check_qr(G, T)[0].holds is False
+    T = get_table("C6")
+    assert check_qr(T)[0].holds is False
 
 
 # PSL(2,7) on the projective line over F_7 (point 7 is infinity), generated
@@ -322,7 +322,7 @@ def test_qr23_exact_verdicts(spec, density, power, names, holds, decided_by,
     G, _, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density, power=power)
     size = criteria._density_floor(G.order, params.density_frac())
-    for rep in check_qr(G, T, params, names=names):
+    for rep in check_qr(T, params, names=names):
         assert (rep.holds, rep.mode) == (holds, "exact")
         assert rep.details == {"subset_size": size, "decided_by": decided_by}
         if product_size is not None:
@@ -333,9 +333,9 @@ def test_qr23_exact_verdicts(spec, density, power, names, holds, decided_by,
 
 def test_qr23_sampling():
     # a singleton is the trivial subgroup, so every product has one element
-    G, T = get_group("C12"), get_table("C12")
+    T = get_table("C12")
     params = CriteriaParams(density=1 / 12, trials=5, power=3)
-    reports = {r.criterion: r for r in check_qr(G, T, params)}
+    reports = {r.criterion: r for r in check_qr(T, params)}
     for name in ("qr2", "qr3"):
         assert (reports[name].holds, reports[name].mode) == (False, "exact")
         assert reports[name].details == {"subset_size": 1, "decided_by": "normal_subgroup"}
@@ -343,14 +343,14 @@ def test_qr23_sampling():
     assert reports["qr3"].witness == {"subsets": [[0]], "product_size": 1}
     # full-density subsets are G itself
     full = CriteriaParams(density=1.0, trials=3)
-    reports = {r.criterion: r for r in check_qr(G, T, full)}
+    reports = {r.criterion: r for r in check_qr(T, full)}
     for name in ("qr2", "qr3"):
         assert (reports[name].holds, reports[name].mode) == (True, "exact")
         assert reports[name].details == {"subset_size": 12, "decided_by": "full_density"}
     # A5 at 0.5: 30^3 * 3 < 60^3, and no proper subgroup holds 30 elements,
     # so only sampling is left, and a pass is evidence
-    G, T = get_group("A5"), get_table("A5")
-    reports = {r.criterion: r for r in check_qr(G, T, CriteriaParams(density=0.5, trials=5))}
+    T = get_table("A5")
+    reports = {r.criterion: r for r in check_qr(T, CriteriaParams(density=0.5, trials=5))}
     for name in ("qr2", "qr3"):
         assert reports[name].mode == "randomized" and reports[name].holds
         assert "evidence" in reports[name].details["note"]
@@ -360,7 +360,7 @@ def test_qr23_sampling():
 def test_qr23_gap_reports_match_per_trial_oracle(spec, density):
     G, _, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density, seed=7, trials=200)
-    for rep in check_qr(G, T, params, names=_QR23):
+    for rep in check_qr(T, params, names=_QR23):
         want = oracle.per_trial_qr23_report(G, params, rep.criterion == "qr2")
         assert json.dumps(rep.to_json_dict()) == json.dumps(want)
 
@@ -374,7 +374,7 @@ def test_qr23_exact_verdicts_match_brute_force_oracle(name):
                                             (1, 2, 3)):
         params = CriteriaParams(density=density, power=power, trials=1)
         size = criteria._density_floor(G.order, params.density_frac())
-        for rep in check_qr(G, T, params, names=_QR23):
+        for rep in check_qr(T, params, names=_QR23):
             if rep.mode != "exact":
                 continue
             assert rep.details["decided_by"] in _DECIDED_BY
@@ -452,8 +452,8 @@ def test_qr3_stall_rule_answers_a_huge_power(name, density, seed):
 
 
 def test_qr_a5_no_abelian_quotient():
-    G, T = get_group("A5"), get_table("A5")
-    reports = {r.criterion: r for r in check_qr(G, T)}
+    T = get_table("A5")
+    reports = {r.criterion: r for r in check_qr(T)}
     assert reports["qr4"].holds
 
 
@@ -554,7 +554,7 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
     # search's own; the witnesses here sit at every position of a pair's row
     T = get_table(name)
     params = CriteriaParams(density=density, support_trials=0)
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    rep, = check_tqr(T, params, names=("tqr2",))
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
     checked, triple, prod = oracle.brute_force_tqr2_search(T, minimal)
     assert rep.details["triples_checked"] == checked
@@ -569,7 +569,8 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
 
 @pytest.mark.parametrize("field, value, least", [
     ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1),
-    ("support_trials", -1, 0), ("exhaustive_cap", -1, 0)])
+    ("support_trials", -1, 0), ("exhaustive_cap", -1, 0), ("seed", -1, 0),
+    ("seed", -1500, 0)])
 def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         CriteriaParams(**{field: value})
@@ -589,7 +590,7 @@ def test_tqr2_pair_search_matches_triple_oracle_on_random_densities(name, data):
     params = CriteriaParams(density=float(dens), support_trials=0)
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
     assume(len(minimal) <= 40)  # the oracle walks up to len(minimal)**3 triples
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    rep, = check_tqr(T, params, names=("tqr2",))
     checked, triple, prod = oracle.brute_force_tqr2_search(T, minimal)
     witness = None
     if triple is not None:
@@ -616,7 +617,7 @@ def test_tqr3_exhaustive_search_matches_power_oracle(name, power, data):
     dens = data.draw(_densities(T.group.order).filter(lambda d: d <= 1))
     params = CriteriaParams(density=float(dens), power=power, support_trials=0)
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr3",))
+    rep, = check_tqr(T, params, names=("tqr3",))
     checked, support, pw = oracle.brute_force_tqr3_search(
         T, minimal, power, params.power_measure_threshold)
     witness = None
@@ -641,7 +642,7 @@ def test_random_phase_matches_scalar_oracle(name, density, criterion):
     T = get_table(name)
     for seed in (0, 5) if density in (0.3, 0.9) else (0, 1, 5):
         params = CriteriaParams(density=density, seed=seed, exhaustive_cap=0)
-        rep, = check_tqr(T.group, T.classes, T, params, names=(criterion,))
+        rep, = check_tqr(T, params, names=(criterion,))
         want = oracle.scalar_random_tqr_report(T, params, criterion)
         assert json.dumps(rep.to_json_dict()) == json.dumps(want)
 
@@ -681,9 +682,9 @@ def test_tqr2_finds_witness_where_the_triple_cap_truncated(spec, density):
     # cap skipped the exhaustive phase and 200 random triples said "holds";
     # D30 at 0.4 and 0.5 (23,595 minimal supports at 0.5) still said "holds"
     # after a walk over pairs stopped at a budget of 2M decomposed rows
-    G, C, T = get_table_for_spec(json.dumps(spec))
+    _, _, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density)
-    rep, = check_tqr(G, C, T, params, names=("tqr2",))
+    rep, = check_tqr(T, params, names=("tqr2",))
     assert rep.holds is False and rep.mode == "exhaustive-minimal+randomized"
     masks = [sum(1 << i for i in s) for s in rep.witness["supports"]]
     assert all(oracle.fraction_sum_measure(T, m) >= params.density_frac() for m in masks)
@@ -709,7 +710,7 @@ _PAIR_WALK_CASES = [
 def test_tqr2_search_matches_pair_walk_oracle(name, density, support_trials):
     T = get_table(name)
     params = CriteriaParams(density=density, support_trials=support_trials)
-    rep, = check_tqr(T.group, T.classes, T, params, names=("tqr2",))
+    rep, = check_tqr(T, params, names=("tqr2",))
     assert json.dumps(rep.to_json_dict()) == json.dumps(oracle.pair_walk_tqr2_report(T, params))
 
 
@@ -720,10 +721,10 @@ def test_tqr2_search_matches_pair_walk_oracle(name, density, support_trials):
                                       "right": {"family": "symmetric", "params": {"n": 3}}}}, 0.5)])
 def test_tqr2_holds_after_every_triple_of_minimal_supports(spec, density):
     # a proof: every one of the s^3 triples, then the 200 random ones
-    G, C, T = get_table_for_spec(json.dumps(spec))
+    _, _, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density)
     s = len(_minimal_supports(T, params.density_frac()))
-    rep, = check_tqr(G, C, T, params, names=("tqr2",))
+    rep, = check_tqr(T, params, names=("tqr2",))
     assert rep.holds and rep.mode == "exhaustive-minimal+randomized"
     assert rep.details["triples_checked"] == s ** 3 + params.support_trials
 
@@ -737,6 +738,6 @@ def test_support_search_past_one_word_of_irreducibles():
     assert rows.shape == (64, 64)
     for k, row in enumerate(rows):
         assert np.flatnonzero(~row).tolist() == [63 - k]
-    tqr2, tqr3 = check_tqr(T.group, T.classes, T, params, names=("tqr2", "tqr3"))
+    tqr2, tqr3 = check_tqr(T, params, names=("tqr2", "tqr3"))
     assert tqr2.holds and tqr2.details["triples_checked"] == 262344
     assert tqr3.holds and tqr3.details["supports_checked"] == 264

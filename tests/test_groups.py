@@ -227,8 +227,8 @@ def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
     G, C = get_group("S4"), get_classes("S4")
     T = CharTable(G, C, get_table("S4").dims, get_table("S4").values)
     params = CriteriaParams(density=0.2, trials=5)
-    check_tqr(G, C, T, params, list(TQR_CRITERIA))
-    check_qr(G, T, params, list(QR_CRITERIA))
+    check_tqr(T, params, list(TQR_CRITERIA))
+    check_qr(T, params, list(QR_CRITERIA))
     assert calls == [T]
     assert T.normal_subgroups == normal_subgroups(get_table("S4"))
     assert isinstance(T.normal_subgroups, tuple)
@@ -466,6 +466,9 @@ _ENUMERATED_SPECS = (
     + [{"type": "permutation", "degree": 0, "generators": []},
        {"type": "permutation", "degree": 4,
         "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
+       # the identity and a repeated generator among the generators
+       {"type": "permutation", "degree": 3,
+        "generators": [[0, 1, 2], [1, 0, 2], [1, 0, 2]]},
        # x -> 3x and x -> x + 1 on F_17: the affine group of order 272
        {"type": "permutation", "degree": 17,
         "generators": [[3 * x % 17 for x in range(17)],
@@ -504,8 +507,29 @@ def test_enumerated_tables_match_dict_oracle(spec):
 
 
 def test_degree_zero_permutation_spec_is_trivial():
-    G = build_group({"type": "permutation", "degree": 0, "generators": []})
-    assert G.order == 1 and G.identity == 0 and G.mul.tolist() == [[0]]
+    for generators in ([], [[]]):
+        G = build_group({"type": "permutation", "degree": 0, "generators": generators})
+        assert G.order == 1 and G.identity == 0 and G.mul.tolist() == [[0]]
+        assert G.labels == [""] and G.generators == ()
+
+
+def test_degree_eleven_spec_is_labelled_by_tuples():
+    # one digit per point up to degree 10; from 11 on a label is str(tuple)
+    G = build_group({"type": "permutation", "degree": 11, "generators": [[*range(1, 11), 0]]})
+    assert G.labels == [str(tuple((i + k) % 11 for i in range(11))) for k in range(11)]
+
+
+# 8!/2 = 20160 exceeds the default MAX_ORDER, so n = 7 is the last degree
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("family", ["symmetric", "alternating"])
+def test_permutation_families_match_the_itertools_enumeration(family, n):
+    # S_n and A_n are closures of two generators; their tables, field by
+    # field, are those of every permutation, or every even one, enumerated
+    G = build_group({"family": family, "params": {"n": n}})
+    want = oracle.itertools_perm_family(n, family == "alternating")
+    assert G.mul.dtype == want.mul.dtype and G.mul.tobytes() == want.mul.tobytes()
+    assert np.array_equal(G.inv, want.inv) and G.identity == want.identity
+    assert G.labels == want.labels and G.generators == want.generators
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))

@@ -22,7 +22,7 @@ from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
                      GroupTable, Subgroup, abelian_structure, center_of_subset,
-                     permutation_closure)
+                     permutation_closure, sorted_unique)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -60,7 +60,7 @@ class AutAction:
         return len(self.perms)
 
     def orbit(self, x) -> np.ndarray:
-        return np.unique(self.perms[:, x])
+        return sorted_unique(self.perms[:, x])
 
 
 def dual_action(action: AutAction) -> AutAction:
@@ -319,7 +319,7 @@ def conjugation_action_on_center(G: GroupTable, N: Subgroup,
                                  dec: AbelianStructure) -> AutAction:
     """Automorphisms of K = Z(N) induced by conjugation, one per coset of N
     (by its least element)."""
-    reps = np.unique(G.mul[:, np.fromiter(N.members, dtype=np.int64)].min(axis=1))
+    reps = sorted_unique(G.mul[:, np.fromiter(N.members, dtype=np.int64)].min(axis=1))
     conj = G.mul[G.mul[reps[:, None], dec.to_parent], G.inv[reps][:, None]]
     position = np.full(G.order, -1)
     position[dec.to_parent] = np.arange(dec.group.order)
@@ -358,7 +358,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
 
     # the dual orbits, each named by its least element, index blocks that
     # partition Irrep(G), each of Plancherel measure (orbit size)/|K|
-    orbits, orbit_sizes = np.unique(dual.perms.min(axis=0), return_counts=True)
+    orbits, orbit_sizes = sorted_unique(dual.perms.min(axis=0), return_counts=True)
     thetas = np.flatnonzero(A)
     mult = decompose(T, _induced_characters(G, C, dec,
                                             np.concatenate([thetas, orbits])))

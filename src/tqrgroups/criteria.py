@@ -19,7 +19,7 @@ from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
                          plancherel_frac, power_support_mask, reduce_rep,
                          split_off_identity, support_measure_frac,
                          tensor_support_mask)
-from . import groups
+from . import config, groups
 from .groups import GroupError, GroupTable, derived_subgroup, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
@@ -30,6 +30,10 @@ _STACK_ROWS = 4096
 # Index entries (trials * |G| * subset size) one block of QR2/QR3 trials may
 # gather from the Cayley table per product step.
 _QR_BLOCK_ENTRIES = 1 << 14
+# The mode of a TQR2/TQR3 report decided by the search over the minimal
+# supports. A complete search is a proof, and no random phase follows it;
+# the name is kept because reports and their readers key on it.
+_SEARCH_MODE = "exhaustive-minimal+randomized"
 
 
 @dataclass
@@ -285,36 +289,94 @@ def _tqr1(T, params, pjson) -> CriterionReport:
 
 
 def _tqr2(T, params, pjson) -> CriterionReport:
+    """TQR2 (does S1 (x) S2 (x) S3 contain every irreducible for all supports
+    of measure >= a?). Up to exhaustive_cap irreducibles the search over the
+    minimal supports decides alone. Above it the table witnesses of
+    _tqr_candidates are tried first, and _tqr2_sampled runs only when none
+    refutes."""
     dens = params.density_frac()
-    checked = 0
-    witness = None
-    modes = []
-
     if T.num_irreps <= params.exhaustive_cap:
-        modes.append("exhaustive-minimal")
         checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
+        return CriterionReport("tqr2", witness is None, pjson, witness=witness,
+                               mode=_SEARCH_MODE, details={"triples_checked": checked})
+    need = _density_floor(T.group.order, dens)
+    sq = T.dims.astype(np.int64) ** 2
+    for checked, (rule, S) in enumerate(_tqr_candidates(T, dens, 3, lambda m: m < 1), 1):
+        product = power_support_mask(T, S, 3)
+        if S @ sq >= need and not product.all():
+            return CriterionReport("tqr2", False, pjson, mode="exact",
+                                   witness=_support_witness(T, np.tile(S, (3, 1)), product),
+                                   details={"triples_checked": checked, "decided_by": rule})
+    return _tqr2_sampled(T, params, pjson)
 
-    modes.append("randomized")
-    if witness is None:
-        # support_trials random triples, one stacked decompose of their
-        # products per _STACK_ROWS triples; the first short product wins
-        rng = np.random.default_rng(params.seed + 2001)
-        for lo in range(0, params.support_trials, _STACK_ROWS):
-            n = min(_STACK_ROWS, params.support_trials - lo)
-            triples = _random_support_rows(T, rng, dens, 3 * n).reshape(n, 3, -1)
-            triples = triples[triples.any(axis=2).all(axis=1)]
-            chars = triples @ T.values
-            mult = decompose(T, chars[:, 0] * chars[:, 1] * chars[:, 2])
-            short = np.flatnonzero(~mult.all(axis=1))
-            if short.size:
-                t = int(short[0])
-                checked += t + 1
-                witness = _support_witness(T, triples[t], mult[t] > 0)
-                break
-            checked += len(triples)
+
+def _tqr2_sampled(T, params, pjson) -> CriterionReport:
+    """TQR2 over support_trials random triples, one stacked decompose of
+    their products per _STACK_ROWS triples; the first short product is the
+    witness, and a pass is evidence, not proof."""
+    dens = params.density_frac()
+    checked, witness = 0, None
+    rng = np.random.default_rng(params.seed + 2001)
+    for lo in range(0, params.support_trials, _STACK_ROWS):
+        n = min(_STACK_ROWS, params.support_trials - lo)
+        triples = _random_support_rows(T, rng, dens, 3 * n).reshape(n, 3, -1)
+        triples = triples[triples.any(axis=2).all(axis=1)]
+        chars = triples @ T.values
+        mult = decompose(T, chars[:, 0] * chars[:, 1] * chars[:, 2])
+        short = np.flatnonzero(~mult.all(axis=1))
+        if short.size:
+            t = int(short[0])
+            checked += t + 1
+            witness = _support_witness(T, triples[t], mult[t] > 0)
+            break
+        checked += len(triples)
     return CriterionReport("tqr2", witness is None, pjson, witness=witness,
-                           mode="+".join(modes),
-                           details={"triples_checked": checked})
+                           mode="randomized", details={"triples_checked": checked})
+
+
+def _tqr_candidates(T, dens, factors, small):
+    """(rule, support) of supports of measure >= dens whose `factors`-fold
+    tensor power is bounded, by the table, to a measure m with small(m), in
+    the order tried:
+
+    - quotient: Irr(G/N), the irreducibles whose kernel contains N, for the
+      least normal N != 1 with ceil(dens*|G|)*|N| <= |G| and small(1/|N|).
+      It has measure exactly 1/|N| and is closed under (x). No N can
+      qualify, and the lattice is not computed, when no divisor d of |G|
+      has 1 < d <= |G| // ceil(dens*|G|).
+    - central_grading: for a central z of order q, each chi has
+      omega_chi(z) = chi(z)/chi(1) = zeta_q^k_chi, k adds mod q under (x),
+      and each fibre k_chi = j has measure exactly 1/q. The preimage of
+      {0, ..., t-1}, t = ceil(dens*q), has measure t/q, and its power lies
+      in the preimage of {0, ..., factors*(t-1)}. A z whose omega_chi(z) is
+      off a q-th root of unity by more than TOL in any chi is passed over.
+
+    A rule only proposes a set; the caller recomputes its measure and its
+    power support.
+    """
+    G, C = T.group, T.classes
+    n = G.order
+    size = _density_floor(n, dens)
+    if any(n % d == 0 for d in range(2, n // size + 1)):
+        for N in T.normal_subgroups[1:]:
+            if size * N.order > n:
+                break
+            if small(Fraction(1, N.order)):
+                inside = sum(1 << c for c in set(C.class_of[list(N.members)].tolist()))
+                yield "quotient", np.array([k & inside == inside for k in T.kernel_masks])
+                break
+    central = np.flatnonzero(C.sizes == 1)[1:]
+    if central.size:
+        q = groups.element_orders(lambda a, b: G.mul[a, b], G.identity,
+                                  C.representatives[central])
+        omega = T.values[:, central] / T.dims[:, None]
+        k = np.rint(np.angle(omega) * q / (2 * np.pi)).astype(np.int64) % q
+        exact = (np.abs(omega - np.exp(2j * np.pi * k / q)) <= config.TOL).all(axis=0)
+        for col in np.flatnonzero(exact):
+            qz = int(q[col])
+            t = _density_floor(qz, dens)
+            if small(Fraction(min(qz, factors * (t - 1) + 1), qz)):
+                yield "central_grading", k[:, col] < t
 
 
 def _tqr2_search(T, minimal, dens):
@@ -387,38 +449,59 @@ def _support_witness(T, supports, product) -> dict:
 
 
 def _tqr3(T, params, pjson) -> CriterionReport:
+    """TQR3 (does every support of measure >= a have a power-fold tensor
+    power of measure above the threshold?), decided as _tqr2 decides TQR2:
+    by the minimal supports up to exhaustive_cap, else by the table
+    witnesses of _tqr_candidates, else by _tqr3_sampled."""
     dens = params.density_frac()
-    stacks = []
-    modes = []
     if T.num_irreps <= params.exhaustive_cap:
-        modes.append("exhaustive-minimal")
         minimal = _minimal_supports(T, dens)
-        stacks.append(minimal[lo:lo + _STACK_ROWS]
-                      for lo in range(0, len(minimal), _STACK_ROWS))
-    rng = np.random.default_rng(params.seed + 3001)
-    modes.append("randomized")
-    stacks.append(_random_support_blocks(T, rng, dens, params.support_trials))
+        stacks = (minimal[lo:lo + _STACK_ROWS] for lo in range(0, len(minimal), _STACK_ROWS))
+        checked, witness = _tqr3_first_small(T, params, stacks)
+        return CriterionReport("tqr3", witness is None, pjson, witness=witness,
+                               mode=_SEARCH_MODE, details={"supports_checked": checked})
+    need = _density_floor(T.group.order, dens)
+    sq = T.dims.astype(np.int64) ** 2
+    threshold = Fraction(params.power_measure_threshold)
+    candidates = _tqr_candidates(T, dens, params.power, lambda m: m <= threshold)
+    for checked, (rule, S) in enumerate(candidates, 1):
+        _, witness = _tqr3_first_small(T, params, [S[None]])
+        if S @ sq >= need and witness is not None:
+            return CriterionReport("tqr3", False, pjson, witness=witness, mode="exact",
+                                   details={"supports_checked": checked, "decided_by": rule})
+    return _tqr3_sampled(T, params, pjson)
 
+
+def _tqr3_sampled(T, params, pjson) -> CriterionReport:
+    """TQR3 over support_trials random supports; a pass is evidence, not
+    proof."""
+    rng = np.random.default_rng(params.seed + 3001)
+    checked, witness = _tqr3_first_small(T, params, _random_support_blocks(
+        T, rng, params.density_frac(), params.support_trials))
+    return CriterionReport("tqr3", witness is None, pjson, witness=witness,
+                           mode="randomized", details={"supports_checked": checked})
+
+
+def _tqr3_first_small(T, params, stacks):
+    """The number of supports checked, over stacks of support rows in order,
+    up to the first whose power-fold tensor power has measure at most the
+    threshold, and that support's witness, or None."""
     sq = T.dims.astype(np.int64) ** 2
     # the largest sum of dim^2 at or below the measure cutoff
     bound = math.floor(Fraction(params.power_measure_threshold) * T.group.order)
-    witness = None
     checked = 0
-    for rows in itertools.chain(*stacks):
+    for rows in stacks:
         power = power_support_mask(T, rows, params.power)
         small = np.flatnonzero(power @ sq <= bound)
         if small.size:
             t = int(small[0])
-            checked += t + 1
-            witness = {"support": np.flatnonzero(rows[t]).tolist(),
-                       "measure": float(support_measure_frac(T, rows[t])),
-                       "power_support": np.flatnonzero(power[t]).tolist(),
-                       "power_measure": float(support_measure_frac(T, power[t]))}
-            break
+            return checked + t + 1, {
+                "support": np.flatnonzero(rows[t]).tolist(),
+                "measure": float(support_measure_frac(T, rows[t])),
+                "power_support": np.flatnonzero(power[t]).tolist(),
+                "power_measure": float(support_measure_frac(T, power[t]))}
         checked += len(rows)
-    return CriterionReport("tqr3", witness is None, pjson, witness=witness,
-                           mode="+".join(modes),
-                           details={"supports_checked": checked})
+    return checked, None
 
 
 def _tqr4(T, params, pjson) -> CriterionReport:

@@ -97,6 +97,28 @@ def element_orders(mul_fn, identity, elems) -> np.ndarray:
     return orders
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted 1-D array that differ from the one
+    before: the first entry of each run of equal values."""
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def sorted_unique(values, return_counts=False):
+    """np.unique of an array, flattened: its distinct values, ascending and
+    in its dtype (and how often each occurs), by one sort and a neighbour
+    mask. np.unique hashes, which on the small index arrays of this package
+    is about ten times slower than the sort."""
+    ordered = np.sort(values, axis=None)
+    first = _run_starts(ordered)
+    if not return_counts:
+        return ordered[first]
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=ordered.size)
+
+
 @dataclass(eq=False)
 class ClassData:
     """Conjugacy classes in canonical order: identity class first, then by
@@ -222,9 +244,11 @@ def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]
     levels = []
     prefix = np.zeros(m, dtype=np.int64)
     for j in range(width):
+        # the rows are sorted, so the keys are too: a new key starts a rank
         key = prefix * span[j] + elems[:, j]
-        levels.append(np.unique(key))
-        prefix = np.searchsorted(levels[-1], key)
+        first = _run_starts(key)
+        levels.append(key[first])
+        prefix = np.cumsum(first) - 1
 
     mul = np.empty((m, m), dtype=table_dtype(m))
     filled = np.zeros(m, dtype=bool)
@@ -542,6 +566,11 @@ def build_group(spec: dict) -> GroupTable:
         degree = _int_field(spec, "degree")
         if degree < 0:
             raise GroupError(f"permutation degree must be >= 0, not {degree}")
+        # Cayley's theorem: a group of order at most MAX_ORDER acts
+        # faithfully on that many points, so no larger degree is needed, and
+        # none is allocated
+        if degree > config.MAX_ORDER:
+            raise GroupError(f"permutation degree {degree} exceeds MAX_ORDER={config.MAX_ORDER}")
         gens = _field(spec, "generators")
         if not (isinstance(gens, list) and all(_is_int_list(g) for g in gens)):
             raise GroupError("permutation generators must be a list of integer lists")
@@ -595,7 +624,9 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
         prev, low = low, np.minimum(low, low[maps].min(axis=0, initial=n))
         low = low[low]
     # the identity class first, then by least element
-    reps, class_of = np.unique(np.where(low == e, -1, low), return_inverse=True)
+    low = np.where(low == e, -1, low)
+    reps = sorted_unique(low)
+    class_of = np.searchsorted(reps, low)
     reps[0] = e
     sizes = np.bincount(class_of)
     classes = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
@@ -610,12 +641,12 @@ def _witnesses(G: GroupTable, C: ClassData, members):
     with N iff its representative does. Other sets are their own witnesses."""
     # an array (a union of classes from _subgroup_of_mask) is taken whole;
     # fromiter would step through it one element at a time
-    arr = np.unique(np.asarray(members, dtype=np.int64) if isinstance(members, np.ndarray)
-                    else np.fromiter(members, dtype=np.int64))
+    arr = sorted_unique(np.asarray(members, dtype=np.int64) if isinstance(members, np.ndarray)
+                        else np.fromiter(members, dtype=np.int64))
     if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
         raise GroupError(f"member indices must lie in 0..{G.order - 1}")
     cls = C.class_of[arr]
-    union = bool(C.sizes[np.unique(cls)].sum() == arr.size)
+    union = bool(C.sizes[sorted_unique(cls)].sum() == arr.size)
     return arr, (C.representatives[cls] if union else arr), union
 
 
@@ -625,7 +656,7 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
     if G.identity not in arr:
         raise GroupError("subgroup must contain the identity")
     inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
-    if not np.take(inside, G.mul[arr[:, None], np.unique(owner)]).all():
+    if not np.take(inside, G.mul[arr[:, None], sorted_unique(owner)]).all():
         raise GroupError("member set is not closed under multiplication")
     if G.order % arr.size:
         raise GroupError("subgroup order does not divide group order")
@@ -651,7 +682,7 @@ def generating_set(G: GroupTable) -> tuple[int, ...]:
         # by the generators is the subgroup they generate
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            nxt = np.unique(G.mul[np.ix_(frontier, gens)])
+            nxt = sorted_unique(G.mul[np.ix_(frontier, gens)])
             frontier = nxt[~reached[nxt]]
             reached[frontier] = True
         if reached.sum() < 2 * size:
@@ -702,7 +733,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
         return _finalize(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
     members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
-    reps = np.unique(coset_rep)
+    reps = sorted_unique(coset_rep)
     mul, gens = _table_from_rows(reps[:, None],
                                  lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
@@ -734,7 +765,7 @@ def derived_subgroup(T: CharTable) -> Subgroup:
 def center_of_subset(G: GroupTable, C: ClassData, members) -> tuple[int, ...]:
     """Elements of `members` commuting with every element of `members`."""
     arr, owner, _ = _witnesses(G, C, members)
-    wit = np.unique(owner)
+    wit = sorted_unique(owner)
     central = np.zeros(G.order, dtype=bool)
     central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
     return tuple(arr[central[owner]].tolist())
@@ -816,7 +847,7 @@ class AbelianStructure:
 
 def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     """Invariant factor decomposition of an abelian subgroup of G."""
-    arr = np.unique(np.fromiter(members, dtype=np.int64))
+    arr = sorted_unique(np.fromiter(members, dtype=np.int64))
     block = G.mul[np.ix_(arr, arr)]
     if not np.array_equal(block, block.T):
         raise GroupError("subgroup is not abelian")
@@ -886,7 +917,7 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
 
     out = [(a1, d1)]
     for gbar, mord in _p_group_basis(q_mul, int(rep_of[identity]),
-                                     np.unique(rep_of[elems]), p):
+                                     sorted_unique(rep_of[elems]), p):
         s = log_a1[int(_powers(mul_fn, identity, gbar, mord + 1)[-1])]
         if s % mord:
             raise GroupError("p-group basis lifting failed")  # impossible by theory

@@ -492,18 +492,14 @@ def pair_walk_tqr2_search(T, minimal, dens):
 
 
 def pair_walk_tqr2_report(T, params):
-    """The tqr2 report of an exhaustive phase over the minimal supports of
-    brute_force_minimal_supports, walked by pair_walk_tqr2_search, followed
-    by the scalar random phase when it finds no witness."""
+    """The tqr2 report of an exhaustive search over the minimal supports of
+    brute_force_minimal_supports, walked by pair_walk_tqr2_search. The walk
+    is complete, so nothing random follows it."""
     dens = params.density_frac()
     r = T.num_irreps
     minimal = np.array([[m >> i & 1 for i in range(r)]
                         for m in brute_force_minimal_supports(T, dens)], dtype=bool)
     checked, witness = pair_walk_tqr2_search(T, minimal, dens)
-    if witness is None:
-        rand = scalar_random_tqr_report(T, params, "tqr2")
-        checked += rand["details"]["triples_checked"]
-        witness = rand["witness"]
     return {"criterion": "tqr2", "holds": witness is None,
             "mode": "exhaustive-minimal+randomized",
             "parameters": params.to_json_dict(), "witness": witness,
@@ -574,6 +570,27 @@ def scalar_random_tqr_report(T, params, criterion):
     return {"criterion": criterion, "holds": witness is None, "mode": "randomized",
             "parameters": params.to_json_dict(), "witness": witness,
             "details": {key: checked}, "error": None}
+
+
+def ekp_min_power_size(n, s, k):
+    """The least |A_1 + ... + A_k| over subsets of size s of an abelian group
+    of order n, min over d | n of (k*ceil(s/d) - k + 1)*d (Eliahou, Kervaire
+    and Plagne, J. Number Theory 101, 2003); one set taken k times attains
+    it, as a union of cosets of a subgroup of order d."""
+    return min((k * -(-s // d) - k + 1) * d for d in range(1, n + 1) if n % d == 0)
+
+
+def ekp_tqr_fails(T, params, criterion):
+    """The exact TQR2 or TQR3 verdict on an abelian group, whose dual is a
+    group of the same order with (x) as its law: TQR2 fails iff some A + B
+    misses s points, room for a third set of size s to avoid; TQR3 fails iff
+    some A of size s has power-fold sumset at most the threshold."""
+    n = T.group.order
+    dens = params.density_frac()
+    s = -(-dens.numerator * n // dens.denominator)
+    if criterion == "tqr2":
+        return ekp_min_power_size(n, s, 2) <= n - s
+    return Fraction(ekp_min_power_size(n, s, params.power), n) <= params.power_measure_threshold
 
 
 def per_trial_qr23_report(G, params, triple):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -725,3 +726,27 @@ def test_a_flag_does_not_leak_into_the_next_command(flagged, plain, monkeypatch,
     want = _run(plain, capsys)
     assert _run(flagged, capsys) != want
     assert _run(plain, capsys) == want
+
+
+def test_permutation_degree_above_max_order_is_refused_before_allocating(
+        tmp_path, monkeypatch, capsys):
+    # a spec of a few bytes once asked np.arange for 8 bytes per point; every
+    # group of order <= MAX_ORDER acts faithfully on that many points
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"type": "permutation", "degree": 10 ** 9,
+                                "generators": []}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["group", "--group", f"@{path}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20, peak
+    assert "exceeds MAX_ORDER" in capsys.readouterr().err
+    from tqrgroups import config
+    monkeypatch.setattr(config, "MAX_ORDER", 50)
+    for degree, want in ((50, 0), (51, 2)):
+        path.write_text(json.dumps({"type": "permutation", "degree": degree,
+                                    "generators": [[*range(1, degree), 0]]}))
+        assert cli.main(["group", "--group", f"@{path}"]) == want
+    capsys.readouterr()

@@ -300,6 +300,7 @@ PSL27 = {"type": "permutation", "degree": 8,
 _DECIDED_BY = {"full_density", "gowers_bound", "power_one", "normal_subgroup",
                "linear_character", "centraliser", "normaliser"}
 _QR23 = ("qr2", "qr3")
+_TQR_DECIDED_BY = {"quotient", "central_grading"}
 
 
 @pytest.mark.parametrize("spec, density, power, names, holds, decided_by, product_size", [
@@ -633,18 +634,25 @@ def test_tqr3_exhaustive_search_matches_power_oracle(name, power, data):
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "D8", "C12", "ES3", "aff7", "aff13",
-                                  "C2xS4", "C3xD4"])
+                                  "C2xS4", "C3xD4", "ES5"])
 @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 0.9])
 @pytest.mark.parametrize("criterion", ["tqr2", "tqr3"])
 def test_random_phase_matches_scalar_oracle(name, density, criterion):
     # block-drawn supports and one stacked decompose give the report of the
-    # scalar loop, draw for draw; seed 0 and 5 at every density, seed 1 at two
+    # scalar loop, draw for draw; seed 0 and 5 at every density, seed 1 at two.
+    # Above the cap check_tqr samples only where no table witness refutes,
+    # and then its report is the sampler's.
     T = get_table(name)
+    sampled = criteria._tqr2_sampled if criterion == "tqr2" else criteria._tqr3_sampled
     for seed in (0, 5) if density in (0.3, 0.9) else (0, 1, 5):
         params = CriteriaParams(density=density, seed=seed, exhaustive_cap=0)
+        want = json.dumps(oracle.scalar_random_tqr_report(T, params, criterion))
+        assert json.dumps(sampled(T, params, params.to_json_dict()).to_json_dict()) == want
         rep, = check_tqr(T, params, names=(criterion,))
-        want = oracle.scalar_random_tqr_report(T, params, criterion)
-        assert json.dumps(rep.to_json_dict()) == json.dumps(want)
+        if rep.mode == "exact":
+            assert rep.holds is False and rep.details["decided_by"] in _TQR_DECIDED_BY
+        else:
+            assert json.dumps(rep.to_json_dict()) == want
 
 
 def test_random_support_rows_continue_one_sequence():
@@ -720,13 +728,13 @@ def test_tqr2_search_matches_pair_walk_oracle(name, density, support_trials):
     ({"family": "product", "params": {"left": {"family": "symmetric", "params": {"n": 4}},
                                       "right": {"family": "symmetric", "params": {"n": 3}}}}, 0.5)])
 def test_tqr2_holds_after_every_triple_of_minimal_supports(spec, density):
-    # a proof: every one of the s^3 triples, then the 200 random ones
+    # a proof: every one of the s^3 triples, and no random ones after it
     _, _, T = get_table_for_spec(json.dumps(spec))
     params = CriteriaParams(density=density)
     s = len(_minimal_supports(T, params.density_frac()))
     rep, = check_tqr(T, params, names=("tqr2",))
     assert rep.holds and rep.mode == "exhaustive-minimal+randomized"
-    assert rep.details["triples_checked"] == s ** 3 + params.support_trials
+    assert rep.details["triples_checked"] == s ** 3
 
 
 def test_support_search_past_one_word_of_irreducibles():
@@ -739,5 +747,116 @@ def test_support_search_past_one_word_of_irreducibles():
     for k, row in enumerate(rows):
         assert np.flatnonzero(~row).tolist() == [63 - k]
     tqr2, tqr3 = check_tqr(T, params, names=("tqr2", "tqr3"))
-    assert tqr2.holds and tqr2.details["triples_checked"] == 262344
-    assert tqr3.holds and tqr3.details["supports_checked"] == 264
+    assert tqr2.holds and tqr2.details["triples_checked"] == 262144
+    assert tqr3.holds and tqr3.details["supports_checked"] == 64
+
+
+# ---------------------------------------------------------------------------
+# TQR2/TQR3 table witnesses above the exhaustive cap
+
+
+def _assert_tqr_witness(T, rep):
+    """Re-verify a tqr2 or tqr3 witness with the oracle's pairwise products
+    and exact measures."""
+    params = rep.parameters
+    dens = Fraction(str(params["density"]))
+    w = rep.witness
+    if rep.criterion == "tqr2":
+        masks = [sum(1 << i for i in S) for S in w["supports"]]
+        assert all(oracle.fraction_sum_measure(T, m) >= dens for m in masks)
+        assert w["measures"] == [float(oracle.fraction_sum_measure(T, m)) for m in masks]
+        prod = oracle.pairwise_tensor_support(
+            T, oracle.pairwise_tensor_support(T, masks[0], masks[1]), masks[2])
+        missing = [i for i in range(T.num_irreps) if not prod >> i & 1]
+        assert missing and w["missing"] == missing
+    else:
+        mask = sum(1 << i for i in w["support"])
+        assert oracle.fraction_sum_measure(T, mask) >= dens
+        pw = oracle.pairwise_power_support(T, mask, params["power"])
+        assert w["power_support"] == [i for i in range(T.num_irreps) if pw >> i & 1]
+        assert (oracle.fraction_sum_measure(T, pw)
+                <= Fraction(params["power_measure_threshold"]))
+
+
+_TQR_RULE_CASES = [("tqr2", 3), ("tqr3", 1), ("tqr3", 2), ("tqr3", 3)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_tqr_rule_refutations_match_exhaustive_search(name):
+    # with the cap at 0 every report above is a rule's or the sampler's; a
+    # rule's refutation must re-verify and agree with the exhaustive search
+    # with the cap lifted (r <= 20, every fixture group but C64 and ES5) and,
+    # on abelian groups, with the Eliahou-Kervaire-Plagne minimum, which the
+    # exhaustive search confirms on C6 and C12 (C64 is past its reach)
+    T = get_table(name)
+    r = T.num_irreps
+    abelian = r == T.group.order
+    for density in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5):
+        for criterion, power in _TQR_RULE_CASES:
+            params = CriteriaParams(density=density, power=power, exhaustive_cap=0)
+            rep, = check_tqr(T, params, names=(criterion,))
+            exact = None
+            if r <= 20:
+                lifted = CriteriaParams(density=density, power=power, exhaustive_cap=r)
+                full, = check_tqr(T, lifted, names=(criterion,))
+                assert full.mode == "exhaustive-minimal+randomized"
+                exact = not full.holds
+            if abelian:
+                ekp = oracle.ekp_tqr_fails(T, params, criterion)
+                assert exact in (None, ekp), (density, criterion, power)
+                exact = ekp
+                # every failing case on an abelian group has a table witness
+                assert rep.mode == "exact" or not exact, (density, criterion, power)
+            if rep.mode != "exact":
+                assert rep.mode == "randomized"
+                continue
+            assert rep.holds is False and exact in (None, True)
+            assert rep.details["decided_by"] in _TQR_DECIDED_BY
+            _assert_tqr_witness(T, rep)
+
+
+_ES5 = {"family": "extraspecial", "params": {"p": 5}}
+
+
+@pytest.mark.parametrize("spec, density, power, names, decided_by, measure", [
+    # Irr(G/N) for the least normal N != 1, of measure exactly 1/|N|
+    ({"family": "cyclic", "params": {"n": 40}}, 0.1, 3, ("tqr2", "tqr3"), "quotient",
+     Fraction(1, 2)),
+    ({"family": "dihedral", "params": {"n": 60}}, 0.5, 3, ("tqr2", "tqr3"), "quotient",
+     Fraction(1, 2)),
+    ({"family": "cyclic", "params": {"n": 120}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
+     Fraction(1, 2)),
+    (_ES5, 0.1, 3, ("tqr2", "tqr3"), "quotient", Fraction(1, 5)),
+    # 38 * 5 > 125 rules out Irr(G/Z); for z of order 5, t = ceil(0.3 * 5) = 2
+    # fibres of measure 1/5 take 3t - 2 = 4 < 5 values in a triple product
+    (_ES5, 0.3, 3, ("tqr2",), "central_grading", Fraction(2, 5)),
+    # at power 1 the two fibres are their own power: 2/5 <= 1/2
+    (_ES5, 0.25, 1, ("tqr3",), "central_grading", Fraction(2, 5)),
+])
+def test_tqr_table_witnesses_above_the_cap(spec, density, power, names, decided_by,
+                                           measure):
+    _, _, T = get_table_for_spec(json.dumps(spec))
+    assert T.num_irreps > CriteriaParams().exhaustive_cap
+    params = CriteriaParams(density=density, power=power)
+    for rep in check_tqr(T, params, names=names):
+        key = "triples_checked" if rep.criterion == "tqr2" else "supports_checked"
+        assert (rep.holds, rep.mode) == (False, "exact")
+        assert rep.details == {key: 1, "decided_by": decided_by}
+        supports = rep.witness["supports"] if rep.criterion == "tqr2" else [rep.witness["support"]]
+        for S in supports:
+            assert oracle.fraction_sum_measure(T, sum(1 << i for i in S)) == measure
+        _assert_tqr_witness(T, rep)
+
+
+def test_central_grading_takes_the_fibres_below_t():
+    # ES5: the 25 linear characters are Irr(G/Z), the fibre of omega(z) = 1,
+    # and each 5-dimensional irreducible is a fibre of its own; t = 2 fibres
+    # are the linear characters and the 5-dimensional one with omega(z) = zeta
+    _, _, T = get_table_for_spec(json.dumps(_ES5))
+    rep, = check_tqr(T, CriteriaParams(density=0.3), names=("tqr2",))
+    C = T.classes
+    z = int(np.flatnonzero(C.sizes == 1)[1])
+    omega = T.values[:, z] / T.dims
+    zeta = np.exp(2j * np.pi / T.group.element_order(int(C.representatives[z])))
+    want = np.flatnonzero(np.isclose(omega, 1) | np.isclose(omega, zeta)).tolist()
+    assert len(want) == 26 and rep.witness["supports"] == [want] * 3

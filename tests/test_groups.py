@@ -916,3 +916,21 @@ def test_malformed_group_specs_are_refused(spec, message):
 def test_cayley_labels_are_kept():
     G = build_group(_cayley([[0, 1], [1, 0]], labels=["e", "s"]))
     assert G.labels == ["e", "s"] and G.label(1) == "s"
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.intp])
+def test_sorted_unique_equals_np_unique(dtype):
+    # random, empty, constant and two-dimensional (flattened) input, with
+    # and without counts, value for value and in the input's dtype
+    rng = np.random.default_rng(3)
+    cases = [rng.integers(-50, 50, size=n).astype(dtype) for n in (1, 2, 17, 930)]
+    cases += [np.array([], dtype=dtype), np.full(9, 7, dtype=dtype),
+              rng.integers(0, 6, size=(5, 4)).astype(dtype)]
+    for values in cases:
+        got = groups.sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, counts = groups.sorted_unique(values, return_counts=True)
+        want, want_counts = np.unique(values, return_counts=True)
+        assert np.array_equal(got, want) and np.array_equal(counts, want_counts)
+        assert counts.dtype == want_counts.dtype

@@ -198,16 +198,25 @@ def run_chartable(args: dict) -> tuple[dict, int]:
     return _envelope("chartable", spec, {}, payload), 0
 
 
+def _int_arg(args: dict, key: str, default: int | None = None) -> int | None:
+    """args[key] as an int, or `default` where it is omitted; a bool or a
+    non-integral number is refused, not truncated, as argparse refuses 2.5."""
+    value = args.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _criteria_params(args: dict) -> CriteriaParams:
     """CriteriaParams from check options; an omitted option keeps the
     dataclass default, and --k sets every small-structure threshold."""
-    given = {key: conv(args[key]) for key, conv in (
-        ("density", float), ("power", int), ("seed", int), ("trials", int),
-        ("exhaustive_cap", int)) if args.get(key) is not None}
-    if args.get("k") is not None:
-        given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
-                                    "normal_index", "quotient_size"), int(args["k"])))
-    return CriteriaParams(**given)
+    given = {key: _int_arg(args, key) for key in ("power", "seed", "trials", "exhaustive_cap")}
+    given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
+                                "normal_index", "quotient_size"), _int_arg(args, "k")))
+    given["density"] = None if args.get("density") is None else float(args["density"])
+    return CriteriaParams(**{key: v for key, v in given.items() if v is not None})
 
 
 def run_check(args: dict) -> tuple[dict, int]:
@@ -248,7 +257,7 @@ def run_cover(args: dict) -> tuple[dict, int]:
 
 
 def run_markov(args: dict) -> tuple[dict, int]:
-    t_max = int(args.get("tmax", 64))
+    t_max, experiment = _int_arg(args, "tmax", 64), _int_arg(args, "experiment")
     check_t_max(t_max)
     spec = parse_group_spec(args["group"])
     G, C, T = _load_table(spec)
@@ -267,9 +276,8 @@ def run_markov(args: dict) -> tuple[dict, int]:
     resid = stationarity_residual(chain)
     payload["stationarity_residual"] = resid
     payload["plancherel"] = chain.stationary().tolist()
-    if args.get("experiment") is not None:
-        payload["mixing_experiment"] = mixing_experiment(
-            chain, epsilon, int(args["experiment"]))
+    if experiment is not None:
+        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment)
     if args.get("csv"):
         lines = ["t,uniform,tv_max,tv_half_l1"]
         for row in rep.curve:
@@ -309,6 +317,7 @@ def _pick_normal(T, selector: str):
 
 def run_counterexample(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
+    m = _int_arg(args, "m", 3)
     G, C, T = _load_table(spec)
     N = _pick_normal(T, args.get("normal", "group"))
     eps = args.get("epsilon")
@@ -317,14 +326,13 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
             eps = Fraction(str(eps))
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
-    V, report = build_counterexample_rep(G, C, T, N, int(args.get("m", 3)),
-                                         epsilon=eps)
+    V, report = build_counterexample_rep(G, C, T, N, m, epsilon=eps)
     payload = {"rep": V.to_json_dict(), "normal_order": N.order,
                "construction": report}
     violated = not report["power_measure_at_most_half"]
     return (_envelope("counterexample", spec,
                       {"normal": args.get("normal", "group"),
-                       "m": int(args.get("m", 3)),
+                       "m": m,
                        "epsilon": None if eps is None else str(eps)}, payload),
             1 if violated else 0)
 
@@ -340,22 +348,21 @@ def _parse_tuples(text: str, rank: int) -> list[tuple]:
 
 
 def run_sumset(args: dict) -> tuple[dict, int]:
+    rank, m, n = _int_arg(args, "rank", 1), _int_arg(args, "m", 2), _int_arg(args, "n", 1)
     factors = None
     if args.get("factors"):
         factors = tuple(int(v) for v in str(args["factors"]).split(","))
     group = AbelianGroup(factors) if factors else None
-    rank = len(factors) if factors else int(args.get("rank", 1))
+    rank = len(factors) if factors else rank
     elems = _parse_tuples(args["set"], rank)
     if factors:
         for e in elems:
             if not all(0 <= x < d for x, d in zip(e, factors)):
                 raise UsageError(f"element {','.join(map(str, e))} is outside the "
                                  f"group: need 0 <= x_i < d_i for factors {list(factors)}")
-    m = int(args.get("m", 2))
     params = {"factors": list(factors) if factors else None, "rank": rank,
               "set": [list(e) for e in elems], "m": m}
     if args.get("cover"):
-        n = int(args.get("n", 1))
         params["n"] = n
         tc = translate_cover(elems, n, m, group=group)
         payload = tc.to_json_dict()

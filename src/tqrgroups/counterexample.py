@@ -54,7 +54,7 @@ class AutAction:
         if (np.any(d[:, None] * images % d) or not np.array_equal(
                 K.index(np.einsum("xi,pij->pxj", K.coords, images)), given)):
             raise ValueError("action map is not an automorphism")
-        self.perms = permutation_closure(given)
+        self.perms = permutation_closure(given)[0]
 
     def __len__(self):
         return len(self.perms)

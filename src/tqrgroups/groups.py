@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -97,22 +97,15 @@ def element_orders(mul_fn, identity, elems) -> np.ndarray:
     return orders
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted 1-D array that differ from the one
-    before: the first entry of each run of equal values."""
-    first = np.empty(ordered.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
 def sorted_unique(values, return_counts=False):
     """np.unique of an array, flattened: its distinct values, ascending and
     in its dtype (and how often each occurs), by one sort and a neighbour
     mask. np.unique hashes, which on the small index arrays of this package
     is about ten times slower than the sort."""
     ordered = np.sort(values, axis=None)
-    first = _run_starts(ordered)
+    first = np.empty(ordered.shape, dtype=bool)   # the first entry of each run
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     if not return_counts:
         return ordered[first]
     starts = np.flatnonzero(first)
@@ -163,7 +156,7 @@ class Subgroup:
 
 
 _SLAB_CELLS = 1 << 20   # table cells per slab in the inverse and associativity scans
-_FILL_CELLS = 1 << 15   # table cells per slab of rows filled by _table_from_rows
+_FILL_CELLS = 1 << 15   # cells per slab of table rows filled or gathered, or of closure products
 
 
 def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:
@@ -212,80 +205,6 @@ def _check_associative(G: GroupTable) -> None:
             if not np.array_equal(np.take(G.mul, rows[:, s], axis=0),
                                   np.take(rows, G.mul[s], axis=1)):
                 raise GroupError("multiplication table is not associative")
-
-
-def _table_from_rows(elems: np.ndarray, compose) -> tuple[np.ndarray, list[int]]:
-    """Cayley table of a group given by its elements and their associative
-    product law, and the greedy generating set whose rows were ranked (a
-    ranked identity row generates nothing and is left out). Permutation
-    groups (_perm_group), quotient and subgroup_table build their tables
-    here; the other families write theirs from an index formula.
-
-    `elems` holds the m elements as distinct integer rows in ascending
-    lexicographic order; compose(x, elems) gives the rows of x*y for every y.
-    Only the rows of a greedy generating set are ranked: the first element
-    not yet reached becomes a generator g, and its product rows are ranked
-    one column at a time (the rank of the first j+1 entries is the position
-    of rank_j * span_j + col_j among the elements' own prefix keys, so no key
-    exceeds m * span_j). Every ranked row is compared with the element it
-    names, so a product that is not an element raises GroupError. Every other
-    row is the left product of a generator g and a filled row y,
-    (g*y)*z = g*(y*z), so row g*y is np.take(mul[g], mul[y]). Each generator
-    at least doubles the subgroup reached, so at most floor(log2 m) + 1 rows
-    are ranked, and the member set is closed once they all rank cleanly. The
-    table, of table_dtype(m), is filled in slabs of _FILL_CELLS cells, whose
-    narrow index np.take copies to intp, so the extra memory is
-    O(m * width + _FILL_CELLS); the keys are int64 even where `elems` were
-    read off a narrow table (quotient and subgroup_table).
-    """
-    elems = elems.astype(np.int64, copy=False)
-    m, width = elems.shape
-    span = elems.max(axis=0) + 1
-    levels = []
-    prefix = np.zeros(m, dtype=np.int64)
-    for j in range(width):
-        # the rows are sorted, so the keys are too: a new key starts a rank
-        key = prefix * span[j] + elems[:, j]
-        first = _run_starts(key)
-        levels.append(key[first])
-        prefix = np.cumsum(first) - 1
-
-    mul = np.empty((m, m), dtype=table_dtype(m))
-    filled = np.zeros(m, dtype=bool)
-    slab = max(1, _FILL_CELLS // m)
-    gens: list[int] = []
-    for x in range(m):
-        if filled[x]:
-            continue
-        rows = compose(elems[x], elems)
-        rank = np.zeros(m, dtype=np.int64)
-        for j, keys in enumerate(levels):
-            rank = np.searchsorted(keys, rank * span[j] + rows[:, j])
-        rank = np.minimum(rank, m - 1)
-        if not np.array_equal(elems[rank], rows):
-            raise GroupError("member set is not closed under multiplication")
-        mul[x] = rank
-        filled[x] = True
-        if np.array_equal(rows, elems):   # the identity, which reaches nothing
-            continue
-        gens.append(x)
-        # BFS: left-multiply every filled row by every generator until the
-        # subgroup generated so far is closed
-        frontier = np.flatnonzero(filled)
-        while frontier.size:
-            reached = []
-            for g in gens:
-                # row g is a permutation, so the fresh targets are distinct;
-                # cast once to intp, as they index three times below
-                targets = mul[g, frontier].astype(np.intp)
-                fresh = ~filled[targets]
-                ys, zs = frontier[fresh], targets[fresh]
-                for lo in range(0, len(ys), slab):
-                    mul[zs[lo:lo + slab]] = np.take(mul[g], mul[ys[lo:lo + slab]])
-                filled[zs] = True
-                reached.append(zs)
-            frontier = np.concatenate(reached)
-    return mul, gens
 
 
 def _finalize(mul, labels, source, gens=None) -> GroupTable:
@@ -348,22 +267,27 @@ def _perm_family(n: int, family: str) -> GroupTable:
     return _perm_group(n, gens, {"family": family, "params": {"n": n}})
 
 
-def permutation_closure(gens: np.ndarray) -> np.ndarray:
+def permutation_closure(gens: np.ndarray) -> tuple[np.ndarray, Callable]:
     """The group the permutation rows `gens` generate (row p maps k -> p[k]),
     in their dtype: the distinct generators in order, then the identity, then
     each new p∘g (k -> p[g[k]]) breadth first; more than MAX_ORDER elements
-    raise GroupError. Rows are multiplied out in slabs of about _FILL_CELLS
-    entries, each keyed by one np.void view, not by a numpy call an element."""
+    raise GroupError. Also returns position(rows), each row's place in it.
+    Rows are multiplied out in slabs of about _FILL_CELLS entries, each keyed
+    by one np.void view, not by a numpy call an element."""
     gens = np.ascontiguousarray(gens)
     degree = gens.shape[1]
     key = np.dtype((np.void, degree * gens.itemsize))
-    seen: set[bytes] = set()
+    index: dict[bytes, int] = {}
 
-    def fresh(rows):   # the C-ordered rows not seen before, in order, now seen
-        new = [k for k in rows.view(key).ravel().tolist() if not (k in seen or seen.add(k))]
-        if len(seen) > config.MAX_ORDER:
+    def fresh(rows):   # the C-ordered rows not indexed before, in order, now indexed
+        new = [k for k in dict.fromkeys(rows.view(key).ravel().tolist()) if k not in index]
+        index.update(zip(new, itertools.count(len(index))))
+        if len(index) > config.MAX_ORDER:
             raise GroupError(f"generator closure exceeds MAX_ORDER={config.MAX_ORDER}")
         return np.frombuffer(b"".join(new), gens.dtype).reshape(-1, degree)
+
+    def position(rows):   # of C-ordered rows in gens.dtype
+        return np.fromiter(map(index.__getitem__, rows.view(key).ravel().tolist()), np.intp)
 
     gens = fresh(gens)
     found = [gens, fresh(np.arange(degree, dtype=gens.dtype)[None])]
@@ -371,20 +295,50 @@ def permutation_closure(gens: np.ndarray) -> np.ndarray:
     for rows in found:   # breadth first: `found` grows as it is read
         for lo in range(0, len(rows), slab):
             found.append(fresh(rows[lo:lo + slab].take(gens, axis=1).reshape(-1, degree)))
-    return np.concatenate(found)
+    return np.concatenate(found), position
 
 
 def _perm_group(degree: int, gens, source: dict) -> GroupTable:
     """The closure of `gens` on its rows in lexicographic order, labelled by
-    their digits up to degree 10 and by str(tuple) above."""
+    their digits up to degree 10 and by str(tuple) above. Each distinct
+    non-identity generator's row is looked up in the closure; the rest are
+    filled breadth first from the identity's, row g∘y = np.take(row g, row y).
+    The generators are handed over if at most floor(log2 m) of them, the
+    bound generating_set keeps."""
     if degree == 0:   # the one empty permutation, which no void key holds
         return _finalize(np.zeros((1, 1), dtype=np.int64), [""], source, [])
-    perms = permutation_closure(np.array(gens, dtype=np.int64).reshape(-1, degree))
-    perms = perms[np.lexsort(perms.T[::-1])]
-    mul, table_gens = _table_from_rows(perms, lambda p, Q: p[Q])   # rows of p∘q
+    gens = np.array(gens, dtype=np.int64).reshape(-1, degree)
+    found, position = permutation_closure(gens)
+    m = len(found)
+    order = np.lexsort(found.T[::-1])
+    perms = found[order]
+    rank = np.argsort(order)   # closure position -> lexicographic position
+    # the distinct generators in the order given, less the identity (row 0)
+    rows = [g for g in dict.fromkeys(rank[position(gens)].tolist()) if g]
+
+    mul = np.empty((m, m), dtype=table_dtype(m))
+    mul[0] = np.arange(m)   # the identity, lexicographically first
+    for g in rows:
+        mul[g] = rank[position(perms[g][perms])]   # g∘p, k -> g[p[k]]
+    filled = np.arange(m) == 0
+    frontier = np.zeros(1, dtype=np.intp)
+    slab = max(1, _FILL_CELLS // m)
+    while rows and frontier.size:
+        reached = []
+        for g in rows:
+            # row g is a permutation, so the fresh targets are distinct;
+            # cast once to intp, as they index three times below
+            targets = mul[g, frontier].astype(np.intp)
+            fresh = ~filled[targets]
+            ys, zs = frontier[fresh], targets[fresh]
+            for lo in range(0, len(ys), slab):
+                mul[zs[lo:lo + slab]] = np.take(mul[g], mul[ys[lo:lo + slab]])
+            filled[zs] = True
+            reached.append(zs)
+        frontier = np.concatenate(reached)
     labels = ([str(tuple(p)) for p in perms.tolist()] if degree > 10 else np.frombuffer(
         (perms + 48).astype(np.uint8).tobytes(), f"S{degree}").astype(str).tolist())
-    return _finalize(mul, labels, source, table_gens)
+    return _finalize(mul, labels, source, rows if len(rows) < m.bit_length() else None)
 
 
 def _quaternion8() -> GroupTable:
@@ -665,11 +619,13 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
 
 
 def generating_set(G: GroupTable) -> tuple[int, ...]:
-    """The generating set G carries. A table built without one (cayley input)
-    gets a greedy one, found once: in index order, every element outside the
-    subgroup generated so far joins it. Each one at least doubles that
-    subgroup (Lagrange), so there are at most floor(log2 |G|) of them; one
-    that does not shows the table is not associative and raises GroupError."""
+    """The generating set G carries. A table built without one (cayley input,
+    quotient and subgroup tables, a permutation group given more than
+    floor(log2 |G|) generators) gets a greedy one, found once: in index
+    order, every element outside the subgroup generated so far joins it.
+    Each one at least doubles that subgroup (Lagrange), so there are at most
+    floor(log2 |G|) of them; one that does not shows the table is not
+    associative and raises GroupError."""
     if G.generators is not None:
         return G.generators
     reached = np.zeros(G.order, dtype=bool)
@@ -734,22 +690,29 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = sorted_unique(coset_rep)
-    mul, gens = _table_from_rows(reps[:, None],
-                                 lambda x, Y: coset_rep[G.mul[x[0], Y[:, 0]]][:, None])
+    coset = np.searchsorted(reps, coset_rep).astype(table_dtype(len(reps)))   # x -> rank of xN
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
-    return _finalize(mul, labels, source, gens)
+    return _finalize(_gather_table(G, reps, coset), labels, source)
+
+
+def _gather_table(G: GroupTable, elems: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The (m, m) table rank[x*y] over the parent elements x, y in `elems`,
+    gathered in slabs of _FILL_CELLS cells; rank maps each element of G to
+    an index of the new table, or to -1, and sets the table's dtype."""
+    m = len(elems)
+    mul = np.empty((m, m), dtype=rank.dtype)
+    slab = max(1, _FILL_CELLS // max(m, 1))
+    for lo in range(0, m, slab):
+        mul[lo:lo + slab] = rank[G.mul[elems[lo:lo + slab, None], elems]]
+    return mul
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
     """G, G/Z(G), ... until the first center-free (possibly trivial) group."""
     chain = [G]
-    cur = G
-    while True:
-        Z = center(cur)
-        if Z.order == 1:
-            return chain
-        cur = quotient(cur, Z)
-        chain.append(cur)
+    while (Z := center(chain[-1])).order > 1:
+        chain.append(quotient(chain[-1], Z))
+    return chain
 
 
 def derived_subgroup(T: CharTable) -> Subgroup:
@@ -778,11 +741,16 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     indices (sorted ascending, so index 0 need not be the identity of G).
     """
     elems = sorted(int(m) for m in members)
-    mul, gens = _table_from_rows(np.array(elems, dtype=np.int64)[:, None],
-                                 lambda x, Y: G.mul[x[0], Y[:, 0]][:, None])
+    if elems and (elems[0] < 0 or elems[-1] >= G.order):
+        raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    rank = np.full(G.order, -1, dtype=table_dtype(len(elems)))   # -1 outside the members
+    rank[elems] = np.arange(len(elems))
+    mul = _gather_table(G, np.array(elems, dtype=np.int64), rank)
+    if (mul < 0).any():
+        raise GroupError("member set is not closed under multiplication")
     labels = [G.label(e) for e in elems] if G.labels is not None else None
     table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,
-                                    "members": elems}, gens)
+                                    "members": elems})
     return table, elems
 
 

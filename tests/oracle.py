@@ -20,7 +20,8 @@ draw per irreducible, sampled product sets from one np.unique per trial and
 product, QR2 and QR3 verdicts from every subset or pair of subsets of the
 subset size, Cayley tables from a dict lookup of every pairwise
 product, symmetric and alternating groups from every itertools permutation
-and an inversion count, permutation closures one element at a time,
+and an inversion count with their products ranked by a base-n key,
+permutation closures one element at a time,
 associativity from every triple, abelian characters and their
 dual actions from one Fraction per value, mixing curves from one
 vector-matrix step per start row, and the affine-group table is
@@ -123,18 +124,15 @@ def brute_normal_subgroups(G, max_order=48):
 
 
 def _closure(G, seed):
-    """Subgroup generated by `seed`, as a frozenset of element indices."""
-    members = {G.identity} | set(seed)
-    frontier = list(members)
+    """Subgroup generated by `seed`, as a frozenset of element indices: the
+    identity closed under right multiplication by the seed, one level of
+    products at a time, which in a finite group is the subgroup generated."""
+    seed = np.array(sorted({int(s) for s in seed}), dtype=np.int64)
+    members = {G.identity}
+    frontier = [G.identity]
     while frontier:
-        nxt = []
-        arr = np.fromiter(members, dtype=np.int64)
-        for x in frontier:
-            for y in np.unique(G.mul[x, arr]):
-                if y not in members:
-                    members.add(int(y))
-                    nxt.append(int(y))
-        frontier = nxt
+        frontier = list(set(G.mul[np.ix_(frontier, seed)].ravel().tolist()) - members)
+        members.update(frontier)
     return frozenset(members)
 
 
@@ -282,20 +280,31 @@ def enumerated_group(spec):
 
 
 def itertools_perm_family(n, even_only):
-    """S_n, or A_n when `even_only`, built as the library once built it:
-    every permutation from itertools.permutations in lexicographic order,
-    the even ones picked by their inversion count, the table from
-    _table_from_rows, and each label the digits of the permutation."""
+    """S_n, or A_n when `even_only`: every permutation from
+    itertools.permutations in lexicographic order, the even ones picked by
+    their inversion count, and each label the digits of the permutation.
+    Every product p∘q (k -> p[q[k]]) is ranked by its base-n key among the
+    elements' keys, which ascend with the rows, a slab of rows at a time
+    (n <= 7, so every key is below 7^7). No generating set is handed over."""
     from tqrgroups import groups
 
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
     if even_only:
         inversions = sum((perms[:, [i]] > perms[:, i + 1:]).sum(axis=1) for i in range(n))
         perms = perms[inversions % 2 == 0]
-    mul, gens = groups._table_from_rows(perms, lambda p, Q: p[Q])
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = perms @ weights
+    m = len(perms)
+    mul = np.empty((m, m), dtype=np.int16)
+    slab = max(1, (1 << 20) // (m * n))
+    for lo in range(0, m, slab):
+        products = perms[lo:lo + slab][:, perms] @ weights   # [i, j]: key of p_i∘p_j
+        rank = np.searchsorted(keys, products)
+        assert np.array_equal(keys[np.minimum(rank, m - 1)], products), "not closed"
+        mul[lo:lo + slab] = rank
     labels = ["".join(map(str, p)) for p in perms.tolist()]
     family = "alternating" if even_only else "symmetric"
-    return groups._finalize(mul, labels, {"family": family, "params": {"n": n}}, gens)
+    return groups._finalize(mul, labels, {"family": family, "params": {"n": n}})
 
 
 def queue_closure(perms):
@@ -315,15 +324,16 @@ def queue_closure(perms):
     return np.array(queue)
 
 
-def dict_quotient_table(G, members):
-    """Cayley table of G/N on the sorted minimal coset representatives."""
+def dict_quotient_table(G, members, rows=None):
+    """Cayley table of G/N on the sorted minimal coset representatives; only
+    the given row indices when `rows` is set."""
     coset_rep = {}
     for g in range(G.order):
-        coset = {int(G.mul[g, n]) for n in members}
-        for h in coset:
-            coset_rep[h] = min(coset)
+        if g not in coset_rep:   # the cosets partition G: each is read once
+            coset = {int(G.mul[g, n]) for n in members}
+            coset_rep.update(dict.fromkeys(coset, min(coset)))
     reps = sorted(set(coset_rep.values()))
-    return dict_cayley_table(reps, lambda a, b: coset_rep[int(G.mul[a, b])]), reps
+    return dict_cayley_table(reps, lambda a, b: coset_rep[int(G.mul[a, b])], rows), reps
 
 
 def class_multiplication_matrix(G, C, i):

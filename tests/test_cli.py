@@ -750,3 +750,23 @@ def test_permutation_degree_above_max_order_is_refused_before_allocating(
                                     "generators": [[*range(1, degree), 0]]}))
         assert cli.main(["group", "--group", f"@{path}"]) == want
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("check", "power", 2.5), ("check", "seed", True), ("check", "trials", 1.5),
+    ("check", "exhaustive_cap", False), ("check", "k", 4.2), ("markov", "tmax", 3.9),
+    ("markov", "experiment", True), ("counterexample", "m", 2.7), ("sumset", "rank", 1.5),
+    ("sumset", "m", True), ("sumset", "n", 2.5)])
+def test_suite_records_a_non_integral_integer_option_as_an_error(command, key, value,
+                                                                  tmp_path, capsys):
+    # each ran with status ok and echoed the truncated value; on the command
+    # line, argparse refuses --power 2.5 with exit code 2
+    args = {**_EVERY_OPTION[command], key: value}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [{"id": "x", "command": command, "args": args}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [(e["status"], e["error"]) for e in entries] == [
+        ("error", f"UsageError: {key} must be an integer, not {value!r}")]
+    assert not (tmp_path / "x.json").exists()

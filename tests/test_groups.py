@@ -12,7 +12,7 @@ from tqrgroups import (CharTable, CharTableError, GroupError, build_group, cente
                        center_free_quotient_chain, compute_char_table,
                        conjugacy_classes, derived_subgroup, normal_subgroups,
                        quotient, subgroup_from_members, subgroup_table)
-from tqrgroups import cli, groups
+from tqrgroups import cli, config, groups
 from tqrgroups.groups import center_of_subset
 
 
@@ -170,13 +170,16 @@ def test_classes_match_the_per_class_loop_field_for_field(case):
 
 def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
         monkeypatch, tmp_path, capsys):
-    calls = []   # the orders of the tables that had to search for a set
+    searched = []   # the tables that had to search for a set
     carried = groups.generating_set
 
     def counted(G):
         if G.generators is None:
-            calls.append(G.order)
+            searched.append(G)
         return carried(G)
+
+    def kinds():
+        return [(G.order, G.source.get("type")) for G in searched]
 
     monkeypatch.setattr(groups, "generating_set", counted)
     perm = tmp_path / "psl27.json"
@@ -187,15 +190,28 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
                  "product(dihedral(4),cyclic(3))", f"@{perm}"]:
         # the quotient chain and the normal subgroups included
         assert cli.main(["group", "--group", text, "--normal-subgroups"]) == 0, text
-    for G in _with_normal_quotients_and_subgroups(build_group(FIXTURE_SPECS["C2xS4"])):
+    # quotient tables carry no set: the center-free quotients of dihedral:6,
+    # quaternion8, extraspecial:3 and D4 x C3 search once each (a quotient
+    # by the whole group is the one-element group, which carries ())
+    assert kinds() == [(6, "quotient"), (4, "quotient"), (9, "quotient"), (4, "quotient")]
+    searched.clear()
+    tables = _with_normal_quotients_and_subgroups(build_group(FIXTURE_SPECS["C2xS4"]))
+    for G in tables:
         conjugacy_classes(G)
         center_free_quotient_chain(G)   # center and quotients
         G.is_abelian()
-    assert calls == []
+    # every quotient and subgroup table, and no other, searches exactly
+    # once, but the quotient by G itself, the last normal subgroup
+    by_g = tables[-2]
+    assert by_g.order == 1 and by_g.generators == ()
+    assert {id(G) for G in tables[1:] if G is not by_g} <= {id(G) for G in searched}
+    assert len({id(G) for G in searched}) == len(searched)
+    assert {kind for _, kind in kinds()} == {"quotient", "subgroup"}
+    searched.clear()
     cayley = tmp_path / "s4.json"
     cayley.write_text(json.dumps(_cayley(get_group("S4").mul)))
     assert cli.main(["group", "--group", f"@{cayley}", "--normal-subgroups"]) == 0
-    assert calls == [24]
+    assert kinds() == [(24, "cayley")]
     capsys.readouterr()
 
 
@@ -394,9 +410,13 @@ def test_a_set_that_is_not_a_class_union_takes_the_all_pairs_path():
     lambda G, C: subgroup_from_members(G, C, [0, 6]),
     lambda G, C: center_of_subset(G, C, (0, -1)),
     lambda G, C: center_of_subset(G, C, (0, 6)),
-], ids=["member-minus-one", "member-order", "center-minus-one", "center-order"])
+    lambda G, C: subgroup_table(G, [0, 3, -3]),
+    lambda G, C: subgroup_table(G, [0, 6]),
+], ids=["member-minus-one", "member-order", "center-minus-one", "center-order",
+        "table-minus-three", "table-order"])
 def test_member_indices_outside_the_group_are_refused(call):
-    # -1 used to wrap to element 5 of S3, and 6 raised a bare IndexError
+    # -1 used to wrap to element 5 of S3, and 6 raised a bare IndexError;
+    # subgroup_table did both, wrapping -3 to element 3
     G, C = get_group("S3"), get_classes("S3")
     with pytest.raises(GroupError, match=r"0\.\.5"):
         call(G, C)
@@ -419,9 +439,8 @@ def test_quotient_requires_normal():
 
 
 @pytest.mark.parametrize("name", ["C12", "S4", "relabelled-Q8"])
-def test_the_quotient_by_g_is_the_one_element_group(name, monkeypatch):
+def test_the_quotient_by_g_is_the_one_element_group(name):
     G = _relabelled(get_group("Q8"), 3) if name == "relabelled-Q8" else get_group(name)
-    monkeypatch.setattr(groups, "_table_from_rows", None)   # not built by ranking
     N = subgroup_from_members(G, conjugacy_classes(G), range(G.order))
     Q = quotient(G, N)
     assert Q.order == 1 and Q.mul.tolist() == [[0]] and Q.generators == ()
@@ -456,6 +475,31 @@ def test_subgroup_table_affine_translations():
     assert all(H.element_order(x) in (1, 5) for x in range(5))
 
 
+# permutation specs from generators their families do not use: S4 from all
+# six transpositions (more than floor(log2 24) = 4, so none is handed over
+# and generating_set searches), A7 from (0 1 2) and (2 3 4 5 6), and S2 from
+# a list holding the identity and a repeated generator
+_PERM_SPECS = {
+    "S4-transpositions": {"type": "permutation", "degree": 4, "generators": [
+        [1, 0, 2, 3], [2, 1, 0, 3], [3, 1, 2, 0], [0, 2, 1, 3], [0, 3, 2, 1], [0, 1, 3, 2]]},
+    "A7-3-cycle-5-cycle": {"type": "permutation", "degree": 7,
+                           "generators": [[1, 2, 0, 3, 4, 5, 6], [0, 1, 3, 4, 5, 6, 2]]},
+    "S2-identity-repeated": {"type": "permutation", "degree": 3,
+                             "generators": [[0, 1, 2], [1, 0, 2], [1, 0, 2]]}}
+
+
+def _assert_generators_center_and_abelian(H):
+    """The invariant of test_center_and_abelian_from_generators_match_full_table_compare,
+    on a table that may carry no set until generating_set searches for one."""
+    gens = groups.generating_set(H)
+    assert gens is H.generators and H.identity not in gens
+    assert len(gens) <= H.order.bit_length() - 1   # floor(log2 |H|)
+    assert oracle._closure(H, gens) == frozenset(range(H.order))
+    commutes_with_all = np.all(H.mul == H.mul.T, axis=1)
+    assert center(H).members == tuple(np.flatnonzero(commutes_with_all).tolist())
+    assert H.is_abelian() is bool(commutes_with_all.all())
+
+
 _ENUMERATED_SPECS = (
     [{"family": f, "params": {"n": n}} for f in ("symmetric", "alternating")
      for n in (1, 2, 3, 4, 5)]
@@ -466,9 +510,7 @@ _ENUMERATED_SPECS = (
     + [{"type": "permutation", "degree": 0, "generators": []},
        {"type": "permutation", "degree": 4,
         "generators": [[1, 0, 3, 2], [2, 3, 0, 1]]},
-       # the identity and a repeated generator among the generators
-       {"type": "permutation", "degree": 3,
-        "generators": [[0, 1, 2], [1, 0, 2], [1, 0, 2]]},
+       *_PERM_SPECS.values(),
        # x -> 3x and x -> x + 1 on F_17: the affine group of order 272
        {"type": "permutation", "degree": 17,
         "generators": [[3 * x % 17 for x in range(17)],
@@ -488,17 +530,26 @@ _ENUMERATED_SPECS += (
 _DICT_ORACLE_CAP = 2000
 
 
+def _oracle_rows(order):
+    """The rows of a table of this order the dict oracle builds."""
+    if order <= _DICT_ORACLE_CAP:
+        return np.arange(order)
+    return np.unique(np.linspace(0, order - 1, 128).astype(np.int64))
+
+
 @pytest.mark.parametrize("spec", _ENUMERATED_SPECS, ids=str)
 def test_enumerated_tables_match_dict_oracle(spec):
     G = build_group(spec)
     elems, compose, labels = oracle.enumerated_group(spec)
     assert G.mul.dtype == np.int16 and G.labels == labels
+    if spec in _PERM_SPECS.values():
+        _assert_generators_center_and_abelian(G)
     if G.order <= _DICT_ORACLE_CAP:
         mul = oracle.dict_cayley_table(elems, compose)
         assert mul.dtype == np.int64 and np.array_equal(G.mul, mul)
         assert np.array_equal(G.inv, oracle.table_inverses(mul))
         return
-    rows = np.unique(np.linspace(0, G.order - 1, 128).astype(np.int64))
+    rows = _oracle_rows(G.order)
     mul = oracle.dict_cayley_table(elems, compose, rows)
     assert mul.dtype == np.int64 and np.array_equal(G.mul[rows], mul)
     identity_row = oracle.dict_cayley_table(elems, compose, [G.identity])[0]
@@ -529,22 +580,35 @@ def test_permutation_families_match_the_itertools_enumeration(family, n):
     want = oracle.itertools_perm_family(n, family == "alternating")
     assert G.mul.dtype == want.mul.dtype and G.mul.tobytes() == want.mul.tobytes()
     assert np.array_equal(G.inv, want.inv) and G.identity == want.identity
-    assert G.labels == want.labels and G.generators == want.generators
+    assert G.labels == want.labels
+    # the handed-over set generates G and holds no identity
+    assert G.identity not in G.generators
+    assert oracle._closure(G, G.generators) == frozenset(range(G.order))
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
-def test_quotient_and_subgroup_tables_match_dict_oracle(name):
-    G = get_group(name)
-    for N in normal_subgroups(get_table(name)):
-        mul, reps = oracle.dict_quotient_table(G, N.members)
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_PERM_SPECS))
+def test_quotient_and_subgroup_tables_match_dict_oracle(name, monkeypatch):
+    if name in FIXTURE_SPECS:
+        G, T = get_group(name), get_table(name)
+    else:
+        monkeypatch.setattr(config, "CHARTABLE_CAP", 5040)   # A7 has order 2520
+        G = build_group(_PERM_SPECS[name])
+        T = compute_char_table(G, conjugacy_classes(G))
+    for N in normal_subgroups(T):
         Q = quotient(G, N)
+        rows = _oracle_rows(Q.order)
+        mul, reps = oracle.dict_quotient_table(G, N.members, rows)
         assert Q.mul.dtype == np.int16 and mul.dtype == np.int64
-        assert np.array_equal(Q.mul, mul)
+        assert np.array_equal(Q.mul[rows], mul)
         assert Q.labels == [f"[{G.label(r)}]" for r in reps]
         H, elems = subgroup_table(G, N.members)
+        rows = _oracle_rows(H.order)
         assert elems == list(N.members) and H.mul.dtype == np.int16
         assert np.array_equal(
-            H.mul, oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b])))
+            H.mul[rows], oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b]), rows))
+        if name in _PERM_SPECS:
+            _assert_generators_center_and_abelian(Q)
+            _assert_generators_center_and_abelian(H)
 
 
 def test_the_table_type_is_int16_up_to_order_32768():
@@ -610,48 +674,11 @@ def test_subgroup_table_rejects_non_closed_members():
         subgroup_table(G, [0, 1, 2])
 
 
-_PSL27 = {"type": "permutation", "degree": 8,
-          "generators": [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}
-
-
-@pytest.mark.parametrize("spec, built_by_ranking", [
-    pytest.param(spec, orders, id=str(spec)) for spec, orders in [
-        ({"family": "symmetric", "params": {"n": 6}}, [720]),
-        ({"family": "alternating", "params": {"n": 6}}, [360]),
-        (_PSL27, [168]),
-        # extraspecial:7 writes its table from a formula; its quotient by the
-        # center, of order 49, ranks rows, and the next quotient is by all of it
-        ({"family": "extraspecial", "params": {"p": 7}}, [49])]])
-def test_table_builder_ranks_the_rows_of_a_greedy_generating_set(spec, built_by_ranking,
-                                                                 monkeypatch):
-    # each generator at least doubles the subgroup reached, so a table of
-    # order m ranks at most floor(log2 m) + 1 product rows; the rest are filled
-    ranked = []
-    build = groups._table_from_rows
-
-    def counting(elems, compose):
-        calls = []
-
-        def counted(x, Y):
-            calls.append(1)
-            return compose(x, Y)
-
-        mul = build(elems, counted)
-        ranked.append((len(elems), len(calls)))
-        return mul
-
-    monkeypatch.setattr(groups, "_table_from_rows", counting)
-    center_free_quotient_chain(build_group(spec))
-    assert [m for m, _ in ranked] == built_by_ranking
-    assert all(1 <= calls <= m.bit_length() for m, calls in ranked), ranked
-
-
 @pytest.mark.parametrize("text", [
     "affine:2", "affine:3", "affine:31", "extraspecial:2",
     "extraspecial:7", "quaternion8", "cyclic:12", "dihedral:6",
     "product(affine(5),quaternion8)"])
-def test_closed_form_families_write_their_table_without_ranking_rows(text, monkeypatch):
-    monkeypatch.setattr(groups, "_table_from_rows", None)   # calling it fails
+def test_closed_form_families_write_their_table_without_ranking_rows(text):
     G = build_group(cli.parse_group_spec(text))
     # the handed-over set generates G, and none of it is the identity
     assert G.identity not in G.generators

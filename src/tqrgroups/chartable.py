@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,10 @@ class CharTable:
     """Irreducible characters of a finite group.
 
     Rows are irreducibles in canonical order (trivial first, then by
-    dimension, then lexicographically on rounded values); columns follow the
-    canonical conjugacy-class order. values[l, c] = chi_l on class c.
+    dimension, then lexicographically on the values rounded to 8 places);
+    columns follow the canonical conjugacy-class order. values[l, c] =
+    chi_l on class c. An abelian table reaches that order from its integer
+    exponent rows (_abelian_table), any other by _canonical_irrep_order.
     """
 
     group: GroupTable
@@ -124,23 +127,68 @@ def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> n
 
 
 def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
-    """The character table of G, certified by exact integer dimensions and
-    orthogonality. G is abelian exactly when every class has one element; its
-    table is then AbelianGroup.characters in the invariant-factor basis of
-    abelian_structure, with no eigen-solve and no retry. Any other group's
-    table comes from _eigen_table."""
+    """The character table of G. G is abelian exactly when every class has
+    one element; its table is then _abelian_table, certified by exact checks
+    on its invariant-factor basis, with no eigen-solve and no retry. Any
+    other group's table comes from _eigen_table, certified by exact integer
+    dimensions and orthogonality."""
     if G.order > config.CHARTABLE_CAP:
         raise CharTableError(
             f"order {G.order} exceeds CHARTABLE_CAP={config.CHARTABLE_CAP}")
     if C is None:
         C = conjugacy_classes(G)
-    n = G.order
-    if C.num_classes < n:
+    if C.num_classes < G.order:
         return _eigen_table(G, C)
-    dec = abelian_structure(G, range(n))
-    chars = np.empty((n, n), dtype=np.complex128)
-    chars[:, C.class_of[dec.to_parent]] = dec.group.characters(np.arange(n))
-    return _certified_table(G, C, chars, attempts=0, seed=None)
+    return _abelian_table(G, C)
+
+
+# A bound on |fl(exp(2 pi i k/e)) - exp(2 pi i k/e)| for the roots of
+# AbelianGroup.roots, derived in _abelian_table
+_ROOT_ERROR = 6.02 * math.pi * 2.0 ** -53 + math.sqrt(2) * 2.0 ** -52
+
+
+def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
+    """The table of an abelian G, exact by construction: abelian_structure
+    checks exactly that phi: Z_{d1} x ... x Z_{dr} -> G is an isomorphism, so
+    the characters x -> roots[a[theta, x]] of the integer exponent matrix a
+    are exactly Irr(G), and only the roots are rounded.
+
+    Root error u. The argument 2j*cmath.pi*(k/e) is 2 pi (k/e) (1 + r1)
+    (1 + r2) (1 + r3), with |r_i| <= 2^-53 from rounding k/e, pi and the one
+    product (2j*pi is exact and the real part is 0); it lies below 2 pi, so
+    it is off by less than 2 pi * 3.01 * 2^-53. cmath.exp of a purely
+    imaginary t is cos t + i sin t times exp(0) = 1, and libm's cos and sin
+    are within one ulp, at most 2^-52 on [-1, 1]. So
+    u = 6.02 pi 2^-53 + sqrt(2) 2^-52 < 2.5e-15 (_ROOT_ERROR).
+
+    Residual. A stored value is zeta + delta with |delta| <= u, so each term
+    of a Gram entry, v conj(v'), is off by at most 2u + u^2 from the exact
+    one, and so are both averaged Gram matrices, row and column (every class
+    has one element). That bound, not a Gram product, is the quality's
+    row_residual and col_residual.
+
+    Row order. Each value is a root, so ranking the roots densely by their
+    (re, im) pair rounded to 8 places and lexsorting the rows of rank[a] is
+    the comparison _canonical_irrep_order makes on the values: the same
+    order, trivial (all-zero) row first."""
+    dec = abelian_structure(G, range(G.order))
+    K, n = dec.group, G.order
+    elem_of_class = np.empty(n, dtype=np.intp)
+    elem_of_class[C.class_of[dec.to_parent]] = np.arange(n)
+    a = K.exponents(np.arange(n), elem_of_class)
+    roots = K.roots()
+    re, im = np.round(roots.real, 8), np.round(roots.imag, 8)
+    by = np.lexsort((im, re))
+    step = (re[by][1:] != re[by][:-1]) | (im[by][1:] != im[by][:-1])
+    rank = np.empty(len(roots), dtype=np.min_scalar_type(len(roots)))
+    rank[by] = np.concatenate([[0], np.cumsum(step)])
+    # row 0 is theta = 0, the trivial character, and the only one
+    order = np.concatenate([[0], 1 + np.lexsort(rank[a[1:]].T[::-1])])
+    bound = 2 * _ROOT_ERROR + _ROOT_ERROR ** 2
+    quality = {"row_residual": bound, "col_residual": bound, "dim_roundoff": 0.0,
+               "attempts": 0, "seed": None}
+    return CharTable(group=G, classes=C, dims=np.ones(n, dtype=np.int64),
+                     values=roots[a[order]], quality=quality)
 
 
 def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:

@@ -85,16 +85,43 @@ def table_dtype(order: int) -> np.dtype:
 
 
 def element_orders(mul_fn, identity, elems) -> np.ndarray:
-    """Order of each element of an index array, all powers taken at once by
-    `mul_fn`, which multiplies index arrays elementwise."""
-    orders = np.ones(len(elems), dtype=np.int64)
-    y = np.array(elems, dtype=np.int64)
-    live = y != identity
-    while live.any():
-        y[live] = mul_fn(y[live], elems[live])
-        orders += live
-        live &= y != identity
-    return orders
+    """Order of each element of an index array: the first row of its powers
+    x^1, x^2, ... that holds the identity, plus 1. `mul_fn` multiplies index
+    arrays elementwise, with broadcasting; the block of powers is doubled by
+    _doubled, log2(largest order) products in all."""
+    pw = np.asarray(elems, dtype=np.int64)[None]
+    # x^1 alone holds the identity only where x is the identity, so the
+    # first check is made on x^1, x^2
+    return _orders_of_powers(mul_fn, identity,
+                             _doubled(mul_fn, pw) if 2 * pw.size <= _SLAB_CELLS else pw)
+
+
+def _orders_of_powers(mul_fn, identity, pw) -> np.ndarray:
+    """The orders of the columns of pw, which holds x^1..x^m of each column
+    x. The block stays within _SLAB_CELLS cells while 2 * (largest order)
+    does: before a doubling would pass it, the columns still without the
+    identity go on in slabs narrow enough to double."""
+    while True:
+        hit = pw == identity
+        found = hit.any(axis=0)
+        if found.all():
+            return hit.argmax(axis=0) + 1
+        m, w = pw.shape
+        width = max(1, _SLAB_CELLS // (2 * m))
+        if w > width:
+            orders = hit.argmax(axis=0) + 1
+            rest = np.flatnonzero(~found)
+            for lo in range(0, len(rest), width):
+                cols = rest[lo:lo + width]
+                orders[cols] = _orders_of_powers(mul_fn, identity, pw[:, cols])
+            return orders
+        pw = _doubled(mul_fn, pw)
+
+
+def _doubled(mul_fn, pw) -> np.ndarray:
+    """The powers x^1..x^m along the first axis of pw, extended to
+    x^1..x^(2m) by one product x^m * (x^1..x^m)."""
+    return np.concatenate([pw, mul_fn(pw[-1], pw)])
 
 
 def sorted_unique(values, return_counts=False):
@@ -315,11 +342,13 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
     rank = np.argsort(order)   # closure position -> lexicographic position
     # the distinct generators in the order given, less the identity (row 0)
     rows = [g for g in dict.fromkeys(rank[position(gens)].tolist()) if g]
+    products = [rank[position(perms[g][perms])] for g in rows]   # g∘p, k -> g[p[k]]
+    del found, position   # the closure's index of row keys goes before the table comes
 
     mul = np.empty((m, m), dtype=table_dtype(m))
     mul[0] = np.arange(m)   # the identity, lexicographically first
-    for g in rows:
-        mul[g] = rank[position(perms[g][perms])]   # g∘p, k -> g[p[k]]
+    for g, row in zip(rows, products):
+        mul[g] = row
     filled = np.arange(m) == 0
     frontier = np.zeros(1, dtype=np.intp)
     slab = max(1, _FILL_CELLS // m)
@@ -738,11 +767,14 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     """Realize a subgroup as a standalone GroupTable.
 
     Returns the table and the list mapping its indices back to parent element
-    indices (sorted ascending, so index 0 need not be the identity of G).
+    indices (the distinct members, sorted ascending, so index 0 need not be
+    the identity of G).
     """
-    elems = sorted(int(m) for m in members)
+    elems = sorted({int(m) for m in members})
     if elems and (elems[0] < 0 or elems[-1] >= G.order):
         raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    if not elems:   # any other set without the identity is not closed
+        raise GroupError("subgroup must contain the identity")
     rank = np.full(G.order, -1, dtype=table_dtype(len(elems)))   # -1 outside the members
     rank[elems] = np.arange(len(elems))
     mul = _gather_table(G, np.array(elems, dtype=np.int64), rank)
@@ -795,13 +827,22 @@ class AbelianGroup:
         factors."""
         return (np.asarray(coords) % self._moduli) @ self._strides
 
+    def roots(self) -> np.ndarray:
+        """roots[k] = exp(2 pi i k/e) for the exponent e, k = 0..e-1."""
+        e = self.exponent
+        return np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)])
+
+    def exponents(self, thetas, xs) -> np.ndarray:
+        """The (b, c) integers sum_j theta_j x_j (e/d_j) mod e for the
+        exponent rows theta in coords[thetas] and the elements x in
+        coords[xs]: theta(x) = roots()[that integer]."""
+        e = self.exponent
+        return (self.coords[thetas] * (e // self._moduli)) @ self.coords[xs].T % e
+
     def characters(self, thetas) -> np.ndarray:
         """The (b, order) values of the characters with exponent rows
-        coords[thetas]: theta(x) = roots[sum_j theta_j x_j (e/d_j) mod e]
-        for the exponent e, with roots[k] = exp(2 pi i k/e)."""
-        e = self.exponent
-        roots = np.array([cmath.exp(2j * cmath.pi * (k / e)) for k in range(e)])
-        return roots[(self.coords[thetas] * (e // self._moduli)) @ self.coords.T % e]
+        coords[thetas]."""
+        return self.roots()[self.exponents(thetas, slice(None))]
 
     def __repr__(self):
         return f"AbelianGroup{self.factors}"
@@ -814,7 +855,11 @@ class AbelianStructure:
 
 
 def abelian_structure(G: GroupTable, members) -> AbelianStructure:
-    """Invariant factor decomposition of an abelian subgroup of G."""
+    """Invariant factor decomposition of an abelian subgroup of G, checked
+    exactly: the members commute, each basis element g_j has g_j^(d_j) = 1,
+    and to_parent is a bijection onto the members. Then (a_1, ..., a_r) ->
+    g_1^a_1 ... g_r^a_r is a well-defined homomorphism that is bijective, an
+    isomorphism from Z_{d1} x ... x Z_{dr}."""
     arr = sorted_unique(np.fromiter(members, dtype=np.int64))
     block = G.mul[np.ix_(arr, arr)]
     if not np.array_equal(block, block.T):
@@ -829,18 +874,21 @@ def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     basis = _merge_invariant_factors(mul_fn, G.identity, basis)
     to_parent = np.array([G.identity])
     for gen, d in basis:
-        to_parent = G.mul[to_parent[:, None], _powers(mul_fn, G.identity, gen, d)].ravel()
+        powers = _powers(mul_fn, G.identity, gen, d)
+        if G.mul[powers[-1], gen] != G.identity:
+            raise GroupError(f"abelian basis element {gen} does not have order dividing {d}")
+        to_parent = G.mul[to_parent[:, None], powers].ravel()
     if not np.array_equal(np.sort(to_parent), arr):
         raise GroupError("abelian basis does not enumerate the subgroup")
     return AbelianStructure(AbelianGroup(tuple(d for _, d in basis)), to_parent)
 
 
 def _powers(mul_fn, identity, g, d) -> np.ndarray:
-    """g^0, ..., g^(d-1)."""
-    out = [identity]
-    for _ in range(d - 1):
-        out.append(mul_fn(out[-1], g))
-    return np.array(out, dtype=np.int64)
+    """g^0, ..., g^(d-1), by doubling the block g^1..g^m."""
+    pw = np.array([g], dtype=np.int64)
+    while len(pw) < d - 1:
+        pw = _doubled(mul_fn, pw)
+    return np.concatenate([[identity], pw[:d - 1]])
 
 
 def _abelian_basis(mul_fn, identity, elems) -> list[list[tuple[int, int]]]:

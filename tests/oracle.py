@@ -678,15 +678,43 @@ def brute_force_minimal_supports(T, dens):
                         if m >> i & 1)]
 
 
+def power_walk_element_orders(mul_fn, identity, elems):
+    """Order of each element of an index array by walking its powers one
+    masked product at a time, as many steps as the largest order."""
+    orders = np.ones(len(elems), dtype=np.int64)
+    y = np.array(elems, dtype=np.int64)
+    live = y != identity
+    while live.any():
+        y[live] = mul_fn(y[live], elems[live])
+        orders += live
+        live &= y != identity
+    return orders
+
+
 def rounded_tuple_irrep_order(chars, dims):
     """Row order of a character table by the key (nontrivial, dim, the
-    tuple of (re, im) pairs each rounded by Python's round to 8 places)."""
-    def key(lam):
-        row = chars[lam]
-        rounded = tuple((round(float(v.real), 8), round(float(v.imag), 8)) for v in row)
-        is_trivial = all(abs(v - 1.0) < 1e-6 for v in row)
-        return (0 if is_trivial else 1, int(dims[lam]), rounded)
-    return sorted(range(len(dims)), key=key)
+    tuple of (re, im) pairs each rounded by Python's round to 8 places).
+    Two rows are compared lazily, rounding their pairs class by class up to
+    the first that differs, so an order-2000 table sorts in well under a
+    second."""
+    def head(lam):
+        is_trivial = all(abs(v - 1.0) < 1e-6 for v in chars[lam])
+        return (0 if is_trivial else 1, int(dims[lam]))
+
+    def rounded(lam, c):
+        v = chars[lam][c]
+        return (round(float(v.real), 8), round(float(v.imag), 8))
+
+    heads = [head(lam) for lam in range(len(dims))]
+
+    def compare(a, b):
+        keys = itertools.chain([(heads[a], heads[b])],
+                               ((rounded(a, c), rounded(b, c)) for c in range(len(chars[a]))))
+        for ka, kb in keys:
+            if ka != kb:
+                return -1 if ka < kb else 1
+        return 0
+    return sorted(range(len(dims)), key=functools.cmp_to_key(compare))
 
 
 def regular_rep_char_table(G, seed=11, tol=1e-7, attempts=8):

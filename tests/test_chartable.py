@@ -6,13 +6,13 @@ import pytest
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
                       get_table_for_spec)
-from tqrgroups import (CharTableError, build_group, center, chartable,
+from tqrgroups import (CharTableError, GroupError, build_group, center, chartable,
                        compute_char_table, conjugacy_classes, decompose,
                        dumps_interchange, from_interchange, groups,
                        induce_character, inner_product, loads_interchange,
                        normal_subgroups, subgroup_table)
 from tqrgroups.chartable import (_canonical_irrep_order, _combined_class_matrix,
-                                  _eigen_table)
+                                  _eigen_table, _orthogonality_residuals)
 
 # Groups above the fixtures' orders on which the class matrix is checked:
 # up to 930 elements, and classes of up to 144 elements.
@@ -158,6 +158,11 @@ def test_abelian_tables_match_the_eigen_reference():
         assert T.quality["attempts"] == 0 and T.quality["seed"] is None, spec
         assert T.quality["dim_roundoff"] == 0.0, spec
         assert max(T.quality["row_residual"], T.quality["col_residual"]) <= 1e-13, spec
+        # the residuals are the stated root-rounding bound, and it holds
+        # for the Gram products recomputed on the table
+        bound = 2 * chartable._ROOT_ERROR + chartable._ROOT_ERROR ** 2
+        assert T.quality["row_residual"] == T.quality["col_residual"] == bound, spec
+        assert bound >= max(_orthogonality_residuals(T.values, C.sizes, G.order)), spec
 
 
 @pytest.mark.parametrize("spec", [_cyclic_product(1), _cyclic_product(12),
@@ -168,8 +173,30 @@ def test_abelian_tables_skip_the_eigen_solve(spec, monkeypatch):
 
     monkeypatch.setattr(chartable, "_combined_class_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(chartable, "_orthogonality_residuals", refuse)
+    monkeypatch.setattr(chartable, "_canonical_irrep_order", refuse)
     G = build_group(spec)
     assert compute_char_table(G).dims.tolist() == [1] * G.order
+
+
+@pytest.mark.parametrize("spec", [_cyclic_product(12), _cyclic_product(2, 4),
+                                  _cyclic_product(2000), _cyclic_product(40, 50)],
+                         ids=["C12", "C2xC4", "C2000", "C40xC50"])
+def test_abelian_rows_are_in_the_rounded_tuple_order(spec):
+    # the integer exponent rows give the order of the rounded-value key; the
+    # eigen reference is too slow to compare with at order 2000
+    T = compute_char_table(build_group(spec))
+    assert oracle.rounded_tuple_irrep_order(T.values, T.dims) == list(range(T.num_irreps))
+
+
+def test_a_basis_that_is_not_an_isomorphism_is_refused(monkeypatch):
+    # 1 and 2 enumerate Z_4 as 1^a 2^b, a, b in {0, 1}, but 1 has order 4,
+    # not 2: the bijection alone would pass Z_2 x Z_2's characters off as
+    # Z_4's, and their Gram products are orthonormal all the same
+    monkeypatch.setattr(groups, "_merge_invariant_factors",
+                        lambda mul_fn, identity, basis: [(1, 2), (2, 2)])
+    with pytest.raises(GroupError, match="order dividing 2"):
+        compute_char_table(build_group(_cyclic_product(4)))
 
 
 @pytest.mark.parametrize("name", sorted(set(FIXTURE_SPECS) - {"C6", "C12", "C64"}))

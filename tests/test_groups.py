@@ -422,6 +422,27 @@ def test_member_indices_outside_the_group_are_refused(call):
         call(G, C)
 
 
+@pytest.mark.parametrize("members, message", [
+    ([0, 3, 3], None),
+    ([3, 0, 0, 3], None),
+    ([], "must contain the identity"),
+    ([3], "not closed"),
+], ids=["repeated-member", "repeated-identity", "empty", "identity-free"])
+def test_subgroup_table_reads_a_member_set(members, message):
+    # repeats used to leave a row without the identity, and the empty set
+    # raised a bare numpy ValueError; a nonempty set without the identity
+    # is never closed
+    G = build_group({"family": "cyclic", "params": {"n": 6}})
+    if message is not None:
+        with pytest.raises(GroupError, match=message):
+            subgroup_table(G, members)
+        return
+    H, elems = subgroup_table(G, members)
+    ref, ref_elems = subgroup_table(G, [0, 3])
+    assert elems == ref_elems == [0, 3]
+    assert np.array_equal(H.mul, ref.mul) and H.order == 2
+
+
 def test_quotient_q8_center_is_klein_four():
     G = get_group("Q8")
     Q = quotient(G, center(G))
@@ -961,3 +982,41 @@ def test_sorted_unique_equals_np_unique(dtype):
         want, want_counts = np.unique(values, return_counts=True)
         assert np.array_equal(got, want) and np.array_equal(counts, want_counts)
         assert counts.dtype == want_counts.dtype
+
+
+_ORDER_SPECS = ([("fixture", spec) for spec in FIXTURE_SPECS.values()]
+                + [("abelian", spec) for _, spec in oracle.abelian_group_specs_up_to(64)]
+                + [("S7", {"family": "symmetric", "params": {"n": 7}}),
+                   ("C2000", {"family": "cyclic", "params": {"n": 2000}})])
+
+
+def test_element_orders_by_doubling_match_the_power_walk():
+    for name, spec in _ORDER_SPECS:
+        G = build_group(spec)
+        elems = np.arange(G.order)
+        mul_fn = lambda a, b: G.mul[a, b]   # noqa: E731
+        assert np.array_equal(groups.element_orders(mul_fn, G.identity, elems),
+                              oracle.power_walk_element_orders(mul_fn, G.identity, elems)), spec
+
+
+@pytest.mark.parametrize("spec", [{"family": "cyclic", "params": {"n": 2000}},
+                                  {"family": "symmetric", "params": {"n": 7}},
+                                  FIXTURE_SPECS["Q8"]], ids=["C2000", "S7", "Q8"])
+def test_element_orders_keep_the_power_block_within_the_slab(spec, monkeypatch):
+    # 2^12 cells: elements of order 2000 double to 2048 powers, one column
+    # at a time; every block the doubling makes has twice the cells of the
+    # product that extends it
+    G = build_group(spec)
+    monkeypatch.setattr(groups, "_SLAB_CELLS", 1 << 12)
+    largest = []
+
+    def mul_fn(a, b):
+        out = G.mul[a, b]
+        largest.append(2 * out.size)
+        return out
+
+    elems = np.arange(G.order)
+    orders = groups.element_orders(mul_fn, G.identity, elems)
+    assert max(largest) <= 1 << 12
+    assert np.array_equal(orders, oracle.power_walk_element_orders(
+        lambda a, b: G.mul[a, b], G.identity, elems))

@@ -30,9 +30,9 @@ _STACK_ROWS = 4096
 # Index entries (trials * |G| * subset size) one block of QR2/QR3 trials may
 # gather from the Cayley table per product step.
 _QR_BLOCK_ENTRIES = 1 << 14
-# The mode of a TQR2/TQR3 report decided by the search over the minimal
-# supports. A complete search is a proof, and no random phase follows it;
-# the name is kept because reports and their readers key on it.
+# The mode of a TQR2/TQR3 report decided by the complete search over the
+# minimal supports, a proof either way. "+randomized" names no phase that runs;
+# bench/checker.py compares verdicts with its reference only under this string.
 _SEARCH_MODE = "exhaustive-minimal+randomized"
 
 
@@ -49,15 +49,18 @@ class CriteriaParams:
     normal_index: int = 4               # TQR4: small index bound
     quotient_size: int = 4              # QR4: small quotient bound
     seed: int = 0
-    trials: int = 1000                  # QR2/QR3 sampled subset triples
-    support_trials: int = 200           # randomized support triples
+    trials: int = 1000                  # QR2/QR3 sampler: draws when no rule decides
+    support_trials: int = 200           # TQR2/TQR3 sampler: draws above exhaustive_cap
+                                        # when no table witness refutes
     exhaustive_cap: int = 20            # max #irreps for exhaustive support search
 
     def __post_init__(self):
         if not 0 < self.density <= 1:  # also refuses nan
             raise ValueError(f"density must be in (0, 1], got {self.density!r}")
         for name, least in (("power", 1), ("trials", 1), ("support_trials", 0),
-                            ("exhaustive_cap", 0), ("seed", 0)):
+                            ("exhaustive_cap", 0), ("seed", 0), ("class_threshold", 0),
+                            ("dim_threshold", 0), ("normal_size", 0), ("normal_index", 0),
+                            ("quotient_size", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
@@ -239,12 +242,35 @@ def _random_support_rows(T: CharTable, rng, dens: Fraction, count: int,
     return out
 
 
-def _random_support_blocks(T, rng, dens, count):
-    """`count` random supports in stacks of at most _STACK_ROWS rows, the
-    failed (empty) draws left out."""
+def _random_support_stacks(T, seed, dens, count, width):
+    """(None, stack) pairs of `count` seeded draws of `width` supports, in
+    (b, width, r) stacks of at most _STACK_ROWS draws, a failed draw dropped."""
+    rng = np.random.default_rng(seed)
     for lo in range(0, count, _STACK_ROWS):
-        rows = _random_support_rows(T, rng, dens, min(_STACK_ROWS, count - lo))
-        yield rows[rows.any(axis=1)]
+        b = min(_STACK_ROWS, count - lo)
+        rows = _random_support_rows(T, rng, dens, width * b).reshape(b, width, -1)
+        yield None, rows[rows.any(axis=2).all(axis=1)]
+
+
+def _decide(check, stages):
+    """(mode, checked, rule, witness) of the first of `stages` that decides.
+
+    A stage is (mode, final, batches), with batches (rule, stack) pairs;
+    check(stack) gives the place and witness of the first row that passes
+    the measure or size floor and whose product or power fails, or None. A
+    stage decides at its first refuted row, counting its rows up to it, and
+    a final stage (a complete search, a proof, the sampler, always last)
+    also when its rows run out, with the last rule and no witness.
+    """
+    for mode, final, batches in stages:
+        checked, rule = 0, None
+        for rule, stack in batches:
+            found = check(stack)
+            if found is not None:
+                return mode, checked + found[0] + 1, rule, found[1]
+            checked += len(stack)
+        if final:
+            return mode, checked, rule, None
 
 
 # ---------------------------------------------------------------------------
@@ -290,48 +316,43 @@ def _tqr1(T, params, pjson) -> CriterionReport:
 
 def _tqr2(T, params, pjson) -> CriterionReport:
     """TQR2 (does S1 (x) S2 (x) S3 contain every irreducible for all supports
-    of measure >= a?). Up to exhaustive_cap irreducibles the search over the
-    minimal supports decides alone. Above it the table witnesses of
-    _tqr_candidates are tried first, and _tqr2_sampled runs only when none
-    refutes."""
+    of measure >= a?). Up to exhaustive_cap irreducibles _tqr2_search decides
+    alone; above it the stages of _tqr_stages go through one check, the
+    support of (S1 (x) S2) (x) S3 by two stacked two-factor steps (one
+    decompose of chi_S1 chi_S2 chi_S3 loses the integers on dihedral:150)."""
     dens = params.density_frac()
-    if T.num_irreps <= params.exhaustive_cap:
-        checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
-        return CriterionReport("tqr2", witness is None, pjson, witness=witness,
-                               mode=_SEARCH_MODE, details={"triples_checked": checked})
     need = _density_floor(T.group.order, dens)
     sq = T.dims.astype(np.int64) ** 2
-    for checked, (rule, S) in enumerate(_tqr_candidates(T, dens, 3, lambda m: m < 1), 1):
-        product = power_support_mask(T, S, 3)
-        if S @ sq >= need and not product.all():
-            return CriterionReport("tqr2", False, pjson, mode="exact",
-                                   witness=_support_witness(T, np.tile(S, (3, 1)), product),
-                                   details={"triples_checked": checked, "decided_by": rule})
-    return _tqr2_sampled(T, params, pjson)
 
-
-def _tqr2_sampled(T, params, pjson) -> CriterionReport:
-    """TQR2 over support_trials random triples, one stacked decompose of
-    their products per _STACK_ROWS triples; the first short product is the
-    witness, and a pass is evidence, not proof."""
-    dens = params.density_frac()
-    checked, witness = 0, None
-    rng = np.random.default_rng(params.seed + 2001)
-    for lo in range(0, params.support_trials, _STACK_ROWS):
-        n = min(_STACK_ROWS, params.support_trials - lo)
-        triples = _random_support_rows(T, rng, dens, 3 * n).reshape(n, 3, -1)
-        triples = triples[triples.any(axis=2).all(axis=1)]
-        chars = triples @ T.values
-        mult = decompose(T, chars[:, 0] * chars[:, 1] * chars[:, 2])
-        short = np.flatnonzero(~mult.all(axis=1))
+    def check(triples):
+        pair = tensor_support_mask(T, triples[:, 0], triples[:, 1])
+        product = tensor_support_mask(T, pair, triples[:, 2])
+        short = np.flatnonzero((triples @ sq >= need).all(axis=1) & ~product.all(axis=1))
         if short.size:
             t = int(short[0])
-            checked += t + 1
-            witness = _support_witness(T, triples[t], mult[t] > 0)
-            break
-        checked += len(triples)
-    return CriterionReport("tqr2", witness is None, pjson, witness=witness,
-                           mode="randomized", details={"triples_checked": checked})
+            return t, _support_witness(T, triples[t], product[t])
+
+    if T.num_irreps <= params.exhaustive_cap:
+        checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
+        return _tqr_report("tqr2", pjson, _SEARCH_MODE, checked, None, witness)
+    return _tqr_report("tqr2", pjson, *_decide(check, _tqr_stages(
+        T, params, 3, 3, lambda m: m < 1, params.seed + 2001)))
+
+
+def _tqr_stages(T, params, width, factors, small, seed) -> list:
+    """The stages above exhaustive_cap: the table witnesses of
+    _tqr_candidates, each taken `width` times, then the sampler."""
+    dens = params.density_frac()
+    rules = ((rule, np.tile(S, (1, width, 1)))
+             for rule, S in _tqr_candidates(T, dens, factors, small))
+    return [("exact", False, rules), ("randomized", True, _random_support_stacks(
+        T, seed, dens, params.support_trials, width))]
+
+
+def _tqr_report(name, pjson, mode, checked, rule, witness) -> CriterionReport:
+    key = "triples_checked" if name == "tqr2" else "supports_checked"
+    return CriterionReport(name, witness is None, pjson, witness=witness, mode=mode, details=(
+        {key: checked} if rule is None else {key: checked, "decided_by": rule}))
 
 
 def _tqr_candidates(T, dens, factors, small):
@@ -346,13 +367,17 @@ def _tqr_candidates(T, dens, factors, small):
       has 1 < d <= |G| // ceil(dens*|G|).
     - central_grading: for a central z of order q, each chi has
       omega_chi(z) = chi(z)/chi(1) = zeta_q^k_chi, k adds mod q under (x),
-      and each fibre k_chi = j has measure exactly 1/q. The preimage of
-      {0, ..., t-1}, t = ceil(dens*q), has measure t/q, and its power lies
-      in the preimage of {0, ..., factors*(t-1)}. A z whose omega_chi(z) is
-      off a q-th root of unity by more than TOL in any chi is passed over.
+      and each fibre k_chi = i has measure exactly 1/q. For a normal M
+      containing z, Irr(G/M) lies in fibre 0 and is closed under (x), so
+      S = {chi : 1 <= k_chi <= j} + Irr(G/M), j = ceil((dens - 1/|M|)*q),
+      has measure j/q + 1/|M| >= dens; when factors*j < q no grade sum of
+      its power wraps, so the power lies in Irr(G/M) and factors*j fibres.
+      M = <z> gives {chi : k_chi < ceil(dens*q)}; then the least normal M
+      strictly above <z> is tried. By Lagrange |M| >= 2q, so the lattice is
+      not computed when factors*max(1, ceil(dens*q - 1/2)) >= q. A z with an
+      omega_chi(z) off a q-th root of unity by more than TOL is passed over.
 
-    A rule only proposes a set; the caller recomputes its measure and its
-    power support.
+    A rule only proposes a set; the caller's check recomputes it.
     """
     G, C = T.group, T.classes
     n = G.order
@@ -362,8 +387,7 @@ def _tqr_candidates(T, dens, factors, small):
             if size * N.order > n:
                 break
             if small(Fraction(1, N.order)):
-                inside = sum(1 << c for c in set(C.class_of[list(N.members)].tolist()))
-                yield "quotient", np.array([k & inside == inside for k in T.kernel_masks])
+                yield "quotient", _quotient_support(T, N)
                 break
     central = np.flatnonzero(C.sizes == 1)[1:]
     if central.size:
@@ -372,11 +396,26 @@ def _tqr_candidates(T, dens, factors, small):
         omega = T.values[:, central] / T.dims[:, None]
         k = np.rint(np.angle(omega) * q / (2 * np.pi)).astype(np.int64) % q
         exact = (np.abs(omega - np.exp(2j * np.pi * k / q)) <= config.TOL).all(axis=0)
+        lattice = None
         for col in np.flatnonzero(exact):
-            qz = int(q[col])
-            t = _density_floor(qz, dens)
-            if small(Fraction(min(qz, factors * (t - 1) + 1), qz)):
-                yield "central_grading", k[:, col] < t
+            qz, grade = int(q[col]), k[:, col]
+            above = []
+            if factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz:
+                lattice = lattice or [(M, set(M.members)) for M in T.normal_subgroups]
+                z = int(C.representatives[central[col]])
+                above = [M for M, members in lattice if M.order > qz and z in members][:1]
+            for M in [None, *above]:
+                m = qz if M is None else M.order
+                j = math.ceil((dens - Fraction(1, m)) * qz)
+                if factors * j < qz and small(Fraction(factors * j, qz) + Fraction(1, m)):
+                    inside = grade == 0 if M is None else _quotient_support(T, M)
+                    yield "central_grading", (grade >= 1) & (grade <= j) | inside
+
+
+def _quotient_support(T, N) -> np.ndarray:
+    """Irr(G/N) as a support: the irreducibles whose kernel contains N."""
+    inside = sum(1 << c for c in set(T.classes.class_of[list(N.members)].tolist()))
+    return np.array([k & inside == inside for k in T.kernel_masks])
 
 
 def _tqr2_search(T, minimal, dens):
@@ -450,58 +489,35 @@ def _support_witness(T, supports, product) -> dict:
 
 def _tqr3(T, params, pjson) -> CriterionReport:
     """TQR3 (does every support of measure >= a have a power-fold tensor
-    power of measure above the threshold?), decided as _tqr2 decides TQR2:
-    by the minimal supports up to exhaustive_cap, else by the table
-    witnesses of _tqr_candidates, else by _tqr3_sampled."""
+    power of measure above the threshold?). The minimal supports up to
+    exhaustive_cap, else the stages of _tqr_stages, go through one check,
+    power_support_mask against the threshold."""
     dens = params.density_frac()
-    if T.num_irreps <= params.exhaustive_cap:
-        minimal = _minimal_supports(T, dens)
-        stacks = (minimal[lo:lo + _STACK_ROWS] for lo in range(0, len(minimal), _STACK_ROWS))
-        checked, witness = _tqr3_first_small(T, params, stacks)
-        return CriterionReport("tqr3", witness is None, pjson, witness=witness,
-                               mode=_SEARCH_MODE, details={"supports_checked": checked})
     need = _density_floor(T.group.order, dens)
     sq = T.dims.astype(np.int64) ** 2
     threshold = Fraction(params.power_measure_threshold)
-    candidates = _tqr_candidates(T, dens, params.power, lambda m: m <= threshold)
-    for checked, (rule, S) in enumerate(candidates, 1):
-        _, witness = _tqr3_first_small(T, params, [S[None]])
-        if S @ sq >= need and witness is not None:
-            return CriterionReport("tqr3", False, pjson, witness=witness, mode="exact",
-                                   details={"supports_checked": checked, "decided_by": rule})
-    return _tqr3_sampled(T, params, pjson)
-
-
-def _tqr3_sampled(T, params, pjson) -> CriterionReport:
-    """TQR3 over support_trials random supports; a pass is evidence, not
-    proof."""
-    rng = np.random.default_rng(params.seed + 3001)
-    checked, witness = _tqr3_first_small(T, params, _random_support_blocks(
-        T, rng, params.density_frac(), params.support_trials))
-    return CriterionReport("tqr3", witness is None, pjson, witness=witness,
-                           mode="randomized", details={"supports_checked": checked})
-
-
-def _tqr3_first_small(T, params, stacks):
-    """The number of supports checked, over stacks of support rows in order,
-    up to the first whose power-fold tensor power has measure at most the
-    threshold, and that support's witness, or None."""
-    sq = T.dims.astype(np.int64) ** 2
     # the largest sum of dim^2 at or below the measure cutoff
-    bound = math.floor(Fraction(params.power_measure_threshold) * T.group.order)
-    checked = 0
-    for rows in stacks:
+    bound = math.floor(threshold * T.group.order)
+
+    def check(stack):
+        rows = stack[:, 0]
         power = power_support_mask(T, rows, params.power)
-        small = np.flatnonzero(power @ sq <= bound)
+        small = np.flatnonzero((rows @ sq >= need) & (power @ sq <= bound))
         if small.size:
             t = int(small[0])
-            return checked + t + 1, {
-                "support": np.flatnonzero(rows[t]).tolist(),
-                "measure": float(support_measure_frac(T, rows[t])),
-                "power_support": np.flatnonzero(power[t]).tolist(),
-                "power_measure": float(support_measure_frac(T, power[t]))}
-        checked += len(rows)
-    return checked, None
+            return t, {"support": np.flatnonzero(rows[t]).tolist(),
+                       "measure": float(support_measure_frac(T, rows[t])),
+                       "power_support": np.flatnonzero(power[t]).tolist(),
+                       "power_measure": float(support_measure_frac(T, power[t]))}
+
+    if T.num_irreps <= params.exhaustive_cap:
+        minimal = _minimal_supports(T, dens)[:, None]
+        stages = [(_SEARCH_MODE, True, ((None, minimal[lo:lo + _STACK_ROWS])
+                                        for lo in range(0, len(minimal), _STACK_ROWS)))]
+    else:
+        stages = _tqr_stages(T, params, 1, params.power, lambda m: m <= threshold,
+                             params.seed + 3001)
+    return _tqr_report("tqr3", pjson, *_decide(check, stages))
 
 
 def _tqr4(T, params, pjson) -> CriterionReport:
@@ -561,42 +577,44 @@ def _qr1(T, params, pjson) -> CriterionReport:
 
 def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
     """QR2 (is ABC = G for all A, B, C of size s = ceil(a*|G|)?) or QR3 (is
-    A^power = G for all such A?), decided exactly where the theory decides
-    and by _qr23_sampled in the gap.
+    A^power = G for all such A?): a proof, else the s smallest members of
+    each set _qr23_candidates proposes, as A = B = C, else the sampler, all
+    in (b, k, s) stacks through one check, _product_sizes.
 
     Proofs: s = |G| leaves only A = G. Gowers (Quasirandom groups, CPC 17,
     2008) gives ABC = G once |A||B||C| > |G|^3 / m, m the least nontrivial
     dimension; with three sizes s that is s^3 m > |G|^3, which proves QR2,
-    and QR3 at power >= 3 since A^k = A^(k-3) A^3. Refutations: the s
-    smallest members of each set _qr23_candidates proposes, as A = B = C.
-    The product size is recomputed through the Cayley table, and a proposal
-    whose product covers G, or that has fewer than s members, is passed
-    over, so no rounding in a rule can produce a false witness.
+    and QR3 at power >= 3 since A^k = A^(k-3) A^3.
     """
     G = T.group
     n = G.order
     dens = params.density_frac()
     size = _density_floor(n, dens)
-    decided_by, witness = None, None
-    if size == n:
-        decided_by = "full_density"
-    elif (triple or params.power >= 3) and size ** 3 * int(T.dims[1:].min()) > n ** 3:
-        decided_by = "gowers_bound"
-    else:
-        for rule, members in _qr23_candidates(T, dens, size, triple, params.power):
-            if len(members) < size:
-                continue
-            sets = np.tile(members[:size], (1, 3 if triple else 1, 1))
-            product = int(_product_sizes(G.mul, sets, triple, params.power)[0])
-            if product < n:
-                decided_by = rule
-                witness = {"subsets": sets[0].tolist(), "product_size": product}
-                break
-    if decided_by is None:
-        return _qr23_sampled(G, params, pjson, triple)
+    width = 3 if triple else 1
+
+    def check(sets):    # each row holds s distinct members of each set: the size floor
+        sizes = _product_sizes(G.mul, sets, triple, params.power)
+        short = np.flatnonzero(sizes < n)
+        if short.size:
+            t = int(short[0])
+            return t, {"subsets": sets[t].tolist(), "product_size": int(sizes[t])}
+
+    proof = ("full_density" if size == n else "gowers_bound"
+             if (triple or params.power >= 3) and size ** 3 * int(T.dims[1:].min()) > n ** 3
+             else None)
+    exact = [(proof, np.empty((0, width, size), dtype=np.int64))] if proof else (
+        (rule, np.tile(members[:size], (1, width, 1)))
+        for rule, members in _qr23_candidates(T, dens, size, triple, params.power)
+        if len(members) >= size)
+    sampled = _random_subset_stacks(n, size, params.seed + (4001 if triple else 5001),
+                                    params.trials, width)
+    mode, _, rule, witness = _decide(check, [("exact", proof is not None, exact),
+                                             ("randomized", True, sampled)])
+    details = {"subset_size": size, "decided_by": rule} if mode == "exact" else {
+        "trials": params.trials, "subset_size": size,
+        "note": "sampled search; absence of a witness is evidence, not proof"}
     return CriterionReport("qr2" if triple else "qr3", witness is None, pjson,
-                           witness=witness, mode="exact",
-                           details={"subset_size": size, "decided_by": decided_by})
+                           witness=witness, mode=mode, details=details)
 
 
 def _qr23_candidates(T, dens, size, triple, power):
@@ -661,45 +679,27 @@ def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _qr23_sampled(G, params, pjson, triple: bool) -> CriterionReport:
-    """Sampled QR2 (is ABC = G?) or QR3 (is A^power = G?) over params.trials
-    random subsets of size ceil(a*|G|), one rng.choice per subset in trial
-    order; the first trial whose product misses G is the witness.
-
-    Trials run in blocks of 1, 2, 4, ... of at most _QR_BLOCK_ENTRIES index
-    entries. A product is a (b, |G|) boolean mask, and multiplying it by a
-    subset is one scatter through the Cayley table. Draws past the witness
-    in its block are from a generator local to this call and change nothing.
-    A QR3 row retires once its size stops growing: |A^(k+1)| = |A^k| gives
-    A^(k+1) = A^k a for each a in A, so A^(k+2) = A^(k+1) a has that size too.
-    """
-    name = "qr2" if triple else "qr3"
-    n = G.order
-    size = _density_floor(n, params.density_frac())
-    rng = np.random.default_rng(params.seed + (4001 if triple else 5001))
+def _random_subset_stacks(n, size, seed, trials, width):
+    """(None, stack) pairs of `trials` seeded draws of `width` subsets of
+    size `size`, one sorted rng.choice each in draw order, in (b, width,
+    size) stacks of 1, 2, 4, ... draws of at most _QR_BLOCK_ENTRIES index
+    entries (draws * |G| * size)."""
+    rng = np.random.default_rng(seed)
     cap = max(1, _QR_BLOCK_ENTRIES // (n * size))
-    witness, done, b = None, 0, 1
-    while witness is None and done < params.trials:
-        b = min(b, cap, params.trials - done)
-        sets = np.sort([rng.choice(n, size, replace=False)
-                        for _ in range(b * (3 if triple else 1))])
-        sets = sets.reshape(b, -1, size)
-        sizes = _product_sizes(G.mul, sets, triple, params.power)
-        short = np.flatnonzero(sizes < n)
-        if short.size:
-            t = int(short[0])
-            witness = {"subsets": sets[t].tolist(), "product_size": int(sizes[t])}
+    done, b = 0, 1
+    while done < trials:
+        b = min(b, cap, trials - done)
+        sets = np.sort([rng.choice(n, size, replace=False) for _ in range(b * width)])
+        yield None, sets.reshape(b, width, size)
         done, b = done + b, 2 * b
-    details = {"trials": params.trials, "subset_size": size,
-               "note": "sampled search; absence of a witness is evidence, not proof"}
-    return CriterionReport(name, witness is None, pjson, witness=witness,
-                           mode="randomized", details=details)
 
 
 def _product_sizes(mul, sets, triple, power) -> np.ndarray:
     """|S0 S1 S2| (triple) or |S0^power| for each row of a (b, k, size) stack
-    of subsets; a row stops being multiplied once it is all of G or, for a
-    power, once its size stops growing."""
+    of subsets, as (b, |G|) masks each multiplied by a subset in one scatter
+    through the Cayley table. A row stops once it is all of G or, for a
+    power, once its size stalls: |A^(k+1)| = |A^k| gives A^(k+1) = A^k a for
+    each a in A, so A^(k+2) = A^(k+1) a has that size too."""
     b, _, size = sets.shape
     n = len(mul)
     rows = np.arange(b)

@@ -508,6 +508,8 @@ _BAD_CHECK_OPTIONS = (
            ("--trials", "0", "trials must be >= 1, got 0"),
            ("--power", "0", "power must be >= 1, got 0"),
            ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"),
+           # --k sets all five small-structure thresholds; the first is named
+           ("--k", "-1", "class_threshold must be >= 0, got -1"),
            # the samplers seed numpy with the seed plus 2001 to 5001, so
            # -1500 and -5000 would be negative for none or some of them
            ("--seed", "-1", "seed must be >= 0, got -1"),

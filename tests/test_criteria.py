@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import json
 
@@ -392,21 +394,30 @@ def test_qr23_exact_verdicts_match_brute_force_oracle(name):
                 assert rep.holds is not oracle.brute_force_qr3_fails(G, size, power)
 
 
-def _qr23_json(G, params, triple):
-    return json.dumps(criteria._qr23_sampled(G, params, params.to_json_dict(), triple)
-                      .to_json_dict())
+def _sampled(evaluate, T, params, *args) -> dict:
+    """The report of criteria._tqr2, _tqr3 or _qr23 decided by the last stage
+    of the decide path alone, the seeded sampler, so that no proof, complete
+    search or table witness decides first."""
+    decide = criteria._decide
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(criteria, "_decide", lambda check, stages: decide(check, stages[-1:]))
+        return evaluate(T, params, params.to_json_dict(), *args).to_json_dict()
+
+
+def _qr23_json(T, params, triple):
+    return json.dumps(_sampled(criteria._qr23, T, params, triple))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
 def test_qr23_blocks_match_per_trial_oracle(name):
     # density 1 covers G with no product step; 20 trials span up to five blocks
-    G = get_group(name)
+    G, T = get_group(name), get_table(name)
     for density, seed, power, trials in itertools.product(
             (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0), (0, 1, 2), (1, 2, 3, 5), (1, 20)):
         params = CriteriaParams(density=density, seed=seed, power=power, trials=trials)
         for triple in (True, False):
             want = oracle.per_trial_qr23_report(G, params, triple)
-            assert _qr23_json(G, params, triple) == json.dumps(want), (density, seed,
+            assert _qr23_json(T, params, triple) == json.dumps(want), (density, seed,
                                                                        power, trials, triple)
 
 
@@ -415,23 +426,23 @@ def test_qr23_blocks_match_per_trial_oracle(name):
     ("A4", 0.3, 1, False, 29),
 ])
 def test_qr23_witness_in_a_later_block(name, density, seed, triple, first_miss):
-    G = get_group(name)
+    G, T = get_group(name), get_table(name)
     params = CriteriaParams(density=density, seed=seed, trials=40)
     before = CriteriaParams(density=density, seed=seed, trials=first_miss)
     assert oracle.per_trial_qr23_report(G, before, triple)["holds"]
     want = oracle.per_trial_qr23_report(G, params, triple)
     assert want["holds"] is False
-    assert _qr23_json(G, params, triple) == json.dumps(want)
+    assert _qr23_json(T, params, triple) == json.dumps(want)
 
 
 def test_qr23_subset_size_is_exact():
     # 0.14 * 50 is 7.000000000000001 in floats; the first power is the set
-    G = build_group({"family": "dihedral", "params": {"n": 25}})
+    G, _, T = get_table_for_spec(json.dumps({"family": "dihedral", "params": {"n": 25}}))
     params = CriteriaParams(density=0.14, power=1, trials=1)
-    rep = criteria._qr23_sampled(G, params, params.to_json_dict(), triple=False)
-    assert rep.details["subset_size"] == 7
-    assert len(rep.witness["subsets"][0]) == 7
-    assert _qr23_json(G, params, False) == json.dumps(
+    rep = _sampled(criteria._qr23, T, params, False)
+    assert rep["details"]["subset_size"] == 7
+    assert len(rep["witness"]["subsets"][0]) == 7
+    assert _qr23_json(T, params, False) == json.dumps(
         oracle.per_trial_qr23_report(G, params, False))
 
 
@@ -443,13 +454,13 @@ def test_qr23_subset_size_is_exact():
     ("A5", 0.2, 0),      # every power covers A5
 ])
 def test_qr3_stall_rule_answers_a_huge_power(name, density, seed):
-    G = get_group(name)
+    G, T = get_group(name), get_table(name)
     huge = CriteriaParams(density=density, seed=seed, power=10 ** 9, trials=5)
-    rep = criteria._qr23_sampled(G, huge, huge.to_json_dict(), triple=False)
+    rep = _sampled(criteria._qr23, T, huge, False)
     at_order = CriteriaParams(density=density, seed=seed, power=G.order, trials=5)
     want = oracle.per_trial_qr23_report(G, at_order, False)
-    assert (rep.holds, rep.witness, rep.details) == (want["holds"], want["witness"],
-                                                     want["details"])
+    assert (rep["holds"], rep["witness"], rep["details"]) == (want["holds"], want["witness"],
+                                                              want["details"])
 
 
 def test_qr_a5_no_abelian_quotient():
@@ -571,7 +582,8 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
 @pytest.mark.parametrize("field, value, least", [
     ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1),
     ("support_trials", -1, 0), ("exhaustive_cap", -1, 0), ("seed", -1, 0),
-    ("seed", -1500, 0)])
+    ("seed", -1500, 0), ("class_threshold", -1, 0), ("dim_threshold", -1, 0),
+    ("normal_size", -1, 0), ("normal_index", -1, 0), ("quotient_size", -1, 0)])
 def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         CriteriaParams(**{field: value})
@@ -643,11 +655,11 @@ def test_random_phase_matches_scalar_oracle(name, density, criterion):
     # Above the cap check_tqr samples only where no table witness refutes,
     # and then its report is the sampler's.
     T = get_table(name)
-    sampled = criteria._tqr2_sampled if criterion == "tqr2" else criteria._tqr3_sampled
+    evaluate = criteria._tqr2 if criterion == "tqr2" else criteria._tqr3
     for seed in (0, 5) if density in (0.3, 0.9) else (0, 1, 5):
         params = CriteriaParams(density=density, seed=seed, exhaustive_cap=0)
         want = json.dumps(oracle.scalar_random_tqr_report(T, params, criterion))
-        assert json.dumps(sampled(T, params, params.to_json_dict()).to_json_dict()) == want
+        assert json.dumps(_sampled(evaluate, T, params)) == want
         rep, = check_tqr(T, params, names=(criterion,))
         if rep.mode == "exact":
             assert rep.holds is False and rep.details["decided_by"] in _TQR_DECIDED_BY
@@ -826,6 +838,10 @@ _ES5 = {"family": "extraspecial", "params": {"p": 5}}
      Fraction(1, 2)),
     ({"family": "cyclic", "params": {"n": 120}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
      Fraction(1, 2)),
+    # one decompose of the cube of Irr(G/N) misses the integers here by a
+    # residual of 2e-8; the support of the product is built pairwise
+    ({"family": "dihedral", "params": {"n": 150}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
+     Fraction(1, 2)),
     (_ES5, 0.1, 3, ("tqr2", "tqr3"), "quotient", Fraction(1, 5)),
     # 38 * 5 > 125 rules out Irr(G/Z); for z of order 5, t = ceil(0.3 * 5) = 2
     # fibres of measure 1/5 take 3t - 2 = 4 < 5 values in a triple product
@@ -860,3 +876,45 @@ def test_central_grading_takes_the_fibres_below_t():
     zeta = np.exp(2j * np.pi / T.group.element_order(int(C.representatives[z])))
     want = np.flatnonzero(np.isclose(omega, 1) | np.isclose(omega, zeta)).tolist()
     assert len(want) == 26 and rep.witness["supports"] == [want] * 3
+
+
+@pytest.mark.parametrize("criterion, density, measure, power_measure", [
+    # Irr(G/Z) over a central z of order 7 leaves j = t - 1 = 2 grades, whose
+    # cube reaches all 7; with M of order 49, j = ceil((3/10 - 1/49) * 7) = 2
+    # grades and the 7 linear characters of G/M have measure 15/49 >= 3/10,
+    # and their cube stays in 3j = 6 grades plus Irr(G/M): 43/49
+    ("tqr2", 0.3, Fraction(15, 49), Fraction(43, 49)),
+    # j = ceil((3/20 - 1/49) * 7) = 1: measure 8/49, cube 3/7 + 1/49 <= 1/2
+    ("tqr3", 0.15, Fraction(8, 49), Fraction(22, 49)),
+])
+def test_central_grading_over_a_larger_normal_subgroup(criterion, density, measure,
+                                                       power_measure):
+    # extraspecial:7 passed both of these when sampled
+    _, _, T = get_table_for_spec(json.dumps({"family": "extraspecial", "params": {"p": 7}}))
+    params = CriteriaParams(density=density)
+    rep, = check_tqr(T, params, names=(criterion,))
+    key = "triples_checked" if criterion == "tqr2" else "supports_checked"
+    assert (rep.holds, rep.mode) == (False, "exact")
+    assert rep.details == {key: 1, "decided_by": "central_grading"}
+    S = rep.witness["supports"][0] if criterion == "tqr2" else rep.witness["support"]
+    mask = sum(1 << i for i in S)
+    assert oracle.fraction_sum_measure(T, mask) == measure >= params.density_frac()
+    cube = oracle.pairwise_power_support(T, mask, 3)
+    assert oracle.fraction_sum_measure(T, cube) == power_measure
+    bits = [i for i in range(T.num_irreps) if cube >> i & 1]
+    if criterion == "tqr2":
+        assert rep.witness["supports"] == [S] * 3
+        assert rep.witness["missing"] == sorted(set(range(T.num_irreps)) - set(bits))
+    else:
+        assert rep.witness["power_support"] == bits
+        assert power_measure <= params.power_measure_threshold
+
+
+def test_every_traced_criteria_name_exists():
+    # bench/tracing.py wraps these by name and only notes a missing one, so
+    # a rename would silently leave its layer at zero
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [name for name in tracing.TARGETS["criteria"] if not hasattr(criteria, name)] == []

@@ -838,16 +838,16 @@ _ES5 = {"family": "extraspecial", "params": {"p": 5}}
      Fraction(1, 2)),
     ({"family": "cyclic", "params": {"n": 120}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
      Fraction(1, 2)),
-    # one decompose of the cube of Irr(G/N) misses the integers here by a
-    # residual of 2e-8; the support of the product is built pairwise
-    ({"family": "dihedral", "params": {"n": 150}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
-     Fraction(1, 2)),
     (_ES5, 0.1, 3, ("tqr2", "tqr3"), "quotient", Fraction(1, 5)),
     # 38 * 5 > 125 rules out Irr(G/Z); for z of order 5, t = ceil(0.3 * 5) = 2
     # fibres of measure 1/5 take 3t - 2 = 4 < 5 values in a triple product
     (_ES5, 0.3, 3, ("tqr2",), "central_grading", Fraction(2, 5)),
     # at power 1 the two fibres are their own power: 2/5 <= 1/2
     (_ES5, 0.25, 1, ("tqr3",), "central_grading", Fraction(2, 5)),
+    # one decompose of the cube of Irr(G/N) misses the integers here by a
+    # residual of 2e-8; the support of the product is built pairwise
+    ({"family": "dihedral", "params": {"n": 150}}, 0.3, 3, ("tqr2", "tqr3"), "quotient",
+     Fraction(1, 2)),
 ])
 def test_tqr_table_witnesses_above_the_cap(spec, density, power, names, decided_by,
                                            measure):

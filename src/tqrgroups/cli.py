@@ -209,13 +209,22 @@ def _int_arg(args: dict, key: str, default: int | None = None) -> int | None:
     return int(value)
 
 
+def _float_arg(args: dict, key: str, default: float | None = None) -> float | None:
+    """args[key] as a float, or `default` where it is omitted; a bool is
+    refused, not read as 1.0 or 0.0."""
+    value = args.get(key)
+    if isinstance(value, bool):
+        raise UsageError(f"{key} must be a number, not {value!r}")
+    return default if value is None else float(value)
+
+
 def _criteria_params(args: dict) -> CriteriaParams:
     """CriteriaParams from check options; an omitted option keeps the
     dataclass default, and --k sets every small-structure threshold."""
     given = {key: _int_arg(args, key) for key in ("power", "seed", "trials", "exhaustive_cap")}
     given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
                                 "normal_index", "quotient_size"), _int_arg(args, "k")))
-    given["density"] = None if args.get("density") is None else float(args["density"])
+    given["density"] = _float_arg(args, "density")
     return CriteriaParams(**{key: v for key, v in given.items() if v is not None})
 
 
@@ -264,7 +273,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     V = rep_from_selector(T, args["rep"])
     chain = build_chain(T, V)
     metric = args.get("metric", "tv")
-    epsilon = float(args.get("epsilon", 0.25))
+    epsilon = _float_arg(args, "epsilon", 0.25)
     start = None
     if args.get("start") is not None:
         chosen = rep_from_selector(T, args["start"]).support()

@@ -21,7 +21,7 @@ from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
-                     GroupTable, Subgroup, abelian_structure, center_of_subset,
+                     GroupTable, Subgroup, abelian_structure, center, center_of_subset,
                      permutation_closure, sorted_unique)
 
 
@@ -402,8 +402,7 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
     """Induce every character of a central subgroup K up to N and check that
     the supports partition Irrep(N) with Plancherel measure exactly 1/|K| each.
     """
-    central = set(center_of_subset(N_table, C_N, range(N_table.order)))
-    if not set(int(x) for x in K_members) <= central:
+    if not set(int(x) for x in K_members) <= set(center(N_table).members):
         raise GroupError("K must be central in N")
     dec = abelian_structure(N_table, K_members)
     kk = dec.group.order

@@ -377,8 +377,11 @@ def _tqr_candidates(T, dens, factors, small):
       not computed when factors*max(1, ceil(dens*q - 1/2)) >= q. A z with an
       omega_chi(z) off a q-th root of unity by more than TOL is passed over.
 
-    A rule only proposes a set; the caller's check recomputes it.
+    A rule only proposes a set; the caller's check recomputes it. Each bound
+    is >= dens (j >= 0) and small is monotone: none passes unless small(dens).
     """
+    if not small(dens):
+        return
     G, C = T.group, T.classes
     n = G.order
     size = _density_floor(n, dens)

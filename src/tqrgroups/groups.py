@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -89,11 +90,7 @@ def element_orders(mul_fn, identity, elems) -> np.ndarray:
     x^1, x^2, ... that holds the identity, plus 1. `mul_fn` multiplies index
     arrays elementwise, with broadcasting; the block of powers is doubled by
     _doubled, log2(largest order) products in all."""
-    pw = np.asarray(elems, dtype=np.int64)[None]
-    # x^1 alone holds the identity only where x is the identity, so the
-    # first check is made on x^1, x^2
-    return _orders_of_powers(mul_fn, identity,
-                             _doubled(mul_fn, pw) if 2 * pw.size <= _SLAB_CELLS else pw)
+    return _orders_of_powers(mul_fn, identity, np.asarray(elems, dtype=np.int64)[None])
 
 
 def _orders_of_powers(mul_fn, identity, pw) -> np.ndarray:
@@ -477,25 +474,17 @@ def _check_order(order: int) -> None:
         raise GroupError(f"order {order} exceeds MAX_ORDER={config.MAX_ORDER}")
 
 
-def _family_order(name: str, k: int) -> int | float:
-    """Order of the family member with parameter k, from k alone."""
-    if name in ("symmetric", "alternating"):
-        if k > 20:  # 21! > 2^64: not multiplied out, so a huge degree costs nothing
-            return math.inf
-        order = math.factorial(max(k, 0))
-        return order // 2 if name == "alternating" and k > 1 else order
-    return {"cyclic": k, "dihedral": 2 * k, "extraspecial": k ** 3,
-            "affine": k * (k - 1)}[name]
-
-
-# family -> (parameter name, constructor taking that parameter)
+# family -> (parameter name, order from the parameter alone, constructor);
+# a degree above 20 is not multiplied out (21! > 2^64), so it costs nothing
 _FAMILIES = {
-    "cyclic": ("n", _cyclic),
-    "dihedral": ("n", _dihedral),
-    "symmetric": ("n", lambda n: _perm_family(n, "symmetric")),
-    "alternating": ("n", lambda n: _perm_family(n, "alternating")),
-    "extraspecial": ("p", _extraspecial),
-    "affine": ("p", _affine),
+    "cyclic": ("n", lambda n: n, _cyclic),
+    "dihedral": ("n", lambda n: 2 * n, _dihedral),
+    "symmetric": ("n", lambda n: math.factorial(max(n, 0)) if n <= 20 else math.inf,
+                  lambda n: _perm_family(n, "symmetric")),
+    "alternating": ("n", lambda n: max(1, math.factorial(max(n, 0)) // 2) if n <= 20
+                    else math.inf, lambda n: _perm_family(n, "alternating")),
+    "extraspecial": ("p", lambda p: p ** 3, _extraspecial),
+    "affine": ("p", lambda p: p * (p - 1), _affine),
 }
 
 
@@ -524,9 +513,9 @@ def build_group(spec: dict) -> GroupTable:
             return _quaternion8()
         if name not in _FAMILIES:
             raise GroupError(f"unknown family {name!r}")
-        key, construct = _FAMILIES[name]
+        key, order, construct = _FAMILIES[name]
         k = _int_field(params, key)
-        _check_order(_family_order(name, k))
+        _check_order(order(k))
         return construct(k)
     kind = spec.get("type")
     if kind == "cayley":
@@ -617,17 +606,23 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
                      min_nontrivial_size=int(sizes[1:].min()) if len(reps) > 1 else None)
 
 
+def _member_array(G: GroupTable, members) -> np.ndarray:
+    """The distinct members, ascending, as int64; an index outside
+    0..|G|-1 is refused, not wrapped or left to raise IndexError."""
+    # an array is taken whole: fromiter would step through it element by element
+    arr = sorted_unique(np.asarray(members, dtype=np.int64) if isinstance(members, np.ndarray)
+                        else np.fromiter(members, dtype=np.int64))
+    if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
+        raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    return arr
+
+
 def _witnesses(G: GroupTable, C: ClassData, members):
     """(sorted members, each one's witness, whether they are a union of
     classes N). N's witnesses are its class representatives: x*hgh^-1 =
     h*(h^-1 x h)*g*h^-1 puts N*(class of g) in N once N*g is, and x commutes
     with N iff its representative does. Other sets are their own witnesses."""
-    # an array (a union of classes from _subgroup_of_mask) is taken whole;
-    # fromiter would step through it one element at a time
-    arr = sorted_unique(np.asarray(members, dtype=np.int64) if isinstance(members, np.ndarray)
-                        else np.fromiter(members, dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
-        raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    arr = _member_array(G, members)
     cls = C.class_of[arr]
     union = bool(C.sizes[sorted_unique(cls)].sum() == arr.size)
     return arr, (C.representatives[cls] if union else arr), union
@@ -649,7 +644,7 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
 
 def generating_set(G: GroupTable) -> tuple[int, ...]:
     """The generating set G carries. A table built without one (cayley input,
-    quotient and subgroup tables, a permutation group given more than
+    subgroup tables, a quotient or permutation group handed more than
     floor(log2 |G|) generators) gets a greedy one, found once: in index
     order, every element outside the subgroup generated so far joins it.
     Each one at least doubles that subgroup (Lagrange), so there are at most
@@ -710,7 +705,8 @@ def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:
 
 
 def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
-    """Quotient group on the cosets of a normal subgroup."""
+    """Quotient group on the cosets of a normal subgroup, handed the distinct
+    non-identity cosets of generating_set(G) if at most floor(log2 |G/N|)."""
     if not N.is_normal:
         raise GroupError("quotient requires a normal subgroup")
     source = {"type": "quotient", "parent": G.source, "kernel_order": N.order}
@@ -721,7 +717,11 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     reps = sorted_unique(coset_rep)
     coset = np.searchsorted(reps, coset_rep).astype(table_dtype(len(reps)))   # x -> rank of xN
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
-    return _finalize(_gather_table(G, reps, coset), labels, source)
+    # N itself is the identity coset, which need not have rank 0 (cayley input)
+    gens = [c for c in dict.fromkeys(coset[list(generating_set(G))].tolist())
+            if c != coset[G.identity]]
+    return _finalize(_gather_table(G, reps, coset), labels, source,
+                     gens if len(gens) < len(reps).bit_length() else None)
 
 
 def _gather_table(G: GroupTable, elems: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -770,9 +770,7 @@ def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
     indices (the distinct members, sorted ascending, so index 0 need not be
     the identity of G).
     """
-    elems = sorted({int(m) for m in members})
-    if elems and (elems[0] < 0 or elems[-1] >= G.order):
-        raise GroupError(f"member indices must lie in 0..{G.order - 1}")
+    elems = _member_array(G, members).tolist()
     if not elems:   # any other set without the identity is not closed
         raise GroupError("subgroup must contain the identity")
     rank = np.full(G.order, -1, dtype=table_dtype(len(elems)))   # -1 outside the members
@@ -860,18 +858,15 @@ def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     and to_parent is a bijection onto the members. Then (a_1, ..., a_r) ->
     g_1^a_1 ... g_r^a_r is a well-defined homomorphism that is bijective, an
     isomorphism from Z_{d1} x ... x Z_{dr}."""
-    arr = sorted_unique(np.fromiter(members, dtype=np.int64))
+    arr = _member_array(G, members)
     block = G.mul[np.ix_(arr, arr)]
     if not np.array_equal(block, block.T):
         raise GroupError("subgroup is not abelian")
-    if len(arr) == 1:
-        return AbelianStructure(AbelianGroup(()), np.array([G.identity]))
 
     def mul_fn(x, y):
         return G.mul[x, y]
 
     basis = _abelian_basis(mul_fn, G.identity, arr)
-    basis = _merge_invariant_factors(mul_fn, G.identity, basis)
     to_parent = np.array([G.identity])
     for gen, d in basis:
         powers = _powers(mul_fn, G.identity, gen, d)
@@ -891,23 +886,27 @@ def _powers(mul_fn, identity, g, d) -> np.ndarray:
     return np.concatenate([[identity], pw[:d - 1]])
 
 
-def _abelian_basis(mul_fn, identity, elems) -> list[list[tuple[int, int]]]:
-    """Primary decomposition + per-prime basis: for each prime dividing
-    |elems|, in increasing order, [(generator, order)] by decreasing order.
+def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
+    """Invariant factors d1 | d2 | ... of an abelian group given as a sorted
+    index array, as [(generator, d)]. The i-th is the product of each
+    prime's i-th largest cyclic factor of the primary decomposition: their
+    orders are coprime, so it generates a cyclic group of their product.
 
     `mul_fn` multiplies element indices elementwise, on ints or arrays."""
     orders = element_orders(mul_fn, identity, elems)
     n = len(elems)
-    basis = []
+    per_prime = []
     for p in (p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)):
         # an order divides n, so it is a power of p iff it divides the p-part
         primary = elems[math.gcd(n, p ** n.bit_length()) % orders == 0]
-        basis.append(sorted(_p_group_basis(mul_fn, identity, primary, p),
-                            key=lambda t: -t[1]))
-    return basis
+        per_prime.append(sorted(_p_group_basis(mul_fn, identity, primary), key=lambda t: -t[1]))
+    rows = itertools.zip_longest(*per_prime, fillvalue=(identity, 1))
+    basis = [(functools.reduce(mul_fn, (g for g, _ in row), identity),
+              math.prod(d for _, d in row)) for row in rows]
+    return sorted(basis, key=lambda t: t[1])
 
 
-def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
+def _p_group_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
     """Basis of an abelian p-group given as a sorted index array.
 
     Splits off a maximal-order cyclic subgroup, recurses on the quotient, and
@@ -933,27 +932,10 @@ def _p_group_basis(mul_fn, identity, elems, p) -> list[tuple[int, int]]:
 
     out = [(a1, d1)]
     for gbar, mord in _p_group_basis(q_mul, int(rep_of[identity]),
-                                     sorted_unique(rep_of[elems]), p):
+                                     sorted_unique(rep_of[elems])):
         s = log_a1[int(_powers(mul_fn, identity, gbar, mord + 1)[-1])]
         if s % mord:
             raise GroupError("p-group basis lifting failed")  # impossible by theory
         t = (-(s // mord)) % d1
         out.append((int(mul_fn(gbar, pow_list[t])), mord))
     return out
-
-
-def _merge_invariant_factors(mul_fn, identity, basis) -> list[tuple[int, int]]:
-    """Combine the per-prime cyclic factors of _abelian_basis into invariant
-    factors d1 | d2 | ... ."""
-    merged = []
-    while any(basis):
-        gen, order = identity, 1
-        for factors in basis:
-            if factors:
-                g, d = factors.pop(0)
-                # coprime orders: the product generates a cyclic group of order*d
-                gen = mul_fn(gen, g)
-                order *= d
-        merged.append((gen, order))
-    merged.sort(key=lambda t: t[1])
-    return merged

@@ -193,8 +193,8 @@ def test_a_basis_that_is_not_an_isomorphism_is_refused(monkeypatch):
     # 1 and 2 enumerate Z_4 as 1^a 2^b, a, b in {0, 1}, but 1 has order 4,
     # not 2: the bijection alone would pass Z_2 x Z_2's characters off as
     # Z_4's, and their Gram products are orthonormal all the same
-    monkeypatch.setattr(groups, "_merge_invariant_factors",
-                        lambda mul_fn, identity, basis: [(1, 2), (2, 2)])
+    monkeypatch.setattr(groups, "_abelian_basis",
+                        lambda mul_fn, identity, elems: [(1, 2), (2, 2)])
     with pytest.raises(GroupError, match="order dividing 2"):
         compute_char_table(build_group(_cyclic_product(4)))
 

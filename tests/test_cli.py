@@ -41,7 +41,7 @@ def test_parse_group_spec_errors(text, message):
 
 
 def test_parse_group_spec_reads_every_family_and_its_key():
-    for name, (key, _) in groups._FAMILIES.items():
+    for name, (key, _, _) in groups._FAMILIES.items():
         assert cli.parse_group_spec(f"{name}:5") == {"family": name, "params": {key: 5}}
 
 
@@ -771,4 +771,19 @@ def test_suite_records_a_non_integral_integer_option_as_an_error(command, key, v
     entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
     assert [(e["status"], e["error"]) for e in entries] == [
         ("error", f"UsageError: {key} must be an integer, not {value!r}")]
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("check", "density", True), ("markov", "epsilon", True), ("markov", "epsilon", False)])
+def test_suite_records_a_bool_float_option_as_an_error(command, key, value, tmp_path, capsys):
+    # "density": true ran at 1.0 with status ok, as "power": true is refused
+    args = {**_EVERY_OPTION[command], key: value}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [{"id": "x", "command": command, "args": args}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [(e["status"], e["error"]) for e in entries] == [
+        ("error", f"UsageError: {key} must be a number, not {value!r}")]
     assert not (tmp_path / "x.json").exists()

@@ -88,6 +88,16 @@ def test_abelian_structure_rejects_nonabelian():
         abelian_structure(G, range(6))
 
 
+def test_abelian_structure_of_one_element():
+    # the identity alone is the trivial group; any other single element is
+    # not a subgroup, though it once came back as the trivial group too
+    G = get_group("C6")
+    dec = abelian_structure(G, [G.identity])
+    assert dec.group.factors == () and dec.to_parent.tolist() == [G.identity]
+    with pytest.raises(GroupError, match="does not enumerate"):
+        abelian_structure(G, [3])
+
+
 def test_character_values_are_roots_of_unity():
     K = AbelianGroup((3, 6))
     for v in K.characters(np.arange(K.order)).ravel():

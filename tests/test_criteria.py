@@ -13,14 +13,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
                       get_table_for_spec, row_mask)
-from tqrgroups import (build_group, check_qr, check_tqr, conjugacy_classes,
-                       covering_lemma_check, decompose, lp_norm,
+from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
+                       conjugacy_classes, covering_lemma_check, decompose, lp_norm,
                        multiplicity_profile, quotient, reduced_character,
                        split_off_identity, subgroup_from_members,
                        three_factor_cover, two_factor_cover)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, rep_from_selector
-from tqrgroups import criteria
+from tqrgroups import criteria, groups
 from tqrgroups.criteria import CriteriaParams, _minimal_supports, _random_support_rows
 
 
@@ -908,6 +908,29 @@ def test_central_grading_over_a_larger_normal_subgroup(criterion, density, measu
     else:
         assert rep.witness["power_support"] == bits
         assert power_measure <= params.power_measure_threshold
+
+
+@pytest.mark.parametrize("criterion, density", [("tqr3", 0.7), ("tqr3", 0.51), ("tqr2", 1.0)])
+def test_no_table_witness_is_sought_where_none_can_pass(criterion, density, monkeypatch):
+    # every table witness has a power bound of at least the density, so
+    # above the threshold (TQR3) or at density 1 (TQR2) none can refute,
+    # and neither the element orders nor the lattice are computed; each
+    # table is fresh, with no lattice cached
+    T, fresh, low = (compute_char_table(build_group({"family": "cyclic", "params": {"n": 120}}))
+                     for _ in range(3))
+    params = CriteriaParams(density=density)
+    want, = check_tqr(T, params, names=(criterion,))
+
+    def refused(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(groups, "element_orders", refused)
+    monkeypatch.setattr(groups, "normal_subgroups", refused)
+    got, = check_tqr(fresh, params, names=(criterion,))
+    assert got.to_json_dict() == want.to_json_dict()
+    # at density 0.3 the quotient rule reads the lattice
+    with pytest.raises(AssertionError, match="computed"):
+        check_tqr(low, CriteriaParams(density=0.3), names=(criterion,))
 
 
 def test_every_traced_criteria_name_exists():

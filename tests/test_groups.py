@@ -168,6 +168,50 @@ def test_classes_match_the_per_class_loop_field_for_field(case):
         assert got.classes[0].tolist() == [G.identity]
 
 
+def test_quotients_inherit_the_cosets_of_the_generators():
+    # the set handed to G/N holds no identity, generates G/N and gives the
+    # classes and center that a searched set gives; relabelled cayley input
+    # puts the identity coset at another rank than 0
+    groups_ = [build_group(spec) for spec in FIXTURE_SPECS.values()]
+    groups_ += [_relabelled(get_group(name), seed) for seed, name in enumerate(["S4", "C3xD4"])]
+    uncarried = []
+    for G in groups_:
+        T = compute_char_table(G, conjugacy_classes(G))
+        for N in T.normal_subgroups:
+            Q = quotient(G, N)
+            if Q.generators is None:
+                uncarried.append((repr(G), Q.order))
+                continue
+            assert Q.identity not in Q.generators
+            assert oracle._closure(Q, Q.generators) == frozenset(range(Q.order))
+            searched = groups.GroupTable(Q.order, Q.identity, Q.mul, Q.inv)
+            got, want = conjugacy_classes(Q), conjugacy_classes(searched)
+            for name in ("sizes", "class_of", "representatives"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert center(Q) == center(searched)
+    # A4's two generators and those of ES3 fall into two distinct
+    # cosets of a normal subgroup of index 3, more than floor(log2 3)
+    assert uncarried == [("GroupTable(alternating, order=12)", 3),
+                         ("GroupTable(extraspecial, order=27)", 3)]
+
+
+def test_no_quotient_chain_of_a_fixture_group_searches(monkeypatch):
+    searched = []
+    carried = groups.generating_set
+
+    def counted(G):
+        if G.generators is None:
+            searched.append(G)
+        return carried(G)
+
+    monkeypatch.setattr(groups, "generating_set", counted)
+    for spec in FIXTURE_SPECS.values():
+        for Q in center_free_quotient_chain(build_group(spec)):
+            conjugacy_classes(Q)
+            Q.is_abelian()
+    assert searched == []
+
+
 def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
         monkeypatch, tmp_path, capsys):
     searched = []   # the tables that had to search for a set
@@ -190,23 +234,20 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
                  "product(dihedral(4),cyclic(3))", f"@{perm}"]:
         # the quotient chain and the normal subgroups included
         assert cli.main(["group", "--group", text, "--normal-subgroups"]) == 0, text
-    # quotient tables carry no set: the center-free quotients of dihedral:6,
-    # quaternion8, extraspecial:3 and D4 x C3 search once each (a quotient
-    # by the whole group is the one-element group, which carries ())
-    assert kinds() == [(6, "quotient"), (4, "quotient"), (9, "quotient"), (4, "quotient")]
-    searched.clear()
+    # a quotient table inherits the cosets of its parent's generators, so
+    # the center-free quotients of dihedral:6, quaternion8, extraspecial:3
+    # and D4 x C3 search no more than the groups themselves
+    assert kinds() == []
     tables = _with_normal_quotients_and_subgroups(build_group(FIXTURE_SPECS["C2xS4"]))
     for G in tables:
         conjugacy_classes(G)
         center_free_quotient_chain(G)   # center and quotients
         G.is_abelian()
-    # every quotient and subgroup table, and no other, searches exactly
-    # once, but the quotient by G itself, the last normal subgroup
-    by_g = tables[-2]
-    assert by_g.order == 1 and by_g.generators == ()
-    assert {id(G) for G in tables[1:] if G is not by_g} <= {id(G) for G in searched}
+    # every subgroup table, and no other, searches exactly once; the
+    # quotients, and the quotients of their chains, carry a set
+    assert {id(G) for G in searched} == {id(G) for G in tables
+                                         if G.source.get("type") == "subgroup"}
     assert len({id(G) for G in searched}) == len(searched)
-    assert {kind for _, kind in kinds()} == {"quotient", "subgroup"}
     searched.clear()
     cayley = tmp_path / "s4.json"
     cayley.write_text(json.dumps(_cayley(get_group("S4").mul)))
@@ -412,11 +453,14 @@ def test_a_set_that_is_not_a_class_union_takes_the_all_pairs_path():
     lambda G, C: center_of_subset(G, C, (0, 6)),
     lambda G, C: subgroup_table(G, [0, 3, -3]),
     lambda G, C: subgroup_table(G, [0, 6]),
+    lambda G, C: groups.abelian_structure(G, [0, -1]),
+    lambda G, C: groups.abelian_structure(G, [0, 6]),
 ], ids=["member-minus-one", "member-order", "center-minus-one", "center-order",
-        "table-minus-three", "table-order"])
+        "table-minus-three", "table-order", "abelian-minus-one", "abelian-order"])
 def test_member_indices_outside_the_group_are_refused(call):
     # -1 used to wrap to element 5 of S3, and 6 raised a bare IndexError;
-    # subgroup_table did both, wrapping -3 to element 3
+    # subgroup_table and abelian_structure did both, wrapping -3 to element 3
+    # and reporting [0, -1] as a basis that does not enumerate the subgroup
     G, C = get_group("S3"), get_classes("S3")
     with pytest.raises(GroupError, match=r"0\.\.5"):
         call(G, C)

@@ -214,32 +214,35 @@ def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
         vecs = eigvecs / eigvecs[0]
         norms = np.sum(np.abs(vecs) ** 2 / sizes[:, None], axis=0)
         chars = (np.sqrt(n / norms)[None, :] * vecs / sizes[:, None]).T  # rows = irreps
+        dims_f = chars[:, 0].real
+        dims = np.rint(dims_f).astype(np.int64)
+        dim_err = float(np.max(np.abs(dims_f - dims) / np.maximum(1.0, dims_f)))
+        if dim_err > config.TOL or np.any(dims < 1):
+            last_error = f"dimension certification failed (err {dim_err:.2e})"
+            continue
+        key = _canonical_irrep_order(chars, dims)
         try:
-            return _certified_table(G, C, chars, attempts=attempt + 1, seed=0)
+            return _certified_table(G, C, chars[key], dims[key], dim_roundoff=dim_err,
+                                    attempts=attempt + 1, seed=0)
         except CharTableError as exc:
             last_error = str(exc)
     raise CharTableError(
         f"character table not certified after {config.MAX_EIG_ATTEMPTS} attempts: {last_error}")
 
 
-def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, **quality) -> CharTable:
-    """The table with rows `chars` in canonical order and `quality` beside its
-    residuals, once the dims read off the identity column are integers whose
-    squares sum to |G| and both residuals are within TOL; else CharTableError."""
-    dims_f = chars[:, 0].real
-    dims_i = np.rint(dims_f).astype(np.int64)
-    dim_err = float(np.max(np.abs(dims_f - dims_i) / np.maximum(1.0, dims_f)))
-    if dim_err > config.TOL or np.any(dims_i < 1) or int(np.sum(dims_i ** 2)) != G.order:
-        raise CharTableError(f"dimension certification failed (err {dim_err:.2e})")
-    order_key = _canonical_irrep_order(chars, dims_i)
-    chars, dims_i = chars[order_key], dims_i[order_key]
+def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, dims: np.ndarray,
+                     source: str = "computed", **quality) -> CharTable:
+    """The table with rows `chars`, dimensions `dims` and `quality` beside its
+    residuals, once the squares of the dims sum to |G| and both orthogonality
+    residuals are within TOL, else CharTableError; computed and imported alike."""
+    if int(np.sum(dims ** 2)) != G.order:
+        raise CharTableError("dims violate sum of squares")
     row_res, col_res = _orthogonality_residuals(chars, C.sizes, G.order)
     if row_res > config.TOL or col_res > config.TOL:
         raise CharTableError(
             f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
-    quality = {"row_residual": row_res, "col_residual": col_res,
-               "dim_roundoff": dim_err, **quality}
-    return CharTable(group=G, classes=C, dims=dims_i, values=chars, quality=quality)
+    return CharTable(group=G, classes=C, dims=dims, values=chars, source=source,
+                     quality={"row_residual": row_res, "col_residual": col_res, **quality})
 
 
 def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,
@@ -306,7 +309,8 @@ def to_interchange(T: CharTable) -> dict:
 
 
 def from_interchange(doc: dict) -> CharTable:
-    """Rebuild a CharTable from its interchange form, revalidating everything.
+    """Rebuild a CharTable from its interchange form, revalidating everything:
+    the document here, and its table by _certified_table, as a computed one.
 
     A document that is not of the interchange shape, including one whose
     group spec build_group refuses, raises CharTableError.
@@ -347,18 +351,10 @@ def from_interchange(doc: dict) -> CharTable:
         raise CharTableError("imported values must be finite")
     if not np.array_equal(dims, np.rint(values[:, 0].real)):
         raise CharTableError("imported dims disagree with the identity column")
-    if int(np.sum(dims ** 2)) != G.order:
-        raise CharTableError("imported dims violate sum of squares")
     if float(np.max(np.abs(values[0] - 1.0))) > config.TOL:
         raise CharTableError("imported first row is not the trivial character")
-    row_res, col_res = _orthogonality_residuals(values, C.sizes, G.order)
-    if row_res > config.TOL or col_res > config.TOL:
-        raise CharTableError(
-            f"imported table fails orthogonality ({row_res:.2e}/{col_res:.2e})")
-    quality = {"row_residual": row_res, "col_residual": col_res,
-               "dim_roundoff": 0.0, "attempts": 0, "seed": None}
-    return CharTable(group=G, classes=C, dims=dims, values=values,
-                     quality=quality, source="imported")
+    return _certified_table(G, C, values, dims, source="imported",
+                            dim_roundoff=0.0, attempts=0, seed=None)
 
 
 def _is_number_pair(v) -> bool:

@@ -400,20 +400,23 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER[1]
 
 
-def _check_suite_config(cfg) -> None:
+def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
     with string commands, args objects whose keys are the command's argument
-    names and ids that are new plain file names."""
+    names and ids that are new plain file names, not the summary's."""
     if not isinstance(cfg, dict):
         raise UsageError("suite config must be a JSON object")
     exps = cfg.get("experiments", [])
     if not isinstance(exps, list) or not all(isinstance(e, dict) for e in exps):
         raise UsageError("suite experiments must be a list of objects")
     ids = [exp.get("id") for exp in exps]
+    summary = os.path.realpath(summary_path)
     for i, (exp_id, exp) in enumerate(zip(ids, exps)):
         if (not isinstance(exp_id, str) or exp_id in ids[:i] or exp_id in ("", ".", "..")
                 or "/" in exp_id or os.sep in exp_id):
             raise UsageError(f"suite experiment id {exp_id!r} is not a new plain file name")
+        if os.path.realpath(os.path.join(outdir, f"{exp_id}.json")) == summary:
+            raise UsageError(f"suite experiment {exp_id!r} would overwrite the summary")
         if not (isinstance(exp.get("command"), str)
                 and isinstance(exp.get("args", {}), dict)):
             raise UsageError(f"suite experiment {exp_id!r} needs a string command "
@@ -427,11 +430,11 @@ def _check_suite_config(cfg) -> None:
                                  f"an option of tqr {exp['command']}")
 
 
-def run_suite(args: dict) -> tuple[dict, int]:
+def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:
     with open(args["config"]) as fh:
         cfg = json.load(fh)
-    _check_suite_config(cfg)
     outdir = args.get("outdir", ".")
+    _check_suite_config(cfg, outdir, summary_path)
     os.makedirs(outdir, exist_ok=True)
     summary = {"version": __version__, "config": args["config"],
                "experiments": []}
@@ -507,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--group", required=True)
     m.add_argument("--rep", required=True)
     m.add_argument("--metric", default="tv",
-                   choices=["tv", "uniform", "tv_half_l1"])
+                   choices=["tv", "tv_max", "uniform", "tv_half_l1"])
     m.add_argument("--epsilon", type=float, default=0.25)
     m.add_argument("--tmax", type=int, default=64)
     m.add_argument("--start")
@@ -550,11 +553,11 @@ def main(argv: list[str] | None = None) -> int:
     out = args.pop("out", None)
     try:
         if command == "suite":
-            doc, code = run_suite(args)
-            _emit(doc, out or os.path.join(args.get("outdir", "."), "summary.json"))
+            out = out or os.path.join(args.get("outdir", "."), "summary.json")
+            doc, code = run_suite(args, out)
         else:
             doc, code = _RUNNERS[command](args)
-            _emit(doc, out)
+        _emit(doc, out)
         return code
     except (UsageError, OSError, CharTableError, ValueError) as exc:
         # GroupError and json.JSONDecodeError are ValueErrors; OSError covers

@@ -179,13 +179,13 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
     Covering failure is preserved by shrinking supports, so exhaustive search
     over these supports is exhaustive over all supports of measure >= dens.
     Exact integer depth-first search by descending dim: a branch is emitted
-    once its sum of dim^2 * q reaches p * |G| (dens = p/q), so its last and
-    lightest member took it over and every removal falls below; it is cut
-    once the weights left cannot reach that.
+    once its sum of dim^2 reaches _density_floor, so its last and lightest
+    member took it over and every removal falls below; it is cut once the
+    weights left cannot reach that.
     """
     order = sorted(range(T.num_irreps), key=lambda i: (-int(T.dims[i]), i))
-    weight = [int(T.dims[i]) ** 2 * dens.denominator for i in order]
-    need = dens.numerator * T.group.order
+    weight = [int(T.dims[i]) ** 2 for i in order]
+    need = _density_floor(T.group.order, dens)
     rest = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
     found, branches = [], [(0, 0, [])]   # (next position, weight sum, members)
     while branches:
@@ -396,6 +396,12 @@ def _tqr_candidates(T, dens, factors, small):
     if central.size:
         q = groups.element_orders(lambda a, b: G.mul[a, b], G.identity,
                                   C.representatives[central])
+        # whether M = <z>, and a normal M above z, can give a set, per order
+        tries = {qz: (factors * (math.ceil(dens * qz) - 1) < qz,
+                      factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz)
+                 for qz in set(q.tolist())}
+        keep = [any(tries[qz]) for qz in q.tolist()]
+        central, q = central[keep], q[keep]
         omega = T.values[:, central] / T.dims[:, None]
         k = np.rint(np.angle(omega) * q / (2 * np.pi)).astype(np.int64) % q
         exact = (np.abs(omega - np.exp(2j * np.pi * k / q)) <= config.TOL).all(axis=0)
@@ -403,7 +409,7 @@ def _tqr_candidates(T, dens, factors, small):
         for col in np.flatnonzero(exact):
             qz, grade = int(q[col]), k[:, col]
             above = []
-            if factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz:
+            if tries[qz][1]:
                 lattice = lattice or [(M, set(M.members)) for M in T.normal_subgroups]
                 z = int(C.representatives[central[col]])
                 above = [M for M, members in lattice if M.order > qz and z in members][:1]

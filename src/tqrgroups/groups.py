@@ -34,8 +34,8 @@ class GroupError(ValueError):
 
 @dataclass(eq=False)
 class GroupTable:
-    """A finite group on element indices 0..order-1 with a full Cayley table,
-    and the generating set its constructor handed over (see generating_set)."""
+    """A finite group on element indices 0..order-1 with a full Cayley table
+    and the generators handed over, or else the set _greedy_generators finds."""
 
     order: int
     identity: int
@@ -43,13 +43,15 @@ class GroupTable:
     inv: np.ndarray          # shape (order,), int64
     labels: list[str] | None = None
     source: dict = field(default_factory=dict)
-    generators: tuple[int, ...] | None = None
+    generators: tuple[int, ...] = None
 
     def __post_init__(self):
         self.mul = np.ascontiguousarray(self.mul, dtype=table_dtype(self.order))
         self.inv = np.ascontiguousarray(self.inv, dtype=np.int64)
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
+        self.generators = tuple(_greedy_generators(self.mul, self.identity)
+                                if self.generators is None else self.generators)
 
     def __len__(self):
         return self.order
@@ -67,9 +69,8 @@ class GroupTable:
                                   np.array([x]))[0])
 
     def is_abelian(self) -> bool:
-        """True iff the generators of generating_set(self) commute pairwise."""
-        gens = generating_set(self)
-        block = self.mul[np.ix_(gens, gens)]
+        """True iff the generators commute pairwise."""
+        block = self.mul[np.ix_(self.generators, self.generators)]
         return bool(np.array_equal(block, block.T))
 
     def label(self, x: int) -> str:
@@ -134,6 +135,34 @@ def sorted_unique(values, return_counts=False):
         return ordered[first]
     starts = np.flatnonzero(first)
     return ordered[starts], np.diff(starts, append=ordered.size)
+
+
+def _least_in_orbit(maps, low) -> np.ndarray:
+    """Each label, at first `low` (an element of its orbit no greater than it),
+    takes the least label of its images under the permutation rows of `maps`
+    and its own, then its label's label, until nothing moves: its orbit's least."""
+    n, prev = len(low), None
+    while not np.array_equal(low, prev):
+        prev, low = low, np.minimum(low, low[maps].min(axis=0, initial=n))
+        low = low[low]
+    return low
+
+
+def _greedy_generators(mul: np.ndarray, identity: int) -> list[int]:
+    """In index order, each element outside the subgroup generated so far, the
+    orbit of the identity under x -> x*s and its inverse for the set's s (a
+    bijection in a group; Light's test proves it of cayley input), joins the
+    set. Each at least doubles it (Lagrange), so there are at most floor(log2
+    |G|); one that does not shows the table is not associative: GroupError."""
+    low, rows, gens = np.arange(mul.shape[0]), [], []
+    while not (reached := low == low[identity]).all():
+        gens.append(int(np.argmin(reached)))
+        right = mul[:, gens[-1]].astype(np.intp)   # x -> x*s
+        rows += [right, np.argsort(right)]          # and its inverse
+        low = _least_in_orbit(np.array(rows), low)
+        if np.count_nonzero(low == low[identity]) < 2 * np.count_nonzero(reached):
+            raise GroupError("table is not associative: a generator does not double")
+    return gens
 
 
 @dataclass(eq=False)
@@ -223,7 +252,7 @@ def _check_associative(G: GroupTable) -> None:
     """Light's test (Clifford-Preston I, 1.2): the s with (x*s)*y == x*(s*y) for
     all x, y hold e and are closed under products, so the generators suffice."""
     slab = max(1, _SLAB_CELLS // G.order)
-    for s in generating_set(G):
+    for s in G.generators:
         for lo in range(0, G.order, slab):
             rows = G.mul[lo:lo + slab]
             if not np.array_equal(np.take(G.mul, rows[:, s], axis=0),
@@ -234,8 +263,7 @@ def _check_associative(G: GroupTable) -> None:
 def _finalize(mul, labels, source, gens=None) -> GroupTable:
     identity, inv = _check_group_axioms(mul)
     return GroupTable(order=mul.shape[0], identity=identity, mul=mul, inv=inv,
-                      labels=labels, source=source,
-                      generators=None if gens is None else tuple(gens))
+                      labels=labels, source=source, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +355,8 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
     their digits up to degree 10 and by str(tuple) above. Each distinct
     non-identity generator's row is looked up in the closure; the rest are
     filled breadth first from the identity's, row g∘y = np.take(row g, row y).
-    The generators are handed over if at most floor(log2 m) of them, the
-    bound generating_set keeps."""
+    The distinct generators are handed over if at most floor(log2 m), the
+    bound of a greedy set; a spec may list any number."""
     if degree == 0:   # the one empty permutation, which no void key holds
         return _finalize(np.zeros((1, 1), dtype=np.int64), [""], source, [])
     gens = np.array(gens, dtype=np.int64).reshape(-1, degree)
@@ -447,8 +475,8 @@ def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupT
     if left.labels is not None and right.labels is not None:
         labels = [f"({la},{lb})" for la in left.labels for lb in right.labels]
     # (g, e) and (e, h) for the generators g of the left factor and h of the right
-    gens = ([g * nb + right.identity for g in generating_set(left)]
-            + [left.identity * nb + h for h in generating_set(right)])
+    gens = ([g * nb + right.identity for g in left.generators]
+            + [left.identity * nb + h for h in right.generators])
     return _finalize(mul, labels, source, gens)
 
 
@@ -581,20 +609,16 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
 
     Canonical order: the identity class first, then ascending minimal element
     index. With the family constructors' element enumerations this puts, e.g.,
-    the transpositions of a symmetric group before the 3-cycles. Each label,
-    first the element itself, takes the least label of its conjugates by the
-    generators and their inverses, then its label's label, until nothing
-    moves: then it is the least element of its class.
+    the transpositions of a symmetric group before the 3-cycles. A class is
+    an orbit under conjugation by the generators and their inverses, and
+    _least_in_orbit labels it by its least element.
     """
-    n, e = G.order, G.identity
-    gens = np.array(generating_set(G), dtype=np.int64)
+    e = G.identity
+    gens = np.array(G.generators, dtype=np.int64)
     both = np.concatenate([gens, G.inv[gens]])
     # row i: x -> s x s^-1, as intp so the loop indexes with it uncast
     maps = G.mul[G.mul[both], G.inv[both][:, None]].astype(np.intp)
-    low, prev = np.arange(n), None
-    while not np.array_equal(low, prev):
-        prev, low = low, np.minimum(low, low[maps].min(axis=0, initial=n))
-        low = low[low]
+    low = _least_in_orbit(maps, np.arange(G.order))
     # the identity class first, then by least element
     low = np.where(low == e, -1, low)
     reps = sorted_unique(low)
@@ -642,38 +666,9 @@ def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
                     index=G.order // arr.size)
 
 
-def generating_set(G: GroupTable) -> tuple[int, ...]:
-    """The generating set G carries. A table built without one (cayley input,
-    subgroup tables, a quotient or permutation group handed more than
-    floor(log2 |G|) generators) gets a greedy one, found once: in index
-    order, every element outside the subgroup generated so far joins it.
-    Each one at least doubles that subgroup (Lagrange), so there are at most
-    floor(log2 |G|) of them; one that does not shows the table is not
-    associative and raises GroupError."""
-    if G.generators is not None:
-        return G.generators
-    reached = np.zeros(G.order, dtype=bool)
-    reached[G.identity] = True
-    gens: list[int] = []
-    while not reached.all():
-        size = reached.sum()
-        gens.append(int(np.argmin(reached)))
-        # a set holding the identity and closed under right multiplication
-        # by the generators is the subgroup they generate
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            nxt = sorted_unique(G.mul[np.ix_(frontier, gens)])
-            frontier = nxt[~reached[nxt]]
-            reached[frontier] = True
-        if reached.sum() < 2 * size:
-            raise GroupError("table is not associative: a generator does not double")
-    G.generators = tuple(gens)
-    return G.generators
-
-
 def center(G: GroupTable) -> Subgroup:
-    """Elements commuting with every generator of generating_set(G)."""
-    gens = list(generating_set(G))
+    """Elements commuting with every generator of G."""
+    gens = list(G.generators)
     members = np.flatnonzero(np.all(G.mul[:, gens] == G.mul[gens].T, axis=1))
     return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
                     index=G.order // len(members))
@@ -706,7 +701,7 @@ def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:
 
 def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     """Quotient group on the cosets of a normal subgroup, handed the distinct
-    non-identity cosets of generating_set(G) if at most floor(log2 |G/N|)."""
+    non-identity cosets of G's generators, no more than G carries."""
     if not N.is_normal:
         raise GroupError("quotient requires a normal subgroup")
     source = {"type": "quotient", "parent": G.source, "kernel_order": N.order}
@@ -718,10 +713,9 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     coset = np.searchsorted(reps, coset_rep).astype(table_dtype(len(reps)))   # x -> rank of xN
     labels = [f"[{G.label(r)}]" for r in reps.tolist()]
     # N itself is the identity coset, which need not have rank 0 (cayley input)
-    gens = [c for c in dict.fromkeys(coset[list(generating_set(G))].tolist())
+    gens = [c for c in dict.fromkeys(coset[list(G.generators)].tolist())
             if c != coset[G.identity]]
-    return _finalize(_gather_table(G, reps, coset), labels, source,
-                     gens if len(gens) < len(reps).bit_length() else None)
+    return _finalize(_gather_table(G, reps, coset), labels, source, gens)
 
 
 def _gather_table(G: GroupTable, elems: np.ndarray, rank: np.ndarray) -> np.ndarray:

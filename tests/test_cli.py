@@ -110,6 +110,17 @@ def test_markov_subcommand(tmp_path, capsys):
     assert len(lines) == 10
 
 
+def test_markov_takes_the_tv_max_metric_by_name(capsys):
+    # "tv" is its alias; mixing_time and suites took "tv_max" already
+    code, doc = _run(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
+                      "--metric", "tv_max", "--tmax", "8"], capsys)
+    assert code == 0
+    assert doc["params"]["metric"] == doc["report"]["metric"] == "tv_max"
+    code, alias = _run(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
+                        "--metric", "tv", "--tmax", "8"], capsys)
+    assert alias["report"] == doc["report"]
+
+
 def test_counterexample_subcommand(capsys):
     code, doc = _run(["counterexample", "--group", "cyclic:12",
                       "--normal", "group", "--m", "2", "--epsilon", "1/4"],
@@ -422,6 +433,22 @@ def test_malformed_suite_config_is_refused_before_anything_runs(cfg, tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exp_id, out", [("summary", None), ("x", "x.json"),
+                                         ("x", "../out/x.json")])
+def test_a_report_at_the_summary_path_is_refused_before_anything_runs(exp_id, out, tmp_path,
+                                                                       capsys):
+    # the summary, written last, would replace the experiment's report
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [{"id": exp_id, **_GROUP}]}))
+    outdir = tmp_path / "out"
+    argv = ["suite", "--config", str(path), "--outdir", str(outdir)]
+    assert cli.main(argv + (["--out", str(outdir / out)] if out else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: suite experiment {exp_id!r} would overwrite")
+    assert not outdir.exists()
 
 
 def test_suite_config_without_experiments_runs_nothing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -931,6 +932,26 @@ def test_no_table_witness_is_sought_where_none_can_pass(criterion, density, monk
     # at density 0.3 the quotient rule reads the lattice
     with pytest.raises(AssertionError, match="computed"):
         check_tqr(low, CriteriaParams(density=0.3), names=(criterion,))
+
+
+def test_central_columns_no_grading_can_use_form_no_omega():
+    # TQR2 at 0.6 on C24 x C24: every central order q divides 24, and for
+    # each 3 (ceil(0.6 q) - 1) >= q (no set over <z>) and
+    # 3 max(1, ceil(0.6 q - 1/2)) >= q (no normal subgroup above <z> is
+    # tried), so every column is dropped before the (r, |Z|) complex omega
+    # (5.3 MB here) is formed; the element orders take a few hundred kB
+    G = build_group({"family": "product", "params": {
+        "left": {"family": "cyclic", "params": {"n": 24}},
+        "right": {"family": "cyclic", "params": {"n": 24}}}})
+    T = compute_char_table(G)
+    tracemalloc.start()
+    try:
+        found = list(criteria._tqr_candidates(T, Fraction(3, 5), 3, lambda m: m < 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == []
+    assert peak < T.num_irreps * (G.order - 1) * np.dtype(complex).itemsize / 8
 
 
 def test_every_traced_criteria_name_exists():

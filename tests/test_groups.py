@@ -189,22 +189,28 @@ def test_quotients_inherit_the_cosets_of_the_generators():
             for name in ("sizes", "class_of", "representatives"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert center(Q) == center(searched)
-    # A4's two generators and those of ES3 fall into two distinct
-    # cosets of a normal subgroup of index 3, more than floor(log2 3)
-    assert uncarried == [("GroupTable(alternating, order=12)", 3),
-                         ("GroupTable(extraspecial, order=27)", 3)]
+    # A4's two generators and those of ES3 fall into two distinct cosets of
+    # a normal subgroup of index 3, more than floor(log2 3), and are handed
+    # over all the same
+    assert uncarried == []
+
+
+def _count_searches(monkeypatch) -> list:
+    """The Cayley tables (each a GroupTable's own mul) that search for a
+    greedy generating set from now on, in order."""
+    searched = []
+    greedy = groups._greedy_generators
+
+    def counted(mul, identity):
+        searched.append(mul)
+        return greedy(mul, identity)
+
+    monkeypatch.setattr(groups, "_greedy_generators", counted)
+    return searched
 
 
 def test_no_quotient_chain_of_a_fixture_group_searches(monkeypatch):
-    searched = []
-    carried = groups.generating_set
-
-    def counted(G):
-        if G.generators is None:
-            searched.append(G)
-        return carried(G)
-
-    monkeypatch.setattr(groups, "generating_set", counted)
+    searched = _count_searches(monkeypatch)
     for spec in FIXTURE_SPECS.values():
         for Q in center_free_quotient_chain(build_group(spec)):
             conjugacy_classes(Q)
@@ -214,18 +220,7 @@ def test_no_quotient_chain_of_a_fixture_group_searches(monkeypatch):
 
 def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
         monkeypatch, tmp_path, capsys):
-    searched = []   # the tables that had to search for a set
-    carried = groups.generating_set
-
-    def counted(G):
-        if G.generators is None:
-            searched.append(G)
-        return carried(G)
-
-    def kinds():
-        return [(G.order, G.source.get("type")) for G in searched]
-
-    monkeypatch.setattr(groups, "generating_set", counted)
+    searched = _count_searches(monkeypatch)
     perm = tmp_path / "psl27.json"
     perm.write_text(json.dumps({"type": "permutation", "degree": 8, "generators": [
         [1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}))
@@ -237,7 +232,7 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
     # a quotient table inherits the cosets of its parent's generators, so
     # the center-free quotients of dihedral:6, quaternion8, extraspecial:3
     # and D4 x C3 search no more than the groups themselves
-    assert kinds() == []
+    assert searched == []
     tables = _with_normal_quotients_and_subgroups(build_group(FIXTURE_SPECS["C2xS4"]))
     for G in tables:
         conjugacy_classes(G)
@@ -245,14 +240,14 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
         G.is_abelian()
     # every subgroup table, and no other, searches exactly once; the
     # quotients, and the quotients of their chains, carry a set
-    assert {id(G) for G in searched} == {id(G) for G in tables
-                                         if G.source.get("type") == "subgroup"}
-    assert len({id(G) for G in searched}) == len(searched)
+    assert {id(mul) for mul in searched} == {id(G.mul) for G in tables
+                                             if G.source.get("type") == "subgroup"}
+    assert len({id(mul) for mul in searched}) == len(searched)
     searched.clear()
     cayley = tmp_path / "s4.json"
     cayley.write_text(json.dumps(_cayley(get_group("S4").mul)))
     assert cli.main(["group", "--group", f"@{cayley}", "--normal-subgroups"]) == 0
-    assert kinds() == [(24, "cayley")]
+    assert [mul.shape[0] for mul in searched] == [24]   # the cayley table alone
     capsys.readouterr()
 
 
@@ -542,7 +537,7 @@ def test_subgroup_table_affine_translations():
 
 # permutation specs from generators their families do not use: S4 from all
 # six transpositions (more than floor(log2 24) = 4, so none is handed over
-# and generating_set searches), A7 from (0 1 2) and (2 3 4 5 6), and S2 from
+# and GroupTable finds the greedy set), A7 from (0 1 2) and (2 3 4 5 6), and S2 from
 # a list holding the identity and a repeated generator
 _PERM_SPECS = {
     "S4-transpositions": {"type": "permutation", "degree": 4, "generators": [
@@ -555,9 +550,9 @@ _PERM_SPECS = {
 
 def _assert_generators_center_and_abelian(H):
     """The invariant of test_center_and_abelian_from_generators_match_full_table_compare,
-    on a table that may carry no set until generating_set searches for one."""
-    gens = groups.generating_set(H)
-    assert gens is H.generators and H.identity not in gens
+    on a table that may have been handed no set and found the greedy one."""
+    gens = H.generators
+    assert isinstance(gens, tuple) and H.identity not in gens
     assert len(gens) <= H.order.bit_length() - 1   # floor(log2 |H|)
     assert oracle._closure(H, gens) == frozenset(range(H.order))
     commutes_with_all = np.all(H.mul == H.mul.T, axis=1)
@@ -833,16 +828,20 @@ _SMALL_FAMILIES = {"C1": _family("cyclic", n=1), "D1": _family("dihedral", n=1),
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS) + sorted(_DEGREE_SEVEN)
                          + sorted(_SMALL_FAMILIES))
-def test_center_and_abelian_from_generators_match_full_table_compare(name):
+def test_center_and_abelian_from_generators_match_full_table_compare(name, monkeypatch):
     spec = {**FIXTURE_SPECS, **_DEGREE_SEVEN, **_SMALL_FAMILIES}[name]
+    searched = _count_searches(monkeypatch)
     G = build_group(spec)
-    assert G.generators is not None   # handed over by the constructor
+    assert searched == []   # handed over by the constructor
     # and the quotient and subgroup tables of every normal subgroup
     tables = [G] if name in _DEGREE_SEVEN else _with_normal_quotients_and_subgroups(G)
     for H in tables:
-        gens = groups.generating_set(H)
-        assert gens is H.generators and H.identity not in gens
-        assert len(gens) <= H.order.bit_length() - 1   # floor(log2 |H|)
+        gens = H.generators
+        assert isinstance(gens, tuple) and H.identity not in gens
+        # floor(log2 |H|), or for a quotient, whose set is the cosets of
+        # G's, floor(log2 |G|)
+        bound = G.order if H.source.get("type") == "quotient" else H.order
+        assert len(gens) <= bound.bit_length() - 1
         if H.order <= 1000:  # the oracle's closure is quadratic in the order
             assert oracle._closure(H, gens) == frozenset(range(H.order))
         # the old tests: every row of mul against its column
@@ -893,9 +892,8 @@ def test_a_greedy_generator_that_fails_to_double_is_refused():
     table = [[0, 1, 2, 3, 4, 5], [1, 5, 3, 2, 0, 4], [2, 3, 5, 4, 1, 0],
              [3, 2, 4, 0, 5, 1], [4, 0, 1, 5, 3, 2], [5, 4, 0, 1, 2, 3]]
     identity, inv = groups._check_group_axioms(np.array(table))
-    loop = groups.GroupTable(6, identity, np.array(table), inv)
     with pytest.raises(GroupError, match="does not double"):
-        groups.generating_set(loop)
+        groups.GroupTable(6, identity, np.array(table), inv)
     with pytest.raises(GroupError, match="does not double"):
         build_group(_cayley(table))
     assert not oracle.brute_force_is_associative(np.array(table))

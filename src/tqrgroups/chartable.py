@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, groups
-from .groups import (ClassData, GroupTable, GroupError, abelian_structure, build_group,
-                     conjugacy_classes, element_orders, subgroup_from_members)
+from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
+                     subgroup_from_members)
 
 
 class CharTableError(RuntimeError):
@@ -70,6 +70,12 @@ class CharTable:
         return ClassFunction(self.group, self.classes, self.values[lam].copy())
 
     @functools.cached_property
+    def class_orders(self) -> np.ndarray:
+        """The order of the elements of each class, that of its representative."""
+        G, reps = self.group, self.classes.representatives
+        return groups.element_orders(lambda a, b: G.mul[a, b], G.identity, reps)
+
+    @functools.cached_property
     def kernel_masks(self) -> tuple[int, ...]:
         """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
 
@@ -79,8 +85,7 @@ class CharTable:
         in the kernel when d <= TOL*chi(1) and outside it when d is within
         TOL*chi(1) of that bound or above; anything else is not certified.
         """
-        G, C = self.group, self.classes
-        orders = element_orders(lambda a, b: G.mul[a, b], G.identity, C.representatives)
+        orders = self.class_orders
         slack = config.TOL * self.dims[:, None]
         d = self.dims[:, None] - self.values.real
         inside = d <= slack
@@ -148,10 +153,11 @@ _ROOT_ERROR = 6.02 * math.pi * 2.0 ** -53 + math.sqrt(2) * 2.0 ** -52
 
 
 def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
-    """The table of an abelian G, exact by construction: abelian_structure
-    checks exactly that phi: Z_{d1} x ... x Z_{dr} -> G is an isomorphism, so
-    the characters x -> roots[a[theta, x]] of the integer exponent matrix a
-    are exactly Irr(G), and only the roots are rounded.
+    """The table of an abelian G, exact by construction. Every class has one
+    element, which proves G abelian, so groups._invariant_factors certifies
+    the rest: that phi: Z_{d1} x ... x Z_{dr} -> G is an isomorphism. The
+    characters x -> roots[a[theta, x]] of the integer exponent matrix a are
+    then exactly Irr(G), and only the roots are rounded.
 
     Root error u. The argument 2j*cmath.pi*(k/e) is 2 pi (k/e) (1 + r1)
     (1 + r2) (1 + r3), with |r_i| <= 2^-53 from rounding k/e, pi and the one
@@ -171,7 +177,7 @@ def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
     (re, im) pair rounded to 8 places and lexsorting the rows of rank[a] is
     the comparison _canonical_irrep_order makes on the values: the same
     order, trivial (all-zero) row first."""
-    dec = abelian_structure(G, range(G.order))
+    dec = groups._invariant_factors(G, np.arange(G.order))
     K, n = dec.group, G.order
     elem_of_class = np.empty(n, dtype=np.intp)
     elem_of_class[C.class_of[dec.to_parent]] = np.arange(n)
@@ -298,9 +304,14 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
 
 def to_interchange(T: CharTable) -> dict:
     """The interchange document of T. A cayley group spec in it holds its
-    table as an array; dumps_interchange writes it as lists."""
+    table as an array; dumps_interchange writes it as lists. A quotient or
+    subgroup table, whose source build_group cannot rebuild, is written as one."""
+    G, spec = T.group, T.group.source
+    if spec.get("type") in ("quotient", "subgroup"):
+        labels = {} if G.labels is None else {"labels": G.labels}
+        spec = {"type": "cayley", "table": G.mul, **labels}
     return {
-        "group": T.group.source,
+        "group": spec,
         "class_sizes": T.classes.sizes.tolist(),
         "class_reps": T.classes.representatives.tolist(),
         "dims": T.dims.tolist(),

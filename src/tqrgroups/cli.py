@@ -306,17 +306,12 @@ def _pick_normal(T, selector: str):
     if s == "group":   # G itself, the lattice's last entry, without the lattice
         n = T.group.order
         return Subgroup(members=tuple(range(n)), is_normal=True, index=1)
-    subs = T.normal_subgroups
     if s == "center":
-        zen = center(T.group)
-        for N in subs:
-            if N.members == zen.members:
-                return N
-        raise UsageError("center not found among normal subgroups")
+        return center(T.group)
     key, _, value = s.partition(":")
     if key in ("order", "index"):
         want = int(value)
-        hits = [N for N in subs if getattr(N, key) == want]
+        hits = [N for N in T.normal_subgroups if getattr(N, key) == want]
         if len(hits) != 1:
             raise UsageError(
                 f"{len(hits)} normal subgroups of {key} {want}; need exactly 1")

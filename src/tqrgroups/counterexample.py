@@ -315,12 +315,11 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
 # The induced-representation counterexample
 
 
-def conjugation_action_on_center(G: GroupTable, N: Subgroup,
-                                 dec: AbelianStructure) -> AutAction:
-    """Automorphisms of K = Z(N) induced by conjugation, one per coset of N
-    (by its least element)."""
-    reps = sorted_unique(G.mul[:, np.fromiter(N.members, dtype=np.int64)].min(axis=1))
-    conj = G.mul[G.mul[reps[:, None], dec.to_parent], G.inv[reps][:, None]]
+def conjugation_action_on_center(G: GroupTable, dec: AbelianStructure) -> AutAction:
+    """Automorphisms of K = Z(N), for a normal N, induced by conjugation, closed
+    by AutAction from G's generators: N centralises K, so one per coset of N."""
+    gens = np.array(G.generators, dtype=np.int64)
+    conj = G.mul[G.mul[gens[:, None], dec.to_parent], G.inv[gens][:, None]]
     position = np.full(G.order, -1)
     position[dec.to_parent] = np.arange(dec.group.order)
     perms = position[conj]
@@ -352,7 +351,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
         raise GroupError("the center of N is trivial")
     dec = abelian_structure(G, K_members)
     K = dec.group
-    action = conjugation_action_on_center(G, N, dec)
+    action = conjugation_action_on_center(G, dec)
     dual = dual_action(action)
     A, diag = invariant_small_doubling_set(K, dual, m, epsilon)
 

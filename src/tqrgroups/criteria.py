@@ -178,30 +178,31 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
 
     Covering failure is preserved by shrinking supports, so exhaustive search
     over these supports is exhaustive over all supports of measure >= dens.
-    Exact integer depth-first search by descending dim: a branch is emitted
-    once its sum of dim^2 reaches _density_floor, so its last and lightest
-    member took it over and every removal falls below; it is cut once the
-    weights left cannot reach that.
+    Exact integer depth-first search by descending dim over int masks (bit i
+    for irreducible i): a branch is emitted once its sum of dim^2 reaches
+    _density_floor, so its last and lightest member took it over and every
+    removal falls below; it is cut once the weights left cannot reach that.
+    The sorted masks, unpacked from their little-endian bytes, are the rows.
     """
-    order = sorted(range(T.num_irreps), key=lambda i: (-int(T.dims[i]), i))
+    r = T.num_irreps
+    order = sorted(range(r), key=lambda i: (-int(T.dims[i]), i))
     weight = [int(T.dims[i]) ** 2 for i in order]
     need = _density_floor(T.group.order, dens)
     rest = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
-    found, branches = [], [(0, 0, [])]   # (next position, weight sum, members)
+    found, branches = [], [(0, 0, 0)]   # (next position, weight sum, member mask)
     while branches:
-        start, total, members = branches.pop()
-        for j in range(start, len(order)):
+        start, total, mask = branches.pop()
+        for j in range(start, r):
             if total + rest[j] < need:
                 break
-            t, m = total + weight[j], members + [order[j]]
+            t, m = total + weight[j], mask | 1 << order[j]
             if t >= need:
                 found.append(m)
             else:
                 branches.append((j + 1, t, m))
-    rows = np.zeros((len(found), T.num_irreps), dtype=bool)
-    for row, members in zip(rows, found):
-        row[members] = True
-    return rows[np.lexsort(rows.T)]
+    width = (r + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in sorted(found)), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=r, bitorder="little").view(bool)
 
 
 def _density_floor(order: int, dens: Fraction) -> int:
@@ -382,8 +383,7 @@ def _tqr_candidates(T, dens, factors, small):
     """
     if not small(dens):
         return
-    G, C = T.group, T.classes
-    n = G.order
+    C, n = T.classes, T.group.order
     size = _density_floor(n, dens)
     if any(n % d == 0 for d in range(2, n // size + 1)):
         for N in T.normal_subgroups[1:]:
@@ -393,13 +393,12 @@ def _tqr_candidates(T, dens, factors, small):
                 yield "quotient", _quotient_support(T, N)
                 break
     central = np.flatnonzero(C.sizes == 1)[1:]
-    if central.size:
-        q = groups.element_orders(lambda a, b: G.mul[a, b], G.identity,
-                                  C.representatives[central])
-        # whether M = <z>, and a normal M above z, can give a set, per order
-        tries = {qz: (factors * (math.ceil(dens * qz) - 1) < qz,
-                      factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz)
-                 for qz in set(q.tolist())}
+    # per order q > 1 of a central z, a divisor of |Z(G)|: can <z>, or M above z, give a set?
+    tries = {qz: (factors * (math.ceil(dens * qz) - 1) < qz,
+                  factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz)
+             for qz in range(2, central.size + 2) if (central.size + 1) % qz == 0}
+    if any(map(any, tries.values())):
+        q = T.class_orders[central]
         keep = [any(tries[qz]) for qz in q.tolist()]
         central, q = central[keep], q[keep]
         omega = T.values[:, central] / T.dims[:, None]
@@ -446,10 +445,8 @@ def _tqr2_search(T, minimal, dens):
     r, s = T.num_irreps, len(minimal)
     sq = T.dims.astype(np.int64) ** 2
     need = _density_floor(T.group.order, dens)
-    pairs = (T.values[:, None, :] * T.values).reshape(r * r, r)
-    F = np.concatenate([decompose(T, pairs[lo:lo + _STACK_ROWS]) > 0
-                        for lo in range(0, r * r, _STACK_ROWS)])
-    F = F.reshape(r, r * r).astype(np.float32)     # F[a, (b, c)]: c in chi_a chi_b
+    eye = np.eye(r, dtype=bool)    # F[a, (b, c)]: c in chi_a chi_b
+    F = tensor_support_mask(T, eye[:, None], eye).reshape(r, r * r).astype(np.float32)
     order = sorted(range(r), key=lambda i: (-int(T.dims[i]), i))
     for i, row in enumerate(minimal):
         pair = (row @ F).reshape(r, r) @ F > 0     # pair[b, (mu, nu)]: D of (S_i, {b})

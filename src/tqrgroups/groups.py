@@ -556,8 +556,10 @@ def build_group(spec: dict) -> GroupTable:
         # the range and axioms are checked on the int64 array, so no entry
         # wraps into range when it is narrowed; the source then shares the
         # read-only narrow mul rather than keeping a copy, and the JSON
-        # writers turn it into lists
+        # writers turn it into lists; labels given are kept with it
         source = {"type": "cayley", "table": table}
+        if labels is not None:
+            source["labels"] = labels
         G = _finalize(table, labels, source)
         source["table"] = G.mul
         _check_associative(G)
@@ -856,6 +858,12 @@ def abelian_structure(G: GroupTable, members) -> AbelianStructure:
     block = G.mul[np.ix_(arr, arr)]
     if not np.array_equal(block, block.T):
         raise GroupError("subgroup is not abelian")
+    return _invariant_factors(G, arr)
+
+
+def _invariant_factors(G: GroupTable, arr: np.ndarray) -> AbelianStructure:
+    """abelian_structure of sorted members known to commute. On members that
+    do not, the basis search may raise KeyError or misread them."""
 
     def mul_fn(x, y):
         return G.mul[x, y]

@@ -23,7 +23,8 @@ product, symmetric and alternating groups from every itertools permutation
 and an inversion count with their products ranked by a base-n key,
 permutation closures one element at a time,
 associativity from every triple, abelian characters and their
-dual actions from one Fraction per value, mixing curves from one
+dual actions from one Fraction per value, the automorphisms of the centre of
+a normal subgroup from conjugation by each coset's least element, mixing curves from one
 vector-matrix step per start row, and the affine-group table is
 assembled from its known structure.
 """
@@ -854,6 +855,15 @@ def fraction_dual_action(factors, maps):
             q[theta] = tuple(t_new)
         out.append(q)
     return out
+
+
+def per_coset_conjugation_maps(G, N, to_parent):
+    """The automorphisms of Z(N), listed as to_parent, induced by conjugation
+    by the least element of each coset of N, as index permutations of
+    to_parent."""
+    reps = np.unique(G.mul[:, list(N.members)].min(axis=1))
+    position = {int(x): i for i, x in enumerate(to_parent)}
+    return [[position[G.conjugate(int(g), int(x))] for x in to_parent] for g in reps]
 
 
 def _tuple_group_ops(factors):

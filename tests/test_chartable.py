@@ -352,6 +352,35 @@ def test_cayley_interchange_keeps_one_table_and_writes_lists():
     assert dumps_interchange(loads_interchange(text)) == text
 
 
+def _quotient_and_subgroup_tables():
+    D6, S4 = build_group({"family": "dihedral", "params": {"n": 6}}), get_group("S4")
+    unlabelled = build_group({"type": "cayley", "table": D6.mul.tolist()})
+    A4 = normal_subgroups(get_table("S4"))[2].members
+    assert len(A4) == 12
+    return [groups.quotient(D6, center(D6)), subgroup_table(S4, A4)[0],
+            subgroup_table(unlabelled, center(unlabelled).members)[0]]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_quotient_and_subgroup_tables_round_trip(case):
+    # their sources name a parent, which build_group cannot rebuild, so the
+    # document carries the table, and the labels where there are any
+    G = _quotient_and_subgroup_tables()[case]
+    T = compute_char_table(G)
+    text = dumps_interchange(T)
+    spec = json.loads(text)["group"]
+    assert spec["type"] == "cayley" and spec["table"] == G.mul.tolist()
+    assert spec.get("labels") == G.labels
+    assert ("labels" in spec) == (G.labels is not None)
+    T2 = loads_interchange(text)
+    assert dumps_interchange(T2) == text
+    assert T2.dims.tolist() == T.dims.tolist()
+    assert np.array_equal(T2.values, T.values)
+    assert T2.classes.sizes.tolist() == T.classes.sizes.tolist()
+    assert T2.classes.representatives.tolist() == T.classes.representatives.tolist()
+    assert T2.classes.class_of.tolist() == T.classes.class_of.tolist()
+
+
 def test_interchange_rejects_tampering():
     T = get_table("S3")
     doc = json.loads(dumps_interchange(T))

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import oracle
 from tqrgroups import cli, groups
 from tqrgroups.criteria import QR_CRITERIA, TQR_CRITERIA
 
@@ -152,6 +153,19 @@ def test_normal_group_is_g_itself_without_the_lattice(text, capsys):
     assert N.order == G.order
     reports = [_run(["counterexample", "--group", text, "--normal", sel, "--m", "2"],
                     capsys)[1]["report"] for sel in ("group", "index:1")]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("text", ["quaternion8", "dihedral:4", "extraspecial:3",
+                                  "extraspecial:7"])
+def test_normal_center_is_z_of_g_without_the_lattice(text, capsys):
+    G, _, T = cli._load_table(cli.parse_group_spec(text))
+    N = cli._pick_normal(T, "center")
+    assert "kernel_masks" not in vars(T) and "normal_subgroups" not in vars(T)
+    assert N == cli._pick_normal(T, f"order:{N.order}")
+    assert N.members == tuple(oracle.all_pairs_center(G, range(G.order)))
+    reports = [_run(["counterexample", "--group", text, "--normal", sel, "--m", "2"],
+                    capsys)[1]["report"] for sel in ("center", f"order:{N.order}")]
     assert reports[0] == reports[1]
 
 

@@ -154,7 +154,22 @@ def test_dual_action_of_conjugation_matches_fraction_oracle(name):
         K_members = center_of_subset(G, C, N.members)
         if len(K_members) > 1:
             dec = abelian_structure(G, K_members)
-            _assert_dual_matches_oracle(conjugation_action_on_center(G, N, dec))
+            _assert_dual_matches_oracle(conjugation_action_on_center(G, dec))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_conjugation_by_generators_is_the_per_coset_action(name):
+    # N acts trivially on Z(N), so the closure of the generators' maps is
+    # the set of the conjugations by one representative of each coset of N
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    for N in normal_subgroups(T):
+        K_members = center_of_subset(G, C, N.members)
+        if len(K_members) > 1:
+            dec = abelian_structure(G, K_members)
+            action = conjugation_action_on_center(G, dec)
+            want = {tuple(p) for p in oracle.per_coset_conjugation_maps(G, N, dec.to_parent)}
+            assert len(action) == len(want)
+            assert {tuple(p) for p in action.perms.tolist()} == want
 
 
 def _swap(K):
@@ -508,7 +523,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     N = [s for s in N if len(center_of_subset(G, C, s.members)) > 1][0]
     K_members = center_of_subset(G, C, N.members)
     dec = abelian_structure(G, K_members)
-    action = conjugation_action_on_center(G, N, dec)
+    action = conjugation_action_on_center(G, dec)
     kk = len(K_members)
     coset_count = G.order // N.order
     elements = _elements(dec.group)
@@ -542,7 +557,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     K_members = center_of_subset(G, C, N.members)
     assert len(K_members) == 4
     dec = abelian_structure(G, K_members)
-    action = conjugation_action_on_center(G, N, dec)
+    action = conjugation_action_on_center(G, dec)
     dual = dual_action(action)
     elements = _elements(dec.group)
     to_parent = dec.to_parent.tolist()

@@ -559,6 +559,19 @@ def test_minimal_supports_are_exact_just_above_a_measure_boundary():
     assert [row_mask(row) for row in found] == oracle.brute_force_minimal_supports(T, dens)
 
 
+def test_minimal_supports_past_bit_63_are_every_68_of_70_in_mask_order():
+    # cyclic:70 at 0.97 needs 68 of its 70 linear characters, so the minimal
+    # supports are the C(70, 68) subsets of size 68, and most of their masks
+    # set bits above 63; r is above the default cap, so the search is called
+    # directly
+    T = compute_char_table(build_group({"family": "cyclic", "params": {"n": 70}}))
+    rows = _minimal_supports(T, Fraction("0.97"))
+    want = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(70), 68))
+    assert len(want) == math.comb(70, 68) == 2415
+    assert rows.shape == (2415, 70)
+    assert [row_mask(row) for row in rows] == want
+
+
 @pytest.mark.parametrize("name, density", [
     ("A5", 0.1), ("A5", 0.3), ("S4", 0.4), ("S5", 0.3), ("C6", 0.4),
     ("C2xS3", 0.4), ("C2xS3", 0.5), ("D8", 0.4), ("D8", 0.5)])
@@ -932,6 +945,26 @@ def test_no_table_witness_is_sought_where_none_can_pass(criterion, density, monk
     # at density 0.3 the quotient rule reads the lattice
     with pytest.raises(AssertionError, match="computed"):
         check_tqr(low, CriteriaParams(density=0.3), names=(criterion,))
+
+
+def test_tqr2_reads_no_element_order_where_no_order_of_z_can_grade(monkeypatch):
+    # on cyclic:600 at TQR2 density 0.6, no divisor q of |Z(G)| = 600 has
+    # 3 (ceil(0.6 q) - 1) < q or 3 max(1, ceil(0.6 q - 1/2)) < q, so no
+    # central grading is tried and no element order is found; the report
+    # is the one that reads them
+    T, fresh = (compute_char_table(build_group({"family": "cyclic", "params": {"n": 600}}))
+                for _ in range(2))
+    params = CriteriaParams(density=0.6)
+    want, = check_tqr(T, params, names=("tqr2",))
+
+    def refused(*args):
+        raise AssertionError("element orders computed")
+
+    monkeypatch.setattr(groups, "element_orders", refused)
+    got, = check_tqr(fresh, params, names=("tqr2",))
+    assert got.to_json_dict() == want.to_json_dict()
+    assert (got.holds, got.mode, got.details) == (True, "randomized", {"triples_checked": 200})
+    assert "class_orders" not in vars(fresh)
 
 
 def test_central_columns_no_grading_can_use_form_no_omega():

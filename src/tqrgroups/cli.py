@@ -341,10 +341,13 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
             1 if violated else 0)
 
 
-def _parse_tuples(text: str, rank: int) -> list[tuple]:
+def _parse_tuples(text: str, rank: int | None) -> list[tuple]:
+    """The ';'-separated elements of `text`, each of `rank` coordinates, or
+    where rank is None of as many as the first element has."""
     chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
     if not chunks:
         raise UsageError("empty element set")
+    rank = rank or len(chunks[0].split(","))
     for chunk in chunks:
         if len(chunk.split(",")) != rank:
             raise UsageError(f"element {chunk!r} does not have rank {rank}")
@@ -352,19 +355,18 @@ def _parse_tuples(text: str, rank: int) -> list[tuple]:
 
 
 def run_sumset(args: dict) -> tuple[dict, int]:
-    rank, m, n = _int_arg(args, "rank", 1), _int_arg(args, "m", 2), _int_arg(args, "n", 1)
+    m, n = _int_arg(args, "m", 2), _int_arg(args, "n", 1)
     factors = None
     if args.get("factors"):
         factors = tuple(int(v) for v in str(args["factors"]).split(","))
     group = AbelianGroup(factors) if factors else None
-    rank = len(factors) if factors else rank
-    elems = _parse_tuples(args["set"], rank)
+    elems = _parse_tuples(args["set"], len(factors) if factors else None)
     if factors:
         for e in elems:
             if not all(0 <= x < d for x, d in zip(e, factors)):
                 raise UsageError(f"element {','.join(map(str, e))} is outside the "
                                  f"group: need 0 <= x_i < d_i for factors {list(factors)}")
-    params = {"factors": list(factors) if factors else None, "rank": rank,
+    params = {"factors": list(factors) if factors else None, "rank": len(elems[0]),
               "set": [list(e) for e in elems], "m": m}
     if args.get("cover"):
         params["n"] = n
@@ -524,7 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sumset", help="abelian sumsets and translate covers")
     s.add_argument("--factors", help="comma-separated cyclic factors; omit for lattice")
-    s.add_argument("--rank", type=int, default=1)
     s.add_argument("--set", required=True)
     s.add_argument("--m", type=int, default=2)
     s.add_argument("--cover", action="store_true")

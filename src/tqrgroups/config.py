@@ -1,10 +1,10 @@
-"""Shared numeric tolerances and size caps, overridable via environment.
+"""Shared numeric tolerances and size caps.
 
-A knob set to a value outside its range raises ValueError on import, naming
-the variable.
+The size caps are overridable via environment; a knob set to a value outside
+its range raises ValueError on import, naming the variable. The tolerance is
+fixed: a certificate whose tolerance a user can raise certifies nothing.
 """
 
-import math
 import os
 
 
@@ -22,24 +22,8 @@ def _env_int(name, default):
     return value
 
 
-def _env_tol(name, default):
-    """A tolerance knob: finite and strictly between 0 and 0.5, so that every
-    `residual > tol` test can fail and rounding to the nearest integer stays
-    unambiguous."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < 0.5:
-        raise ValueError(f"{name} must be a number with 0 < {name} < 0.5, got {raw!r}")
-    return value
-
-
-# One tolerance knob for all certified-rounding and orthogonality checks.
-TOL = _env_tol("TQR_TOL", 1e-8)
+# The one tolerance of all certified-rounding and orthogonality checks.
+TOL = 1e-8
 
 # Largest group we will enumerate at all (permutation closure, cosets, ...).
 MAX_ORDER = _env_int("TQR_MAX_ORDER", 20000)

@@ -17,11 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import groups
 from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
-                     GroupTable, Subgroup, abelian_structure, center, center_of_subset,
+                     GroupTable, Subgroup, center, center_of_subset,
                      permutation_closure, sorted_unique)
 
 
@@ -349,7 +350,8 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     K_members = center_of_subset(G, C, N.members)
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
-    dec = abelian_structure(G, K_members)
+    # center_of_subset proved K commutative
+    dec = groups._invariant_factors(G, groups._member_array(G, K_members))
     K = dec.group
     action = conjugation_action_on_center(G, dec)
     dual = dual_action(action)
@@ -403,7 +405,8 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
     """
     if not set(int(x) for x in K_members) <= set(center(N_table).members):
         raise GroupError("K must be central in N")
-    dec = abelian_structure(N_table, K_members)
+    # a subset of the centre commutes
+    dec = groups._invariant_factors(N_table, groups._member_array(N_table, K_members))
     kk = dec.group.order
     thetas = np.arange(kk)
     blocks, partition_ok, measures_exact = _partition_check(

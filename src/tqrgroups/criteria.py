@@ -590,7 +590,9 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
     Proofs: s = |G| leaves only A = G. Gowers (Quasirandom groups, CPC 17,
     2008) gives ABC = G once |A||B||C| > |G|^3 / m, m the least nontrivial
     dimension; with three sizes s that is s^3 m > |G|^3, which proves QR2,
-    and QR3 at power >= 3 since A^k = A^(k-3) A^3.
+    and QR3 at power >= 3 since A^k = A^(k-3) A^3. By pigeonhole AB = G once
+    |A| + |B| > |G|, as A then meets g B^-1 for every g; 2s > |G| proves QR2,
+    and QR3 at power >= 2 since A^k = A^(k-2) A^2.
     """
     G = T.group
     n = G.order
@@ -607,6 +609,7 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
 
     proof = ("full_density" if size == n else "gowers_bound"
              if (triple or params.power >= 3) and size ** 3 * int(T.dims[1:].min()) > n ** 3
+             else "pigeonhole" if (triple or params.power >= 2) and 2 * size > n
              else None)
     exact = [(proof, np.empty((0, width, size), dtype=np.int64))] if proof else (
         (rule, np.tile(members[:size], (1, width, 1)))

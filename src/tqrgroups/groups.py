@@ -751,10 +751,12 @@ def derived_subgroup(T: CharTable) -> Subgroup:
 
 
 def center_of_subset(G: GroupTable, C: ClassData, members) -> tuple[int, ...]:
-    """Elements of `members` commuting with every element of `members`."""
+    """Elements of `members` commuting with every element of `members`. A
+    witness whose class in G has one element is central in G, so only the
+    others are tested against the members."""
     arr, owner, _ = _witnesses(G, C, members)
-    wit = sorted_unique(owner)
-    central = np.zeros(G.order, dtype=bool)
+    central = C.sizes[C.class_of] == 1
+    wit = sorted_unique(owner[~central[owner]])
     central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
     return tuple(arr[central[owner]].tolist())
 

@@ -398,7 +398,7 @@ def test_sumset_lattice_multiples_up_to_int64_are_exact(capsys):
 @pytest.mark.parametrize("argv, times, top", [
     (["--set", "9223372036854775807", "--m", "2"], 2, 9223372036854775807),
     (["--set", "10000000000000000000", "--m", "1"], 1, 10 ** 19),
-    (["--rank", "2", "--set", "0,-10000000000000000000", "--m", "1"], 1, 10 ** 19),
+    (["--set", "0,-10000000000000000000", "--m", "1"], 1, 10 ** 19),
     (["--set", "0;1152921504606846976", "--m", "2", "--n", "2", "--cover"],
      16, 2 ** 60)])
 def test_sumset_lattice_beyond_int64_is_bad_input(argv, times, top, capsys):
@@ -408,6 +408,20 @@ def test_sumset_lattice_beyond_int64_is_bad_input(argv, times, top, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: lattice coordinates are int64, and {times} "
                             f"times the coordinate {top} leaves that range\n")
+
+
+def test_sumset_infers_the_rank_from_the_elements(tmp_path, capsys):
+    code, doc = _run(["sumset", "--set", "0,0;1,2", "--m", "2"], capsys)
+    assert code == 0
+    assert doc["params"]["rank"] == 2
+    assert doc["report"]["sumset"] == [[0, 0], [1, 2], [2, 4]]
+    assert cli.main(["sumset", "--rank", "2", "--set", "0,0;1,2", "--m", "2"]) == 2
+    assert "unrecognized arguments: --rank" in capsys.readouterr().err
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": "sumset", "args": {"set": "0,0;1,2", "rank": 2}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 2
+    assert "'rank' is not an option of tqr sumset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -600,7 +614,7 @@ _EVERY_OPTION = {
                "epsilon": 0.25, "tmax": 6, "start": "irrep:1", "experiment": 2,
                "csv": "walk.csv"},
     "counterexample": {"group": "cyclic:12", "normal": "group", "m": 2, "epsilon": "1/4"},
-    "sumset": {"factors": "12", "rank": 1, "set": "0;1", "m": 2, "cover": True, "n": 1},
+    "sumset": {"factors": "12", "set": "0;1", "m": 2, "cover": True, "n": 1},
 }
 
 
@@ -694,8 +708,6 @@ def _python(args, **env):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("TQR_TOL", "nan"), ("TQR_TOL", "inf"), ("TQR_TOL", "abc"), ("TQR_TOL", "0"),
-    ("TQR_TOL", "-1e-8"), ("TQR_TOL", "0.5"),
     ("TQR_MAX_ORDER", "0"), ("TQR_MAX_ORDER", "-5"), ("TQR_MAX_ORDER", "1.5"),
     ("TQR_MAX_ORDER", "many"), ("TQR_CHARTABLE_CAP", "0"),
     ("TQR_CHARTABLE_CAP", "2e3")])
@@ -712,12 +724,19 @@ def test_bad_environment_knob_is_refused_on_import(name, value):
 
 def test_in_range_environment_knobs_are_used():
     done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:30"],
-                   TQR_TOL="1e-6", TQR_MAX_ORDER="20", TQR_CHARTABLE_CAP="10")
+                   TQR_MAX_ORDER="20", TQR_CHARTABLE_CAP="10")
     assert done.returncode == 2
     assert done.stderr == "error: order 30 exceeds MAX_ORDER=20\n"
     done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:12"],
                    TQR_MAX_ORDER="20")
     assert done.returncode == 0 and json.loads(done.stdout)["report"]["order"] == 12
+
+
+def test_the_tolerance_is_not_read_from_the_environment():
+    # at 0.4, decompose would round a residual of 0.39 to an integer
+    done = _python(["-c", "from tqrgroups import config; print(config.TOL)"],
+                   TQR_TOL="0.4")
+    assert done.returncode == 0 and done.stdout == "1e-08\n"
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -798,8 +817,8 @@ def test_permutation_degree_above_max_order_is_refused_before_allocating(
 @pytest.mark.parametrize("command, key, value", [
     ("check", "power", 2.5), ("check", "seed", True), ("check", "trials", 1.5),
     ("check", "exhaustive_cap", False), ("check", "k", 4.2), ("markov", "tmax", 3.9),
-    ("markov", "experiment", True), ("counterexample", "m", 2.7), ("sumset", "rank", 1.5),
-    ("sumset", "m", True), ("sumset", "n", 2.5)])
+    ("markov", "experiment", True), ("counterexample", "m", 2.7), ("sumset", "m", True),
+    ("sumset", "n", 2.5)])
 def test_suite_records_a_non_integral_integer_option_as_an_error(command, key, value,
                                                                   tmp_path, capsys):
     # each ran with status ok and echoed the truncated value; on the command

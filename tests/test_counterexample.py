@@ -14,7 +14,7 @@ from tqrgroups import (AbelianGroup, AutAction, GroupError, abelian_structure,
                        inner_product, invariant_small_doubling_set,
                        m_fold_sumset, normal_subgroups, plancherel_frac,
                        translate_cover, verify_vtheta_partition)
-from tqrgroups import config, groups
+from tqrgroups import config, counterexample, groups
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.counterexample import (_partition_check,
                                      conjugation_action_on_center, m_fold_mask)
@@ -659,3 +659,29 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
     assert len(out) == 669
     blob = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _GRID_DIGEST
+
+
+@pytest.mark.parametrize("name", ["Q8", "ES3", "C2xS4", "C12"])
+def test_the_counterexample_proves_the_centre_abelian_once(name, monkeypatch):
+    # center_of_subset has proved Z(N) commutative, and a subset of Z(N)
+    # commutes, so neither construction asks abelian_structure again
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+
+    def outcomes():
+        out = [verify_vtheta_partition(G, C, T, center(G).members)]
+        for N in normal_subgroups(T):
+            if len(center_of_subset(G, C, N.members)) > 1:
+                def build():
+                    V, rep = build_counterexample_rep(G, C, T, N, 2)
+                    return {"rep": V.to_json_dict(), "construction": rep}
+                out.append(_outcome(build))
+        return json.dumps(out)
+
+    want = outcomes()
+
+    def refused(*args):
+        raise AssertionError("abelian_structure was called")
+
+    monkeypatch.setattr(groups, "abelian_structure", refused)
+    monkeypatch.setattr(counterexample, "abelian_structure", refused, raising=False)
+    assert outcomes() == want

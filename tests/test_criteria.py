@@ -300,8 +300,8 @@ def test_qr1_cyclic_fails():
 # by x -> x + 1 and x -> -1/x
 PSL27 = {"type": "permutation", "degree": 8,
          "generators": [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}
-_DECIDED_BY = {"full_density", "gowers_bound", "power_one", "normal_subgroup",
-               "linear_character", "centraliser", "normaliser"}
+_DECIDED_BY = {"full_density", "gowers_bound", "pigeonhole", "power_one",
+               "normal_subgroup", "linear_character", "centraliser", "normaliser"}
 _QR23 = ("qr2", "qr3")
 _TQR_DECIDED_BY = {"quotient", "central_grading"}
 
@@ -320,6 +320,8 @@ _TQR_DECIDED_BY = {"quotient", "central_grading"}
     # image order 11: the preimage of {1, zeta} has 242 >= 134 elements
     ({"family": "extraspecial", "params": {"p": 11}}, 0.1, 3, _QR23, False,
      "linear_character", 484),
+    # 2 * 33 > 60, though 33^3 * 3 < 60^3: AA = G by pigeonhole
+    (FIXTURE_SPECS["A5"], 0.55, 2, _QR23, True, "pigeonhole", None),
 ])
 def test_qr23_exact_verdicts(spec, density, power, names, holds, decided_by,
                              product_size):

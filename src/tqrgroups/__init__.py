@@ -10,9 +10,9 @@ import importlib
 __version__ = "0.1.0"
 
 # Public name -> the module that defines it. The modules are imported on first
-# use rather than here: config refuses a bad TQR_* knob on import, and the
-# `tqr` entry point (tqrgroups.__main__) must be importable to report that as
-# bad input.
+# use rather than here: they import numpy, and the `tqr` entry point
+# (tqrgroups.__main__) must set the BLAS thread variables before numpy loads,
+# which importing this package first would otherwise do.
 _EXPORTS = {name: module for module, names in {
     "groups": ("GroupTable", "ClassData", "Subgroup", "GroupError", "build_group",
                "conjugacy_classes", "center", "normal_subgroups", "quotient",

@@ -136,12 +136,14 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
     one element; its table is then _abelian_table, certified by exact checks
     on its invariant-factor basis, with no eigen-solve and no retry. Any
     other group's table comes from _eigen_table, certified by exact integer
-    dimensions and orthogonality."""
-    if G.order > config.CHARTABLE_CAP:
-        raise CharTableError(
-            f"order {G.order} exceeds CHARTABLE_CAP={config.CHARTABLE_CAP}")
+    dimensions and orthogonality. Either is refused past
+    config.TABLE_CELLS cells r * |G|."""
     if C is None:
         C = conjugacy_classes(G)
+    if C.num_classes * G.order > config.TABLE_CELLS:
+        raise CharTableError(
+            f"order {G.order} times {C.num_classes} classes is "
+            f"{C.num_classes * G.order} cells, above TABLE_CELLS={config.TABLE_CELLS}")
     if C.num_classes < G.order:
         return _eigen_table(G, C)
     return _abelian_table(G, C)
@@ -229,7 +231,7 @@ def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
         key = _canonical_irrep_order(chars, dims)
         try:
             return _certified_table(G, C, chars[key], dims[key], dim_roundoff=dim_err,
-                                    attempts=attempt + 1, seed=0)
+                                    attempts=attempt + 1, seed=attempt)
         except CharTableError as exc:
             last_error = str(exc)
     raise CharTableError(

@@ -358,12 +358,13 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     A, diag = invariant_small_doubling_set(K, dual, m, epsilon)
 
     # the dual orbits, each named by its least element, index blocks that
-    # partition Irrep(G), each of Plancherel measure (orbit size)/|K|
+    # partition Irrep(G), each of Plancherel measure (orbit size)/|K|;
+    # conjugate characters of K induce the same character, and A is a union
+    # of orbits, so each orbit is induced once and V counts it |orbit| times
     orbits, orbit_sizes = sorted_unique(dual.perms.min(axis=0), return_counts=True)
     thetas = np.flatnonzero(A)
-    mult = decompose(T, _induced_characters(G, C, dec,
-                                            np.concatenate([thetas, orbits])))
-    V = RepMultiset(T, mult[:len(thetas)].sum(axis=0))
+    mult = decompose(T, _induced_characters(G, C, dec, orbits))
+    V = RepMultiset(T, (orbit_sizes * A[orbits]) @ mult)
 
     kk = K.order
     mv = plancherel_frac(T, V)
@@ -372,7 +373,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     m_fold_size = diag["m_fold_size"]
 
     blocks, orbit_partition_ok, measures_ok = _partition_check(
-        T, mult[len(thetas):], [Fraction(int(s), kk) for s in orbit_sizes])
+        T, mult, [Fraction(int(s), kk) for s in orbit_sizes])
     blocks = [{"orbit_size": int(s), **b} for s, b in zip(orbit_sizes, blocks)]
 
     report = {

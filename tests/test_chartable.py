@@ -7,7 +7,7 @@ import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
                       get_table_for_spec)
 from tqrgroups import (CharTableError, GroupError, build_group, center, chartable,
-                       compute_char_table, conjugacy_classes, decompose,
+                       compute_char_table, config, conjugacy_classes, decompose,
                        dumps_interchange, from_interchange, groups,
                        induce_character, inner_product, loads_interchange,
                        normal_subgroups, subgroup_table)
@@ -443,6 +443,39 @@ def test_quality_metrics_present():
     assert T.quality["row_residual"] < 1e-10
     assert T.quality["col_residual"] < 1e-10
     assert T.quality["attempts"] >= 1
+
+
+def test_quality_seed_is_the_seed_of_the_certified_attempt(monkeypatch):
+    # attempt k draws its recombination from default_rng(k)
+    certify, calls = chartable._certified_table, []
+
+    def fail_once(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) == 1:
+            raise CharTableError("refused once")
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(chartable, "_certified_table", fail_once)
+    G, C = get_group("S4"), get_classes("S4")
+    T = compute_char_table(G, C)
+    assert calls == [0, 1]
+    assert T.quality["attempts"] == 2 and T.quality["seed"] == 1
+
+
+@pytest.mark.parametrize("spec, cells", [
+    ({"family": "alternating", "params": {"n": 7}}, 9 * 2520),
+    ({"family": "symmetric", "params": {"n": 7}}, 15 * 5040),
+    ({"family": "product", "params": {"left": {"family": "alternating", "params": {"n": 5}},
+                                      "right": {"family": "alternating", "params": {"n": 5}}}},
+     25 * 3600),
+    ({"family": "extraspecial", "params": {"p": 13}}, 181 * 2197)],
+    ids=["A7", "S7", "A5xA5", "ES13"])
+def test_tables_above_order_2000_are_gated_on_cells(spec, cells):
+    # orders past 2000 whose r * |G| is inside TABLE_CELLS
+    G = build_group(spec)
+    T = compute_char_table(G)
+    assert T.num_irreps * G.order == cells <= config.TABLE_CELLS
+    assert int(np.sum(T.dims ** 2)) == G.order
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))

@@ -512,12 +512,31 @@ def test_spec_file_missing_parameter_is_bad_input(tmp_path, capsys):
 
 def test_normal_subgroups_above_chartable_cap_is_bad_input(monkeypatch, capsys):
     from tqrgroups import config
-    monkeypatch.setattr(config, "CHARTABLE_CAP", 10)
+    monkeypatch.setattr(config, "TABLE_CELLS", 100)   # S4: 5 classes * 24 = 120
     assert cli.main(["group", "--group", "symmetric:4", "--normal-subgroups"]) == 2
-    assert "CHARTABLE_CAP=10" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: order 24 times 5 classes is 120 cells, above TABLE_CELLS=100\n")
     # without the lattice, the group report needs no character table
     code, doc = _run(["group", "--group", "symmetric:4"], capsys)
     assert code == 0 and "normal_subgroup_orders" not in doc["report"]
+
+
+@pytest.mark.parametrize("spec, order, classes", [
+    ("cyclic:2001", 2001, 2001), ("dihedral:1999", 3998, 1001)])
+def test_chartable_above_table_cells_is_bad_input(spec, order, classes, capsys):
+    # the least abelian and dihedral groups past 2000 * 2000 cells r * |G|
+    assert cli.main(["chartable", "--group", spec]) == 2
+    assert capsys.readouterr().err == (
+        f"error: order {order} times {classes} classes is {order * classes} cells, "
+        "above TABLE_CELLS=4000000\n")
+
+
+def test_a7_qr2_is_sampled_at_the_default_table_gate(capsys):
+    # 9 classes * 2520 elements = 22,680 cells: A7's table needs no setting lifted
+    code, doc = _run(["check", "--group", "alternating:7", "--criterion", "qr2",
+                      "--density", "0.1", "--trials", "50"], capsys)
+    assert code in (0, 1)
+    assert doc["report"]["criteria"][0]["mode"] == "randomized"
 
 
 def test_check_evaluates_only_the_requested_criterion(monkeypatch, capsys):
@@ -707,36 +726,15 @@ def _python(args, **env):
                           env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
 
 
-@pytest.mark.parametrize("name, value", [
-    ("TQR_MAX_ORDER", "0"), ("TQR_MAX_ORDER", "-5"), ("TQR_MAX_ORDER", "1.5"),
-    ("TQR_MAX_ORDER", "many"), ("TQR_CHARTABLE_CAP", "0"),
-    ("TQR_CHARTABLE_CAP", "2e3")])
-def test_bad_environment_knob_is_refused_on_import(name, value):
-    # python -m tqrgroups runs the `tqr` entry point
-    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:3"], **{name: value})
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith(f"error: {name} must be ")
-    assert done.stderr.count("\n") == 1
-    imported = _python(["-c", "import tqrgroups.config"], **{name: value})
-    assert imported.returncode == 1
-    assert f"ValueError: {name} must be " in imported.stderr
-
-
-def test_in_range_environment_knobs_are_used():
-    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:30"],
-                   TQR_MAX_ORDER="20", TQR_CHARTABLE_CAP="10")
-    assert done.returncode == 2
-    assert done.stderr == "error: order 30 exceeds MAX_ORDER=20\n"
-    done = _python(["-m", "tqrgroups", "group", "--group", "cyclic:12"],
-                   TQR_MAX_ORDER="20")
-    assert done.returncode == 0 and json.loads(done.stdout)["report"]["order"] == 12
-
-
 def test_the_tolerance_is_not_read_from_the_environment():
-    # at 0.4, decompose would round a residual of 0.39 to an integer
-    done = _python(["-c", "from tqrgroups import config; print(config.TOL)"],
-                   TQR_TOL="0.4")
-    assert done.returncode == 0 and done.stdout == "1e-08\n"
+    # at 0.4, decompose would round a residual of 0.39 to an integer; the
+    # size caps are constants too, so cyclic:30 is built and its table computed
+    probe = ("from tqrgroups import build_group, compute_char_table, config; "
+             "T = compute_char_table(build_group({'family': 'cyclic', 'params': {'n': 30}})); "
+             "print(config.TOL, T.num_irreps)")
+    done = _python(["-c", probe], TQR_TOL="0.4", TQR_MAX_ORDER="20",
+                   TQR_CHARTABLE_CAP="10")
+    assert done.returncode == 0 and done.stdout == "1e-08 30\n"
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

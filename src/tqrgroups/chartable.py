@@ -295,8 +295,10 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
     values = np.asarray(theta, dtype=np.complex128)
     if values.ndim not in (1, 2) or values.shape[-1] != len(members):
         raise GroupError("theta length does not match subgroup order")
-    in_class = np.eye(C.num_classes)[C.class_of[list(members)]]
-    out = (values @ in_class) * (G.order / (len(members) * C.sizes))
+    sums = np.zeros((C.num_classes, *values.shape[:-1]), dtype=np.complex128)
+    np.add.at(sums, C.class_of[list(members)], values.T)    # theta summed over H ∩ c
+    out = sums.T
+    out *= G.order / (len(members) * C.sizes)
     return ClassFunction(G, C, out) if values.ndim == 1 else out
 
 

@@ -400,7 +400,8 @@ def _parser() -> argparse.ArgumentParser:
 def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
     with string commands, args objects whose keys are the command's argument
-    names and ids that are new plain file names, not the summary's."""
+    names and whose flags are true or false, and ids that are new plain file
+    names, not the summary's."""
     if not isinstance(cfg, dict):
         raise UsageError("suite config must be a JSON object")
     exps = cfg.get("experiments", [])
@@ -420,11 +421,15 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
                              f"and, if it has args, an args object")
         if exp["command"] in _RUNNERS:   # an unknown one is run_suite's error
             sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-            unknown = set(exp.get("args", {})).difference(
-                a.dest for a in sub.choices[exp["command"]]._actions)
+            actions, given = sub.choices[exp["command"]]._actions, exp.get("args", {})
+            unknown = set(given).difference(a.dest for a in actions)
             if unknown:
                 raise UsageError(f"suite experiment {exp_id!r}: {min(unknown)!r} is not "
                                  f"an option of tqr {exp['command']}")
+            for a in actions:   # a flag: "false" and 0 must not switch it on
+                if a.nargs == 0 and not isinstance(given.get(a.dest, False), bool):
+                    raise UsageError(f"suite experiment {exp_id!r}: {a.dest!r} is a flag "
+                                     f"and takes only true or false")
 
 
 def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:

@@ -212,45 +212,31 @@ def _density_floor(order: int, dens: Fraction) -> int:
     return -(-dens.numerator * order // dens.denominator)
 
 
-def _random_support_rows(T: CharTable, rng, dens: Fraction, count: int,
-                         max_tries: int = 200) -> np.ndarray:
-    """The next `count` random supports of measure >= dens, as the rows of a
-    (count, r) boolean array; a row stays empty where max_tries tries failed.
+def _random_stacks(seed, weight, need, count, width, block):
+    """(None, stack) pairs of `count` seeded draws of `width` sets of items,
+    in (b, width, items) boolean stacks of at most `block` draws.
 
-    Try t of a support keeps irreducible i when the i-th of r fresh uniforms
-    is below (0.5, 0.7, 0.9, 1.0)[t % 4]. Uniforms are drawn in blocks of one
-    row per support still open, which never draws past the last try, so the
-    generator advances exactly as under one scalar draw per irreducible and
-    try, and consecutive calls continue one sequence.
+    A set is a uniformly random order of the items, one row of
+    rng.permuted over a tile of arange(items), cut after the first prefix
+    whose weight reaches `need`: so it meets the floor, and its last member
+    took it over. Orders are drawn in whole stacks, as many at a time as fit
+    in groups._SLAB_CELLS cells (at least one); row by row, rng.permuted
+    shuffles as one rng.shuffle each, so neither the chunks nor the stacks
+    change a draw.
     """
-    r = T.num_irreps
-    sq = T.dims.astype(np.int64) ** 2
-    need = _density_floor(T.group.order, dens)
-    qs = np.array((0.5, 0.7, 0.9, 1.0))
-    out = np.zeros((count, r), dtype=bool)
-    done, t = 0, 0
-    while done < count:
-        block = rng.random((count - done, r))
-        # ok[row][c]: the support drawn from this row at cutoff qs[c] is heavy enough
-        ok = ((block[:, None, :] < qs[:, None]) @ sq >= need).tolist()
-        for row, accept in enumerate(ok):
-            if accept[t % 4]:
-                out[done] = block[row] < qs[t % 4]
-            elif t + 1 < max_tries:
-                t += 1
-                continue
-            done, t = done + 1, 0
-    return out
-
-
-def _random_support_stacks(T, seed, dens, count, width):
-    """(None, stack) pairs of `count` seeded draws of `width` supports, in
-    (b, width, r) stacks of at most _STACK_ROWS draws, a failed draw dropped."""
     rng = np.random.default_rng(seed)
-    for lo in range(0, count, _STACK_ROWS):
-        b = min(_STACK_ROWS, count - lo)
-        rows = _random_support_rows(T, rng, dens, width * b).reshape(b, width, -1)
-        yield None, rows[rows.any(axis=2).all(axis=1)]
+    items, rows = len(weight), width * block
+    # no cut prefix is longer than the lightest items that reach need
+    longest = int(np.searchsorted(np.cumsum(np.sort(weight)), need)) + 1
+    step = rows * max(1, groups._SLAB_CELLS // (items * rows))
+    for lo in range(0, width * count, step):
+        order = rng.permuted(np.tile(np.arange(items), (min(step, width * count - lo), 1)), axis=1)
+        head = order[:, :longest]
+        cut = (np.cumsum(weight[head], axis=1) < need).sum(axis=1, keepdims=True)
+        sets = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(sets, head, np.arange(longest) <= cut, axis=1)
+        for b in range(0, len(sets), rows):
+            yield None, sets[b:b + rows].reshape(-1, width, items)
 
 
 def _decide(check, stages):
@@ -346,8 +332,9 @@ def _tqr_stages(T, params, width, factors, small, seed) -> list:
     dens = params.density_frac()
     rules = ((rule, np.tile(S, (1, width, 1)))
              for rule, S in _tqr_candidates(T, dens, factors, small))
-    return [("exact", False, rules), ("randomized", True, _random_support_stacks(
-        T, seed, dens, params.support_trials, width))]
+    return [("exact", False, rules), ("randomized", True, _random_stacks(
+        seed, T.dims.astype(np.int64) ** 2, _density_floor(T.group.order, dens),
+        params.support_trials, width, _STACK_ROWS))]
 
 
 def _tqr_report(name, pjson, mode, checked, rule, witness) -> CriterionReport:
@@ -615,8 +602,10 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
         (rule, np.tile(members[:size], (1, width, 1)))
         for rule, members in _qr23_candidates(T, dens, size, triple, params.power)
         if len(members) >= size)
-    sampled = _random_subset_stacks(n, size, params.seed + (4001 if triple else 5001),
-                                    params.trials, width)
+    sampled = ((None, np.nonzero(sets)[-1].reshape(len(sets), width, size))
+               for _, sets in _random_stacks(params.seed + (4001 if triple else 5001),
+                                             np.ones(n, dtype=np.int64), size, params.trials,
+                                             width, max(1, _QR_BLOCK_ENTRIES // (n * size))))
     mode, _, rule, witness = _decide(check, [("exact", proof is not None, exact),
                                              ("randomized", True, sampled)])
     details = {"subset_size": size, "decided_by": rule} if mode == "exact" else {
@@ -686,21 +675,6 @@ def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
         g = np.arange(lo, min(lo + slab, G.order))
         keep[g] = inside[G.mul[G.mul[g[:, None], H], G.inv[g][:, None]]].all(axis=1)
     return np.flatnonzero(keep)
-
-
-def _random_subset_stacks(n, size, seed, trials, width):
-    """(None, stack) pairs of `trials` seeded draws of `width` subsets of
-    size `size`, one sorted rng.choice each in draw order, in (b, width,
-    size) stacks of 1, 2, 4, ... draws of at most _QR_BLOCK_ENTRIES index
-    entries (draws * |G| * size)."""
-    rng = np.random.default_rng(seed)
-    cap = max(1, _QR_BLOCK_ENTRIES // (n * size))
-    done, b = 0, 1
-    while done < trials:
-        b = min(b, cap, trials - done)
-        sets = np.sort([rng.choice(n, size, replace=False) for _ in range(b * width)])
-        yield None, sets.reshape(b, width, size)
-        done, b = done + b, 2 * b
 
 
 def _product_sizes(mul, sets, triple, power) -> np.ndarray:

@@ -15,9 +15,9 @@ tensor powers and sumsets from one factor at a time, sumsets and translate
 covers also on Python tuple sets, the exhaustive TQR2
 search from a walk over every pair of minimal supports, minimal supports
 from a scan of every mask, the canonical irreducible order from one sort key
-of rounded tuples per row, random supports from one scalar
-draw per irreducible, sampled product sets from one np.unique per trial and
-product, QR2 and QR3 verdicts from every subset or pair of subsets of the
+of rounded tuples per row, random supports and subsets from one
+rng.shuffle per set walked in pure Python to the floor, sampled product
+sets from one np.unique per trial and product, QR2 and QR3 verdicts from every subset or pair of subsets of the
 subset size, Cayley tables from a dict lookup of every pairwise
 product, symmetric and alternating groups from every itertools permutation
 and an inversion count with their products ranked by a base-n key,
@@ -524,19 +524,19 @@ def fraction_sum_measure(T, mask):
                 if mask >> i & 1), Fraction(0))
 
 
-def scalar_random_support(T, rng, dens, max_tries=200):
-    """One random support of measure >= dens, or None: try t keeps each
-    irreducible, in index order, when one scalar draw falls below
-    (0.5, 0.7, 0.9, 1.0)[t % 4]."""
-    for t in range(max_tries):
-        q = (0.5, 0.7, 0.9, 1.0)[t % 4]
-        mask = 0
-        for i in range(T.num_irreps):
-            if rng.random() < q:
-                mask |= 1 << i
-        if mask and fraction_sum_measure(T, mask) >= dens:
-            return mask
-    return None
+def scalar_prefix_draw(rng, weights, need):
+    """One set of the sampler's rule, walked in pure Python: the items in the
+    order of one rng.shuffle of arange(len(weights)), taken one at a time
+    until their weight first reaches need; sorted."""
+    order = np.arange(len(weights))
+    rng.shuffle(order)
+    taken, total = [], 0
+    for i in order.tolist():
+        taken.append(i)
+        total += weights[i]
+        if total >= need:
+            return sorted(taken)
+    raise AssertionError("the items weigh less than need")
 
 
 def _bits(mask, r):
@@ -546,18 +546,22 @@ def _bits(mask, r):
 def scalar_random_tqr_report(T, params, criterion):
     """The tqr2 or tqr3 report of a search with the exhaustive phase off:
     params.support_trials random triples (tqr2) or supports (tqr3), drawn and
-    checked one at a time, product supports built pairwise."""
-    dens = params.density_frac()
+    checked one at a time, product supports built pairwise. A support is a
+    bitmask, one prefix draw over the dim^2 cut at ceil(dens*|G|)."""
     r = T.num_irreps
     full = (1 << r) - 1
     rng = np.random.default_rng(params.seed + (2001 if criterion == "tqr2" else 3001))
+    weights = [int(d) ** 2 for d in T.dims]
+    need = math.ceil(params.density_frac() * T.group.order)
+
+    def support():
+        return sum(1 << i for i in scalar_prefix_draw(rng, weights, need))
+
     checked, witness = 0, None
     for _ in range(params.support_trials):
+        checked += 1
         if criterion == "tqr2":
-            ms = [scalar_random_support(T, rng, dens) for _ in range(3)]
-            if None in ms:
-                continue
-            checked += 1
+            ms = [support() for _ in range(3)]
             prod = pairwise_tensor_support(
                 T, pairwise_tensor_support(T, ms[0], ms[1]), ms[2])
             if prod != full:
@@ -565,10 +569,7 @@ def scalar_random_tqr_report(T, params, criterion):
                            "measures": [float(fraction_sum_measure(T, m)) for m in ms],
                            "missing": _bits(full & ~prod, r)}
         else:
-            m = scalar_random_support(T, rng, dens)
-            if m is None:
-                continue
-            checked += 1
+            m = support()
             pw = pairwise_power_support(T, m, params.power)
             if fraction_sum_measure(T, pw) <= params.power_measure_threshold:
                 witness = {"support": _bits(m, r),
@@ -606,7 +607,7 @@ def ekp_tqr_fails(T, params, criterion):
 
 def per_trial_qr23_report(G, params, triple):
     """The qr2 (triple) or qr3 report of params.trials random trials checked
-    one at a time: each subset one rng.choice of the exact size
+    one at a time: each subset one scalar prefix draw of the exact size
     ceil(p*|G|/q) for the density p/q, and each product set one np.unique
     over a pairwise product table, power - 1 of them for qr3."""
     dens = params.density_frac()
@@ -614,7 +615,7 @@ def per_trial_qr23_report(G, params, triple):
     rng = np.random.default_rng(params.seed + (4001 if triple else 5001))
     witness = None
     for _ in range(params.trials):
-        sets = [np.sort(rng.choice(G.order, size, replace=False))
+        sets = [np.array(scalar_prefix_draw(rng, [1] * G.order, size))
                 for _ in range(3 if triple else 1)]
         if triple:
             prod = np.unique(G.mul[np.ix_(sets[0], sets[1])])

@@ -663,6 +663,31 @@ def test_a_misspelled_suite_argument_is_refused_before_anything_runs(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["false", 0], ids=["string-false", "zero"])
+@pytest.mark.parametrize("command, args, flag", [
+    ("group", {"group": "cyclic:6"}, "normal_subgroups"),
+    ("cover", {"group": "affine:5", "v1": "irrep:4", "v2": "irrep:4"}, "profile"),
+    ("sumset", {"set": "0;1", "m": 3, "n": 2}, "cover"),
+])
+def test_a_suite_flag_takes_only_true_or_false(command, args, flag, value, tmp_path,
+                                               capsys):
+    # "false" is truthy: it would switch the flag on, so it is refused
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": command, "args": {**args, flag: value}}]}))
+    out = tmp_path / "out"
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: suite experiment 'x': {flag!r} is a flag and "
+                            f"takes only true or false\n")
+    assert not out.exists()
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": command, "args": {**args, flag: False}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_an_unknown_suite_command_is_recorded_as_an_error(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"experiments": [

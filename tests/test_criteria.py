@@ -22,7 +22,7 @@ from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, rep_from_selector
 from tqrgroups import criteria, groups
-from tqrgroups.criteria import CriteriaParams, _minimal_supports, _random_support_rows
+from tqrgroups.criteria import CriteriaParams, _minimal_supports
 
 
 def _rep(T, support):
@@ -413,7 +413,8 @@ def _qr23_json(T, params, triple):
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
 def test_qr23_blocks_match_per_trial_oracle(name):
-    # density 1 covers G with no product step; 20 trials span up to five blocks
+    # density 1 covers G with no product step; 20 trials span one block or, on
+    # the larger groups at the higher densities, up to twenty
     G, T = get_group(name), get_table(name)
     for density, seed, power, trials in itertools.product(
             (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0), (0, 1, 2), (1, 2, 3, 5), (1, 20)):
@@ -425,8 +426,8 @@ def test_qr23_blocks_match_per_trial_oracle(name):
 
 
 @pytest.mark.parametrize("name, density, seed, triple, first_miss", [
-    ("S4", 0.2, 0, True, 26),     # the fifth block, trials 15..30
-    ("A4", 0.3, 1, False, 29),
+    ("aff11", 0.1, 0, False, 15),    # the second block, trials 13..25
+    ("ES5", 0.1, 2, False, 32),      # the fourth block, trials 30..39
 ])
 def test_qr23_witness_in_a_later_block(name, density, seed, triple, first_miss):
     G, T = get_group(name), get_table(name)
@@ -683,21 +684,53 @@ def test_random_phase_matches_scalar_oracle(name, density, criterion):
             assert json.dumps(rep.to_json_dict()) == want
 
 
-def test_random_support_rows_continue_one_sequence():
-    # block draws take exactly the uniforms of the scalar loop, so the rows
-    # match it support for support, leave the generator where it leaves it,
-    # and consecutive calls continue one sequence. At density 0.9 on A5 most
-    # supports need several tries, which span block boundaries.
-    T = get_table("A5")
-    dens = Fraction(9, 10)
-    rng_rows, rng_scalar = np.random.default_rng(4), np.random.default_rng(4)
-    rows = _random_support_rows(T, rng_rows, dens, 50)
-    masks = [oracle.scalar_random_support(T, rng_scalar, dens) for _ in range(50)]
-    assert [row_mask(row) for row in rows] == masks
-    assert rng_rows.random() == rng_scalar.random()
-    rng = np.random.default_rng(4)
-    parts = [_random_support_rows(T, rng, dens, n) for n in (1, 7, 0, 42)]
-    assert np.array_equal(np.concatenate(parts), rows)
+def test_random_support_rows_continue_one_sequence(monkeypatch):
+    # orders drawn one small stack at a time continue one sequence: the
+    # sampled reports, refutations and passes, are those of large chunks
+    cases = [(criteria._tqr2, "A5", 0.9, ()), (criteria._tqr3, "C12", 0.1, ()),
+             (criteria._tqr2, "ES3", 0.1, ()), (criteria._qr23, "S4", 0.3, (True,)),
+             (criteria._qr23, "A4", 0.3, (False,))]
+    want = [_sampled(evaluate, get_table(name), CriteriaParams(density=density, seed=4), *args)
+            for evaluate, name, density, args in cases]
+    assert {rep["holds"] for rep in want} == {True, False}
+    monkeypatch.setattr(groups, "_SLAB_CELLS", 7)
+    monkeypatch.setattr(criteria, "_STACK_ROWS", 3)
+    monkeypatch.setattr(criteria, "_QR_BLOCK_ENTRIES", 1)
+    assert [_sampled(evaluate, get_table(name), CriteriaParams(density=density, seed=4), *args)
+            for evaluate, name, density, args in cases] == want
+
+
+@pytest.mark.parametrize("spec, criterion, density", [
+    ({"family": "dihedral", "params": {"n": 40}}, "tqr2", 0.1),
+    ({"family": "cyclic", "params": {"n": 24}}, "tqr2", 0.1),
+    ({"family": "extraspecial", "params": {"p": 5}}, "tqr3", 0.2),
+    ({"family": "cyclic", "params": {"n": 30}}, "tqr3", 0.05),
+])
+def test_the_sampler_alone_refutes_at_the_density_floor(spec, criterion, density):
+    # each has more irreducibles than the cap; a support cut at the floor,
+    # not one of measure about 1/2, finds the refutation within 200 draws
+    _, _, T = get_table_for_spec(json.dumps(spec))
+    assert T.num_irreps > CriteriaParams().exhaustive_cap
+    evaluate = criteria._tqr2 if criterion == "tqr2" else criteria._tqr3
+    for seed in range(5):
+        rep = _sampled(evaluate, T, CriteriaParams(density=density, seed=seed))
+        assert (rep["holds"], rep["mode"]) == (False, "randomized"), seed
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_random_supports_lie_within_one_irreducible_of_the_floor(name):
+    # every drawn support reaches the floor, and dropping its heaviest
+    # member falls below it
+    T = get_table(name)
+    sq = T.dims.astype(np.int64) ** 2
+    for seed, density in enumerate((0.05, 0.1, 0.3, 0.6, 1.0)):
+        need = criteria._density_floor(T.group.order, Fraction(str(density)))
+        draws = [stack for _, stack in criteria._random_stacks(seed, sq, need, 50, 3, 16)]
+        assert [len(stack) for stack in draws] == [16, 16, 16, 2]
+        rows = np.concatenate(draws).reshape(-1, T.num_irreps)
+        weight = rows @ sq
+        assert (weight >= need).all()
+        assert (weight - np.where(rows, sq, 0).max(axis=1) < need).all()
 
 
 _ROADMAP_WITNESSES = [

@@ -6,6 +6,7 @@ against external systems."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -225,7 +226,7 @@ def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
         dims_f = chars[:, 0].real
         dims = np.rint(dims_f).astype(np.int64)
         dim_err = float(np.max(np.abs(dims_f - dims) / np.maximum(1.0, dims_f)))
-        if dim_err > config.TOL or np.any(dims < 1):
+        if not (dim_err <= config.TOL) or np.any(dims < 1):   # NaN fails too
             last_error = f"dimension certification failed (err {dim_err:.2e})"
             continue
         key = _canonical_irrep_order(chars, dims)
@@ -242,11 +243,12 @@ def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, dims: np.nd
                      source: str = "computed", **quality) -> CharTable:
     """The table with rows `chars`, dimensions `dims` and `quality` beside its
     residuals, once the squares of the dims sum to |G| and both orthogonality
-    residuals are within TOL, else CharTableError; computed and imported alike."""
+    residuals are within TOL (a NaN residual is not), else CharTableError;
+    computed and imported alike."""
     if int(np.sum(dims ** 2)) != G.order:
         raise CharTableError("dims violate sum of squares")
     row_res, col_res = _orthogonality_residuals(chars, C.sizes, G.order)
-    if row_res > config.TOL or col_res > config.TOL:
+    if not (row_res <= config.TOL and col_res <= config.TOL):
         raise CharTableError(
             f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
     return CharTable(group=G, classes=C, dims=dims, values=chars, source=source,
@@ -306,10 +308,10 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
 # Interchange format
 
 
-def to_interchange(T: CharTable) -> dict:
-    """The interchange document of T. A cayley group spec in it holds its
-    table as an array; dumps_interchange writes it as lists. A quotient or
-    subgroup table, whose source build_group cannot rebuild, is written as one."""
+def _interchange_header(T: CharTable) -> dict:
+    """Every field of T's interchange document but `values`. A cayley group
+    spec in it holds its table as an array; a quotient or subgroup table,
+    whose source build_group cannot rebuild, is written as one."""
     G, spec = T.group, T.group.source
     if spec.get("type") in ("quotient", "subgroup"):
         labels = {} if G.labels is None else {"labels": G.labels}
@@ -319,8 +321,15 @@ def to_interchange(T: CharTable) -> dict:
         "class_sizes": T.classes.sizes.tolist(),
         "class_reps": T.classes.representatives.tolist(),
         "dims": T.dims.tolist(),
-        "values": [[[float(v.real), float(v.imag)] for v in row] for row in T.values],
     }
+
+
+def to_interchange(T: CharTable) -> dict:
+    """The interchange document of T: its header, and `values` as rows of
+    [re, im] float pairs. dumps_interchange writes a cayley table as lists."""
+    r = T.num_irreps
+    return {**_interchange_header(T),
+            "values": T.values.view(np.float64).reshape(r, r, 2).tolist()}
 
 
 def from_interchange(doc: dict) -> CharTable:
@@ -333,13 +342,14 @@ def from_interchange(doc: dict) -> CharTable:
     if not isinstance(doc, dict):
         raise CharTableError("interchange document must be a JSON object")
     for key in ("class_sizes", "class_reps", "dims"):
-        if not (isinstance(doc.get(key), list)
-                and all(type(v) is int for v in doc[key])):
+        if not _list_of(doc.get(key), int):
             raise CharTableError(f"interchange field {key!r} must be a list of integers")
     rows = doc.get("values")
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(_is_number_pair(v) for v in row)
-            for row in rows)):
+    # rows of [re, im] pairs of JSON numbers, in one flat pass; the types are
+    # checked before np.array, which would read a bool as a number
+    pairs = list(itertools.chain.from_iterable(rows)) if _list_of(rows, list) else None
+    if not (_list_of(pairs, list) and set(map(len, pairs)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}):
         raise CharTableError("interchange field 'values' must be rows of "
                              "[re, im] number pairs")
     try:
@@ -358,8 +368,7 @@ def from_interchange(doc: dict) -> CharTable:
         raise CharTableError("imported dims must be positive")
     try:
         dims = np.array(doc["dims"], dtype=np.int64)
-        values = np.array([[complex(re, im) for re, im in row] for row in rows],
-                          dtype=np.complex128)
+        values = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
     except OverflowError:
         raise CharTableError("imported numbers out of range") from None
     if not np.isfinite(values).all():
@@ -372,14 +381,30 @@ def from_interchange(doc: dict) -> CharTable:
                             dim_roundoff=0.0, attempts=0, seed=None)
 
 
-def _is_number_pair(v) -> bool:
-    """True for a [re, im] pair of JSON numbers (a bool is not one)."""
-    return (isinstance(v, list) and len(v) == 2
-            and all(type(x) in (int, float) for x in v))
+def _list_of(items, kind) -> bool:
+    """True for a list whose members are all of type `kind` exactly (a bool
+    is not an int here)."""
+    return type(items) is list and set(map(type, items)) <= {kind}
+
+
+_PAIR = "\n      [\n        %r,\n        %r\n      ]"
 
 
 def dumps_interchange(T: CharTable) -> str:
-    return json.dumps(to_interchange(T), indent=2, default=np.ndarray.tolist)
+    """json.dumps(to_interchange(T), indent=2), byte for byte. The header goes
+    through json.dumps; `values` is formatted from the array a row at a time,
+    each row's 2r floats through float.__repr__ (what json writes for a
+    finite float; a certified table is finite) into one template of the
+    indent=2 separators. CPython extends a string that one name holds in
+    place, so the peak is the document plus one row."""
+    r = T.num_irreps
+    head = json.dumps(_interchange_header(T), indent=2, default=np.ndarray.tolist)
+    row = "\n    [" + ",".join([_PAIR] * r) + "\n    ]"
+    text = head[:-2] + ',\n  "values": ['          # head without its closing "\n}"
+    for i, floats in enumerate(T.values.view(np.float64)):
+        text += ("," if i else "") + row % tuple(floats.tolist())
+    text += "\n  ]\n}"
+    return text
 
 
 def loads_interchange(text: str) -> CharTable:

@@ -137,12 +137,13 @@ def decompose(T: CharTable, f):
                              "(b, number of classes)")
     w = T.classes.sizes / T.group.order
     raw = (w * values) @ T.values.conj().T
-    mult = np.rint(raw.real).astype(np.int64)
+    rounded = np.rint(raw.real)
     scale = np.maximum(1.0, np.abs(raw))
-    err = np.max(np.abs(raw - mult) / scale, initial=0.0)
-    if err > config.TOL:
+    err = np.max(np.abs(raw - rounded) / scale, initial=0.0)
+    if not (err <= config.TOL):               # a NaN or inf value fails too
         raise DecompositionError(
             f"inner products are not integers (residual {float(err):.2e})")
+    mult = rounded.astype(np.int64)
     if mult.min(initial=0) < 0:
         raise DecompositionError("negative multiplicity: not a character")
     return RepMultiset(T, mult) if values.ndim == 1 else mult

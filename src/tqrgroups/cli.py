@@ -110,20 +110,28 @@ def _load_table(spec: dict):
 # Output helpers
 
 
+_WRITE_CHUNK = 1 << 20
+
+
 def _atomic_write(path: str, text: str):
+    """Write `text` and a final newline to `path` through a renamed temporary
+    file. The text is encoded a chunk at a time and the newline written on
+    its own, so a large export is never held twice."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start:start + _WRITE_CHUNK])
+        fh.write("\n")
     os.replace(tmp, path)
 
 
 def _emit(doc: dict, out: str | None):
     # NaN and Infinity are not JSON: a report holding one is refused
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out:
         _atomic_write(out, text)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _envelope(command: str, group_spec, params: dict, payload: dict,
@@ -191,7 +199,7 @@ def run_chartable(args: dict) -> tuple[dict, int]:
     else:
         raise UsageError("chartable needs --group or --import")
     if args.get("export"):
-        _atomic_write(_side_path(args, args["export"]), dumps_interchange(T) + "\n")
+        _atomic_write(_side_path(args, args["export"]), dumps_interchange(T))
     payload = {"dims": T.dims.tolist(), "quality": T.quality,
                "num_irreps": T.num_irreps, "source": T.source,
                "exported_to": args.get("export")}
@@ -292,7 +300,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
         for row in rep.curve:
             lines.append(f"{row['t']},{row['uniform']!r},{row['tv_max']!r},"
                          f"{row['tv_half_l1']!r}")
-        _atomic_write(_side_path(args, args["csv"]), "\n".join(lines) + "\n")
+        _atomic_write(_side_path(args, args["csv"]), "\n".join(lines))
         payload["csv"] = args["csv"]
     violated = resid > config.TOL
     return (_envelope("markov", spec,

@@ -10,9 +10,10 @@ from tqrgroups import (CharTableError, GroupError, build_group, center, chartabl
                        compute_char_table, config, conjugacy_classes, decompose,
                        dumps_interchange, from_interchange, groups,
                        induce_character, inner_product, loads_interchange,
-                       normal_subgroups, subgroup_table)
-from tqrgroups.chartable import (_canonical_irrep_order, _combined_class_matrix,
-                                  _eigen_table, _orthogonality_residuals)
+                       normal_subgroups, subgroup_table, to_interchange)
+from tqrgroups.chartable import (_canonical_irrep_order, _certified_table,
+                                  _combined_class_matrix, _eigen_table,
+                                  _orthogonality_residuals)
 
 # Groups above the fixtures' orders on which the class matrix is checked:
 # up to 930 elements, and classes of up to 144 elements.
@@ -332,9 +333,20 @@ def test_inner_products_round_to_integers():
             assert round(val.real) == (1 if a == b else 0)
 
 
-def test_interchange_round_trip_bit_exact():
-    T = get_table("aff7")
+@pytest.mark.parametrize("case", [*sorted(FIXTURE_SPECS), "quotient", "subgroup",
+                                  "unlabelled-subgroup", "C1"])
+def test_interchange_round_trip_bit_exact(case):
+    # the values block is formatted from the array, yet the document is
+    # json.dumps's to the byte; the floats come back bit for bit
+    if case in FIXTURE_SPECS:
+        T = get_table(case)
+    elif case == "C1":
+        T = compute_char_table(build_group({"family": "cyclic", "params": {"n": 1}}))
+    else:
+        cases = ["quotient", "subgroup", "unlabelled-subgroup"]
+        T = compute_char_table(_quotient_and_subgroup_tables()[cases.index(case)])
     text = dumps_interchange(T)
+    assert text == json.dumps(to_interchange(T), indent=2, default=np.ndarray.tolist)
     T2 = loads_interchange(text)
     assert dumps_interchange(T2) == text
     assert T2.dims.tolist() == T.dims.tolist()
@@ -436,6 +448,15 @@ def test_canonical_irrep_order_matches_rounded_tuple_key(spec):
         order = _canonical_irrep_order(chars, dims)
         assert order.tolist() == oracle.rounded_tuple_irrep_order(chars, dims)
         assert np.array_equal(chars[order], T.values)
+
+
+def test_a_table_holding_nan_is_not_certified():
+    # a NaN residual compares false with TOL either way round
+    T = get_table("S3")
+    chars = T.values.copy()
+    chars[2, 1] = np.nan
+    with pytest.raises(CharTableError, match="orthogonality residual"):
+        _certified_table(T.group, T.classes, chars, T.dims)
 
 
 def test_quality_metrics_present():

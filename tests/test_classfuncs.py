@@ -148,16 +148,19 @@ def test_decompose_stack_matches_rows(name, data):
     assert got.tolist() == mults
 
 
-@pytest.mark.parametrize("bad", ["fraction", "negative"])
+@pytest.mark.parametrize("bad", ["fraction", "negative", "nan"])
 @pytest.mark.parametrize("where", [1, 3])
 def test_decompose_stack_rejects_any_bad_row(bad, where):
-    # one bad row anywhere in the stack fails the whole call
+    # one bad row anywhere in the stack fails the whole call; a NaN row fails
+    # as a non-integer, not by the sign of its cast
     T = get_table("S4")
     stack = np.array([T.values[0] * (k + 1) for k in range(4)])
     assert decompose(T, stack).shape == (4, T.num_irreps)
-    stack[where] = (0.5 * T.values[1] if bad == "fraction"
-                    else T.values[0] - T.values[2])
-    with pytest.raises(DecompositionError):
+    stack[where] = {"fraction": 0.5 * T.values[1],
+                    "negative": T.values[0] - T.values[2],
+                    "nan": np.full_like(T.values[0], np.nan)}[bad]
+    message = "negative multiplicity" if bad == "negative" else "not integers"
+    with pytest.raises(DecompositionError, match=message):
         decompose(T, stack)
 
 

@@ -97,7 +97,8 @@ class CharTable:
             raise CharTableError(
                 f"kernel membership of class {c} in irreducible {lam} is not "
                 f"certified (chi(1) - Re chi = {d[lam, c]:.3e})")
-        return tuple(sum(1 << int(c) for c in np.flatnonzero(row)) for row in inside)
+        packed = np.packbits(inside, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row, "little") for row in packed)
 
     @functools.cached_property
     def normal_subgroups(self) -> tuple[groups.Subgroup, ...]:

@@ -14,7 +14,6 @@ size cap).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -148,6 +147,7 @@ def _echo_spec(spec):
     if not isinstance(spec, dict):
         return spec
     if spec.get("type") == "cayley":
+        import hashlib   # only here: a cayley spec is the one thing hashed
         rows = np.asarray(spec["table"]).tolist()
         text = json.dumps(rows, separators=(",", ":"))
         return {"type": "cayley", "order": len(rows),
@@ -294,7 +294,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     payload["stationarity_residual"] = resid
     payload["plancherel"] = chain.stationary().tolist()
     if experiment is not None:
-        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment)
+        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment, rep)
     if args.get("csv"):
         lines = ["t,uniform,tv_max,tv_half_l1"]
         for row in rep.curve:

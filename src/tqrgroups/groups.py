@@ -64,10 +64,6 @@ class GroupTable:
         """g * x * g^-1."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
-    def element_order(self, x: int) -> int:
-        return int(element_orders(lambda a, b: self.mul[a, b], self.identity,
-                                  np.array([x]))[0])
-
     def is_abelian(self) -> bool:
         """True iff the generators commute pairwise."""
         block = self.mul[np.ix_(self.generators, self.generators)]
@@ -657,10 +653,16 @@ def _witnesses(G: GroupTable, C: ClassData, members):
 def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
     """Validate a member set into a Subgroup, computing its flags."""
     arr, owner, is_normal = _witnesses(G, C, members)
-    if G.identity not in arr:
-        raise GroupError("subgroup must contain the identity")
     inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
-    if not np.take(inside, G.mul[arr[:, None], sorted_unique(owner)]).all():
+    return _validated(G, arr, inside, sorted_unique(owner), is_normal)
+
+
+def _validated(G: GroupTable, arr, inside, owners, is_normal: bool) -> Subgroup:
+    """Sorted members arr, with indicator `inside` over G, as a Subgroup once
+    they hold the identity, arr * owners lies inside and |arr| divides |G|."""
+    if not inside[G.identity]:
+        raise GroupError("subgroup must contain the identity")
+    if not inside[G.mul[arr[:, None], owners]].all():
         raise GroupError("member set is not closed under multiplication")
     if G.order % arr.size:
         raise GroupError("subgroup order does not divide group order")
@@ -678,10 +680,11 @@ def center(G: GroupTable) -> Subgroup:
 
 def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
     """The union of the classes whose bits are set, validated as a subgroup."""
-    C = T.classes
-    members = np.concatenate([C.classes[c] for c in range(C.num_classes)
-                              if mask >> c & 1])
-    return subgroup_from_members(T.group, C, members)
+    G, C, r = T.group, T.classes, T.classes.num_classes
+    chosen = np.unpackbits(np.frombuffer(mask.to_bytes(-(-r // 8), "little"), np.uint8),
+                           count=r, bitorder="little").view(bool)
+    inside = chosen[C.class_of]
+    return _validated(G, np.flatnonzero(inside), inside, C.representatives[chosen], True)
 
 
 def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:

@@ -6,6 +6,7 @@ characters, with one certified decomposition for all of its rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,11 @@ from . import config
 from .chartable import CharTable
 from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
                          power_support_mask, reduce_rep, support_measure_frac)
+
+# Cells per block of stacks scored at once. At 2^15 cells (256 KB a
+# temporary), freeing a block's temporaries passed glibc's 128 KB heap-trim
+# threshold, and every block faulted its pages in again.
+_BLOCK_CELLS = 1 << 13
 
 # Longest mixing curve: a report holds all t_max + 1 rows, at about 1.2 KB of
 # memory each, so 100,000 steps cost about 120 MB.
@@ -81,49 +87,51 @@ def build_chain(T: CharTable, V: RepMultiset) -> ChainModel:
                       reduced_dim=dim_red)
 
 
-class _CycleWatch:
-    """Brent's cycle search (Brent, BIT 20, 1980) on x_{s+1} = f(x_s) for a
-    fixed float map f, such as one step of the chain.
+class _Walk:
+    """The stacks x_0 = dists, x_1, ..., x_t_max of the chain, each row
+    stepped as `row @ K`, up to the first that repeats an earlier one.
 
-    Call repeats(s, x_s) for s = 1, 2, ... in turn. One step is kept and
-    moved to each power-of-two step; once x_s has the bits of the kept x_mu,
-    x_u = x_{mu + (u - mu) % period} for every u >= mu, with period = s - mu.
-    Bits are compared, not values, so 0.0 never stands in for -0.0.
+    The repeat is found by Brent's cycle search (Brent, BIT 20, 1980): one
+    stack is kept and moved to each power-of-two step. Once x_s has the bits
+    of the kept x_mu, x_u = x_{mu + (u - mu) % period} for every u >= mu,
+    with period = s - mu, and the walk ends without yielding x_s. Bits are
+    compared, not values, so 0.0 never stands in for -0.0.
     """
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, M: ChainModel, dists: np.ndarray, t_max: int):
+        self.kernel, self.saved, self.t_max = M.kernel, dists, t_max
         self.mu, self.period = 0, None
-        self._saved = x0.view(np.uint64)
 
-    def repeats(self, s: int, x: np.ndarray) -> bool:
-        bits = x.view(np.uint64)
-        if np.array_equal(bits, self._saved):
-            self.period = s - self.mu
-            return True
-        if s & (s - 1) == 0:
-            self.mu, self._saved = s, bits
-        return False
+    def __iter__(self):
+        x = self.saved
+        yield x
+        for s in range(1, self.t_max + 1):
+            # 1 x r rows, not one D @ K: each rounds as `row @ K` does, bit for bit
+            x = (x[:, None, :] @ self.kernel)[:, 0, :]
+            if np.array_equal(x.view(np.uint64), self.saved.view(np.uint64)):
+                self.period = s - self.mu
+                return
+            if s & (s - 1) == 0:
+                self.mu, self.saved = s, x
+            yield x
 
 
 def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
     """Distribution after t steps started from the point mass at lam.
 
-    The rows `dist @ K` are stepped until one repeats bit for bit; the row
-    at step t is then the one (t - s) mod period steps past that repeat s.
+    The row is walked until it repeats bit for bit, then from the saved
+    step mu for (t - mu) mod period steps, too few to repeat.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     _check_start(M, lam)
-    dist = np.zeros(M.num_states)
-    dist[lam] = 1.0
-    watch = _CycleWatch(dist)
-    for s in range(1, t + 1):
-        dist = dist @ M.kernel
-        if watch.repeats(s, dist):
-            for _ in range((t - s) % watch.period):
-                dist = dist @ M.kernel
-            break
-    return dist
+    walk = _Walk(M, np.eye(M.num_states)[[lam]], t)
+    for dist in walk:
+        pass
+    if walk.period is not None:
+        for dist in _Walk(M, walk.saved, (t - walk.mu) % walk.period):
+            pass
+    return dist[0]
 
 
 def _check_start(M: ChainModel, lam: int) -> None:
@@ -132,19 +140,21 @@ def _check_start(M: ChainModel, lam: int) -> None:
                          f"(0..{M.num_states - 1})")
 
 
+_METRICS = ("uniform", "tv_max", "tv_half_l1")
+
+
+def _distances(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The _METRICS of each (s, r) stack in dists (..., s, r), each the
+    worst over the stack's rows, along a new first axis."""
+    dev = np.abs(dists - pi)
+    return np.stack([np.abs(dists / pi - 1.0).max(axis=(-2, -1)),
+                     dev.max(axis=(-2, -1)), (0.5 * dev.sum(axis=-1)).max(axis=-1)])
+
+
 def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
     """All implemented distances to Plancherel, each the worst over the rows
     of a stack of distributions (or of the one distribution given)."""
-    pi = M.stationary()
-    dev = np.abs(dists - pi)
-    return {
-        "uniform": float(np.max(np.abs(dists / pi - 1.0))),
-        "tv_max": float(np.max(dev)),
-        "tv_half_l1": float(np.max(0.5 * np.sum(dev, axis=-1))),
-    }
-
-
-_METRICS = ("uniform", "tv_max", "tv_half_l1")
+    return dict(zip(_METRICS, _distances(np.atleast_2d(dists), M.stationary()).tolist()))
 
 
 def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
@@ -158,7 +168,8 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
 
     The stack of distributions is stepped until it repeats bit for bit; the
     rest of the curve then repeats the steps already measured, so it is
-    copied by period and no metric first reaches epsilon there.
+    copied by period and no metric first reaches epsilon there. The stacks
+    are scored in blocks of at most _BLOCK_CELLS cells.
     """
     if metric == "tv":
         metric = "tv_max"
@@ -167,27 +178,19 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
     if not 0 < epsilon < math.inf:  # also refuses nan
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     check_t_max(t_max)
-    if start is None:
-        dists = np.eye(M.num_states)
-    else:
+    dists = np.eye(M.num_states)
+    if start is not None:
         _check_start(M, start)
-        dists = np.eye(M.num_states)[[start]]
-    curve = []
-    mixing_times: dict[str, int | None] = {m: None for m in _METRICS}
-    watch = _CycleWatch(dists)
-    for t in range(t_max + 1):
-        if t and watch.repeats(t, dists):
-            break
-        worst = distances_to_stationary(M, dists)
-        curve.append({"t": t, **worst})
-        for m in _METRICS:
-            if mixing_times[m] is None and worst[m] <= epsilon:
-                mixing_times[m] = t
-        if t < t_max:
-            # 1 x r rows, not one D @ K: each rounds as `row @ K` does, bit for bit
-            dists = (dists[:, None, :] @ M.kernel)[:, 0, :]
+        dists = dists[[start]]
+    walk, pi = _Walk(M, dists, t_max), M.stationary()
+    stacks = iter(walk)
+    blocks = iter(lambda: list(itertools.islice(stacks, max(1, _BLOCK_CELLS // dists.size))), [])
+    scores = np.concatenate([_distances(np.stack(b), pi) for b in blocks], axis=1)
+    curve = [{"t": t, **dict(zip(_METRICS, row))} for t, row in enumerate(scores.T.tolist())]
+    mixing_times = {m: next(iter(np.flatnonzero(row <= epsilon).tolist()), None)
+                    for m, row in zip(_METRICS, scores)}
     for t in range(len(curve), t_max + 1):
-        src = watch.mu + (t - watch.mu) % watch.period
+        src = walk.mu + (t - walk.mu) % walk.period
         curve.append({**curve[src], "t": t})
     return MixingReport(start=start, metric=metric, epsilon=epsilon,
                         mixing_time=mixing_times[metric], t_max=t_max,
@@ -199,23 +202,26 @@ def stationarity_residual(M: ChainModel) -> float:
     return float(np.max(np.abs(pi @ M.kernel - pi)))
 
 
-def mixing_experiment(chain: ChainModel, epsilon: float, m: int) -> dict:
+def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
+                      report: MixingReport | None = None) -> dict:
     """Both directions of the constant-time mixing phenomenon on one chain.
 
     Positive side: the uniform distance at t=3 against the Hoelder bound
-    c(G)^(-1/2) / M(V)^3. Negative side: total variation from Plancherel
-    after m steps started at the trivial irreducible, with the exactly
-    inaccessible Plancherel mass.
+    c(G)^(-1/2) / M(V)^3, read off `report` (a mixing_time report of this
+    chain over every start) when it reaches t=3, else from a walk to t=3.
+    Negative side: total variation from Plancherel after m steps started at
+    the trivial irreducible, with the exactly inaccessible Plancherel mass.
     """
     T, V = chain.table, chain.rep
     c = T.classes.min_nontrivial_size
     mv = plancherel_frac(T, V)
 
-    worst3 = mixing_time(chain, "uniform", epsilon, t_max=3).curve[3]["uniform"]
+    if report is None or report.start is not None or report.t_max < 3:
+        report = mixing_time(chain, "uniform", epsilon, t_max=3)
+    worst3 = report.curve[3]["uniform"]
     bound = float(c ** -0.5 / float(mv) ** 3) if (c is not None and mv > 0) else None
 
-    dist_m = t_step_distribution(chain, 0, m)
-    neg = distances_to_stationary(chain, dist_m)
+    neg = distances_to_stationary(chain, t_step_distribution(chain, 0, m))
     reach_mask = power_support_mask(T, V.support_mask(), m)
     inaccessible = 1 - support_measure_frac(T, reach_mask)
 

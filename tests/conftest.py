@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
-from tqrgroups import build_group, compute_char_table, conjugacy_classes
+from tqrgroups import build_group, compute_char_table, conjugacy_classes, groups
 
 settings.register_profile(
     "ci", max_examples=40, derandomize=True,
@@ -69,6 +69,11 @@ def get_table_for_spec(spec_key):
     G = build_group(json.loads(spec_key))
     C = conjugacy_classes(G)
     return G, C, compute_char_table(G, C)
+
+
+def element_order(G, x):
+    """The order of element x of G, by groups.element_orders."""
+    return int(groups.element_orders(lambda a, b: G.mul[a, b], G.identity, [x])[0])
 
 
 def mask_row(mask, r):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import element_order
 from tqrgroups import (build_chain, build_counterexample_rep, build_group,
                        center, center_free_quotient_chain, check_qr, check_tqr,
                        compute_char_table, conjugacy_classes, decompose,
@@ -264,7 +265,7 @@ def test_c06_constant_time_mixing_positive():
 def test_c07_nonmixing_negative_direction():
     G, C, T = table_of("product:cyclic:2|symmetric:4")
     # the unique central involution generates the direct C2 factor
-    zs = [x for x in center(G).members if G.element_order(x) == 2]
+    zs = [x for x in center(G).members if element_order(G, x) == 2]
     assert len(zs) == 1
     zc = int(C.class_of[zs[0]])
     trivial_on_c2 = [lam for lam in range(T.num_irreps)

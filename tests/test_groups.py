@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
+from conftest import FIXTURE_SPECS, element_order, get_classes, get_group, get_table
 from tqrgroups import (CharTable, CharTableError, GroupError, build_group, center,
                        center_free_quotient_chain, compute_char_table,
                        conjugacy_classes, derived_subgroup, normal_subgroups,
@@ -314,6 +314,16 @@ def test_character_kernels_match_closure_join_oracle(name):
         oracle.closure_derived_subgroup(G, C)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:120", "extraspecial:7", "dihedral:300"])
+def test_kernel_masks_equal_the_bit_sum_past_64_classes(spec):
+    # packed bytes, not one shift per class: masks wider than a machine word
+    T = compute_char_table(build_group(cli.parse_group_spec(spec)))
+    inside = np.abs(T.values - T.dims[:, None]) <= config.TOL * T.dims[:, None]
+    assert T.kernel_masks == tuple(sum(1 << int(c) for c in np.flatnonzero(row))
+                                   for row in inside)
+    assert max(T.kernel_masks) < 1 << T.classes.num_classes
+
+
 def test_uncertified_kernel_value_raises():
     T = get_table("S3")
     values = T.values.copy()
@@ -406,6 +416,38 @@ def test_kernel_lattice_and_random_class_unions_match_the_all_pairs_oracle(name)
     assert _witness_mismatches(G, C, _lattice_and_random_unions(T)) == []
 
 
+@pytest.mark.parametrize("name, classes, message", [
+    ("S4", (0, 1), "not closed"),          # the identity and the transpositions
+    ("S4", (1, 2), "contain the identity"),
+    ("A5", (0, 1), "not closed"),
+    ("D8", (0, 2, 3), "not closed")])
+def test_a_class_union_that_is_no_subgroup_is_refused(name, classes, message):
+    T = get_table(name)
+    members = np.concatenate([T.classes.classes[c] for c in classes])
+    with pytest.raises(GroupError, match=message):
+        subgroup_from_members(T.group, T.classes, members)
+    with pytest.raises(GroupError, match=message):
+        groups._subgroup_of_mask(T, sum(1 << c for c in classes))
+
+
+@pytest.mark.parametrize("name", ["S4", "D8", "aff7", "ES5", "C3xD4"])
+def test_a_class_mask_is_checked_as_its_member_set_is(name):
+    # _subgroup_of_mask reads the union off its class mask, with no member
+    # set's witnesses: it accepts what the all-pairs oracle finds closed and
+    # returns what subgroup_from_members returns
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    masks = (_every_union(C) if C.num_classes <= 13
+             else _lattice_and_random_unions(T))
+    for mask in masks:
+        members = _class_union(C, mask)
+        if oracle.all_pairs_closed(G, members):
+            assert groups._subgroup_of_mask(T, mask) == \
+                subgroup_from_members(G, C, members)
+        else:
+            with pytest.raises(GroupError, match="not closed"):
+                groups._subgroup_of_mask(T, mask)
+
+
 @pytest.mark.parametrize("name", ["S4", "A5", "aff11", "C3xD4"])
 def test_a_helper_that_drops_a_representative_is_caught(name, monkeypatch):
     # the class of the largest representative stands on the identity,
@@ -486,7 +528,7 @@ def test_quotient_q8_center_is_klein_four():
     G = get_group("Q8")
     Q = quotient(G, center(G))
     assert Q.order == 4 and Q.is_abelian()
-    assert all(Q.element_order(x) <= 2 for x in range(4))
+    assert all(element_order(Q, x) <= 2 for x in range(4))
 
 
 def test_quotient_requires_normal():
@@ -532,7 +574,7 @@ def test_subgroup_table_affine_translations():
     H, elems = subgroup_table(G, members)
     assert H.order == 5 and H.is_abelian()
     assert elems == members
-    assert all(H.element_order(x) in (1, 5) for x in range(5))
+    assert all(element_order(H, x) in (1, 5) for x in range(5))
 
 
 # permutation specs from generators their families do not use: S4 from all

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
+from conftest import FIXTURE_SPECS, element_order, get_classes, get_group, get_table
 from tqrgroups import (build_chain, build_group, compute_char_table,
                        decompose, mixing_experiment, distances_to_stationary,
                        lp_norm, mixing_time, plancherel_frac,
                        reduced_character, split_off_identity,
                        stationarity_residual, t_step_distribution)
+from tqrgroups import markov
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.cli import parse_group_spec
 from tqrgroups.classfuncs import (RepMultiset, character_of, reduce_rep,
@@ -173,7 +174,7 @@ def test_nonmixing_negative_direction_quotient_pullback():
     # irreducibles nontrivial on the C2 factor stay unreachable forever
     G, C, T = get_group("C2xS4"), get_classes("C2xS4"), get_table("C2xS4")
     z = 24  # element index of (generator of C2, identity of S4)
-    assert G.element_order(z) == 2
+    assert element_order(G, z) == 2
     zc = C.class_of[z]
     trivial_on_c2 = [lam for lam in range(T.num_irreps)
                      if abs(T.values[lam, zc] - T.dims[lam]) < 1e-9]
@@ -344,6 +345,42 @@ def test_mixing_time_stops_at_a_repeat_and_keeps_the_loop_bits(group, selector, 
         want = oracle.mixing_report_per_start(M, "tv_max", 0.25, 200, start)
         assert (json.dumps(got.to_json_dict(), sort_keys=True)
                 == json.dumps(want, sort_keys=True))
+
+
+_BENCH_CHAINS = [("dihedral:30", "irrep:5"), ("extraspecial:5", "dim>=2"),
+                 ("cyclic:120", "irrep:1"), ("alternating:5", "irrep:4")]
+
+
+@pytest.mark.parametrize("group, selector", _BENCH_CHAINS)
+def test_stacks_scored_in_any_block_keep_the_per_start_bits(group, selector, monkeypatch):
+    # 1 and 7 cells score one stack a block; 1000 cells score several, with a
+    # shorter last block
+    M = _chain(group, selector)
+    for t_max in (64, 200):
+        for start in (None, M.num_states - 1):
+            want = json.dumps(oracle.mixing_report_per_start(M, "tv_max", 0.25, t_max, start),
+                              sort_keys=True)
+            for cells in (1, 7, 1000):
+                monkeypatch.setattr(markov, "_BLOCK_CELLS", cells)
+                got = mixing_time(M, "tv", 0.25, t_max=t_max, start=start)
+                assert json.dumps(got.to_json_dict(), sort_keys=True) == want
+
+
+@pytest.mark.parametrize("group, selector", [*_BENCH_CHAINS, ("affine:11", "irrep:10")])
+def test_mixing_experiment_reads_t3_off_the_report_it_is_given(group, selector, monkeypatch):
+    M = _chain(group, selector)
+    want = json.dumps(mixing_experiment(M, 0.25, 3))
+    report = mixing_time(M, "tv_half_l1", 0.1)
+    walked = []
+    monkeypatch.setattr(markov, "mixing_time",
+                        lambda *args, **kwargs: walked.append(args) or mixing_time(*args, **kwargs))
+    assert json.dumps(mixing_experiment(M, 0.25, 3, report)) == want
+    assert walked == []
+    # a report from one start, or one that stops before t = 3, is walked again
+    for other in (mixing_time(M, "tv", 0.25, start=M.num_states - 1),
+                  mixing_time(M, "tv", 0.25, t_max=2)):
+        assert json.dumps(mixing_experiment(M, 0.25, 3, other)) == want
+    assert len(walked) == 2
 
 
 def _row_loop(M, lam, t):

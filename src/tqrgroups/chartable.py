@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, groups
-from .groups import (ClassData, GroupTable, GroupError, build_group, conjugacy_classes,
-                     subgroup_from_members)
+from .groups import ClassData, GroupTable, GroupError, build_group, subgroup_from_members
 
 
 class CharTableError(RuntimeError):
@@ -24,19 +23,20 @@ class CharTableError(RuntimeError):
 
 @dataclass(eq=False)
 class ClassFunction:
-    """A complex function on conjugacy classes of a fixed group."""
+    """A complex function on the conjugacy classes of a group, group.classes."""
 
     group: GroupTable
-    classes: ClassData
     values: np.ndarray
+    classes: ClassData = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.classes = self.group.classes
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.classes.num_classes,):
             raise ValueError("class function has wrong length")
 
     def copy_with(self, values) -> "ClassFunction":
-        return ClassFunction(self.group, self.classes, values)
+        return ClassFunction(self.group, values)
 
 
 @dataclass(eq=False)
@@ -51,13 +51,14 @@ class CharTable:
     """
 
     group: GroupTable
-    classes: ClassData
     dims: np.ndarray
     values: np.ndarray
     quality: dict = field(default_factory=dict)
     source: str = "computed"
+    classes: ClassData = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.classes = self.group.classes
         self.dims = np.ascontiguousarray(self.dims, dtype=np.int64)
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         self.dims.setflags(write=False)
@@ -68,7 +69,7 @@ class CharTable:
         return len(self.dims)
 
     def irrep_character(self, lam: int) -> ClassFunction:
-        return ClassFunction(self.group, self.classes, self.values[lam].copy())
+        return ClassFunction(self.group, self.values[lam].copy())
 
     @functools.cached_property
     def class_orders(self) -> np.ndarray:
@@ -139,9 +140,10 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
     on its invariant-factor basis, with no eigen-solve and no retry. Any
     other group's table comes from _eigen_table, certified by exact integer
     dimensions and orthogonality. Either is refused past
-    config.TABLE_CELLS cells r * |G|."""
-    if C is None:
-        C = conjugacy_classes(G)
+    config.TABLE_CELLS cells r * |G|. C, if given, must be G.classes."""
+    if C is not None and C is not G.classes:
+        raise ValueError("C is not the group's own classes, G.classes")
+    C = G.classes
     if C.num_classes * G.order > config.TABLE_CELLS:
         raise CharTableError(
             f"order {G.order} times {C.num_classes} classes is "
@@ -197,7 +199,7 @@ def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
     bound = 2 * _ROOT_ERROR + _ROOT_ERROR ** 2
     quality = {"row_residual": bound, "col_residual": bound, "dim_roundoff": 0.0,
                "attempts": 0, "seed": None}
-    return CharTable(group=G, classes=C, dims=np.ones(n, dtype=np.int64),
+    return CharTable(group=G, dims=np.ones(n, dtype=np.int64),
                      values=roots[a[order]], quality=quality)
 
 
@@ -252,7 +254,7 @@ def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, dims: np.nd
     if not (row_res <= config.TOL and col_res <= config.TOL):
         raise CharTableError(
             f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
-    return CharTable(group=G, classes=C, dims=dims, values=chars, source=source,
+    return CharTable(group=G, dims=dims, values=chars, source=source,
                      quality={"row_residual": row_res, "col_residual": col_res, **quality})
 
 
@@ -281,7 +283,7 @@ def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> np.ndarray:
 # Induction
 
 
-def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
+def induce_character(G: GroupTable, subgroup_members, theta):
     """Induce class functions from a subgroup H up to G.
 
     `theta` maps H elements to complex values: a dict {element: value}, a
@@ -290,7 +292,7 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
     induced values as `decompose` takes them. On a class c,
     Ind theta(c) = |G| / (|H| |c|) * (sum of theta over H ∩ c).
     """
-    members = subgroup_from_members(G, C, subgroup_members).members
+    C, members = G.classes, subgroup_from_members(G, subgroup_members).members
     if isinstance(theta, dict):
         if set(theta) != set(members):
             raise GroupError("theta must be defined exactly on the subgroup")
@@ -302,7 +304,7 @@ def induce_character(G: GroupTable, C: ClassData, subgroup_members, theta):
     np.add.at(sums, C.class_of[list(members)], values.T)    # theta summed over H ∩ c
     out = sums.T
     out *= G.order / (len(members) * C.sizes)
-    return ClassFunction(G, C, out) if values.ndim == 1 else out
+    return ClassFunction(G, out) if values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,7 @@ def from_interchange(doc: dict) -> CharTable:
         G = build_group(doc.get("group"))
     except GroupError as exc:
         raise CharTableError(f"interchange group spec: {exc}") from None
-    C = conjugacy_classes(G)
+    C = G.classes
     if C.sizes.tolist() != doc["class_sizes"]:
         raise CharTableError("imported class sizes disagree with canonical order")
     if C.representatives.tolist() != doc["class_reps"]:

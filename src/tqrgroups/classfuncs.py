@@ -69,13 +69,12 @@ def reduced_character(T: CharTable, V: RepMultiset) -> ClassFunction:
     vals = np.zeros(T.num_irreps, dtype=np.float64)
     vals[sup] = T.dims[sup]
     out = (vals @ T.values) / T.group.order
-    return ClassFunction(T.group, T.classes, out)
+    return ClassFunction(T.group, out)
 
 
 def character_of(T: CharTable, V: RepMultiset) -> ClassFunction:
     """Ordinary character sum mult(lam) * chi_lam."""
-    return ClassFunction(T.group, T.classes,
-                         V.mult.astype(np.complex128) @ T.values)
+    return ClassFunction(T.group, V.mult.astype(np.complex128) @ T.values)
 
 
 def reduce_rep(V: RepMultiset) -> RepMultiset:

@@ -30,7 +30,7 @@ from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
 from .groups import (_FAMILIES, AbelianGroup, Subgroup, build_group, center,
-                     center_free_quotient_chain, conjugacy_classes)
+                     center_free_quotient_chain)
 from .markov import (build_chain, check_t_max, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -89,6 +89,8 @@ def _parse_compact(s: str) -> dict:
                 "params": {"left": _parse_compact(args[0]),
                            "right": _parse_compact(args[1])}}
     if name == "quaternion8":
+        if args:
+            raise UsageError("quaternion8 takes no parameter")
         return {"family": name, "params": {}}
     if name in _FAMILIES:
         key = _FAMILIES[name][0]
@@ -99,10 +101,7 @@ def _parse_compact(s: str) -> dict:
 
 
 def _load_table(spec: dict):
-    G = build_group(spec)
-    C = conjugacy_classes(G)
-    T = compute_char_table(G, C)
-    return G, C, T
+    return compute_char_table(build_group(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def _echo_spec(spec):
 def run_group(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     G = build_group(spec)
-    C = conjugacy_classes(G)
+    C = G.classes
     chain = center_free_quotient_chain(G)
     payload = {
         "order": G.order,
@@ -175,7 +174,7 @@ def run_group(args: dict) -> tuple[dict, int]:
         "quotient_chain_orders": [H.order for H in chain],
     }
     if args.get("normal_subgroups"):
-        T = compute_char_table(G, C)
+        T = compute_char_table(G)
         payload["normal_subgroup_orders"] = [s.order for s in T.normal_subgroups]
     return _envelope("group", spec, {}, payload), 0
 
@@ -189,15 +188,15 @@ def _side_path(args: dict, rel: str) -> str:
 
 
 def run_chartable(args: dict) -> tuple[dict, int]:
+    if bool(args.get("import_path")) == bool(args.get("group")):
+        raise UsageError("chartable takes exactly one of --group and --import")
     if args.get("import_path"):
         with open(args["import_path"]) as fh:
             T = loads_interchange(fh.read())
         spec = T.group.source
-    elif args.get("group"):
-        spec = parse_group_spec(args["group"])
-        _, _, T = _load_table(spec)
     else:
-        raise UsageError("chartable needs --group or --import")
+        spec = parse_group_spec(args["group"])
+        T = _load_table(spec)
     if args.get("export"):
         _atomic_write(_side_path(args, args["export"]), dumps_interchange(T))
     payload = {"dims": T.dims.tolist(), "quality": T.quality,
@@ -239,7 +238,7 @@ def _criteria_params(args: dict) -> CriteriaParams:
 def run_check(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     params = _criteria_params(args)
-    _, _, T = _load_table(spec)
+    T = _load_table(spec)
     which = args.get("criterion", "all")
     if which not in ("all", *TQR_CRITERIA, *QR_CRITERIA):
         raise UsageError(f"unknown criterion {which!r}")
@@ -253,7 +252,7 @@ def run_check(args: dict) -> tuple[dict, int]:
 
 def run_cover(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
-    G, C, T = _load_table(spec)
+    T = _load_table(spec)
     v1 = rep_from_selector(T, args["v1"])
     v2 = rep_from_selector(T, args["v2"])
     if args.get("v3"):
@@ -277,7 +276,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     t_max, experiment = _int_arg(args, "tmax", 64), _int_arg(args, "experiment")
     check_t_max(t_max)
     spec = parse_group_spec(args["group"])
-    G, C, T = _load_table(spec)
+    T = _load_table(spec)
     V = rep_from_selector(T, args["rep"])
     chain = build_chain(T, V)
     metric = args.get("metric", "tv")
@@ -330,7 +329,7 @@ def _pick_normal(T, selector: str):
 def run_counterexample(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     m = _int_arg(args, "m", 3)
-    G, C, T = _load_table(spec)
+    T = _load_table(spec)
     N = _pick_normal(T, args.get("normal", "group"))
     eps = args.get("epsilon")
     if eps is not None:
@@ -338,7 +337,7 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
             eps = Fraction(str(eps))
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
-    V, report = build_counterexample_rep(G, C, T, N, m, epsilon=eps)
+    V, report = build_counterexample_rep(T, N, m, epsilon=eps)
     payload = {"rep": V.to_json_dict(), "normal_order": N.order,
                "construction": report}
     violated = not report["power_measure_at_most_half"]

@@ -21,9 +21,9 @@ from . import groups
 from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
-from .groups import (AbelianGroup, AbelianStructure, ClassData, GroupError,
-                     GroupTable, Subgroup, center, center_of_subset,
-                     permutation_closure, sorted_unique)
+from .groups import (AbelianGroup, AbelianStructure, GroupError, GroupTable,
+                     Subgroup, center, center_of_subset, permutation_closure,
+                     sorted_unique)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -329,25 +329,25 @@ def conjugation_action_on_center(G: GroupTable, dec: AbelianStructure) -> AutAct
     return AutAction(dec.group, perms)
 
 
-def _induced_characters(G: GroupTable, C: ClassData, dec: AbelianStructure,
+def _induced_characters(G: GroupTable, dec: AbelianStructure,
                         thetas: np.ndarray) -> np.ndarray:
     """(b, num_classes) values of Ind_K^G of the characters coords[thetas]."""
     order = np.argsort(dec.to_parent)
-    return induce_character(G, C, dec.to_parent[order],
+    return induce_character(G, dec.to_parent[order],
                             dec.group.characters(thetas)[:, order])
 
 
-def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
-                             N: Subgroup, m: int,
+def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
                              epsilon: Fraction | float | None = None
                              ) -> tuple[RepMultiset, dict]:
     """Construct V = sum over theta in A of Ind_K^G(theta) for an invariant
     small-doubling set A of characters of K = Z(N), and verify that the m-th
-    tensor power of V has Plancherel measure at most 1/2.
+    tensor power of V has Plancherel measure at most 1/2. G is T.group.
     """
     if not N.is_normal:
         raise GroupError("N must be normal")
-    K_members = center_of_subset(G, C, N.members)
+    G = T.group
+    K_members = center_of_subset(G, N.members)
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
     # center_of_subset proved K commutative
@@ -363,7 +363,7 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     # of orbits, so each orbit is induced once and V counts it |orbit| times
     orbits, orbit_sizes = sorted_unique(dual.perms.min(axis=0), return_counts=True)
     thetas = np.flatnonzero(A)
-    mult = decompose(T, _induced_characters(G, C, dec, orbits))
+    mult = decompose(T, _induced_characters(G, dec, orbits))
     V = RepMultiset(T, (orbit_sizes * A[orbits]) @ mult)
 
     kk = K.order
@@ -399,11 +399,10 @@ def build_counterexample_rep(G: GroupTable, C: ClassData, T: CharTable,
     return V, report
 
 
-def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
-                            K_members) -> dict:
-    """Induce every character of a central subgroup K up to N and check that
-    the supports partition Irrep(N) with Plancherel measure exactly 1/|K| each.
-    """
+def verify_vtheta_partition(T_N: CharTable, K_members) -> dict:
+    """Induce every character of a central K up to N = T_N.group and check
+    that the supports partition Irrep(N), each of Plancherel measure 1/|K|."""
+    N_table = T_N.group
     if not set(int(x) for x in K_members) <= set(center(N_table).members):
         raise GroupError("K must be central in N")
     # a subset of the centre commutes
@@ -411,7 +410,7 @@ def verify_vtheta_partition(N_table: GroupTable, C_N: ClassData, T_N: CharTable,
     kk = dec.group.order
     thetas = np.arange(kk)
     blocks, partition_ok, measures_exact = _partition_check(
-        T_N, decompose(T_N, _induced_characters(N_table, C_N, dec, thetas)),
+        T_N, decompose(T_N, _induced_characters(N_table, dec, thetas)),
         [Fraction(1, kk)] * kk)
     blocks = [{"theta": t, **b} for t, b in zip(dec.group.coords.tolist(), blocks)]
     return {"blocks": blocks, "partition_ok": partition_ok,

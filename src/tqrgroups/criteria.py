@@ -525,7 +525,7 @@ def _tqr4(T, params, pjson) -> CriterionReport:
     if witness is None:
         for N in subs:
             if N.index <= params.normal_index:
-                zen = center_of_subset(G, T.classes, N.members)
+                zen = center_of_subset(G, N.members)
                 if len(zen) > 1:
                     witness = {"kind": "small_index_with_center",
                                "order": N.order, "index": N.index,

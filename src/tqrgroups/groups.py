@@ -34,8 +34,9 @@ class GroupError(ValueError):
 
 @dataclass(eq=False)
 class GroupTable:
-    """A finite group on element indices 0..order-1 with a full Cayley table
-    and the generators handed over, or else the set _greedy_generators finds."""
+    """A finite group on element indices 0..order-1 with a full Cayley table,
+    the generators handed over, or else the set _greedy_generators finds, and
+    its conjugacy classes, computed once as it is built."""
 
     order: int
     identity: int
@@ -44,6 +45,7 @@ class GroupTable:
     labels: list[str] | None = None
     source: dict = field(default_factory=dict)
     generators: tuple[int, ...] = None
+    classes: ClassData = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mul = np.ascontiguousarray(self.mul, dtype=table_dtype(self.order))
@@ -52,6 +54,7 @@ class GroupTable:
         self.inv.setflags(write=False)
         self.generators = tuple(_greedy_generators(self.mul, self.identity)
                                 if self.generators is None else self.generators)
+        self.classes = conjugacy_classes(self)
 
     def __len__(self):
         return self.order
@@ -65,9 +68,8 @@ class GroupTable:
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def is_abelian(self) -> bool:
-        """True iff the generators commute pairwise."""
-        block = self.mul[np.ix_(self.generators, self.generators)]
-        return bool(np.array_equal(block, block.T))
+        """True iff every class has one element."""
+        return self.classes.num_classes == self.order
 
     def label(self, x: int) -> str:
         if self.labels is not None:
@@ -609,8 +611,11 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     index. With the family constructors' element enumerations this puts, e.g.,
     the transpositions of a symmetric group before the 3-cycles. A class is
     an orbit under conjugation by the generators and their inverses, and
-    _least_in_orbit labels it by its least element.
+    _least_in_orbit labels it by its least element. A GroupTable computes
+    its classes as it is built, so this returns G.classes once G holds them.
     """
+    if hasattr(G, "classes"):
+        return G.classes
     e = G.identity
     gens = np.array(G.generators, dtype=np.int64)
     both = np.concatenate([gens, G.inv[gens]])
@@ -639,20 +644,20 @@ def _member_array(G: GroupTable, members) -> np.ndarray:
     return arr
 
 
-def _witnesses(G: GroupTable, C: ClassData, members):
+def _witnesses(G: GroupTable, members):
     """(sorted members, each one's witness, whether they are a union of
     classes N). N's witnesses are its class representatives: x*hgh^-1 =
     h*(h^-1 x h)*g*h^-1 puts N*(class of g) in N once N*g is, and x commutes
     with N iff its representative does. Other sets are their own witnesses."""
-    arr = _member_array(G, members)
+    C, arr = G.classes, _member_array(G, members)
     cls = C.class_of[arr]
     union = bool(C.sizes[sorted_unique(cls)].sum() == arr.size)
     return arr, (C.representatives[cls] if union else arr), union
 
 
-def subgroup_from_members(G: GroupTable, C: ClassData, members) -> Subgroup:
+def subgroup_from_members(G: GroupTable, members) -> Subgroup:
     """Validate a member set into a Subgroup, computing its flags."""
-    arr, owner, is_normal = _witnesses(G, C, members)
+    arr, owner, is_normal = _witnesses(G, members)
     inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
     return _validated(G, arr, inside, sorted_unique(owner), is_normal)
 
@@ -753,12 +758,12 @@ def derived_subgroup(T: CharTable) -> Subgroup:
     return _subgroup_of_mask(T, mask)
 
 
-def center_of_subset(G: GroupTable, C: ClassData, members) -> tuple[int, ...]:
+def center_of_subset(G: GroupTable, members) -> tuple[int, ...]:
     """Elements of `members` commuting with every element of `members`. A
     witness whose class in G has one element is central in G, so only the
     others are tested against the members."""
-    arr, owner, _ = _witnesses(G, C, members)
-    central = C.sizes[C.class_of] == 1
+    arr, owner, _ = _witnesses(G, members)
+    central = G.classes.sizes[G.classes.class_of] == 1
     wit = sorted_unique(owner[~central[owner]])
     central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
     return tuple(arr[central[owner]].tolist())

@@ -87,7 +87,7 @@ def _covering_mult(T, masks):
     vals = np.ones(T.num_irreps, dtype=np.complex128)
     for m in masks:
         vals = vals * ((m * dims) @ T.values)
-    f = ClassFunction(T.group, T.classes, vals)
+    f = ClassFunction(T.group, vals)
     return decompose(T, f).mult
 
 
@@ -178,7 +178,7 @@ def test_c03_three_factor_covering_soundness():
     m = plancherel_frac(T, rho)
     assert m ** 3 == Fraction(64, 125)            #0.512 > 0.5
     assert (m ** 3) ** 2 * C.min_nontrivial_size > 1
-    cube = ClassFunction(G, C, T.values[4] ** 3)
+    cube = ClassFunction(G, T.values[4] ** 3)
     assert decompose(T, cube).mult.tolist() == [3, 3, 3, 3, 13]
     # cross-check against the hand-assembled table of the affine group
     reps_o, sizes_o, chars_o = oracle.affine_char_table_by_hand(5)
@@ -321,7 +321,7 @@ def test_c08_translate_cover_batch():
 def test_c09_small_doubling_counterexample_and_partition():
     G, C, T = table_of("cyclic:12")
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
-    V, rep = build_counterexample_rep(G, C, T, N, 2, epsilon=Fraction(1, 4))
+    V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert plancherel_frac(T, V) >= Fraction(1, 4)
     support_mv = Fraction(*rep["measure_v_exact"])
     assert support_mv == plancherel_frac(T, V)
@@ -330,7 +330,7 @@ def test_c09_small_doubling_counterexample_and_partition():
     assert support_measure_frac(T, pw) <= Fraction(1, 2)
     for name in ("quaternion8", "dihedral:4"):
         Gn, Cn, Tn = table_of(name)
-        out = verify_vtheta_partition(Gn, Cn, Tn, center(Gn).members)
+        out = verify_vtheta_partition(Tn, center(Gn).members)
         assert out["partition_ok"] and out["measures_exact"]
         assert [b["measure"] for b in out["blocks"]] == [0.5, 0.5]
     _passline(9, "cyclic(12) construction exact; central partitions exact on "

@@ -231,7 +231,7 @@ def test_table_matches_oracle_all_abelian_up_to_64():
 
 def test_induce_trivial_subgroup_gives_regular_character():
     G, C = get_group("S3"), get_classes("S3")
-    f = induce_character(G, C, [G.identity], {G.identity: 1.0})
+    f = induce_character(G, [G.identity], {G.identity: 1.0})
     assert np.allclose(f.values, [6, 0, 0])
     mult = decompose(get_table("S3"), f).mult
     assert mult.tolist() == get_table("S3").dims.tolist()
@@ -242,7 +242,7 @@ def test_induce_from_q8_center():
     K = center(G)
     # nontrivial character of the order-2 center: 1 -> 1, -1 -> -1
     theta = {0: 1.0, 1: -1.0}
-    f = induce_character(G, C, K.members, theta)
+    f = induce_character(G, K.members, theta)
     # (|G|/|K|) * theta on K, zero off K
     assert np.allclose(f.values, [4, -4, 0, 0, 0])
     W = decompose(T, f)
@@ -253,7 +253,7 @@ def test_induce_from_affine_translations():
     G, C, T = get_group("aff5"), get_classes("aff5"), get_table("aff5")
     members = list(range(5))  # the translations x -> x + b
     theta = {b: np.exp(2j * np.pi * b / 5) for b in members}
-    f = induce_character(G, C, members, theta)
+    f = induce_character(G, members, theta)
     assert np.allclose(f.values, [4, -1, 0, 0, 0])
     assert decompose(T, f).mult.tolist() == [0, 0, 0, 0, 1]
 
@@ -274,7 +274,7 @@ def test_frobenius_reciprocity(name, members):
     for t in range(TH.num_irreps):
         theta = {elems[x]: complex(TH.values[t, CH.class_of[x]])
                  for x in range(H.order)}
-        ind = induce_character(G, C, elems, theta)
+        ind = induce_character(G, elems, theta)
         for lam in range(T.num_irreps):
             lhs = inner_product(ind, T.irrep_character(lam))
             res = oracle.restrict_character(C, T.irrep_character(lam), elems)
@@ -298,12 +298,12 @@ def test_stacked_induction_matches_conjugation_sums(name):
     for members in subgroups:
         elems = sorted(members)
         stack = rng.normal(size=(3, len(elems))) + 1j * rng.normal(size=(3, len(elems)))
-        got = induce_character(G, C, members, stack)
+        got = induce_character(G, members, stack)
         assert got.shape == (3, C.num_classes)
         for row, values in zip(got, stack):
             want = oracle.conjugation_sum_induce(G, C, elems, dict(zip(elems, values)))
             assert np.abs(row - want).max() <= 1e-12 * G.order
-        single = induce_character(G, C, members, dict(zip(elems, stack[0])))
+        single = induce_character(G, members, dict(zip(elems, stack[0])))
         assert np.abs(single.values - got[0]).max() <= 1e-12 * G.order
 
 
@@ -318,10 +318,44 @@ def test_central_inductions_sum_to_regular(name):
     for t in range(TK.num_irreps):
         theta = {elems[x]: complex(TK.values[t, CK.class_of[x]])
                  for x in range(HK.order)}
-        total += induce_character(G, C, elems, theta).values
+        total += induce_character(G, elems, theta).values
     regular = np.zeros(C.num_classes)
     regular[0] = G.order
     assert np.allclose(total, regular, atol=1e-8)
+
+
+def test_a_table_is_computed_on_the_group_own_classes_only():
+    # an equal partition held in another object, or another group's, is
+    # refused rather than paired with G
+    G = build_group(FIXTURE_SPECS["S4"])
+    assert compute_char_table(G, G.classes).classes is G.classes
+    assert compute_char_table(G).classes is conjugacy_classes(G) is G.classes
+    for C in (oracle.per_class_conjugacy_classes(G), get_classes("S4"), get_classes("A4")):
+        with pytest.raises(ValueError, match="G.classes"):
+            compute_char_table(G, C)
+
+
+@pytest.mark.parametrize("name,members", [
+    ("S4", [0, 1]),   # an order-2 subgroup, not normal
+    ("S4", 4),        # the normal subgroup of order 4, the Klein four-group
+    ("Q8", 2),        # the centre
+    ("aff5", 5),      # the translations
+])
+def test_induction_decomposes_against_a_table_computed_apart(name, members):
+    # the table and the induced character come from separate calls on a
+    # fresh G, and meet on G.classes
+    G = build_group(FIXTURE_SPECS[name])
+    if isinstance(members, int):
+        members, = [N.members for N in get_table(name).normal_subgroups if N.order == members]
+    H, elems = subgroup_table(G, members)
+    TH = compute_char_table(H)
+    want_classes = oracle.per_class_conjugacy_classes(G)
+    for t in range(TH.num_irreps):
+        theta = {elems[x]: complex(TH.values[t, H.classes.class_of[x]]) for x in range(H.order)}
+        T = compute_char_table(G)
+        got = decompose(T, induce_character(G, members, theta)).mult
+        want = oracle.conjugation_sum_induce(G, want_classes, elems, theta)
+        assert got.tolist() == oracle._stacked_multiplicities(T, want[None])[0].tolist()
 
 
 def test_inner_products_round_to_integers():

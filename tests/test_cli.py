@@ -35,6 +35,8 @@ def test_parse_group_specs():
     ("affine(5,7)", "affine takes one parameter p"),
     ("extraspecial", "extraspecial takes one parameter p"),
     ("nosuch:3", "unknown group family 'nosuch'"),
+    ("quaternion8:99", "quaternion8 takes no parameter"),
+    ("quaternion8(1,2,3)", "quaternion8 takes no parameter"),
 ])
 def test_parse_group_spec_errors(text, message):
     with pytest.raises(cli.UsageError, match=f"^{message}$"):
@@ -146,7 +148,8 @@ def test_counterexample_normal_selectors(capsys):
 @pytest.mark.parametrize("text", ["cyclic:12", "cyclic:60", "quaternion8", "extraspecial:3",
                                   "product(dihedral(3),cyclic(2))"])
 def test_normal_group_is_g_itself_without_the_lattice(text, capsys):
-    G, _, T = cli._load_table(cli.parse_group_spec(text))
+    T = cli._load_table(cli.parse_group_spec(text))
+    G = T.group
     N = cli._pick_normal(T, "group")
     assert "kernel_masks" not in vars(T) and "normal_subgroups" not in vars(T)
     assert N == T.normal_subgroups[-1] == cli._pick_normal(T, "index:1")
@@ -159,7 +162,8 @@ def test_normal_group_is_g_itself_without_the_lattice(text, capsys):
 @pytest.mark.parametrize("text", ["quaternion8", "dihedral:4", "extraspecial:3",
                                   "extraspecial:7"])
 def test_normal_center_is_z_of_g_without_the_lattice(text, capsys):
-    G, _, T = cli._load_table(cli.parse_group_spec(text))
+    T = cli._load_table(cli.parse_group_spec(text))
+    G = T.group
     N = cli._pick_normal(T, "center")
     assert "kernel_masks" not in vars(T) and "normal_subgroups" not in vars(T)
     assert N == cli._pick_normal(T, f"order:{N.order}")
@@ -618,6 +622,34 @@ def test_suite_records_a_bad_density_as_an_error(tmp_path, capsys):
     assert [e["status"] for e in entries] == ["error", "ok"]
     assert entries[0]["error"].startswith("ValueError: density must be in (0, 1]")
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_chartable_takes_exactly_one_of_group_and_import(tmp_path, capsys):
+    # --import used to win silently over --group: S4 reported C3's dims
+    c3 = tmp_path / "c3.json"
+    assert cli.main(["chartable", "--group", "cyclic:3", "--export", str(c3)]) == 0
+    capsys.readouterr()
+    for argv in (["--group", "symmetric:4", "--import", str(c3)], []):
+        assert cli.main(["chartable", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chartable takes exactly one of --group and --import\n"
+    # a suite passes its args to the runner, past argparse, and meets the same check
+    config = {"experiments": [
+        {"id": "both", "command": "chartable",
+         "args": {"group": "symmetric:4", "import_path": str(c3)}},
+        {"id": "imported", "command": "chartable", "args": {"import_path": str(c3)}},
+    ]}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["suite", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [e["status"] for e in entries] == ["error", "ok"]
+    assert entries[0]["error"] == \
+        "UsageError: chartable takes exactly one of --group and --import"
+    assert not (tmp_path / "both.json").exists()
+    assert json.loads((tmp_path / "imported.json").read_text())["report"]["dims"] == [1, 1, 1]
 
 
 # every option of each subcommand but --out (and --import, which --group

@@ -151,7 +151,7 @@ def test_dual_action_of_rotations_matches_fraction_oracle(factors):
 def test_dual_action_of_conjugation_matches_fraction_oracle(name):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     for N in normal_subgroups(T):
-        K_members = center_of_subset(G, C, N.members)
+        K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
             dec = abelian_structure(G, K_members)
             _assert_dual_matches_oracle(conjugation_action_on_center(G, dec))
@@ -163,7 +163,7 @@ def test_conjugation_by_generators_is_the_per_coset_action(name):
     # the set of the conjugations by one representative of each coset of N
     G, C, T = get_group(name), get_classes(name), get_table(name)
     for N in normal_subgroups(T):
-        K_members = center_of_subset(G, C, N.members)
+        K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
             dec = abelian_structure(G, K_members)
             action = conjugation_action_on_center(G, dec)
@@ -460,7 +460,7 @@ def test_small_doubling_rejects_overridden_epsilon_that_breaks_contract():
 def test_counterexample_cyclic12():
     G, C, T = get_group("C12"), get_classes("C12"), get_table("C12")
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
-    V, rep = build_counterexample_rep(G, C, T, N, 2, epsilon=Fraction(1, 4))
+    V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert rep["set_size"] == 3
     assert plancherel_frac(T, V) == Fraction(1, 4)
     assert rep["measure_identity_ok"]
@@ -473,7 +473,7 @@ def test_counterexample_cyclic12():
 def test_counterexample_q8_small_branch():
     G, C, T = get_group("Q8"), get_classes("Q8"), get_table("Q8")
     N = [s for s in normal_subgroups(T) if s.order == 8][0]
-    V, rep = build_counterexample_rep(G, C, T, N, 3)
+    V, rep = build_counterexample_rep(T, N, 3)
     assert rep["algorithm"]["small_branch"]
     assert rep["set_size"] == 1
     # induced from the trivial central character: the four 1-dim irreps
@@ -485,7 +485,7 @@ def test_counterexample_q8_small_branch():
 def test_counterexample_c2xs3():
     G, C, T = get_group("C2xS3"), get_classes("C2xS3"), get_table("C2xS3")
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
-    V, rep = build_counterexample_rep(G, C, T, N, 4, epsilon=Fraction(1, 2))
+    V, rep = build_counterexample_rep(T, N, 4, epsilon=Fraction(1, 2))
     assert rep["center_order"] == 2
     assert plancherel_frac(T, V) == Fraction(1, 2)
     # V is pulled back from the quotient by C2, so every tensor power keeps
@@ -500,7 +500,7 @@ def test_counterexample_orbit_blocks_partition():
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
     N = [s for s in normal_subgroups(T)
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
-    V, rep = build_counterexample_rep(G, C, T, N, 2, epsilon=Fraction(1, 4))
+    V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert rep["orbit_partition_ok"] and rep["orbit_measures_ok"]
     assert sorted(b["orbit_size"] for b in rep["orbit_blocks"]) == [1, 1, 2]
     assert sorted(b["measure"] for b in rep["orbit_blocks"]) == [0.25, 0.25, 0.5]
@@ -510,7 +510,7 @@ def test_counterexample_requires_nontrivial_center():
     G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
     N = [s for s in normal_subgroups(T) if s.order == 6][0]
     with pytest.raises(Exception, match="center"):
-        build_counterexample_rep(G, C, T, N, 2)
+        build_counterexample_rep(T, N, 2)
 
 
 @pytest.mark.parametrize("name,n_order", [("Q8", 8), ("D4", 8), ("ES3", 27),
@@ -520,8 +520,8 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     # (|N|/|K|) * sum over cosets of theta composed with conjugation on K
     G, C, T = get_group(name), get_classes(name), get_table(name)
     N = [s for s in normal_subgroups(T) if s.order == n_order]
-    N = [s for s in N if len(center_of_subset(G, C, s.members)) > 1][0]
-    K_members = center_of_subset(G, C, N.members)
+    N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
+    K_members = center_of_subset(G, N.members)
     dec = abelian_structure(G, K_members)
     action = conjugation_action_on_center(G, dec)
     kk = len(K_members)
@@ -532,7 +532,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     for theta in elements:
         values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
                   for t, x in enumerate(elements)}
-        ind = induce_character(G, C, sorted(values),
+        ind = induce_character(G, sorted(values),
                                [values[e] for e in sorted(values)])
         # orbit-sum formula, assembled from the coset automorphisms; the
         # induction here goes K -> G so the prefactor is |G|/(|K| |G/N|)
@@ -554,7 +554,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
     N = [s for s in normal_subgroups(T)
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
-    K_members = center_of_subset(G, C, N.members)
+    K_members = center_of_subset(G, N.members)
     assert len(K_members) == 4
     dec = abelian_structure(G, K_members)
     action = conjugation_action_on_center(G, dec)
@@ -565,7 +565,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     for i, theta in enumerate(elements):
         values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
                   for t, x in enumerate(elements)}
-        chars[i] = induce_character(G, C, sorted(values),
+        chars[i] = induce_character(G, sorted(values),
                                     [values[e] for e in sorted(values)])
     for t1 in range(len(elements)):
         for t2 in range(len(elements)):
@@ -580,18 +580,17 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
 def test_vtheta_partition_q8_d4():
     for name in ["Q8", "D4"]:
         G, C, T = get_group(name), get_classes(name), get_table(name)
-        out = verify_vtheta_partition(G, C, T, center(G).members)
+        out = verify_vtheta_partition(T, center(G).members)
         assert out["partition_ok"] and out["measures_exact"]
         assert [b["measure"] for b in out["blocks"]] == [0.5, 0.5]
-    q8 = verify_vtheta_partition(get_group("Q8"), get_classes("Q8"),
-                                 get_table("Q8"), center(get_group("Q8")).members)
+    q8 = verify_vtheta_partition(get_table("Q8"), center(get_group("Q8")).members)
     assert q8["blocks"][0]["support"] == [0, 1, 2, 3]
     assert q8["blocks"][1]["support"] == [4]
 
 
 def test_vtheta_partition_abelian_self_dual():
     G, C, T = get_group("C6"), get_classes("C6"), get_table("C6")
-    out = verify_vtheta_partition(G, C, T, tuple(range(6)))
+    out = verify_vtheta_partition(T, tuple(range(6)))
     assert out["partition_ok"] and out["measures_exact"]
     assert all(len(b["support"]) == 1 for b in out["blocks"])
 
@@ -599,7 +598,7 @@ def test_vtheta_partition_abelian_self_dual():
 def test_vtheta_partition_requires_central():
     G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
     with pytest.raises(Exception, match="central"):
-        verify_vtheta_partition(G, C, T, (0, 3, 4))   # the 3-cycle subgroup
+        verify_vtheta_partition(T, (0, 3, 4))   # the 3-cycle subgroup
 
 
 def test_partition_check_flags_overlaps_gaps_and_measures():
@@ -644,18 +643,18 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
     for name in FIXTURE_SPECS:
         G, C, T = get_group(name), get_classes(name), get_table(name)
         for N in normal_subgroups(T):
-            if len(center_of_subset(G, C, N.members)) <= 1:
+            if len(center_of_subset(G, N.members)) <= 1:
                 continue
             for m in (1, 2, 3):
                 for eps in (None, Fraction(1, 4), Fraction(1, 2)):
                     def build():
-                        V, rep = build_counterexample_rep(G, C, T, N, m, eps)
+                        V, rep = build_counterexample_rep(T, N, m, eps)
                         return {"rep": V.to_json_dict(), "construction": rep}
                     out.append({"group": name, "normal": list(N.members), "m": m,
                                 "eps": None if eps is None else str(eps),
                                 "result": _outcome(build)})
         out.append({"group": name, "vtheta": _outcome(
-            lambda: verify_vtheta_partition(G, C, T, center(G).members))})
+            lambda: verify_vtheta_partition(T, center(G).members))})
     assert len(out) == 669
     blob = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _GRID_DIGEST
@@ -668,11 +667,11 @@ def test_the_counterexample_proves_the_centre_abelian_once(name, monkeypatch):
     G, C, T = get_group(name), get_classes(name), get_table(name)
 
     def outcomes():
-        out = [verify_vtheta_partition(G, C, T, center(G).members)]
+        out = [verify_vtheta_partition(T, center(G).members)]
         for N in normal_subgroups(T):
-            if len(center_of_subset(G, C, N.members)) > 1:
+            if len(center_of_subset(G, N.members)) > 1:
                 def build():
-                    V, rep = build_counterexample_rep(G, C, T, N, 2)
+                    V, rep = build_counterexample_rep(T, N, 2)
                     return {"rep": V.to_json_dict(), "construction": rep}
                 out.append(_outcome(build))
         return json.dumps(out)

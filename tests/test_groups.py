@@ -151,13 +151,24 @@ _CLASS_CASES = {
     "large": lambda: [build_group(_family("cyclic", n=2000)),
                       build_group(_family("affine", p=97)),
                       build_group(_family("extraspecial", p=11))],
+    "families": lambda: [build_group(spec) for spec in FIXTURE_SPECS.values()] + [
+        build_group(_family(name, n=1)) for name in ("cyclic", "dihedral", "symmetric")],
+    "permutation": lambda: [build_group({"type": "permutation", "degree": d, "generators": g})
+                            for d, g in [(0, []), (3, [[1, 0, 2], [1, 2, 0]]),
+                                         (8, [[1, 2, 3, 4, 5, 6, 0, 7],
+                                              [7, 6, 3, 2, 5, 4, 1, 0]])]],
+    "quotient-chains": lambda: [Q for name in ["Q8", "ES3", "C3xD4", "D8"]
+                                for Q in center_free_quotient_chain(get_group(name))],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CLASS_CASES))
 def test_classes_match_the_per_class_loop_field_for_field(case):
+    # every way a table is built: family, product, cayley, permutation spec,
+    # quotient and subgroup_table; each holds its classes from construction
     for G in _CLASS_CASES[case]():
-        got, want = conjugacy_classes(G), oracle.per_class_conjugacy_classes(G)
+        assert conjugacy_classes(G) is G.classes
+        got, want = G.classes, oracle.per_class_conjugacy_classes(G)
         assert got.num_classes == want.num_classes
         for a, b in zip(got.classes, want.classes):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -277,7 +288,7 @@ def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
 
     monkeypatch.setattr(groups, "normal_subgroups", counted)
     G, C = get_group("S4"), get_classes("S4")
-    T = CharTable(G, C, get_table("S4").dims, get_table("S4").values)
+    T = CharTable(G, get_table("S4").dims, get_table("S4").values)
     params = CriteriaParams(density=0.2, trials=5)
     check_tqr(T, params, list(TQR_CRITERIA))
     check_qr(T, params, list(QR_CRITERIA))
@@ -331,7 +342,7 @@ def test_uncertified_kernel_value_raises():
     # within tolerance of chi(1) nor at least 1 - cos(2 pi / 2) below it
     assert values[1, 1].real == pytest.approx(-1.0)
     values[1, 1] = 1 - 1e-4
-    nudged = CharTable(T.group, T.classes, T.dims, values)
+    nudged = CharTable(T.group, T.dims, values)
     with pytest.raises(CharTableError, match="not certified"):
         normal_subgroups(nudged)
     with pytest.raises(CharTableError, match="not certified"):
@@ -344,7 +355,7 @@ def test_normal_iff_class_union(name):
     class_sets = [set(c.tolist()) for c in C.classes]
     for H in oracle.brute_all_subgroups(G):
         is_union = all(cs <= H or not (cs & H) for cs in class_sets)
-        sub = subgroup_from_members(G, C, H)
+        sub = subgroup_from_members(G, H)
         assert sub.is_normal == is_union
 
 
@@ -363,7 +374,7 @@ def test_quotient_orders_and_identity():
 def test_center_is_the_validated_union_of_singleton_classes(name):
     G, C = get_group(name), get_classes(name)
     members = [int(cls[0]) for cls in C.classes if len(cls) == 1]
-    assert center(G) == subgroup_from_members(G, C, members)
+    assert center(G) == subgroup_from_members(G, members)
 
 
 def _class_union(C, mask):
@@ -378,11 +389,11 @@ def _witness_mismatches(G, C, masks):
     for mask in masks:
         members = _class_union(C, mask)
         try:
-            accepted = subgroup_from_members(G, C, members).is_normal
+            accepted = subgroup_from_members(G, members).is_normal
         except GroupError:
             accepted = False
         if (accepted != oracle.all_pairs_closed(G, members)
-                or center_of_subset(G, C, members) != oracle.all_pairs_center(G, members)):
+                or center_of_subset(G, members) != oracle.all_pairs_center(G, members)):
             bad.append(mask)
     return bad
 
@@ -425,7 +436,7 @@ def test_a_class_union_that_is_no_subgroup_is_refused(name, classes, message):
     T = get_table(name)
     members = np.concatenate([T.classes.classes[c] for c in classes])
     with pytest.raises(GroupError, match=message):
-        subgroup_from_members(T.group, T.classes, members)
+        subgroup_from_members(T.group, members)
     with pytest.raises(GroupError, match=message):
         groups._subgroup_of_mask(T, sum(1 << c for c in classes))
 
@@ -442,7 +453,7 @@ def test_a_class_mask_is_checked_as_its_member_set_is(name):
         members = _class_union(C, mask)
         if oracle.all_pairs_closed(G, members):
             assert groups._subgroup_of_mask(T, mask) == \
-                subgroup_from_members(G, C, members)
+                subgroup_from_members(G, members)
         else:
             with pytest.raises(GroupError, match="not closed"):
                 groups._subgroup_of_mask(T, mask)
@@ -455,8 +466,8 @@ def test_a_helper_that_drops_a_representative_is_caught(name, monkeypatch):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     witnesses = groups._witnesses
 
-    def drop_one(G, C, members):
-        arr, owner, union = witnesses(G, C, members)
+    def drop_one(G, members):
+        arr, owner, union = witnesses(G, members)
         if union:
             owner = np.where(owner == owner.max(), G.identity, owner)
         return arr, owner, union
@@ -470,24 +481,24 @@ def test_a_helper_that_drops_a_representative_is_caught(name, monkeypatch):
 def test_a_set_that_is_not_a_class_union_takes_the_all_pairs_path():
     G, C = get_group("S3"), get_classes("S3")
     assert G.labels[:3] == ["012", "021", "102"]  # the identity and two transpositions
-    arr, owner, union = groups._witnesses(G, C, [0, 1])
+    arr, owner, union = groups._witnesses(G, [0, 1])
     assert owner.tolist() == arr.tolist() == [0, 1] and not union
-    H = subgroup_from_members(G, C, [0, 1])
+    H = subgroup_from_members(G, [0, 1])
     assert (H.members, H.is_normal, H.index) == ((0, 1), False, 3)
-    assert center_of_subset(G, C, [0, 1]) == (0, 1)
-    assert center_of_subset(G, C, [0, 1, 2]) == oracle.all_pairs_center(G, [0, 1, 2]) == (0,)
+    assert center_of_subset(G, [0, 1]) == (0, 1)
+    assert center_of_subset(G, [0, 1, 2]) == oracle.all_pairs_center(G, [0, 1, 2]) == (0,)
     with pytest.raises(GroupError, match="not closed"):
-        subgroup_from_members(G, C, [0, 1, 2])
+        subgroup_from_members(G, [0, 1, 2])
     # a union of classes stands on its representatives
-    arr, owner, union = groups._witnesses(G, C, range(6))
+    arr, owner, union = groups._witnesses(G, range(6))
     assert sorted(set(owner.tolist())) == C.representatives.tolist() and union
 
 
 @pytest.mark.parametrize("call", [
-    lambda G, C: subgroup_from_members(G, C, [0, -1]),
-    lambda G, C: subgroup_from_members(G, C, [0, 6]),
-    lambda G, C: center_of_subset(G, C, (0, -1)),
-    lambda G, C: center_of_subset(G, C, (0, 6)),
+    lambda G, C: subgroup_from_members(G, [0, -1]),
+    lambda G, C: subgroup_from_members(G, [0, 6]),
+    lambda G, C: center_of_subset(G, (0, -1)),
+    lambda G, C: center_of_subset(G, (0, 6)),
     lambda G, C: subgroup_table(G, [0, 3, -3]),
     lambda G, C: subgroup_table(G, [0, 6]),
     lambda G, C: groups.abelian_structure(G, [0, -1]),
@@ -534,7 +545,7 @@ def test_quotient_q8_center_is_klein_four():
 def test_quotient_requires_normal():
     G = get_group("S3")
     C = get_classes("S3")
-    H = subgroup_from_members(G, C, [0, 1])  # <transposition>, not normal
+    H = subgroup_from_members(G, [0, 1])  # <transposition>, not normal
     assert not H.is_normal
     with pytest.raises(GroupError):
         quotient(G, H)
@@ -543,7 +554,7 @@ def test_quotient_requires_normal():
 @pytest.mark.parametrize("name", ["C12", "S4", "relabelled-Q8"])
 def test_the_quotient_by_g_is_the_one_element_group(name):
     G = _relabelled(get_group("Q8"), 3) if name == "relabelled-Q8" else get_group(name)
-    N = subgroup_from_members(G, conjugacy_classes(G), range(G.order))
+    N = subgroup_from_members(G, range(G.order))
     Q = quotient(G, N)
     assert Q.order == 1 and Q.mul.tolist() == [[0]] and Q.generators == ()
     assert Q.labels == [f"[{G.label(0)}]"]   # the coset G named by its least element
@@ -745,7 +756,7 @@ def test_the_centre_of_an_abelian_member_set_forms_no_commutation_rows(text):
     C = conjugacy_classes(G)
     tracemalloc.start()
     try:
-        got = center_of_subset(G, C, range(G.order))
+        got = center_of_subset(G, range(G.order))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -27,7 +27,7 @@ def direct_t_step_distribution(M, lam, t):
     lam (x) reduced(V)^(x t), instead of iterating the kernel."""
     T = M.table
     vals = T.values[lam] * character_of(T, M.reduced).values ** t
-    weights = decompose(T, ClassFunction(T.group, T.classes, vals)).mult * T.dims
+    weights = decompose(T, ClassFunction(T.group, vals)).mult * T.dims
     return weights / weights.sum()
 
 
@@ -38,7 +38,7 @@ def kernel_row_by_row(T, V):
     dims = T.dims.astype(np.float64)
     kernel = np.zeros((T.num_irreps, T.num_irreps))
     for lam in range(T.num_irreps):
-        prod = ClassFunction(T.group, T.classes, T.values[lam] * red_char.values)
+        prod = ClassFunction(T.group, T.values[lam] * red_char.values)
         kernel[lam] = decompose(T, prod).mult * dims / (dims[lam] * dim_red)
     return kernel
 

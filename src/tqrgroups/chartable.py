@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, groups
-from .groups import ClassData, GroupTable, GroupError, build_group, subgroup_from_members
+from .groups import ClassData, GroupTable, GroupError, build_group, is_list_of
 
 
 class CharTableError(RuntimeError):
@@ -72,12 +72,6 @@ class CharTable:
         return ClassFunction(self.group, self.values[lam].copy())
 
     @functools.cached_property
-    def class_orders(self) -> np.ndarray:
-        """The order of the elements of each class, that of its representative."""
-        G, reps = self.group, self.classes.representatives
-        return groups.element_orders(lambda a, b: G.mul[a, b], G.identity, reps)
-
-    @functools.cached_property
     def kernel_masks(self) -> tuple[int, ...]:
         """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
 
@@ -87,7 +81,7 @@ class CharTable:
         in the kernel when d <= TOL*chi(1) and outside it when d is within
         TOL*chi(1) of that bound or above; anything else is not certified.
         """
-        orders = self.class_orders
+        orders = self.group.class_orders
         slack = config.TOL * self.dims[:, None]
         d = self.dims[:, None] - self.values.real
         inside = d <= slack
@@ -112,25 +106,6 @@ class CharTable:
 
 
 # ---------------------------------------------------------------------------
-# Class multiplication matrices
-
-
-def _combined_class_matrix(G: GroupTable, C: ClassData, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] * M_i at the class representatives z_k: entry (j, k) is the
-    sum over y in C_j of coeffs[class(z_k*y^-1)], from one gather of mul and one
-    bincount per slab of at most groups._SLAB_CELLS cells, with no loop over G."""
-    r, cl = C.num_classes, C.class_of
-    slab = max(1, groups._SLAB_CELLS // G.order)
-    out = np.empty((r, r))
-    for lo in range(0, r, slab):
-        z = C.representatives[lo:lo + slab]
-        bins = cl + r * np.arange(len(z))[:, None]   # (k in the slab, class of y)
-        sums = np.bincount(bins.ravel(), coeffs[cl[G.mul[z[:, None], G.inv]]].ravel(), r * len(z))
-        out[:, lo:lo + len(z)] = sums.reshape(len(z), r).T
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Character tables
 
 
@@ -149,8 +124,8 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
             f"order {G.order} times {C.num_classes} classes is "
             f"{C.num_classes * G.order} cells, above TABLE_CELLS={config.TABLE_CELLS}")
     if C.num_classes < G.order:
-        return _eigen_table(G, C)
-    return _abelian_table(G, C)
+        return _eigen_table(G)
+    return _abelian_table(G)
 
 
 # A bound on |fl(exp(2 pi i k/e)) - exp(2 pi i k/e)| for the roots of
@@ -158,7 +133,7 @@ def compute_char_table(G: GroupTable, C: ClassData | None = None) -> CharTable:
 _ROOT_ERROR = 6.02 * math.pi * 2.0 ** -53 + math.sqrt(2) * 2.0 ** -52
 
 
-def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
+def _abelian_table(G: GroupTable) -> CharTable:
     """The table of an abelian G, exact by construction. Every class has one
     element, which proves G abelian, so groups._invariant_factors certifies
     the rest: that phi: Z_{d1} x ... x Z_{dr} -> G is an isomorphism. The
@@ -186,7 +161,7 @@ def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
     dec = groups._invariant_factors(G, np.arange(G.order))
     K, n = dec.group, G.order
     elem_of_class = np.empty(n, dtype=np.intp)
-    elem_of_class[C.class_of[dec.to_parent]] = np.arange(n)
+    elem_of_class[G.classes.class_of[dec.to_parent]] = np.arange(n)
     a = K.exponents(np.arange(n), elem_of_class)
     roots = K.roots()
     re, im = np.round(roots.real, 8), np.round(roots.imag, 8)
@@ -203,18 +178,18 @@ def _abelian_table(G: GroupTable, C: ClassData) -> CharTable:
                      values=roots[a[order]], quality=quality)
 
 
-def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
+def _eigen_table(G: GroupTable) -> CharTable:
     """Burnside's method: a random real recombination of the class multiplication
-    matrices, read off mul at the class representatives, is diagonalized; each
-    eigenvector, scaled to 1 on the identity class, is the vector of normalized
-    class sums of one irreducible. An eigenvalue collision or a failed
-    certification retries with the next seed, up to config.MAX_EIG_ATTEMPTS."""
-    r, n = C.num_classes, G.order
-    sizes = C.sizes.astype(np.float64)
+    matrices, groups.class_matrix, is diagonalized; each eigenvector, scaled
+    to 1 on the identity class, is the vector of normalized class sums of one
+    irreducible. An eigenvalue collision or a failed certification retries
+    with the next seed, up to config.MAX_EIG_ATTEMPTS."""
+    r, n = G.classes.num_classes, G.order
+    sizes = G.classes.sizes.astype(np.float64)
     last_error = None
     for attempt in range(config.MAX_EIG_ATTEMPTS):
         coeffs = np.random.default_rng(attempt).uniform(1.0, 2.0, r)
-        eigvals, eigvecs = np.linalg.eig(_combined_class_matrix(G, C, coeffs))
+        eigvals, eigvecs = np.linalg.eig(groups.class_matrix(G, coeffs))
         diff = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(diff, np.inf)
         if diff.min() < config.EIG_COLLISION:
@@ -234,7 +209,7 @@ def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
             continue
         key = _canonical_irrep_order(chars, dims)
         try:
-            return _certified_table(G, C, chars[key], dims[key], dim_roundoff=dim_err,
+            return _certified_table(G, chars[key], dims[key], dim_roundoff=dim_err,
                                     attempts=attempt + 1, seed=attempt)
         except CharTableError as exc:
             last_error = str(exc)
@@ -242,7 +217,7 @@ def _eigen_table(G: GroupTable, C: ClassData) -> CharTable:
         f"character table not certified after {config.MAX_EIG_ATTEMPTS} attempts: {last_error}")
 
 
-def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, dims: np.ndarray,
+def _certified_table(G: GroupTable, chars: np.ndarray, dims: np.ndarray,
                      source: str = "computed", **quality) -> CharTable:
     """The table with rows `chars`, dimensions `dims` and `quality` beside its
     residuals, once the squares of the dims sum to |G| and both orthogonality
@@ -250,7 +225,7 @@ def _certified_table(G: GroupTable, C: ClassData, chars: np.ndarray, dims: np.nd
     computed and imported alike."""
     if int(np.sum(dims ** 2)) != G.order:
         raise CharTableError("dims violate sum of squares")
-    row_res, col_res = _orthogonality_residuals(chars, C.sizes, G.order)
+    row_res, col_res = _orthogonality_residuals(chars, G.classes.sizes, G.order)
     if not (row_res <= config.TOL and col_res <= config.TOL):
         raise CharTableError(
             f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
@@ -292,7 +267,7 @@ def induce_character(G: GroupTable, subgroup_members, theta):
     induced values as `decompose` takes them. On a class c,
     Ind theta(c) = |G| / (|H| |c|) * (sum of theta over H ∩ c).
     """
-    C, members = G.classes, subgroup_from_members(G, subgroup_members).members
+    C, members = G.classes, groups.subgroup_from_members(G, subgroup_members).members
     if isinstance(theta, dict):
         if set(theta) != set(members):
             raise GroupError("theta must be defined exactly on the subgroup")
@@ -317,8 +292,7 @@ def _interchange_header(T: CharTable) -> dict:
     whose source build_group cannot rebuild, is written as one."""
     G, spec = T.group, T.group.source
     if spec.get("type") in ("quotient", "subgroup"):
-        labels = {} if G.labels is None else {"labels": G.labels}
-        spec = {"type": "cayley", "table": G.mul, **labels}
+        spec = groups.cayley_spec(G)
     return {
         "group": spec,
         "class_sizes": T.classes.sizes.tolist(),
@@ -345,13 +319,13 @@ def from_interchange(doc: dict) -> CharTable:
     if not isinstance(doc, dict):
         raise CharTableError("interchange document must be a JSON object")
     for key in ("class_sizes", "class_reps", "dims"):
-        if not _list_of(doc.get(key), int):
+        if not is_list_of(doc.get(key), int):
             raise CharTableError(f"interchange field {key!r} must be a list of integers")
     rows = doc.get("values")
     # rows of [re, im] pairs of JSON numbers, in one flat pass; the types are
     # checked before np.array, which would read a bool as a number
-    pairs = list(itertools.chain.from_iterable(rows)) if _list_of(rows, list) else None
-    if not (_list_of(pairs, list) and set(map(len, pairs)) <= {2}
+    pairs = list(itertools.chain.from_iterable(rows)) if is_list_of(rows, list) else None
+    if not (is_list_of(pairs, list) and set(map(len, pairs)) <= {2}
             and set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}):
         raise CharTableError("interchange field 'values' must be rows of "
                              "[re, im] number pairs")
@@ -380,14 +354,8 @@ def from_interchange(doc: dict) -> CharTable:
         raise CharTableError("imported dims disagree with the identity column")
     if float(np.max(np.abs(values[0] - 1.0))) > config.TOL:
         raise CharTableError("imported first row is not the trivial character")
-    return _certified_table(G, C, values, dims, source="imported",
+    return _certified_table(G, values, dims, source="imported",
                             dim_roundoff=0.0, attempts=0, seed=None)
-
-
-def _list_of(items, kind) -> bool:
-    """True for a list whose members are all of type `kind` exactly (a bool
-    is not an int here)."""
-    return type(items) is list and set(map(type, items)) <= {kind}
 
 
 _PAIR = "\n      [\n        %r,\n        %r\n      ]"

@@ -407,8 +407,8 @@ def _parser() -> argparse.ArgumentParser:
 def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
     with string commands, args objects whose keys are the command's argument
-    names and whose flags are true or false, and ids that are new plain file
-    names, not the summary's."""
+    names, whose flags are true or false and whose required options are
+    strings, and ids that are new plain file names, not the summary's."""
     if not isinstance(cfg, dict):
         raise UsageError("suite config must be a JSON object")
     exps = cfg.get("experiments", [])
@@ -437,6 +437,9 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
                 if a.nargs == 0 and not isinstance(given.get(a.dest, False), bool):
                     raise UsageError(f"suite experiment {exp_id!r}: {a.dest!r} is a flag "
                                      f"and takes only true or false")
+                if a.required and not isinstance(given.get(a.dest), str):
+                    raise UsageError(f"suite experiment {exp_id!r}: {a.dest!r} is required "
+                                     f"by tqr {exp['command']} and takes a string")
 
 
 def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:

@@ -319,8 +319,7 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
 def conjugation_action_on_center(G: GroupTable, dec: AbelianStructure) -> AutAction:
     """Automorphisms of K = Z(N), for a normal N, induced by conjugation, closed
     by AutAction from G's generators: N centralises K, so one per coset of N."""
-    gens = np.array(G.generators, dtype=np.int64)
-    conj = G.mul[G.mul[gens[:, None], dec.to_parent], G.inv[gens][:, None]]
+    conj = groups.conjugates(G, G.generators, dec.to_parent)
     position = np.full(G.order, -1)
     position[dec.to_parent] = np.arange(dec.group.order)
     perms = position[conj]

@@ -385,7 +385,7 @@ def _tqr_candidates(T, dens, factors, small):
                   factors * max(1, math.ceil(dens * qz - Fraction(1, 2))) < qz)
              for qz in range(2, central.size + 2) if (central.size + 1) % qz == 0}
     if any(map(any, tries.values())):
-        q = T.class_orders[central]
+        q = T.group.class_orders[central]
         keep = [any(tries[qz]) for qz in q.tolist()]
         central, q = central[keep], q[keep]
         omega = T.values[:, central] / T.dims[:, None]
@@ -572,7 +572,7 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
     """QR2 (is ABC = G for all A, B, C of size s = ceil(a*|G|)?) or QR3 (is
     A^power = G for all such A?): a proof, else the s smallest members of
     each set _qr23_candidates proposes, as A = B = C, else the sampler, all
-    in (b, k, s) stacks through one check, _product_sizes.
+    in (b, k, s) stacks through one check, groups.product_sizes.
 
     Proofs: s = |G| leaves only A = G. Gowers (Quasirandom groups, CPC 17,
     2008) gives ABC = G once |A||B||C| > |G|^3 / m, m the least nontrivial
@@ -588,7 +588,7 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
     width = 3 if triple else 1
 
     def check(sets):    # each row holds s distinct members of each set: the size floor
-        sizes = _product_sizes(G.mul, sets, triple, params.power)
+        sizes = groups.product_sizes(G, sets, triple, params.power)
         short = np.flatnonzero(sizes < n)
         if short.size:
             t = int(short[0])
@@ -653,7 +653,7 @@ def _qr23_candidates(T, dens, size, triple, power):
                 yield "linear_character", np.flatnonzero(k[C.class_of] // step < t)
     if subgroups:
         z = C.representatives[C.sizes > 1]
-        cents = [np.flatnonzero(G.mul[:, x] == G.mul[x]) for x in z]
+        cents = [np.flatnonzero(groups.conjugates(G, np.arange(n), [x])[:, 0] == x) for x in z]
         for H in cents:
             if len(H) >= size:
                 yield "centraliser", H
@@ -673,36 +673,8 @@ def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
     keep = np.empty(G.order, dtype=bool)
     for lo in range(0, G.order, slab):
         g = np.arange(lo, min(lo + slab, G.order))
-        keep[g] = inside[G.mul[G.mul[g[:, None], H], G.inv[g][:, None]]].all(axis=1)
+        keep[g] = inside[groups.conjugates(G, g, H)].all(axis=1)
     return np.flatnonzero(keep)
-
-
-def _product_sizes(mul, sets, triple, power) -> np.ndarray:
-    """|S0 S1 S2| (triple) or |S0^power| for each row of a (b, k, size) stack
-    of subsets, as (b, |G|) masks each multiplied by a subset in one scatter
-    through the Cayley table. A row stops once it is all of G or, for a
-    power, once its size stalls: |A^(k+1)| = |A^k| gives A^(k+1) = A^k a for
-    each a in A, so A^(k+2) = A^(k+1) a has that size too."""
-    b, _, size = sets.shape
-    n = len(mul)
-    rows = np.arange(b)
-    mask = np.zeros((b, n), dtype=bool)
-    mask[rows[:, None], sets[:, 0]] = True
-    sizes = np.full(b, size)
-    live = rows[sizes < n]
-    factors = (sets[:, 1], sets[:, 2]) if triple else itertools.repeat(sets[:, 0], power - 1)
-    for factor in factors:
-        if not live.size:
-            break
-        t, x = np.nonzero(mask[live])
-        step = np.zeros((len(live), n), dtype=bool)
-        step[t[:, None], mul[x[:, None], factor[live][t]]] = True
-        grown = step.sum(axis=1)
-        mask[live] = step
-        keep = grown < n if triple else (grown < n) & (grown > sizes[live])
-        sizes[live] = grown
-        live = live[keep]
-    return sizes
 
 
 def _qr4(T, params, pjson) -> CriterionReport:

@@ -36,7 +36,8 @@ class GroupError(ValueError):
 class GroupTable:
     """A finite group on element indices 0..order-1 with a full Cayley table,
     the generators handed over, or else the set _greedy_generators finds, and
-    its conjugacy classes, computed once as it is built."""
+    its conjugacy classes, computed once as it is built. The order of each
+    class's elements, class_orders, is found once, when first read."""
 
     order: int
     identity: int
@@ -70,6 +71,12 @@ class GroupTable:
     def is_abelian(self) -> bool:
         """True iff every class has one element."""
         return self.classes.num_classes == self.order
+
+    @functools.cached_property
+    def class_orders(self) -> np.ndarray:
+        """The order of the elements of each class, that of its representative."""
+        return element_orders(lambda a, b: self.mul[a, b], self.identity,
+                              self.classes.representatives)
 
     def label(self, x: int) -> str:
         if self.labels is not None:
@@ -552,14 +559,9 @@ def build_group(spec: dict) -> GroupTable:
                 and all(isinstance(x, str) for x in labels)):
             raise GroupError(f"cayley labels must be a list of {len(table)} strings")
         # the range and axioms are checked on the int64 array, so no entry
-        # wraps into range when it is narrowed; the source then shares the
-        # read-only narrow mul rather than keeping a copy, and the JSON
-        # writers turn it into lists; labels given are kept with it
-        source = {"type": "cayley", "table": table}
-        if labels is not None:
-            source["labels"] = labels
-        G = _finalize(table, labels, source)
-        source["table"] = G.mul
+        # wraps into range when it is narrowed
+        G = _finalize(table, labels, {})
+        G.source = cayley_spec(G)
         _check_associative(G)
         return G
     if kind == "permutation":
@@ -572,7 +574,7 @@ def build_group(spec: dict) -> GroupTable:
         if degree > config.MAX_ORDER:
             raise GroupError(f"permutation degree {degree} exceeds MAX_ORDER={config.MAX_ORDER}")
         gens = _field(spec, "generators")
-        if not (isinstance(gens, list) and all(_is_int_list(g) for g in gens)):
+        if not (isinstance(gens, list) and all(is_list_of(g, int) for g in gens)):
             raise GroupError("permutation generators must be a list of integer lists")
         for g in gens:
             if sorted(g) != list(range(degree)):
@@ -582,9 +584,16 @@ def build_group(spec: dict) -> GroupTable:
     raise GroupError(f"unrecognized group spec: {spec!r}")
 
 
-def _is_int_list(value) -> bool:
-    """True for a list of JSON integers (a bool is not one)."""
-    return isinstance(value, list) and set(map(type, value)) <= {int}
+def cayley_spec(G: GroupTable) -> dict:
+    """G as a cayley spec, sharing its read-only mul; the JSON writers make it lists."""
+    labels = {} if G.labels is None else {"labels": G.labels}
+    return {"type": "cayley", "table": G.mul, **labels}
+
+
+def is_list_of(items, kind) -> bool:
+    """True for a list whose members are all of type `kind` exactly (a bool
+    is not an int here)."""
+    return isinstance(items, list) and set(map(type, items)) <= {kind}
 
 
 def _cayley_table(table) -> np.ndarray:
@@ -592,7 +601,7 @@ def _cayley_table(table) -> np.ndarray:
     (n, n) array; _check_group_axioms checks that they lie in 0..n-1."""
     n = len(table) if isinstance(table, list) else 0
     _check_order(n)
-    if not (n and all(_is_int_list(row) and len(row) == n for row in table)):
+    if not (n and all(is_list_of(row, int) and len(row) == n for row in table)):
         raise GroupError("cayley table must be a square array of integers")
     try:
         return np.array(table, dtype=np.int64)
@@ -602,6 +611,13 @@ def _cayley_table(table) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Structure computations
+
+
+def conjugates(G: GroupTable, gs, xs=None) -> np.ndarray:
+    """The (len(gs), len(xs)) indices of g x g^-1 for g in gs and x in xs,
+    over all of G when xs is None, in the table's dtype."""
+    gs = np.asarray(gs, dtype=np.int64)
+    return G.mul[G.mul[gs] if xs is None else G.mul[gs[:, None], xs], G.inv[gs][:, None]]
 
 
 def conjugacy_classes(G: GroupTable) -> ClassData:
@@ -620,7 +636,7 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     gens = np.array(G.generators, dtype=np.int64)
     both = np.concatenate([gens, G.inv[gens]])
     # row i: x -> s x s^-1, as intp so the loop indexes with it uncast
-    maps = G.mul[G.mul[both], G.inv[both][:, None]].astype(np.intp)
+    maps = conjugates(G, both).astype(np.intp)
     low = _least_in_orbit(maps, np.arange(G.order))
     # the identity class first, then by least element
     low = np.where(low == e, -1, low)
@@ -631,6 +647,22 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     classes = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
     return ClassData(classes=classes, sizes=sizes, class_of=class_of, representatives=reps,
                      min_nontrivial_size=int(sizes[1:].min()) if len(reps) > 1 else None)
+
+
+def class_matrix(G: GroupTable, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] * M_i at the class representatives z_k: entry (j, k) is the
+    sum over y in C_j of coeffs[class(z_k*y^-1)], from one gather of mul and one
+    bincount per slab of at most _SLAB_CELLS cells, with no loop over G."""
+    C = G.classes
+    r, cl = C.num_classes, C.class_of
+    slab = max(1, _SLAB_CELLS // G.order)
+    out = np.empty((r, r))
+    for lo in range(0, r, slab):
+        z = C.representatives[lo:lo + slab]
+        bins = cl + r * np.arange(len(z))[:, None]   # (k in the slab, class of y)
+        sums = np.bincount(bins.ravel(), coeffs[cl[G.mul[z[:, None], G.inv]]].ravel(), r * len(z))
+        out[:, lo:lo + len(z)] = sums.reshape(len(z), r).T
+    return out
 
 
 def _member_array(G: GroupTable, members) -> np.ndarray:
@@ -676,11 +708,9 @@ def _validated(G: GroupTable, arr, inside, owners, is_normal: bool) -> Subgroup:
 
 
 def center(G: GroupTable) -> Subgroup:
-    """Elements commuting with every generator of G."""
-    gens = list(G.generators)
-    members = np.flatnonzero(np.all(G.mul[:, gens] == G.mul[gens].T, axis=1))
-    return Subgroup(members=tuple(int(x) for x in members), is_normal=True,
-                    index=G.order // len(members))
+    """The union of the classes of G with one element."""
+    members = tuple(np.flatnonzero(G.classes.sizes[G.classes.class_of] == 1).tolist())
+    return Subgroup(members=members, is_normal=True, index=G.order // len(members))
 
 
 def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
@@ -767,6 +797,34 @@ def center_of_subset(G: GroupTable, members) -> tuple[int, ...]:
     wit = sorted_unique(owner[~central[owner]])
     central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
     return tuple(arr[central[owner]].tolist())
+
+
+def product_sizes(G: GroupTable, sets, triple, power) -> np.ndarray:
+    """|S0 S1 S2| (triple) or |S0^power| for each row of a (b, k, size) stack
+    of subsets, as (b, |G|) masks each multiplied by a subset in one scatter
+    through the Cayley table. A row stops once it is all of G or, for a
+    power, once its size stalls: |A^(k+1)| = |A^k| gives A^(k+1) = A^k a for
+    each a in A, so A^(k+2) = A^(k+1) a has that size too."""
+    b, _, size = sets.shape
+    n = G.order
+    rows = np.arange(b)
+    mask = np.zeros((b, n), dtype=bool)
+    mask[rows[:, None], sets[:, 0]] = True
+    sizes = np.full(b, size)
+    live = rows[sizes < n]
+    factors = (sets[:, 1], sets[:, 2]) if triple else (sets[:, 0] for _ in range(power - 1))
+    for factor in factors:
+        if not live.size:
+            break
+        t, x = np.nonzero(mask[live])
+        step = np.zeros((len(live), n), dtype=bool)
+        step[t[:, None], G.mul[x[:, None], factor[live][t]]] = True
+        grown = step.sum(axis=1)
+        mask[live] = step
+        keep = grown < n if triple else (grown < n) & (grown > sizes[live])
+        sizes[live] = grown
+        live = live[keep]
+    return sizes
 
 
 def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:

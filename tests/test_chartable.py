@@ -11,8 +11,7 @@ from tqrgroups import (CharTableError, GroupError, build_group, center, chartabl
                        dumps_interchange, from_interchange, groups,
                        induce_character, inner_product, loads_interchange,
                        normal_subgroups, subgroup_table, to_interchange)
-from tqrgroups.chartable import (_canonical_irrep_order, _certified_table,
-                                  _combined_class_matrix, _eigen_table,
+from tqrgroups.chartable import (_canonical_irrep_order, _certified_table, _eigen_table,
                                   _orthogonality_residuals)
 
 # Groups above the fixtures' orders on which the class matrix is checked:
@@ -92,7 +91,7 @@ def test_combined_class_matrix_matches_oracle(name):
     coeffs = np.random.default_rng(23).uniform(1.0, 2.0, C.num_classes)
     expected = sum(c * oracle.class_multiplication_matrix(G, C, i)
                    for i, c in enumerate(coeffs))
-    assert np.allclose(_combined_class_matrix(G, C, coeffs), expected,
+    assert np.allclose(groups.class_matrix(G, coeffs), expected,
                        rtol=1e-12, atol=1e-12)
 
 
@@ -102,9 +101,9 @@ def test_combined_class_matrix_is_the_same_in_small_slabs(name, monkeypatch):
     # holds one), 1 on aff13
     G, C = _group_and_classes(name)
     coeffs = np.random.default_rng(5).uniform(1.0, 2.0, C.num_classes)
-    whole = _combined_class_matrix(G, C, coeffs)
+    whole = groups.class_matrix(G, coeffs)
     monkeypatch.setattr(groups, "_SLAB_CELLS", 300)
-    slabbed = _combined_class_matrix(G, C, coeffs)
+    slabbed = groups.class_matrix(G, coeffs)
     assert np.array_equal(slabbed, whole)
     assert np.allclose(slabbed, oracle.combined_class_matrix_loop(G, C, coeffs),
                        rtol=1e-12, atol=1e-12)
@@ -114,10 +113,11 @@ def _assert_table_as_from_the_loop(G, C, monkeypatch):
     # the gather only reorders the float sums of the loop's matrix: dims,
     # irrep order and eigen attempts stay, values move in the last bits; the
     # eigen path is called directly, since abelian groups no longer reach it
-    T = _eigen_table(G, C)
+    T = _eigen_table(G)
     with monkeypatch.context() as m:
-        m.setattr(chartable, "_combined_class_matrix", oracle.combined_class_matrix_loop)
-        ref = _eigen_table(G, C)
+        m.setattr(groups, "class_matrix",
+                  lambda G, coeffs: oracle.combined_class_matrix_loop(G, C, coeffs))
+        ref = _eigen_table(G)
     assert T.dims.tolist() == ref.dims.tolist()
     assert T.quality["attempts"] == ref.quality["attempts"]
     assert np.max(np.abs(T.values - ref.values)) <= 1e-9
@@ -153,7 +153,7 @@ def test_abelian_tables_match_the_eigen_reference():
     for spec in _ABELIAN_SPECS:
         G = build_group(spec)
         C = conjugacy_classes(G)
-        T, ref = compute_char_table(G, C), _eigen_table(G, C)
+        T, ref = compute_char_table(G, C), _eigen_table(G)
         assert T.classes is C and T.dims.tolist() == ref.dims.tolist(), spec
         assert np.max(np.abs(T.values - ref.values)) <= 1e-9, spec
         assert T.quality["attempts"] == 0 and T.quality["seed"] is None, spec
@@ -172,7 +172,7 @@ def test_abelian_tables_skip_the_eigen_solve(spec, monkeypatch):
     def refuse(*args):
         raise AssertionError("an abelian table reached the eigen-solve")
 
-    monkeypatch.setattr(chartable, "_combined_class_matrix", refuse)
+    monkeypatch.setattr(groups, "class_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eig", refuse)
     monkeypatch.setattr(chartable, "_orthogonality_residuals", refuse)
     monkeypatch.setattr(chartable, "_canonical_irrep_order", refuse)
@@ -204,7 +204,7 @@ def test_a_basis_that_is_not_an_isomorphism_is_refused(monkeypatch):
 def test_nonabelian_tables_are_the_eigen_tables(name):
     G, C = get_group(name), get_classes(name)
     assert C.num_classes < G.order
-    T, ref = compute_char_table(G, C), _eigen_table(G, C)
+    T, ref = compute_char_table(G, C), _eigen_table(G)
     assert np.array_equal(T.values, ref.values) and np.array_equal(T.dims, ref.dims)
     assert T.quality == ref.quality
 
@@ -490,7 +490,7 @@ def test_a_table_holding_nan_is_not_certified():
     chars = T.values.copy()
     chars[2, 1] = np.nan
     with pytest.raises(CharTableError, match="orthogonality residual"):
-        _certified_table(T.group, T.classes, chars, T.dims)
+        _certified_table(T.group, chars, T.dims)
 
 
 def test_quality_metrics_present():

@@ -681,18 +681,23 @@ def test_suite_takes_every_option_of_each_command(command, tmp_path, capsys):
 
 
 def test_a_misspelled_suite_argument_is_refused_before_anything_runs(tmp_path, capsys):
+    # so is a required option left out or given as other than a string
     path = tmp_path / "suite.json"
-    path.write_text(json.dumps({"experiments": [
-        {"id": "q8", "command": "check", "args": {"group": "quaternion8"}},
-        {"id": "typo", "command": "check",
-         "args": {"group": "cyclic:12", "criterion": "tqr2", "denisty": 0.5}}]}))
     out = tmp_path / "out"
-    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: suite experiment 'typo': 'denisty' is not an "
-                            "option of tqr check\n")
-    assert not out.exists()
+    for command, args, error in [
+            ("check", {"group": "cyclic:12", "criterion": "tqr2", "denisty": 0.5},
+             "'denisty' is not an option of tqr check"),
+            ("group", {}, "'group' is required by tqr group and takes a string"),
+            ("group", {"group": 5}, "'group' is required by tqr group and takes a string"),
+            ("sumset", {"set": [0, 1]}, "'set' is required by tqr sumset and takes a string")]:
+        path.write_text(json.dumps({"experiments": [
+            {"id": "q8", "command": "check", "args": {"group": "quaternion8"}},
+            {"id": "typo", "command": command, "args": args}]}))
+        assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: suite experiment 'typo': {error}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["false", 0], ids=["string-false", "zero"])

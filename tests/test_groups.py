@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1131,3 +1133,40 @@ def test_element_orders_keep_the_power_block_within_the_slab(spec, monkeypatch):
     assert max(largest) <= 1 << 12
     assert np.array_equal(orders, oracle.power_walk_element_orders(
         lambda a, b: G.mul[a, b], G.identity, elems))
+
+
+def test_only_groups_reads_the_cayley_table():
+    # the modules above groups reach elements through its functions
+    # (conjugates, class_matrix, product_sizes, cayley_spec, ...), so the
+    # table's layout is known in one module
+    src = Path(groups.__file__).parent
+    reads = [f"{name}.py:{node.lineno}"
+             for name in ("chartable", "classfuncs", "criteria", "counterexample", "markov", "cli")
+             for node in ast.walk(ast.parse((src / f"{name}.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("mul", "inv")]
+    assert reads == []
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "D5", "C6"])
+def test_conjugates_are_the_scalar_conjugates(name):
+    G = get_group(name)
+    want = [[G.conjugate(g, x) for x in range(G.order)] for g in range(G.order)]
+    assert groups.conjugates(G, range(G.order)).tolist() == want
+    xs = np.arange(0, G.order, 3)
+    assert groups.conjugates(G, [1, 0], xs).tolist() == [[want[g][x] for x in xs]
+                                                         for g in (1, 0)]
+    assert groups.conjugates(G, [], xs).shape == (0, len(xs))
+
+
+@pytest.mark.parametrize("name", ["S4", "Q8", "ES3", "C12"])
+def test_class_orders_are_read_once_off_the_group(name, monkeypatch):
+    G = build_group(FIXTURE_SPECS[name])
+    assert "class_orders" not in vars(G)
+    orders = G.class_orders
+    assert orders.tolist() == [element_order(G, int(x)) for x in G.classes.representatives]
+
+    def refused(*args):
+        raise AssertionError("element orders computed again")
+
+    monkeypatch.setattr(groups, "element_orders", refused)
+    assert G.class_orders is orders

@@ -173,7 +173,7 @@ def run_group(args: dict) -> tuple[dict, int]:
         "center_order": G.order // chain[1].order if len(chain) > 1 else 1,
         "quotient_chain_orders": [H.order for H in chain],
     }
-    if args.get("normal_subgroups"):
+    if args["normal_subgroups"]:
         T = compute_char_table(G)
         payload["normal_subgroup_orders"] = [s.order for s in T.normal_subgroups]
     return _envelope("group", spec, {}, payload), 0
@@ -188,50 +188,29 @@ def _side_path(args: dict, rel: str) -> str:
 
 
 def run_chartable(args: dict) -> tuple[dict, int]:
-    if bool(args.get("import_path")) == bool(args.get("group")):
+    if bool(args["import_path"]) == bool(args["group"]):
         raise UsageError("chartable takes exactly one of --group and --import")
-    if args.get("import_path"):
+    if args["import_path"]:
         with open(args["import_path"]) as fh:
             T = loads_interchange(fh.read())
         spec = T.group.source
     else:
         spec = parse_group_spec(args["group"])
         T = _load_table(spec)
-    if args.get("export"):
+    if args["export"]:
         _atomic_write(_side_path(args, args["export"]), dumps_interchange(T))
     payload = {"dims": T.dims.tolist(), "quality": T.quality,
                "num_irreps": T.num_irreps, "source": T.source,
-               "exported_to": args.get("export")}
+               "exported_to": args["export"]}
     return _envelope("chartable", spec, {}, payload), 0
-
-
-def _int_arg(args: dict, key: str, default: int | None = None) -> int | None:
-    """args[key] as an int, or `default` where it is omitted; a bool or a
-    non-integral number is refused, not truncated, as argparse refuses 2.5."""
-    value = args.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{key} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _float_arg(args: dict, key: str, default: float | None = None) -> float | None:
-    """args[key] as a float, or `default` where it is omitted; a bool is
-    refused, not read as 1.0 or 0.0."""
-    value = args.get(key)
-    if isinstance(value, bool):
-        raise UsageError(f"{key} must be a number, not {value!r}")
-    return default if value is None else float(value)
 
 
 def _criteria_params(args: dict) -> CriteriaParams:
     """CriteriaParams from check options; an omitted option keeps the
     dataclass default, and --k sets every small-structure threshold."""
-    given = {key: _int_arg(args, key) for key in ("power", "seed", "trials", "exhaustive_cap")}
+    given = {key: args[key] for key in ("power", "seed", "trials", "exhaustive_cap", "density")}
     given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
-                                "normal_index", "quotient_size"), _int_arg(args, "k")))
-    given["density"] = _float_arg(args, "density")
+                                "normal_index", "quotient_size"), args["k"]))
     return CriteriaParams(**{key: v for key, v in given.items() if v is not None})
 
 
@@ -239,9 +218,7 @@ def run_check(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     params = _criteria_params(args)
     T = _load_table(spec)
-    which = args.get("criterion", "all")
-    if which not in ("all", *TQR_CRITERIA, *QR_CRITERIA):
-        raise UsageError(f"unknown criterion {which!r}")
+    which = args["criterion"]
     names = (*TQR_CRITERIA, *QR_CRITERIA) if which == "all" else (which,)
     reports = (check_tqr(T, params, [n for n in names if n in TQR_CRITERIA])
                + check_qr(T, params, [n for n in names if n in QR_CRITERIA]))
@@ -255,11 +232,11 @@ def run_cover(args: dict) -> tuple[dict, int]:
     T = _load_table(spec)
     v1 = rep_from_selector(T, args["v1"])
     v2 = rep_from_selector(T, args["v2"])
-    if args.get("v3"):
+    if args["v3"]:
         v3 = rep_from_selector(T, args["v3"])
         rep = three_factor_cover(T, v1, v2, v3)
         payload = rep.to_json_dict()
-        if args.get("profile"):
+        if args["profile"]:
             payload["multiplicity_profile"] = multiplicity_profile(T, v1, v2, v3)
     else:
         rep = two_factor_cover(T, v1, v2)
@@ -267,22 +244,21 @@ def run_cover(args: dict) -> tuple[dict, int]:
     violated = rep.guaranteed and not rep.covered
     payload["guarantee_violated"] = violated
     return (_envelope("cover", spec,
-                      {"v1": args["v1"], "v2": args["v2"],
-                       "v3": args.get("v3")}, payload),
+                      {"v1": args["v1"], "v2": args["v2"], "v3": args["v3"]}, payload),
             1 if violated else 0)
 
 
 def run_markov(args: dict) -> tuple[dict, int]:
-    t_max, experiment = _int_arg(args, "tmax", 64), _int_arg(args, "experiment")
+    t_max, experiment = args["tmax"], args["experiment"]
     check_t_max(t_max)
+    if experiment is not None and experiment < 1:
+        raise UsageError(f"--experiment must be at least 1, got {experiment}")
     spec = parse_group_spec(args["group"])
     T = _load_table(spec)
     V = rep_from_selector(T, args["rep"])
     chain = build_chain(T, V)
-    metric = args.get("metric", "tv")
-    epsilon = _float_arg(args, "epsilon", 0.25)
-    start = None
-    if args.get("start") is not None:
+    metric, epsilon, start = args["metric"], args["epsilon"], None
+    if args["start"] is not None:
         chosen = rep_from_selector(T, args["start"]).support()
         if not chosen:
             raise UsageError(f"start selector {args['start']!r} selects no irreducible")
@@ -294,7 +270,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     payload["plancherel"] = chain.stationary().tolist()
     if experiment is not None:
         payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment, rep)
-    if args.get("csv"):
+    if args["csv"]:
         lines = ["t,uniform,tv_max,tv_half_l1"]
         for row in rep.curve:
             lines.append(f"{row['t']},{row['uniform']!r},{row['tv_max']!r},"
@@ -304,7 +280,7 @@ def run_markov(args: dict) -> tuple[dict, int]:
     violated = resid > config.TOL
     return (_envelope("markov", spec,
                       {"rep": args["rep"], "metric": metric, "epsilon": epsilon,
-                       "tmax": t_max, "start": args.get("start")}, payload),
+                       "tmax": t_max, "start": args["start"]}, payload),
             1 if violated else 0)
 
 
@@ -328,22 +304,20 @@ def _pick_normal(T, selector: str):
 
 def run_counterexample(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
-    m = _int_arg(args, "m", 3)
     T = _load_table(spec)
-    N = _pick_normal(T, args.get("normal", "group"))
-    eps = args.get("epsilon")
+    N = _pick_normal(T, args["normal"])
+    eps = args["epsilon"]
     if eps is not None:
         try:
             eps = Fraction(str(eps))
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
-    V, report = build_counterexample_rep(T, N, m, epsilon=eps)
+    V, report = build_counterexample_rep(T, N, args["m"], epsilon=eps)
     payload = {"rep": V.to_json_dict(), "normal_order": N.order,
                "construction": report}
     violated = not report["power_measure_at_most_half"]
     return (_envelope("counterexample", spec,
-                      {"normal": args.get("normal", "group"),
-                       "m": m,
+                      {"normal": args["normal"], "m": args["m"],
                        "epsilon": None if eps is None else str(eps)}, payload),
             1 if violated else 0)
 
@@ -362,9 +336,9 @@ def _parse_tuples(text: str, rank: int | None) -> list[tuple]:
 
 
 def run_sumset(args: dict) -> tuple[dict, int]:
-    m, n = _int_arg(args, "m", 2), _int_arg(args, "n", 1)
+    m, n = args["m"], args["n"]
     factors = None
-    if args.get("factors"):
+    if args["factors"]:
         factors = tuple(int(v) for v in str(args["factors"]).split(","))
     group = AbelianGroup(factors) if factors else None
     elems = _parse_tuples(args["set"], len(factors) if factors else None)
@@ -375,7 +349,7 @@ def run_sumset(args: dict) -> tuple[dict, int]:
                                  f"group: need 0 <= x_i < d_i for factors {list(factors)}")
     params = {"factors": list(factors) if factors else None, "rank": len(elems[0]),
               "set": [list(e) for e in elems], "m": m}
-    if args.get("cover"):
+    if args["cover"]:
         params["n"] = n
         tc = translate_cover(elems, n, m, group=group)
         payload = tc.to_json_dict()
@@ -404,6 +378,33 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER[1]
 
 
+def _options(command: str) -> list[argparse.Action]:
+    """The options of tqr `command` as its parser holds them, --help left out."""
+    sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.default is not argparse.SUPPRESS]
+
+
+def _suite_args(command: str, given: dict) -> dict:
+    """The namespace argparse would give tqr `command`: an omitted or null option
+    takes its default, and a value outside its choices, a bool for a number or
+    a non-integral int is refused, as argparse refuses 2.5."""
+    args = {}
+    for a in _options(command):
+        value = given.get(a.dest)
+        if value is None:
+            value = a.default
+        elif a.choices is not None and value not in a.choices:
+            raise UsageError(f"unknown {a.dest} {value!r}")
+        elif a.type in (int, float):
+            if isinstance(value, bool) or (a.type is int and isinstance(value, float)
+                                           and not value.is_integer()):
+                kind = "an integer" if a.type is int else "a number"
+                raise UsageError(f"{a.dest} must be {kind}, not {value!r}")
+            value = a.type(value)
+        args[a.dest] = value
+    return args
+
+
 def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
     with string commands, args objects whose keys are the command's argument
@@ -427,8 +428,7 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
             raise UsageError(f"suite experiment {exp_id!r} needs a string command "
                              f"and, if it has args, an args object")
         if exp["command"] in _RUNNERS:   # an unknown one is run_suite's error
-            sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-            actions, given = sub.choices[exp["command"]]._actions, exp.get("args", {})
+            actions, given = _options(exp["command"]), exp.get("args", {})
             unknown = set(given).difference(a.dest for a in actions)
             if unknown:
                 raise UsageError(f"suite experiment {exp_id!r}: {min(unknown)!r} is not "
@@ -445,21 +445,19 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
 def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:
     with open(args["config"]) as fh:
         cfg = json.load(fh)
-    outdir = args.get("outdir", ".")
+    outdir = args["outdir"]
     _check_suite_config(cfg, outdir, summary_path)
     os.makedirs(outdir, exist_ok=True)
     summary = {"version": __version__, "config": args["config"],
                "experiments": []}
     worst = 0
     for exp in cfg.get("experiments", []):
-        exp_id = exp["id"]
-        command = exp["command"]
+        exp_id, command = exp["id"], exp["command"]
         entry = {"id": exp_id, "command": command}
         try:
             if command not in _RUNNERS:
                 raise UsageError(f"unknown suite command {command!r}")
-            exp_args = dict(exp.get("args", {}))
-            exp_args["_filedir"] = outdir
+            exp_args = {**_suite_args(command, exp.get("args", {})), "_filedir": outdir}
             doc, code = _RUNNERS[command](exp_args)
             _emit(doc, os.path.join(outdir, f"{exp_id}.json"))
             entry["status"] = "ok" if code == 0 else "violation"
@@ -560,11 +558,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args = vars(ns)
-    command = args.pop("command")
-    out = args.pop("out", None)
+    command, out = args.pop("command"), args.pop("out")
     try:
         if command == "suite":
-            out = out or os.path.join(args.get("outdir", "."), "summary.json")
+            out = out or os.path.join(args["outdir"], "summary.json")
             doc, code = run_suite(args, out)
         else:
             doc, code = _RUNNERS[command](args)

@@ -427,7 +427,8 @@ def _tqr2_search(T, minimal, dens):
     also the first of any failing triple (permuting a triple changes no
     product), so only its pairs (i, j >= i) are walked: the first j and
     third support k avoiding some D_nu give the witness and the count
-    (i*s + j)*s + k + 1.
+    (i*s + j)*s + k + 1. The walk's 0/1 products are in floats, for BLAS,
+    and exact: counts are at most r and dim^2 sums at most |G|.
     """
     r, s = T.num_irreps, len(minimal)
     sq = T.dims.astype(np.int64) ** 2
@@ -435,17 +436,18 @@ def _tqr2_search(T, minimal, dens):
     eye = np.eye(r, dtype=bool)    # F[a, (b, c)]: c in chi_a chi_b
     F = tensor_support_mask(T, eye[:, None], eye).reshape(r, r * r).astype(np.float32)
     order = sorted(range(r), key=lambda i: (-int(T.dims[i]), i))
+    minimal_f, sq_f = minimal.astype(np.float32), sq.astype(np.float64)
     for i, row in enumerate(minimal):
         pair = (row @ F).reshape(r, r) @ F > 0     # pair[b, (mu, nu)]: D of (S_i, {b})
         if not _pairs_fail(pair[order].reshape(r, r, r), sq[order], sq, need):
             continue
         step = max(1, _STACK_ROWS // r)
         for lo in range(i, s, step):
-            D = (minimal[lo:lo + step] @ pair).reshape(-1, r, r)
-            found = np.flatnonzero((sq @ ~D >= need).any(axis=1))
+            D = (minimal_f[lo:lo + step] @ pair).reshape(-1, r, r) > 0
+            found = np.flatnonzero((sq_f @ ~D >= need).any(axis=1))
             if found.size:
                 j = lo + int(found[0])
-                product = minimal @ D[found[0]]    # supp of (S_i, S_j, S_k)
+                product = minimal_f @ D[found[0]] > 0    # supp of (S_i, S_j, S_k)
                 k = int(np.flatnonzero(~product.all(axis=1))[0])
                 witness = _support_witness(T, minimal[[i, j, k]], product[k])
                 return (i * s + j) * s + k + 1, witness

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -907,3 +908,85 @@ def test_suite_records_a_bool_float_option_as_an_error(command, key, value, tmp_
     assert [(e["status"], e["error"]) for e in entries] == [
         ("error", f"UsageError: {key} must be a number, not {value!r}")]
     assert not (tmp_path / "x.json").exists()
+
+
+# each command with its required options only (chartable needs one of --group
+# and --import), under the names the suite passes to its runner
+_REQUIRED_ONLY = {
+    "group": {"group": "quaternion8"},
+    "chartable": {"group": "symmetric:3"},
+    "check": {"group": "quaternion8"},
+    "cover": {"group": "affine:5", "v1": "irrep:4", "v2": "irrep:4"},
+    "markov": {"group": "symmetric:3", "rep": "irrep:2"},
+    "counterexample": {"group": "cyclic:12"},
+    "sumset": {"set": "0;1;2"},
+}
+
+
+def _suite_reports(experiments, tmp_path, capsys) -> dict:
+    """Run `experiments` ({id: (command, args)}) as one suite and return each
+    report's bytes by id, or its error for an experiment that did not run."""
+    path, out = tmp_path / "suite.json", tmp_path / "suite-out"
+    path.write_text(json.dumps({"experiments": [
+        {"id": exp_id, "command": command, "args": args}
+        for exp_id, (command, args) in experiments.items()]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    entries = json.loads((out / "summary.json").read_text())["experiments"]
+    return {e["id"]: (out / e["path"]).read_bytes() if e["status"] == "ok" else e["error"]
+            for e in entries}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+def test_a_suite_experiment_writes_the_command_line_report(command, tmp_path, capsys):
+    args = _REQUIRED_ONLY[command]
+    argv = [command]
+    for key, value in args.items():
+        argv += [f"--{key}", value]
+    assert cli.main([*argv, "--out", str(tmp_path / "cli.json")]) == 0
+    reports = _suite_reports({"x": (command, args)}, tmp_path, capsys)
+    assert reports == {"x": (tmp_path / "cli.json").read_bytes()}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+def test_a_null_suite_option_is_the_option_left_out(command, tmp_path, capsys):
+    # "normal", "metric" and "criterion" given as null were errors, not defaults
+    base = _REQUIRED_ONLY[command]
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    nulls = [a.dest for a in sub.choices[command]._actions
+             if a.nargs != 0 and a.dest not in base]
+    reports = _suite_reports({"base": (command, base),
+                              **{key: (command, {**base, key: None}) for key in nulls}},
+                             tmp_path, capsys)
+    assert isinstance(reports["base"], bytes)
+    assert {key: reports[key] for key in nulls} == dict.fromkeys(nulls, reports["base"])
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_markov_experiment_below_one_is_refused_up_front(value, tmp_path, capsys):
+    # it exited 2 only after the table, the chain and the walk, with "t must be
+    # non-negative" or "tensor power must be >= 1"; an unbuildable group shows
+    # that nothing is built before the refusal
+    message = f"--experiment must be at least 1, got {value}"
+    for group in ("cyclic:6", "nosuch:6"):
+        assert cli.main(["markov", "--group", group, "--rep", "irrep:1",
+                         "--experiment", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    reports = _suite_reports(
+        {"x": ("markov", {"group": "cyclic:6", "rep": "irrep:1", "experiment": int(value)})},
+        tmp_path, capsys)
+    assert reports == {"x": f"UsageError: {message}"}
+
+
+def test_a_suite_value_outside_the_choices_is_refused_before_anything_is_built(
+        tmp_path, capsys):
+    # a metric outside the parser's choices was a ValueError of mixing_time,
+    # raised after the table and the chain were built
+    reports = _suite_reports({
+        "c": ("check", {"group": "nosuch:6", "criterion": "qr9"}),
+        "m": ("markov", {"group": "nosuch:6", "rep": "irrep:1", "metric": "l2"})},
+        tmp_path, capsys)
+    assert reports == {"c": "UsageError: unknown criterion 'qr9'",
+                       "m": "UsageError: unknown metric 'l2'"}

@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # which importing this package first would otherwise do.
 _EXPORTS = {name: module for module, names in {
     "groups": ("GroupTable", "ClassData", "Subgroup", "GroupError", "build_group",
-               "conjugacy_classes", "center", "normal_subgroups", "quotient",
-               "center_free_quotient_chain", "derived_subgroup",
+               "conjugacy_classes", "center", "upper_central_series", "normal_subgroups",
+               "quotient", "center_free_quotient_chain", "derived_subgroup",
                "subgroup_table", "subgroup_from_members", "AbelianGroup",
                "AbelianStructure", "abelian_structure"),
     "chartable": ("CharTable", "ClassFunction", "CharTableError",

@@ -30,7 +30,7 @@ from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
 from .groups import (_FAMILIES, AbelianGroup, Subgroup, build_group, center,
-                     center_free_quotient_chain)
+                     upper_central_series)
 from .markov import (build_chain, check_t_max, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -162,7 +162,7 @@ def run_group(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     G = build_group(spec)
     C = G.classes
-    chain = center_free_quotient_chain(G)
+    series = upper_central_series(G)   # G/Z_i has order |G|/|Z_i|: no quotient is built
     payload = {
         "order": G.order,
         "num_classes": C.num_classes,
@@ -170,8 +170,8 @@ def run_group(args: dict) -> tuple[dict, int]:
         "class_representatives": [G.label(int(r)) for r in C.representatives],
         "min_nontrivial_class": C.min_nontrivial_size,
         "abelian": G.is_abelian(),
-        "center_order": G.order // chain[1].order if len(chain) > 1 else 1,
-        "quotient_chain_orders": [H.order for H in chain],
+        "center_order": series[0].order if series else 1,
+        "quotient_chain_orders": [G.order] + [Z.index for Z in series],
     }
     if args["normal_subgroups"]:
         T = compute_char_table(G)
@@ -309,7 +309,7 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
     eps = args["epsilon"]
     if eps is not None:
         try:
-            eps = Fraction(str(eps))
+            eps = Fraction(eps)
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
     V, report = build_counterexample_rep(T, N, args["m"], epsilon=eps)
@@ -337,9 +337,7 @@ def _parse_tuples(text: str, rank: int | None) -> list[tuple]:
 
 def run_sumset(args: dict) -> tuple[dict, int]:
     m, n = args["m"], args["n"]
-    factors = None
-    if args["factors"]:
-        factors = tuple(int(v) for v in str(args["factors"]).split(","))
+    factors = tuple(int(v) for v in args["factors"].split(",")) if args["factors"] else None
     group = AbelianGroup(factors) if factors else None
     elems = _parse_tuples(args["set"], len(factors) if factors else None)
     if factors:
@@ -379,15 +377,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _options(command: str) -> list[argparse.Action]:
-    """The options of tqr `command` as its parser holds them, --help left out."""
+    """The options of tqr `command` as its parser holds them, less --help and --out."""
     sub, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [a for a in sub.choices[command]._actions if a.default is not argparse.SUPPRESS]
+    return [a for a in sub.choices[command]._actions if a.dest not in ("help", "out")]
 
 
 def _suite_args(command: str, given: dict) -> dict:
     """The namespace argparse would give tqr `command`: an omitted or null option
-    takes its default, and a value outside its choices, a bool for a number or
-    a non-integral int is refused, as argparse refuses 2.5."""
+    takes its default, a text option takes a number as its text, and a value outside
+    its choices, a bool for a number, a non-integral int or non-text is refused."""
     args = {}
     for a in _options(command):
         value = given.get(a.dest)
@@ -401,6 +399,10 @@ def _suite_args(command: str, given: dict) -> dict:
                 kind = "an integer" if a.type is int else "a number"
                 raise UsageError(f"{a.dest} must be {kind}, not {value!r}")
             value = a.type(value)
+        elif a.type is None and a.nargs is None:
+            if isinstance(value, (bool, list, dict)):
+                raise UsageError(f"{a.dest} must be a string, not {value!r}")
+            value = str(value)
         args[a.dest] = value
     return args
 

@@ -713,6 +713,17 @@ def center(G: GroupTable) -> Subgroup:
     return Subgroup(members=members, is_normal=True, index=G.order // len(members))
 
 
+def upper_central_series(G: GroupTable) -> list[Subgroup]:
+    """Z(G) = Z_1 < Z_2 < ... to the hypercentre (none if Z(G) = 1), in G's table: x is in Z_(i+1)
+    iff s x s^-1 x^-1 is in Z_i for each generator s, as their images generate G/Z_i."""
+    commutators = G.mul[conjugates(G, G.generators), G.inv]   # row s: x -> s x s^-1 x^-1
+    series, inside = [], G.classes.sizes[G.classes.class_of] == 1
+    while len(members := np.flatnonzero(inside).tolist()) > (series[-1].order if series else 1):
+        series.append(Subgroup(tuple(members), True, G.order // len(members)))
+        inside = inside[commutators].all(axis=0)
+    return series
+
+
 def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
     """The union of the classes whose bits are set, validated as a subgroup."""
     G, C, r = T.group, T.classes, T.classes.num_classes
@@ -771,11 +782,8 @@ def _gather_table(G: GroupTable, elems: np.ndarray, rank: np.ndarray) -> np.ndar
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
-    """G, G/Z(G), ... until the first center-free (possibly trivial) group."""
-    chain = [G]
-    while (Z := center(chain[-1])).order > 1:
-        chain.append(quotient(chain[-1], Z))
-    return chain
+    """G and each G/Z_i of its upper central series, gathered from G; the last is center-free."""
+    return [G, *(quotient(G, Z) for Z in upper_central_series(G))]
 
 
 def derived_subgroup(T: CharTable) -> Subgroup:

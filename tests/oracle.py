@@ -10,7 +10,8 @@ reading a class function element by element, induced characters from a
 conjugation sum per class, subgroups from
 exhaustive closure search, normal and derived subgroups from element-level
 closures, subgroup closure and centres of member sets from every pairwise
-product, tensor supports from one product of irreducibles at a time,
+product, centre-free quotient chains from a quotient of each quotient by
+its own centre, tensor supports from one product of irreducibles at a time,
 tensor powers and sumsets from one factor at a time, sumsets and translate
 covers also on Python tuple sets, the exhaustive TQR2
 search from a walk over every pair of minimal supports, minimal supports
@@ -335,6 +336,16 @@ def dict_quotient_table(G, members, rows=None):
             coset_rep.update(dict.fromkeys(coset, min(coset)))
     reps = sorted(set(coset_rep.values()))
     return dict_cayley_table(reps, lambda a, b: coset_rep[int(G.mul[a, b])], rows), reps
+
+
+def nested_center_free_quotient_chain(G):
+    """G, G/Z(G), ... as a quotient of each quotient by its own center, until
+    the first center-free (possibly trivial) group."""
+    from tqrgroups import groups
+    chain = [G]
+    while (Z := groups.center(chain[-1])).order > 1:
+        chain.append(groups.quotient(chain[-1], Z))
+    return chain
 
 
 def class_multiplication_matrix(G, C, i):

@@ -950,11 +950,12 @@ def test_a_suite_experiment_writes_the_command_line_report(command, tmp_path, ca
 
 @pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
 def test_a_null_suite_option_is_the_option_left_out(command, tmp_path, capsys):
-    # "normal", "metric" and "criterion" given as null were errors, not defaults
+    # "normal", "metric" and "criterion" given as null were errors, not defaults;
+    # out is not a suite option (a suite writes <outdir>/<id>.json)
     base = _REQUIRED_ONLY[command]
     sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
     nulls = [a.dest for a in sub.choices[command]._actions
-             if a.nargs != 0 and a.dest not in base]
+             if a.nargs != 0 and a.dest not in (*base, "out")]
     reports = _suite_reports({"base": (command, base),
                               **{key: (command, {**base, key: None}) for key in nulls}},
                              tmp_path, capsys)
@@ -990,3 +991,61 @@ def test_a_suite_value_outside_the_choices_is_refused_before_anything_is_built(
         tmp_path, capsys)
     assert reports == {"c": "UsageError: unknown criterion 'qr9'",
                        "m": "UsageError: unknown metric 'l2'"}
+
+
+def test_a_suite_string_option_reads_a_number_as_its_text(tmp_path, capsys):
+    # "normal": 5 and "start": 1 reached .strip() after the table was built,
+    # as AttributeError: 'int' object has no attribute 'strip'; a bool, list
+    # or object is refused, and a number keeps the report of its text
+    counter, walk = _REQUIRED_ONLY["counterexample"], _REQUIRED_ONLY["markov"]
+    reports = _suite_reports({
+        "normal-5": ("counterexample", {**counter, "normal": 5}),
+        "normal-true": ("counterexample", {**counter, "normal": True}),
+        "normal-list": ("counterexample", {**counter, "normal": ["group"]}),
+        "start-1": ("markov", {**walk, "start": 1}),
+        "v3-object": ("cover", {**_REQUIRED_ONLY["cover"], "v3": {"irrep": 4}}),
+        "epsilon-number": ("counterexample", {**counter, "epsilon": 0.1}),
+        "epsilon-text": ("counterexample", {**counter, "epsilon": "0.1"}),
+        "factors-number": ("sumset", {"factors": 12, "set": "0;1"}),
+        "factors-text": ("sumset", {"factors": "12", "set": "0;1"})}, tmp_path, capsys)
+    assert cli.main(["counterexample", "--group", "cyclic:12", "--normal", "5"]) == 2
+    assert cli.main(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
+                     "--start", "1"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert [reports[key].split(": ", 1)[1] for key in ("normal-5", "start-1")] == [
+        line.removeprefix("error: ") for line in errors]
+    assert reports["normal-true"] == "UsageError: normal must be a string, not True"
+    assert reports["normal-list"] == "UsageError: normal must be a string, not ['group']"
+    assert reports["v3-object"] == "UsageError: v3 must be a string, not {'irrep': 4}"
+    assert reports["epsilon-number"] == reports["epsilon-text"]
+    assert reports["factors-number"] == reports["factors-text"]
+    assert isinstance(reports["epsilon-text"], bytes) and isinstance(reports["factors-text"], bytes)
+
+
+def test_a_suite_experiment_out_is_refused_before_anything_runs(tmp_path, capsys):
+    # it was accepted and ignored: only <id>.json was written
+    path, out = tmp_path / "suite.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "x", "command": "group", "args": {"group": "cyclic:6", "out": "elsewhere.json"}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suite experiment 'x': 'out' is not an option of tqr group\n"
+    assert not out.exists()
+
+
+def test_tqr_group_builds_one_group_table(monkeypatch, capsys):
+    # the center and the quotient chain's orders are read off the upper central
+    # series in G's own table; each quotient G, G/Z, G/Z_2 was a table of its own
+    built = []
+    post_init = groups.GroupTable.__post_init__
+
+    def counted(self):
+        built.append(self.order)
+        post_init(self)
+
+    monkeypatch.setattr(groups.GroupTable, "__post_init__", counted)
+    assert cli.main(["group", "--group", "extraspecial:13", "--normal-subgroups"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert built == [2197]
+    assert (report["center_order"], report["quotient_chain_orders"]) == (13, [2197, 169, 1])

@@ -572,6 +572,32 @@ def test_center_free_quotient_chain():
     assert [g.order for g in center_free_quotient_chain(C5)] == [5, 1]
 
 
+_SERIES_CASES = {
+    **{name: (lambda name=name: get_group(name)) for name in FIXTURE_SPECS},
+    **{text: (lambda text=text: build_group(cli.parse_group_spec(text)))
+       for text in ["extraspecial:7", "extraspecial:13", "dihedral:64", "cyclic:1"]},
+    "relabelled-ES3": lambda: _relabelled(get_group("ES3"), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SERIES_CASES))
+def test_the_upper_central_series_gives_the_nested_quotient_chain(case):
+    # each G/Z_i is gathered straight from G: the same tables, inverses and
+    # generators as the quotient of each quotient by its center
+    G = _SERIES_CASES[case]()
+    series, want = groups.upper_central_series(G), oracle.nested_center_free_quotient_chain(G)
+    assert [G.order] + [G.order // Z.order for Z in series] == [Q.order for Q in want]
+    assert series[:1] == ([center(G)] if center(G).order > 1 else [])
+    assert all(subgroup_from_members(G, Z.members) == Z and type(Z.index) is int
+               for Z in series)
+    assert all(set(Z.members) < set(W.members) for Z, W in zip(series, series[1:]))
+    got = center_free_quotient_chain(G)
+    assert got[0] is G and len(got) == len(want)
+    for Q, R in zip(got, want):
+        assert np.array_equal(Q.mul, R.mul) and np.array_equal(Q.inv, R.inv)
+        assert Q.generators == R.generators
+
+
 def test_derived_subgroup():
     # [S3, S3] = A3; affine(5) derived = translations
     D = derived_subgroup(get_table("S3"))

@@ -17,27 +17,21 @@ _EXPORTS = {name: module for module, names in {
     "groups": ("GroupTable", "ClassData", "Subgroup", "GroupError", "build_group",
                "conjugacy_classes", "center", "upper_central_series", "normal_subgroups",
                "quotient", "center_free_quotient_chain", "derived_subgroup",
-               "subgroup_table", "subgroup_from_members", "AbelianGroup",
-               "AbelianStructure", "abelian_structure"),
+               "subgroup_from_members", "AbelianGroup", "AbelianStructure"),
     "chartable": ("CharTable", "ClassFunction", "CharTableError",
-                  "compute_char_table", "induce_character",
-                  "to_interchange", "from_interchange",
+                  "compute_char_table", "induce_character", "from_interchange",
                   "dumps_interchange", "loads_interchange"),
     "classfuncs": ("RepMultiset", "DecompositionError", "plancherel_frac",
-                   "reduced_character", "character_of", "reduce_rep",
-                   "split_off_identity", "lp_norm", "inner_product", "decompose",
-                   "rep_from_selector"),
+                   "character_of", "reduce_rep", "decompose", "rep_from_selector"),
     "criteria": ("CriteriaParams", "CriterionReport", "CoverReport",
-                 "covering_lemma_check", "two_factor_cover",
-                 "three_factor_cover", "multiplicity_profile", "check_tqr",
-                 "check_qr"),
+                 "two_factor_cover", "three_factor_cover", "multiplicity_profile",
+                 "check_tqr", "check_qr"),
     "markov": ("ChainModel", "MixingReport", "build_chain",
                "t_step_distribution", "mixing_time", "mixing_experiment",
                "stationarity_residual", "distances_to_stationary"),
     "counterexample": ("AutAction", "dual_action", "m_fold_sumset",
                        "translate_cover", "invariant_small_doubling_set",
-                       "build_counterexample_rep", "verify_vtheta_partition",
-                       "default_epsilon"),
+                       "build_counterexample_rep", "default_epsilon"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -68,9 +68,6 @@ class CharTable:
     def num_irreps(self) -> int:
         return len(self.dims)
 
-    def irrep_character(self, lam: int) -> ClassFunction:
-        return ClassFunction(self.group, self.values[lam].copy())
-
     @functools.cached_property
     def kernel_masks(self) -> tuple[int, ...]:
         """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
@@ -288,10 +285,10 @@ def induce_character(G: GroupTable, subgroup_members, theta):
 
 def _interchange_header(T: CharTable) -> dict:
     """Every field of T's interchange document but `values`. A cayley group
-    spec in it holds its table as an array; a quotient or subgroup table,
-    whose source build_group cannot rebuild, is written as one."""
+    spec in it holds its table as an array; a quotient table, whose source
+    build_group cannot rebuild, is written as one."""
     G, spec = T.group, T.group.source
-    if spec.get("type") in ("quotient", "subgroup"):
+    if spec.get("type") == "quotient":
         spec = groups.cayley_spec(G)
     return {
         "group": spec,
@@ -299,14 +296,6 @@ def _interchange_header(T: CharTable) -> dict:
         "class_reps": T.classes.representatives.tolist(),
         "dims": T.dims.tolist(),
     }
-
-
-def to_interchange(T: CharTable) -> dict:
-    """The interchange document of T: its header, and `values` as rows of
-    [re, im] float pairs. dumps_interchange writes a cayley table as lists."""
-    r = T.num_irreps
-    return {**_interchange_header(T),
-            "values": T.values.view(np.float64).reshape(r, r, 2).tolist()}
 
 
 def from_interchange(doc: dict) -> CharTable:
@@ -362,12 +351,13 @@ _PAIR = "\n      [\n        %r,\n        %r\n      ]"
 
 
 def dumps_interchange(T: CharTable) -> str:
-    """json.dumps(to_interchange(T), indent=2), byte for byte. The header goes
-    through json.dumps; `values` is formatted from the array a row at a time,
-    each row's 2r floats through float.__repr__ (what json writes for a
-    finite float; a certified table is finite) into one template of the
-    indent=2 separators. CPython extends a string that one name holds in
-    place, so the peak is the document plus one row."""
+    """T's interchange document as json.dumps(doc, indent=2) writes it: the
+    header, a cayley table as lists, and `values` as rows of [re, im] pairs.
+    The header goes through json.dumps; `values` is formatted from the array
+    a row at a time, each row's 2r floats through float.__repr__ (what json
+    writes for a finite float; a certified table is finite) into one template
+    of the indent=2 separators. CPython extends a string that one name holds
+    in place, so the peak is the document plus one row."""
     r = T.num_irreps
     head = json.dumps(_interchange_header(T), indent=2, default=np.ndarray.tolist)
     row = "\n    [" + ",".join([_PAIR] * r) + "\n    ]"

@@ -1,11 +1,9 @@
-"""Measure-theoretic vocabulary on representations: Plancherel measure,
-reduced characters, lp norms with counting measure, and exact decomposition
-of characters into irreducible multiplicities.
+"""Measure-theoretic vocabulary on representations: Plancherel measure, and
+exact decomposition of characters into irreducible multiplicities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,19 +57,6 @@ def plancherel_frac(T: CharTable, V: RepMultiset) -> Fraction:
     return support_measure_frac(T, V.support_mask())
 
 
-def reduced_character(T: CharTable, V: RepMultiset) -> ClassFunction:
-    """(1/|G|) sum over the support of V of dim(lam) * chi_lam.
-
-    Depends only on the support; its value at the identity is the Plancherel
-    measure of V.
-    """
-    sup = list(V.support())
-    vals = np.zeros(T.num_irreps, dtype=np.float64)
-    vals[sup] = T.dims[sup]
-    out = (vals @ T.values) / T.group.order
-    return ClassFunction(T.group, out)
-
-
 def character_of(T: CharTable, V: RepMultiset) -> ClassFunction:
     """Ordinary character sum mult(lam) * chi_lam."""
     return ClassFunction(T.group, V.mult.astype(np.complex128) @ T.values)
@@ -83,38 +68,6 @@ def reduce_rep(V: RepMultiset) -> RepMultiset:
     sup = list(V.support())
     mult[sup] = V.table.dims[sup]
     return RepMultiset(V.table, mult)
-
-
-def split_off_identity(f: ClassFunction) -> tuple[complex, ClassFunction]:
-    """f = f(e) * 1_{g=e} + f0 with f0 vanishing on the identity class."""
-    rest = f.values.copy()
-    head = complex(rest[0])
-    rest[0] = 0.0
-    return head, f.copy_with(rest)
-
-
-def lp_norm(f: ClassFunction, p) -> float:
-    """lp norm with counting measure on group elements.
-
-    Class values are weighted by class size; p may be 1, 2 or math.inf.
-    """
-    mags = np.abs(f.values)
-    if p == math.inf or p == "inf":
-        return float(mags.max(initial=0.0))
-    sizes = f.classes.sizes.astype(np.float64)
-    if p == 1:
-        return float(np.sum(sizes * mags))
-    if p == 2:
-        return float(np.sqrt(np.sum(sizes * mags ** 2)))
-    raise ValueError("p must be 1, 2 or inf")
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> complex:
-    """<f, g> = (1/|G|) sum over elements of f * conj(g)."""
-    if f.classes is not g.classes:
-        raise ValueError("class functions live on different groups")
-    w = f.classes.sizes / f.group.order
-    return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
 def decompose(T: CharTable, f):

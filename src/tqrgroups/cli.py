@@ -574,3 +574,8 @@ def main(argv: list[str] | None = None) -> int:
         # a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # only the parsers of nested input recurse without a bound: json and
+        # the compact product syntax; build_group bounds a product's depth
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2

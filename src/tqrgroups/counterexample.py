@@ -22,7 +22,7 @@ from .chartable import CharTable, induce_character
 from .classfuncs import (RepMultiset, decompose, plancherel_frac,
                          power_support_mask, support_measure_frac)
 from .groups import (AbelianGroup, AbelianStructure, GroupError, GroupTable,
-                     Subgroup, center, center_of_subset, permutation_closure,
+                     Subgroup, center_of_subset, permutation_closure,
                      sorted_unique)
 
 
@@ -396,24 +396,6 @@ def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
         "algorithm": diag,
     }
     return V, report
-
-
-def verify_vtheta_partition(T_N: CharTable, K_members) -> dict:
-    """Induce every character of a central K up to N = T_N.group and check
-    that the supports partition Irrep(N), each of Plancherel measure 1/|K|."""
-    N_table = T_N.group
-    if not set(int(x) for x in K_members) <= set(center(N_table).members):
-        raise GroupError("K must be central in N")
-    # a subset of the centre commutes
-    dec = groups._invariant_factors(N_table, groups._member_array(N_table, K_members))
-    kk = dec.group.order
-    thetas = np.arange(kk)
-    blocks, partition_ok, measures_exact = _partition_check(
-        T_N, decompose(T_N, _induced_characters(N_table, dec, thetas)),
-        [Fraction(1, kk)] * kk)
-    blocks = [{"theta": t, **b} for t, b in zip(dec.group.coords.tolist(), blocks)]
-    return {"blocks": blocks, "partition_ok": partition_ok,
-            "measures_exact": measures_exact, "center_order": kk}
 
 
 def _partition_check(T: CharTable, mult: np.ndarray,

@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chartable import CharTable, ClassFunction
-from .classfuncs import (RepMultiset, character_of, decompose, lp_norm,
-                         plancherel_frac, power_support_mask, reduce_rep,
-                         split_off_identity, support_measure_frac,
+from .chartable import CharTable
+from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
+                         power_support_mask, reduce_rep, support_measure_frac,
                          tensor_support_mask)
 from . import config, groups
 from .groups import GroupError, GroupTable, derived_subgroup, center_of_subset
@@ -104,17 +103,6 @@ class CoverReport:
 
 # ---------------------------------------------------------------------------
 # Covering checks
-
-
-def covering_lemma_check(T: CharTable, f: ClassFunction) -> bool:
-    """True iff |f(e)| strictly exceeds the l1 mass of f off the identity.
-
-    For f in the span of the characters of some representation's support this
-    forces every irreducible to pair nontrivially with f, so the support is
-    all of Irrep(G).
-    """
-    head, f0 = split_off_identity(f)
-    return abs(head) > lp_norm(f0, 1)
 
 
 def two_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset) -> CoverReport:

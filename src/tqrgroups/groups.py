@@ -64,10 +64,6 @@ class GroupTable:
         name = self.source.get("family", self.source.get("type", "group"))
         return f"GroupTable({name}, order={self.order})"
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
     def is_abelian(self) -> bool:
         """True iff every class has one element."""
         return self.classes.num_classes == self.order
@@ -520,8 +516,12 @@ _FAMILIES = {
     "affine": ("p", lambda p: p * (p - 1), _affine),
 }
 
+# Most products on one path of a spec: without a trivial factor, one nested d
+# deep has order >= 2^(d+1) > MAX_ORDER once d >= 14. build_group recurses per level
+_MAX_PRODUCT_DEPTH = 64
 
-def build_group(spec: dict) -> GroupTable:
+
+def build_group(spec: dict, _depth: int = 0) -> GroupTable:
     """Construct a validated GroupTable from a group-spec descriptor.
 
     Accepted shapes:
@@ -536,9 +536,13 @@ def build_group(spec: dict) -> GroupTable:
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise GroupError(f"group spec params must be a JSON object, not {params!r}")
+        if not isinstance(name, str):
+            raise GroupError(f"group spec family must be a string, not {name!r}")
         if name in ("product", "direct_product"):
-            left = build_group(_field(params, "left"))
-            right = build_group(_field(params, "right"))
+            if _depth == _MAX_PRODUCT_DEPTH:
+                raise GroupError(f"products nest more than {_MAX_PRODUCT_DEPTH} deep")
+            left = build_group(_field(params, "left"), _depth + 1)
+            right = build_group(_field(params, "right"), _depth + 1)
             return _direct_product(left, right,
                                    {"family": "product",
                                     "params": {"left": left.source, "right": right.source}})
@@ -766,19 +770,13 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     # N itself is the identity coset, which need not have rank 0 (cayley input)
     gens = [c for c in dict.fromkeys(coset[list(G.generators)].tolist())
             if c != coset[G.identity]]
-    return _finalize(_gather_table(G, reps, coset), labels, source, gens)
-
-
-def _gather_table(G: GroupTable, elems: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The (m, m) table rank[x*y] over the parent elements x, y in `elems`,
-    gathered in slabs of _FILL_CELLS cells; rank maps each element of G to
-    an index of the new table, or to -1, and sets the table's dtype."""
-    m = len(elems)
-    mul = np.empty((m, m), dtype=rank.dtype)
-    slab = max(1, _FILL_CELLS // max(m, 1))
+    # the table coset[x*y] over the representatives, in slabs of _FILL_CELLS cells
+    m = len(reps)
+    mul = np.empty((m, m), dtype=coset.dtype)
+    slab = max(1, _FILL_CELLS // m)
     for lo in range(0, m, slab):
-        mul[lo:lo + slab] = rank[G.mul[elems[lo:lo + slab, None], elems]]
-    return mul
+        mul[lo:lo + slab] = coset[G.mul[reps[lo:lo + slab, None], reps]]
+    return _finalize(mul, labels, source, gens)
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
@@ -833,27 +831,6 @@ def product_sizes(G: GroupTable, sets, triple, power) -> np.ndarray:
         sizes[live] = grown
         live = live[keep]
     return sizes
-
-
-def subgroup_table(G: GroupTable, members) -> tuple[GroupTable, list[int]]:
-    """Realize a subgroup as a standalone GroupTable.
-
-    Returns the table and the list mapping its indices back to parent element
-    indices (the distinct members, sorted ascending, so index 0 need not be
-    the identity of G).
-    """
-    elems = _member_array(G, members).tolist()
-    if not elems:   # any other set without the identity is not closed
-        raise GroupError("subgroup must contain the identity")
-    rank = np.full(G.order, -1, dtype=table_dtype(len(elems)))   # -1 outside the members
-    rank[elems] = np.arange(len(elems))
-    mul = _gather_table(G, np.array(elems, dtype=np.int64), rank)
-    if (mul < 0).any():
-        raise GroupError("member set is not closed under multiplication")
-    labels = [G.label(e) for e in elems] if G.labels is not None else None
-    table = _finalize(mul, labels, {"type": "subgroup", "parent": G.source,
-                                    "members": elems})
-    return table, elems
 
 
 # ---------------------------------------------------------------------------
@@ -924,22 +901,13 @@ class AbelianStructure:
     to_parent: np.ndarray      # element index of group -> parent element index
 
 
-def abelian_structure(G: GroupTable, members) -> AbelianStructure:
-    """Invariant factor decomposition of an abelian subgroup of G, checked
-    exactly: the members commute, each basis element g_j has g_j^(d_j) = 1,
-    and to_parent is a bijection onto the members. Then (a_1, ..., a_r) ->
-    g_1^a_1 ... g_r^a_r is a well-defined homomorphism that is bijective, an
-    isomorphism from Z_{d1} x ... x Z_{dr}."""
-    arr = _member_array(G, members)
-    block = G.mul[np.ix_(arr, arr)]
-    if not np.array_equal(block, block.T):
-        raise GroupError("subgroup is not abelian")
-    return _invariant_factors(G, arr)
-
-
 def _invariant_factors(G: GroupTable, arr: np.ndarray) -> AbelianStructure:
-    """abelian_structure of sorted members known to commute. On members that
-    do not, the basis search may raise KeyError or misread them."""
+    """Invariant factor decomposition of sorted members known to commute,
+    checked exactly: each basis element g_j has g_j^(d_j) = 1, and
+    to_parent is a bijection onto the members. Then (a_1, ..., a_r) ->
+    g_1^a_1 ... g_r^a_r is a well-defined homomorphism that is bijective, an
+    isomorphism from Z_{d1} x ... x Z_{dr}. On members that do not commute,
+    the basis search may raise KeyError or misread them."""
 
     def mul_fn(x, y):
         return G.mul[x, y]

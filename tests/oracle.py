@@ -27,7 +27,12 @@ associativity from every triple, abelian characters and their
 dual actions from one Fraction per value, the automorphisms of the centre of
 a normal subgroup from conjugation by each coset's least element, mixing curves from one
 vector-matrix step per start row, and the affine-group table is
-assembled from its known structure.
+assembled from its known structure. Conjugates come one pair at a time,
+subgroup tables from one lookup per pair of members, reduced characters
+and lp norms one irreducible or class at a time, the interchange
+document from one complex() per value, and the V_theta partition of a
+central subgroup from a conjugation sum per class and the weighted inner
+products.
 """
 
 from __future__ import annotations
@@ -875,7 +880,7 @@ def per_coset_conjugation_maps(G, N, to_parent):
     to_parent."""
     reps = np.unique(G.mul[:, list(N.members)].min(axis=1))
     position = {int(x): i for i, x in enumerate(to_parent)}
-    return [[position[G.conjugate(int(g), int(x))] for x in to_parent] for g in reps]
+    return [[position[conjugate(G, int(g), int(x))] for x in to_parent] for g in reps]
 
 
 def _tuple_group_ops(factors):
@@ -1058,3 +1063,92 @@ def mixing_report_per_start(M, metric, epsilon, t_max, start):
     return {"start": start, "metric": metric, "epsilon": epsilon,
             "mixing_time": times[metric], "t_max": t_max,
             "mixing_times": times, "curve": curve}
+
+
+def conjugate(G, g, x) -> int:
+    """g x g^-1, one pair at a time."""
+    return int(G.mul[G.mul[g, x], G.inv[g]])
+
+
+def subgroup_table(G, members):
+    """A subgroup as a GroupTable of its own, from one lookup of G's table per
+    pair of members, with the list mapping its indices to G's: the distinct
+    members, ascending, so index 0 need not be G's identity. Its source is
+    its cayley spec, which build_group rebuilds."""
+    from tqrgroups.groups import GroupError, _finalize, _member_array, cayley_spec
+    elems = _member_array(G, members).tolist()
+    if not elems:   # any other set without the identity is not closed
+        raise GroupError("subgroup must contain the identity")
+    rank = np.full(G.order, -1, dtype=np.int64)   # -1 outside the members
+    rank[elems] = np.arange(len(elems))
+    mul = rank[G.mul[np.ix_(elems, elems)]]
+    if (mul < 0).any():
+        raise GroupError("member set is not closed under multiplication")
+    H = _finalize(mul, [G.label(e) for e in elems] if G.labels is not None else None, {})
+    H.source = cayley_spec(H)
+    return H, elems
+
+
+def reduced_character(T, V):
+    """(1/|G|) sum over the support of V of dim(lam) chi_lam, one row at a
+    time; its value at the identity is the Plancherel measure of V."""
+    from tqrgroups.chartable import ClassFunction
+    vals = sum((int(T.dims[lam]) * T.values[lam] for lam in V.support()),
+               np.zeros(T.num_irreps, dtype=np.complex128))
+    return ClassFunction(T.group, vals / T.group.order)
+
+
+def split_off_identity(f):
+    """f = f(e) 1_{g=e} + f0, with f0 vanishing on the identity class."""
+    rest = f.values.copy()
+    head = complex(rest[0])
+    rest[0] = 0.0
+    return head, f.copy_with(rest)
+
+
+def lp_norm(f, p) -> float:
+    """The lp norm of a class function with counting measure on the elements,
+    for p = 1, 2 or math.inf: each class value weighted by its class size."""
+    mags = np.abs(f.values)
+    if p == math.inf:
+        return float(mags.max(initial=0.0))
+    return float(np.sum(f.classes.sizes * mags ** p) ** (1 / p))
+
+
+def to_interchange(T):
+    """T's interchange document as a dict, for json.dumps: the header, and
+    `values` as rows of [re, im] float pairs from one complex() per entry."""
+    from tqrgroups.chartable import _interchange_header
+    return {**_interchange_header(T),
+            "values": [[[complex(v).real, complex(v).imag] for v in row] for row in T.values]}
+
+
+def verify_vtheta_partition(T, K_members):
+    """For a central K of N = T.group, the support of Ind_K^N(theta) for each
+    character theta of K, in the order of K's exponent tuples, from one
+    conjugation sum per class and the weighted inner products; whether the
+    supports partition Irrep(N), and whether each has measure 1/|K|, one
+    Fraction per member."""
+    from tqrgroups import groups
+    N = T.group
+    K_members = sorted(int(x) for x in K_members)
+    if not all(int(N.mul[k, g]) == int(N.mul[g, k]) for k in K_members for g in range(N.order)):
+        raise groups.GroupError("K must be central in N")
+    dec = groups._invariant_factors(N, np.array(K_members, dtype=np.int64))
+    K = dec.group
+    blocks, masks = [], []
+    for theta in K.coords.tolist():
+        values = {int(g): character_value(K.factors, theta, x)
+                  for g, x in zip(dec.to_parent, K.coords.tolist())}
+        ind = conjugation_sum_induce(N, T.classes, K_members, values)
+        mult = _stacked_multiplicities(T, ind[None])[0]
+        mask = sum(1 << int(lam) for lam in np.flatnonzero(mult))
+        masks.append(mask)
+        blocks.append({"theta": theta, "support": [lam for lam in range(T.num_irreps)
+                                                   if mask >> lam & 1],
+                       "measure": fraction_sum_measure(T, mask)})
+    return {"blocks": [{**b, "measure": float(b["measure"])} for b in blocks],
+            "partition_ok": all(sum(m >> lam & 1 for m in masks) == 1
+                                for lam in range(T.num_irreps)),
+            "measures_exact": [b["measure"] for b in blocks] == [Fraction(1, K.order)] * K.order,
+            "center_order": K.order}

@@ -20,8 +20,7 @@ from tqrgroups import (build_chain, build_counterexample_rep, build_group,
                        center, center_free_quotient_chain, check_qr, check_tqr,
                        compute_char_table, conjugacy_classes, decompose,
                        normal_subgroups, plancherel_frac, quotient,
-                       t_step_distribution, translate_cover,
-                       verify_vtheta_partition)
+                       t_step_distribution, translate_cover)
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import RepMultiset, character_of, reduce_rep
 from tqrgroups.criteria import CriteriaParams
@@ -330,9 +329,11 @@ def test_c09_small_doubling_counterexample_and_partition():
     assert support_measure_frac(T, pw) <= Fraction(1, 2)
     for name in ("quaternion8", "dihedral:4"):
         Gn, Cn, Tn = table_of(name)
-        out = verify_vtheta_partition(Tn, center(Gn).members)
-        assert out["partition_ok"] and out["measures_exact"]
-        assert [b["measure"] for b in out["blocks"]] == [0.5, 0.5]
+        # N = Z(G) is central, so each dual orbit is one character theta of
+        # it, and the orbit blocks are the partition by the V_theta
+        _, out = build_counterexample_rep(Tn, center(Gn), 2)
+        assert out["orbit_partition_ok"] and out["orbit_measures_ok"]
+        assert [b["measure"] for b in out["orbit_blocks"]] == [0.5, 0.5]
     _passline(9, "cyclic(12) construction exact; central partitions exact on "
                  "Q8 and D4")
 

@@ -9,8 +9,8 @@ from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
 from tqrgroups import (CharTableError, GroupError, build_group, center, chartable,
                        compute_char_table, config, conjugacy_classes, decompose,
                        dumps_interchange, from_interchange, groups,
-                       induce_character, inner_product, loads_interchange,
-                       normal_subgroups, subgroup_table, to_interchange)
+                       induce_character, loads_interchange, normal_subgroups)
+from tqrgroups.chartable import ClassFunction
 from tqrgroups.chartable import (_canonical_irrep_order, _certified_table, _eigen_table,
                                   _orthogonality_residuals)
 
@@ -268,7 +268,7 @@ def test_frobenius_reciprocity(name, members):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     if members is None:
         members = list(center(G).members)
-    H, elems = subgroup_table(G, members)
+    H, elems = oracle.subgroup_table(G, members)
     CH = conjugacy_classes(H)
     TH = compute_char_table(H, CH)
     for t in range(TH.num_irreps):
@@ -276,8 +276,8 @@ def test_frobenius_reciprocity(name, members):
                  for x in range(H.order)}
         ind = induce_character(G, elems, theta)
         for lam in range(T.num_irreps):
-            lhs = inner_product(ind, T.irrep_character(lam))
-            res = oracle.restrict_character(C, T.irrep_character(lam), elems)
+            lhs = np.sum(C.sizes * ind.values * np.conj(T.values[lam])) / G.order
+            res = oracle.restrict_character(C, ClassFunction(G, T.values[lam]), elems)
             rhs = sum(theta[e] * np.conj(res[e]) for e in elems) / len(elems)
             assert abs(lhs - rhs) < 1e-8
 
@@ -311,7 +311,7 @@ def test_stacked_induction_matches_conjugation_sums(name):
 def test_central_inductions_sum_to_regular(name):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     K = center(G)
-    HK, elems = subgroup_table(G, K.members)
+    HK, elems = oracle.subgroup_table(G, K.members)
     CK = conjugacy_classes(HK)
     TK = compute_char_table(HK, CK)
     total = np.zeros(C.num_classes, dtype=complex)
@@ -347,7 +347,7 @@ def test_induction_decomposes_against_a_table_computed_apart(name, members):
     G = build_group(FIXTURE_SPECS[name])
     if isinstance(members, int):
         members, = [N.members for N in get_table(name).normal_subgroups if N.order == members]
-    H, elems = subgroup_table(G, members)
+    H, elems = oracle.subgroup_table(G, members)
     TH = compute_char_table(H)
     want_classes = oracle.per_class_conjugacy_classes(G)
     for t in range(TH.num_irreps):
@@ -359,12 +359,11 @@ def test_induction_decomposes_against_a_table_computed_apart(name, members):
 
 
 def test_inner_products_round_to_integers():
+    # <chi_a, chi_b> = (1/|G|) sum over classes of |class| chi_a conj(chi_b)
     T = get_table("S5")
-    for a in range(T.num_irreps):
-        for b in range(T.num_irreps):
-            val = inner_product(T.irrep_character(a), T.irrep_character(b))
-            assert abs(val - round(val.real)) < 1e-8
-            assert round(val.real) == (1 if a == b else 0)
+    gram = (T.classes.sizes * T.values) @ T.values.conj().T / T.group.order
+    assert np.abs(gram - np.rint(gram.real)).max() < 1e-8
+    assert np.array_equal(np.rint(gram.real), np.eye(T.num_irreps))
 
 
 @pytest.mark.parametrize("case", [*sorted(FIXTURE_SPECS), "quotient", "subgroup",
@@ -380,7 +379,7 @@ def test_interchange_round_trip_bit_exact(case):
         cases = ["quotient", "subgroup", "unlabelled-subgroup"]
         T = compute_char_table(_quotient_and_subgroup_tables()[cases.index(case)])
     text = dumps_interchange(T)
-    assert text == json.dumps(to_interchange(T), indent=2, default=np.ndarray.tolist)
+    assert text == json.dumps(oracle.to_interchange(T), indent=2, default=np.ndarray.tolist)
     T2 = loads_interchange(text)
     assert dumps_interchange(T2) == text
     assert T2.dims.tolist() == T.dims.tolist()
@@ -403,14 +402,15 @@ def _quotient_and_subgroup_tables():
     unlabelled = build_group({"type": "cayley", "table": D6.mul.tolist()})
     A4 = normal_subgroups(get_table("S4"))[2].members
     assert len(A4) == 12
-    return [groups.quotient(D6, center(D6)), subgroup_table(S4, A4)[0],
-            subgroup_table(unlabelled, center(unlabelled).members)[0]]
+    return [groups.quotient(D6, center(D6)), oracle.subgroup_table(S4, A4)[0],
+            oracle.subgroup_table(unlabelled, center(unlabelled).members)[0]]
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_quotient_and_subgroup_tables_round_trip(case):
-    # their sources name a parent, which build_group cannot rebuild, so the
-    # document carries the table, and the labels where there are any
+    # a quotient's source names its parent, which build_group cannot
+    # rebuild, and a subgroup table's is its cayley spec, so either document
+    # carries the table, and the labels where there are any
     G = _quotient_and_subgroup_tables()[case]
     T = compute_char_table(G)
     text = dumps_interchange(T)

@@ -1049,3 +1049,76 @@ def test_tqr_group_builds_one_group_table(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["report"]
     assert built == [2197]
     assert (report["center_order"], report["quotient_chain_orders"]) == (13, [2197, 169, 1])
+
+
+def _nested_product(depth, family="cyclic"):
+    """The JSON text of a product nested `depth` deep, written out by hand:
+    json.dumps would itself recurse once per level."""
+    inner = json.dumps({"family": family, "params": {"n": 2}})
+    return ('{"family": "product", "params": {"left": ' * depth + inner
+            + ', "right": {"family": "cyclic", "params": {"n": 1}}}}' * depth)
+
+
+def _route(route, spec_text, tmp_path, capsys):
+    """argv handing a group spec's JSON text to the CLI by `route`: an @file
+    spec, or the group of an imported interchange document."""
+    if route == "file":
+        path = tmp_path / "spec.json"
+        path.write_text(spec_text)
+        return ["group", "--group", f"@{path}"]
+    c2 = tmp_path / "c2.json"
+    assert cli.main(["chartable", "--group", "cyclic:2", "--export", str(c2)]) == 0
+    capsys.readouterr()
+    rest = json.dumps({k: v for k, v in json.loads(c2.read_text()).items() if k != "group"})
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"group": ' + spec_text + ", " + rest[1:])
+    return ["chartable", "--import", str(doc)]
+
+
+def _assert_bad_input(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", [{}, ["cyclic"], 3, None], ids=str)
+@pytest.mark.parametrize("route", ["file", "product", "import"])
+def test_a_family_that_is_not_a_string_is_bad_input(family, route, tmp_path, capsys):
+    # `family not in _FAMILIES` raised TypeError: unhashable type for a dict
+    # or a list, and the CLI exited 1 with a traceback
+    spec = {"family": family, "params": {"n": 3}}
+    if route == "product":
+        spec = {"family": "product", "params": {"left": {"family": "cyclic", "params": {"n": 2}},
+                                                "right": spec}}
+    _assert_bad_input(_route("import" if route == "import" else "file", json.dumps(spec),
+                             tmp_path, capsys), capsys)
+
+
+@pytest.mark.parametrize("route", ["compact", "file", "import"])
+def test_a_product_nested_1200_deep_is_bad_input(route, tmp_path, capsys):
+    # the compact parser and json recursed into RecursionError, exit 1 with a
+    # traceback; the product has order 2, and only its nesting is refused
+    if route == "compact":
+        argv = ["group", "--group", "product(" * 1200 + "cyclic(2)" + ",cyclic(1))" * 1200]
+    else:
+        argv = _route(route, _nested_product(1200), tmp_path, capsys)
+    _assert_bad_input(argv, capsys)
+
+
+@pytest.mark.parametrize("route", ["compact", "file", "import"])
+def test_products_nest_at_most_64_deep(route, tmp_path, capsys):
+    # a product 64 deep builds and reports; build_group refuses one 65 deep
+    # with the same message whatever the stack above it, where a few hundred
+    # levels used to overflow it while the report was written
+    for depth in (64, 65):
+        if route == "compact":
+            argv = ["group", "--group", "product(" * depth + "cyclic(2)" + ",cyclic(1))" * depth]
+        else:
+            argv = _route(route, _nested_product(depth), tmp_path, capsys)
+        if depth == 64:
+            assert _run(argv, capsys)[0] == 0
+        else:
+            _assert_bad_input(argv, capsys)
+            assert cli.main(argv) == 2
+            assert "products nest more than 64 deep" in capsys.readouterr().err

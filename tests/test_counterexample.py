@@ -7,13 +7,12 @@ import pytest
 
 import oracle
 from conftest import FIXTURE_SPECS, get_classes, get_group, get_table
-from tqrgroups import (AbelianGroup, AutAction, GroupError, abelian_structure,
-                       build_group, build_counterexample_rep, center,
-                       compute_char_table, conjugacy_classes, decompose,
-                       default_epsilon, dual_action, induce_character,
-                       inner_product, invariant_small_doubling_set,
+from tqrgroups import (AbelianGroup, AutAction, GroupError, build_group,
+                       build_counterexample_rep, center, compute_char_table,
+                       conjugacy_classes, decompose, default_epsilon, dual_action,
+                       induce_character, invariant_small_doubling_set,
                        m_fold_sumset, normal_subgroups, plancherel_frac,
-                       translate_cover, verify_vtheta_partition)
+                       translate_cover)
 from tqrgroups import config, counterexample, groups
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.counterexample import (_partition_check,
@@ -51,16 +50,21 @@ def test_abelian_group_basics():
         AbelianGroup((4, 2))   # not a divisibility chain
 
 
+def _invariant_factors(G, members):
+    # the one route the package takes to the structure of a commuting set
+    return groups._invariant_factors(G, groups._member_array(G, members))
+
+
 def test_abelian_structure_cyclic12():
     G = get_group("C12")
-    dec = abelian_structure(G, range(12))
+    dec = _invariant_factors(G, range(12))
     assert dec.group.factors == (12,)
     assert len(dec.to_parent) == 12
 
 
 def test_abelian_structure_q8_center():
     G = get_group("Q8")
-    dec = abelian_structure(G, center(G).members)
+    dec = _invariant_factors(G, center(G).members)
     assert dec.group.factors == (2,)
     K = dec.group
     assert dec.to_parent[K.index((0,))] == 0 and dec.to_parent[K.index((1,))] == 1
@@ -68,34 +72,28 @@ def test_abelian_structure_q8_center():
 
 def test_abelian_structure_klein_and_mixed():
     V4 = build_group({"family": "dihedral", "params": {"n": 2}})
-    dec = abelian_structure(V4, range(4))
+    dec = _invariant_factors(V4, range(4))
     assert dec.group.factors == (2, 2)
     C2xC4 = build_group({"family": "product",
                          "params": {"left": {"family": "cyclic", "params": {"n": 2}},
                                     "right": {"family": "cyclic", "params": {"n": 4}}}})
-    dec2 = abelian_structure(C2xC4, range(8))
+    dec2 = _invariant_factors(C2xC4, range(8))
     assert dec2.group.factors == (2, 4)
     C6xC15 = build_group({"family": "product",
                           "params": {"left": {"family": "cyclic", "params": {"n": 6}},
                                      "right": {"family": "cyclic", "params": {"n": 15}}}})
-    dec3 = abelian_structure(C6xC15, range(90))
+    dec3 = _invariant_factors(C6xC15, range(90))
     assert dec3.group.factors == (3, 30)
-
-
-def test_abelian_structure_rejects_nonabelian():
-    G = get_group("S3")
-    with pytest.raises(Exception):
-        abelian_structure(G, range(6))
 
 
 def test_abelian_structure_of_one_element():
     # the identity alone is the trivial group; any other single element is
     # not a subgroup, though it once came back as the trivial group too
     G = get_group("C6")
-    dec = abelian_structure(G, [G.identity])
+    dec = _invariant_factors(G, [G.identity])
     assert dec.group.factors == () and dec.to_parent.tolist() == [G.identity]
     with pytest.raises(GroupError, match="does not enumerate"):
-        abelian_structure(G, [3])
+        _invariant_factors(G, [3])
 
 
 def test_character_values_are_roots_of_unity():
@@ -153,7 +151,7 @@ def test_dual_action_of_conjugation_matches_fraction_oracle(name):
     for N in normal_subgroups(T):
         K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
-            dec = abelian_structure(G, K_members)
+            dec = _invariant_factors(G, K_members)
             _assert_dual_matches_oracle(conjugation_action_on_center(G, dec))
 
 
@@ -165,7 +163,7 @@ def test_conjugation_by_generators_is_the_per_coset_action(name):
     for N in normal_subgroups(T):
         K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
-            dec = abelian_structure(G, K_members)
+            dec = _invariant_factors(G, K_members)
             action = conjugation_action_on_center(G, dec)
             want = {tuple(p) for p in oracle.per_coset_conjugation_maps(G, N, dec.to_parent)}
             assert len(action) == len(want)
@@ -522,7 +520,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     N = [s for s in normal_subgroups(T) if s.order == n_order]
     N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
     K_members = center_of_subset(G, N.members)
-    dec = abelian_structure(G, K_members)
+    dec = _invariant_factors(G, K_members)
     action = conjugation_action_on_center(G, dec)
     kk = len(K_members)
     coset_count = G.order // N.order
@@ -556,7 +554,7 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
     K_members = center_of_subset(G, N.members)
     assert len(K_members) == 4
-    dec = abelian_structure(G, K_members)
+    dec = _invariant_factors(G, K_members)
     action = conjugation_action_on_center(G, dec)
     dual = dual_action(action)
     elements = _elements(dec.group)
@@ -570,40 +568,44 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     for t1 in range(len(elements)):
         for t2 in range(len(elements)):
             same_orbit = t2 in dual.orbit(t1)
-            ip = inner_product(chars[t1], chars[t2])
+            ip = np.sum(C.sizes * chars[t1].values * np.conj(chars[t2].values)) / G.order
             if same_orbit:
                 assert np.allclose(chars[t1].values, chars[t2].values)
             else:
                 assert abs(ip) < 1e-9
 
 
+def _central_blocks(T, N):
+    # N central: conjugation fixes Z(N) = N, so each dual orbit is one
+    # character theta, and the report's blocks are the V_theta partition
+    _, rep = build_counterexample_rep(T, N, 2)
+    assert rep["orbit_partition_ok"] and rep["orbit_measures_ok"]
+    assert {b["orbit_size"] for b in rep["orbit_blocks"]} == {1}
+    want = oracle.verify_vtheta_partition(T, N.members)
+    assert want["partition_ok"] and want["measures_exact"]
+    blocks = [{k: b[k] for k in ("support", "measure")} for b in rep["orbit_blocks"]]
+    assert blocks == [{k: b[k] for k in ("support", "measure")} for b in want["blocks"]]
+    return blocks
+
+
 def test_vtheta_partition_q8_d4():
     for name in ["Q8", "D4"]:
-        G, C, T = get_group(name), get_classes(name), get_table(name)
-        out = verify_vtheta_partition(T, center(G).members)
-        assert out["partition_ok"] and out["measures_exact"]
-        assert [b["measure"] for b in out["blocks"]] == [0.5, 0.5]
-    q8 = verify_vtheta_partition(get_table("Q8"), center(get_group("Q8")).members)
-    assert q8["blocks"][0]["support"] == [0, 1, 2, 3]
-    assert q8["blocks"][1]["support"] == [4]
+        blocks = _central_blocks(get_table(name), center(get_group(name)))
+        assert [b["measure"] for b in blocks] == [0.5, 0.5]
+    q8 = _central_blocks(get_table("Q8"), center(get_group("Q8")))
+    assert q8[0]["support"] == [0, 1, 2, 3]
+    assert q8[1]["support"] == [4]
 
 
 def test_vtheta_partition_abelian_self_dual():
-    G, C, T = get_group("C6"), get_classes("C6"), get_table("C6")
-    out = verify_vtheta_partition(T, tuple(range(6)))
-    assert out["partition_ok"] and out["measures_exact"]
-    assert all(len(b["support"]) == 1 for b in out["blocks"])
-
-
-def test_vtheta_partition_requires_central():
-    G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
-    with pytest.raises(Exception, match="central"):
-        verify_vtheta_partition(T, (0, 3, 4))   # the 3-cycle subgroup
+    T = get_table("C6")
+    blocks = _central_blocks(T, normal_subgroups(T)[-1])   # all of C6
+    assert len(blocks) == 6 and all(len(b["support"]) == 1 for b in blocks)
 
 
 def test_partition_check_flags_overlaps_gaps_and_measures():
     T = get_table("S3")  # dims 1, 1, 2; measures 1/6, 1/6, 2/3
-    chi = [T.irrep_character(i) for i in range(3)]
+    chi = [ClassFunction(T.group, T.values[i]) for i in range(3)]
     both = chi[0].copy_with(chi[1].values + chi[2].values)
 
     def mult(*fs):
@@ -654,7 +656,7 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
                                 "eps": None if eps is None else str(eps),
                                 "result": _outcome(build)})
         out.append({"group": name, "vtheta": _outcome(
-            lambda: verify_vtheta_partition(T, center(G).members))})
+            lambda: oracle.verify_vtheta_partition(T, center(G).members))})
     assert len(out) == 669
     blob = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _GRID_DIGEST
@@ -662,25 +664,18 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
 
 @pytest.mark.parametrize("name", ["Q8", "ES3", "C2xS4", "C12"])
 def test_the_counterexample_proves_the_centre_abelian_once(name, monkeypatch):
-    # center_of_subset has proved Z(N) commutative, and a subset of Z(N)
-    # commutes, so neither construction asks abelian_structure again
+    # center_of_subset proves Z(N) commutative, once per construction, and
+    # the invariant factors are read off it with no second commutation check
     G, C, T = get_group(name), get_classes(name), get_table(name)
+    calls = []
 
-    def outcomes():
-        out = [verify_vtheta_partition(T, center(G).members)]
-        for N in normal_subgroups(T):
-            if len(center_of_subset(G, N.members)) > 1:
-                def build():
-                    V, rep = build_counterexample_rep(T, N, 2)
-                    return {"rep": V.to_json_dict(), "construction": rep}
-                out.append(_outcome(build))
-        return json.dumps(out)
+    def counted(*args):
+        calls.append(args)
+        return center_of_subset(*args)
 
-    want = outcomes()
-
-    def refused(*args):
-        raise AssertionError("abelian_structure was called")
-
-    monkeypatch.setattr(groups, "abelian_structure", refused)
-    monkeypatch.setattr(counterexample, "abelian_structure", refused, raising=False)
-    assert outcomes() == want
+    monkeypatch.setattr(counterexample, "center_of_subset", counted)
+    for N in normal_subgroups(T):
+        if len(center_of_subset(G, N.members)) > 1:
+            calls.clear()
+            build_counterexample_rep(T, N, 2)
+            assert len(calls) == 1

@@ -15,12 +15,10 @@ import oracle
 from conftest import (FIXTURE_SPECS, element_order, get_classes, get_group,
                       get_table, get_table_for_spec, row_mask)
 from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
-                       conjugacy_classes, covering_lemma_check, decompose, lp_norm,
-                       multiplicity_profile, quotient, reduced_character,
-                       split_off_identity, subgroup_from_members,
-                       three_factor_cover, two_factor_cover)
+                       conjugacy_classes, decompose, multiplicity_profile, quotient,
+                       subgroup_from_members, three_factor_cover, two_factor_cover)
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.classfuncs import RepMultiset, rep_from_selector
+from tqrgroups.classfuncs import RepMultiset, power_support_mask, rep_from_selector
 from tqrgroups import criteria, groups
 from tqrgroups.criteria import CriteriaParams, _minimal_supports
 
@@ -37,38 +35,50 @@ def conjugation_action_on_class(G, C, cid):
     """
     cls = [int(x) for x in C.classes[cid]]
     pos = {x: i for i, x in enumerate(cls)}
-    perms = [tuple(pos[G.conjugate(g, x)] for x in cls) for g in range(G.order)]
+    perms = [tuple(pos[oracle.conjugate(G, g, x)] for x in cls) for g in range(G.order)]
     idn = tuple(range(len(cls)))
     kernel = [g for g in range(G.order) if perms[g] == idn]
     return perms, subgroup_from_members(G, kernel)
 
 
 # ---------------------------------------------------------------------------
-# covering lemma
+# covering lemma: |f(e)| above the l1 mass of f off the identity, for f in the
+# span of a support's characters, forces the support to be all of Irrep(G)
+
+
+def _covering_lemma_holds(f):
+    head, rest = oracle.split_off_identity(f)
+    return abs(head) > oracle.lp_norm(rest, 1)
 
 
 def test_covering_lemma_indicator_true():
     T = get_table("S3")
     f = ClassFunction(T.group, [1, 0, 0])
-    assert covering_lemma_check(T, f)
+    assert _covering_lemma_holds(f)
     # ... and the regular representation indeed covers
     reg = ClassFunction(T.group, [6, 0, 0])
     assert decompose(T, reg).support() == (0, 1, 2)
 
 
 def test_covering_lemma_trivial_char_false():
+    # the lemma's hypothesis fails for the trivial character, whose tensor
+    # powers indeed stay on the trivial irreducible
     T = get_table("S3")
-    assert not covering_lemma_check(T, T.irrep_character(0))
+    assert not _covering_lemma_holds(ClassFunction(T.group, T.values[0]))
+    assert power_support_mask(T, _rep(T, [0]).support_mask(), 3).tolist() == [True, False, False]
 
 
 def test_covering_lemma_std_cube():
+    # the lemma holds for the cube of the standard representation's reduced
+    # character, and its third tensor power indeed covers
     T = get_table("S3")
-    f = reduced_character(T, _rep(T, [2]))
+    f = oracle.reduced_character(T, _rep(T, [2]))
     cube = f.copy_with(f.values ** 3)
-    head, rest = split_off_identity(cube)
+    head, rest = oracle.split_off_identity(cube)
     assert abs(head) == pytest.approx((2 / 3) ** 3)
-    assert lp_norm(rest, 1) == pytest.approx(2 / 27)
-    assert covering_lemma_check(T, cube)
+    assert oracle.lp_norm(rest, 1) == pytest.approx(2 / 27)
+    assert _covering_lemma_holds(cube)
+    assert power_support_mask(T, _rep(T, [2]).support_mask(), 3).all()
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +196,12 @@ def test_hoelder_chain(name):
         masks = rng.random((3, T.num_irreps)) < 0.6
         if not all(m.any() for m in masks):
             continue
-        fs = [reduced_character(T, RepMultiset(T, m.astype(int))) for m in masks]
-        f0s = [split_off_identity(f)[1] for f in fs]
+        fs = [oracle.reduced_character(T, RepMultiset(T, m.astype(int))) for m in masks]
+        f0s = [oracle.split_off_identity(f)[1] for f in fs]
         prod = f0s[0].copy_with(f0s[0].values * f0s[1].values * f0s[2].values)
-        lhs = lp_norm(prod, 1)
-        mid = lp_norm(f0s[0], 2) * lp_norm(f0s[1], 2) * lp_norm(f0s[2], math.inf)
+        lhs = oracle.lp_norm(prod, 1)
+        mid = (oracle.lp_norm(f0s[0], 2) * oracle.lp_norm(f0s[1], 2)
+               * oracle.lp_norm(f0s[2], math.inf))
         assert lhs <= mid + 1e-8
         assert mid <= c ** -0.5 + 1e-8
 
@@ -1027,8 +1038,8 @@ def test_central_columns_no_grading_can_use_form_no_omega():
 def test_every_traced_name_exists():
     # bench/tracing.py wraps these by name and only notes a missing one, so
     # a rename would silently leave its layer at zero; the two misses are
-    # stale targets: _closure moved to tests/oracle.py, and abelian_structure
-    # lives in groups
+    # stale targets: _closure moved to tests/oracle.py, and the abelian
+    # structure of a centre is groups._invariant_factors
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

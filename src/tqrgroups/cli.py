@@ -207,11 +207,9 @@ def run_chartable(args: dict) -> tuple[dict, int]:
 
 def _criteria_params(args: dict) -> CriteriaParams:
     """CriteriaParams from check options; an omitted option keeps the
-    dataclass default, and --k sets every small-structure threshold."""
-    given = {key: args[key] for key in ("power", "seed", "trials", "exhaustive_cap", "density")}
-    given.update(dict.fromkeys(("class_threshold", "dim_threshold", "normal_size",
-                                "normal_index", "quotient_size"), args["k"]))
-    return CriteriaParams(**{key: v for key, v in given.items() if v is not None})
+    dataclass default."""
+    return CriteriaParams(**{key: args[key] for key in (
+        "k", "density", "power", "seed", "trials", "exhaustive_cap") if args[key] is not None})
 
 
 def run_check(args: dict) -> tuple[dict, int]:

@@ -96,55 +96,46 @@ def _mask(K: AbelianGroup, coords) -> np.ndarray:
     return out
 
 
-def _sumset_mask(K: AbelianGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The mask of A + B for a mask A and an index array B over K."""
-    return _mask(K, K.coords[A][:, None] + K.coords[B])
-
-
-def m_fold_mask(K: AbelianGroup, A: np.ndarray, m: int) -> np.ndarray:
-    """A + A + ... + A (m times) for a mask A over K.
-
-    Once |kA| = |(k+1)A|, (k+1)A = kA + a for every a in A, so every later
-    sumset is a translate: mA = (k+1)A + (m-k-1)a. The multiple m-k-1 is
-    reduced modulo the exponent of K first, so no coordinate product
-    overflows.
-    """
-    members = np.flatnonzero(A)
-    out, size = A, len(members)           # out = kA
-    for k in range(1, m):
-        out, last = _sumset_mask(K, out, members), size
-        size = int(np.count_nonzero(out))
-        if size == last:
-            shift = (m - k - 1) % K.exponent
-            return _sumset_mask(K, out, K.index(shift * K.coords[members[:1]]))
-    return out
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in lexicographic order."""
+def _set(group: AbelianGroup | None, rows: np.ndarray) -> np.ndarray:
+    """The distinct elements of coordinate rows (..., rank) as a set of rows:
+    through their mask in a group, by a lexicographic sort in the lattice."""
+    if group is not None:
+        return group.coords[_mask(group, rows)]
+    rows = rows.reshape(-1, rows.shape[-1])
     rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _element_rows(group: AbelianGroup | None, A, times: int) -> np.ndarray:
     """The elements A as a set of rows. In the lattice, A is refused unless
     `times` times its largest coordinate (and `times` itself) fits in int64."""
     A = [[int(x) for x in a] for a in A]
-    if group is not None:
-        return group.coords[_mask(group, np.array(A, dtype=np.int64))]
-    top = max(abs(x) for a in A for x in a)
-    if max(top, 1) * times > np.iinfo(np.int64).max:
-        raise ValueError(f"lattice coordinates are int64, and {times} times "
-                         f"the coordinate {top} leaves that range")
-    return _unique_rows(np.array(A, dtype=np.int64))
+    if group is None:
+        top = max(abs(x) for a in A for x in a)
+        if max(top, 1) * times > np.iinfo(np.int64).max:
+            raise ValueError(f"lattice coordinates are int64, and {times} times "
+                             f"the coordinate {top} leaves that range")
+    return _set(group, np.array(A, dtype=np.int64))
 
 
-def _sumset(group: AbelianGroup | None, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X + Y for sets of rows X and Y."""
-    sums = X[:, None] + Y
-    if group is not None:
-        return group.coords[_mask(group, sums)]
-    return _unique_rows(sums.reshape(-1, X.shape[1]))
+def _m_fold(group: AbelianGroup | None, A: np.ndarray, m: int) -> np.ndarray:
+    """A + A + ... + A (m times) for a set of rows A.
+
+    Once |kA| = |(k+1)A|, (k+1)A = kA + a for every a in A, so every later
+    sumset is a translate: mA = (k+1)A + (m-k-1)a. In a group the multiple
+    m-k-1 is reduced modulo the exponent first, so no coordinate product
+    overflows; in the lattice only a lone point stalls, and mA = m a.
+    """
+    out = A                               # out = kA
+    for k in range(1, m):
+        last = len(out)
+        out = _set(group, out[:, None] + A)
+        if len(out) == last:
+            shift = m - k - 1 if group is None else (m - k - 1) % group.exponent
+            return _set(group, out + shift * A[:1])
+    return out
 
 
 def _keys(group: AbelianGroup | None, rows: np.ndarray) -> np.ndarray:
@@ -157,19 +148,10 @@ def _keys(group: AbelianGroup | None, rows: np.ndarray) -> np.ndarray:
 
 
 def m_fold_sumset(group: AbelianGroup | None, A, m: int) -> np.ndarray:
-    """A + A + ... + A (m times), exactly, as a set of rows: m_fold_mask in
-    a group; in the lattice only a single point a stalls, with mA = m·a."""
+    """A + A + ... + A (m times), exactly, as a set of rows."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    A = _element_rows(group, A, m)
-    if group is not None:
-        return group.coords[m_fold_mask(group, _mask(group, A), m)]
-    if len(A) == 1:
-        return m * A
-    out = A
-    for _ in range(m - 1):
-        out = _sumset(None, out, A)
-    return out
+    return _m_fold(group, _element_rows(group, A, m), m)
 
 
 @dataclass
@@ -208,13 +190,13 @@ def translate_cover(B, n: int, m: int,
     bound = (10 * k * m) ** k if k > 0 else 1
 
     mod = (lambda c: c % group.exponent) if group is not None else (lambda c: c)
-    cover = _element_rows(group, mod((m - 1) * n) * B[:1], 1)
+    cover = _set(group, mod((m - 1) * n) * B[:1])
     if m > 1 and k > 0:    # otherwise mnB = nB + (m-1)n b0 already
         j = 1 + n // k
         q = -(-(m * n + 1) // j)  # ceil
         steps = mod(np.arange(q if group is None else min(q, group.exponent)) * mod(j))
         for g in B[1:] - B[0]:
-            cover = _sumset(group, cover, steps[:, None] * g)
+            cover = _set(group, cover[:, None] + steps[:, None] * g)
 
     mn_keys = _keys(group, mnB)
     kept = np.zeros(len(cover), dtype=bool)
@@ -276,14 +258,13 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
 
     ratio_bound = (10 * k * m) ** k      # a Python int: it outgrows int64
     A = np.arange(K.order) == 0
-    size = 1
-    mA = A                               # the m-fold sumset of {0}
+    size = m_size = 1                    # {0} and its m-fold sumset
     a = 1
     iterations = 0
     growth = []
     small_branch = Fraction(size) >= epsilon * K.order
     while Fraction(size) < epsilon * K.order:
-        new = A | _sumset_mask(K, A, L.orbit(a))
+        new = A | _mask(K, K.coords[A][:, None] + K.coords[L.orbit(a)])
         grown = int(np.count_nonzero(new))
         if grown == size:
             if A.all():
@@ -293,13 +274,12 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
         iterations += 1
         growth.append({"size": grown, "grew_by": grown / size})
         A, size = new, grown
-        mA = m_fold_mask(K, A, m)
-        if int(np.count_nonzero(mA)) > ratio_bound * size:
+        m_size = len(_m_fold(K, K.coords[A], m))
+        if m_size > ratio_bound * size:
             raise RuntimeError("iterative sumset ratio bound violated")
 
     if np.any(A[L.perms] != A):
         raise RuntimeError("output set is not action-invariant")
-    m_size = int(np.count_nonzero(mA))
     if 2 * m_size > K.order:
         msg = f"m-fold sumset too large (|mA|={m_size}, |K|={K.order})"
         if overridden:

@@ -33,33 +33,28 @@ _QR_BLOCK_ENTRIES = 1 << 14
 # minimal supports, a proof either way. "+randomized" names no phase that runs;
 # bench/checker.py compares verdicts with its reference only under this string.
 _SEARCH_MODE = "exhaustive-minimal+randomized"
+# TQR3 fails for a support whose power has measure at most this.
+_POWER_MEASURE_THRESHOLD = Fraction(1, 2)
+# TQR2/TQR3 sampler: draws above exhaustive_cap when no table witness refutes.
+_SUPPORT_TRIALS = 200
 
 
 @dataclass
 class CriteriaParams:
     """Explicit stand-ins for the theory's O(1) constants."""
 
-    class_threshold: int = 4            # TQR1: require c(G) > this
-    dim_threshold: int = 4              # QR1: require min nontrivial dim > this
+    k: int = 4                          # the small-structure bound of TQR1, QR1, TQR4, QR4
     density: float = 0.1                # measure / density floor "a"
     power: int = 3                      # tensor / product power "m"
-    power_measure_threshold: Fraction = Fraction(1, 2)  # TQR3 failure cutoff
-    normal_size: int = 4                # TQR4: small normal subgroup bound
-    normal_index: int = 4               # TQR4: small index bound
-    quotient_size: int = 4              # QR4: small quotient bound
     seed: int = 0
     trials: int = 1000                  # QR2/QR3 sampler: draws when no rule decides
-    support_trials: int = 200           # TQR2/TQR3 sampler: draws above exhaustive_cap
-                                        # when no table witness refutes
     exhaustive_cap: int = 20            # max #irreps for exhaustive support search
 
     def __post_init__(self):
         if not 0 < self.density <= 1:  # also refuses nan
             raise ValueError(f"density must be in (0, 1], got {self.density!r}")
-        for name, least in (("power", 1), ("trials", 1), ("support_trials", 0),
-                            ("exhaustive_cap", 0), ("seed", 0), ("class_threshold", 0),
-                            ("dim_threshold", 0), ("normal_size", 0), ("normal_index", 0),
-                            ("quotient_size", 0)):
+        for name, least in (("power", 1), ("trials", 1), ("exhaustive_cap", 0),
+                            ("seed", 0), ("k", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
@@ -68,7 +63,15 @@ class CriteriaParams:
         return Fraction(str(self.density))
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "power_measure_threshold": float(self.power_measure_threshold)}
+        """The parameters as every report echoes them, each threshold by its
+        own name: k is TQR1's class_threshold, QR1's dim_threshold, TQR4's
+        normal_size and normal_index, and QR4's quotient_size."""
+        return {"class_threshold": self.k, "dim_threshold": self.k,
+                "density": self.density, "power": self.power,
+                "power_measure_threshold": float(_POWER_MEASURE_THRESHOLD),
+                "normal_size": self.k, "normal_index": self.k, "quotient_size": self.k,
+                "seed": self.seed, "trials": self.trials,
+                "support_trials": _SUPPORT_TRIALS, "exhaustive_cap": self.exhaustive_cap}
 
 
 @dataclass
@@ -278,7 +281,7 @@ def _tqr1(T, params, pjson) -> CriterionReport:
     if c is None:
         return CriterionReport("tqr1", True, pjson,
                                details={"c": None, "note": "trivial group"})
-    holds = c > params.class_threshold
+    holds = c > params.k
     witness = None
     if not holds:
         cid = 1 + int(np.argmin(C.sizes[1:]))
@@ -322,7 +325,7 @@ def _tqr_stages(T, params, width, factors, small, seed) -> list:
              for rule, S in _tqr_candidates(T, dens, factors, small))
     return [("exact", False, rules), ("randomized", True, _random_stacks(
         seed, T.dims.astype(np.int64) ** 2, _density_floor(T.group.order, dens),
-        params.support_trials, width, _STACK_ROWS))]
+        _SUPPORT_TRIALS, width, _STACK_ROWS))]
 
 
 def _tqr_report(name, pjson, mode, checked, rule, witness) -> CriterionReport:
@@ -478,9 +481,8 @@ def _tqr3(T, params, pjson) -> CriterionReport:
     dens = params.density_frac()
     need = _density_floor(T.group.order, dens)
     sq = T.dims.astype(np.int64) ** 2
-    threshold = Fraction(params.power_measure_threshold)
     # the largest sum of dim^2 at or below the measure cutoff
-    bound = math.floor(threshold * T.group.order)
+    bound = math.floor(_POWER_MEASURE_THRESHOLD * T.group.order)
 
     def check(stack):
         rows = stack[:, 0]
@@ -498,8 +500,8 @@ def _tqr3(T, params, pjson) -> CriterionReport:
         stages = [(_SEARCH_MODE, True, ((None, minimal[lo:lo + _STACK_ROWS])
                                         for lo in range(0, len(minimal), _STACK_ROWS)))]
     else:
-        stages = _tqr_stages(T, params, 1, params.power, lambda m: m <= threshold,
-                             params.seed + 3001)
+        stages = _tqr_stages(T, params, 1, params.power,
+                             lambda m: m <= _POWER_MEASURE_THRESHOLD, params.seed + 3001)
     return _tqr_report("tqr3", pjson, *_decide(check, stages))
 
 
@@ -508,13 +510,13 @@ def _tqr4(T, params, pjson) -> CriterionReport:
     subs = T.normal_subgroups
     witness = None
     for N in subs:
-        if 1 < N.order <= params.normal_size:
+        if 1 < N.order <= params.k:
             witness = {"kind": "small_normal_subgroup", "order": N.order,
                        "members": list(N.members)}
             break
     if witness is None:
         for N in subs:
-            if N.index <= params.normal_index:
+            if N.index <= params.k:
                 zen = center_of_subset(G, N.members)
                 if len(zen) > 1:
                     witness = {"kind": "small_index_with_center",
@@ -549,7 +551,7 @@ def _qr1(T, params, pjson) -> CriterionReport:
                                details={"min_nontrivial_dim": None})
     dims = T.dims[1:]
     mind = int(dims.min())
-    holds = mind > params.dim_threshold
+    holds = mind > params.k
     witness = None
     if not holds:
         lam = 1 + int(np.argmin(dims))
@@ -680,7 +682,7 @@ def _qr4(T, params, pjson) -> CriterionReport:
                    "kernel_members": list(D.members)}
     if witness is None:
         for N in subs:
-            if 1 < N.index <= params.quotient_size:
+            if 1 < N.index <= params.k:
                 witness = {"kind": "small_quotient", "quotient_order": N.index,
                            "kernel_order": N.order}
                 break

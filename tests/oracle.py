@@ -45,6 +45,10 @@ from fractions import Fraction
 
 import numpy as np
 
+# The TQR2/TQR3 sampler's draws, and the TQR3 cutoff on a power's measure.
+SUPPORT_TRIALS = 200
+POWER_MEASURE_THRESHOLD = Fraction(1, 2)
+
 
 def brute_conjugacy_classes(G):
     """Classes by scanning elements in index order, pure python."""
@@ -561,7 +565,7 @@ def _bits(mask, r):
 
 def scalar_random_tqr_report(T, params, criterion):
     """The tqr2 or tqr3 report of a search with the exhaustive phase off:
-    params.support_trials random triples (tqr2) or supports (tqr3), drawn and
+    SUPPORT_TRIALS random triples (tqr2) or supports (tqr3), drawn and
     checked one at a time, product supports built pairwise. A support is a
     bitmask, one prefix draw over the dim^2 cut at ceil(dens*|G|)."""
     r = T.num_irreps
@@ -574,7 +578,7 @@ def scalar_random_tqr_report(T, params, criterion):
         return sum(1 << i for i in scalar_prefix_draw(rng, weights, need))
 
     checked, witness = 0, None
-    for _ in range(params.support_trials):
+    for _ in range(SUPPORT_TRIALS):
         checked += 1
         if criterion == "tqr2":
             ms = [support() for _ in range(3)]
@@ -587,7 +591,7 @@ def scalar_random_tqr_report(T, params, criterion):
         else:
             m = support()
             pw = pairwise_power_support(T, m, params.power)
-            if fraction_sum_measure(T, pw) <= params.power_measure_threshold:
+            if fraction_sum_measure(T, pw) <= POWER_MEASURE_THRESHOLD:
                 witness = {"support": _bits(m, r),
                            "measure": float(fraction_sum_measure(T, m)),
                            "power_support": _bits(pw, r),
@@ -618,7 +622,7 @@ def ekp_tqr_fails(T, params, criterion):
     s = -(-dens.numerator * n // dens.denominator)
     if criterion == "tqr2":
         return ekp_min_power_size(n, s, 2) <= n - s
-    return Fraction(ekp_min_power_size(n, s, params.power), n) <= params.power_measure_threshold
+    return Fraction(ekp_min_power_size(n, s, params.power), n) <= POWER_MEASURE_THRESHOLD
 
 
 def per_trial_qr23_report(G, params, triple):

@@ -342,7 +342,7 @@ def test_c10_affine_family_and_quotient_chains():
     for p in (5, 7, 11):
         G, C, T = table_of(f"affine:{p}")
         assert C.min_nontrivial_size == p - 1
-        params = CriteriaParams(class_threshold=p - 2)
+        params = CriteriaParams(k=p - 2)
         tqr1 = check_tqr(T, params)[0]
         assert tqr1.holds and tqr1.details["c"] == p - 1
         qr4 = {r.criterion: r for r in check_qr(T)}["qr4"]

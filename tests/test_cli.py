@@ -563,9 +563,7 @@ def test_check_params_default_to_criteria_params(capsys):
     assert doc["params"] == CriteriaParams().to_json_dict()
     _, doc = _run(["check", "--group", "quaternion8", "--criterion", "tqr1",
                    "--k", "6", "--density", "0.25", "--seed", "9"], capsys)
-    assert doc["params"] == CriteriaParams(
-        class_threshold=6, dim_threshold=6, normal_size=6, normal_index=6,
-        quotient_size=6, density=0.25, seed=9).to_json_dict()
+    assert doc["params"] == CriteriaParams(k=6, density=0.25, seed=9).to_json_dict()
 
 
 @pytest.mark.parametrize("spec", ["symmetric:13", "cyclic:20001",
@@ -587,8 +585,7 @@ _BAD_CHECK_OPTIONS = (
            ("--trials", "0", "trials must be >= 1, got 0"),
            ("--power", "0", "power must be >= 1, got 0"),
            ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"),
-           # --k sets all five small-structure thresholds; the first is named
-           ("--k", "-1", "class_threshold must be >= 0, got -1"),
+           ("--k", "-1", "k must be >= 0, got -1"),
            # the samplers seed numpy with the seed plus 2001 to 5001, so
            # -1500 and -5000 would be negative for none or some of them
            ("--seed", "-1", "seed must be >= 0, got -1"),

@@ -15,8 +15,8 @@ from tqrgroups import (AbelianGroup, AutAction, GroupError, build_group,
                        translate_cover)
 from tqrgroups import config, counterexample, groups
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.counterexample import (_partition_check,
-                                     conjugation_action_on_center, m_fold_mask)
+from tqrgroups.counterexample import (_m_fold, _mask, _partition_check,
+                                     conjugation_action_on_center)
 from tqrgroups.groups import center_of_subset, subgroup_from_members
 
 
@@ -27,6 +27,11 @@ def _tuples(K, A):
 
 def _elements(K):
     return [tuple(t) for t in K.coords.tolist()]
+
+
+def _m_fold_mask(K, A, m):
+    """The m-fold sumset of a mask A over K, as a mask."""
+    return _mask(K, _m_fold(K, K.coords[A], m))
 
 
 def _set(rows):
@@ -245,7 +250,7 @@ def test_mask_sumsets_match_tuple_sumsets(factors):
         A[0] = True
         for m in range(1, 13):
             want = oracle.tuple_m_fold_sumset(factors, _tuples(K, A), m)
-            assert _tuples(K, m_fold_mask(K, A, m)) == want
+            assert _tuples(K, _m_fold_mask(K, A, m)) == want
             _assert_sorted_rows(m_fold_sumset(K, _tuples(K, A), m), want)
 
 
@@ -286,7 +291,7 @@ def test_m_fold_mask_matches_stepwise_oracle(factors):
     sets += [np.arange(K.order) == K.order - 1, np.arange(K.order) % 2 == 1]
     for A in sets:
         for m in range(1, 13):
-            assert np.array_equal(m_fold_mask(K, A, m),
+            assert np.array_equal(_m_fold_mask(K, A, m),
                                   oracle.stepwise_m_fold_mask(factors, A, m))
 
 
@@ -298,7 +303,7 @@ def test_m_fold_mask_of_a_huge_m_is_a_translate():
     for A in (np.arange(K.order) == 5, rng.random(K.order) < 0.15):
         for m in (10 ** 18, 10 ** 18 + 1, 2 ** 63 + 5):
             small = K.order + 1 + (m - K.order - 1) % K.exponent
-            assert np.array_equal(m_fold_mask(K, A, m),
+            assert np.array_equal(_m_fold_mask(K, A, m),
                                   oracle.stepwise_m_fold_mask(K.factors, A, small))
 
 

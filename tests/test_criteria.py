@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -228,7 +229,7 @@ def test_tqr_q8():
 
 def test_tqr_a5_all_hold_at_density_point2():
     T = get_table("A5")
-    params = CriteriaParams(class_threshold=5, density=0.2, power=3)
+    params = CriteriaParams(k=5, density=0.2, power=3)
     reports = check_tqr(T, params)
     assert all(r.holds for r in reports)
 
@@ -237,7 +238,7 @@ def test_tqr2_a5_fails_at_density_point1_with_verified_witness():
     # the two 3-dim irreducibles: 3 (x) 3 (x) 3' misses the trivial rep even
     # though each factor has Plancherel measure 0.15
     G, C, T = get_group("A5"), get_classes("A5"), get_table("A5")
-    params = CriteriaParams(class_threshold=5, density=0.1, power=3)
+    params = CriteriaParams(k=5, density=0.1, power=3)
     reports = {r.criterion: r for r in check_tqr(T, params)}
     assert reports["tqr1"].holds and reports["tqr3"].holds and reports["tqr4"].holds
     r2 = reports["tqr2"]
@@ -254,9 +255,9 @@ def test_tqr2_a5_fails_at_density_point1_with_verified_witness():
 def test_tqr1_affine7_threshold():
     C, T = get_classes("aff7"), get_table("aff7")
     assert C.min_nontrivial_size == 6
-    below = check_tqr(T, CriteriaParams(class_threshold=5))[0]
+    below = check_tqr(T, CriteriaParams(k=5))[0]
     assert below.holds
-    at = check_tqr(T, CriteriaParams(class_threshold=6))[0]
+    at = check_tqr(T, CriteriaParams(k=6))[0]
     assert at.holds is False
 
 
@@ -296,9 +297,9 @@ def test_qr_affine5():
 
 def test_qr1_a5_threshold():
     T = get_table("A5")
-    low = check_qr(T, CriteriaParams(dim_threshold=2))[0]
+    low = check_qr(T, CriteriaParams(k=2))[0]
     assert low.holds and low.details["min_nontrivial_dim"] == 3
-    high = check_qr(T, CriteriaParams(dim_threshold=3))[0]
+    high = check_qr(T, CriteriaParams(k=3))[0]
     assert high.holds is False
 
 
@@ -592,10 +593,11 @@ def test_minimal_supports_past_bit_63_are_every_68_of_70_in_mask_order():
     ("A5", 0.1), ("A5", 0.3), ("S4", 0.4), ("S5", 0.3), ("C6", 0.4),
     ("C2xS3", 0.4), ("C2xS3", 0.5), ("D8", 0.4), ("D8", 0.5)])
 def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
-    # no random phase, so the count and the witness are the exhaustive
-    # search's own; the witnesses here sit at every position of a pair's row
+    # below the cap no random phase runs, so the count and the witness are
+    # the exhaustive search's own; the witnesses here sit at every position
+    # of a pair's row
     T = get_table(name)
-    params = CriteriaParams(density=density, support_trials=0)
+    params = CriteriaParams(density=density)
     rep, = check_tqr(T, params, names=("tqr2",))
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
     checked, triple, prod = oracle.brute_force_tqr2_search(T, minimal)
@@ -610,14 +612,24 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
 
 
 @pytest.mark.parametrize("field, value, least", [
-    ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1),
-    ("support_trials", -1, 0), ("exhaustive_cap", -1, 0), ("seed", -1, 0),
-    ("seed", -1500, 0), ("class_threshold", -1, 0), ("dim_threshold", -1, 0),
-    ("normal_size", -1, 0), ("normal_index", -1, 0), ("quotient_size", -1, 0)])
+    ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1), ("exhaustive_cap", -1, 0),
+    ("seed", -1, 0), ("seed", -1500, 0), ("k", -1, 0)])
 def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         CriteriaParams(**{field: value})
     CriteriaParams(**{field: least})  # the floor itself is legal
+
+
+def test_criteria_params_echo_each_threshold_by_name():
+    # one k stands for the five small-structure thresholds, and the TQR3
+    # cutoff and the TQR2/TQR3 draws are fixed; reports still echo all twelve
+    assert [f.name for f in dataclasses.fields(CriteriaParams)] == [
+        "k", "density", "power", "seed", "trials", "exhaustive_cap"]
+    assert list(CriteriaParams(k=6, density=0.25, seed=9).to_json_dict().items()) == [
+        ("class_threshold", 6), ("dim_threshold", 6), ("density", 0.25), ("power", 3),
+        ("power_measure_threshold", 0.5), ("normal_size", 6), ("normal_index", 6),
+        ("quotient_size", 6), ("seed", 9), ("trials", 1000), ("support_trials", 200),
+        ("exhaustive_cap", 20)]
 
 
 @pytest.mark.parametrize(
@@ -630,7 +642,7 @@ def test_tqr2_pair_search_matches_triple_oracle_on_random_densities(name, data):
     # the oracle's walk over every ordered triple of minimal supports
     T = get_table(name)
     dens = data.draw(_densities(T.group.order).filter(lambda d: d <= 1))
-    params = CriteriaParams(density=float(dens), support_trials=0)
+    params = CriteriaParams(density=float(dens))
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
     assume(len(minimal) <= 40)  # the oracle walks up to len(minimal)**3 triples
     rep, = check_tqr(T, params, names=("tqr2",))
@@ -658,11 +670,11 @@ def test_tqr3_exhaustive_search_matches_power_oracle(name, power, data):
     # the oracle's walk over the minimal supports in order
     T = get_table(name)
     dens = data.draw(_densities(T.group.order).filter(lambda d: d <= 1))
-    params = CriteriaParams(density=float(dens), power=power, support_trials=0)
+    params = CriteriaParams(density=float(dens), power=power)
     minimal = oracle.brute_force_minimal_supports(T, params.density_frac())
     rep, = check_tqr(T, params, names=("tqr3",))
     checked, support, pw = oracle.brute_force_tqr3_search(
-        T, minimal, power, params.power_measure_threshold)
+        T, minimal, power, oracle.POWER_MEASURE_THRESHOLD)
     witness = None
     if support is not None:
         witness = {"support": [i for i in range(T.num_irreps) if support >> i & 1],
@@ -787,11 +799,13 @@ _PAIR_WALK_CASES = [
     and len(_minimal_supports(get_table(name), Fraction(str(density)))) <= 200]
 
 
-@pytest.mark.parametrize("support_trials", [0, 200])
+# the complete search below the cap draws nothing, so no seed changes a report
+# beyond its parameters
+@pytest.mark.parametrize("seed", [0, 200])
 @pytest.mark.parametrize("name, density", _PAIR_WALK_CASES)
-def test_tqr2_search_matches_pair_walk_oracle(name, density, support_trials):
+def test_tqr2_search_matches_pair_walk_oracle(name, density, seed):
     T = get_table(name)
-    params = CriteriaParams(density=density, support_trials=support_trials)
+    params = CriteriaParams(density=density, seed=seed)
     rep, = check_tqr(T, params, names=("tqr2",))
     assert json.dumps(rep.to_json_dict()) == json.dumps(oracle.pair_walk_tqr2_report(T, params))
 
@@ -969,7 +983,7 @@ def test_central_grading_over_a_larger_normal_subgroup(criterion, density, measu
         assert rep.witness["missing"] == sorted(set(range(T.num_irreps)) - set(bits))
     else:
         assert rep.witness["power_support"] == bits
-        assert power_measure <= params.power_measure_threshold
+        assert power_measure <= oracle.POWER_MEASURE_THRESHOLD
 
 
 @pytest.mark.parametrize("criterion, density", [("tqr3", 0.7), ("tqr3", 0.51), ("tqr2", 1.0)])

@@ -9,6 +9,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,13 +180,16 @@ def _eigen_table(G: GroupTable) -> CharTable:
     """Burnside's method: a random real recombination of the class multiplication
     matrices, groups.class_matrix, is diagonalized; each eigenvector, scaled
     to 1 on the identity class, is the vector of normalized class sums of one
-    irreducible. An eigenvalue collision or a failed certification retries
-    with the next seed, up to config.MAX_EIG_ATTEMPTS."""
+    irreducible. The coefficients lie in [1, 2), drawn by the standard
+    library's random.Random(attempt), so numpy.random is never imported here.
+    An eigenvalue collision or a failed certification retries with the next
+    seed, up to config.MAX_EIG_ATTEMPTS; quality.seed is the attempt."""
     r, n = G.classes.num_classes, G.order
     sizes = G.classes.sizes.astype(np.float64)
     last_error = None
     for attempt in range(config.MAX_EIG_ATTEMPTS):
-        coeffs = np.random.default_rng(attempt).uniform(1.0, 2.0, r)
+        rng = random.Random(attempt)
+        coeffs = 1.0 + np.array([rng.random() for _ in range(r)])
         eigvals, eigvecs = np.linalg.eig(groups.class_matrix(G, coeffs))
         diff = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(diff, np.inf)
@@ -339,6 +343,10 @@ def from_interchange(doc: dict) -> CharTable:
         raise CharTableError("imported numbers out of range") from None
     if not np.isfinite(values).all():
         raise CharTableError("imported values must be finite")
+    # |chi(g)| <= chi(1) <= sqrt(|G|) for a character; refusing a larger value
+    # here keeps it out of the orthogonality products, where it would overflow
+    if float(np.max(np.abs(values))) > math.sqrt(G.order) + config.TOL:
+        raise CharTableError("imported value exceeds sqrt(|G|), the bound on a character")
     if not np.array_equal(dims, np.rint(values[:, 0].real)):
         raise CharTableError("imported dims disagree with the identity column")
     if float(np.max(np.abs(values[0] - 1.0))) > config.TOL:

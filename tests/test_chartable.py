@@ -501,7 +501,7 @@ def test_quality_metrics_present():
 
 
 def test_quality_seed_is_the_seed_of_the_certified_attempt(monkeypatch):
-    # attempt k draws its recombination from default_rng(k)
+    # attempt k draws its recombination from random.Random(k)
     certify, calls = chartable._certified_table, []
 
     def fail_once(*args, **kwargs):
@@ -572,6 +572,11 @@ _C2 = {"group": {"family": "cyclic", "params": {"n": 2}}, "class_sizes": [1, 1],
      "out of range"),
     ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [float("nan"), 0]]]},
      "finite"),
+    # finite, but past sqrt(|G|), the bound on a character's values
+    ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1e308, 0]]]},
+     "exceeds sqrt"),
+    ({**_C2, "values": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-1.0, 1.5]]]},
+     "exceeds sqrt"),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v)[-40:])
 def test_interchange_rejects_malformed_documents(doc, message):
     assert from_interchange(_C2).dims.tolist() == [1, 1]

@@ -776,6 +776,21 @@ def test_non_finite_interchange_values_are_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: imported values must be finite\n"
 
 
+def test_huge_interchange_value_is_refused_before_the_orthogonality_products(
+        tmp_path, capsys):
+    # |chi(g)| <= sqrt(|G|); 1e308 overflowed the products, which printed
+    # numpy RuntimeWarnings before the error line
+    table = tmp_path / "d4.json"
+    assert cli.main(["chartable", "--group", "dihedral:4", "--export", str(table),
+                     "--out", os.devnull]) == 0
+    doc = json.loads(table.read_text())
+    doc["values"][1][1][0] = 1e308
+    table.write_text(json.dumps(doc))
+    assert cli.main(["chartable", "--import", str(table)]) == 2
+    assert capsys.readouterr().err == \
+        "error: imported value exceeds sqrt(|G|), the bound on a character\n"
+
+
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -819,6 +834,33 @@ def test_entry_point_pins_blas_to_one_thread_unless_set(given, want, monkeypatch
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["numpy_before"] is False   # set before numpy reads them
     assert [seen[v] for v in _BLAS_VARS] == want
+
+
+_RANDOM_PROBE = """
+import contextlib, io, sys
+from tqrgroups.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["suite", "--config", os.path.join(os.path.dirname(__file__), os.pardir, "suites",
+                                        "acceptance.json")], False),
+    (["chartable", "--group", "symmetric:6"], False),
+    (["group", "--group", "extraspecial:7", "--normal-subgroups"], False),
+    # extraspecial:5 at 0.5 reaches the sampler, criteria._random_stacks
+    (["check", "--group", "extraspecial:5", "--criterion", "tqr2", "--density", "0.5"],
+     True)], ids=["suite", "chartable-s6", "group-es7", "check-es5-sampled"])
+def test_only_a_sampling_command_loads_numpy_random(argv, loaded, tmp_path):
+    # the eigen solve draws its recombination from the standard library's
+    # random.Random, so a table alone does not import numpy.random (6 MB)
+    if argv[0] == "suite":
+        argv = [*argv, "--outdir", str(tmp_path / "suite")]
+    done = _python(["-c", _RANDOM_PROBE, *argv])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"0 {loaded}\n"
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

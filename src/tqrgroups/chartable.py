@@ -181,7 +181,7 @@ def _eigen_table(G: GroupTable) -> CharTable:
     matrices, groups.class_matrix, is diagonalized; each eigenvector, scaled
     to 1 on the identity class, is the vector of normalized class sums of one
     irreducible. The coefficients lie in [1, 2), drawn by the standard
-    library's random.Random(attempt), so numpy.random is never imported here.
+    library's random.Random(attempt), not numpy's 6 MB generator module.
     An eigenvalue collision or a failed certification retries with the next
     seed, up to config.MAX_EIG_ATTEMPTS; quality.seed is the attempt."""
     r, n = G.classes.num_classes, G.order

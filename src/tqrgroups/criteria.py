@@ -37,6 +37,16 @@ _SEARCH_MODE = "exhaustive-minimal+randomized"
 _POWER_MEASURE_THRESHOLD = Fraction(1, 2)
 # TQR2/TQR3 sampler: draws above exhaustive_cap when no table witness refutes.
 _SUPPORT_TRIALS = 200
+# SplitMix64's state increment and finalizer multipliers (see _keys).
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+# Key cells per slab of the sampler: 512 KB of uint64 keys, which a QR draw
+# over A6 at 0.5 (1000 x 3 x 360 keys) walks in 17 slabs, not one of 8 MB.
+_KEY_CELLS = 1 << 16
+# Seeds below this keep seed + 5001, the largest stream offset, below 2^64, so
+# two (seed, criterion) pairs never share a stream.
+_SEED_LIMIT = 2 ** 64 - 5001
 
 
 @dataclass
@@ -58,6 +68,8 @@ class CriteriaParams:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
+        if self.seed >= _SEED_LIMIT:
+            raise ValueError(f"seed must be < {_SEED_LIMIT}, got {self.seed!r}")
 
     def density_frac(self) -> Fraction:
         return Fraction(str(self.density))
@@ -203,29 +215,46 @@ def _density_floor(order: int, dens: Fraction) -> int:
     return -(-dens.numerator * order // dens.denominator)
 
 
+def _keys(seed, lo, hi):
+    """The sampler's keys at stream indices lo..hi-1 of the stream `seed`:
+    SplitMix64's finalizer of seed + (i + 1) * _GOLDEN_GAMMA (Steele, Lea
+    and Flood, Fast splittable pseudorandom number generators, OOPSLA 2014),
+    the (i + 1)-th output of SplitMix64 seeded with `seed`, mod 2^64."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    z *= _GOLDEN_GAMMA
+    z += np.uint64(seed)
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return z
+
+
 def _random_stacks(seed, weight, need, count, width, block):
     """(None, stack) pairs of `count` seeded draws of `width` sets of items,
     in (b, width, items) boolean stacks of at most `block` draws.
 
-    A set is a uniformly random order of the items, one row of
-    rng.permuted over a tile of arange(items), cut after the first prefix
+    A set is the items in the order of their keys, cut after the first prefix
     whose weight reaches `need`: so it meets the floor, and its last member
-    took it over. Orders are drawn in whole stacks, as many at a time as fit
-    in groups._SLAB_CELLS cells (at least one); row by row, rng.permuted
-    shuffles as one rng.shuffle each, so neither the chunks nor the stacks
-    change a draw.
+    took it over. Item j of row t (draw t // width, set t % width) has key
+    _keys at stream index t * items + j. The finalizer is a bijection of
+    distinct states, so no two keys tie, each set is the items whose keys are
+    at most its last member's, and each is a pure function of (seed, row).
+    Rows are keyed as many stacks at a time as fit in _KEY_CELLS cells (at
+    least one).
     """
-    rng = np.random.default_rng(seed)
     items, rows = len(weight), width * block
     # no cut prefix is longer than the lightest items that reach need
     longest = int(np.searchsorted(np.cumsum(np.sort(weight)), need)) + 1
-    step = rows * max(1, groups._SLAB_CELLS // (items * rows))
+    step = rows * max(1, _KEY_CELLS // (items * rows))
     for lo in range(0, width * count, step):
-        order = rng.permuted(np.tile(np.arange(items), (min(step, width * count - lo), 1)), axis=1)
-        head = order[:, :longest]
-        cut = (np.cumsum(weight[head], axis=1) < need).sum(axis=1, keepdims=True)
-        sets = np.zeros(order.shape, dtype=bool)
-        np.put_along_axis(sets, head, np.arange(longest) <= cut, axis=1)
+        hi = min(lo + step, width * count)
+        keys = _keys(seed, lo * items, hi * items).reshape(hi - lo, items)
+        order = keys.argsort(axis=1)[:, :longest]
+        cut = (np.cumsum(weight[order], axis=1) < need).sum(axis=1)
+        t = np.arange(hi - lo)
+        sets = keys <= keys[t, order[t, cut]][:, None]
         for b in range(0, len(sets), rows):
             yield None, sets[b:b + rows].reshape(-1, width, items)
 

@@ -146,9 +146,12 @@ _METRICS = ("uniform", "tv_max", "tv_half_l1")
 def _distances(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """The _METRICS of each (s, r) stack in dists (..., s, r), each the
     worst over the stack's rows, along a new first axis."""
-    dev = np.abs(dists - pi)
-    return np.stack([np.abs(dists / pi - 1.0).max(axis=(-2, -1)),
-                     dev.max(axis=(-2, -1)), (0.5 * dev.sum(axis=-1)).max(axis=-1)])
+    dev, rel = dists - pi, dists / pi
+    rel -= 1.0
+    np.abs(rel, out=rel)
+    np.abs(dev, out=dev)
+    return np.stack([rel.max(axis=(-2, -1)), dev.max(axis=(-2, -1)),
+                     (0.5 * dev.sum(axis=-1)).max(axis=-1)])
 
 
 def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
@@ -185,7 +188,8 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
     walk, pi = _Walk(M, dists, t_max), M.stationary()
     stacks = iter(walk)
     blocks = iter(lambda: list(itertools.islice(stacks, max(1, _BLOCK_CELLS // dists.size))), [])
-    scores = np.concatenate([_distances(np.stack(b), pi) for b in blocks], axis=1)
+    scores = np.concatenate([_distances(b[0][None] if len(b) == 1 else np.stack(b), pi)
+                             for b in blocks], axis=1)
     curve = [{"t": t, **dict(zip(_METRICS, row))} for t, row in enumerate(scores.T.tolist())]
     mixing_times = {m: next(iter(np.flatnonzero(row <= epsilon).tolist()), None)
                     for m, row in zip(_METRICS, scores)}

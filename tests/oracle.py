@@ -16,8 +16,8 @@ tensor powers and sumsets from one factor at a time, sumsets and translate
 covers also on Python tuple sets, the exhaustive TQR2
 search from a walk over every pair of minimal supports, minimal supports
 from a scan of every mask, the canonical irreducible order from one sort key
-of rounded tuples per row, random supports and subsets from one
-rng.shuffle per set walked in pure Python to the floor, sampled product
+of rounded tuples per row, random supports and subsets from one sort
+by Python-int SplitMix64 keys per set walked to the floor, sampled product
 sets from one np.unique per trial and product, QR2 and QR3 verdicts from every subset or pair of subsets of the
 subset size, Cayley tables from a dict lookup of every pairwise
 product, symmetric and alternating groups from every itertools permutation
@@ -544,14 +544,23 @@ def fraction_sum_measure(T, mask):
                 if mask >> i & 1), Fraction(0))
 
 
-def scalar_prefix_draw(rng, weights, need):
-    """One set of the sampler's rule, walked in pure Python: the items in the
-    order of one rng.shuffle of arange(len(weights)), taken one at a time
-    until their weight first reaches need; sorted."""
-    order = np.arange(len(weights))
-    rng.shuffle(order)
+def splitmix64_key(seed, index):
+    """The index-th key of the stream `seed`: SplitMix64's finalizer of
+    seed + (index + 1) * 0x9E3779B97F4A7C15, in Python ints mod 2^64."""
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & mask
+    return z ^ z >> 31
+
+
+def scalar_prefix_draw(seed, row, weights, need):
+    """Row `row` of the sampler's rule on stream `seed`: the items sorted by
+    their keys at stream indices row * len(weights) + item, taken one at a
+    time until their weight first reaches need; sorted."""
+    items = len(weights)
     taken, total = [], 0
-    for i in order.tolist():
+    for i in sorted(range(items), key=lambda j: splitmix64_key(seed, row * items + j)):
         taken.append(i)
         total += weights[i]
         if total >= need:
@@ -570,12 +579,13 @@ def scalar_random_tqr_report(T, params, criterion):
     bitmask, one prefix draw over the dim^2 cut at ceil(dens*|G|)."""
     r = T.num_irreps
     full = (1 << r) - 1
-    rng = np.random.default_rng(params.seed + (2001 if criterion == "tqr2" else 3001))
+    seed = params.seed + (2001 if criterion == "tqr2" else 3001)
     weights = [int(d) ** 2 for d in T.dims]
     need = math.ceil(params.density_frac() * T.group.order)
+    rows = itertools.count()
 
     def support():
-        return sum(1 << i for i in scalar_prefix_draw(rng, weights, need))
+        return sum(1 << i for i in scalar_prefix_draw(seed, next(rows), weights, need))
 
     checked, witness = 0, None
     for _ in range(SUPPORT_TRIALS):
@@ -632,10 +642,10 @@ def per_trial_qr23_report(G, params, triple):
     over a pairwise product table, power - 1 of them for qr3."""
     dens = params.density_frac()
     size = -(-dens.numerator * G.order // dens.denominator)
-    rng = np.random.default_rng(params.seed + (4001 if triple else 5001))
-    witness = None
+    seed = params.seed + (4001 if triple else 5001)
+    rows, witness = itertools.count(), None
     for _ in range(params.trials):
-        sets = [np.array(scalar_prefix_draw(rng, [1] * G.order, size))
+        sets = [np.array(scalar_prefix_draw(seed, next(rows), [1] * G.order, size))
                 for _ in range(3 if triple else 1)]
         if triple:
             prod = np.unique(G.mul[np.ix_(sets[0], sets[1])])

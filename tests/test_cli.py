@@ -845,22 +845,32 @@ print(code, "numpy.random" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["suite", "--config", os.path.join(os.path.dirname(__file__), os.pardir, "suites",
-                                        "acceptance.json")], False),
-    (["chartable", "--group", "symmetric:6"], False),
-    (["group", "--group", "extraspecial:7", "--normal-subgroups"], False),
-    # extraspecial:5 at 0.5 reaches the sampler, criteria._random_stacks
-    (["check", "--group", "extraspecial:5", "--criterion", "tqr2", "--density", "0.5"],
-     True)], ids=["suite", "chartable-s6", "group-es7", "check-es5-sampled"])
-def test_only_a_sampling_command_loads_numpy_random(argv, loaded, tmp_path):
-    # the eigen solve draws its recombination from the standard library's
-    # random.Random, so a table alone does not import numpy.random (6 MB)
+@pytest.mark.parametrize("argv", [
+    ["suite", "--config", os.path.join(os.path.dirname(__file__), os.pardir, "suites",
+                                       "acceptance.json")],
+    ["chartable", "--group", "symmetric:6"],
+    ["group", "--group", "extraspecial:7", "--normal-subgroups"],
+    # both reach the sampler, criteria._random_stacks
+    ["check", "--group", "extraspecial:5", "--criterion", "tqr2", "--density", "0.5"],
+    ["check", "--group", "alternating:5", "--criterion", "qr2", "--density", "0.5"]],
+    ids=["suite", "chartable-s6", "group-es7", "check-es5-sampled", "check-a5-qr2-sampled"])
+def test_no_command_loads_numpy_random(argv, tmp_path):
+    # the eigen solve draws its recombination from random.Random and the
+    # samplers key their orders by SplitMix64 in numpy uint64, so no command
+    # imports numpy.random (6 MB of peak RSS)
     if argv[0] == "suite":
         argv = [*argv, "--outdir", str(tmp_path / "suite")]
     done = _python(["-c", _RANDOM_PROBE, *argv])
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"0 {loaded}\n"
+    assert done.stdout == "0 False\n"
+
+
+def test_a_seed_past_the_stream_range_is_bad_input(capsys):
+    assert cli.main(["check", "--group", "cyclic:3", "--criterion", "tqr2",
+                     "--seed", str(2 ** 64)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: seed must be < {2 ** 64 - 5001}, got {2 ** 64}\n"
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -438,8 +438,8 @@ def test_qr23_blocks_match_per_trial_oracle(name):
 
 
 @pytest.mark.parametrize("name, density, seed, triple, first_miss", [
-    ("aff11", 0.1, 0, False, 15),    # the second block, trials 13..25
-    ("ES5", 0.1, 2, False, 32),      # the fourth block, trials 30..39
+    ("aff11", 0.1, 10, False, 16),   # the second block, trials 13..25
+    ("ES5", 0.1, 26, False, 30),     # the fourth block, trials 30..39
 ])
 def test_qr23_witness_in_a_later_block(name, density, seed, triple, first_miss):
     G, T = get_group(name), get_table(name)
@@ -464,9 +464,10 @@ def test_qr23_subset_size_is_exact():
 
 @pytest.mark.parametrize("name, density, seed", [
     ("Q8", 0.1, 0),      # a singleton: every power has one element
-    ("A5", 0.02, 0),     # stalls at 10 elements
-    ("S4", 0.05, 2),     # stalls at 12 elements
-    ("S5", 0.02, 1),     # alternates between A5 and its coset, 60 each
+    ("A5", 0.02, 0),     # stalls at 12 elements
+    ("S4", 0.05, 2),     # stalls at 4 elements
+    ("S5", 0.02, 1),     # stalls at 20 elements
+    ("S5", 0.02, 3),     # alternates between A5 and its coset, 60 each
     ("A5", 0.2, 0),      # every power covers A5
 ])
 def test_qr3_stall_rule_answers_a_huge_power(name, density, seed):
@@ -620,6 +621,16 @@ def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     CriteriaParams(**{field: least})  # the floor itself is legal
 
 
+def test_criteria_params_refuse_a_seed_whose_streams_pass_2_to_the_64():
+    # QR3 draws from stream seed + 5001, the largest offset; it must stay
+    # below 2^64, or a large seed would wrap onto a small seed's streams
+    top = 2 ** 64 - 5001
+    for seed in (top, 2 ** 64, 2 ** 70):
+        with pytest.raises(ValueError, match=f"^seed must be < {top}, got {seed}$"):
+            CriteriaParams(seed=seed)
+    CriteriaParams(seed=top - 1)  # the last legal seed
+
+
 def test_criteria_params_echo_each_threshold_by_name():
     # one k stands for the five small-structure thresholds, and the TQR3
     # cutoff and the TQR2/TQR3 draws are fixed; reports still echo all twelve
@@ -719,10 +730,50 @@ def test_random_support_rows_continue_one_sequence(monkeypatch):
             for evaluate, name, density, args in cases]
     assert {rep["holds"] for rep in want} == {True, False}
     monkeypatch.setattr(groups, "_SLAB_CELLS", 7)
+    monkeypatch.setattr(criteria, "_KEY_CELLS", 7)
     monkeypatch.setattr(criteria, "_STACK_ROWS", 3)
     monkeypatch.setattr(criteria, "_QR_BLOCK_ENTRIES", 1)
     assert [_sampled(evaluate, get_table(name), CriteriaParams(density=density, seed=4), *args)
             for evaluate, name, density, args in cases] == want
+
+
+def test_sampler_keys_are_splitmix64_outputs():
+    # the first three outputs of SplitMix64 seeded with 0, as published with
+    # the reference implementation, and the oracle's Python-int keys at the
+    # top of the seed range, where seed + (i + 1) * gamma wraps mod 2^64
+    assert criteria._keys(0, 0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    seed = 2 ** 64 - 1
+    assert criteria._keys(seed, 5, 9).tolist() == [
+        oracle.splitmix64_key(seed, i) for i in range(5, 9)]
+
+
+def test_random_stacks_match_the_scalar_oracle_at_any_block(monkeypatch):
+    # every set is a pure function of (seed, row): blocks of 1, 7 and
+    # _STACK_ROWS draws, and slabs of one stack, of 100 cells and of
+    # _KEY_CELLS, give the oracle's sets, row t of the stream holding draw
+    # t // width, set t % width
+    rng = np.random.default_rng(43)
+    layouts = list(itertools.product((1, 7, criteria._STACK_ROWS),
+                                     (1, 100, criteria._KEY_CELLS)))
+    for case in range(60):
+        items, count, width = (int(x) for x in rng.integers(1, (41, 31, 4)))
+        # every third case weighs its items alike, as QR2/QR3 do
+        weight = rng.integers(1, 30, 1 if case % 3 == 0 else items).repeat(
+            items if case % 3 == 0 else 1)
+        need = int(rng.integers(1, weight.sum() + 1))
+        seed = int(rng.integers(0, 2 ** 63)) * 2 + case % 2
+        want = [oracle.scalar_prefix_draw(seed, t, weight.tolist(), need)
+                for t in range(width * count)]
+        for block, slab in layouts:
+            monkeypatch.setattr(criteria, "_KEY_CELLS", slab)
+            stacks = [stack for _, stack in criteria._random_stacks(
+                seed, weight, need, count, width, block)]
+            assert all(stack.shape[1:] == (width, items) and len(stack) <= block
+                       for stack in stacks)
+            got = [np.flatnonzero(row).tolist()
+                   for row in np.concatenate(stacks).reshape(-1, items)]
+            assert got == want, (case, block, slab)
 
 
 @pytest.mark.parametrize("spec, criterion, density", [

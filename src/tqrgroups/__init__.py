@@ -21,8 +21,8 @@ _EXPORTS = {name: module for module, names in {
     "chartable": ("CharTable", "ClassFunction", "CharTableError",
                   "compute_char_table", "induce_character", "from_interchange",
                   "dumps_interchange", "loads_interchange"),
-    "classfuncs": ("RepMultiset", "DecompositionError", "plancherel_frac",
-                   "character_of", "reduce_rep", "decompose", "rep_from_selector"),
+    "classfuncs": ("DecompositionError", "support_measure_frac", "character_of",
+                   "decompose", "rep_from_selector"),
     "criteria": ("CriteriaParams", "CriterionReport", "CoverReport",
                  "two_factor_cover", "three_factor_cover", "multiplicity_profile",
                  "check_tqr", "check_qr"),

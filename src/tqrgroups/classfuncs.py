@@ -1,10 +1,12 @@
 """Measure-theoretic vocabulary on representations: Plancherel measure, and
 exact decomposition of characters into irreducible multiplicities.
+
+Covering and the tensor-product chain depend on a representation only through
+its support, so a representation goes in as a boolean mask over Irr(G).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,66 +19,19 @@ class DecompositionError(ValueError):
     """Input was not a genuine character (non-integer or negative weights)."""
 
 
-@dataclass(eq=False)
-class RepMultiset:
-    """A representation as multiplicities over the irreducibles of a table."""
-
-    table: CharTable
-    mult: np.ndarray
-
-    def __post_init__(self):
-        self.mult = np.ascontiguousarray(self.mult, dtype=np.int64)
-        if self.mult.shape != (self.table.num_irreps,):
-            raise ValueError("multiplicity vector has wrong length")
-        if self.mult.min(initial=0) < 0:
-            raise ValueError("multiplicities must be non-negative")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.mult.any()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.mult))
-
-    def support_mask(self) -> np.ndarray:
-        return self.mult > 0
-
-    def to_json_dict(self) -> dict:
-        return {"mult": self.mult.tolist()}
-
-    @classmethod
-    def from_support(cls, table: CharTable, support) -> "RepMultiset":
-        mult = np.zeros(table.num_irreps, dtype=np.int64)
-        for i in support:
-            mult[int(i)] = 1
-        return cls(table, mult)
-
-
-def plancherel_frac(T: CharTable, V: RepMultiset) -> Fraction:
-    """Exact Plancherel measure of the support of V."""
-    return support_measure_frac(T, V.support_mask())
-
-
-def character_of(T: CharTable, V: RepMultiset) -> ClassFunction:
-    """Ordinary character sum mult(lam) * chi_lam."""
-    return ClassFunction(T.group, V.mult.astype(np.complex128) @ T.values)
-
-
-def reduce_rep(V: RepMultiset) -> RepMultiset:
-    """Replace each irreducible in the support by dim(lam) copies of itself."""
-    mult = np.zeros_like(V.mult)
-    sup = list(V.support())
-    mult[sup] = V.table.dims[sup]
-    return RepMultiset(V.table, mult)
+def character_of(T: CharTable, mult: np.ndarray) -> ClassFunction:
+    """Ordinary character sum mult(lam) * chi_lam of an integer multiplicity vector."""
+    return ClassFunction(T.group, mult.astype(np.complex128) @ T.values)
 
 
 def decompose(T: CharTable, f):
     """Multiplicities <f, chi_lam>, certified to round to non-negative integers.
 
-    f is one ClassFunction, giving a RepMultiset, or a (b, num_classes) stack
-    of class-function values on T.classes, giving the (b, num_irreps) int64
-    multiplicities of every row from one matrix product. Raises
-    DecompositionError when any input is not a genuine character of the group.
+    f is one ClassFunction, giving its (num_irreps,) int64 multiplicities, or
+    a (b, num_classes) stack of class-function values on T.classes, giving the
+    (b, num_irreps) int64 multiplicities of every row from one matrix
+    product. Raises DecompositionError when any input is not a genuine
+    character of the group.
     """
     if isinstance(f, ClassFunction):
         if f.classes is not T.classes:
@@ -98,7 +53,7 @@ def decompose(T: CharTable, f):
     mult = rounded.astype(np.int64)
     if mult.min(initial=0) < 0:
         raise DecompositionError("negative multiplicity: not a character")
-    return RepMultiset(T, mult) if values.ndim == 1 else mult
+    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +102,20 @@ def support_measure_frac(T: CharTable, mask: np.ndarray) -> Fraction:
 # CLI selectors
 
 
-def rep_from_selector(T: CharTable, selector: str) -> RepMultiset:
-    """Parse "all", "trivial", "irrep:<k>" or "dim>=<d>" into a RepMultiset."""
+def rep_from_selector(T: CharTable, selector: str) -> np.ndarray:
+    """Parse "all", "trivial", "irrep:<k>" or "dim>=<d>" into a support: a
+    boolean mask over the irreducibles."""
     s = selector.strip().lower()
+    index = np.arange(T.num_irreps)
     if s == "all":
-        return RepMultiset(T, np.ones(T.num_irreps, dtype=np.int64))
+        return index >= 0
     if s == "trivial":
-        return RepMultiset.from_support(T, [0])
+        return index == 0
     if s.startswith("irrep:"):
         k = int(s.split(":", 1)[1])
         if not 0 <= k < T.num_irreps:
             raise ValueError(f"irrep index {k} out of range")
-        return RepMultiset.from_support(T, [k])
+        return index == k
     if s.startswith("dim>="):
-        d = int(s[5:])
-        return RepMultiset.from_support(
-            T, [i for i in range(T.num_irreps) if T.dims[i] >= d])
+        return T.dims >= int(s[5:])
     raise ValueError(f"unrecognized representation selector {selector!r}")

@@ -257,10 +257,10 @@ def run_markov(args: dict) -> tuple[dict, int]:
     chain = build_chain(T, V)
     metric, epsilon, start = args["metric"], args["epsilon"], None
     if args["start"] is not None:
-        chosen = rep_from_selector(T, args["start"]).support()
-        if not chosen:
+        chosen = rep_from_selector(T, args["start"])
+        if not chosen.any():
             raise UsageError(f"start selector {args['start']!r} selects no irreducible")
-        start = chosen[0]
+        start = int(np.flatnonzero(chosen)[0])
     rep = mixing_time(chain, metric, epsilon, t_max=t_max, start=start)
     payload = rep.to_json_dict()
     resid = stationarity_residual(chain)
@@ -310,8 +310,8 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
             eps = Fraction(eps)
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
-    V, report = build_counterexample_rep(T, N, args["m"], epsilon=eps)
-    payload = {"rep": V.to_json_dict(), "normal_order": N.order,
+    mult, report = build_counterexample_rep(T, N, args["m"], epsilon=eps)
+    payload = {"rep": {"mult": mult.tolist()}, "normal_order": N.order,
                "construction": report}
     violated = not report["power_measure_at_most_half"]
     return (_envelope("counterexample", spec,

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import groups
 from .chartable import CharTable, induce_character
-from .classfuncs import (RepMultiset, decompose, plancherel_frac,
-                         power_support_mask, support_measure_frac)
+from .classfuncs import decompose, power_support_mask, support_measure_frac
 from .groups import (AbelianGroup, AbelianStructure, GroupError, GroupTable,
                      Subgroup, center_of_subset, permutation_closure,
                      sorted_unique)
@@ -318,10 +317,11 @@ def _induced_characters(G: GroupTable, dec: AbelianStructure,
 
 def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
                              epsilon: Fraction | float | None = None
-                             ) -> tuple[RepMultiset, dict]:
+                             ) -> tuple[np.ndarray, dict]:
     """Construct V = sum over theta in A of Ind_K^G(theta) for an invariant
     small-doubling set A of characters of K = Z(N), and verify that the m-th
-    tensor power of V has Plancherel measure at most 1/2. G is T.group.
+    tensor power of V has Plancherel measure at most 1/2. G is T.group; V is
+    returned as its (num_irreps,) int64 multiplicities.
     """
     if not N.is_normal:
         raise GroupError("N must be normal")
@@ -343,11 +343,12 @@ def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
     orbits, orbit_sizes = sorted_unique(dual.perms.min(axis=0), return_counts=True)
     thetas = np.flatnonzero(A)
     mult = decompose(T, _induced_characters(G, dec, orbits))
-    V = RepMultiset(T, (orbit_sizes * A[orbits]) @ mult)
+    V = (orbit_sizes * A[orbits]) @ mult
+    support = V > 0
 
     kk = K.order
-    mv = plancherel_frac(T, V)
-    pw_mask = power_support_mask(T, V.support_mask(), m)
+    mv = support_measure_frac(T, support)
+    pw_mask = power_support_mask(T, support, m)
     m_pw = support_measure_frac(T, pw_mask)
     m_fold_size = diag["m_fold_size"]
 
@@ -368,7 +369,7 @@ def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
         "power_measure_at_most_half": m_pw <= Fraction(1, 2),
         "m_fold_set_size": m_fold_size,
         "m_fold_mass_bound_ok": m_pw <= Fraction(m_fold_size, kk),
-        "support": list(V.support()),
+        "support": np.flatnonzero(V).tolist(),
         "power_support": np.flatnonzero(pw_mask).tolist(),
         "orbit_blocks": blocks,
         "orbit_partition_ok": orbit_partition_ok,

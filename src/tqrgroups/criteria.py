@@ -15,9 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .chartable import CharTable
-from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
-                         power_support_mask, reduce_rep, support_measure_frac,
-                         tensor_support_mask)
+from .classfuncs import (character_of, decompose, power_support_mask,
+                         support_measure_frac, tensor_support_mask)
 from . import config, groups
 from .groups import GroupError, GroupTable, derived_subgroup, center_of_subset
 
@@ -120,46 +119,46 @@ class CoverReport:
 # Covering checks
 
 
-def two_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset) -> CoverReport:
-    """Guarantee M(V1)+M(V2) > 1 versus the exact covering status of V1 (x) V2."""
-    m1, m2 = plancherel_frac(T, V1), plancherel_frac(T, V2)
+def two_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray) -> CoverReport:
+    """Guarantee M(V1)+M(V2) > 1 versus the exact covering status of V1 (x) V2,
+    for supports V1, V2."""
+    m1, m2 = support_measure_frac(T, V1), support_measure_frac(T, V2)
     guaranteed = (m1 + m2) > 1
-    prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
+    prod = tensor_support_mask(T, V1, V2)
     return CoverReport("two_factor", [float(m1), float(m2)], bool(guaranteed),
                        bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()))
 
 
-def three_factor_cover(T: CharTable, V1: RepMultiset, V2: RepMultiset,
-                       V3: RepMultiset) -> CoverReport:
+def three_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray,
+                       V3: np.ndarray) -> CoverReport:
     """Guarantee M1*M2*M3 > c(G)^(-1/2) versus exact covering of the triple."""
     if T.group.order <= 1:
         raise GroupError("three-factor bound needs a nontrivial group")
     c = T.classes.min_nontrivial_size
-    ms = [plancherel_frac(T, V) for V in (V1, V2, V3)]
+    ms = [support_measure_frac(T, V) for V in (V1, V2, V3)]
     prod_m = ms[0] * ms[1] * ms[2]
     # exact comparison: (M1 M2 M3)^2 * c > 1 avoids the irrational sqrt
     guaranteed = prod_m > 0 and (prod_m * prod_m * c) > 1
-    prod = tensor_support_mask(T, V1.support_mask(), V2.support_mask())
-    prod = tensor_support_mask(T, prod, V3.support_mask())
+    prod = tensor_support_mask(T, tensor_support_mask(T, V1, V2), V3)
     return CoverReport("three_factor", [float(m) for m in ms], bool(guaranteed),
                        bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()),
                        threshold=c ** -0.5)
 
 
-def multiplicity_profile(T: CharTable, V1: RepMultiset, V2: RepMultiset,
-                         V3: RepMultiset) -> dict:
+def multiplicity_profile(T: CharTable, V1: np.ndarray, V2: np.ndarray,
+                         V3: np.ndarray) -> dict:
     """Exact multiplicities of each irreducible in the tensor product of the
-    three reduced representations, with deviation from proportionality to dim.
+    three reduced representations (each chi in a support taken chi(1) times),
+    with deviation from proportionality to dim.
     """
     n = T.group.order
-    if any(V.is_zero for V in (V1, V2, V3)):
+    a = [float(support_measure_frac(T, V)) for V in (V1, V2, V3)]
+    if not all(V.any() for V in (V1, V2, V3)):
         return {"multiplicities": [0] * T.num_irreps, "deviations": None,
-                "measures": [float(plancherel_frac(T, V)) for V in (V1, V2, V3)],
-                "max_deviation": None, "deviation_bounds": None}
-    chars = [character_of(T, reduce_rep(V)) for V in (V1, V2, V3)]
+                "measures": a, "max_deviation": None, "deviation_bounds": None}
+    chars = [character_of(T, T.dims * V) for V in (V1, V2, V3)]
     prod = chars[0].copy_with(chars[0].values * chars[1].values * chars[2].values)
-    mult = decompose(T, prod).mult
-    a = [float(plancherel_frac(T, V)) for V in (V1, V2, V3)]
+    mult = decompose(T, prod)
     base = n * n * a[0] * a[1] * a[2] * T.dims.astype(np.float64)
     dev = np.abs(mult / base - 1.0)
     c = T.classes.min_nontrivial_size

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import config
 from .chartable import CharTable
-from .classfuncs import (RepMultiset, character_of, decompose, plancherel_frac,
-                         power_support_mask, reduce_rep, support_measure_frac)
+from .classfuncs import (character_of, decompose, power_support_mask,
+                         support_measure_frac)
 
 # Cells per block of stacks scored at once. At 2^15 cells (256 KB a
 # temporary), freeing a block's temporaries passed glibc's 128 KB heap-trim
@@ -35,13 +35,12 @@ def check_t_max(t_max: int) -> None:
 
 @dataclass(eq=False)
 class ChainModel:
-    """Exact transition kernel of the chain `tensor with reduced V`."""
+    """Exact transition kernel of the chain `tensor with reduced V`, for the
+    support `rep` of V."""
 
     table: CharTable
-    rep: RepMultiset
-    reduced: RepMultiset
+    rep: np.ndarray
     kernel: np.ndarray
-    reduced_dim: int
 
     def __post_init__(self):
         self.kernel = np.ascontiguousarray(self.kernel, dtype=np.float64)
@@ -70,21 +69,20 @@ class MixingReport:
         return dict(vars(self))
 
 
-def build_chain(T: CharTable, V: RepMultiset) -> ChainModel:
-    """p(lam, mu) = mult(mu in lam (x) reduced(V)) * dim(mu) / (dim(lam) * dim(reduced V))."""
-    if V.is_zero:
+def build_chain(T: CharTable, V: np.ndarray) -> ChainModel:
+    """p(lam, mu) = mult(mu in lam (x) reduced(V)) * dim(mu) / (dim(lam) * dim(reduced V)),
+    where reduced(V) takes each chi in the support V chi(1) times."""
+    if not V.any():
         raise ValueError("the driving representation must be nonzero")
-    red = reduce_rep(V)
-    red_char = character_of(T, red)
-    dim_red = int(np.sum(T.dims[list(V.support())] ** 2))
+    red = T.dims * V
+    dim_red = int(red @ T.dims)
     dims = T.dims.astype(np.float64)
-    mult = decompose(T, T.values * red_char.values)
+    mult = decompose(T, T.values * character_of(T, red).values)
     kernel = mult * dims / (dims[:, None] * dim_red)
     row_err = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if row_err > config.TOL:
         raise RuntimeError(f"kernel rows do not sum to 1 (residual {row_err:.2e})")
-    return ChainModel(table=T, rep=V, reduced=red, kernel=kernel,
-                      reduced_dim=dim_red)
+    return ChainModel(table=T, rep=V, kernel=kernel)
 
 
 class _Walk:
@@ -218,7 +216,7 @@ def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
     """
     T, V = chain.table, chain.rep
     c = T.classes.min_nontrivial_size
-    mv = plancherel_frac(T, V)
+    mv = support_measure_frac(T, V)
 
     if report is None or report.start is not None or report.t_max < 3:
         report = mixing_time(chain, "uniform", epsilon, t_max=3)
@@ -226,7 +224,7 @@ def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
     bound = float(c ** -0.5 / float(mv) ** 3) if (c is not None and mv > 0) else None
 
     neg = distances_to_stationary(chain, t_step_distribution(chain, 0, m))
-    reach_mask = power_support_mask(T, V.support_mask(), m)
+    reach_mask = power_support_mask(T, V, m)
     inaccessible = 1 - support_measure_frac(T, reach_mask)
 
     return {

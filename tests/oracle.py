@@ -1104,10 +1104,10 @@ def subgroup_table(G, members):
 
 
 def reduced_character(T, V):
-    """(1/|G|) sum over the support of V of dim(lam) chi_lam, one row at a
-    time; its value at the identity is the Plancherel measure of V."""
+    """(1/|G|) sum over the support V (a boolean mask) of dim(lam) chi_lam,
+    one row at a time; its value at the identity is the Plancherel measure."""
     from tqrgroups.chartable import ClassFunction
-    vals = sum((int(T.dims[lam]) * T.values[lam] for lam in V.support()),
+    vals = sum((int(T.dims[lam]) * T.values[lam] for lam in np.flatnonzero(V)),
                np.zeros(T.num_irreps, dtype=np.complex128))
     return ClassFunction(T.group, vals / T.group.order)
 

@@ -19,10 +19,10 @@ from conftest import element_order
 from tqrgroups import (build_chain, build_counterexample_rep, build_group,
                        center, center_free_quotient_chain, check_qr, check_tqr,
                        compute_char_table, conjugacy_classes, decompose,
-                       normal_subgroups, plancherel_frac, quotient,
+                       normal_subgroups, quotient, support_measure_frac,
                        t_step_distribution, translate_cover)
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.classfuncs import RepMultiset, character_of, reduce_rep
+from tqrgroups.classfuncs import character_of
 from tqrgroups.criteria import CriteriaParams
 from tqrgroups.markov import distances_to_stationary
 from tqrgroups import cli
@@ -87,7 +87,7 @@ def _covering_mult(T, masks):
     for m in masks:
         vals = vals * ((m * dims) @ T.values)
     f = ClassFunction(T.group, vals)
-    return decompose(T, f).mult
+    return decompose(T, f)
 
 
 def test_c01_character_table_validity():
@@ -173,12 +173,12 @@ def test_c03_three_factor_covering_soundness():
 
     # the worked instance: the 4-dim irreducible of the affine group of F_5
     G, C, T = table_of("affine:5")
-    rho = RepMultiset.from_support(T, [4])
-    m = plancherel_frac(T, rho)
+    rho = np.arange(T.num_irreps) == 4
+    m = support_measure_frac(T, rho)
     assert m ** 3 == Fraction(64, 125)            #0.512 > 0.5
     assert (m ** 3) ** 2 * C.min_nontrivial_size > 1
     cube = ClassFunction(G, T.values[4] ** 3)
-    assert decompose(T, cube).mult.tolist() == [3, 3, 3, 3, 13]
+    assert decompose(T, cube).tolist() == [3, 3, 3, 3, 13]
     # cross-check against the hand-assembled table of the affine group
     reps_o, sizes_o, chars_o = oracle.affine_char_table_by_hand(5)
     assert sizes_o == C.sizes.tolist()
@@ -225,12 +225,12 @@ def test_c05_markov_stationarity_and_identity():
             mask = rng.integers(0, 2, r)
             if not mask.any():
                 mask[int(rng.integers(r))] = 1
-            V = RepMultiset(T, mask)
+            V = mask > 0
             chain = build_chain(T, V)
             pi = chain.stationary()
             assert np.max(np.abs(pi @ chain.kernel - pi)) < TOL, name
-            red_vals = character_of(T, reduce_rep(V)).values
-            dim_red = float(sum(dims[i] ** 2 for i in V.support()))
+            red_vals = character_of(T, T.dims * V).values
+            dim_red = float(sum(dims[i] ** 2 for i in np.flatnonzero(V)))
             P_t = np.eye(r)
             for t in range(5):
                 if t > 0:
@@ -246,13 +246,13 @@ def test_c06_constant_time_mixing_positive():
     distances = []
     for p in (5, 7, 11, 13):
         G, C, T = table_of(f"affine:{p}")
-        V = RepMultiset.from_support(T, [T.num_irreps - 1])
+        V = np.arange(T.num_irreps) == T.num_irreps - 1
         chain = build_chain(T, V)
         worst = max(
             distances_to_stationary(chain, t_step_distribution(chain, lam, 3))["uniform"]
             for lam in range(T.num_irreps))
         c = C.min_nontrivial_size
-        mv = float(plancherel_frac(T, V))
+        mv = float(support_measure_frac(T, V))
         bound = c ** -0.5 / mv ** 3
         assert worst <= bound, p
         distances.append(worst)
@@ -269,8 +269,8 @@ def test_c07_nonmixing_negative_direction():
     zc = int(C.class_of[zs[0]])
     trivial_on_c2 = [lam for lam in range(T.num_irreps)
                      if abs(T.values[lam, zc] - T.dims[lam]) < 1e-9]
-    V = RepMultiset.from_support(T, trivial_on_c2)
-    assert plancherel_frac(T, V) == Fraction(1, 2)
+    V = np.isin(np.arange(T.num_irreps), trivial_on_c2)
+    assert support_measure_frac(T, V) == Fraction(1, 2)
     chain = build_chain(T, V)
     inaccessible = [lam for lam in range(T.num_irreps)
                     if lam not in trivial_on_c2]
@@ -321,11 +321,11 @@ def test_c09_small_doubling_counterexample_and_partition():
     G, C, T = table_of("cyclic:12")
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
     V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
-    assert plancherel_frac(T, V) >= Fraction(1, 4)
+    assert support_measure_frac(T, V > 0) >= Fraction(1, 4)
     support_mv = Fraction(*rep["measure_v_exact"])
-    assert support_mv == plancherel_frac(T, V)
-    from tqrgroups.classfuncs import power_support_mask, support_measure_frac
-    pw = power_support_mask(T, V.support_mask(), 2)
+    assert support_mv == support_measure_frac(T, V > 0)
+    from tqrgroups.classfuncs import power_support_mask
+    pw = power_support_mask(T, V > 0, 2)
     assert support_measure_frac(T, pw) <= Fraction(1, 2)
     for name in ("quaternion8", "dihedral:4"):
         Gn, Cn, Tn = table_of(name)

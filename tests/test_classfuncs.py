@@ -8,30 +8,28 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table, mask_row,
                       row_mask)
-from tqrgroups import (DecompositionError, character_of, decompose, plancherel_frac,
-                       reduce_rep)
+from tqrgroups import (DecompositionError, character_of, decompose,
+                       support_measure_frac)
 from tqrgroups.chartable import ClassFunction
-from tqrgroups.classfuncs import (RepMultiset, power_support_mask,
-                                  rep_from_selector, support_measure_frac,
-                                  tensor_support_mask)
+from tqrgroups.classfuncs import power_support_mask, rep_from_selector, tensor_support_mask
 
 
 def _rep(T, support):
-    return RepMultiset.from_support(T, support)
+    return np.isin(np.arange(T.num_irreps), support)
 
 
 def test_plancherel_examples():
     T = get_table("S3")
-    assert float(plancherel_frac(T, _rep(T, [2]))) == pytest.approx(4 / 6)
-    assert float(plancherel_frac(T, rep_from_selector(T, "all"))) == pytest.approx(1.0)
-    assert float(plancherel_frac(T, _rep(T, [0]))) == pytest.approx(1 / 6)
-    assert plancherel_frac(T, _rep(T, [2])) == Fraction(2, 3)
+    assert float(support_measure_frac(T, _rep(T, [2]))) == pytest.approx(4 / 6)
+    assert float(support_measure_frac(T, rep_from_selector(T, "all"))) == pytest.approx(1.0)
+    assert float(support_measure_frac(T, _rep(T, [0]))) == pytest.approx(1 / 6)
+    assert support_measure_frac(T, _rep(T, [2])) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
 def test_plancherel_sums_to_one(name):
     T = get_table(name)
-    fracs = [plancherel_frac(T, _rep(T, [lam])) for lam in range(T.num_irreps)]
+    fracs = [support_measure_frac(T, _rep(T, [lam])) for lam in range(T.num_irreps)]
     assert sum(fracs, Fraction(0)) == 1
     assert abs(sum(float(f) for f in fracs) - 1) < 1e-12
     assert all(f > 0 for f in fracs)
@@ -43,14 +41,14 @@ def test_reduced_character_examples():
     assert np.allclose(full.values, [1, 0, 0])
     std = oracle.reduced_character(T, _rep(T, [2]))
     assert np.allclose(std.values, [2 / 3, 0, -1 / 3])
-    zero = oracle.reduced_character(T, RepMultiset(T, np.zeros(3, dtype=int)))
+    zero = oracle.reduced_character(T, np.zeros(3, dtype=bool))
     assert np.allclose(zero.values, 0)
 
 
 def test_reduced_character_depends_on_support_only():
     T = get_table("S4")
-    a = oracle.reduced_character(T, RepMultiset(T, np.array([0, 2, 0, 1, 0])))
-    b = oracle.reduced_character(T, RepMultiset(T, np.array([0, 7, 0, 3, 0])))
+    a = oracle.reduced_character(T, np.array([0, 2, 0, 1, 0]) > 0)
+    b = oracle.reduced_character(T, np.array([0, 7, 0, 3, 0]) > 0)
     assert np.allclose(a.values, b.values)
 
 
@@ -85,9 +83,9 @@ def test_l2_norm_is_sqrt_measure(name):
         mask = rng.integers(0, 2, T.num_irreps)
         if not mask.any():
             continue
-        V = RepMultiset(T, mask)
+        V = mask > 0
         f = oracle.reduced_character(T, V)
-        measure = float(plancherel_frac(T, V))
+        measure = float(support_measure_frac(T, V))
         assert oracle.lp_norm(f, 2) == pytest.approx(math.sqrt(measure))
         assert f.values[0] == pytest.approx(measure)
         _, f0 = oracle.split_off_identity(f)
@@ -116,9 +114,9 @@ def test_decompose_examples():
     std = ClassFunction(T.group, T.values[2])
     sq = std.copy_with(std.values * std.values)
     assert np.allclose(sq.values, [4, 0, 1])
-    assert decompose(T, sq).mult.tolist() == [1, 1, 1]
+    assert decompose(T, sq).tolist() == [1, 1, 1]
     reg = ClassFunction(T.group, [6, 0, 0])
-    assert decompose(T, reg).mult.tolist() == [1, 1, 2]
+    assert decompose(T, reg).tolist() == [1, 1, 2]
     bad = ClassFunction(T.group, [1, 1, -1])
     with pytest.raises(DecompositionError):
         decompose(T, bad)
@@ -141,10 +139,20 @@ def test_decompose_stack_matches_rows(name, data):
     stack = np.array(mults, dtype=np.int64) @ T.values
     got = decompose(T, stack)
     assert got.dtype == np.int64 and got.shape == (len(mults), T.num_irreps)
-    rows = [decompose(T, ClassFunction(T.group, row)).mult
-            for row in stack]
+    rows = [decompose(T, ClassFunction(T.group, row)) for row in stack]
     assert np.array_equal(got, np.array(rows))
     assert got.tolist() == mults
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_decompose_of_one_class_function_is_its_stack_row(name):
+    # one ClassFunction gives the (r,) int64 row the one-row stack gives
+    T = get_table(name)
+    f = ClassFunction(T.group, (np.arange(T.num_irreps) % 3) @ T.values)
+    got = decompose(T, f)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == (T.num_irreps,)
+    assert np.array_equal(got, decompose(T, f.values[None])[0])
 
 
 @pytest.mark.parametrize("bad", ["fraction", "negative", "nan"])
@@ -174,14 +182,14 @@ def test_decompose_stack_shapes():
 
 
 def test_reduce_examples():
+    # the reduced representation of a support takes each chi in it chi(1) times
     T = get_table("S3")
-    reg = reduce_rep(rep_from_selector(T, "all"))
-    assert reg.mult.tolist() == T.dims.tolist()
-    two_std = reduce_rep(_rep(T, [2]))
-    assert two_std.mult.tolist() == [0, 0, 2]
-    triv = reduce_rep(_rep(T, [0]))
-    assert triv.mult.tolist() == [1, 0, 0]
-    assert reduce_rep(two_std).mult.tolist() == two_std.mult.tolist()
+    assert (T.dims * rep_from_selector(T, "all")).tolist() == T.dims.tolist()
+    two_std = T.dims * _rep(T, [2])
+    assert two_std.dtype == np.int64 and two_std.tolist() == [0, 0, 2]
+    assert (T.dims * _rep(T, [0])).tolist() == [1, 0, 0]
+    assert (T.dims * (two_std > 0)).tolist() == two_std.tolist()
+    assert np.allclose(character_of(T, two_std).values, [4, 0, -2])
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "Q8", "aff7", "C12", "ES3"])
@@ -190,9 +198,8 @@ def test_decompose_round_trip(name):
     rng = np.random.default_rng(17)
     for _ in range(25):
         mult = rng.integers(0, 4, T.num_irreps)
-        V = RepMultiset(T, mult)
-        back = decompose(T, character_of(T, V))
-        assert back.mult.tolist() == mult.tolist()
+        back = decompose(T, character_of(T, mult))
+        assert back.tolist() == mult.tolist()
 
 
 @given(st.sampled_from(["S3", "S4", "Q8", "D4", "C6"]),
@@ -200,16 +207,18 @@ def test_decompose_round_trip(name):
 def test_decompose_round_trip_hypothesis(name, raw):
     T = get_table(name)
     mult = np.array((raw * T.num_irreps)[: T.num_irreps], dtype=int)
-    V = RepMultiset(T, mult)
-    assert decompose(T, character_of(T, V)).mult.tolist() == mult.tolist()
+    assert decompose(T, character_of(T, mult)).tolist() == mult.tolist()
 
 
 def test_rep_selectors():
+    # a selector gives a support: a boolean (r,) mask over the irreducibles
     T = get_table("aff5")
-    assert rep_from_selector(T, "all").support() == (0, 1, 2, 3, 4)
-    assert rep_from_selector(T, "trivial").support() == (0,)
-    assert rep_from_selector(T, "irrep:4").support() == (4,)
-    assert rep_from_selector(T, "dim>=2").support() == (4,)
+    for selector, support in [("all", [0, 1, 2, 3, 4]), ("trivial", [0]), ("irrep:4", [4]),
+                              ("IRREP:2", [2]), ("dim>=2", [4]), ("dim>=1", [0, 1, 2, 3, 4]),
+                              ("dim>=5", [])]:
+        got = rep_from_selector(T, selector)
+        assert got.dtype == bool and got.shape == (T.num_irreps,)
+        assert np.flatnonzero(got).tolist() == support
     with pytest.raises(ValueError):
         rep_from_selector(T, "irrep:9")
     with pytest.raises(ValueError):
@@ -218,7 +227,7 @@ def test_rep_selectors():
 
 def test_support_mask_arithmetic():
     T = get_table("S3")
-    m_std = _rep(T, [2]).support_mask()
+    m_std = _rep(T, [2])
     assert tensor_support_mask(T, m_std, m_std).tolist() == [True, True, True]
     trivial = np.array([True, False, False])
     assert power_support_mask(T, trivial, 5).tolist() == [True, False, False]

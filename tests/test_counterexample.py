@@ -11,7 +11,7 @@ from tqrgroups import (AbelianGroup, AutAction, GroupError, build_group,
                        build_counterexample_rep, center, compute_char_table,
                        conjugacy_classes, decompose, default_epsilon, dual_action,
                        induce_character, invariant_small_doubling_set,
-                       m_fold_sumset, normal_subgroups, plancherel_frac,
+                       m_fold_sumset, normal_subgroups, support_measure_frac,
                        translate_cover)
 from tqrgroups import config, counterexample, groups
 from tqrgroups.chartable import ClassFunction
@@ -465,7 +465,8 @@ def test_counterexample_cyclic12():
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
     V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert rep["set_size"] == 3
-    assert plancherel_frac(T, V) == Fraction(1, 4)
+    assert V.dtype == np.int64 and V.shape == (T.num_irreps,)
+    assert support_measure_frac(T, V > 0) == Fraction(1, 4)
     assert rep["measure_identity_ok"]
     assert rep["power_measure_at_most_half"]
     assert Fraction(*rep["measure_v_exact"]) == Fraction(1, 4)
@@ -480,8 +481,8 @@ def test_counterexample_q8_small_branch():
     assert rep["algorithm"]["small_branch"]
     assert rep["set_size"] == 1
     # induced from the trivial central character: the four 1-dim irreps
-    assert V.support() == (0, 1, 2, 3)
-    assert plancherel_frac(T, V) == Fraction(1, 2)
+    assert np.flatnonzero(V).tolist() == [0, 1, 2, 3]
+    assert support_measure_frac(T, V > 0) == Fraction(1, 2)
     assert rep["power_measure_at_most_half"]
 
 
@@ -490,7 +491,7 @@ def test_counterexample_c2xs3():
     N = [s for s in normal_subgroups(T) if s.order == 12][0]
     V, rep = build_counterexample_rep(T, N, 4, epsilon=Fraction(1, 2))
     assert rep["center_order"] == 2
-    assert plancherel_frac(T, V) == Fraction(1, 2)
+    assert support_measure_frac(T, V > 0) == Fraction(1, 2)
     # V is pulled back from the quotient by C2, so every tensor power keeps
     # the C2 factor acting trivially
     assert rep["measure_v_power_m"] == 0.5
@@ -656,7 +657,7 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
                 for eps in (None, Fraction(1, 4), Fraction(1, 2)):
                     def build():
                         V, rep = build_counterexample_rep(T, N, m, eps)
-                        return {"rep": V.to_json_dict(), "construction": rep}
+                        return {"rep": {"mult": V.tolist()}, "construction": rep}
                     out.append({"group": name, "normal": list(N.members), "m": m,
                                 "eps": None if eps is None else str(eps),
                                 "result": _outcome(build)})

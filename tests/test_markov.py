@@ -8,37 +8,36 @@ import oracle
 from conftest import FIXTURE_SPECS, element_order, get_classes, get_group, get_table
 from tqrgroups import (build_chain, build_group, compute_char_table,
                        decompose, mixing_experiment, distances_to_stationary,
-                       mixing_time, plancherel_frac, stationarity_residual,
+                       mixing_time, stationarity_residual, support_measure_frac,
                        t_step_distribution)
 from tqrgroups import markov
 from tqrgroups.chartable import ClassFunction
 from tqrgroups.cli import parse_group_spec
-from tqrgroups.classfuncs import (RepMultiset, character_of, reduce_rep,
-                                  rep_from_selector)
+from tqrgroups.classfuncs import character_of, rep_from_selector
 
 
 def _rep(T, support):
-    return RepMultiset.from_support(T, support)
+    return np.isin(np.arange(T.num_irreps), support)
 
 
 def direct_t_step_distribution(M, lam, t):
     """The t-step distribution from one decomposition of
     lam (x) reduced(V)^(x t), instead of iterating the kernel."""
     T = M.table
-    vals = T.values[lam] * character_of(T, M.reduced).values ** t
-    weights = decompose(T, ClassFunction(T.group, vals)).mult * T.dims
+    vals = T.values[lam] * character_of(T, T.dims * M.rep).values ** t
+    weights = decompose(T, ClassFunction(T.group, vals)) * T.dims
     return weights / weights.sum()
 
 
 def kernel_row_by_row(T, V):
     """The transition kernel with one decomposition per row."""
-    red_char = character_of(T, reduce_rep(V))
-    dim_red = int(np.sum(T.dims[list(V.support())] ** 2))
+    red_char = character_of(T, T.dims * V)
+    dim_red = int(np.sum(T.dims[V] ** 2))
     dims = T.dims.astype(np.float64)
     kernel = np.zeros((T.num_irreps, T.num_irreps))
     for lam in range(T.num_irreps):
         prod = ClassFunction(T.group, T.values[lam] * red_char.values)
-        kernel[lam] = decompose(T, prod).mult * dims / (dims[lam] * dim_red)
+        kernel[lam] = decompose(T, prod) * dims / (dims[lam] * dim_red)
     return kernel
 
 
@@ -48,7 +47,8 @@ def test_s3_kernel_rows():
     assert np.allclose(M.kernel[0], [0, 0, 1])
     assert np.allclose(M.kernel[1], [0, 0, 1])
     assert np.allclose(M.kernel[2], [0.25, 0.25, 0.5])
-    assert M.reduced_dim == 4
+    assert M.rep.tolist() == [False, False, True]
+    assert (T.dims * M.rep) @ T.dims == 4     # reduced V: 2 copies of the 2-dim irrep
 
 
 def test_regular_driver_reaches_plancherel_in_one_step():
@@ -70,7 +70,7 @@ def test_trivial_group_chain():
 def test_empty_driver_rejected():
     T = get_table("S3")
     with pytest.raises(ValueError):
-        build_chain(T, RepMultiset(T, np.zeros(3, dtype=int)))
+        build_chain(T, np.zeros(3, dtype=bool))
 
 
 def test_t_step_examples():
@@ -89,7 +89,7 @@ def test_kernel_power_matches_direct_decomposition(name):
         mask = rng.integers(0, 2, T.num_irreps)
         if not mask.any():
             mask[0] = 1
-        M = build_chain(T, RepMultiset(T, mask))
+        M = build_chain(T, mask > 0)
         for lam in [0, T.num_irreps - 1]:
             for t in range(5):
                 a = t_step_distribution(M, lam, t)
@@ -105,7 +105,7 @@ def test_plancherel_stationary(name):
         mask = rng.integers(0, 2, T.num_irreps)
         if not mask.any():
             mask[rng.integers(T.num_irreps)] = 1
-        M = build_chain(T, RepMultiset(T, mask))
+        M = build_chain(T, mask > 0)
         assert stationarity_residual(M) < 1e-8
 
 
@@ -177,8 +177,8 @@ def test_nonmixing_negative_direction_quotient_pullback():
     zc = C.class_of[z]
     trivial_on_c2 = [lam for lam in range(T.num_irreps)
                      if abs(T.values[lam, zc] - T.dims[lam]) < 1e-9]
-    V = RepMultiset.from_support(T, trivial_on_c2)
-    assert plancherel_frac(T, V) == Fraction(1, 2)
+    V = _rep(T, trivial_on_c2)
+    assert support_measure_frac(T, V) == Fraction(1, 2)
     M = build_chain(T, V)
     nontrivial = [lam for lam in range(T.num_irreps) if lam not in trivial_on_c2]
     mass = float(sum(M.stationary()[nontrivial]))
@@ -214,14 +214,13 @@ def test_section4_inequality_chain(name):
         mask = rng.integers(0, 2, T.num_irreps)
         if not mask.any():
             continue
-        V = RepMultiset(T, mask)
-        f = oracle.reduced_character(T, V)
+        f = oracle.reduced_character(T, mask > 0)
         _, f0 = oracle.split_off_identity(f)
         for lam in range(T.num_irreps):
             g = oracle.reduced_character(T, _rep(T, [lam]))
             _, g0 = oracle.split_off_identity(g)
             prod = f0.copy_with(f0.values ** 3 * g0.values)
-            m_lam = float(plancherel_frac(T, _rep(T, [lam])))
+            m_lam = float(support_measure_frac(T, _rep(T, [lam])))
             assert oracle.lp_norm(prod, 1) <= m_lam * c ** -0.5 + 1e-8
 
 

@@ -18,7 +18,7 @@ _EXPORTS = {name: module for module, names in {
                "conjugacy_classes", "center", "upper_central_series", "normal_subgroups",
                "quotient", "center_free_quotient_chain", "derived_subgroup",
                "subgroup_from_members", "AbelianGroup", "AbelianStructure"),
-    "chartable": ("CharTable", "ClassFunction", "CharTableError",
+    "chartable": ("CharTable", "CharTableError",
                   "compute_char_table", "induce_character", "from_interchange",
                   "dumps_interchange", "loads_interchange"),
     "classfuncs": ("DecompositionError", "support_measure_frac", "character_of",

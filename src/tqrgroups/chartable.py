@@ -23,24 +23,6 @@ class CharTableError(RuntimeError):
 
 
 @dataclass(eq=False)
-class ClassFunction:
-    """A complex function on the conjugacy classes of a group, group.classes."""
-
-    group: GroupTable
-    values: np.ndarray
-    classes: ClassData = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.classes = self.group.classes
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.classes.num_classes,):
-            raise ValueError("class function has wrong length")
-
-    def copy_with(self, values) -> "ClassFunction":
-        return ClassFunction(self.group, values)
-
-
-@dataclass(eq=False)
 class CharTable:
     """Irreducible characters of a finite group.
 
@@ -259,20 +241,16 @@ def _canonical_irrep_order(chars: np.ndarray, dims: np.ndarray) -> np.ndarray:
 # Induction
 
 
-def induce_character(G: GroupTable, subgroup_members, theta):
+def induce_character(G: GroupTable, subgroup_members, theta) -> np.ndarray:
     """Induce class functions from a subgroup H up to G.
 
-    `theta` maps H elements to complex values: a dict {element: value}, a
-    sequence aligned with sorted(subgroup_members), giving a ClassFunction,
-    or a (b, |H|) stack of such sequences, giving the (b, num_classes)
-    induced values as `decompose` takes them. On a class c,
-    Ind theta(c) = |G| / (|H| |c|) * (sum of theta over H ∩ c).
+    `theta` holds values on H aligned with sorted(subgroup_members): one
+    (|H|,) row, giving the (num_classes,) induced values, or a (b, |H|)
+    stack, giving the (b, num_classes) induced values, as `decompose` takes
+    them. On a class c, Ind theta(c) = |G| / (|H| |c|) * (sum of theta over
+    H ∩ c).
     """
     C, members = G.classes, groups.subgroup_from_members(G, subgroup_members).members
-    if isinstance(theta, dict):
-        if set(theta) != set(members):
-            raise GroupError("theta must be defined exactly on the subgroup")
-        theta = [theta[m] for m in members]
     values = np.asarray(theta, dtype=np.complex128)
     if values.ndim not in (1, 2) or values.shape[-1] != len(members):
         raise GroupError("theta length does not match subgroup order")
@@ -280,7 +258,7 @@ def induce_character(G: GroupTable, subgroup_members, theta):
     np.add.at(sums, C.class_of[list(members)], values.T)    # theta summed over H ∩ c
     out = sums.T
     out *= G.order / (len(members) * C.sizes)
-    return ClassFunction(G, out) if values.ndim == 1 else out
+    return out
 
 
 # ---------------------------------------------------------------------------

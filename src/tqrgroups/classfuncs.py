@@ -12,36 +12,33 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .chartable import CharTable, ClassFunction
+from .chartable import CharTable
 
 
 class DecompositionError(ValueError):
     """Input was not a genuine character (non-integer or negative weights)."""
 
 
-def character_of(T: CharTable, mult: np.ndarray) -> ClassFunction:
-    """Ordinary character sum mult(lam) * chi_lam of an integer multiplicity vector."""
-    return ClassFunction(T.group, mult.astype(np.complex128) @ T.values)
+def character_of(T: CharTable, mult: np.ndarray) -> np.ndarray:
+    """(num_classes,) values of the character sum mult(lam) * chi_lam of an
+    integer multiplicity vector."""
+    return mult.astype(np.complex128) @ T.values
 
 
-def decompose(T: CharTable, f):
-    """Multiplicities <f, chi_lam>, certified to round to non-negative integers.
+def decompose(T: CharTable, values) -> np.ndarray:
+    """Multiplicities <f, chi_lam> of class functions f, certified to round
+    to non-negative integers.
 
-    f is one ClassFunction, giving its (num_irreps,) int64 multiplicities, or
-    a (b, num_classes) stack of class-function values on T.classes, giving the
-    (b, num_irreps) int64 multiplicities of every row from one matrix
-    product. Raises DecompositionError when any input is not a genuine
-    character of the group.
+    values is one f on T.classes, a (num_classes,) row, giving
+    its (num_irreps,) int64 multiplicities, or a (b, num_classes) stack,
+    giving the (b, num_irreps) int64 multiplicities of every row from one
+    matrix product. Raises DecompositionError when any input is not a
+    genuine character of the group.
     """
-    if isinstance(f, ClassFunction):
-        if f.classes is not T.classes:
-            raise ValueError("class function does not match the table's group")
-        values = f.values
-    else:
-        values = np.asarray(f)
-        if values.ndim != 2 or values.shape[1] != T.classes.num_classes:
-            raise ValueError("a stack of class functions must have shape "
-                             "(b, number of classes)")
+    values = np.asarray(values)
+    if values.ndim not in (1, 2) or values.shape[-1] != T.classes.num_classes:
+        raise ValueError("class-function values must have shape "
+                         "(number of classes,) or (b, number of classes)")
     w = T.classes.sizes / T.group.order
     raw = (w * values) @ T.values.conj().T
     rounded = np.rint(raw.real)

@@ -93,13 +93,12 @@ class CriterionReport:
     witness: dict | None = None
     mode: str = "exact"
     details: dict = field(default_factory=dict)
-    error: str | None = None
 
     def to_json_dict(self) -> dict:
         return {"criterion": self.criterion, "holds": self.holds,
                 "mode": self.mode, "parameters": self.parameters,
                 "witness": self.witness, "details": self.details,
-                "error": self.error}
+                "error": None}     # a key of the report format; no criterion sets it
 
 
 @dataclass
@@ -157,8 +156,7 @@ def multiplicity_profile(T: CharTable, V1: np.ndarray, V2: np.ndarray,
         return {"multiplicities": [0] * T.num_irreps, "deviations": None,
                 "measures": a, "max_deviation": None, "deviation_bounds": None}
     chars = [character_of(T, T.dims * V) for V in (V1, V2, V3)]
-    prod = chars[0].copy_with(chars[0].values * chars[1].values * chars[2].values)
-    mult = decompose(T, prod)
+    mult = decompose(T, chars[0] * chars[1] * chars[2])
     base = n * n * a[0] * a[1] * a[2] * T.dims.astype(np.float64)
     dev = np.abs(mult / base - 1.0)
     c = T.classes.min_nontrivial_size
@@ -313,9 +311,10 @@ def _tqr1(T, params, pjson) -> CriterionReport:
     witness = None
     if not holds:
         cid = 1 + int(np.argmin(C.sizes[1:]))
+        members = np.flatnonzero(C.class_of == cid).tolist()
         witness = {"class_index": cid, "class_size": int(C.sizes[cid]),
-                   "class_elements": [int(x) for x in C.classes[cid]],
-                   "labels": [G.label(int(x)) for x in C.classes[cid]]}
+                   "class_elements": members,
+                   "labels": [G.label(x) for x in members]}
     return CriterionReport("tqr1", holds, pjson, witness=witness,
                            details={"c": c})
 
@@ -699,7 +698,6 @@ def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
 
 def _qr4(T, params, pjson) -> CriterionReport:
     G = T.group
-    subs = T.normal_subgroups
     D = derived_subgroup(T)
     witness = None
     if D.order < G.order:
@@ -709,7 +707,8 @@ def _qr4(T, params, pjson) -> CriterionReport:
                    "kernel_order": D.order,
                    "kernel_members": list(D.members)}
     if witness is None:
-        for N in subs:
+        # G is perfect: the one case that needs the lattice
+        for N in T.normal_subgroups:
             if 1 < N.index <= params.k:
                 witness = {"kind": "small_quotient", "quotient_order": N.index,
                            "kernel_order": N.order}

@@ -171,7 +171,6 @@ class ClassData:
     """Conjugacy classes in canonical order: identity class first, then by
     minimal element index."""
 
-    classes: list[np.ndarray]        # sorted element indices per class
     sizes: np.ndarray                # int, per class
     class_of: np.ndarray             # element index -> class index
     representatives: np.ndarray      # minimal element index per class
@@ -186,7 +185,7 @@ class ClassData:
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     def __repr__(self):
         return f"ClassData(sizes={self.sizes.tolist()}, c={self.min_nontrivial_size})"
@@ -648,8 +647,7 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     class_of = np.searchsorted(reps, low)
     reps[0] = e
     sizes = np.bincount(class_of)
-    classes = np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1])
-    return ClassData(classes=classes, sizes=sizes, class_of=class_of, representatives=reps,
+    return ClassData(sizes=sizes, class_of=class_of, representatives=reps,
                      min_nontrivial_size=int(sizes[1:].min()) if len(reps) > 1 else None)
 
 

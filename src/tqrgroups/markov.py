@@ -77,7 +77,7 @@ def build_chain(T: CharTable, V: np.ndarray) -> ChainModel:
     red = T.dims * V
     dim_red = int(red @ T.dims)
     dims = T.dims.astype(np.float64)
-    mult = decompose(T, T.values * character_of(T, red).values)
+    mult = decompose(T, T.values * character_of(T, red))
     kernel = mult * dims / (dims[:, None] * dim_red)
     row_err = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if row_err > config.TOL:

@@ -67,26 +67,39 @@ def brute_conjugacy_classes(G):
     return classes
 
 
-def per_class_conjugacy_classes(G):
-    """ClassData in the canonical order, one np.unique of the orbit
+def per_class_orbits(G):
+    """The classes in the canonical order, one np.unique of the orbit
     {g x g^-1 : g in G} per class, each seeded by the least element not yet
-    classed (after the identity). Classes are int64 whatever the table's
+    classed (after the identity). Orbits are int64 whatever the table's
     entry type."""
-    from tqrgroups.groups import ClassData
-    n = G.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes = []
-    for x in [G.identity] + [x for x in range(n) if x != G.identity]:
-        if class_of[x] >= 0:
+    seen = np.zeros(G.order, dtype=bool)
+    orbits = []
+    for x in [G.identity] + [x for x in range(G.order) if x != G.identity]:
+        if seen[x]:
             continue
         orbit = np.unique(G.mul[G.mul[:, x], G.inv]).astype(np.int64)
-        class_of[orbit] = len(classes)
-        classes.append(orbit)
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    reps = np.array([int(c.min()) for c in classes], dtype=np.int64)
-    return ClassData(classes=classes, sizes=sizes, class_of=class_of,
-                     representatives=reps,
-                     min_nontrivial_size=int(sizes[1:].min()) if len(classes) > 1 else None)
+        seen[orbit] = True
+        orbits.append(orbit)
+    return orbits
+
+
+def per_class_conjugacy_classes(G):
+    """ClassData assembled from per_class_orbits, one class at a time."""
+    from tqrgroups.groups import ClassData
+    orbits = per_class_orbits(G)
+    class_of = np.full(G.order, -1, dtype=np.int64)
+    for c, orbit in enumerate(orbits):
+        class_of[orbit] = c
+    sizes = np.array([len(c) for c in orbits], dtype=np.int64)
+    reps = np.array([int(c.min()) for c in orbits], dtype=np.int64)
+    return ClassData(sizes=sizes, class_of=class_of, representatives=reps,
+                     min_nontrivial_size=int(sizes[1:].min()) if len(orbits) > 1 else None)
+
+
+def class_members(C):
+    """The ascending element indices of each class, one scan of class_of per
+    class."""
+    return [np.flatnonzero(C.class_of == c) for c in range(C.num_classes)]
 
 
 def brute_all_subgroups(G, max_order=48):
@@ -169,7 +182,7 @@ def closure_join_normal_subgroups(G, C):
     the search closes the class closures under join.
     """
     found = {frozenset([G.identity])}
-    found |= {_closure(G, (int(x) for x in cls)) for cls in C.classes}
+    found |= {_closure(G, (int(x) for x in cls)) for cls in class_members(C)}
     worklist = list(found)
     while worklist:
         cur = worklist.pop()
@@ -362,13 +375,13 @@ def class_multiplication_matrix(G, C, i):
 
     The count is checked to be independent of the chosen z.
     """
-    r = C.num_classes
+    r, members = C.num_classes, class_members(C)
     per_z = np.zeros((r, G.order), dtype=np.int64)
-    for x in C.classes[i]:
+    for x in members[i]:
         np.add.at(per_z, (C.class_of, G.mul[x]), 1)
     M = np.zeros((r, r), dtype=np.int64)
     for k in range(r):
-        block = per_z[:, C.classes[k]]
+        block = per_z[:, members[k]]
         assert np.all(block == block[:, :1]), "class product count depends on z"
         M[:, k] = block[:, 0]
     return M
@@ -388,8 +401,9 @@ def combined_class_matrix_loop(G, C, coeffs):
 
 
 def restrict_character(C, f, subgroup_members):
-    """Restriction of a class function to a subgroup, element by element."""
-    return {int(m): complex(f.values[C.class_of[int(m)]])
+    """Restriction of a class function, its (r,) values, to a subgroup,
+    element by element."""
+    return {int(m): complex(f[C.class_of[int(m)]])
             for m in subgroup_members}
 
 
@@ -1105,28 +1119,30 @@ def subgroup_table(G, members):
 
 def reduced_character(T, V):
     """(1/|G|) sum over the support V (a boolean mask) of dim(lam) chi_lam,
-    one row at a time; its value at the identity is the Plancherel measure."""
-    from tqrgroups.chartable import ClassFunction
+    one row at a time, as its (r,) values; its value at the identity is the
+    Plancherel measure."""
     vals = sum((int(T.dims[lam]) * T.values[lam] for lam in np.flatnonzero(V)),
                np.zeros(T.num_irreps, dtype=np.complex128))
-    return ClassFunction(T.group, vals / T.group.order)
+    return vals / T.group.order
 
 
 def split_off_identity(f):
-    """f = f(e) 1_{g=e} + f0, with f0 vanishing on the identity class."""
-    rest = f.values.copy()
+    """f = f(e) 1_{g=e} + f0, with f0 vanishing on the identity class; f and
+    f0 are (r,) class-function values."""
+    rest = np.array(f, dtype=np.complex128)
     head = complex(rest[0])
     rest[0] = 0.0
-    return head, f.copy_with(rest)
+    return head, rest
 
 
-def lp_norm(f, p) -> float:
-    """The lp norm of a class function with counting measure on the elements,
-    for p = 1, 2 or math.inf: each class value weighted by its class size."""
-    mags = np.abs(f.values)
+def lp_norm(C, f, p) -> float:
+    """The lp norm of a class function, its (r,) values on the classes C,
+    with counting measure on the elements, for p = 1, 2 or math.inf: each
+    class value weighted by its class size."""
+    mags = np.abs(f)
     if p == math.inf:
         return float(mags.max(initial=0.0))
-    return float(np.sum(f.classes.sizes * mags ** p) ** (1 / p))
+    return float(np.sum(C.sizes * mags ** p) ** (1 / p))
 
 
 def to_interchange(T):

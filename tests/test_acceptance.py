@@ -21,7 +21,6 @@ from tqrgroups import (build_chain, build_counterexample_rep, build_group,
                        compute_char_table, conjugacy_classes, decompose,
                        normal_subgroups, quotient, support_measure_frac,
                        t_step_distribution, translate_cover)
-from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import character_of
 from tqrgroups.criteria import CriteriaParams
 from tqrgroups.markov import distances_to_stationary
@@ -86,8 +85,7 @@ def _covering_mult(T, masks):
     vals = np.ones(T.num_irreps, dtype=np.complex128)
     for m in masks:
         vals = vals * ((m * dims) @ T.values)
-    f = ClassFunction(T.group, vals)
-    return decompose(T, f)
+    return decompose(T, vals)
 
 
 def test_c01_character_table_validity():
@@ -177,7 +175,7 @@ def test_c03_three_factor_covering_soundness():
     m = support_measure_frac(T, rho)
     assert m ** 3 == Fraction(64, 125)            #0.512 > 0.5
     assert (m ** 3) ** 2 * C.min_nontrivial_size > 1
-    cube = ClassFunction(G, T.values[4] ** 3)
+    cube = T.values[4] ** 3
     assert decompose(T, cube).tolist() == [3, 3, 3, 3, 13]
     # cross-check against the hand-assembled table of the affine group
     reps_o, sizes_o, chars_o = oracle.affine_char_table_by_hand(5)
@@ -229,7 +227,7 @@ def test_c05_markov_stationarity_and_identity():
             chain = build_chain(T, V)
             pi = chain.stationary()
             assert np.max(np.abs(pi @ chain.kernel - pi)) < TOL, name
-            red_vals = character_of(T, T.dims * V).values
+            red_vals = character_of(T, T.dims * V)
             dim_red = float(sum(dims[i] ** 2 for i in np.flatnonzero(V)))
             P_t = np.eye(r)
             for t in range(5):

@@ -10,7 +10,6 @@ from tqrgroups import (CharTableError, GroupError, build_group, center, chartabl
                        compute_char_table, config, conjugacy_classes, decompose,
                        dumps_interchange, from_interchange, groups,
                        induce_character, loads_interchange, normal_subgroups)
-from tqrgroups.chartable import ClassFunction
 from tqrgroups.chartable import (_canonical_irrep_order, _certified_table, _eigen_table,
                                   _orthogonality_residuals)
 
@@ -231,8 +230,8 @@ def test_table_matches_oracle_all_abelian_up_to_64():
 
 def test_induce_trivial_subgroup_gives_regular_character():
     G, C = get_group("S3"), get_classes("S3")
-    f = induce_character(G, [G.identity], {G.identity: 1.0})
-    assert np.allclose(f.values, [6, 0, 0])
+    f = induce_character(G, [G.identity], [1.0])
+    assert f.shape == (3,) and np.allclose(f, [6, 0, 0])
     mult = decompose(get_table("S3"), f)
     assert mult.tolist() == get_table("S3").dims.tolist()
 
@@ -241,19 +240,19 @@ def test_induce_from_q8_center():
     G, C, T = get_group("Q8"), get_classes("Q8"), get_table("Q8")
     K = center(G)
     # nontrivial character of the order-2 center: 1 -> 1, -1 -> -1
-    theta = {0: 1.0, 1: -1.0}
+    theta = [1.0, -1.0]     # on the members 0 and 1
     f = induce_character(G, K.members, theta)
     # (|G|/|K|) * theta on K, zero off K
-    assert np.allclose(f.values, [4, -4, 0, 0, 0])
+    assert np.allclose(f, [4, -4, 0, 0, 0])
     assert decompose(T, f).tolist() == [0, 0, 0, 0, 2]
 
 
 def test_induce_from_affine_translations():
     G, C, T = get_group("aff5"), get_classes("aff5"), get_table("aff5")
     members = list(range(5))  # the translations x -> x + b
-    theta = {b: np.exp(2j * np.pi * b / 5) for b in members}
+    theta = np.exp(2j * np.pi * np.array(members) / 5)
     f = induce_character(G, members, theta)
-    assert np.allclose(f.values, [4, -1, 0, 0, 0])
+    assert np.allclose(f, [4, -1, 0, 0, 0])
     assert decompose(T, f).tolist() == [0, 0, 0, 0, 1]
 
 
@@ -273,10 +272,10 @@ def test_frobenius_reciprocity(name, members):
     for t in range(TH.num_irreps):
         theta = {elems[x]: complex(TH.values[t, CH.class_of[x]])
                  for x in range(H.order)}
-        ind = induce_character(G, elems, theta)
+        ind = induce_character(G, elems, [theta[e] for e in elems])
         for lam in range(T.num_irreps):
-            lhs = np.sum(C.sizes * ind.values * np.conj(T.values[lam])) / G.order
-            res = oracle.restrict_character(C, ClassFunction(G, T.values[lam]), elems)
+            lhs = np.sum(C.sizes * ind * np.conj(T.values[lam])) / G.order
+            res = oracle.restrict_character(C, T.values[lam], elems)
             rhs = sum(theta[e] * np.conj(res[e]) for e in elems) / len(elems)
             assert abs(lhs - rhs) < 1e-8
 
@@ -302,8 +301,12 @@ def test_stacked_induction_matches_conjugation_sums(name):
         for row, values in zip(got, stack):
             want = oracle.conjugation_sum_induce(G, C, elems, dict(zip(elems, values)))
             assert np.abs(row - want).max() <= 1e-12 * G.order
-        single = induce_character(G, members, dict(zip(elems, stack[0])))
-        assert np.abs(single.values - got[0]).max() <= 1e-12 * G.order
+        single = induce_character(G, members, stack[0])
+        assert single.shape == (C.num_classes,)
+        assert np.abs(single - got[0]).max() <= 1e-12 * G.order
+        for wrong in (np.zeros((3, len(elems) + 1)), stack[:, :, None]):
+            with pytest.raises(GroupError, match="theta length"):
+                induce_character(G, members, wrong)
 
 
 @pytest.mark.parametrize("name", ["Q8", "ES3"])
@@ -315,9 +318,7 @@ def test_central_inductions_sum_to_regular(name):
     TK = compute_char_table(HK, CK)
     total = np.zeros(C.num_classes, dtype=complex)
     for t in range(TK.num_irreps):
-        theta = {elems[x]: complex(TK.values[t, CK.class_of[x]])
-                 for x in range(HK.order)}
-        total += induce_character(G, elems, theta).values
+        total += induce_character(G, elems, TK.values[t, CK.class_of])
     regular = np.zeros(C.num_classes)
     regular[0] = G.order
     assert np.allclose(total, regular, atol=1e-8)
@@ -352,7 +353,7 @@ def test_induction_decomposes_against_a_table_computed_apart(name, members):
     for t in range(TH.num_irreps):
         theta = {elems[x]: complex(TH.values[t, H.classes.class_of[x]]) for x in range(H.order)}
         T = compute_char_table(G)
-        got = decompose(T, induce_character(G, members, theta))
+        got = decompose(T, induce_character(G, members, [theta[e] for e in elems]))
         want = oracle.conjugation_sum_induce(G, want_classes, elems, theta)
         assert got.tolist() == oracle._stacked_multiplicities(T, want[None])[0].tolist()
 

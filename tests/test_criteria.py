@@ -18,7 +18,6 @@ from conftest import (FIXTURE_SPECS, element_order, get_classes, get_group,
 from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
                        conjugacy_classes, decompose, multiplicity_profile, quotient,
                        subgroup_from_members, three_factor_cover, two_factor_cover)
-from tqrgroups.chartable import ClassFunction
 from tqrgroups.classfuncs import power_support_mask, rep_from_selector
 from tqrgroups import criteria, groups
 from tqrgroups.criteria import CriteriaParams, _minimal_supports
@@ -34,7 +33,7 @@ def conjugation_action_on_class(G, C, cid):
     Returns (perms, kernel) where perms[g] is the tuple of positions the
     sorted class elements map to under x -> g x g^-1.
     """
-    cls = [int(x) for x in C.classes[cid]]
+    cls = np.flatnonzero(C.class_of == cid).tolist()
     pos = {x: i for i, x in enumerate(cls)}
     perms = [tuple(pos[oracle.conjugate(G, g, x)] for x in cls) for g in range(G.order)]
     idn = tuple(range(len(cls)))
@@ -47,17 +46,17 @@ def conjugation_action_on_class(G, C, cid):
 # span of a support's characters, forces the support to be all of Irrep(G)
 
 
-def _covering_lemma_holds(f):
+def _covering_lemma_holds(T, f):
     head, rest = oracle.split_off_identity(f)
-    return abs(head) > oracle.lp_norm(rest, 1)
+    return abs(head) > oracle.lp_norm(T.classes, rest, 1)
 
 
 def test_covering_lemma_indicator_true():
     T = get_table("S3")
-    f = ClassFunction(T.group, [1, 0, 0])
-    assert _covering_lemma_holds(f)
+    f = np.array([1, 0, 0])
+    assert _covering_lemma_holds(T, f)
     # ... and the regular representation indeed covers
-    reg = ClassFunction(T.group, [6, 0, 0])
+    reg = np.array([6, 0, 0])
     assert np.flatnonzero(decompose(T, reg)).tolist() == [0, 1, 2]
 
 
@@ -65,7 +64,7 @@ def test_covering_lemma_trivial_char_false():
     # the lemma's hypothesis fails for the trivial character, whose tensor
     # powers indeed stay on the trivial irreducible
     T = get_table("S3")
-    assert not _covering_lemma_holds(ClassFunction(T.group, T.values[0]))
+    assert not _covering_lemma_holds(T, T.values[0])
     assert power_support_mask(T, _rep(T, [0]), 3).tolist() == [True, False, False]
 
 
@@ -74,11 +73,11 @@ def test_covering_lemma_std_cube():
     # character, and its third tensor power indeed covers
     T = get_table("S3")
     f = oracle.reduced_character(T, _rep(T, [2]))
-    cube = f.copy_with(f.values ** 3)
+    cube = f ** 3
     head, rest = oracle.split_off_identity(cube)
     assert abs(head) == pytest.approx((2 / 3) ** 3)
-    assert oracle.lp_norm(rest, 1) == pytest.approx(2 / 27)
-    assert _covering_lemma_holds(cube)
+    assert oracle.lp_norm(T.classes, rest, 1) == pytest.approx(2 / 27)
+    assert _covering_lemma_holds(T, cube)
     assert power_support_mask(T, _rep(T, [2]), 3).all()
 
 
@@ -199,10 +198,9 @@ def test_hoelder_chain(name):
             continue
         fs = [oracle.reduced_character(T, m) for m in masks]
         f0s = [oracle.split_off_identity(f)[1] for f in fs]
-        prod = f0s[0].copy_with(f0s[0].values * f0s[1].values * f0s[2].values)
-        lhs = oracle.lp_norm(prod, 1)
-        mid = (oracle.lp_norm(f0s[0], 2) * oracle.lp_norm(f0s[1], 2)
-               * oracle.lp_norm(f0s[2], math.inf))
+        lhs = oracle.lp_norm(T.classes, f0s[0] * f0s[1] * f0s[2], 1)
+        mid = (oracle.lp_norm(T.classes, f0s[0], 2) * oracle.lp_norm(T.classes, f0s[1], 2)
+               * oracle.lp_norm(T.classes, f0s[2], math.inf))
         assert lhs <= mid + 1e-8
         assert mid <= c ** -0.5 + 1e-8
 
@@ -244,9 +242,8 @@ def test_tqr2_a5_fails_at_density_point1_with_verified_witness():
     r2 = reports["tqr2"]
     assert r2.holds is False
     sup1, sup2, sup3 = r2.witness["supports"]
-    f = ClassFunction(G, T.values[sup1].sum(axis=0)
-                      * T.values[sup2].sum(axis=0)
-                      * T.values[sup3].sum(axis=0))
+    f = (T.values[sup1].sum(axis=0) * T.values[sup2].sum(axis=0)
+         * T.values[sup3].sum(axis=0))
     mult = decompose(T, f)
     for missing in r2.witness["missing"]:
         assert mult[missing] == 0
@@ -293,6 +290,20 @@ def test_qr_affine5():
     assert r4.witness["quotient_order"] == 4     # the multiplicative group F5*
     assert r4.witness["kernel_order"] == 5       # the translations
     assert reports["qr1"].holds is False         # 1-dim nontrivial irreps
+
+
+@pytest.mark.parametrize("spec, reads", [
+    ({"family": "extraspecial", "params": {"p": 7}}, False),
+    ({"family": "product", "params": {"left": {"family": "alternating", "params": {"n": 5}},
+                                      "right": {"family": "symmetric", "params": {"n": 3}}}},
+     False),
+    ({"family": "alternating", "params": {"n": 5}}, True)], ids=["ES7", "A5xS3", "A5"])
+def test_qr4_reads_the_normal_subgroup_lattice_only_for_a_perfect_group(spec, reads):
+    # a proper derived subgroup is the witness, so only a perfect G scans
+    # the lattice for a small quotient; each table is fresh
+    T = compute_char_table(build_group(spec))
+    check_qr(T, CriteriaParams(), ["qr4"])
+    assert ("normal_subgroups" in T.__dict__) is reads
 
 
 def test_qr1_a5_threshold():

@@ -11,7 +11,6 @@ from tqrgroups import (build_chain, build_group, compute_char_table,
                        mixing_time, stationarity_residual, support_measure_frac,
                        t_step_distribution)
 from tqrgroups import markov
-from tqrgroups.chartable import ClassFunction
 from tqrgroups.cli import parse_group_spec
 from tqrgroups.classfuncs import character_of, rep_from_selector
 
@@ -24,8 +23,8 @@ def direct_t_step_distribution(M, lam, t):
     """The t-step distribution from one decomposition of
     lam (x) reduced(V)^(x t), instead of iterating the kernel."""
     T = M.table
-    vals = T.values[lam] * character_of(T, T.dims * M.rep).values ** t
-    weights = decompose(T, ClassFunction(T.group, vals)) * T.dims
+    vals = T.values[lam] * character_of(T, T.dims * M.rep) ** t
+    weights = decompose(T, vals) * T.dims
     return weights / weights.sum()
 
 
@@ -36,8 +35,7 @@ def kernel_row_by_row(T, V):
     dims = T.dims.astype(np.float64)
     kernel = np.zeros((T.num_irreps, T.num_irreps))
     for lam in range(T.num_irreps):
-        prod = ClassFunction(T.group, T.values[lam] * red_char.values)
-        kernel[lam] = decompose(T, prod) * dims / (dims[lam] * dim_red)
+        kernel[lam] = decompose(T, T.values[lam] * red_char) * dims / (dims[lam] * dim_red)
     return kernel
 
 
@@ -219,9 +217,8 @@ def test_section4_inequality_chain(name):
         for lam in range(T.num_irreps):
             g = oracle.reduced_character(T, _rep(T, [lam]))
             _, g0 = oracle.split_off_identity(g)
-            prod = f0.copy_with(f0.values ** 3 * g0.values)
             m_lam = float(support_measure_frac(T, _rep(T, [lam])))
-            assert oracle.lp_norm(prod, 1) <= m_lam * c ** -0.5 + 1e-8
+            assert oracle.lp_norm(T.classes, f0 ** 3 * g0, 1) <= m_lam * c ** -0.5 + 1e-8
 
 
 def test_uniform_distance_decreases_along_affine_family():

@@ -138,10 +138,10 @@ def _abelian_table(G: GroupTable) -> CharTable:
     (re, im) pair rounded to 8 places and lexsorting the rows of rank[a] is
     the comparison _canonical_irrep_order makes on the values: the same
     order, trivial (all-zero) row first."""
-    dec = groups._invariant_factors(G, np.arange(G.order))
-    K, n = dec.group, G.order
+    K, to_parent = groups._invariant_factors(G, np.arange(G.order))
+    n = G.order
     elem_of_class = np.empty(n, dtype=np.intp)
-    elem_of_class[G.classes.class_of[dec.to_parent]] = np.arange(n)
+    elem_of_class[G.classes.class_of[to_parent]] = np.arange(n)
     a = K.exponents(np.arange(n), elem_of_class)
     roots = K.roots()
     re, im = np.round(roots.real, 8), np.round(roots.imag, 8)
@@ -333,23 +333,31 @@ def from_interchange(doc: dict) -> CharTable:
                             dim_roundoff=0.0, attempts=0, seed=None)
 
 
-_PAIR = "\n      [\n        %r,\n        %r\n      ]"
+_PAIR = "\n      [\n        %s,\n        %s\n      ]"
 
 
 def dumps_interchange(T: CharTable) -> str:
     """T's interchange document as json.dumps(doc, indent=2) writes it: the
     header, a cayley table as lists, and `values` as rows of [re, im] pairs.
     The header goes through json.dumps; `values` is formatted from the array
-    a row at a time, each row's 2r floats through float.__repr__ (what json
-    writes for a finite float; a certified table is finite) into one template
-    of the indent=2 separators. CPython extends a string that one name holds
-    in place, so the peak is the document plus one row."""
+    in blocks of whole rows, at most groups._FILL_CELLS floats a block (or one
+    row). Each distinct bit pattern of a block goes once through
+    float.__repr__ (what json writes for a finite float; a certified table is
+    finite), keyed on bits so that -0.0 stays apart from 0.0, and each row's
+    2r strings fill one template of the indent=2 separators. CPython extends
+    a string that one name holds in place, so the peak is the document plus
+    one block."""
     r = T.num_irreps
     head = json.dumps(_interchange_header(T), indent=2, default=np.ndarray.tolist)
     row = "\n    [" + ",".join([_PAIR] * r) + "\n    ]"
     text = head[:-2] + ',\n  "values": ['          # head without its closing "\n}"
-    for i, floats in enumerate(T.values.view(np.float64)):
-        text += ("," if i else "") + row % tuple(floats.tolist())
+    floats = T.values.view(np.float64)
+    step = max(1, groups._FILL_CELLS // (2 * r))
+    for lo in range(0, r, step):
+        bits, at = np.unique(floats[lo:lo + step].view(np.uint64), return_inverse=True)
+        strs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        for i, cells in enumerate(strs[at.reshape(-1, 2 * r)].tolist(), lo):
+            text += ("," if i else "") + row % tuple(cells)
     text += "\n  ]\n}"
     return text
 

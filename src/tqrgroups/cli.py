@@ -232,14 +232,12 @@ def run_cover(args: dict) -> tuple[dict, int]:
     v2 = rep_from_selector(T, args["v2"])
     if args["v3"]:
         v3 = rep_from_selector(T, args["v3"])
-        rep = three_factor_cover(T, v1, v2, v3)
-        payload = rep.to_json_dict()
+        payload = three_factor_cover(T, v1, v2, v3)
         if args["profile"]:
             payload["multiplicity_profile"] = multiplicity_profile(T, v1, v2, v3)
     else:
-        rep = two_factor_cover(T, v1, v2)
-        payload = rep.to_json_dict()
-    violated = rep.guaranteed and not rep.covered
+        payload = two_factor_cover(T, v1, v2)
+    violated = payload["guaranteed"] and not payload["covered"]
     payload["guarantee_violated"] = violated
     return (_envelope("cover", spec,
                       {"v1": args["v1"], "v2": args["v2"], "v3": args["v3"]}, payload),
@@ -261,16 +259,15 @@ def run_markov(args: dict) -> tuple[dict, int]:
         if not chosen.any():
             raise UsageError(f"start selector {args['start']!r} selects no irreducible")
         start = int(np.flatnonzero(chosen)[0])
-    rep = mixing_time(chain, metric, epsilon, t_max=t_max, start=start)
-    payload = rep.to_json_dict()
+    payload = mixing_time(chain, metric, epsilon, t_max=t_max, start=start)
     resid = stationarity_residual(chain)
     payload["stationarity_residual"] = resid
     payload["plancherel"] = chain.stationary().tolist()
     if experiment is not None:
-        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment, rep)
+        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment, payload)
     if args["csv"]:
         lines = ["t,uniform,tv_max,tv_half_l1"]
-        for row in rep.curve:
+        for row in payload["curve"]:
             lines.append(f"{row['t']},{row['uniform']!r},{row['tv_max']!r},"
                          f"{row['tv_half_l1']!r}")
         _atomic_write(_side_path(args, args["csv"]), "\n".join(lines))
@@ -347,8 +344,7 @@ def run_sumset(args: dict) -> tuple[dict, int]:
               "set": [list(e) for e in elems], "m": m}
     if args["cover"]:
         params["n"] = n
-        tc = translate_cover(elems, n, m, group=group)
-        payload = tc.to_json_dict()
+        payload = translate_cover(elems, n, m, group=group)
     else:
         S = m_fold_sumset(group, elems, m)
         payload = {"sumset": S.tolist(), "size": len(S)}

@@ -12,7 +12,7 @@ exact integer arithmetic; complex values appear only where one is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +20,8 @@ import numpy as np
 from . import groups
 from .chartable import CharTable, induce_character
 from .classfuncs import decompose, power_support_mask, support_measure_frac
-from .groups import (AbelianGroup, AbelianStructure, GroupError, GroupTable,
-                     Subgroup, center_of_subset, permutation_closure,
-                     sorted_unique)
+from .groups import (AbelianGroup, GroupError, GroupTable, Subgroup,
+                     center_of_subset, permutation_closure, sorted_unique)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -153,20 +152,8 @@ def m_fold_sumset(group: AbelianGroup | None, A, m: int) -> np.ndarray:
     return _m_fold(group, _element_rows(group, A, m), m)
 
 
-@dataclass
-class TranslateCover:
-    translates: np.ndarray    # a set of rows
-    count: int
-    bound: int
-    n_set_size: int
-    mn_set_size: int
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "translates": self.translates.tolist()}
-
-
 def translate_cover(B, n: int, m: int,
-                    group: AbelianGroup | None = None) -> TranslateCover:
+                    group: AbelianGroup | None = None) -> dict:
     """Cover the (mn)-fold sumset of B by at most (10km)^k translates of the
     n-fold sumset, where |B| = k+1, in an AbelianGroup or the lattice.
 
@@ -175,6 +162,8 @@ def translate_cover(B, n: int, m: int,
     j = 1 + n//k and q = ceil((mn+1)/j); in a group a multiple matters only
     modulo the exponent, so there are at most |K|. Those whose translate of
     nB meets mnB are kept, and the cover is verified by exhaustive membership.
+    Returns the translates as a list of rows, their count and bound, and
+    the sizes of nB and mnB.
     """
     B = list(B)
     if not B:
@@ -211,8 +200,8 @@ def translate_cover(B, n: int, m: int,
     translates = cover[kept]
     if len(translates) > bound:
         raise RuntimeError(f"translate count {len(translates)} exceeds bound {bound}")
-    return TranslateCover(translates=translates, count=len(translates), bound=bound,
-                          n_set_size=len(nB), mn_set_size=len(mnB))
+    return {"translates": translates.tolist(), "count": len(translates), "bound": bound,
+            "n_set_size": len(nB), "mn_set_size": len(mnB)}
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +284,25 @@ def invariant_small_doubling_set(K: AbelianGroup, L: AutAction, m: int,
 # The induced-representation counterexample
 
 
-def conjugation_action_on_center(G: GroupTable, dec: AbelianStructure) -> AutAction:
+def conjugation_action_on_center(G: GroupTable, K: AbelianGroup,
+                                 to_parent: np.ndarray) -> AutAction:
     """Automorphisms of K = Z(N), for a normal N, induced by conjugation, closed
-    by AutAction from G's generators: N centralises K, so one per coset of N."""
-    conj = groups.conjugates(G, G.generators, dec.to_parent)
+    by AutAction from G's generators: N centralises K, so one per coset of N.
+    K and to_parent are groups._invariant_factors' pair."""
+    conj = groups.conjugates(G, G.generators, to_parent)
     position = np.full(G.order, -1)
-    position[dec.to_parent] = np.arange(dec.group.order)
+    position[to_parent] = np.arange(K.order)
     perms = position[conj]
     if np.any(perms < 0):
         raise GroupError("conjugation does not preserve the center of N")
-    return AutAction(dec.group, perms)
+    return AutAction(K, perms)
 
 
-def _induced_characters(G: GroupTable, dec: AbelianStructure,
+def _induced_characters(G: GroupTable, K: AbelianGroup, to_parent: np.ndarray,
                         thetas: np.ndarray) -> np.ndarray:
     """(b, num_classes) values of Ind_K^G of the characters coords[thetas]."""
-    order = np.argsort(dec.to_parent)
-    return induce_character(G, dec.to_parent[order],
-                            dec.group.characters(thetas)[:, order])
+    order = np.argsort(to_parent)
+    return induce_character(G, to_parent[order], K.characters(thetas)[:, order])
 
 
 def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
@@ -330,9 +320,8 @@ def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
     # center_of_subset proved K commutative
-    dec = groups._invariant_factors(G, groups._member_array(G, K_members))
-    K = dec.group
-    action = conjugation_action_on_center(G, dec)
+    K, to_parent = groups._invariant_factors(G, groups._member_array(G, K_members))
+    action = conjugation_action_on_center(G, K, to_parent)
     dual = dual_action(action)
     A, diag = invariant_small_doubling_set(K, dual, m, epsilon)
 
@@ -342,7 +331,7 @@ def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
     # of orbits, so each orbit is induced once and V counts it |orbit| times
     orbits, orbit_sizes = sorted_unique(dual.perms.min(axis=0), return_counts=True)
     thetas = np.flatnonzero(A)
-    mult = decompose(T, _induced_characters(G, dec, orbits))
+    mult = decompose(T, _induced_characters(G, K, to_parent, orbits))
     V = (orbit_sizes * A[orbits]) @ mult
     support = V > 0
 

@@ -101,36 +101,25 @@ class CriterionReport:
                 "error": None}     # a key of the report format; no criterion sets it
 
 
-@dataclass
-class CoverReport:
-    kind: str
-    measures: list[float]
-    guaranteed: bool
-    covered: bool
-    missing: tuple[int, ...]
-    threshold: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "missing": list(self.missing)}
-
-
 # ---------------------------------------------------------------------------
 # Covering checks
 
 
-def two_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray) -> CoverReport:
+def two_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray) -> dict:
     """Guarantee M(V1)+M(V2) > 1 versus the exact covering status of V1 (x) V2,
-    for supports V1, V2."""
+    for supports V1, V2, as the report `tqr cover` writes: kind, measures,
+    guaranteed, covered, the missing irreducibles and threshold (None)."""
     m1, m2 = support_measure_frac(T, V1), support_measure_frac(T, V2)
-    guaranteed = (m1 + m2) > 1
     prod = tensor_support_mask(T, V1, V2)
-    return CoverReport("two_factor", [float(m1), float(m2)], bool(guaranteed),
-                       bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()))
+    return {"kind": "two_factor", "measures": [float(m1), float(m2)],
+            "guaranteed": m1 + m2 > 1, "covered": bool(prod.all()),
+            "missing": np.flatnonzero(~prod).tolist(), "threshold": None}
 
 
 def three_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray,
-                       V3: np.ndarray) -> CoverReport:
-    """Guarantee M1*M2*M3 > c(G)^(-1/2) versus exact covering of the triple."""
+                       V3: np.ndarray) -> dict:
+    """Guarantee M1*M2*M3 > c(G)^(-1/2) versus exact covering of the triple,
+    in two_factor_cover's report with the threshold c(G)^(-1/2)."""
     if T.group.order <= 1:
         raise GroupError("three-factor bound needs a nontrivial group")
     c = T.classes.min_nontrivial_size
@@ -139,9 +128,9 @@ def three_factor_cover(T: CharTable, V1: np.ndarray, V2: np.ndarray,
     # exact comparison: (M1 M2 M3)^2 * c > 1 avoids the irrational sqrt
     guaranteed = prod_m > 0 and (prod_m * prod_m * c) > 1
     prod = tensor_support_mask(T, tensor_support_mask(T, V1, V2), V3)
-    return CoverReport("three_factor", [float(m) for m in ms], bool(guaranteed),
-                       bool(prod.all()), tuple(np.flatnonzero(~prod).tolist()),
-                       threshold=c ** -0.5)
+    return {"kind": "three_factor", "measures": [float(m) for m in ms],
+            "guaranteed": guaranteed, "covered": bool(prod.all()),
+            "missing": np.flatnonzero(~prod).tolist(), "threshold": c ** -0.5}
 
 
 def multiplicity_profile(T: CharTable, V1: np.ndarray, V2: np.ndarray,

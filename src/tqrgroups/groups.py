@@ -893,19 +893,14 @@ class AbelianGroup:
         return f"AbelianGroup{self.factors}"
 
 
-@dataclass(eq=False)
-class AbelianStructure:
-    group: AbelianGroup
-    to_parent: np.ndarray      # element index of group -> parent element index
-
-
-def _invariant_factors(G: GroupTable, arr: np.ndarray) -> AbelianStructure:
-    """Invariant factor decomposition of sorted members known to commute,
-    checked exactly: each basis element g_j has g_j^(d_j) = 1, and
-    to_parent is a bijection onto the members. Then (a_1, ..., a_r) ->
-    g_1^a_1 ... g_r^a_r is a well-defined homomorphism that is bijective, an
-    isomorphism from Z_{d1} x ... x Z_{dr}. On members that do not commute,
-    the basis search may raise KeyError or misread them."""
+def _invariant_factors(G: GroupTable, arr: np.ndarray) -> tuple[AbelianGroup, np.ndarray]:
+    """Invariant factor decomposition of sorted members known to commute, as
+    the pair (K, to_parent): K = Z_{d1} x ... x Z_{dr} and the parent element
+    of each element index of K. It is checked exactly: each basis element g_j
+    has g_j^(d_j) = 1, and to_parent is a bijection onto the members. Then
+    (a_1, ..., a_r) -> g_1^a_1 ... g_r^a_r is a well-defined homomorphism
+    that is bijective, an isomorphism from K. On members that do not
+    commute, the basis search may raise KeyError or misread them."""
 
     def mul_fn(x, y):
         return G.mul[x, y]
@@ -919,7 +914,7 @@ def _invariant_factors(G: GroupTable, arr: np.ndarray) -> AbelianStructure:
         to_parent = G.mul[to_parent[:, None], powers].ravel()
     if not np.array_equal(np.sort(to_parent), arr):
         raise GroupError("abelian basis does not enumerate the subgroup")
-    return AbelianStructure(AbelianGroup(tuple(d for _, d in basis)), to_parent)
+    return AbelianGroup(tuple(d for _, d in basis)), to_parent
 
 
 def _powers(mul_fn, identity, g, d) -> np.ndarray:

@@ -54,21 +54,6 @@ class ChainModel:
         return self.table.dims.astype(np.float64) ** 2 / self.table.group.order
 
 
-@dataclass
-class MixingReport:
-    start: int | None
-    metric: str
-    epsilon: float
-    mixing_time: int | None
-    t_max: int
-    mixing_times: dict
-    curve: list[dict]
-
-    def to_json_dict(self) -> dict:
-        # the fields in order; dataclasses.asdict would deep-copy every curve value
-        return dict(vars(self))
-
-
 def build_chain(T: CharTable, V: np.ndarray) -> ChainModel:
     """p(lam, mu) = mult(mu in lam (x) reduced(V)) * dim(mu) / (dim(lam) * dim(reduced V)),
     where reduced(V) takes each chi in the support V chi(1) times."""
@@ -159,8 +144,10 @@ def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
 
 
 def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
-                start: int | None = None) -> MixingReport:
-    """First t at which the requested distance drops to epsilon.
+                start: int | None = None) -> dict:
+    """First t at which the requested distance drops to epsilon, in the
+    report `tqr markov` writes: start, metric, epsilon, mixing_time, t_max,
+    the first t of every metric (mixing_times) and the curve, one row a t.
 
     `tv_max` is the max over pairs of |p_t - pi(mu)|; `tv_half_l1` is the
     conventional total variation distance; `uniform` is the relative
@@ -194,9 +181,9 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
     for t in range(len(curve), t_max + 1):
         src = walk.mu + (t - walk.mu) % walk.period
         curve.append({**curve[src], "t": t})
-    return MixingReport(start=start, metric=metric, epsilon=epsilon,
-                        mixing_time=mixing_times[metric], t_max=t_max,
-                        curve=curve, mixing_times=mixing_times)
+    return {"start": start, "metric": metric, "epsilon": epsilon,
+            "mixing_time": mixing_times[metric], "t_max": t_max,
+            "mixing_times": mixing_times, "curve": curve}
 
 
 def stationarity_residual(M: ChainModel) -> float:
@@ -205,7 +192,7 @@ def stationarity_residual(M: ChainModel) -> float:
 
 
 def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
-                      report: MixingReport | None = None) -> dict:
+                      report: dict | None = None) -> dict:
     """Both directions of the constant-time mixing phenomenon on one chain.
 
     Positive side: the uniform distance at t=3 against the Hoelder bound
@@ -218,9 +205,9 @@ def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
     c = T.classes.min_nontrivial_size
     mv = support_measure_frac(T, V)
 
-    if report is None or report.start is not None or report.t_max < 3:
+    if report is None or report["start"] is not None or report["t_max"] < 3:
         report = mixing_time(chain, "uniform", epsilon, t_max=3)
-    worst3 = report.curve[3]["uniform"]
+    worst3 = report["curve"][3]["uniform"]
     bound = float(c ** -0.5 / float(mv) ** 3) if (c is not None and mv > 0) else None
 
     neg = distances_to_stationary(chain, t_step_distribution(chain, 0, m))

@@ -1164,12 +1164,11 @@ def verify_vtheta_partition(T, K_members):
     K_members = sorted(int(x) for x in K_members)
     if not all(int(N.mul[k, g]) == int(N.mul[g, k]) for k in K_members for g in range(N.order)):
         raise groups.GroupError("K must be central in N")
-    dec = groups._invariant_factors(N, np.array(K_members, dtype=np.int64))
-    K = dec.group
+    K, to_parent = groups._invariant_factors(N, np.array(K_members, dtype=np.int64))
     blocks, masks = [], []
     for theta in K.coords.tolist():
         values = {int(g): character_value(K.factors, theta, x)
-                  for g, x in zip(dec.to_parent, K.coords.tolist())}
+                  for g, x in zip(to_parent, K.coords.tolist())}
         ind = conjugation_sum_induce(N, T.classes, K_members, values)
         mult = _stacked_multiplicities(T, ind[None])[0]
         mask = sum(1 << int(lam) for lam in np.flatnonzero(mult))

@@ -310,7 +310,7 @@ def test_c08_translate_cover_batch():
                 continue
             tc = translate_cover(sorted(pts), n, m, group=K)
         # the constructor itself verifies exhaustive membership; re-check count
-        assert tc.count <= tc.bound
+        assert tc["count"] <= tc["bound"]
         count += 1
     _passline(8, f"translate covers verified on {count} seeded instances")
 

@@ -6,9 +6,9 @@ import pytest
 import oracle
 from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
                       get_table_for_spec)
-from tqrgroups import (CharTableError, GroupError, build_group, center, chartable,
-                       compute_char_table, config, conjugacy_classes, decompose,
-                       dumps_interchange, from_interchange, groups,
+from tqrgroups import (CharTable, CharTableError, GroupError, build_group, center,
+                       chartable, compute_char_table, config, conjugacy_classes,
+                       decompose, dumps_interchange, from_interchange, groups,
                        induce_character, loads_interchange, normal_subgroups)
 from tqrgroups.chartable import (_canonical_irrep_order, _certified_table, _eigen_table,
                                   _orthogonality_residuals)
@@ -367,7 +367,7 @@ def test_inner_products_round_to_integers():
 
 
 @pytest.mark.parametrize("case", [*sorted(FIXTURE_SPECS), "quotient", "subgroup",
-                                  "unlabelled-subgroup", "C1"])
+                                  "unlabelled-subgroup", "C1", "S3-negative-zero"])
 def test_interchange_round_trip_bit_exact(case):
     # the values block is formatted from the array, yet the document is
     # json.dumps's to the byte; the floats come back bit for bit
@@ -375,6 +375,15 @@ def test_interchange_round_trip_bit_exact(case):
         T = get_table(case)
     elif case == "C1":
         T = compute_char_table(build_group({"family": "cyclic", "params": {"n": 1}}))
+    elif case == "S3-negative-zero":
+        # no fixture table holds both -0.0 and 0.0, so only this case tells
+        # a writer keyed on bit patterns from one keyed on values
+        S3 = get_table("S3")
+        floats = S3.values.view(np.float64).copy()
+        floats.flat[np.flatnonzero(floats == 0)[0]] = -0.0
+        zeros = np.signbit(floats[floats == 0])
+        assert zeros.any() and not zeros.all()
+        T = CharTable(S3.group, S3.dims, floats.view(np.complex128))
     else:
         cases = ["quotient", "subgroup", "unlabelled-subgroup"]
         T = compute_char_table(_quotient_and_subgroup_tables()[cases.index(case)])

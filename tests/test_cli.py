@@ -89,10 +89,9 @@ def test_cover_subcommand_affine5(capsys):
 
 
 def test_cover_exit_code_on_violation(monkeypatch, capsys):
-    from tqrgroups.criteria import CoverReport
-
     def fake(T, v1, v2):
-        return CoverReport("two_factor", [1.0, 1.0], True, False, (0,))
+        return {"kind": "two_factor", "measures": [1.0, 1.0], "guaranteed": True,
+                "covered": False, "missing": [0], "threshold": None}
     monkeypatch.setattr(cli, "two_factor_cover", fake)
     code, doc = _run(["cover", "--group", "symmetric:3", "--v1", "all",
                       "--v2", "all"], capsys)

@@ -61,41 +61,40 @@ def _invariant_factors(G, members):
 
 def test_abelian_structure_cyclic12():
     G = get_group("C12")
-    dec = _invariant_factors(G, range(12))
-    assert dec.group.factors == (12,)
-    assert len(dec.to_parent) == 12
+    K, to_parent = _invariant_factors(G, range(12))
+    assert K.factors == (12,)
+    assert len(to_parent) == 12
 
 
 def test_abelian_structure_q8_center():
     G = get_group("Q8")
-    dec = _invariant_factors(G, center(G).members)
-    assert dec.group.factors == (2,)
-    K = dec.group
-    assert dec.to_parent[K.index((0,))] == 0 and dec.to_parent[K.index((1,))] == 1
+    K, to_parent = _invariant_factors(G, center(G).members)
+    assert K.factors == (2,)
+    assert to_parent[K.index((0,))] == 0 and to_parent[K.index((1,))] == 1
 
 
 def test_abelian_structure_klein_and_mixed():
     V4 = build_group({"family": "dihedral", "params": {"n": 2}})
-    dec = _invariant_factors(V4, range(4))
-    assert dec.group.factors == (2, 2)
+    K, _ = _invariant_factors(V4, range(4))
+    assert K.factors == (2, 2)
     C2xC4 = build_group({"family": "product",
                          "params": {"left": {"family": "cyclic", "params": {"n": 2}},
                                     "right": {"family": "cyclic", "params": {"n": 4}}}})
-    dec2 = _invariant_factors(C2xC4, range(8))
-    assert dec2.group.factors == (2, 4)
+    K2, _ = _invariant_factors(C2xC4, range(8))
+    assert K2.factors == (2, 4)
     C6xC15 = build_group({"family": "product",
                           "params": {"left": {"family": "cyclic", "params": {"n": 6}},
                                      "right": {"family": "cyclic", "params": {"n": 15}}}})
-    dec3 = _invariant_factors(C6xC15, range(90))
-    assert dec3.group.factors == (3, 30)
+    K3, _ = _invariant_factors(C6xC15, range(90))
+    assert K3.factors == (3, 30)
 
 
 def test_abelian_structure_of_one_element():
     # the identity alone is the trivial group; any other single element is
     # not a subgroup, though it once came back as the trivial group too
     G = get_group("C6")
-    dec = _invariant_factors(G, [G.identity])
-    assert dec.group.factors == () and dec.to_parent.tolist() == [G.identity]
+    K, to_parent = _invariant_factors(G, [G.identity])
+    assert K.factors == () and to_parent.tolist() == [G.identity]
     with pytest.raises(GroupError, match="does not enumerate"):
         _invariant_factors(G, [3])
 
@@ -155,8 +154,8 @@ def test_dual_action_of_conjugation_matches_fraction_oracle(name):
     for N in normal_subgroups(T):
         K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
-            dec = _invariant_factors(G, K_members)
-            _assert_dual_matches_oracle(conjugation_action_on_center(G, dec))
+            K, to_parent = _invariant_factors(G, K_members)
+            _assert_dual_matches_oracle(conjugation_action_on_center(G, K, to_parent))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
@@ -167,9 +166,9 @@ def test_conjugation_by_generators_is_the_per_coset_action(name):
     for N in normal_subgroups(T):
         K_members = center_of_subset(G, N.members)
         if len(K_members) > 1:
-            dec = _invariant_factors(G, K_members)
-            action = conjugation_action_on_center(G, dec)
-            want = {tuple(p) for p in oracle.per_coset_conjugation_maps(G, N, dec.to_parent)}
+            K, to_parent = _invariant_factors(G, K_members)
+            action = conjugation_action_on_center(G, K, to_parent)
+            want = {tuple(p) for p in oracle.per_coset_conjugation_maps(G, N, to_parent)}
             assert len(action) == len(want)
             assert {tuple(p) for p in action.perms.tolist()} == want
 
@@ -308,20 +307,20 @@ def test_m_fold_mask_of_a_huge_m_is_a_translate():
 
 def test_translate_cover_interval():
     tc = translate_cover([(0,), (1,)], 2, 3)
-    assert tc.count == 3
-    assert tc.bound == 30
-    assert tc.mn_set_size == 7
+    assert tc["count"] == 3
+    assert tc["bound"] == 30
+    assert tc["mn_set_size"] == 7
 
 
 def test_translate_cover_m_equals_one():
     tc = translate_cover([(0,), (1,), (5,)], 4, 1)
-    assert tc.count == 1
+    assert tc["count"] == 1
 
 
 def test_translate_cover_rank2():
     tc = translate_cover([(0, 0), (1, 0), (0, 1)], 4, 2)
-    assert tc.count <= (10 * 2 * 2) ** 2
-    assert tc.mn_set_size == len(m_fold_sumset(None, [(0, 0), (1, 0), (0, 1)], 8))
+    assert tc["count"] <= (10 * 2 * 2) ** 2
+    assert tc["mn_set_size"] == len(m_fold_sumset(None, [(0, 0), (1, 0), (0, 1)], 8))
 
 
 def _cover_instance(rng, kind, k):
@@ -350,7 +349,7 @@ def test_translate_cover_matches_tuple_oracle_on_a_grid(kind, k):
         for n in range(1, 7):
             for _ in range(3):
                 B, K = _cover_instance(rng, kind, k)
-                got = translate_cover(B, n, m, group=K).to_json_dict()
+                got = translate_cover(B, n, m, group=K)
                 assert got == oracle.tuple_translate_cover(
                     B, n, m, None if K is None else K.factors), (B, n, m, K)
                 assert json.dumps(got)
@@ -360,12 +359,13 @@ def test_translate_cover_of_a_huge_m_in_a_group():
     # a multiple matters only modulo the exponent: at most |K| candidates
     K = AbelianGroup((12,))
     tc = translate_cover([(0,), (1,)], 10 ** 9, 10 ** 9, group=K)
-    assert tc.translates.tolist() == [[x] for x in range(12)]
-    assert (tc.count, tc.bound, tc.n_set_size, tc.mn_set_size) == (12, 10 ** 10, 12, 12)
+    assert tc["translates"] == [[x] for x in range(12)]
+    assert ([tc[key] for key in ("count", "bound", "n_set_size", "mn_set_size")]
+            == [12, 10 ** 10, 12, 12])
     # every sumset has stalled by m = 12, and 10^12 = 12 modulo the exponent 4
     got = translate_cover([(1, 3), (0, 2)], 7, 10 ** 12, group=AbelianGroup((2, 4)))
     want = oracle.tuple_translate_cover([(1, 3), (0, 2)], 7, 12, (2, 4))
-    assert got.to_json_dict() == want | {"bound": 10 ** 13}
+    assert got == want | {"bound": 10 ** 13}
 
 
 def test_translate_cover_seeded_batch():
@@ -389,7 +389,7 @@ def test_translate_cover_seeded_batch():
             while len(pts) < k + 1:
                 pts.add(tuple(K.coords[int(rng.integers(K.order))].tolist()))
             tc = translate_cover(sorted(pts), n, m, group=K)
-        assert tc.count <= tc.bound
+        assert tc["count"] <= tc["bound"]
         checked += 1
     assert checked == 40
 
@@ -525,15 +525,15 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     N = [s for s in normal_subgroups(T) if s.order == n_order]
     N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
     K_members = center_of_subset(G, N.members)
-    dec = _invariant_factors(G, K_members)
-    action = conjugation_action_on_center(G, dec)
+    K, to_parent = _invariant_factors(G, K_members)
+    action = conjugation_action_on_center(G, K, to_parent)
     kk = len(K_members)
     coset_count = G.order // N.order
-    elements = _elements(dec.group)
-    to_parent = dec.to_parent.tolist()
+    elements = _elements(K)
+    to_parent = to_parent.tolist()
     from_parent = {g: t for t, g in enumerate(to_parent)}
     for theta in elements:
-        values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
+        values = {to_parent[t]: oracle.character_value(K.factors, theta, x)
                   for t, x in enumerate(elements)}
         ind = induce_character(G, sorted(values),
                                [values[e] for e in sorted(values)])
@@ -544,7 +544,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
             if rep_el in values:
                 t = from_parent[rep_el]
                 expect = (N.order / kk) * sum(
-                    oracle.character_value(dec.group.factors, theta, elements[p[t]])
+                    oracle.character_value(K.factors, theta, elements[p[t]])
                     for p in action.perms) * (coset_count / len(action))
                 assert abs(ind[cid] - expect) < 1e-9
             else:
@@ -559,14 +559,14 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
          if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
     K_members = center_of_subset(G, N.members)
     assert len(K_members) == 4
-    dec = _invariant_factors(G, K_members)
-    action = conjugation_action_on_center(G, dec)
+    K, to_parent = _invariant_factors(G, K_members)
+    action = conjugation_action_on_center(G, K, to_parent)
     dual = dual_action(action)
-    elements = _elements(dec.group)
-    to_parent = dec.to_parent.tolist()
+    elements = _elements(K)
+    to_parent = to_parent.tolist()
     chars = {}
     for i, theta in enumerate(elements):
-        values = {to_parent[t]: oracle.character_value(dec.group.factors, theta, x)
+        values = {to_parent[t]: oracle.character_value(K.factors, theta, x)
                   for t, x in enumerate(elements)}
         chars[i] = induce_character(G, sorted(values),
                                     [values[e] for e in sorted(values)])

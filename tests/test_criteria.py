@@ -88,29 +88,29 @@ def test_covering_lemma_std_cube():
 def test_two_factor_s3_std():
     T = get_table("S3")
     rep = two_factor_cover(T, _rep(T, [2]), _rep(T, [2]))
-    assert rep.guaranteed and rep.covered and rep.missing == ()
+    assert rep["guaranteed"] and rep["covered"] and rep["missing"] == []
 
 
 def test_two_factor_trivial_pair():
     T = get_table("S3")
     rep = two_factor_cover(T, _rep(T, [0]), _rep(T, [0]))
-    assert not rep.guaranteed and not rep.covered
-    assert rep.missing == (1, 2)
+    assert not rep["guaranteed"] and not rep["covered"]
+    assert rep["missing"] == [1, 2]
 
 
 def test_two_factor_full_plus_trivial():
     T = get_table("Q8")
     rep = two_factor_cover(T, rep_from_selector(T, "all"), _rep(T, [0]))
-    assert rep.guaranteed and rep.covered
+    assert rep["guaranteed"] and rep["covered"]
 
 
 def test_three_factor_affine5_worked_instance():
     T = get_table("aff5")
     rho = _rep(T, [4])
     rep = three_factor_cover(T, rho, rho, rho)
-    assert rep.guaranteed                       # 0.512 > 1/2 exactly
-    assert rep.covered
-    assert rep.threshold == pytest.approx(0.5)
+    assert rep["guaranteed"]                    # 0.512 > 1/2 exactly
+    assert rep["covered"]
+    assert rep["threshold"] == pytest.approx(0.5)
     prof = multiplicity_profile(T, rho, rho, rho)
     assert prof["multiplicities"] == [192, 192, 192, 192, 832]
 
@@ -125,21 +125,21 @@ def test_three_factor_boundary_is_exact():
     rep = three_factor_cover(T, ones, ones, ones)
     # measure 1/5 each: (1/5)^3 = 0.008 < 0.5, no guarantee, and 1-dims
     # close under tensor product so the big irrep is missed
-    assert not rep.guaranteed and not rep.covered and rep.missing == (4,)
+    assert not rep["guaranteed"] and not rep["covered"] and rep["missing"] == [4]
 
 
 def test_three_factor_q8_never_guaranteed():
     T = get_table("Q8")
     for sup in [[0], [4], [0, 1, 2, 3], [0, 1, 2, 3, 4]]:
         rep = three_factor_cover(T, _rep(T, sup), _rep(T, sup), _rep(T, sup))
-        assert not rep.guaranteed   # c(Q8) = 1 makes the bound unreachable
+        assert not rep["guaranteed"]   # c(Q8) = 1 makes the bound unreachable
 
 
 def test_three_factor_full_supports_guaranteed():
     T = get_table("S3")
     full = rep_from_selector(T, "all")
     rep = three_factor_cover(T, full, full, full)
-    assert rep.guaranteed and rep.covered
+    assert rep["guaranteed"] and rep["covered"]
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "aff7", "D5"])
@@ -152,12 +152,12 @@ def test_guarantees_sound_on_random_supports(name):
         reps = list(masks)
         if all(r.any() for r in reps[:2]):
             two = two_factor_cover(T, reps[0], reps[1])
-            if two.guaranteed:
-                assert two.covered
+            if two["guaranteed"]:
+                assert two["covered"]
         if c >= 2 and all(r.any() for r in reps):
             three = three_factor_cover(T, *reps)
-            if three.guaranteed:
-                assert three.covered
+            if three["guaranteed"]:
+                assert three["covered"]
 
 
 def test_multiplicity_profile_regular_cube():

@@ -111,26 +111,26 @@ def test_mixing_time_regular_driver_is_one():
     T = get_table("S4")
     M = build_chain(T, rep_from_selector(T, "all"))
     rep = mixing_time(M, "uniform", 0.01, t_max=4)
-    assert rep.mixing_time == 1
-    assert rep.mixing_times["tv_half_l1"] == 1
+    assert rep["mixing_time"] == 1
+    assert rep["mixing_times"]["tv_half_l1"] == 1
 
 
 def test_mixing_time_s3_std():
     T = get_table("S3")
     M = build_chain(T, _rep(T, [2]))
     rep = mixing_time(M, "tv", 0.25, t_max=16)
-    assert rep.mixing_time is not None and rep.mixing_time <= 4
+    assert rep["mixing_time"] is not None and rep["mixing_time"] <= 4
     uni = mixing_time(M, "uniform", 0.25, t_max=16)
-    assert uni.mixing_time is not None
-    assert uni.mixing_time >= rep.mixing_time
+    assert uni["mixing_time"] is not None
+    assert uni["mixing_time"] >= rep["mixing_time"]
 
 
 def test_cyclic_deterministic_walk_never_mixes():
     T = get_table("C6")
     M = build_chain(T, _rep(T, [1]))
     rep = mixing_time(M, "tv", 0.25, t_max=32)
-    assert rep.mixing_time is None
-    assert rep.mixing_times["uniform"] is None
+    assert rep["mixing_time"] is None
+    assert rep["mixing_times"]["uniform"] is None
     # every step is a point mass
     for t in range(5):
         d = t_step_distribution(M, 0, t)
@@ -141,7 +141,7 @@ def test_distance_relations_along_curve():
     T = get_table("S5")
     M = build_chain(T, _rep(T, [4]))
     rep = mixing_time(M, "uniform", 0.1, t_max=12)
-    for row in rep.curve:
+    for row in rep["curve"]:
         assert row["tv_half_l1"] <= row["uniform"] / 2 + 1e-9
         assert row["tv_max"] <= 2 * row["tv_half_l1"] + 1e-9
 
@@ -257,7 +257,7 @@ def test_mixing_report_matches_per_start_oracle(name):
         for start in (None, T.num_irreps - 1):
             got = mixing_time(M, "tv", 0.25, start=start)
             want = oracle.mixing_report_per_start(M, "tv_max", 0.25, 64, start)
-            assert (json.dumps(got.to_json_dict(), sort_keys=True)
+            assert (json.dumps(got, sort_keys=True)
                     == json.dumps(want, sort_keys=True))
 
 
@@ -294,10 +294,10 @@ def test_stacked_step_keeps_the_row_loop_bits(group, selector, metric, t_max):
     T = compute_char_table(G)
     M = build_chain(T, rep_from_selector(T, selector))
     got = mixing_time(M, metric, 0.25, t_max=t_max)
-    want = oracle.mixing_report_per_start(M, got.metric, 0.25, t_max, None)
-    assert np.array_equal([list(c.values()) for c in got.curve],
+    want = oracle.mixing_report_per_start(M, got["metric"], 0.25, t_max, None)
+    assert np.array_equal([list(c.values()) for c in got["curve"]],
                           [list(c.values()) for c in want["curve"]])
-    assert got.mixing_times == want["mixing_times"]
+    assert got["mixing_times"] == want["mixing_times"]
 
 
 class _CountingKernel(np.ndarray):
@@ -338,7 +338,7 @@ def test_mixing_time_stops_at_a_repeat_and_keeps_the_loop_bits(group, selector, 
         assert counting.products == stop
         M.kernel = np.asarray(counting)
         want = oracle.mixing_report_per_start(M, "tv_max", 0.25, 200, start)
-        assert (json.dumps(got.to_json_dict(), sort_keys=True)
+        assert (json.dumps(got, sort_keys=True)
                 == json.dumps(want, sort_keys=True))
 
 
@@ -358,7 +358,7 @@ def test_stacks_scored_in_any_block_keep_the_per_start_bits(group, selector, mon
             for cells in (1, 7, 1000):
                 monkeypatch.setattr(markov, "_BLOCK_CELLS", cells)
                 got = mixing_time(M, "tv", 0.25, t_max=t_max, start=start)
-                assert json.dumps(got.to_json_dict(), sort_keys=True) == want
+                assert json.dumps(got, sort_keys=True) == want
 
 
 @pytest.mark.parametrize("group, selector", [*_BENCH_CHAINS, ("affine:11", "irrep:10")])

@@ -34,16 +34,16 @@ class CharTable:
     """
 
     group: GroupTable
-    dims: np.ndarray
     values: np.ndarray
     quality: dict = field(default_factory=dict)
     source: str = "computed"
+    dims: np.ndarray = field(init=False)   # the identity column, rounded
     classes: ClassData = field(init=False, repr=False)
 
     def __post_init__(self):
         self.classes = self.group.classes
-        self.dims = np.ascontiguousarray(self.dims, dtype=np.int64)
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        self.dims = np.rint(self.values[:, 0].real).astype(np.int64)
         self.dims.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -154,8 +154,7 @@ def _abelian_table(G: GroupTable) -> CharTable:
     bound = 2 * _ROOT_ERROR + _ROOT_ERROR ** 2
     quality = {"row_residual": bound, "col_residual": bound, "dim_roundoff": 0.0,
                "attempts": 0, "seed": None}
-    return CharTable(group=G, dims=np.ones(n, dtype=np.int64),
-                     values=roots[a[order]], quality=quality)
+    return CharTable(group=G, values=roots[a[order]], quality=quality)
 
 
 def _eigen_table(G: GroupTable) -> CharTable:
@@ -192,7 +191,7 @@ def _eigen_table(G: GroupTable) -> CharTable:
             continue
         key = _canonical_irrep_order(chars, dims)
         try:
-            return _certified_table(G, chars[key], dims[key], dim_roundoff=dim_err,
+            return _certified_table(G, chars[key], dim_roundoff=dim_err,
                                     attempts=attempt + 1, seed=attempt)
         except CharTableError as exc:
             last_error = str(exc)
@@ -200,20 +199,21 @@ def _eigen_table(G: GroupTable) -> CharTable:
         f"character table not certified after {config.MAX_EIG_ATTEMPTS} attempts: {last_error}")
 
 
-def _certified_table(G: GroupTable, chars: np.ndarray, dims: np.ndarray,
-                     source: str = "computed", **quality) -> CharTable:
-    """The table with rows `chars`, dimensions `dims` and `quality` beside its
-    residuals, once the squares of the dims sum to |G| and both orthogonality
-    residuals are within TOL (a NaN residual is not), else CharTableError;
-    computed and imported alike."""
-    if int(np.sum(dims ** 2)) != G.order:
+def _certified_table(G: GroupTable, chars: np.ndarray, source: str = "computed",
+                     **quality) -> CharTable:
+    """The table with rows `chars` and `quality` beside its residuals, once
+    the squares of its dims sum to |G| and both orthogonality residuals are
+    within TOL (a NaN residual is not), else CharTableError; computed and
+    imported alike."""
+    T = CharTable(G, chars, source=source)
+    if int(np.sum(T.dims ** 2)) != G.order:
         raise CharTableError("dims violate sum of squares")
     row_res, col_res = _orthogonality_residuals(chars, G.classes.sizes, G.order)
     if not (row_res <= config.TOL and col_res <= config.TOL):
         raise CharTableError(
             f"orthogonality residual too large ({row_res:.2e}/{col_res:.2e})")
-    return CharTable(group=G, dims=dims, values=chars, source=source,
-                     quality={"row_residual": row_res, "col_residual": col_res, **quality})
+    T.quality.update(row_residual=row_res, col_residual=col_res, **quality)
+    return T
 
 
 def _orthogonality_residuals(chars: np.ndarray, sizes: np.ndarray,
@@ -329,7 +329,7 @@ def from_interchange(doc: dict) -> CharTable:
         raise CharTableError("imported dims disagree with the identity column")
     if float(np.max(np.abs(values[0] - 1.0))) > config.TOL:
         raise CharTableError("imported first row is not the trivial character")
-    return _certified_table(G, values, dims, source="imported",
+    return _certified_table(G, values, source="imported",
                             dim_roundoff=0.0, attempts=0, seed=None)
 
 

@@ -92,7 +92,7 @@ def power_support_mask(T: CharTable, mask: np.ndarray, m: int) -> np.ndarray:
 
 def support_measure_frac(T: CharTable, mask: np.ndarray) -> Fraction:
     """Exact Plancherel measure of a support: sum of dim^2 over |G|."""
-    return Fraction(int(mask @ T.dims.astype(np.int64) ** 2), T.group.order)
+    return Fraction(int(mask @ T.dims ** 2), T.group.order)
 
 
 # ---------------------------------------------------------------------------

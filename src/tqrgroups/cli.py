@@ -405,7 +405,8 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
     """Refuse a config unless it is {"experiments": [{id, command, args}, ...]}
     with string commands, args objects whose keys are the command's argument
     names, whose flags are true or false and whose required options are
-    strings, and ids that are new plain file names, not the summary's."""
+    strings, ids that are new plain file names, not the summary's, and no
+    export or csv in the output directory at the summary or any <id>.json."""
     if not isinstance(cfg, dict):
         raise UsageError("suite config must be a JSON object")
     exps = cfg.get("experiments", [])
@@ -413,6 +414,8 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
         raise UsageError("suite experiments must be a list of objects")
     ids = [exp.get("id") for exp in exps]
     summary = os.path.realpath(summary_path)
+    reports = {summary, *(os.path.realpath(os.path.join(outdir, f"{i}.json"))
+                          for i in ids if isinstance(i, str))}
     for i, (exp_id, exp) in enumerate(zip(ids, exps)):
         if (not isinstance(exp_id, str) or exp_id in ids[:i] or exp_id in ("", ".", "..")
                 or "/" in exp_id or os.sep in exp_id):
@@ -436,6 +439,11 @@ def _check_suite_config(cfg, outdir: str, summary_path: str) -> None:
                 if a.required and not isinstance(given.get(a.dest), str):
                     raise UsageError(f"suite experiment {exp_id!r}: {a.dest!r} is required "
                                      f"by tqr {exp['command']} and takes a string")
+                side = given.get(a.dest) if a.dest in ("export", "csv") else None
+                if (isinstance(side, str)
+                        and os.path.realpath(os.path.join(outdir, side)) in reports):
+                    raise UsageError(f"suite experiment {exp_id!r}: {a.dest} {side!r} "
+                                     f"would overwrite a report")
 
 
 def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:
@@ -555,7 +563,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args = vars(ns)
     command, out = args.pop("command"), args.pop("out")
+    side = args.get("export") or args.get("csv")
     try:
+        if out and side and os.path.realpath(side) == os.path.realpath(out):
+            raise UsageError(f"side file {side!r} would overwrite the report --out")
         if command == "suite":
             out = out or os.path.join(args["outdir"], "summary.json")
             doc, code = run_suite(args, out)

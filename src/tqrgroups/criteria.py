@@ -48,7 +48,7 @@ _KEY_CELLS = 1 << 16
 _SEED_LIMIT = 2 ** 64 - 5001
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriteriaParams:
     """Explicit stand-ins for the theory's O(1) constants."""
 
@@ -88,15 +88,19 @@ class CriteriaParams:
 @dataclass
 class CriterionReport:
     criterion: str
-    holds: bool | None
-    parameters: dict
+    params: CriteriaParams
     witness: dict | None = None
     mode: str = "exact"
     details: dict = field(default_factory=dict)
 
+    @property
+    def holds(self) -> bool:
+        """A criterion fails exactly when it has a witness."""
+        return self.witness is None
+
     def to_json_dict(self) -> dict:
         return {"criterion": self.criterion, "holds": self.holds,
-                "mode": self.mode, "parameters": self.parameters,
+                "mode": self.mode, "parameters": self.params.to_json_dict(),
                 "witness": self.witness, "details": self.details,
                 "error": None}     # a key of the report format; no criterion sets it
 
@@ -276,11 +280,10 @@ def check_tqr(T: CharTable, params: CriteriaParams | None = None,
     default) with explicit thresholds; failed criteria carry concrete
     witnesses."""
     params = params or CriteriaParams()
-    pjson = params.to_json_dict()
-    return _evaluate(names, {"tqr1": lambda: _tqr1(T, params, pjson),
-                             "tqr2": lambda: _tqr2(T, params, pjson),
-                             "tqr3": lambda: _tqr3(T, params, pjson),
-                             "tqr4": lambda: _tqr4(T, params, pjson)})
+    return _evaluate(names, {"tqr1": lambda: _tqr1(T, params),
+                             "tqr2": lambda: _tqr2(T, params),
+                             "tqr3": lambda: _tqr3(T, params),
+                             "tqr4": lambda: _tqr4(T, params)})
 
 
 def _evaluate(names, evaluators: dict) -> list[CriterionReport]:
@@ -290,25 +293,22 @@ def _evaluate(names, evaluators: dict) -> list[CriterionReport]:
     return [evaluators[n]() for n in names]
 
 
-def _tqr1(T, params, pjson) -> CriterionReport:
+def _tqr1(T, params) -> CriterionReport:
     G, C = T.group, T.classes
     c = C.min_nontrivial_size
     if c is None:
-        return CriterionReport("tqr1", True, pjson,
-                               details={"c": None, "note": "trivial group"})
-    holds = c > params.k
+        return CriterionReport("tqr1", params, details={"c": None, "note": "trivial group"})
     witness = None
-    if not holds:
+    if c <= params.k:
         cid = 1 + int(np.argmin(C.sizes[1:]))
         members = np.flatnonzero(C.class_of == cid).tolist()
         witness = {"class_index": cid, "class_size": int(C.sizes[cid]),
                    "class_elements": members,
                    "labels": [G.label(x) for x in members]}
-    return CriterionReport("tqr1", holds, pjson, witness=witness,
-                           details={"c": c})
+    return CriterionReport("tqr1", params, witness=witness, details={"c": c})
 
 
-def _tqr2(T, params, pjson) -> CriterionReport:
+def _tqr2(T, params) -> CriterionReport:
     """TQR2 (does S1 (x) S2 (x) S3 contain every irreducible for all supports
     of measure >= a?). Up to exhaustive_cap irreducibles _tqr2_search decides
     alone; above it the stages of _tqr_stages go through one check, the
@@ -316,7 +316,7 @@ def _tqr2(T, params, pjson) -> CriterionReport:
     decompose of chi_S1 chi_S2 chi_S3 loses the integers on dihedral:150)."""
     dens = params.density_frac()
     need = _density_floor(T.group.order, dens)
-    sq = T.dims.astype(np.int64) ** 2
+    sq = T.dims ** 2
 
     def check(triples):
         pair = tensor_support_mask(T, triples[:, 0], triples[:, 1])
@@ -328,8 +328,8 @@ def _tqr2(T, params, pjson) -> CriterionReport:
 
     if T.num_irreps <= params.exhaustive_cap:
         checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
-        return _tqr_report("tqr2", pjson, _SEARCH_MODE, checked, None, witness)
-    return _tqr_report("tqr2", pjson, *_decide(check, _tqr_stages(
+        return _tqr_report("tqr2", params, _SEARCH_MODE, checked, None, witness)
+    return _tqr_report("tqr2", params, *_decide(check, _tqr_stages(
         T, params, 3, 3, lambda m: m < 1, params.seed + 2001)))
 
 
@@ -340,13 +340,13 @@ def _tqr_stages(T, params, width, factors, small, seed) -> list:
     rules = ((rule, np.tile(S, (1, width, 1)))
              for rule, S in _tqr_candidates(T, dens, factors, small))
     return [("exact", False, rules), ("randomized", True, _random_stacks(
-        seed, T.dims.astype(np.int64) ** 2, _density_floor(T.group.order, dens),
+        seed, T.dims ** 2, _density_floor(T.group.order, dens),
         _SUPPORT_TRIALS, width, _STACK_ROWS))]
 
 
-def _tqr_report(name, pjson, mode, checked, rule, witness) -> CriterionReport:
+def _tqr_report(name, params, mode, checked, rule, witness) -> CriterionReport:
     key = "triples_checked" if name == "tqr2" else "supports_checked"
-    return CriterionReport(name, witness is None, pjson, witness=witness, mode=mode, details=(
+    return CriterionReport(name, params, witness=witness, mode=mode, details=(
         {key: checked} if rule is None else {key: checked, "decided_by": rule}))
 
 
@@ -438,7 +438,7 @@ def _tqr2_search(T, minimal, dens):
     and exact: counts are at most r and dim^2 sums at most |G|.
     """
     r, s = T.num_irreps, len(minimal)
-    sq = T.dims.astype(np.int64) ** 2
+    sq = T.dims ** 2
     need = _density_floor(T.group.order, dens)
     eye = np.eye(r, dtype=bool)    # F[a, (b, c)]: c in chi_a chi_b
     F = tensor_support_mask(T, eye[:, None], eye).reshape(r, r * r).astype(np.float32)
@@ -489,14 +489,14 @@ def _support_witness(T, supports, product) -> dict:
             "missing": np.flatnonzero(~product).tolist()}
 
 
-def _tqr3(T, params, pjson) -> CriterionReport:
+def _tqr3(T, params) -> CriterionReport:
     """TQR3 (does every support of measure >= a have a power-fold tensor
     power of measure above the threshold?). The minimal supports up to
     exhaustive_cap, else the stages of _tqr_stages, go through one check,
     power_support_mask against the threshold."""
     dens = params.density_frac()
     need = _density_floor(T.group.order, dens)
-    sq = T.dims.astype(np.int64) ** 2
+    sq = T.dims ** 2
     # the largest sum of dim^2 at or below the measure cutoff
     bound = math.floor(_POWER_MEASURE_THRESHOLD * T.group.order)
 
@@ -518,10 +518,10 @@ def _tqr3(T, params, pjson) -> CriterionReport:
     else:
         stages = _tqr_stages(T, params, 1, params.power,
                              lambda m: m <= _POWER_MEASURE_THRESHOLD, params.seed + 3001)
-    return _tqr_report("tqr3", pjson, *_decide(check, stages))
+    return _tqr_report("tqr3", params, *_decide(check, stages))
 
 
-def _tqr4(T, params, pjson) -> CriterionReport:
+def _tqr4(T, params) -> CriterionReport:
     G = T.group
     subs = T.normal_subgroups
     witness = None
@@ -540,9 +540,8 @@ def _tqr4(T, params, pjson) -> CriterionReport:
                                "center_order": len(zen),
                                "center_members": list(zen)}
                     break
-    return CriterionReport("tqr4", witness is None, pjson, witness=witness,
-                           details={"normal_subgroup_orders":
-                                    [int(s.order) for s in subs]})
+    return CriterionReport("tqr4", params, witness=witness,
+                           details={"normal_subgroup_orders": [s.order for s in subs]})
 
 
 # ---------------------------------------------------------------------------
@@ -554,29 +553,23 @@ def check_qr(T: CharTable, params: CriteriaParams | None = None,
     """Evaluate the named product-set quasi-randomness criteria (all four by
     default)."""
     params = params or CriteriaParams()
-    pjson = params.to_json_dict()
-    return _evaluate(names, {"qr1": lambda: _qr1(T, params, pjson),
-                             "qr2": lambda: _qr23(T, params, pjson, triple=True),
-                             "qr3": lambda: _qr23(T, params, pjson, triple=False),
-                             "qr4": lambda: _qr4(T, params, pjson)})
+    return _evaluate(names, {"qr1": lambda: _qr1(T, params),
+                             "qr2": lambda: _qr23(T, params, triple=True),
+                             "qr3": lambda: _qr23(T, params, triple=False),
+                             "qr4": lambda: _qr4(T, params)})
 
 
-def _qr1(T, params, pjson) -> CriterionReport:
+def _qr1(T, params) -> CriterionReport:
     if T.num_irreps == 1:
-        return CriterionReport("qr1", True, pjson,
-                               details={"min_nontrivial_dim": None})
+        return CriterionReport("qr1", params, details={"min_nontrivial_dim": None})
     dims = T.dims[1:]
     mind = int(dims.min())
-    holds = mind > params.k
-    witness = None
-    if not holds:
-        lam = 1 + int(np.argmin(dims))
-        witness = {"irrep": lam, "dim": mind}
-    return CriterionReport("qr1", holds, pjson, witness=witness,
+    witness = {"irrep": 1 + int(np.argmin(dims)), "dim": mind} if mind <= params.k else None
+    return CriterionReport("qr1", params, witness=witness,
                            details={"min_nontrivial_dim": mind})
 
 
-def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
+def _qr23(T, params, triple: bool) -> CriterionReport:
     """QR2 (is ABC = G for all A, B, C of size s = ceil(a*|G|)?) or QR3 (is
     A^power = G for all such A?): a proof, else the s smallest members of
     each set _qr23_candidates proposes, as A = B = C, else the sampler, all
@@ -619,7 +612,7 @@ def _qr23(T, params, pjson, triple: bool) -> CriterionReport:
     details = {"subset_size": size, "decided_by": rule} if mode == "exact" else {
         "trials": params.trials, "subset_size": size,
         "note": "sampled search; absence of a witness is evidence, not proof"}
-    return CriterionReport("qr2" if triple else "qr3", witness is None, pjson,
+    return CriterionReport("qr2" if triple else "qr3", params,
                            witness=witness, mode=mode, details=details)
 
 
@@ -685,7 +678,7 @@ def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _qr4(T, params, pjson) -> CriterionReport:
+def _qr4(T, params) -> CriterionReport:
     G = T.group
     D = derived_subgroup(T)
     witness = None
@@ -702,5 +695,5 @@ def _qr4(T, params, pjson) -> CriterionReport:
                 witness = {"kind": "small_quotient", "quotient_order": N.index,
                            "kernel_order": N.order}
                 break
-    return CriterionReport("qr4", witness is None, pjson, witness=witness,
+    return CriterionReport("qr4", params, witness=witness,
                            details={"derived_subgroup_index": G.order // D.order})

@@ -35,30 +35,28 @@ class GroupError(ValueError):
 @dataclass(eq=False)
 class GroupTable:
     """A finite group on element indices 0..order-1 with a full Cayley table,
-    the generators handed over, or else the set _greedy_generators finds, and
-    its conjugacy classes, computed once as it is built. The order of each
-    class's elements, class_orders, is found once, when first read."""
+    whose identity and inverses _check_group_axioms finds and checks as given,
+    before the table is narrowed; it holds the generators handed over (else
+    those _greedy_generators finds), its classes, and class_orders once read."""
 
-    order: int
-    identity: int
     mul: np.ndarray          # shape (order, order), mul[a, b] = index of a*b, table_dtype(order)
-    inv: np.ndarray          # shape (order,), int64
     labels: list[str] | None = None
     source: dict = field(default_factory=dict)
     generators: tuple[int, ...] = None
+    order: int = field(init=False)
+    identity: int = field(init=False)
+    inv: np.ndarray = field(init=False)   # shape (order,), int64
     classes: ClassData = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.identity, self.inv = _check_group_axioms(np.asarray(self.mul))
+        self.order = len(self.inv)
         self.mul = np.ascontiguousarray(self.mul, dtype=table_dtype(self.order))
-        self.inv = np.ascontiguousarray(self.inv, dtype=np.int64)
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
         self.generators = tuple(_greedy_generators(self.mul, self.identity)
                                 if self.generators is None else self.generators)
         self.classes = conjugacy_classes(self)
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         name = self.source.get("family", self.source.get("type", "group"))
@@ -174,7 +172,6 @@ class ClassData:
     sizes: np.ndarray                # int, per class
     class_of: np.ndarray             # element index -> class index
     representatives: np.ndarray      # minimal element index per class
-    min_nontrivial_size: int | None  # c(G); None for the trivial group
 
     def __post_init__(self):
         self.sizes = np.ascontiguousarray(self.sizes, dtype=np.int64)
@@ -186,6 +183,11 @@ class ClassData:
     @property
     def num_classes(self) -> int:
         return len(self.sizes)
+
+    @property
+    def min_nontrivial_size(self) -> int | None:
+        """c(G), the least size of a class but the identity's; None for the trivial group."""
+        return int(self.sizes[1:].min()) if len(self.sizes) > 1 else None
 
     def __repr__(self):
         return f"ClassData(sizes={self.sizes.tolist()}, c={self.min_nontrivial_size})"
@@ -215,9 +217,9 @@ _FILL_CELLS = 1 << 15   # cells per slab of table rows filled or gathered, or of
 def _check_group_axioms(mul: np.ndarray) -> tuple[int, np.ndarray]:
     """Verify the range, identity and inverse laws; returns (identity, inv).
     Associativity is checked by _check_associative, on cayley input only."""
-    n = mul.shape[0]
-    if mul.shape != (n, n):
-        raise GroupError("multiplication table is not square")
+    n = len(mul) if mul.ndim else 0
+    if not n or mul.shape != (n, n):
+        raise GroupError("multiplication table is not a nonempty square")
     if mul.min() < 0 or mul.max() >= n:
         raise GroupError("table entries out of range")
 
@@ -260,12 +262,6 @@ def _check_associative(G: GroupTable) -> None:
                 raise GroupError("multiplication table is not associative")
 
 
-def _finalize(mul, labels, source, gens=None) -> GroupTable:
-    identity, inv = _check_group_axioms(mul)
-    return GroupTable(order=mul.shape[0], identity=identity, mul=mul, inv=inv,
-                      labels=labels, source=source, generators=gens)
-
-
 # ---------------------------------------------------------------------------
 # Family constructors
 
@@ -286,8 +282,8 @@ def _cyclic(n: int) -> GroupTable:
         raise GroupError("cyclic order must be >= 1")
     mul = np.empty((n, n), dtype=table_dtype(n))
     _fill_circulant(mul, 1)
-    return _finalize(mul, [str(k) for k in range(n)],
-                     {"family": "cyclic", "params": {"n": n}}, [1] if n > 1 else [])
+    return GroupTable(mul, [str(k) for k in range(n)],
+                      {"family": "cyclic", "params": {"n": n}}, [1] if n > 1 else [])
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -303,7 +299,7 @@ def _dihedral(n: int) -> GroupTable:
     np.add(mul[n:, n:], n, out=mul[n:, :n])
     labels = [f"r{k}" for k in range(n)] + [f"s·r{k}" for k in range(n)]
     # generated by the rotation r1 and the reflection s = s·r0
-    return _finalize(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
+    return GroupTable(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
 
 
 def _perm_family(n: int, family: str) -> GroupTable:
@@ -358,7 +354,7 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
     The distinct generators are handed over if at most floor(log2 m), the
     bound of a greedy set; a spec may list any number."""
     if degree == 0:   # the one empty permutation, which no void key holds
-        return _finalize(np.zeros((1, 1), dtype=np.int64), [""], source, [])
+        return GroupTable(np.zeros((1, 1), dtype=np.int64), [""], source, [])
     gens = np.array(gens, dtype=np.int64).reshape(-1, degree)
     found, position = permutation_closure(gens)
     m = len(found)
@@ -392,7 +388,7 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
         frontier = np.concatenate(reached)
     labels = ([str(tuple(p)) for p in perms.tolist()] if degree > 10 else np.frombuffer(
         (perms + 48).astype(np.uint8).tobytes(), f"S{degree}").astype(str).tolist())
-    return _finalize(mul, labels, source, rows if len(rows) < m.bit_length() else None)
+    return GroupTable(mul, labels, source, rows if len(rows) < m.bit_length() else None)
 
 
 def _quaternion8() -> GroupTable:
@@ -408,7 +404,7 @@ def _quaternion8() -> GroupTable:
            + (s[:, None, None] + s + NEG[:, None, :, None]) % 2).reshape(8, 8)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     # generated by i and j
-    return _finalize(mul, names, {"family": "quaternion8", "params": {}}, [2, 4])
+    return GroupTable(mul, names, {"family": "quaternion8", "params": {}}, [2, 4])
 
 
 def _is_prime(p: int) -> bool:
@@ -433,8 +429,8 @@ def _extraspecial(p: int) -> GroupTable:
     np.add(head[:, :, None, :, :, None], tail[:, None, :, None, :, :], out=mul)
     labels = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
     # generated by (0, 1, 0) and (1, 0, 0), whose commutator is (0, 0, 1)
-    return _finalize(mul.reshape(m, m), labels,
-                     {"family": "extraspecial", "params": {"p": p}}, [p, p * p])
+    return GroupTable(mul.reshape(m, m), labels,
+                      {"family": "extraspecial", "params": {"p": p}}, [p, p * p])
 
 
 def _primitive_root(p: int) -> int:
@@ -459,7 +455,7 @@ def _affine(p: int) -> GroupTable:
     np.add(high[:, None, :, None], low[:, :, None, :], out=mul)
     # generated by the translation x -> x + 1 and x -> r x for a primitive root r
     gens = [1] if p == 2 else [1, (_primitive_root(p) - 1) * p]
-    return _finalize(mul.reshape(m, m), labels, {"family": "affine", "params": {"p": p}}, gens)
+    return GroupTable(mul.reshape(m, m), labels, {"family": "affine", "params": {"p": p}}, gens)
 
 
 def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
@@ -477,7 +473,7 @@ def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupT
     # (g, e) and (e, h) for the generators g of the left factor and h of the right
     gens = ([g * nb + right.identity for g in left.generators]
             + [left.identity * nb + h for h in right.generators])
-    return _finalize(mul, labels, source, gens)
+    return GroupTable(mul, labels, source, gens)
 
 
 def _field(spec: dict, key: str):
@@ -561,9 +557,9 @@ def build_group(spec: dict, _depth: int = 0) -> GroupTable:
                 isinstance(labels, list) and len(labels) == len(table)
                 and all(isinstance(x, str) for x in labels)):
             raise GroupError(f"cayley labels must be a list of {len(table)} strings")
-        # the range and axioms are checked on the int64 array, so no entry
-        # wraps into range when it is narrowed
-        G = _finalize(table, labels, {})
+        # GroupTable checks the range and axioms on the int64 array, so no
+        # entry wraps into range when it is narrowed
+        G = GroupTable(table, labels)
         G.source = cayley_spec(G)
         _check_associative(G)
         return G
@@ -647,8 +643,7 @@ def conjugacy_classes(G: GroupTable) -> ClassData:
     class_of = np.searchsorted(reps, low)
     reps[0] = e
     sizes = np.bincount(class_of)
-    return ClassData(sizes=sizes, class_of=class_of, representatives=reps,
-                     min_nontrivial_size=int(sizes[1:].min()) if len(reps) > 1 else None)
+    return ClassData(sizes=sizes, class_of=class_of, representatives=reps)
 
 
 def class_matrix(G: GroupTable, coeffs: np.ndarray) -> np.ndarray:
@@ -759,7 +754,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
         raise GroupError("quotient requires a normal subgroup")
     source = {"type": "quotient", "parent": G.source, "kernel_order": N.order}
     if N.order == G.order:   # one coset, named by its least element 0
-        return _finalize(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
+        return GroupTable(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
     members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = sorted_unique(coset_rep)
@@ -774,7 +769,7 @@ def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
     slab = max(1, _FILL_CELLS // m)
     for lo in range(0, m, slab):
         mul[lo:lo + slab] = coset[G.mul[reps[lo:lo + slab, None], reps]]
-    return _finalize(mul, labels, source, gens)
+    return GroupTable(mul, labels, source, gens)
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:

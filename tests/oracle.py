@@ -92,8 +92,7 @@ def per_class_conjugacy_classes(G):
         class_of[orbit] = c
     sizes = np.array([len(c) for c in orbits], dtype=np.int64)
     reps = np.array([int(c.min()) for c in orbits], dtype=np.int64)
-    return ClassData(sizes=sizes, class_of=class_of, representatives=reps,
-                     min_nontrivial_size=int(sizes[1:].min()) if len(orbits) > 1 else None)
+    return ClassData(sizes=sizes, class_of=class_of, representatives=reps)
 
 
 def class_members(C):
@@ -328,7 +327,7 @@ def itertools_perm_family(n, even_only):
         mul[lo:lo + slab] = rank
     labels = ["".join(map(str, p)) for p in perms.tolist()]
     family = "alternating" if even_only else "symmetric"
-    return groups._finalize(mul, labels, {"family": family, "params": {"n": n}})
+    return groups.GroupTable(mul, labels, {"family": family, "params": {"n": n}})
 
 
 def queue_closure(perms):
@@ -1103,7 +1102,7 @@ def subgroup_table(G, members):
     pair of members, with the list mapping its indices to G's: the distinct
     members, ascending, so index 0 need not be G's identity. Its source is
     its cayley spec, which build_group rebuilds."""
-    from tqrgroups.groups import GroupError, _finalize, _member_array, cayley_spec
+    from tqrgroups.groups import GroupError, GroupTable, _member_array, cayley_spec
     elems = _member_array(G, members).tolist()
     if not elems:   # any other set without the identity is not closed
         raise GroupError("subgroup must contain the identity")
@@ -1112,7 +1111,7 @@ def subgroup_table(G, members):
     mul = rank[G.mul[np.ix_(elems, elems)]]
     if (mul < 0).any():
         raise GroupError("member set is not closed under multiplication")
-    H = _finalize(mul, [G.label(e) for e in elems] if G.labels is not None else None, {})
+    H = GroupTable(mul, [G.label(e) for e in elems] if G.labels is not None else None)
     H.source = cayley_spec(H)
     return H, elems
 

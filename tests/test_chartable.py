@@ -383,7 +383,7 @@ def test_interchange_round_trip_bit_exact(case):
         floats.flat[np.flatnonzero(floats == 0)[0]] = -0.0
         zeros = np.signbit(floats[floats == 0])
         assert zeros.any() and not zeros.all()
-        T = CharTable(S3.group, S3.dims, floats.view(np.complex128))
+        T = CharTable(S3.group, floats.view(np.complex128))
     else:
         cases = ["quotient", "subgroup", "unlabelled-subgroup"]
         T = compute_char_table(_quotient_and_subgroup_tables()[cases.index(case)])
@@ -499,7 +499,7 @@ def test_a_table_holding_nan_is_not_certified():
     chars = T.values.copy()
     chars[2, 1] = np.nan
     with pytest.raises(CharTableError, match="orthogonality residual"):
-        _certified_table(T.group, chars, T.dims)
+        _certified_table(T.group, chars)
 
 
 def test_quality_metrics_present():
@@ -524,6 +524,57 @@ def test_quality_seed_is_the_seed_of_the_certified_attempt(monkeypatch):
     T = compute_char_table(G, C)
     assert calls == [0, 1]
     assert T.quality["attempts"] == 2 and T.quality["seed"] == 1
+
+
+def _toeplitz(r):
+    """1 / (1 + |i - j|): eigenvalue gaps above 0.06 and eigenvectors at
+    least 0.2 at the identity class on S4, but normalized dims 3.42, 4.05,
+    ..., none an integer."""
+    k = np.arange(r)
+    return 1.0 / (1 + np.abs(np.subtract.outer(k, k)))
+
+
+# a class matrix that fails each check of _eigen_table's attempt, and the
+# reason that attempt records
+_FAILED_SOLVES = pytest.mark.parametrize("bad, reason", [
+    (np.eye, "eigenvalue collision"),
+    (lambda r: np.diag(np.arange(1.0, r + 1)), "degenerate eigenvector at identity class"),
+    (_toeplitz, "dimension certification failed"),
+], ids=["collision", "unit-eigenvectors", "non-integral-dims"])
+
+
+@_FAILED_SOLVES
+def test_a_failed_eigen_solve_retries_with_the_next_seed(bad, reason, monkeypatch):
+    class_matrix, calls = groups.class_matrix, []
+
+    def fail_once(G, coeffs):
+        calls.append(coeffs)
+        return bad(len(coeffs)) if len(calls) == 1 else class_matrix(G, coeffs)
+
+    monkeypatch.setattr(groups, "class_matrix", fail_once)
+    T = compute_char_table(get_group("S4"))
+    assert len(calls) == 2
+    assert T.quality["attempts"] == 2 and T.quality["seed"] == 1
+    assert T.dims.tolist() == get_table("S4").dims.tolist()
+    assert np.abs(T.values - get_table("S4").values).max() < config.TOL
+
+
+@_FAILED_SOLVES
+def test_an_eigen_solve_that_always_fails_gives_up(bad, reason, monkeypatch):
+    monkeypatch.setattr(groups, "class_matrix", lambda G, coeffs: bad(len(coeffs)))
+    with pytest.raises(CharTableError, match=f"not certified after "
+                                             f"{config.MAX_EIG_ATTEMPTS} attempts: {reason}"):
+        compute_char_table(get_group("S4"))
+
+
+def test_a_char_table_reads_its_dims_off_the_identity_column():
+    # dims are not handed over, so they cannot disagree with the values
+    T = get_table("S4")
+    values = T.values.copy()
+    values[:, 0] += 1e-9
+    nudged = CharTable(T.group, values)
+    assert nudged.dims.tolist() == np.rint(values[:, 0].real).tolist() == [1, 1, 2, 3, 3]
+    assert nudged.dims.dtype == np.int64 and not nudged.dims.flags.writeable
 
 
 @pytest.mark.parametrize("spec, cells", [

@@ -483,6 +483,66 @@ def test_a_report_at_the_summary_path_is_refused_before_anything_runs(exp_id, ou
     assert not outdir.exists()
 
 
+_S3_EXPORT = {"group": "symmetric:3"}
+_WALK_CSV = {"group": "symmetric:3", "rep": "irrep:2", "tmax": 2}
+
+
+@pytest.mark.parametrize("experiments, refused", [
+    # each side file lands on a report written after it: a.json on b's
+    # export, b.json on c's CSV and summary.json on a's export, and each
+    # run said ok
+    ([("a", "chartable", {**_S3_EXPORT, "export": "summary.json"}),
+      ("b", "chartable", {"group": "cyclic:3", "export": "a.json"}),
+      ("c", "markov", {**_WALK_CSV, "csv": "b.json"})], ("a", "export", "summary.json")),
+    ([("a", "chartable", {"group": "cyclic:3"}),
+      ("b", "chartable", {**_S3_EXPORT, "export": "sub/../a.json"})],
+     ("b", "export", "sub/../a.json")),
+    ([("c", "markov", {**_WALK_CSV, "csv": "./c.json"})], ("c", "csv", "./c.json")),
+], ids=["repro", "earlier-report", "own-report"])
+def test_a_suite_side_file_at_a_report_is_refused_before_anything_runs(experiments, refused,
+                                                                        tmp_path, capsys):
+    path, outdir = tmp_path / "suite.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiments": [
+        {"id": exp_id, "command": command, "args": args}
+        for exp_id, command, args in experiments]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    exp_id, key, side = refused
+    assert captured.out == ""
+    assert captured.err == (f"error: suite experiment {exp_id!r}: {key} {side!r} "
+                            f"would overwrite a report\n")
+    assert not outdir.exists()
+
+
+def test_suite_side_files_may_share_a_name(tmp_path, capsys):
+    # a side file replacing another is no report lost: an import followed by
+    # a re-export under one name is legitimate
+    path, outdir = tmp_path / "suite.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiments": [
+        {"id": "a", "command": "chartable", "args": {**_S3_EXPORT, "export": "t.json"}},
+        {"id": "b", "command": "chartable", "args": {"group": "cyclic:3", "export": "t.json"}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(outdir)) == ["a.json", "b.json", "summary.json", "t.json"]
+    assert json.loads((outdir / "t.json").read_text())["group"]["family"] == "cyclic"
+
+
+@pytest.mark.parametrize("argv, side, out", [
+    (["chartable", "--group", "symmetric:3", "--export"], "t.json", "t.json"),
+    (["chartable", "--group", "symmetric:3", "--export"], "./t.json", "sub/../t.json"),
+    (["markov", "--group", "symmetric:3", "--rep", "irrep:2", "--csv"], "t.json", "t.json"),
+], ids=["export", "export-resolved", "csv"])
+def test_a_side_file_at_the_report_is_refused(argv, side, out, tmp_path, monkeypatch, capsys):
+    # the report, written last, replaced the side file, and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert cli.main(argv + [side, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: side file {side!r} would overwrite the report --out\n"
+    assert sorted(os.listdir(tmp_path)) == ["sub"]
+
+
 def test_suite_config_without_experiments_runs_nothing(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text("{}")
@@ -1089,7 +1149,7 @@ def test_tqr_group_builds_one_group_table(monkeypatch, capsys):
     post_init = groups.GroupTable.__post_init__
 
     def counted(self):
-        built.append(self.order)
+        built.append(len(self.mul))
         post_init(self)
 
     monkeypatch.setattr(groups.GroupTable, "__post_init__", counted)

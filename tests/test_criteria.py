@@ -20,7 +20,9 @@ from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
                        subgroup_from_members, three_factor_cover, two_factor_cover)
 from tqrgroups.classfuncs import power_support_mask, rep_from_selector
 from tqrgroups import criteria, groups
-from tqrgroups.criteria import CriteriaParams, _minimal_supports
+from tqrgroups.chartable import CharTable
+from tqrgroups.criteria import CriteriaParams, CriterionReport, _minimal_supports
+from tqrgroups.groups import ClassData, GroupTable
 
 
 def _rep(T, support):
@@ -207,6 +209,30 @@ def test_hoelder_chain(name):
 
 # ---------------------------------------------------------------------------
 # TQR criteria
+
+
+def test_a_report_holds_exactly_when_it_has_no_witness():
+    params = CriteriaParams(k=2)
+    assert CriterionReport("tqr1", params).holds is True
+    failed = CriterionReport("tqr1", params, witness={"class_index": 1})
+    assert failed.holds is False
+    doc = failed.to_json_dict()
+    assert list(doc) == ["criterion", "holds", "mode", "parameters", "witness", "details",
+                         "error"]
+    assert (doc["holds"], doc["parameters"], doc["error"]) == (False, params.to_json_dict(), None)
+    # the echo cannot change once the report is built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.k = 5
+
+
+def test_core_types_take_only_what_they_cannot_compute():
+    def init(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert init(GroupTable) == ["mul", "labels", "source", "generators"]
+    assert init(ClassData) == ["sizes", "class_of", "representatives"]
+    assert init(CharTable) == ["group", "values", "quality", "source"]
+    assert init(CriterionReport) == ["criterion", "params", "witness", "mode", "details"]
 
 
 def test_tqr_q8():
@@ -427,7 +453,7 @@ def _sampled(evaluate, T, params, *args) -> dict:
     decide = criteria._decide
     with pytest.MonkeyPatch.context() as m:
         m.setattr(criteria, "_decide", lambda check, stages: decide(check, stages[-1:]))
-        return evaluate(T, params, params.to_json_dict(), *args).to_json_dict()
+        return evaluate(T, params, *args).to_json_dict()
 
 
 def _qr23_json(T, params, triple):
@@ -908,7 +934,7 @@ def test_support_search_past_one_word_of_irreducibles():
 def _assert_tqr_witness(T, rep):
     """Re-verify a tqr2 or tqr3 witness with the oracle's pairwise products
     and exact measures."""
-    params = rep.parameters
+    params = rep.params.to_json_dict()
     dens = Fraction(str(params["density"]))
     w = rep.witness
     if rep.criterion == "tqr2":

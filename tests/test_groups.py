@@ -200,7 +200,7 @@ def test_quotients_inherit_the_cosets_of_the_generators():
                 continue
             assert Q.identity not in Q.generators
             assert oracle._closure(Q, Q.generators) == frozenset(range(Q.order))
-            searched = groups.GroupTable(Q.order, Q.identity, Q.mul, Q.inv)
+            searched = groups.GroupTable(Q.mul)
             got, want = conjugacy_classes(Q), conjugacy_classes(searched)
             for name in ("sizes", "class_of", "representatives"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -294,7 +294,7 @@ def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
 
     monkeypatch.setattr(groups, "normal_subgroups", counted)
     G, C = get_group("S4"), get_classes("S4")
-    T = CharTable(G, get_table("S4").dims, get_table("S4").values)
+    T = CharTable(G, get_table("S4").values)
     params = CriteriaParams(density=0.2, trials=5)
     check_tqr(T, params, list(TQR_CRITERIA))
     check_qr(T, params, list(QR_CRITERIA))
@@ -348,7 +348,7 @@ def test_uncertified_kernel_value_raises():
     # within tolerance of chi(1) nor at least 1 - cos(2 pi / 2) below it
     assert values[1, 1].real == pytest.approx(-1.0)
     values[1, 1] = 1 - 1e-4
-    nudged = CharTable(T.group, T.dims, values)
+    nudged = CharTable(T.group, values)
     with pytest.raises(CharTableError, match="not certified"):
         normal_subgroups(nudged)
     with pytest.raises(CharTableError, match="not certified"):
@@ -995,12 +995,37 @@ def test_a_greedy_generator_that_fails_to_double_is_refused():
     # generator 2 reaches 6 < 8 elements, which no group allows
     table = [[0, 1, 2, 3, 4, 5], [1, 5, 3, 2, 0, 4], [2, 3, 5, 4, 1, 0],
              [3, 2, 4, 0, 5, 1], [4, 0, 1, 5, 3, 2], [5, 4, 0, 1, 2, 3]]
-    identity, inv = groups._check_group_axioms(np.array(table))
     with pytest.raises(GroupError, match="does not double"):
-        groups.GroupTable(6, identity, np.array(table), inv)
+        groups.GroupTable(np.array(table))
     with pytest.raises(GroupError, match="does not double"):
         build_group(_cayley(table))
     assert not oracle.brute_force_is_associative(np.array(table))
+
+
+def test_a_group_table_finds_its_order_identity_and_inverses():
+    # none of them is handed over, so none can disagree with the table, as
+    # an identity 1 handed over with Z3's table once did
+    G = groups.GroupTable(build_group({"family": "cyclic", "params": {"n": 3}}).mul)
+    assert (G.order, G.identity, G.inv.tolist()) == (3, 0, [0, 2, 1])
+    assert not G.inv.flags.writeable
+    # Z3 relabelled by x -> x + 1 has the identity 1 and 0 <-> 2 swapped
+    relabelled = (np.add.outer(np.arange(3), np.arange(3)) + 2) % 3
+    H = groups.GroupTable(relabelled)
+    assert (H.identity, H.inv.tolist(), H.generators) == (1, [2, 1, 0], (0,))
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0, 0]], "no identity element"),
+    ([[0, 1, 2], [1, 2, 1], [2, 1, 2]], "element 1 has no two-sided inverse"),
+    ([[0, 1], [1, 2]], "table entries out of range"),
+    ([[0, 1], [1, -1]], "table entries out of range"),
+    ([[0, 1, 2], [1, 2, 0]], "not a nonempty square"),
+    (np.zeros((0, 0), dtype=np.int64), "not a nonempty square"),
+    (5, "not a nonempty square"),
+], ids=["identity", "inverse", "above", "negative", "shape", "empty", "scalar"])
+def test_a_bare_group_table_checks_its_own_axioms(table, message):
+    with pytest.raises(GroupError, match=message):
+        groups.GroupTable(np.array(table))
 
 
 _SMALL_GROUPS = (

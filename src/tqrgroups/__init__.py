@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # (tqrgroups.__main__) must set the BLAS thread variables before numpy loads,
 # which importing this package first would otherwise do.
 _EXPORTS = {name: module for module, names in {
-    "groups": ("GroupTable", "ClassData", "Subgroup", "GroupError", "build_group",
+    "groups": ("GroupTable", "ClassData", "GroupError", "build_group",
                "conjugacy_classes", "center", "upper_central_series", "normal_subgroups",
                "quotient", "center_free_quotient_chain", "derived_subgroup",
                "subgroup_from_members", "AbelianGroup"),

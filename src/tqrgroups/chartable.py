@@ -76,7 +76,7 @@ class CharTable:
         return tuple(int.from_bytes(row, "little") for row in packed)
 
     @functools.cached_property
-    def normal_subgroups(self) -> tuple[groups.Subgroup, ...]:
+    def normal_subgroups(self) -> tuple[np.ndarray, ...]:
         """groups.normal_subgroups of this table, computed once: dims and
         values are read-only, so neither can go stale."""
         return groups.normal_subgroups(self)
@@ -250,12 +250,12 @@ def induce_character(G: GroupTable, subgroup_members, theta) -> np.ndarray:
     them. On a class c, Ind theta(c) = |G| / (|H| |c|) * (sum of theta over
     H ∩ c).
     """
-    C, members = G.classes, groups.subgroup_from_members(G, subgroup_members).members
+    C, members = G.classes, groups.subgroup_from_members(G, subgroup_members)
     values = np.asarray(theta, dtype=np.complex128)
     if values.ndim not in (1, 2) or values.shape[-1] != len(members):
         raise GroupError("theta length does not match subgroup order")
     sums = np.zeros((C.num_classes, *values.shape[:-1]), dtype=np.complex128)
-    np.add.at(sums, C.class_of[list(members)], values.T)    # theta summed over H ∩ c
+    np.add.at(sums, C.class_of[members], values.T)    # theta summed over H ∩ c
     out = sums.T
     out *= G.order / (len(members) * C.sizes)
     return out

@@ -29,8 +29,7 @@ from .counterexample import build_counterexample_rep, m_fold_sumset, translate_c
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
                        two_factor_cover)
-from .groups import (_FAMILIES, AbelianGroup, Subgroup, build_group, center,
-                     upper_central_series)
+from .groups import _FAMILIES, AbelianGroup, build_group, center, upper_central_series
 from .markov import (build_chain, check_t_max, mixing_experiment, mixing_time,
                      stationarity_residual)
 
@@ -170,12 +169,12 @@ def run_group(args: dict) -> tuple[dict, int]:
         "class_representatives": [G.label(int(r)) for r in C.representatives],
         "min_nontrivial_class": C.min_nontrivial_size,
         "abelian": G.is_abelian(),
-        "center_order": series[0].order if series else 1,
-        "quotient_chain_orders": [G.order] + [Z.index for Z in series],
+        "center_order": len(series[0]) if series else 1,
+        "quotient_chain_orders": [G.order] + [G.order // len(Z) for Z in series],
     }
     if args["normal_subgroups"]:
         T = compute_char_table(G)
-        payload["normal_subgroup_orders"] = [s.order for s in T.normal_subgroups]
+        payload["normal_subgroup_orders"] = [len(s) for s in T.normal_subgroups]
     return _envelope("group", spec, {}, payload), 0
 
 
@@ -190,8 +189,8 @@ def _side_path(args: dict, rel: str) -> str:
 def run_chartable(args: dict) -> tuple[dict, int]:
     if bool(args["import_path"]) == bool(args["group"]):
         raise UsageError("chartable takes exactly one of --group and --import")
-    if args["import_path"]:
-        with open(args["import_path"]) as fh:
+    if args["import_path"]:   # in a suite, relative to the output directory
+        with open(os.path.join(args.get("_filedir", ""), args["import_path"])) as fh:
             T = loads_interchange(fh.read())
         spec = T.group.source
     else:
@@ -282,14 +281,14 @@ def run_markov(args: dict) -> tuple[dict, int]:
 def _pick_normal(T, selector: str):
     s = selector.strip().lower()
     if s == "group":   # G itself, the lattice's last entry, without the lattice
-        n = T.group.order
-        return Subgroup(members=tuple(range(n)), is_normal=True, index=1)
+        return np.arange(T.group.order)
     if s == "center":
         return center(T.group)
     key, _, value = s.partition(":")
     if key in ("order", "index"):
-        want = int(value)
-        hits = [N for N in T.normal_subgroups if getattr(N, key) == want]
+        want, n = int(value), T.group.order
+        hits = [N for N in T.normal_subgroups
+                if (len(N) if key == "order" else n // len(N)) == want]
         if len(hits) != 1:
             raise UsageError(
                 f"{len(hits)} normal subgroups of {key} {want}; need exactly 1")
@@ -308,7 +307,7 @@ def run_counterexample(args: dict) -> tuple[dict, int]:
         except ZeroDivisionError:
             raise UsageError(f"epsilon {eps} has a zero denominator") from None
     mult, report = build_counterexample_rep(T, N, args["m"], epsilon=eps)
-    payload = {"rep": {"mult": mult.tolist()}, "normal_order": N.order,
+    payload = {"rep": {"mult": mult.tolist()}, "normal_order": len(N),
                "construction": report}
     violated = not report["power_measure_at_most_half"]
     return (_envelope("counterexample", spec,

@@ -20,8 +20,8 @@ import numpy as np
 from . import groups
 from .chartable import CharTable, induce_character
 from .classfuncs import decompose, power_support_mask, support_measure_frac
-from .groups import (AbelianGroup, GroupError, GroupTable, Subgroup,
-                     center_of_subset, permutation_closure, sorted_unique)
+from .groups import (AbelianGroup, GroupError, GroupTable, center_of_subset,
+                     permutation_closure, sorted_unique)
 
 
 def _unit_images(K: AbelianGroup, perms: np.ndarray) -> np.ndarray:
@@ -305,22 +305,22 @@ def _induced_characters(G: GroupTable, K: AbelianGroup, to_parent: np.ndarray,
     return induce_character(G, to_parent[order], K.characters(thetas)[:, order])
 
 
-def build_counterexample_rep(T: CharTable, N: Subgroup, m: int,
+def build_counterexample_rep(T: CharTable, N, m: int,
                              epsilon: Fraction | float | None = None
                              ) -> tuple[np.ndarray, dict]:
     """Construct V = sum over theta in A of Ind_K^G(theta) for an invariant
     small-doubling set A of characters of K = Z(N), and verify that the m-th
-    tensor power of V has Plancherel measure at most 1/2. G is T.group; V is
-    returned as its (num_irreps,) int64 multiplicities.
+    tensor power of V has Plancherel measure at most 1/2, for N the members
+    of a normal subgroup of G = T.group; V is its (num_irreps,) int64 multiplicities.
     """
-    if not N.is_normal:
-        raise GroupError("N must be normal")
     G = T.group
-    K_members = center_of_subset(G, N.members)
+    if not groups._witnesses(G, N)[2]:
+        raise GroupError("N must be normal")
+    K_members = center_of_subset(G, N)
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
-    # center_of_subset proved K commutative
-    K, to_parent = groups._invariant_factors(G, groups._member_array(G, K_members))
+    # center_of_subset proved K commutative, and gives its members ascending
+    K, to_parent = groups._invariant_factors(G, K_members)
     action = conjugation_action_on_center(G, K, to_parent)
     dual = dual_action(action)
     A, diag = invariant_small_doubling_set(K, dual, m, epsilon)

@@ -381,9 +381,9 @@ def _tqr_candidates(T, dens, factors, small):
     size = _density_floor(n, dens)
     if any(n % d == 0 for d in range(2, n // size + 1)):
         for N in T.normal_subgroups[1:]:
-            if size * N.order > n:
+            if size * len(N) > n:
                 break
-            if small(Fraction(1, N.order)):
+            if small(Fraction(1, len(N))):
                 yield "quotient", _quotient_support(T, N)
                 break
     central = np.flatnonzero(C.sizes == 1)[1:]
@@ -398,16 +398,14 @@ def _tqr_candidates(T, dens, factors, small):
         omega = T.values[:, central] / T.dims[:, None]
         k = np.rint(np.angle(omega) * q / (2 * np.pi)).astype(np.int64) % q
         exact = (np.abs(omega - np.exp(2j * np.pi * k / q)) <= config.TOL).all(axis=0)
-        lattice = None
         for col in np.flatnonzero(exact):
             qz, grade = int(q[col]), k[:, col]
             above = []
             if tries[qz][1]:
-                lattice = lattice or [(M, set(M.members)) for M in T.normal_subgroups]
                 z = int(C.representatives[central[col]])
-                above = [M for M, members in lattice if M.order > qz and z in members][:1]
+                above = next(([M] for M in T.normal_subgroups if len(M) > qz and z in M), [])
             for M in [None, *above]:
-                m = qz if M is None else M.order
+                m = qz if M is None else len(M)
                 j = math.ceil((dens - Fraction(1, m)) * qz)
                 if factors * j < qz and small(Fraction(factors * j, qz) + Fraction(1, m)):
                     inside = grade == 0 if M is None else _quotient_support(T, M)
@@ -416,7 +414,7 @@ def _tqr_candidates(T, dens, factors, small):
 
 def _quotient_support(T, N) -> np.ndarray:
     """Irr(G/N) as a support: the irreducibles whose kernel contains N."""
-    inside = sum(1 << c for c in set(T.classes.class_of[list(N.members)].tolist()))
+    inside = sum(1 << c for c in set(T.classes.class_of[N].tolist()))
     return np.array([k & inside == inside for k in T.kernel_masks])
 
 
@@ -526,22 +524,22 @@ def _tqr4(T, params) -> CriterionReport:
     subs = T.normal_subgroups
     witness = None
     for N in subs:
-        if 1 < N.order <= params.k:
-            witness = {"kind": "small_normal_subgroup", "order": N.order,
-                       "members": list(N.members)}
+        if 1 < len(N) <= params.k:
+            witness = {"kind": "small_normal_subgroup", "order": len(N),
+                       "members": N.tolist()}
             break
     if witness is None:
         for N in subs:
-            if N.index <= params.k:
-                zen = center_of_subset(G, N.members)
+            if G.order // len(N) <= params.k:
+                zen = center_of_subset(G, N)
                 if len(zen) > 1:
                     witness = {"kind": "small_index_with_center",
-                               "order": N.order, "index": N.index,
+                               "order": len(N), "index": G.order // len(N),
                                "center_order": len(zen),
-                               "center_members": list(zen)}
+                               "center_members": zen.tolist()}
                     break
     return CriterionReport("tqr4", params, witness=witness,
-                           details={"normal_subgroup_orders": [s.order for s in subs]})
+                           details={"normal_subgroup_orders": [len(s) for s in subs]})
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +637,8 @@ def _qr23_candidates(T, dens, size, triple, power):
         yield "power_one", np.arange(size)
     if subgroups:
         for N in T.normal_subgroups:
-            if size <= N.order < n:
-                yield "normal_subgroup", np.array(N.members)
+            if size <= len(N) < n:
+                yield "normal_subgroup", N
     linear = np.flatnonzero(T.dims == 1)[1:]
     if linear.size:
         # chi = exp(2 pi i K/n) on each class with K an integer, and the image
@@ -682,18 +680,18 @@ def _qr4(T, params) -> CriterionReport:
     G = T.group
     D = derived_subgroup(T)
     witness = None
-    if D.order < G.order:
+    if len(D) < G.order:
         # the maximal abelian quotient, G / [G, G]
         witness = {"kind": "abelian_quotient",
-                   "quotient_order": G.order // D.order,
-                   "kernel_order": D.order,
-                   "kernel_members": list(D.members)}
+                   "quotient_order": G.order // len(D),
+                   "kernel_order": len(D),
+                   "kernel_members": D.tolist()}
     if witness is None:
         # G is perfect: the one case that needs the lattice
         for N in T.normal_subgroups:
-            if 1 < N.index <= params.k:
-                witness = {"kind": "small_quotient", "quotient_order": N.index,
-                           "kernel_order": N.order}
+            if 1 < G.order // len(N) <= params.k:
+                witness = {"kind": "small_quotient", "quotient_order": G.order // len(N),
+                           "kernel_order": len(N)}
                 break
     return CriterionReport("qr4", params, witness=witness,
-                           details={"derived_subgroup_index": G.order // D.order})
+                           details={"derived_subgroup_index": G.order // len(D)})

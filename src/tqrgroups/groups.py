@@ -1,5 +1,6 @@
 """Finite groups as dense index tables, plus the structural data everything
 else consumes: classes, centers, normal subgroups, quotients, invariant factors.
+A subgroup is the read-only, ascending int64 array of its members' indices.
 
 All structures are immutable after construction and safe to share between
 threads.
@@ -191,19 +192,6 @@ class ClassData:
 
     def __repr__(self):
         return f"ClassData(sizes={self.sizes.tolist()}, c={self.min_nontrivial_size})"
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted tuple of element indices of the parent group."""
-
-    members: tuple[int, ...]
-    is_normal: bool
-    index: int
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +672,20 @@ def _witnesses(G: GroupTable, members):
     return arr, (C.representatives[cls] if union else arr), union
 
 
-def subgroup_from_members(G: GroupTable, members) -> Subgroup:
-    """Validate a member set into a Subgroup, computing its flags."""
-    arr, owner, is_normal = _witnesses(G, members)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def subgroup_from_members(G: GroupTable, members) -> np.ndarray:
+    """The distinct members, ascending, once validated as a subgroup of G."""
+    arr, owner, _ = _witnesses(G, members)
     inside = np.bincount(arr, minlength=G.order)  # 1 on the members, else 0
-    return _validated(G, arr, inside, sorted_unique(owner), is_normal)
+    return _validated(G, arr, inside, sorted_unique(owner))
 
 
-def _validated(G: GroupTable, arr, inside, owners, is_normal: bool) -> Subgroup:
-    """Sorted members arr, with indicator `inside` over G, as a Subgroup once
+def _validated(G: GroupTable, arr, inside, owners) -> np.ndarray:
+    """Sorted members arr, with indicator `inside` over G, read-only once
     they hold the identity, arr * owners lies inside and |arr| divides |G|."""
     if not inside[G.identity]:
         raise GroupError("subgroup must contain the identity")
@@ -700,37 +693,35 @@ def _validated(G: GroupTable, arr, inside, owners, is_normal: bool) -> Subgroup:
         raise GroupError("member set is not closed under multiplication")
     if G.order % arr.size:
         raise GroupError("subgroup order does not divide group order")
-    return Subgroup(members=tuple(arr.tolist()), is_normal=is_normal,
-                    index=G.order // arr.size)
+    return _read_only(arr)
 
 
-def center(G: GroupTable) -> Subgroup:
+def center(G: GroupTable) -> np.ndarray:
     """The union of the classes of G with one element."""
-    members = tuple(np.flatnonzero(G.classes.sizes[G.classes.class_of] == 1).tolist())
-    return Subgroup(members=members, is_normal=True, index=G.order // len(members))
+    return _read_only(np.flatnonzero(G.classes.sizes[G.classes.class_of] == 1))
 
 
-def upper_central_series(G: GroupTable) -> list[Subgroup]:
+def upper_central_series(G: GroupTable) -> list[np.ndarray]:
     """Z(G) = Z_1 < Z_2 < ... to the hypercentre (none if Z(G) = 1), in G's table: x is in Z_(i+1)
     iff s x s^-1 x^-1 is in Z_i for each generator s, as their images generate G/Z_i."""
     commutators = G.mul[conjugates(G, G.generators), G.inv]   # row s: x -> s x s^-1 x^-1
     series, inside = [], G.classes.sizes[G.classes.class_of] == 1
-    while len(members := np.flatnonzero(inside).tolist()) > (series[-1].order if series else 1):
-        series.append(Subgroup(tuple(members), True, G.order // len(members)))
+    while len(members := np.flatnonzero(inside)) > (len(series[-1]) if series else 1):
+        series.append(_read_only(members))
         inside = inside[commutators].all(axis=0)
     return series
 
 
-def _subgroup_of_mask(T: CharTable, mask: int) -> Subgroup:
+def _subgroup_of_mask(T: CharTable, mask: int) -> np.ndarray:
     """The union of the classes whose bits are set, validated as a subgroup."""
     G, C, r = T.group, T.classes, T.classes.num_classes
     chosen = np.unpackbits(np.frombuffer(mask.to_bytes(-(-r // 8), "little"), np.uint8),
                            count=r, bitorder="little").view(bool)
     inside = chosen[C.class_of]
-    return _validated(G, np.flatnonzero(inside), inside, C.representatives[chosen], True)
+    return _validated(G, np.flatnonzero(inside), inside, C.representatives[chosen])
 
 
-def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:
+def normal_subgroups(T: CharTable) -> tuple[np.ndarray, ...]:
     """All normal subgroups, read off the character table.
 
     Every normal subgroup is an intersection of kernels of irreducible
@@ -744,18 +735,18 @@ def normal_subgroups(T: CharTable) -> tuple[Subgroup, ...]:
     for kernel in T.kernel_masks:
         found |= {m & kernel for m in found}
     return tuple(sorted((_subgroup_of_mask(T, m) for m in found),
-                        key=lambda s: (s.order, s.members)))
+                        key=lambda s: (len(s), s.tolist())))
 
 
-def quotient(G: GroupTable, N: Subgroup) -> GroupTable:
-    """Quotient group on the cosets of a normal subgroup, handed the distinct
-    non-identity cosets of G's generators, no more than G carries."""
-    if not N.is_normal:
+def quotient(G: GroupTable, N) -> GroupTable:
+    """Quotient group on the cosets of a normal subgroup's members N, handed
+    the distinct non-identity cosets of G's generators, no more than G carries."""
+    members, _, union = _witnesses(G, N)
+    if not (union and G.identity in members):
         raise GroupError("quotient requires a normal subgroup")
-    source = {"type": "quotient", "parent": G.source, "kernel_order": N.order}
-    if N.order == G.order:   # one coset, named by its least element 0
+    source = {"type": "quotient", "parent": G.source, "kernel_order": len(members)}
+    if len(members) == G.order:   # one coset, named by its least element 0
         return GroupTable(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
-    members = np.fromiter(N.members, dtype=np.int64)
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = sorted_unique(coset_rep)
     coset = np.searchsorted(reps, coset_rep).astype(table_dtype(len(reps)))   # x -> rank of xN
@@ -777,7 +768,7 @@ def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
     return [G, *(quotient(G, Z) for Z in upper_central_series(G))]
 
 
-def derived_subgroup(T: CharTable) -> Subgroup:
+def derived_subgroup(T: CharTable) -> np.ndarray:
     """Commutator subgroup, the intersection of the kernels of the linear
     characters; the smallest normal subgroup with abelian quotient."""
     mask = (1 << T.classes.num_classes) - 1
@@ -787,7 +778,7 @@ def derived_subgroup(T: CharTable) -> Subgroup:
     return _subgroup_of_mask(T, mask)
 
 
-def center_of_subset(G: GroupTable, members) -> tuple[int, ...]:
+def center_of_subset(G: GroupTable, members) -> np.ndarray:
     """Elements of `members` commuting with every element of `members`. A
     witness whose class in G has one element is central in G, so only the
     others are tested against the members."""
@@ -795,7 +786,7 @@ def center_of_subset(G: GroupTable, members) -> tuple[int, ...]:
     central = G.classes.sizes[G.classes.class_of] == 1
     wit = sorted_unique(owner[~central[owner]])
     central[wit] = (G.mul[wit[:, None], arr] == G.mul[arr, wit[:, None]]).all(axis=1)
-    return tuple(arr[central[owner]].tolist())
+    return _read_only(arr[central[owner]])
 
 
 def product_sizes(G: GroupTable, sets, triple, power) -> np.ndarray:

@@ -1,10 +1,23 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
 from tqrgroups import build_group, compute_char_table, conjugacy_classes, groups
+
+# hypothesis imports this module to report a failing @given test. Where
+# libcst is installed, importing it raises a DeprecationWarning, which the
+# warning filters in pyproject.toml make an INTERNALERROR that ends the whole
+# session. Imported here once with that warning ignored, it is cached, so a
+# failing property test fails alone; no filter is loosened for any test.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 settings.register_profile(
     "ci", max_examples=40, derandomize=True,

@@ -364,7 +364,7 @@ def nested_center_free_quotient_chain(G):
     the first center-free (possibly trivial) group."""
     from tqrgroups import groups
     chain = [G]
-    while (Z := groups.center(chain[-1])).order > 1:
+    while len(Z := groups.center(chain[-1])) > 1:
         chain.append(groups.quotient(chain[-1], Z))
     return chain
 
@@ -905,7 +905,7 @@ def per_coset_conjugation_maps(G, N, to_parent):
     """The automorphisms of Z(N), listed as to_parent, induced by conjugation
     by the least element of each coset of N, as index permutations of
     to_parent."""
-    reps = np.unique(G.mul[:, list(N.members)].min(axis=1))
+    reps = np.unique(G.mul[:, N].min(axis=1))
     position = {int(x): i for i, x in enumerate(to_parent)}
     return [[position[conjugate(G, int(g), int(x))] for x in to_parent] for g in reps]
 

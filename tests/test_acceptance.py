@@ -262,7 +262,7 @@ def test_c06_constant_time_mixing_positive():
 def test_c07_nonmixing_negative_direction():
     G, C, T = table_of("product:cyclic:2|symmetric:4")
     # the unique central involution generates the direct C2 factor
-    zs = [x for x in center(G).members if element_order(G, x) == 2]
+    zs = [x for x in center(G).tolist() if element_order(G, x) == 2]
     assert len(zs) == 1
     zc = int(C.class_of[zs[0]])
     trivial_on_c2 = [lam for lam in range(T.num_irreps)
@@ -317,7 +317,7 @@ def test_c08_translate_cover_batch():
 
 def test_c09_small_doubling_counterexample_and_partition():
     G, C, T = table_of("cyclic:12")
-    N = [s for s in normal_subgroups(T) if s.order == 12][0]
+    N = [s for s in normal_subgroups(T) if len(s) == 12][0]
     V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert support_measure_frac(T, V > 0) >= Fraction(1, 4)
     support_mv = Fraction(*rep["measure_v_exact"])
@@ -348,11 +348,11 @@ def test_c10_affine_family_and_quotient_chains():
         assert qr4.witness["kind"] == "abelian_quotient"
         assert qr4.witness["quotient_order"] == p - 1
         for N in normal_subgroups(T):
-            if 1 < N.order < G.order:
+            if 1 < len(N) < G.order:
                 assert quotient(G, N).is_abelian()
     chain_a5 = center_free_quotient_chain(build_group(_spec("alternating:5")))
     assert len(chain_a5) == 1 and chain_a5[-1].order == 60
-    assert center(chain_a5[-1]).order == 1
+    assert len(center(chain_a5[-1])) == 1
     chain_q8 = center_free_quotient_chain(build_group(_spec("quaternion8")))
     assert chain_q8[-1].order == 1
     _passline(10, "affine family reproduction and quotient chains")

@@ -241,7 +241,7 @@ def test_induce_from_q8_center():
     K = center(G)
     # nontrivial character of the order-2 center: 1 -> 1, -1 -> -1
     theta = [1.0, -1.0]     # on the members 0 and 1
-    f = induce_character(G, K.members, theta)
+    f = induce_character(G, K, theta)
     # (|G|/|K|) * theta on K, zero off K
     assert np.allclose(f, [4, -4, 0, 0, 0])
     assert decompose(T, f).tolist() == [0, 0, 0, 0, 2]
@@ -265,7 +265,7 @@ def test_induce_from_affine_translations():
 def test_frobenius_reciprocity(name, members):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     if members is None:
-        members = list(center(G).members)
+        members = center(G).tolist()
     H, elems = oracle.subgroup_table(G, members)
     CH = conjugacy_classes(H)
     TH = compute_char_table(H, CH)
@@ -286,7 +286,7 @@ def test_stacked_induction_matches_conjugation_sums(name):
     # representative, against the per-class conjugation sum; the sums run in
     # another order, so they agree to a few ulps of |G|
     G, C, T = get_group(name), get_classes(name), get_table(name)
-    subgroups = [N.members for N in normal_subgroups(T)]
+    subgroups = [N.tolist() for N in normal_subgroups(T)]
     for x in C.representatives.tolist():
         powers = [G.identity]
         while int(G.mul[powers[-1], x]) != G.identity:
@@ -313,7 +313,7 @@ def test_stacked_induction_matches_conjugation_sums(name):
 def test_central_inductions_sum_to_regular(name):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     K = center(G)
-    HK, elems = oracle.subgroup_table(G, K.members)
+    HK, elems = oracle.subgroup_table(G, K)
     CK = conjugacy_classes(HK)
     TK = compute_char_table(HK, CK)
     total = np.zeros(C.num_classes, dtype=complex)
@@ -346,7 +346,7 @@ def test_induction_decomposes_against_a_table_computed_apart(name, members):
     # fresh G, and meet on G.classes
     G = build_group(FIXTURE_SPECS[name])
     if isinstance(members, int):
-        members, = [N.members for N in get_table(name).normal_subgroups if N.order == members]
+        members, = [N.tolist() for N in get_table(name).normal_subgroups if len(N) == members]
     H, elems = oracle.subgroup_table(G, members)
     TH = compute_char_table(H)
     want_classes = oracle.per_class_conjugacy_classes(G)
@@ -409,10 +409,10 @@ def test_cayley_interchange_keeps_one_table_and_writes_lists():
 def _quotient_and_subgroup_tables():
     D6, S4 = build_group({"family": "dihedral", "params": {"n": 6}}), get_group("S4")
     unlabelled = build_group({"type": "cayley", "table": D6.mul.tolist()})
-    A4 = normal_subgroups(get_table("S4"))[2].members
+    A4 = normal_subgroups(get_table("S4"))[2]
     assert len(A4) == 12
     return [groups.quotient(D6, center(D6)), oracle.subgroup_table(S4, A4)[0],
-            oracle.subgroup_table(unlabelled, center(unlabelled).members)[0]]
+            oracle.subgroup_table(unlabelled, center(unlabelled))[0]]
 
 
 @pytest.mark.parametrize("case", range(3))

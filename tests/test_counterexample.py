@@ -68,7 +68,7 @@ def test_abelian_structure_cyclic12():
 
 def test_abelian_structure_q8_center():
     G = get_group("Q8")
-    K, to_parent = _invariant_factors(G, center(G).members)
+    K, to_parent = _invariant_factors(G, center(G))
     assert K.factors == (2,)
     assert to_parent[K.index((0,))] == 0 and to_parent[K.index((1,))] == 1
 
@@ -152,7 +152,7 @@ def test_dual_action_of_rotations_matches_fraction_oracle(factors):
 def test_dual_action_of_conjugation_matches_fraction_oracle(name):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     for N in normal_subgroups(T):
-        K_members = center_of_subset(G, N.members)
+        K_members = center_of_subset(G, N)
         if len(K_members) > 1:
             K, to_parent = _invariant_factors(G, K_members)
             _assert_dual_matches_oracle(conjugation_action_on_center(G, K, to_parent))
@@ -164,7 +164,7 @@ def test_conjugation_by_generators_is_the_per_coset_action(name):
     # the set of the conjugations by one representative of each coset of N
     G, C, T = get_group(name), get_classes(name), get_table(name)
     for N in normal_subgroups(T):
-        K_members = center_of_subset(G, N.members)
+        K_members = center_of_subset(G, N)
         if len(K_members) > 1:
             K, to_parent = _invariant_factors(G, K_members)
             action = conjugation_action_on_center(G, K, to_parent)
@@ -461,7 +461,7 @@ def test_small_doubling_rejects_overridden_epsilon_that_breaks_contract():
 
 def test_counterexample_cyclic12():
     G, C, T = get_group("C12"), get_classes("C12"), get_table("C12")
-    N = [s for s in normal_subgroups(T) if s.order == 12][0]
+    N = [s for s in normal_subgroups(T) if len(s) == 12][0]
     V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert rep["set_size"] == 3
     assert V.dtype == np.int64 and V.shape == (T.num_irreps,)
@@ -475,7 +475,7 @@ def test_counterexample_cyclic12():
 
 def test_counterexample_q8_small_branch():
     G, C, T = get_group("Q8"), get_classes("Q8"), get_table("Q8")
-    N = [s for s in normal_subgroups(T) if s.order == 8][0]
+    N = [s for s in normal_subgroups(T) if len(s) == 8][0]
     V, rep = build_counterexample_rep(T, N, 3)
     assert rep["algorithm"]["small_branch"]
     assert rep["set_size"] == 1
@@ -487,7 +487,7 @@ def test_counterexample_q8_small_branch():
 
 def test_counterexample_c2xs3():
     G, C, T = get_group("C2xS3"), get_classes("C2xS3"), get_table("C2xS3")
-    N = [s for s in normal_subgroups(T) if s.order == 12][0]
+    N = [s for s in normal_subgroups(T) if len(s) == 12][0]
     V, rep = build_counterexample_rep(T, N, 4, epsilon=Fraction(1, 2))
     assert rep["center_order"] == 2
     assert support_measure_frac(T, V > 0) == Fraction(1, 2)
@@ -502,7 +502,7 @@ def test_counterexample_orbit_blocks_partition():
     # measures 1/4, 1/4, 1/2
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
     N = [s for s in normal_subgroups(T)
-         if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
+         if len(s) == 4 and set(s.tolist()) == {0, 1, 2, 3}][0]
     V, rep = build_counterexample_rep(T, N, 2, epsilon=Fraction(1, 4))
     assert rep["orbit_partition_ok"] and rep["orbit_measures_ok"]
     assert sorted(b["orbit_size"] for b in rep["orbit_blocks"]) == [1, 1, 2]
@@ -511,9 +511,16 @@ def test_counterexample_orbit_blocks_partition():
 
 def test_counterexample_requires_nontrivial_center():
     G, C, T = get_group("S3"), get_classes("S3"), get_table("S3")
-    N = [s for s in normal_subgroups(T) if s.order == 6][0]
+    N = [s for s in normal_subgroups(T) if len(s) == 6][0]
     with pytest.raises(Exception, match="center"):
         build_counterexample_rep(T, N, 2)
+
+
+def test_counterexample_refuses_a_subgroup_that_is_not_normal():
+    T = get_table("S3")   # elements 0 and 1 are the identity and a transposition
+    for N in ([0, 1], subgroup_from_members(T.group, [0, 1])):
+        with pytest.raises(GroupError, match="^N must be normal$"):
+            build_counterexample_rep(T, N, 2)
 
 
 @pytest.mark.parametrize("name,n_order", [("Q8", 8), ("D4", 8), ("ES3", 27),
@@ -522,13 +529,13 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
     # character of Ind_K^G(theta): zero off K and
     # (|N|/|K|) * sum over cosets of theta composed with conjugation on K
     G, C, T = get_group(name), get_classes(name), get_table(name)
-    N = [s for s in normal_subgroups(T) if s.order == n_order]
-    N = [s for s in N if len(center_of_subset(G, s.members)) > 1][0]
-    K_members = center_of_subset(G, N.members)
+    N = [s for s in normal_subgroups(T) if len(s) == n_order]
+    N = [s for s in N if len(center_of_subset(G, s)) > 1][0]
+    K_members = center_of_subset(G, N)
     K, to_parent = _invariant_factors(G, K_members)
     action = conjugation_action_on_center(G, K, to_parent)
     kk = len(K_members)
-    coset_count = G.order // N.order
+    coset_count = G.order // len(N)
     elements = _elements(K)
     to_parent = to_parent.tolist()
     from_parent = {g: t for t, g in enumerate(to_parent)}
@@ -543,7 +550,7 @@ def test_induced_block_matches_orbit_sum_formula(name, n_order):
             rep_el = int(rep_el)
             if rep_el in values:
                 t = from_parent[rep_el]
-                expect = (N.order / kk) * sum(
+                expect = (len(N) / kk) * sum(
                     oracle.character_value(K.factors, theta, elements[p[t]])
                     for p in action.perms) * (coset_count / len(action))
                 assert abs(ind[cid] - expect) < 1e-9
@@ -556,8 +563,8 @@ def test_induced_blocks_orthogonal_iff_distinct_orbit():
     # of C4, giving dual orbits {0}, {2}, {1,3}
     G, C, T = get_group("D4"), get_classes("D4"), get_table("D4")
     N = [s for s in normal_subgroups(T)
-         if s.order == 4 and set(s.members) == {0, 1, 2, 3}][0]
-    K_members = center_of_subset(G, N.members)
+         if len(s) == 4 and set(s.tolist()) == {0, 1, 2, 3}][0]
+    K_members = center_of_subset(G, N)
     assert len(K_members) == 4
     K, to_parent = _invariant_factors(G, K_members)
     action = conjugation_action_on_center(G, K, to_parent)
@@ -586,7 +593,7 @@ def _central_blocks(T, N):
     _, rep = build_counterexample_rep(T, N, 2)
     assert rep["orbit_partition_ok"] and rep["orbit_measures_ok"]
     assert {b["orbit_size"] for b in rep["orbit_blocks"]} == {1}
-    want = oracle.verify_vtheta_partition(T, N.members)
+    want = oracle.verify_vtheta_partition(T, N)
     assert want["partition_ok"] and want["measures_exact"]
     blocks = [{k: b[k] for k in ("support", "measure")} for b in rep["orbit_blocks"]]
     assert blocks == [{k: b[k] for k in ("support", "measure")} for b in want["blocks"]]
@@ -650,18 +657,18 @@ def test_constructions_are_unchanged_on_the_fixture_grid():
     for name in FIXTURE_SPECS:
         G, C, T = get_group(name), get_classes(name), get_table(name)
         for N in normal_subgroups(T):
-            if len(center_of_subset(G, N.members)) <= 1:
+            if len(center_of_subset(G, N)) <= 1:
                 continue
             for m in (1, 2, 3):
                 for eps in (None, Fraction(1, 4), Fraction(1, 2)):
                     def build():
                         V, rep = build_counterexample_rep(T, N, m, eps)
                         return {"rep": {"mult": V.tolist()}, "construction": rep}
-                    out.append({"group": name, "normal": list(N.members), "m": m,
+                    out.append({"group": name, "normal": N.tolist(), "m": m,
                                 "eps": None if eps is None else str(eps),
                                 "result": _outcome(build)})
         out.append({"group": name, "vtheta": _outcome(
-            lambda: oracle.verify_vtheta_partition(T, center(G).members))})
+            lambda: oracle.verify_vtheta_partition(T, center(G)))})
     assert len(out) == 669
     blob = json.dumps(out, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _GRID_DIGEST
@@ -680,7 +687,7 @@ def test_the_counterexample_proves_the_centre_abelian_once(name, monkeypatch):
 
     monkeypatch.setattr(counterexample, "center_of_subset", counted)
     for N in normal_subgroups(T):
-        if len(center_of_subset(G, N.members)) > 1:
+        if len(center_of_subset(G, N)) > 1:
             calls.clear()
             build_counterexample_rep(T, N, 2)
             assert len(calls) == 1

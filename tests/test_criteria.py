@@ -535,7 +535,7 @@ def test_small_class_gives_conjugation_homomorphism(name):
     # is a nontrivial homomorphism to S_s whose kernel is normal of index <= s!
     G, C = get_group(name), get_classes(name)
     from tqrgroups import center
-    assert center(G).order == 1
+    assert len(center(G)) == 1
     cid = 1 + int(np.argmin(C.sizes[1:]))
     s = int(C.sizes[cid])
     assert s > 1
@@ -546,8 +546,8 @@ def test_small_class_gives_conjugation_homomorphism(name):
         gh = int(G.mul[g, h])
         composed = tuple(perms[g][perms[h][i]] for i in range(s))
         assert perms[gh] == composed
-    assert kernel.is_normal
-    assert kernel.index <= math.factorial(s)
+    # quotient refuses a kernel that is not normal
+    assert quotient(G, kernel).order == G.order // len(kernel) <= math.factorial(s)
     idn = tuple(range(s))
     assert any(p != idn for p in perms)
 
@@ -561,7 +561,7 @@ def test_affine_family_structure(p):
     # every nontrivial proper quotient is abelian
     from tqrgroups import compute_char_table, normal_subgroups
     for N in normal_subgroups(compute_char_table(G, C)):
-        if 1 < N.order < G.order:
+        if 1 < len(N) < G.order:
             assert quotient(G, N).is_abelian()
     # every nontrivial subgroup has a nontrivial abelian quotient: its image
     # under the linear-part projection is nontrivial, or it is abelian already

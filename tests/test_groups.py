@@ -129,7 +129,7 @@ def _with_normal_quotients_and_subgroups(G):
     T = compute_char_table(G, conjugacy_classes(G))
     out = [G]
     for N in T.normal_subgroups:
-        out += [quotient(G, N), oracle.subgroup_table(G, N.members)[0]]
+        out += [quotient(G, N), oracle.subgroup_table(G, N)[0]]
     return out
 
 
@@ -204,7 +204,7 @@ def test_quotients_inherit_the_cosets_of_the_generators():
             got, want = conjugacy_classes(Q), conjugacy_classes(searched)
             for name in ("sizes", "class_of", "representatives"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert center(Q) == center(searched)
+            assert np.array_equal(center(Q), center(searched))
     # A4's two generators and those of ES3 fall into two distinct cosets of
     # a normal subgroup of index 3, more than floor(log2 3), and are handed
     # over all the same
@@ -268,19 +268,68 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
     capsys.readouterr()
 
 
+def _is_subgroup_array(members) -> bool:
+    """Whether members is a subgroup as the package returns one: a
+    read-only, ascending int64 array of element indices."""
+    return (isinstance(members, np.ndarray) and members.dtype == np.int64
+            and members.ndim == 1 and not members.flags.writeable
+            and bool(np.all(members[1:] > members[:-1])))
+
+
+def _is_normal(G, members) -> bool:
+    """Whether quotient takes the members as a normal subgroup of G."""
+    try:
+        quotient(G, members)
+    except GroupError as e:
+        if str(e) != "quotient requires a normal subgroup":
+            raise
+        return False
+    return True
+
+
 def test_center_q8_s3_c7():
-    assert center(get_group("Q8")).order == 2
-    assert sorted(center(get_group("Q8")).members) == [0, 1]  # 1 and -1
-    assert center(get_group("S3")).order == 1
+    assert len(center(get_group("Q8"))) == 2
+    assert sorted(center(get_group("Q8")).tolist()) == [0, 1]  # 1 and -1
+    assert len(center(get_group("S3"))) == 1
     C7 = build_group({"family": "cyclic", "params": {"n": 7}})
-    assert center(C7).order == 7
+    assert len(center(C7)) == 7
 
 
 def test_normal_subgroups_s3():
-    subs = normal_subgroups(get_table("S3"))
-    assert [s.order for s in subs] == [1, 3, 6]
+    G, subs = get_group("S3"), normal_subgroups(get_table("S3"))
+    assert [len(s) for s in subs] == [1, 3, 6]
     a3 = subs[1]
-    assert a3.is_normal and a3.index == 2
+    assert _is_normal(G, a3) and G.order // len(a3) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_normal_subgroups_are_read_only_ascending_int64_arrays(name):
+    G, C, T = get_group(name), get_classes(name), get_table(name)
+    subs = T.normal_subgroups
+    assert isinstance(subs, tuple) and all(map(_is_subgroup_array, subs))
+    # the oracle's normal subgroups, in (order, members) order
+    assert [s.tolist() for s in subs] == \
+        [sorted(N) for N in oracle.closure_join_normal_subgroups(G, C)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_every_subgroup_the_package_returns_is_a_read_only_ascending_int64_array(name):
+    G, T = get_group(name), get_table(name)
+    assert _is_subgroup_array(center(G))
+    assert all(map(_is_subgroup_array, groups.upper_central_series(G)))
+    assert _is_subgroup_array(derived_subgroup(T))
+    for N in T.normal_subgroups:
+        # handed in reversed, as a list and as a tuple
+        assert _is_subgroup_array(subgroup_from_members(G, N[::-1].tolist()))
+        assert _is_subgroup_array(center_of_subset(G, tuple(N[::-1].tolist())))
+    assert _is_subgroup_array(center_of_subset(G, [G.identity]))
+
+
+def test_quotient_refuses_a_set_that_is_not_a_normal_subgroup():
+    G = get_group("S3")
+    for members in ([0, 1], [], [1, 2, 3, 4, 5]):   # not a class union; empty; no identity
+        with pytest.raises(GroupError, match="^quotient requires a normal subgroup$"):
+            quotient(G, members)
 
 
 def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
@@ -299,22 +348,23 @@ def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
     check_tqr(T, params, list(TQR_CRITERIA))
     check_qr(T, params, list(QR_CRITERIA))
     assert calls == [T]
-    assert T.normal_subgroups == normal_subgroups(get_table("S4"))
+    assert [N.tolist() for N in T.normal_subgroups] == \
+        [N.tolist() for N in normal_subgroups(get_table("S4"))]
     assert isinstance(T.normal_subgroups, tuple)
 
 
 def test_normal_subgroups_cyclic6():
-    assert [s.order for s in normal_subgroups(get_table("C6"))] == [1, 2, 3, 6]
+    assert [len(s) for s in normal_subgroups(get_table("C6"))] == [1, 2, 3, 6]
 
 
 def test_normal_subgroups_a5_simple():
-    assert [s.order for s in normal_subgroups(get_table("A5"))] == [1, 60]
+    assert [len(s) for s in normal_subgroups(get_table("A5"))] == [1, 60]
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "A4", "Q8", "D4", "C12", "C2xS3"])
 def test_normal_subgroups_match_brute_force(name):
     G = get_group(name)
-    got = {frozenset(s.members) for s in normal_subgroups(get_table(name))}
+    got = {frozenset(s.tolist()) for s in normal_subgroups(get_table(name))}
     expect = set(oracle.brute_normal_subgroups(G))
     assert got == expect
 
@@ -324,10 +374,10 @@ def test_normal_subgroups_match_brute_force(name):
 def test_character_kernels_match_closure_join_oracle(name):
     G, C, T = get_group(name), get_classes(name), get_table(name)
     subs = normal_subgroups(T)
-    assert [frozenset(s.members) for s in subs] == \
+    assert [frozenset(s.tolist()) for s in subs] == \
         oracle.closure_join_normal_subgroups(G, C)
-    assert all(s.is_normal for s in subs)
-    assert frozenset(derived_subgroup(T).members) == \
+    assert all(_is_normal(G, s) for s in subs)
+    assert frozenset(derived_subgroup(T).tolist()) == \
         oracle.closure_derived_subgroup(G, C)
 
 
@@ -362,7 +412,7 @@ def test_normal_iff_class_union(name):
     for H in oracle.brute_all_subgroups(G):
         is_union = all(cs <= H or not (cs & H) for cs in class_sets)
         sub = subgroup_from_members(G, H)
-        assert sub.is_normal == is_union
+        assert _is_normal(G, sub) == is_union
 
 
 def test_quotient_orders_and_identity():
@@ -370,7 +420,7 @@ def test_quotient_orders_and_identity():
     subs = normal_subgroups(get_table("S3"))
     for N in subs:
         Q = quotient(G, N)
-        assert Q.order * N.order == G.order
+        assert Q.order * len(N) == G.order
     trivial = subs[0]
     Q = quotient(G, trivial)
     assert np.array_equal(Q.mul, G.mul)
@@ -380,7 +430,7 @@ def test_quotient_orders_and_identity():
 def test_center_is_the_validated_union_of_singleton_classes(name):
     G, C = get_group(name), get_classes(name)
     members = [int(cls[0]) for cls in oracle.class_members(C) if len(cls) == 1]
-    assert center(G) == subgroup_from_members(G, members)
+    assert np.array_equal(center(G), subgroup_from_members(G, members))
 
 
 def _class_union(C, mask):
@@ -396,11 +446,12 @@ def _witness_mismatches(G, C, masks):
     for mask in masks:
         members = _class_union(C, mask)
         try:
-            accepted = subgroup_from_members(G, members).is_normal
+            accepted = _is_normal(G, subgroup_from_members(G, members))
         except GroupError:
             accepted = False
         if (accepted != oracle.all_pairs_closed(G, members)
-                or center_of_subset(G, members) != oracle.all_pairs_center(G, members)):
+                or tuple(center_of_subset(G, members).tolist())
+                != oracle.all_pairs_center(G, members)):
             bad.append(mask)
     return bad
 
@@ -412,7 +463,7 @@ def _every_union(C):
 def _lattice_and_random_unions(T, seed=0, draws=200):
     C, members = T.classes, oracle.class_members(T.classes)
     kernels = [sum(1 << c for c in range(C.num_classes)
-                   if set(members[c].tolist()) <= set(N.members))
+                   if set(members[c].tolist()) <= set(N.tolist()))
                for N in normal_subgroups(T)]
     rng = np.random.default_rng(seed)
     drawn = rng.integers(0, 2, size=(draws, C.num_classes - 1))
@@ -460,8 +511,8 @@ def test_a_class_mask_is_checked_as_its_member_set_is(name):
     for mask in masks:
         members = _class_union(C, mask)
         if oracle.all_pairs_closed(G, members):
-            assert groups._subgroup_of_mask(T, mask) == \
-                subgroup_from_members(G, members)
+            assert np.array_equal(groups._subgroup_of_mask(T, mask),
+                                  subgroup_from_members(G, members))
         else:
             with pytest.raises(GroupError, match="not closed"):
                 groups._subgroup_of_mask(T, mask)
@@ -492,9 +543,10 @@ def test_a_set_that_is_not_a_class_union_takes_the_all_pairs_path():
     arr, owner, union = groups._witnesses(G, [0, 1])
     assert owner.tolist() == arr.tolist() == [0, 1] and not union
     H = subgroup_from_members(G, [0, 1])
-    assert (H.members, H.is_normal, H.index) == ((0, 1), False, 3)
-    assert center_of_subset(G, [0, 1]) == (0, 1)
-    assert center_of_subset(G, [0, 1, 2]) == oracle.all_pairs_center(G, [0, 1, 2]) == (0,)
+    assert (H.tolist(), _is_normal(G, H), G.order // len(H)) == ([0, 1], False, 3)
+    assert center_of_subset(G, [0, 1]).tolist() == [0, 1]
+    assert tuple(center_of_subset(G, [0, 1, 2]).tolist()) == \
+        oracle.all_pairs_center(G, [0, 1, 2]) == (0,)
     with pytest.raises(GroupError, match="not closed"):
         subgroup_from_members(G, [0, 1, 2])
     # a union of classes stands on its representatives
@@ -555,8 +607,8 @@ def test_quotient_requires_normal():
     G = get_group("S3")
     C = get_classes("S3")
     H = subgroup_from_members(G, [0, 1])  # <transposition>, not normal
-    assert not H.is_normal
-    with pytest.raises(GroupError):
+    assert _is_subgroup_array(H)
+    with pytest.raises(GroupError, match="^quotient requires a normal subgroup$"):
         quotient(G, H)
 
 
@@ -593,11 +645,12 @@ def test_the_upper_central_series_gives_the_nested_quotient_chain(case):
     # generators as the quotient of each quotient by its center
     G = _SERIES_CASES[case]()
     series, want = groups.upper_central_series(G), oracle.nested_center_free_quotient_chain(G)
-    assert [G.order] + [G.order // Z.order for Z in series] == [Q.order for Q in want]
-    assert series[:1] == ([center(G)] if center(G).order > 1 else [])
-    assert all(subgroup_from_members(G, Z.members) == Z and type(Z.index) is int
+    assert [G.order] + [G.order // len(Z) for Z in series] == [Q.order for Q in want]
+    assert [Z.tolist() for Z in series[:1]] == \
+        ([center(G).tolist()] if len(center(G)) > 1 else [])
+    assert all(np.array_equal(subgroup_from_members(G, Z), Z) and _is_subgroup_array(Z)
                for Z in series)
-    assert all(set(Z.members) < set(W.members) for Z, W in zip(series, series[1:]))
+    assert all(set(Z.tolist()) < set(W.tolist()) for Z, W in zip(series, series[1:]))
     got = center_free_quotient_chain(G)
     assert got[0] is G and len(got) == len(want)
     for Q, R in zip(got, want):
@@ -608,10 +661,10 @@ def test_the_upper_central_series_gives_the_nested_quotient_chain(case):
 def test_derived_subgroup():
     # [S3, S3] = A3; affine(5) derived = translations
     D = derived_subgroup(get_table("S3"))
-    assert D.order == 3
+    assert len(D) == 3
     Da = derived_subgroup(get_table("aff5"))
-    assert Da.order == 5
-    assert derived_subgroup(get_table("A5")).order == 60
+    assert len(Da) == 5
+    assert len(derived_subgroup(get_table("A5"))) == 60
 
 
 def test_subgroup_table_affine_translations():
@@ -644,7 +697,7 @@ def _assert_generators_center_and_abelian(H):
     assert len(gens) <= H.order.bit_length() - 1   # floor(log2 |H|)
     assert oracle._closure(H, gens) == frozenset(range(H.order))
     commutes_with_all = np.all(H.mul == H.mul.T, axis=1)
-    assert center(H).members == tuple(np.flatnonzero(commutes_with_all).tolist())
+    assert center(H).tolist() == np.flatnonzero(commutes_with_all).tolist()
     assert H.is_abelian() is bool(commutes_with_all.all())
 
 
@@ -745,13 +798,13 @@ def test_quotient_and_subgroup_tables_match_dict_oracle(name):
     for N in normal_subgroups(T):
         Q = quotient(G, N)
         rows = _oracle_rows(Q.order)
-        mul, reps = oracle.dict_quotient_table(G, N.members, rows)
+        mul, reps = oracle.dict_quotient_table(G, N, rows)
         assert Q.mul.dtype == np.int16 and mul.dtype == np.int64
         assert np.array_equal(Q.mul[rows], mul)
         assert Q.labels == [f"[{G.label(r)}]" for r in reps]
-        H, elems = oracle.subgroup_table(G, N.members)
+        H, elems = oracle.subgroup_table(G, N)
         rows = _oracle_rows(H.order)
-        assert elems == list(N.members) and H.mul.dtype == np.int16
+        assert elems == N.tolist() and H.mul.dtype == np.int16
         assert np.array_equal(
             H.mul[rows], oracle.dict_cayley_table(elems, lambda a, b: int(G.mul[a, b]), rows))
         if name in _PERM_SPECS:
@@ -796,7 +849,7 @@ def test_the_centre_of_an_abelian_member_set_forms_no_commutation_rows(text):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
-    assert got == oracle.all_pairs_center(G, range(G.order))
+    assert tuple(got.tolist()) == oracle.all_pairs_center(G, range(G.order))
 
 
 @pytest.mark.parametrize("row, col", [(1, 2), (3, 0), (0, 0)])
@@ -894,7 +947,7 @@ def test_cyclic_props(n):
     G = build_group({"family": "cyclic", "params": {"n": n}})
     C = conjugacy_classes(G)
     assert C.num_classes == n
-    assert center(G).order == n
+    assert len(center(G)) == n
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
@@ -910,7 +963,7 @@ def test_product_order_multiplies(a, b):
 @given(st.integers(min_value=1, max_value=10))
 def test_dihedral_center(n):
     G = build_group({"family": "dihedral", "params": {"n": n}})
-    z = center(G).order
+    z = len(center(G))
     if n <= 2:
         assert z == 2 * n       # abelian
     else:
@@ -950,7 +1003,7 @@ def test_center_and_abelian_from_generators_match_full_table_compare(name, monke
             assert oracle._closure(H, gens) == frozenset(range(H.order))
         # the old tests: every row of mul against its column
         commutes_with_all = np.all(H.mul == H.mul.T, axis=1)
-        assert center(H).members == tuple(np.flatnonzero(commutes_with_all).tolist())
+        assert center(H).tolist() == np.flatnonzero(commutes_with_all).tolist()
         assert H.is_abelian() is bool(commutes_with_all.all())
 
 
@@ -1089,7 +1142,7 @@ def test_constructed_tables_pass_light_test_and_are_unchanged(name):
         tables.append(oracle.subgroup_table(G, even)[0])
     else:
         for N in normal_subgroups(get_table(name)):
-            tables += [quotient(G, N), oracle.subgroup_table(G, N.members)[0]]
+            tables += [quotient(G, N), oracle.subgroup_table(G, N)[0]]
     digest = hashlib.sha256()
     for H in tables:
         groups._check_associative(H)

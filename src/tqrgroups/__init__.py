@@ -21,11 +21,11 @@ _EXPORTS = {name: module for module, names in {
     "chartable": ("CharTable", "CharTableError",
                   "compute_char_table", "induce_character", "from_interchange",
                   "dumps_interchange", "loads_interchange"),
-    "classfuncs": ("DecompositionError", "support_measure_frac", "character_of",
-                   "decompose", "rep_from_selector"),
+    "classfuncs": ("DecompositionError", "plancherel", "support_measure_frac",
+                   "character_of", "decompose", "rep_from_selector"),
     "criteria": ("CriteriaParams", "CriterionReport", "two_factor_cover",
                  "three_factor_cover", "multiplicity_profile", "check_tqr", "check_qr"),
-    "markov": ("ChainModel", "build_chain", "t_step_distribution", "mixing_time",
+    "markov": ("build_chain", "t_step_distribution", "mixing_time",
                "mixing_experiment", "stationarity_residual", "distances_to_stationary"),
     "counterexample": ("AutAction", "dual_action", "m_fold_sumset",
                        "translate_cover", "invariant_small_doubling_set",

@@ -52,8 +52,9 @@ class CharTable:
         return len(self.dims)
 
     @functools.cached_property
-    def kernel_masks(self) -> tuple[int, ...]:
-        """Class bitmask of ker chi = {g : chi(g) = chi(1)}, per irreducible.
+    def kernel_masks(self) -> np.ndarray:
+        """Read-only (r, r) bool array whose row lam marks the classes of
+        ker chi_lam = {g : chi_lam(g) = chi_lam(1)}.
 
         chi(c) is a sum of chi(1) roots of unity whose orders divide the
         order o(c) of the class's elements, so off the kernel
@@ -72,8 +73,7 @@ class CharTable:
             raise CharTableError(
                 f"kernel membership of class {c} in irreducible {lam} is not "
                 f"certified (chi(1) - Re chi = {d[lam, c]:.3e})")
-        packed = np.packbits(inside, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row, "little") for row in packed)
+        return groups._read_only(inside)
 
     @functools.cached_property
     def normal_subgroups(self) -> tuple[np.ndarray, ...]:

@@ -90,6 +90,11 @@ def power_support_mask(T: CharTable, mask: np.ndarray, m: int) -> np.ndarray:
         square = tensor_support_mask(T, square, square)
 
 
+def plancherel(T: CharTable) -> np.ndarray:
+    """The Plancherel measure dim^2 / |G| of each irreducible, as float64."""
+    return T.dims.astype(np.float64) ** 2 / T.group.order
+
+
 def support_measure_frac(T: CharTable, mask: np.ndarray) -> Fraction:
     """Exact Plancherel measure of a support: sum of dim^2 over |G|."""
     return Fraction(int(mask @ T.dims ** 2), T.group.order)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, config
 from .chartable import (CharTableError, compute_char_table, dumps_interchange,
                         loads_interchange)
-from .classfuncs import rep_from_selector
+from .classfuncs import plancherel, rep_from_selector
 from .counterexample import build_counterexample_rep, m_fold_sumset, translate_cover
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
                        check_tqr, multiplicity_profile, three_factor_cover,
@@ -251,19 +251,19 @@ def run_markov(args: dict) -> tuple[dict, int]:
     spec = parse_group_spec(args["group"])
     T = _load_table(spec)
     V = rep_from_selector(T, args["rep"])
-    chain = build_chain(T, V)
+    kernel = build_chain(T, V)
     metric, epsilon, start = args["metric"], args["epsilon"], None
     if args["start"] is not None:
         chosen = rep_from_selector(T, args["start"])
         if not chosen.any():
             raise UsageError(f"start selector {args['start']!r} selects no irreducible")
         start = int(np.flatnonzero(chosen)[0])
-    payload = mixing_time(chain, metric, epsilon, t_max=t_max, start=start)
-    resid = stationarity_residual(chain)
+    payload = mixing_time(T, kernel, metric, epsilon, t_max=t_max, start=start)
+    resid = stationarity_residual(T, kernel)
     payload["stationarity_residual"] = resid
-    payload["plancherel"] = chain.stationary().tolist()
+    payload["plancherel"] = plancherel(T).tolist()
     if experiment is not None:
-        payload["mixing_experiment"] = mixing_experiment(chain, epsilon, experiment, payload)
+        payload["mixing_experiment"] = mixing_experiment(T, V, kernel, epsilon, experiment, payload)
     if args["csv"]:
         lines = ["t,uniform,tv_max,tv_half_l1"]
         for row in payload["curve"]:

@@ -314,9 +314,10 @@ def build_counterexample_rep(T: CharTable, N, m: int,
     of a normal subgroup of G = T.group; V is its (num_irreps,) int64 multiplicities.
     """
     G = T.group
-    if not groups._witnesses(G, N)[2]:
+    members, _, union = groups._witnesses(G, N)
+    if not (union and G.identity in members):
         raise GroupError("N must be normal")
-    K_members = center_of_subset(G, N)
+    K_members = center_of_subset(G, groups.subgroup_from_members(G, members))
     if len(K_members) <= 1:
         raise GroupError("the center of N is trivial")
     # center_of_subset proved K commutative, and gives its members ascending

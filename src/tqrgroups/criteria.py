@@ -175,7 +175,7 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
     for irreducible i): a branch is emitted once its sum of dim^2 reaches
     _density_floor, so its last and lightest member took it over and every
     removal falls below; it is cut once the weights left cannot reach that.
-    The sorted masks, unpacked from their little-endian bytes, are the rows.
+    The sorted masks, unpacked by groups._unpack_masks, are the rows.
     """
     r = T.num_irreps
     order = sorted(range(r), key=lambda i: (-int(T.dims[i]), i))
@@ -193,9 +193,7 @@ def _minimal_supports(T: CharTable, dens: Fraction) -> np.ndarray:
                 found.append(m)
             else:
                 branches.append((j + 1, t, m))
-    width = (r + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in sorted(found)), np.uint8)
-    return np.unpackbits(packed.reshape(-1, width), axis=1, count=r, bitorder="little").view(bool)
+    return groups._unpack_masks(sorted(found), r)
 
 
 def _density_floor(order: int, dens: Fraction) -> int:
@@ -414,8 +412,7 @@ def _tqr_candidates(T, dens, factors, small):
 
 def _quotient_support(T, N) -> np.ndarray:
     """Irr(G/N) as a support: the irreducibles whose kernel contains N."""
-    inside = sum(1 << c for c in set(T.classes.class_of[N].tolist()))
-    return np.array([k & inside == inside for k in T.kernel_masks])
+    return T.kernel_masks[:, T.classes.class_of[N]].all(axis=1)
 
 
 def _tqr2_search(T, minimal, dens):

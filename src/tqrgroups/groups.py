@@ -712,13 +712,17 @@ def upper_central_series(G: GroupTable) -> list[np.ndarray]:
     return series
 
 
-def _subgroup_of_mask(T: CharTable, mask: int) -> np.ndarray:
-    """The union of the classes whose bits are set, validated as a subgroup."""
-    G, C, r = T.group, T.classes, T.classes.num_classes
-    chosen = np.unpackbits(np.frombuffer(mask.to_bytes(-(-r // 8), "little"), np.uint8),
-                           count=r, bitorder="little").view(bool)
-    inside = chosen[C.class_of]
-    return _validated(G, np.flatnonzero(inside), inside, C.representatives[chosen])
+def _class_union(G: GroupTable, chosen: np.ndarray) -> np.ndarray:
+    """The union of the classes marked in the bool class mask `chosen`, validated as a subgroup."""
+    inside = chosen[G.classes.class_of]
+    return _validated(G, np.flatnonzero(inside), inside, G.classes.representatives[chosen])
+
+
+def _unpack_masks(masks, r: int) -> np.ndarray:
+    """Int bitmasks, bit i for index i < r, as the rows of an (s, r) bool array."""
+    width = (r + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=r, bitorder="little").view(bool)
 
 
 def normal_subgroups(T: CharTable) -> tuple[np.ndarray, ...]:
@@ -727,14 +731,16 @@ def normal_subgroups(T: CharTable) -> tuple[np.ndarray, ...]:
     Every normal subgroup is an intersection of kernels of irreducible
     characters (Isaacs, Character Theory of Finite Groups, ch. 2), so the
     lattice is the closure of the kernels' class masks, plus the full mask,
-    under intersection. Each mask is still verified against the Cayley table
-    by subgroup_from_members, at its class representatives. Callers holding
-    the table read it once through CharTable.normal_subgroups.
+    under intersection, taken on the masks packed into ints. Each mask is
+    still verified against the Cayley table at its class representatives.
+    Callers holding the table read it once through CharTable.normal_subgroups.
     """
-    found = {(1 << T.classes.num_classes) - 1}
-    for kernel in T.kernel_masks:
+    r = T.classes.num_classes
+    found = {(1 << r) - 1}
+    for row in np.packbits(T.kernel_masks, axis=1, bitorder="little"):
+        kernel = int.from_bytes(row, "little")
         found |= {m & kernel for m in found}
-    return tuple(sorted((_subgroup_of_mask(T, m) for m in found),
+    return tuple(sorted((_class_union(T.group, c) for c in _unpack_masks(found, r)),
                         key=lambda s: (len(s), s.tolist())))
 
 
@@ -744,6 +750,7 @@ def quotient(G: GroupTable, N) -> GroupTable:
     members, _, union = _witnesses(G, N)
     if not (union and G.identity in members):
         raise GroupError("quotient requires a normal subgroup")
+    members = subgroup_from_members(G, members)
     source = {"type": "quotient", "parent": G.source, "kernel_order": len(members)}
     if len(members) == G.order:   # one coset, named by its least element 0
         return GroupTable(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
@@ -771,11 +778,7 @@ def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:
 def derived_subgroup(T: CharTable) -> np.ndarray:
     """Commutator subgroup, the intersection of the kernels of the linear
     characters; the smallest normal subgroup with abelian quotient."""
-    mask = (1 << T.classes.num_classes) - 1
-    for kernel, dim in zip(T.kernel_masks, T.dims):
-        if dim == 1:
-            mask &= kernel
-    return _subgroup_of_mask(T, mask)
+    return _class_union(T.group, T.kernel_masks[T.dims == 1].all(axis=0))
 
 
 def center_of_subset(G: GroupTable, members) -> np.ndarray:
@@ -937,9 +940,6 @@ def _p_group_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
     Splits off a maximal-order cyclic subgroup, recurses on the quotient, and
     lifts quotient generators to genuine direct-sum generators.
     """
-    if len(elems) == 1:
-        return []
-
     orders = element_orders(mul_fn, identity, elems)
     a1 = int(elems[np.argmax(orders)])    # the least element of maximal order
     d1 = int(orders.max())

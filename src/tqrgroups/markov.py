@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .chartable import CharTable
-from .classfuncs import (character_of, decompose, power_support_mask,
+from .classfuncs import (character_of, decompose, plancherel, power_support_mask,
                          support_measure_frac)
 
 # Cells per block of stacks scored at once. At 2^15 cells (256 KB a
@@ -33,30 +32,9 @@ def check_t_max(t_max: int) -> None:
         raise ValueError(f"t_max must lie in 0..{MAX_T_MAX}, got {t_max}")
 
 
-@dataclass(eq=False)
-class ChainModel:
-    """Exact transition kernel of the chain `tensor with reduced V`, for the
-    support `rep` of V."""
-
-    table: CharTable
-    rep: np.ndarray
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        self.kernel = np.ascontiguousarray(self.kernel, dtype=np.float64)
-        self.kernel.setflags(write=False)
-
-    @property
-    def num_states(self) -> int:
-        return self.table.num_irreps
-
-    def stationary(self) -> np.ndarray:
-        return self.table.dims.astype(np.float64) ** 2 / self.table.group.order
-
-
-def build_chain(T: CharTable, V: np.ndarray) -> ChainModel:
-    """p(lam, mu) = mult(mu in lam (x) reduced(V)) * dim(mu) / (dim(lam) * dim(reduced V)),
-    where reduced(V) takes each chi in the support V chi(1) times."""
+def build_chain(T: CharTable, V: np.ndarray) -> np.ndarray:
+    """The read-only kernel p(lam, mu) = mult(mu in lam (x) reduced(V)) * dim(mu) / (dim(lam) *
+    dim(reduced V)) of the support V, where reduced(V) takes each chi in V chi(1) times."""
     if not V.any():
         raise ValueError("the driving representation must be nonzero")
     red = T.dims * V
@@ -67,7 +45,8 @@ def build_chain(T: CharTable, V: np.ndarray) -> ChainModel:
     row_err = np.max(np.abs(kernel.sum(axis=1) - 1.0))
     if row_err > config.TOL:
         raise RuntimeError(f"kernel rows do not sum to 1 (residual {row_err:.2e})")
-    return ChainModel(table=T, rep=V, kernel=kernel)
+    kernel.setflags(write=False)
+    return kernel
 
 
 class _Walk:
@@ -81,8 +60,8 @@ class _Walk:
     compared, not values, so 0.0 never stands in for -0.0.
     """
 
-    def __init__(self, M: ChainModel, dists: np.ndarray, t_max: int):
-        self.kernel, self.saved, self.t_max = M.kernel, dists, t_max
+    def __init__(self, kernel: np.ndarray, dists: np.ndarray, t_max: int):
+        self.kernel, self.saved, self.t_max = kernel, dists, t_max
         self.mu, self.period = 0, None
 
     def __iter__(self):
@@ -99,7 +78,7 @@ class _Walk:
             yield x
 
 
-def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
+def t_step_distribution(kernel: np.ndarray, lam: int, t: int) -> np.ndarray:
     """Distribution after t steps started from the point mass at lam.
 
     The row is walked until it repeats bit for bit, then from the saved
@@ -107,20 +86,20 @@ def t_step_distribution(M: ChainModel, lam: int, t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    _check_start(M, lam)
-    walk = _Walk(M, np.eye(M.num_states)[[lam]], t)
+    _check_start(kernel, lam)
+    walk = _Walk(kernel, np.eye(len(kernel))[[lam]], t)
     for dist in walk:
         pass
     if walk.period is not None:
-        for dist in _Walk(M, walk.saved, (t - walk.mu) % walk.period):
+        for dist in _Walk(kernel, walk.saved, (t - walk.mu) % walk.period):
             pass
     return dist[0]
 
 
-def _check_start(M: ChainModel, lam: int) -> None:
-    if not 0 <= lam < M.num_states:
+def _check_start(kernel: np.ndarray, lam: int) -> None:
+    if not 0 <= lam < len(kernel):
         raise ValueError(f"start {lam} is not an irreducible index "
-                         f"(0..{M.num_states - 1})")
+                         f"(0..{len(kernel) - 1})")
 
 
 _METRICS = ("uniform", "tv_max", "tv_half_l1")
@@ -137,14 +116,14 @@ def _distances(dists: np.ndarray, pi: np.ndarray) -> np.ndarray:
                      (0.5 * dev.sum(axis=-1)).max(axis=-1)])
 
 
-def distances_to_stationary(M: ChainModel, dists: np.ndarray) -> dict:
+def distances_to_stationary(T: CharTable, dists: np.ndarray) -> dict:
     """All implemented distances to Plancherel, each the worst over the rows
     of a stack of distributions (or of the one distribution given)."""
-    return dict(zip(_METRICS, _distances(np.atleast_2d(dists), M.stationary()).tolist()))
+    return dict(zip(_METRICS, _distances(np.atleast_2d(dists), plancherel(T)).tolist()))
 
 
-def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
-                start: int | None = None) -> dict:
+def mixing_time(T: CharTable, kernel: np.ndarray, metric: str, epsilon: float,
+                t_max: int = 64, start: int | None = None) -> dict:
     """First t at which the requested distance drops to epsilon, in the
     report `tqr markov` writes: start, metric, epsilon, mixing_time, t_max,
     the first t of every metric (mixing_times) and the curve, one row a t.
@@ -166,11 +145,11 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
     if not 0 < epsilon < math.inf:  # also refuses nan
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     check_t_max(t_max)
-    dists = np.eye(M.num_states)
+    dists = np.eye(len(kernel))
     if start is not None:
-        _check_start(M, start)
+        _check_start(kernel, start)
         dists = dists[[start]]
-    walk, pi = _Walk(M, dists, t_max), M.stationary()
+    walk, pi = _Walk(kernel, dists, t_max), plancherel(T)
     stacks = iter(walk)
     blocks = iter(lambda: list(itertools.islice(stacks, max(1, _BLOCK_CELLS // dists.size))), [])
     scores = np.concatenate([_distances(b[0][None] if len(b) == 1 else np.stack(b), pi)
@@ -186,31 +165,31 @@ def mixing_time(M: ChainModel, metric: str, epsilon: float, t_max: int = 64,
             "mixing_times": mixing_times, "curve": curve}
 
 
-def stationarity_residual(M: ChainModel) -> float:
-    pi = M.stationary()
-    return float(np.max(np.abs(pi @ M.kernel - pi)))
+def stationarity_residual(T: CharTable, kernel: np.ndarray) -> float:
+    pi = plancherel(T)
+    return float(np.max(np.abs(pi @ kernel - pi)))
 
 
-def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
-                      report: dict | None = None) -> dict:
+def mixing_experiment(T: CharTable, V: np.ndarray, kernel: np.ndarray, epsilon: float,
+                      m: int, report: dict | None = None) -> dict:
     """Both directions of the constant-time mixing phenomenon on one chain.
 
     Positive side: the uniform distance at t=3 against the Hoelder bound
-    c(G)^(-1/2) / M(V)^3, read off `report` (a mixing_time report of this
-    chain over every start) when it reaches t=3, else from a walk to t=3.
-    Negative side: total variation from Plancherel after m steps started at
-    the trivial irreducible, with the exactly inaccessible Plancherel mass.
+    c(G)^(-1/2) / M(V)^3, read off `report` (a mixing_time report of the
+    kernel build_chain(T, V) over every start) when it reaches t=3, else from
+    a walk to t=3. Negative side: total variation from Plancherel after m
+    steps started at the trivial irreducible, with the exactly inaccessible
+    Plancherel mass.
     """
-    T, V = chain.table, chain.rep
     c = T.classes.min_nontrivial_size
     mv = support_measure_frac(T, V)
 
     if report is None or report["start"] is not None or report["t_max"] < 3:
-        report = mixing_time(chain, "uniform", epsilon, t_max=3)
+        report = mixing_time(T, kernel, "uniform", epsilon, t_max=3)
     worst3 = report["curve"][3]["uniform"]
     bound = float(c ** -0.5 / float(mv) ** 3) if (c is not None and mv > 0) else None
 
-    neg = distances_to_stationary(chain, t_step_distribution(chain, 0, m))
+    neg = distances_to_stationary(T, t_step_distribution(kernel, 0, m))
     reach_mask = power_support_mask(T, V, m)
     inaccessible = 1 - support_measure_frac(T, reach_mask)
 
@@ -226,5 +205,5 @@ def mixing_experiment(chain: ChainModel, epsilon: float, m: int,
         "tv_half_l1_after_m_from_trivial": neg["tv_half_l1"],
         "tv_max_after_m_from_trivial": neg["tv_max"],
         "inaccessible_mass_after_m": float(inaccessible),
-        "stationarity_residual": stationarity_residual(chain),
+        "stationarity_residual": stationarity_residual(T, kernel),
     }

@@ -1064,12 +1064,13 @@ def _partitions(n):
                 yield [first] + rest
 
 
-def mixing_report_per_start(M, metric, epsilon, t_max, start):
+def mixing_report_per_start(T, kernel, metric, epsilon, t_max, start):
     """The mixing report with one distribution and one distance per start,
-    each stepped by the vector-matrix product `row @ kernel`."""
-    pi = M.stationary()
-    starts = range(M.num_states) if start is None else [start]
-    dists = {lam: np.eye(M.num_states)[lam] for lam in starts}
+    each stepped by the vector-matrix product `row @ kernel`, against the
+    Plancherel measure dim^2 / |G| of T."""
+    pi = T.dims.astype(np.float64) ** 2 / T.group.order
+    starts = range(len(kernel)) if start is None else [start]
+    dists = {lam: np.eye(len(kernel))[lam] for lam in starts}
     names = ("uniform", "tv_max", "tv_half_l1")
     curve, times = [], {m: None for m in names}
     for t in range(t_max + 1):
@@ -1086,7 +1087,7 @@ def mixing_report_per_start(M, metric, epsilon, t_max, start):
                 times[m] = t
         if t < t_max:
             for lam in starts:
-                dists[lam] = dists[lam] @ M.kernel
+                dists[lam] = dists[lam] @ kernel
     return {"start": start, "metric": metric, "epsilon": epsilon,
             "mixing_time": times[metric], "t_max": t_max,
             "mixing_times": times, "curve": curve}

@@ -19,7 +19,7 @@ from conftest import element_order
 from tqrgroups import (build_chain, build_counterexample_rep, build_group,
                        center, center_free_quotient_chain, check_qr, check_tqr,
                        compute_char_table, conjugacy_classes, decompose,
-                       normal_subgroups, quotient, support_measure_frac,
+                       normal_subgroups, plancherel, quotient, support_measure_frac,
                        t_step_distribution, translate_cover)
 from tqrgroups.classfuncs import character_of
 from tqrgroups.criteria import CriteriaParams
@@ -224,15 +224,15 @@ def test_c05_markov_stationarity_and_identity():
             if not mask.any():
                 mask[int(rng.integers(r))] = 1
             V = mask > 0
-            chain = build_chain(T, V)
-            pi = chain.stationary()
-            assert np.max(np.abs(pi @ chain.kernel - pi)) < TOL, name
+            kernel = build_chain(T, V)
+            pi = plancherel(T)
+            assert np.max(np.abs(pi @ kernel - pi)) < TOL, name
             red_vals = character_of(T, T.dims * V)
             dim_red = float(sum(dims[i] ** 2 for i in np.flatnonzero(V)))
             P_t = np.eye(r)
             for t in range(5):
                 if t > 0:
-                    P_t = P_t @ chain.kernel
+                    P_t = P_t @ kernel
                 prod = T.values * red_vals[None, :] ** t
                 mult = (prod * w[None, :]) @ T.values.conj().T
                 direct = mult.real * dims[None, :] / (dims[:, None] * dim_red ** t)
@@ -245,9 +245,9 @@ def test_c06_constant_time_mixing_positive():
     for p in (5, 7, 11, 13):
         G, C, T = table_of(f"affine:{p}")
         V = np.arange(T.num_irreps) == T.num_irreps - 1
-        chain = build_chain(T, V)
+        kernel = build_chain(T, V)
         worst = max(
-            distances_to_stationary(chain, t_step_distribution(chain, lam, 3))["uniform"]
+            distances_to_stationary(T, t_step_distribution(kernel, lam, 3))["uniform"]
             for lam in range(T.num_irreps))
         c = C.min_nontrivial_size
         mv = float(support_measure_frac(T, V))
@@ -269,16 +269,16 @@ def test_c07_nonmixing_negative_direction():
                      if abs(T.values[lam, zc] - T.dims[lam]) < 1e-9]
     V = np.isin(np.arange(T.num_irreps), trivial_on_c2)
     assert support_measure_frac(T, V) == Fraction(1, 2)
-    chain = build_chain(T, V)
+    kernel = build_chain(T, V)
     inaccessible = [lam for lam in range(T.num_irreps)
                     if lam not in trivial_on_c2]
-    mass = float(sum(chain.stationary()[inaccessible]))
+    mass = float(sum(plancherel(T)[inaccessible]))
     dist = np.zeros(T.num_irreps)
     dist[0] = 1.0
     for t in range(1, 65):
-        dist = dist @ chain.kernel
+        dist = dist @ kernel
         assert np.all(dist[inaccessible] == 0.0), t
-        d = distances_to_stationary(chain, dist)
+        d = distances_to_stationary(T, dist)
         assert d["tv_half_l1"] >= mass - TOL, t
     _passline(7, "pullback driver leaves half of Irrep inaccessible for 64 steps")
 

@@ -446,6 +446,11 @@ def test_interchange_rejects_tampering():
     doc2["dims"] = [1, 1, 3]
     with pytest.raises(CharTableError):
         from_interchange(doc2)
+    doc3 = json.loads(dumps_interchange(T))
+    doc3["dims"] = [1, 1, 1]      # the identity column agrees; 1 + 1 + 1 != 6
+    doc3["values"][2][0] = [1.0, 0.0]
+    with pytest.raises(CharTableError, match="^dims violate sum of squares$"):
+        from_interchange(doc3)
 
 
 def test_interchange_rejects_dims_contradicting_identity_column():

@@ -233,6 +233,8 @@ def test_support_mask_arithmetic():
     assert tensor_support_mask(T, m_std, m_std).tolist() == [True, True, True]
     trivial = np.array([True, False, False])
     assert power_support_mask(T, trivial, 5).tolist() == [True, False, False]
+    with pytest.raises(ValueError, match="^tensor power must be >= 1$"):
+        power_support_mask(T, trivial, 0)
     assert support_measure_frac(T, np.ones(3, dtype=bool)) == 1
     assert support_measure_frac(T, np.array([False, False, True])) == Fraction(2, 3)
 

@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -1245,3 +1247,37 @@ def test_products_nest_at_most_64_deep(route, tmp_path, capsys):
             _assert_bad_input(argv, capsys)
             assert cli.main(argv) == 2
             assert "products nest more than 64 deep" in capsys.readouterr().err
+
+
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _readme_commands():
+    """The commands of README's `sh` block under `## Command line`, each
+    with its `\\` continuations joined, split as the shell splits them."""
+    with open(os.path.join(_ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text[text.index("\n## Command line\n"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start:section.index("```", start)]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_the_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # in order, from a directory holding the shipped suite: the import reads
+    # the table that the export before it wrote
+    commands = _readme_commands()
+    assert len(commands) == 10 and all(argv[0] == "tqr" for argv in commands)
+    (tmp_path / "suites").mkdir()
+    shutil.copy(os.path.join(_ROOT, "suites", "acceptance.json"), tmp_path / "suites")
+    monkeypatch.chdir(tmp_path)
+    for _, command, *rest in commands:
+        code, doc = _run([command, *rest], capsys)
+        assert code == 0, [command, *rest]
+        if command == "suite":
+            doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert [e["status"] for e in doc["experiments"]] == \
+                ["ok"] * len(doc["experiments"])
+        else:
+            assert doc["command"] == command and isinstance(doc["report"], dict)

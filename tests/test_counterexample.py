@@ -312,6 +312,14 @@ def test_translate_cover_interval():
     assert tc["mn_set_size"] == 7
 
 
+@pytest.mark.parametrize("B, n, m, message", [
+    ([], 1, 1, "^B must be nonempty$"),
+    ([(0,)], 0, 1, "^n and m must be >= 1$")])
+def test_translate_cover_refuses_an_empty_set_and_counts_below_1(B, n, m, message):
+    with pytest.raises(ValueError, match=message):
+        translate_cover(B, n, m)
+
+
 def test_translate_cover_m_equals_one():
     tc = translate_cover([(0,), (1,), (5,)], 4, 1)
     assert tc["count"] == 1
@@ -448,6 +456,15 @@ def test_small_doubling_invariant_under_rotation_nontrivial():
         assert {p[x] for x in A} == A
 
 
+def test_small_doubling_refuses_a_trivial_k_and_an_action_on_another_k():
+    K = AbelianGroup((4,))
+    with pytest.raises(ValueError, match="^K must be nontrivial$"):
+        invariant_small_doubling_set(AbelianGroup(()), AutAction(K, []), 2)
+    # an equal group that is not K itself
+    with pytest.raises(ValueError, match="^action does not act on K$"):
+        invariant_small_doubling_set(K, AutAction(AbelianGroup((4,)), []), 2)
+
+
 def test_small_doubling_rejects_overridden_epsilon_that_breaks_contract():
     K = AbelianGroup((4,))
     L = AutAction(K, [])
@@ -518,9 +535,14 @@ def test_counterexample_requires_nontrivial_center():
 
 def test_counterexample_refuses_a_subgroup_that_is_not_normal():
     T = get_table("S3")   # elements 0 and 1 are the identity and a transposition
-    for N in ([0, 1], subgroup_from_members(T.group, [0, 1])):
+    # S3's classes are [0 1 1 2 2 1]: the transpositions alone and the empty
+    # set are class unions without the identity
+    for N in ([0, 1], subgroup_from_members(T.group, [0, 1]), [1, 2, 5], []):
         with pytest.raises(GroupError, match="^N must be normal$"):
             build_counterexample_rep(T, N, 2)
+    # the identity with the transpositions holds it, and is not closed
+    with pytest.raises(GroupError, match="^member set is not closed under multiplication$"):
+        build_counterexample_rep(T, [0, 1, 2, 5], 2)
 
 
 @pytest.mark.parametrize("name,n_order", [("Q8", 8), ("D4", 8), ("ES3", 27),

@@ -658,6 +658,12 @@ def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     CriteriaParams(**{field: least})  # the floor itself is legal
 
 
+@pytest.mark.parametrize("check, name", [(check_tqr, "tqr9"), (check_qr, "qr9")])
+def test_unknown_criteria_are_refused(check, name):
+    with pytest.raises(ValueError, match=rf"^unknown criteria \['{name}'\]$"):
+        check(get_table("S3"), names=[name])
+
+
 def test_criteria_params_refuse_a_seed_whose_streams_pass_2_to_the_64():
     # QR3 draws from stream seed + 5001, the largest offset; it must stay
     # below 2^64, or a large seed would wrap onto a small seed's streams

@@ -327,9 +327,15 @@ def test_every_subgroup_the_package_returns_is_a_read_only_ascending_int64_array
 
 def test_quotient_refuses_a_set_that_is_not_a_normal_subgroup():
     G = get_group("S3")
-    for members in ([0, 1], [], [1, 2, 3, 4, 5]):   # not a class union; empty; no identity
+    # not a class union; empty; no identity; the transpositions, a class without it
+    for members in ([0, 1], [], [1, 2, 3, 4, 5], [1, 2, 5]):
         with pytest.raises(GroupError, match="^quotient requires a normal subgroup$"):
             quotient(G, members)
+    # S3's classes are [0 1 1 2 2 1]: the identity with the transpositions is
+    # a class union holding the identity, and no subgroup, so its closure is
+    # checked at the class representatives before the quotient table is built
+    with pytest.raises(GroupError, match="^member set is not closed under multiplication$"):
+        quotient(G, [0, 1, 2, 5])
 
 
 def test_check_all_reads_the_lattice_once_per_table(monkeypatch):
@@ -383,12 +389,15 @@ def test_character_kernels_match_closure_join_oracle(name):
 
 @pytest.mark.parametrize("spec", ["cyclic:120", "extraspecial:7", "dihedral:300"])
 def test_kernel_masks_equal_the_bit_sum_past_64_classes(spec):
-    # packed bytes, not one shift per class: masks wider than a machine word
+    # the lattice closure packs each row into one int, and unpacks the bit
+    # sums from their bytes: masks wider than a machine word
     T = compute_char_table(build_group(cli.parse_group_spec(spec)))
     inside = np.abs(T.values - T.dims[:, None]) <= config.TOL * T.dims[:, None]
-    assert T.kernel_masks == tuple(sum(1 << int(c) for c in np.flatnonzero(row))
-                                   for row in inside)
-    assert max(T.kernel_masks) < 1 << T.classes.num_classes
+    assert T.kernel_masks.dtype == bool and not T.kernel_masks.flags.writeable
+    assert np.array_equal(T.kernel_masks, inside)
+    bit_sums = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in inside]
+    assert max(bit_sums) < 1 << T.classes.num_classes
+    assert np.array_equal(groups._unpack_masks(bit_sums, T.classes.num_classes), inside)
 
 
 def test_uncertified_kernel_value_raises():
@@ -497,25 +506,26 @@ def test_a_class_union_that_is_no_subgroup_is_refused(name, classes, message):
     with pytest.raises(GroupError, match=message):
         subgroup_from_members(T.group, members)
     with pytest.raises(GroupError, match=message):
-        groups._subgroup_of_mask(T, sum(1 << c for c in classes))
+        groups._class_union(T.group, np.isin(np.arange(T.classes.num_classes), classes))
 
 
 @pytest.mark.parametrize("name", ["S4", "D8", "aff7", "ES5", "C3xD4"])
 def test_a_class_mask_is_checked_as_its_member_set_is(name):
-    # _subgroup_of_mask reads the union off its class mask, with no member
-    # set's witnesses: it accepts what the all-pairs oracle finds closed and
+    # _class_union reads the union off its class mask, with no member set's
+    # witnesses: it accepts what the all-pairs oracle finds closed and
     # returns what subgroup_from_members returns
     G, C, T = get_group(name), get_classes(name), get_table(name)
     masks = (_every_union(C) if C.num_classes <= 13
              else _lattice_and_random_unions(T))
     for mask in masks:
         members = _class_union(C, mask)
+        chosen = (mask >> np.arange(C.num_classes)) & 1 == 1
         if oracle.all_pairs_closed(G, members):
-            assert np.array_equal(groups._subgroup_of_mask(T, mask),
+            assert np.array_equal(groups._class_union(G, chosen),
                                   subgroup_from_members(G, members))
         else:
             with pytest.raises(GroupError, match="not closed"):
-                groups._subgroup_of_mask(T, mask)
+                groups._class_union(G, chosen)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "aff11", "C3xD4"])
@@ -1179,6 +1189,10 @@ def test_constructed_tables_pass_light_test_and_are_unchanged(name):
     ({"type": "permutation", "degree": 2, "generators": [[1.0, 0.0]]}, "integer lists"),
     ({"type": "permutation", "degree": 2, "generators": [[True, False]]},
      "integer lists"),
+    ({"family": "symmetric", "params": {"n": 0}}, "degree must be >= 1"),
+    ({"family": "alternating", "params": {"n": 0}}, "degree must be >= 1"),
+    ({"family": "extraspecial", "params": {"p": 1}}, "extraspecial parameter must be prime"),
+    ({"family": "affine", "params": {"p": 1}}, "affine parameter must be prime"),
 ], ids=str)
 def test_malformed_group_specs_are_refused(spec, message):
     with pytest.raises(GroupError, match=message):

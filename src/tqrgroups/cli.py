@@ -477,81 +477,54 @@ def run_suite(args: dict, summary_path: str) -> tuple[dict, int]:
 # Argument parsing
 
 
+# each subcommand's help line and (flag, argparse keywords); each also takes --out
+_COMMANDS = {
+    "group": ("construct a group and report structure", [
+        ("--group", {"required": True}), ("--normal-subgroups", {"action": "store_true"})]),
+    "chartable": ("compute or import a character table", [
+        ("--group", {}), ("--import", {"dest": "import_path"}), ("--export", {})]),
+    # omitted options fall back to the CriteriaParams defaults
+    "check": ("evaluate TQR / QR criteria", [
+        ("--group", {"required": True}),
+        ("--criterion", {"default": "all", "choices": ["all", *TQR_CRITERIA, *QR_CRITERIA]}),
+        ("--k", {"type": int}), ("--density", {"type": float}), ("--power", {"type": int}),
+        ("--seed", {"type": int}), ("--trials", {"type": int}),
+        ("--exhaustive-cap", {"type": int})]),
+    "cover": ("two/three-factor covering check", [
+        ("--group", {"required": True}), ("--v1", {"required": True}),
+        ("--v2", {"required": True}), ("--v3", {}), ("--profile", {"action": "store_true"})]),
+    "markov": ("tensor-product Markov chain analysis", [
+        ("--group", {"required": True}), ("--rep", {"required": True}),
+        ("--metric", {"default": "tv", "choices": ["tv", "tv_max", "uniform", "tv_half_l1"]}),
+        ("--epsilon", {"type": float, "default": 0.25}), ("--tmax", {"type": int, "default": 64}),
+        ("--start", {}),
+        ("--experiment", {"type": int, "help": "also run the constant-time mixing "
+                                               "experiment with this m"}),
+        ("--csv", {})]),
+    "counterexample": ("build the induced small-tensor-power rep", [
+        ("--group", {"required": True}), ("--normal", {"default": "group"}),
+        ("--m", {"type": int, "default": 3}), ("--epsilon", {})]),
+    "sumset": ("abelian sumsets and translate covers", [
+        ("--factors", {"help": "comma-separated cyclic factors; omit for lattice"}),
+        ("--set", {"required": True}), ("--m", {"type": int, "default": 2}),
+        ("--cover", {"action": "store_true"}), ("--n", {"type": int, "default": 1})]),
+    "suite": ("run a batch of experiments from JSON config", [
+        ("--config", {"required": True}), ("--outdir", {"default": "."})]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="tqr",
+        prog="tqr", allow_abbrev=False,
         description="Tensor quasi-randomness of finite groups: structure, "
                     "character tables, covering criteria, Markov mixing, "
                     "counterexample constructions.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("group", help="construct a group and report structure")
-    g.add_argument("--group", required=True)
-    g.add_argument("--normal-subgroups", action="store_true",
-                   dest="normal_subgroups")
-    g.add_argument("--out")
-
-    c = sub.add_parser("chartable", help="compute or import a character table")
-    c.add_argument("--group")
-    c.add_argument("--import", dest="import_path")
-    c.add_argument("--export")
-    c.add_argument("--out")
-
-    k = sub.add_parser("check", help="evaluate TQR / QR criteria")
-    k.add_argument("--group", required=True)
-    k.add_argument("--criterion", default="all",
-                   choices=["all", *TQR_CRITERIA, *QR_CRITERIA])
-    # omitted options fall back to the CriteriaParams defaults
-    k.add_argument("--k", type=int)
-    k.add_argument("--density", type=float)
-    k.add_argument("--power", type=int)
-    k.add_argument("--seed", type=int)
-    k.add_argument("--trials", type=int)
-    k.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
-    k.add_argument("--out")
-
-    v = sub.add_parser("cover", help="two/three-factor covering check")
-    v.add_argument("--group", required=True)
-    v.add_argument("--v1", required=True)
-    v.add_argument("--v2", required=True)
-    v.add_argument("--v3")
-    v.add_argument("--profile", action="store_true")
-    v.add_argument("--out")
-
-    m = sub.add_parser("markov", help="tensor-product Markov chain analysis")
-    m.add_argument("--group", required=True)
-    m.add_argument("--rep", required=True)
-    m.add_argument("--metric", default="tv",
-                   choices=["tv", "tv_max", "uniform", "tv_half_l1"])
-    m.add_argument("--epsilon", type=float, default=0.25)
-    m.add_argument("--tmax", type=int, default=64)
-    m.add_argument("--start")
-    m.add_argument("--experiment", type=int,
-                   help="also run the constant-time mixing experiment with this m")
-    m.add_argument("--csv")
-    m.add_argument("--out")
-
-    x = sub.add_parser("counterexample",
-                       help="build the induced small-tensor-power rep")
-    x.add_argument("--group", required=True)
-    x.add_argument("--normal", default="group")
-    x.add_argument("--m", type=int, default=3)
-    x.add_argument("--epsilon")
-    x.add_argument("--out")
-
-    s = sub.add_parser("sumset", help="abelian sumsets and translate covers")
-    s.add_argument("--factors", help="comma-separated cyclic factors; omit for lattice")
-    s.add_argument("--set", required=True)
-    s.add_argument("--m", type=int, default=2)
-    s.add_argument("--cover", action="store_true")
-    s.add_argument("--n", type=int, default=1)
-    s.add_argument("--out")
-
-    u = sub.add_parser("suite", help="run a batch of experiments from JSON config")
-    u.add_argument("--config", required=True)
-    u.add_argument("--outdir", default=".")
-    u.add_argument("--out")
+    for command, (help_line, options) in _COMMANDS.items():
+        s = sub.add_parser(command, help=help_line, allow_abbrev=False)
+        for flag, keywords in (*options, ("--out", {})):
+            s.add_argument(flag, **keywords)
     return p
 
 

@@ -18,7 +18,7 @@ from .chartable import CharTable
 from .classfuncs import (character_of, decompose, power_support_mask,
                          support_measure_frac, tensor_support_mask)
 from . import config, groups
-from .groups import GroupError, GroupTable, derived_subgroup, center_of_subset
+from .groups import GroupError, derived_subgroup, center_of_subset
 
 TQR_CRITERIA = ("tqr1", "tqr2", "tqr3", "tqr4")
 QR_CRITERIA = ("qr1", "qr2", "qr3", "qr4")
@@ -620,12 +620,15 @@ def _qr23_candidates(T, dens, size, triple, power):
     - linear_character: for chi of image order q the preimage of
       {zeta^0, ..., zeta^(t-1)}, t = ceil(dens*q), of t*|G|/q >= s elements,
       whose products take (factors)*(t-1)+1 < q values;
-    - centraliser: C_G(z) of a non-central class representative z, of order
-      |G|/|class| >= s;
-    - normaliser: N_G(C_G(z)) for the same z, when proper.
+    - normaliser: N_G(C_G(z)) of a non-central class representative z, when
+      proper. g normalises C_G(z) iff C_G(gzg^-1) = C_G(z); conjugates have
+      centralisers of equal order, so iff gzg^-1 commutes with all of C_G(z).
+      One gather of gzg^-1 over G gives C_G(z) and the class of z, and one of
+      |class|*|C_G(z)| = |G| cells marks the commuting conjugates.
 
     A proper subgroup has at most |G|/2 elements, so the subgroup rules are
-    skipped above that.
+    skipped above that. C_G(z) needs no rule of its own: when it is proper,
+    not normal and of order >= s, its normaliser is proper and contains it.
     """
     G, C = T.group, T.classes
     n = G.order
@@ -648,29 +651,15 @@ def _qr23_candidates(T, dens, size, triple, power):
             if (3 if triple else power) * (t - 1) + 1 < q:
                 yield "linear_character", np.flatnonzero(k[C.class_of] // step < t)
     if subgroups:
-        z = C.representatives[C.sizes > 1]
-        cents = [np.flatnonzero(groups.conjugates(G, np.arange(n), [x])[:, 0] == x) for x in z]
-        for H in cents:
-            if len(H) >= size:
-                yield "centraliser", H
-        for H in cents:
-            N = _normaliser(G, H)
+        for z in C.representatives[C.sizes > 1]:
+            conj = groups.conjugates(G, np.arange(n), [z])[:, 0]
+            H = np.flatnonzero(conj == z)
+            ys = np.flatnonzero(C.class_of == C.class_of[z])
+            commuting = np.zeros(n, dtype=bool)
+            commuting[ys[(groups.conjugates(G, ys, H) == H).all(axis=1)]] = True
+            N = np.flatnonzero(commuting[conj])
             if len(N) < n:
                 yield "normaliser", N
-
-
-def _normaliser(G: GroupTable, H: np.ndarray) -> np.ndarray:
-    """N_G(H) = {g : g H g^-1 = H} for a subgroup H given by its sorted
-    members, as sorted members; the conjugates are gathered in slabs of at
-    most groups._SLAB_CELLS cells."""
-    inside = np.zeros(G.order, dtype=bool)
-    inside[H] = True
-    slab = max(1, groups._SLAB_CELLS // len(H))
-    keep = np.empty(G.order, dtype=bool)
-    for lo in range(0, G.order, slab):
-        g = np.arange(lo, min(lo + slab, G.order))
-        keep[g] = inside[groups.conjugates(G, g, H)].all(axis=1)
-    return np.flatnonzero(keep)
 
 
 def _qr4(T, params) -> CriterionReport:

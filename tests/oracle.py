@@ -1012,10 +1012,6 @@ def _accumulate(acc, gen, times, add):
         acc = add(acc, gen)
     return acc
 
-def naive_sumset(add_fn, A, B):
-    return {add_fn(x, y) for x in A for y in B}
-
-
 def abelian_group_specs_up_to(n_max):
     """Group-spec dicts for every isomorphism type of abelian group of
     order 2..n_max, as nested direct products of cyclic factors."""
@@ -1096,6 +1092,12 @@ def mixing_report_per_start(T, kernel, metric, epsilon, t_max, start):
 def conjugate(G, g, x) -> int:
     """g x g^-1, one pair at a time."""
     return int(G.mul[G.mul[g, x], G.inv[g]])
+
+
+def brute_normaliser(G, members) -> list[int]:
+    """N_G(H) = {g : g H g^-1 = H} by definition, one conjugate at a time."""
+    H = set(members)
+    return [g for g in range(G.order) if {conjugate(G, g, h) for h in H} == H]
 
 
 def subgroup_table(G, members):

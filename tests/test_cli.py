@@ -229,6 +229,20 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "quaternion8", "--normal-subgroup"],
+    ["group", "--gr", "quaternion8"],
+    ["check", "--group", "cyclic:6", "--crit", "qr4", "--dens", "0.5"],
+    ["check", "--group", "cyclic:6", "--exhaustive", "3"],
+    ["markov", "--group", "cyclic:6", "--rep", "all", "--exp", "4"],
+    ["sumset", "--fac", "5", "--set", "0;1", "--cov"],
+    ["--vers"]])
+def test_a_prefix_of_a_long_option_is_bad_input(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
 def test_markov_start_selector(capsys):
     code, doc = _run(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
                       "--start", "trivial", "--tmax", "4"], capsys)

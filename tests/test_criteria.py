@@ -350,7 +350,7 @@ def test_qr1_cyclic_fails():
 PSL27 = {"type": "permutation", "degree": 8,
          "generators": [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]]}
 _DECIDED_BY = {"full_density", "gowers_bound", "pigeonhole", "power_one",
-               "normal_subgroup", "linear_character", "centraliser", "normaliser"}
+               "normal_subgroup", "linear_character", "normaliser"}
 _QR23 = ("qr2", "qr3")
 _TQR_DECIDED_BY = {"quotient", "central_grading"}
 
@@ -359,8 +359,9 @@ _TQR_DECIDED_BY = {"quotient", "central_grading"}
     # 42^3 * 3 = 222,264 > 60^3 = 216,000
     (FIXTURE_SPECS["A5"], 0.7, 3, _QR23, True, "gowers_bound", None),
     (FIXTURE_SPECS["A5"], 0.7, 1, ("qr3",), False, "power_one", 42),
-    # C3, the centraliser of a 3-cycle, holds ceil(0.05 * 60) = 3 elements
-    (FIXTURE_SPECS["A5"], 0.05, 3, _QR23, False, "centraliser", 3),
+    # N(C3), the normaliser of a 3-cycle's centraliser, is S3, whose three
+    # smallest members are C3, of ceil(0.05 * 60) = 3 elements
+    (FIXTURE_SPECS["A5"], 0.05, 3, _QR23, False, "normaliser", 3),
     # A4 = N(V4), and 7:3 = N(C7) in PSL(2,7), are in no smaller rule
     (FIXTURE_SPECS["A5"], 0.2, 3, _QR23, False, "normaliser", 12),
     (PSL27, 0.1, 3, _QR23, False, "normaliser", 21),
@@ -384,6 +385,25 @@ def test_qr23_exact_verdicts(spec, density, power, names, holds, decided_by,
             assert rep.witness["product_size"] == product_size
             subsets = rep.witness["subsets"]
             assert subsets == [subsets[0]] * (3 if rep.criterion == "qr2" else 1)
+
+
+@pytest.mark.parametrize("spec", [*FIXTURE_SPECS.values(),
+                                  {"family": "alternating", "params": {"n": 6}},
+                                  {"family": "symmetric", "params": {"n": 6}}, PSL27],
+                         ids=[*FIXTURE_SPECS, "A6", "S6", "PSL27"])
+def test_normaliser_proposals_match_brute_force_oracle(spec):
+    # one proposal per non-central class whose N_G(C_G(z)) is proper, in class order
+    G, C, T = get_table_for_spec(json.dumps(spec))
+    want = []
+    for z in C.representatives[C.sizes > 1].tolist():
+        N = oracle.brute_normaliser(G, [g for g in range(G.order)
+                                        if oracle.conjugate(G, g, z) == z])
+        if len(N) < G.order:
+            want.append(N)
+    got = [N.tolist() for rule, N in
+           criteria._qr23_candidates(T, Fraction(1, G.order), 1, True, 3)
+           if rule == "normaliser"]
+    assert got == want
 
 
 def test_qr23_sampling():

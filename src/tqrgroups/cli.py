@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -122,9 +123,53 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False), byte for byte. With an
+    indent, json runs its generator-based pure-Python encoder; this joins each
+    container's items at once and formats each leaf with the function json
+    uses for it. Any value but a str, an int, a finite float, a bool, None, a
+    list, a tuple or a dict with str keys, each of exactly that type, sends
+    the whole document to json.dumps, which raises what it raises there."""
+    try:
+        return _indented(doc, "\n")
+    except (ValueError, RecursionError):   # a cycle recurses until json finds it
+        return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _indented(v, ind: str) -> str:
+    """`v` as _dumps writes it, at the depth where `ind` is the line break and
+    indent before its closing bracket; ValueError if _dumps must hand it on."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is float and v - v == 0.0:   # NaN and ±inf fail the test
+        return float.__repr__(v)
+    if v is None or t is bool:
+        return "null" if v is None else "true" if v else "false"
+    inner = ind + "  "
+    if t is dict:
+        parts = []
+        for k, x in v.items():
+            if type(k) is not str:
+                raise ValueError
+            parts.append(f"{encode_basestring_ascii(k)}: " + (
+                encode_basestring_ascii(x) if (t := type(x)) is str else int.__repr__(x)
+                if t is int else float.__repr__(x) if t is float and x - x == 0.0
+                else _indented(x, inner)))
+        return f"{{{inner}{(',' + inner).join(parts)}{ind}}}" if parts else "{}"
+    if t is not list and t is not tuple:
+        raise ValueError
+    parts = [encode_basestring_ascii(x) if (t := type(x)) is str else int.__repr__(x)
+             if t is int else float.__repr__(x) if t is float and x - x == 0.0
+             else _indented(x, inner) for x in v]
+    return f"[{inner}{(',' + inner).join(parts)}{ind}]" if parts else "[]"
+
+
 def _emit(doc: dict, out: str | None):
     # NaN and Infinity are not JSON: a report holding one is refused
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = _dumps(doc)
     if out:
         _atomic_write(out, text)
     else:
@@ -513,6 +558,18 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. It refuses an argument it does not know itself,
+    where argparse would hand it back to tqr's parser, so the error shows the
+    usage of the subcommand that was meant."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tqr", allow_abbrev=False,
@@ -520,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "character tables, covering criteria, Markov mixing, "
                     "counterexample constructions.")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (help_line, options) in _COMMANDS.items():
         s = sub.add_parser(command, help=help_line, allow_abbrev=False)
         for flag, keywords in (*options, ("--out", {})):

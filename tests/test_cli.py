@@ -7,8 +7,11 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracle
 from tqrgroups import cli, groups
@@ -243,6 +246,24 @@ def test_a_prefix_of_a_long_option_is_bad_input(argv, capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv, usage, unknown", [
+    (["group", "--group", "quaternion8", "--normal-subgroup"],
+     "usage: tqr group [-h] --group GROUP [--normal-subgroups] [--out OUT]\n",
+     "--normal-subgroup"),
+    (["sumset", "--rank", "2", "--set", "0,0;1,2"],
+     "usage: tqr sumset [-h] [--factors FACTORS] --set SET [--m M] [--cover] [--n N]\n",
+     "--rank 2"),
+    (["check", "--group", "cyclic:6", "extra"], "usage: tqr check [-h] --group GROUP\n",
+     "extra")])
+def test_an_unknown_argument_of_a_subcommand_shows_that_subcommand_s_usage(
+        argv, usage, unknown, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the terminal
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(usage)
+    assert err.endswith(f"\ntqr {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
 def test_markov_start_selector(capsys):
     code, doc = _run(["markov", "--group", "symmetric:3", "--rep", "irrep:2",
                       "--start", "trivial", "--tmax", "4"], capsys)
@@ -296,6 +317,75 @@ def test_reports_never_carry_nan_or_infinity(tmp_path):
         with pytest.raises(ValueError):
             cli._emit({"report": {"value": bad}}, str(path))
         assert not path.exists()
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.one_of(st.text(), st.text(alphabet='"\\/\x00\x08\x1f\x7f é€\ud800😀'))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, _TEXT,
+    st.sampled_from([0, -1, 2 ** 63, -2 ** 63 - 1, 10 ** 300, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e16, 1e-7, 0.1]),
+    _FINITE.map(np.float64))
+_KEYS = st.one_of(_TEXT, st.integers(), _FINITE, st.booleans(), st.none())
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(_KEYS, kids, max_size=5)), max_leaves=30)
+
+
+@given(_TREES)
+def test_the_report_writer_writes_what_json_dumps_writes(doc):
+    assert cli._dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    float("nan"), [0.5, float("nan")], (float("inf"),), [1, {"a": float("-inf")}],
+    {"report": {"value": float("inf")}},
+    {float("nan"): 1}, {"n": np.int64(3)}, [np.int64(3)], {"x": {1, 2}}, {(1, 2): 3}])
+def test_the_report_writer_refuses_what_json_dumps_refuses(doc):
+    outcomes = []
+    for dumps in (cli._dumps, _json_dumps):
+        with pytest.raises((ValueError, TypeError)) as caught:
+            dumps(doc)
+        outcomes.append((caught.type, str(caught.value)))
+    assert outcomes[0] == outcomes[1]
+
+
+def _load_workloads():
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # a dataclass module must be importable
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_suite_and_bench_report_is_what_json_dumps_writes(tmp_path, monkeypatch,
+                                                                capsys):
+    # every document _emit writes, whether to a file or to stdout
+    written, dumps = [], cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: written.append(
+        (doc.get("command"), dumps(doc) == _json_dumps(doc))) or dumps(doc))
+    config = Path(__file__).resolve().parents[1] / "suites" / "acceptance.json"
+    assert cli.main(["suite", "--config", str(config), "--outdir", str(tmp_path / "s")]) == 0
+    assert len(written) == 11   # ten experiments and the summary
+    monkeypatch.chdir(tmp_path)
+    workloads, argvs = _load_workloads(), []
+    for name in ("structure", "irreps"):
+        argvs += [cmd.argv for cmd in workloads.Workload(name, 1).pass_commands(0, 0)]
+    for argv in argvs:
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(written) == 11 + len(argvs)
+    assert all(same for _, same in written), [cmd for cmd, same in written if not same]
 
 
 def test_suite_runs_and_is_deterministic(tmp_path, capsys):

@@ -129,7 +129,7 @@ def _dumps(doc) -> str:
     container's items at once and formats each leaf with the function json
     uses for it. Any value but a str, an int, a finite float, a bool, None, a
     list, a tuple or a dict with str keys, each of exactly that type, sends
-    the whole document to json.dumps, which raises what it raises there."""
+    the whole document to json.dumps, so every error is json.dumps's own."""
     try:
         return _indented(doc, "\n")
     except (ValueError, RecursionError):   # a cycle recurses until json finds it

@@ -16,8 +16,10 @@ Measures the checkout DIR (by default the one this script is in):
 The snapshot is stored under NAME in BENCH_<pr>.json at the root of the
 repository this script is in, beside the snapshots of other names already
 there, so that one file holds a change and its parent: run the script once
-with --checkout on a copy of the parent and once on the change. Standard
-library only.
+with --checkout on a copy of the parent and once on the change. It then names
+each ladder command whose standard output differs, by sha256, from that of the
+same command in another snapshot of the file, and names none when all match.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -124,6 +126,18 @@ def ladder(checkout: Path, commands, cwd: Path) -> list[dict]:
     return [{"name": name, **time_command(checkout, argv, cwd)} for name, argv in commands]
 
 
+def stdout_differences(others, snapshot) -> list[tuple[str, str]]:
+    """(command, label) of each ladder command of `snapshot` whose
+    stdout_sha256 differs from that of the same command in the snapshot of
+    that label among `others`."""
+    found = []
+    for other in others:
+        theirs = {step["name"]: step["stdout_sha256"] for step in other["ladder"]}
+        found += [(step["name"], other["label"]) for step in snapshot["ladder"]
+                  if theirs.get(step["name"], step["stdout_sha256"]) != step["stdout_sha256"]]
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True)
@@ -140,12 +154,15 @@ def main(argv=None) -> int:
                 "bench": {"seed": SEED, "seconds": SECONDS, **runs}, "ladder": steps}
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "snapshots": []}
-    doc["snapshots"] = [s for s in doc["snapshots"] if s["label"] != args.label] + [snapshot]
+    others = [s for s in doc["snapshots"] if s["label"] != args.label]
+    doc["snapshots"] = others + [snapshot]
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"{path}: {args.label} at {snapshot['commit']}")
     for step in steps:
         print(f"  {step['name']:24s} {step['wall_s']:8.3f} s {step['maxrss_mb']:8.1f} MB "
               f"exit {step['exit_code']}")
+    for name, label in stdout_differences(others, snapshot):
+        print(f"  {name}: stdout differs from {label}")
     return 0
 
 

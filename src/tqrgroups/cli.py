@@ -253,7 +253,7 @@ def _criteria_params(args: dict) -> CriteriaParams:
     """CriteriaParams from check options; an omitted option keeps the
     dataclass default."""
     return CriteriaParams(**{key: args[key] for key in (
-        "k", "density", "power", "seed", "trials", "exhaustive_cap") if args[key] is not None})
+        "k", "density", "power", "seed", "trials") if args[key] is not None})
 
 
 def run_check(args: dict) -> tuple[dict, int]:
@@ -533,8 +533,7 @@ _COMMANDS = {
         ("--group", {"required": True}),
         ("--criterion", {"default": "all", "choices": ["all", *TQR_CRITERIA, *QR_CRITERIA]}),
         ("--k", {"type": int}), ("--density", {"type": float}), ("--power", {"type": int}),
-        ("--seed", {"type": int}), ("--trials", {"type": int}),
-        ("--exhaustive-cap", {"type": int})]),
+        ("--seed", {"type": int}), ("--trials", {"type": int})]),
     "cover": ("two/three-factor covering check", [
         ("--group", {"required": True}), ("--v1", {"required": True}),
         ("--v2", {"required": True}), ("--v3", {}), ("--profile", {"action": "store_true"})]),

@@ -16,6 +16,14 @@ MAX_ORDER = 20000
 # 2000 * 2000 admits every group of order at most 2000.
 TABLE_CELLS = 2000 * 2000
 
+# Most irreducibles r at which TQR2/TQR3 search every minimal support; above
+# it they take table witnesses and the sampler. The minimal supports are an
+# antichain (one inside another would not be minimal), so by Sperner's theorem
+# (Math. Z. 27, 1928) there are at most C(r, r // 2) of them: C(20, 10) =
+# 184,756. Past the cap that bound grows fast: extraspecial:5 (r = 29) at
+# density 0.5 has 31,201,804.
+EXHAUSTIVE_CAP = 20
+
 # Eigenvalues of the recombined class matrix closer than this are a collision.
 EIG_COLLISION = 1e-6
 

@@ -34,7 +34,7 @@ _QR_BLOCK_ENTRIES = 1 << 14
 _SEARCH_MODE = "exhaustive-minimal+randomized"
 # TQR3 fails for a support whose power has measure at most this.
 _POWER_MEASURE_THRESHOLD = Fraction(1, 2)
-# TQR2/TQR3 sampler: draws above exhaustive_cap when no table witness refutes.
+# TQR2/TQR3 sampler: draws above config.EXHAUSTIVE_CAP when no table witness refutes.
 _SUPPORT_TRIALS = 200
 # SplitMix64's state increment and finalizer multipliers (see _keys).
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -57,13 +57,11 @@ class CriteriaParams:
     power: int = 3                      # tensor / product power "m"
     seed: int = 0
     trials: int = 1000                  # QR2/QR3 sampler: draws when no rule decides
-    exhaustive_cap: int = 20            # max #irreps for exhaustive support search
 
     def __post_init__(self):
         if not 0 < self.density <= 1:  # also refuses nan
             raise ValueError(f"density must be in (0, 1], got {self.density!r}")
-        for name, least in (("power", 1), ("trials", 1), ("exhaustive_cap", 0),
-                            ("seed", 0), ("k", 0)):
+        for name, least in (("power", 1), ("trials", 1), ("seed", 0), ("k", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
@@ -82,7 +80,7 @@ class CriteriaParams:
                 "power_measure_threshold": float(_POWER_MEASURE_THRESHOLD),
                 "normal_size": self.k, "normal_index": self.k, "quotient_size": self.k,
                 "seed": self.seed, "trials": self.trials,
-                "support_trials": _SUPPORT_TRIALS, "exhaustive_cap": self.exhaustive_cap}
+                "support_trials": _SUPPORT_TRIALS, "exhaustive_cap": config.EXHAUSTIVE_CAP}
 
 
 @dataclass
@@ -308,9 +306,9 @@ def _tqr1(T, params) -> CriterionReport:
 
 def _tqr2(T, params) -> CriterionReport:
     """TQR2 (does S1 (x) S2 (x) S3 contain every irreducible for all supports
-    of measure >= a?). Up to exhaustive_cap irreducibles _tqr2_search decides
-    alone; above it the stages of _tqr_stages go through one check, the
-    support of (S1 (x) S2) (x) S3 by two stacked two-factor steps (one
+    of measure >= a?). Up to config.EXHAUSTIVE_CAP irreducibles _tqr2_search
+    decides alone; above it the stages of _tqr_stages go through one check,
+    the support of (S1 (x) S2) (x) S3 by two stacked two-factor steps (one
     decompose of chi_S1 chi_S2 chi_S3 loses the integers on dihedral:150)."""
     dens = params.density_frac()
     need = _density_floor(T.group.order, dens)
@@ -324,7 +322,7 @@ def _tqr2(T, params) -> CriterionReport:
             t = int(short[0])
             return t, _support_witness(T, triples[t], product[t])
 
-    if T.num_irreps <= params.exhaustive_cap:
+    if T.num_irreps <= config.EXHAUSTIVE_CAP:
         checked, witness = _tqr2_search(T, _minimal_supports(T, dens), dens)
         return _tqr_report("tqr2", params, _SEARCH_MODE, checked, None, witness)
     return _tqr_report("tqr2", params, *_decide(check, _tqr_stages(
@@ -332,7 +330,7 @@ def _tqr2(T, params) -> CriterionReport:
 
 
 def _tqr_stages(T, params, width, factors, small, seed) -> list:
-    """The stages above exhaustive_cap: the table witnesses of
+    """The stages above config.EXHAUSTIVE_CAP: the table witnesses of
     _tqr_candidates, each taken `width` times, then the sampler."""
     dens = params.density_frac()
     rules = ((rule, np.tile(S, (1, width, 1)))
@@ -487,8 +485,8 @@ def _support_witness(T, supports, product) -> dict:
 def _tqr3(T, params) -> CriterionReport:
     """TQR3 (does every support of measure >= a have a power-fold tensor
     power of measure above the threshold?). The minimal supports up to
-    exhaustive_cap, else the stages of _tqr_stages, go through one check,
-    power_support_mask against the threshold."""
+    config.EXHAUSTIVE_CAP, else the stages of _tqr_stages, go through one
+    check, power_support_mask against the threshold."""
     dens = params.density_frac()
     need = _density_floor(T.group.order, dens)
     sq = T.dims ** 2
@@ -506,7 +504,7 @@ def _tqr3(T, params) -> CriterionReport:
                        "power_support": np.flatnonzero(power[t]).tolist(),
                        "power_measure": float(support_measure_frac(T, power[t]))}
 
-    if T.num_irreps <= params.exhaustive_cap:
+    if T.num_irreps <= config.EXHAUSTIVE_CAP:
         minimal = _minimal_supports(T, dens)[:, None]
         stages = [(_SEARCH_MODE, True, ((None, minimal[lo:lo + _STACK_ROWS])
                                         for lo in range(0, len(minimal), _STACK_ROWS)))]

@@ -71,7 +71,7 @@ class GroupTable:
     def class_orders(self) -> np.ndarray:
         """The order of the elements of each class, that of its representative."""
         return element_orders(lambda a, b: self.mul[a, b], self.identity,
-                              self.classes.representatives)
+                              self.classes.representatives, self.order)
 
     def label(self, x: int) -> str:
         if self.labels is not None:
@@ -86,34 +86,23 @@ def table_dtype(order: int) -> np.dtype:
     return np.dtype(np.int16 if order <= 1 << 15 else np.int32)
 
 
-def element_orders(mul_fn, identity, elems) -> np.ndarray:
-    """Order of each element of an index array: the first row of its powers
-    x^1, x^2, ... that holds the identity, plus 1. `mul_fn` multiplies index
-    arrays elementwise, with broadcasting; the block of powers is doubled by
-    _doubled, log2(largest order) products in all."""
-    return _orders_of_powers(mul_fn, identity, np.asarray(elems, dtype=np.int64)[None])
-
-
-def _orders_of_powers(mul_fn, identity, pw) -> np.ndarray:
-    """The orders of the columns of pw, which holds x^1..x^m of each column
-    x. The block stays within _SLAB_CELLS cells while 2 * (largest order)
-    does: before a doubling would pass it, the columns still without the
-    identity go on in slabs narrow enough to double."""
-    while True:
-        hit = pw == identity
-        found = hit.any(axis=0)
-        if found.all():
-            return hit.argmax(axis=0) + 1
-        m, w = pw.shape
-        width = max(1, _SLAB_CELLS // (2 * m))
-        if w > width:
-            orders = hit.argmax(axis=0) + 1
-            rest = np.flatnonzero(~found)
-            for lo in range(0, len(rest), width):
-                cols = rest[lo:lo + width]
-                orders[cols] = _orders_of_powers(mul_fn, identity, pw[:, cols])
-            return orders
-        pw = _doubled(mul_fn, pw)
+def element_orders(mul_fn, identity, elems, bound) -> np.ndarray:
+    """Order of each element of an index array, in a group of order `bound`:
+    the first row of its powers x^1, x^2, ... that holds the identity, plus
+    1. `mul_fn` multiplies index arrays elementwise, with broadcasting. Each
+    slab of max(1, _SLAB_CELLS // (2 * bound)) columns doubles its block of
+    powers by _doubled until every column has met the identity; a block is
+    doubled only while it is shorter than some order, and no order passes
+    `bound`, so no block passes _SLAB_CELLS cells."""
+    elems = np.asarray(elems, dtype=np.int64)
+    width = max(1, _SLAB_CELLS // (2 * bound))
+    orders = np.empty(len(elems), dtype=np.int64)
+    for lo in range(0, len(elems), width):
+        pw = elems[None, lo:lo + width]
+        while not (hit := pw == identity).any(axis=0).all():
+            pw = _doubled(mul_fn, pw)
+        orders[lo:lo + width] = hit.argmax(axis=0) + 1
+    return orders
 
 
 def _doubled(mul_fn, pw) -> np.ndarray:
@@ -921,8 +910,8 @@ def _abelian_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
     orders are coprime, so it generates a cyclic group of their product.
 
     `mul_fn` multiplies element indices elementwise, on ints or arrays."""
-    orders = element_orders(mul_fn, identity, elems)
     n = len(elems)
+    orders = element_orders(mul_fn, identity, elems, n)
     per_prime = []
     for p in (p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)):
         # an order divides n, so it is a power of p iff it divides the p-part
@@ -940,7 +929,7 @@ def _p_group_basis(mul_fn, identity, elems) -> list[tuple[int, int]]:
     Splits off a maximal-order cyclic subgroup, recurses on the quotient, and
     lifts quotient generators to genuine direct-sum generators.
     """
-    orders = element_orders(mul_fn, identity, elems)
+    orders = element_orders(mul_fn, identity, elems, len(elems))
     a1 = int(elems[np.argmax(orders)])    # the least element of maximal order
     d1 = int(orders.max())
     pow_list = _powers(mul_fn, identity, a1, d1)

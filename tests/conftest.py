@@ -86,7 +86,8 @@ def get_table_for_spec(spec_key):
 
 def element_order(G, x):
     """The order of element x of G, by groups.element_orders."""
-    return int(groups.element_orders(lambda a, b: G.mul[a, b], G.identity, [x])[0])
+    return int(groups.element_orders(lambda a, b: G.mul[a, b], G.identity, [x],
+                                     G.order)[0])
 
 
 def mask_row(mask, r):

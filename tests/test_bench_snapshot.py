@@ -41,3 +41,19 @@ def test_the_ladder_names_are_distinct_and_every_command_parses():
     assert len({name for name, _ in ladder}) == len(ladder)
     for _, argv in ladder:
         cli._parser().parse_args(list(argv))
+
+
+def test_a_two_label_file_names_the_ladder_commands_whose_stdout_differs():
+    snapshot = _snapshot_module()
+
+    def labelled(label, digests):
+        return {"label": label, "ladder": [{"name": name, "stdout_sha256": digest}
+                                           for name, digest in digests.items()]}
+
+    parent = labelled("parent", {"a": "0" * 64, "b": "1" * 64, "c": "2" * 64})
+    same = labelled("change", {"a": "0" * 64, "b": "1" * 64, "c": "2" * 64})
+    assert snapshot.stdout_differences([parent], same) == []
+    # a command the other snapshot did not run is not a difference
+    changed = labelled("change", {"a": "0" * 64, "b": "f" * 64, "c": "e" * 64, "d": "3" * 64})
+    assert snapshot.stdout_differences([parent], changed) == [("b", "parent"), ("c", "parent")]
+    assert snapshot.stdout_differences([], changed) == []

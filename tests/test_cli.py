@@ -236,7 +236,7 @@ def test_usage_errors(capsys):
     ["group", "--group", "quaternion8", "--normal-subgroup"],
     ["group", "--gr", "quaternion8"],
     ["check", "--group", "cyclic:6", "--crit", "qr4", "--dens", "0.5"],
-    ["check", "--group", "cyclic:6", "--exhaustive", "3"],
+    ["check", "--group", "cyclic:6", "--tri", "3"],
     ["markov", "--group", "cyclic:6", "--rep", "all", "--exp", "4"],
     ["sumset", "--fac", "5", "--set", "0;1", "--cov"],
     ["--vers"]])
@@ -254,7 +254,10 @@ def test_a_prefix_of_a_long_option_is_bad_input(argv, capsys):
      "usage: tqr sumset [-h] [--factors FACTORS] --set SET [--m M] [--cover] [--n N]\n",
      "--rank 2"),
     (["check", "--group", "cyclic:6", "extra"], "usage: tqr check [-h] --group GROUP\n",
-     "extra")])
+     "extra"),
+    # the complete-search cap is config.EXHAUSTIVE_CAP, not an option
+    (["check", "--group", "quaternion8", "--exhaustive-cap", "5"],
+     "usage: tqr check [-h] --group GROUP\n", "--exhaustive-cap 5")])
 def test_an_unknown_argument_of_a_subcommand_shows_that_subcommand_s_usage(
         argv, usage, unknown, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the terminal
@@ -764,7 +767,6 @@ _BAD_CHECK_OPTIONS = (
            ("--trials", "-5", "trials must be >= 1, got -5"),
            ("--trials", "0", "trials must be >= 1, got 0"),
            ("--power", "0", "power must be >= 1, got 0"),
-           ("--exhaustive-cap", "-1", "exhaustive_cap must be >= 0, got -1"),
            ("--k", "-1", "k must be >= 0, got -1"),
            # the samplers seed numpy with the seed plus 2001 to 5001, so
            # -1500 and -5000 would be negative for none or some of them
@@ -836,7 +838,7 @@ _EVERY_OPTION = {
     "group": {"group": "quaternion8", "normal_subgroups": True},
     "chartable": {"group": "symmetric:3", "export": "s3.json"},
     "check": {"group": "quaternion8", "criterion": "tqr1", "k": 4, "density": 0.2,
-              "power": 2, "seed": 1, "trials": 5, "exhaustive_cap": 10},
+              "power": 2, "seed": 1, "trials": 5},
     "cover": {"group": "affine:5", "v1": "irrep:4", "v2": "irrep:4", "v3": "irrep:4",
               "profile": True},
     "markov": {"group": "symmetric:3", "rep": "irrep:2", "metric": "uniform",
@@ -865,6 +867,8 @@ def test_a_misspelled_suite_argument_is_refused_before_anything_runs(tmp_path, c
     for command, args, error in [
             ("check", {"group": "cyclic:12", "criterion": "tqr2", "denisty": 0.5},
              "'denisty' is not an option of tqr check"),
+            ("check", {"group": "cyclic:12", "exhaustive_cap": 5},
+             "'exhaustive_cap' is not an option of tqr check"),
             ("group", {}, "'group' is required by tqr group and takes a string"),
             ("group", {"group": 5}, "'group' is required by tqr group and takes a string"),
             ("sumset", {"set": [0, 1]}, "'set' is required by tqr sumset and takes a string")]:
@@ -1106,7 +1110,7 @@ def test_permutation_degree_above_max_order_is_refused_before_allocating(
 
 @pytest.mark.parametrize("command, key, value", [
     ("check", "power", 2.5), ("check", "seed", True), ("check", "trials", 1.5),
-    ("check", "exhaustive_cap", False), ("check", "k", 4.2), ("markov", "tmax", 3.9),
+    ("check", "trials", False), ("check", "k", 4.2), ("markov", "tmax", 3.9),
     ("markov", "experiment", True), ("counterexample", "m", 2.7), ("sumset", "m", True),
     ("sumset", "n", 2.5)])
 def test_suite_records_a_non_integral_integer_option_as_an_error(command, key, value,

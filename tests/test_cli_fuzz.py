@@ -78,8 +78,7 @@ def _command_line(rng):
             ("--density", ["0.05", "0.1", "0.3", "0.5", "1", "1e-300"], _BAD_NUMBERS + ["0"]),
             ("--power", ["1", "2", "3", "1000000000"], _BAD_NUMBERS + ["0"]),
             ("--seed", ["0", "7", "100000000000000000000000"], _BAD_NUMBERS[:-1]),
-            ("--trials", ["1", "7", "40"], _BAD_NUMBERS + ["0"]),
-            ("--exhaustive-cap", ["0", "5", "20"], _BAD_NUMBERS)])]
+            ("--trials", ["1", "7", "40"], _BAD_NUMBERS + ["0"])])]
     if command == "cover":
         return ["cover", *group, "--v1", _selector(rng), "--v2", _selector(rng),
                 *_opts(rng, [("--v3", _SELECTORS, _BAD_SELECTORS), ("--profile", None, None)])]

@@ -19,7 +19,7 @@ from tqrgroups import (build_group, check_qr, check_tqr, compute_char_table,
                        conjugacy_classes, decompose, multiplicity_profile, quotient,
                        subgroup_from_members, three_factor_cover, two_factor_cover)
 from tqrgroups.classfuncs import power_support_mask, rep_from_selector
-from tqrgroups import criteria, groups
+from tqrgroups import config, criteria, groups
 from tqrgroups.chartable import CharTable
 from tqrgroups.criteria import CriteriaParams, CriterionReport, _minimal_supports
 from tqrgroups.groups import ClassData, GroupTable
@@ -670,8 +670,8 @@ def test_tqr2_exhaustive_search_matches_triple_oracle(name, density):
 
 
 @pytest.mark.parametrize("field, value, least", [
-    ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1), ("exhaustive_cap", -1, 0),
-    ("seed", -1, 0), ("seed", -1500, 0), ("k", -1, 0)])
+    ("power", 0, 1), ("trials", 0, 1), ("trials", -5, 1), ("seed", -1, 0),
+    ("seed", -1500, 0), ("k", -1, 0)])
 def test_criteria_params_refuse_counts_below_their_floor(field, value, least):
     with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
         CriteriaParams(**{field: value})
@@ -698,7 +698,7 @@ def test_criteria_params_echo_each_threshold_by_name():
     # one k stands for the five small-structure thresholds, and the TQR3
     # cutoff and the TQR2/TQR3 draws are fixed; reports still echo all twelve
     assert [f.name for f in dataclasses.fields(CriteriaParams)] == [
-        "k", "density", "power", "seed", "trials", "exhaustive_cap"]
+        "k", "density", "power", "seed", "trials"]
     assert list(CriteriaParams(k=6, density=0.25, seed=9).to_json_dict().items()) == [
         ("class_threshold", 6), ("dim_threshold", 6), ("density", 0.25), ("power", 3),
         ("power_measure_threshold", 0.5), ("normal_size", 6), ("normal_index", 6),
@@ -765,15 +765,16 @@ def test_tqr3_exhaustive_search_matches_power_oracle(name, power, data):
                                   "C2xS4", "C3xD4", "ES5"])
 @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 0.9])
 @pytest.mark.parametrize("criterion", ["tqr2", "tqr3"])
-def test_random_phase_matches_scalar_oracle(name, density, criterion):
+def test_random_phase_matches_scalar_oracle(name, density, criterion, monkeypatch):
     # block-drawn supports and one stacked decompose give the report of the
     # scalar loop, draw for draw; seed 0 and 5 at every density, seed 1 at two.
     # Above the cap check_tqr samples only where no table witness refutes,
     # and then its report is the sampler's.
     T = get_table(name)
     evaluate = criteria._tqr2 if criterion == "tqr2" else criteria._tqr3
+    monkeypatch.setattr(config, "EXHAUSTIVE_CAP", 0)
     for seed in (0, 5) if density in (0.3, 0.9) else (0, 1, 5):
-        params = CriteriaParams(density=density, seed=seed, exhaustive_cap=0)
+        params = CriteriaParams(density=density, seed=seed)
         want = json.dumps(oracle.scalar_random_tqr_report(T, params, criterion))
         assert json.dumps(_sampled(evaluate, T, params)) == want
         rep, = check_tqr(T, params, names=(criterion,))
@@ -849,7 +850,7 @@ def test_the_sampler_alone_refutes_at_the_density_floor(spec, criterion, density
     # each has more irreducibles than the cap; a support cut at the floor,
     # not one of measure about 1/2, finds the refutation within 200 draws
     _, _, T = get_table_for_spec(json.dumps(spec))
-    assert T.num_irreps > CriteriaParams().exhaustive_cap
+    assert T.num_irreps > config.EXHAUSTIVE_CAP
     evaluate = criteria._tqr2 if criterion == "tqr2" else criteria._tqr3
     for seed in range(5):
         rep = _sampled(evaluate, T, CriteriaParams(density=density, seed=seed))
@@ -939,11 +940,12 @@ def test_tqr2_holds_after_every_triple_of_minimal_supports(spec, density):
     assert rep.details["triples_checked"] == s ** 3
 
 
-def test_support_search_past_one_word_of_irreducibles():
+def test_support_search_past_one_word_of_irreducibles(monkeypatch):
     # cyclic:64 has r = 64 irreducibles, more than a 62-bit word holds; at
     # density 63/64 every minimal support drops exactly one irreducible
     T = get_table("C64")
-    params = CriteriaParams(density=0.984375, exhaustive_cap=64)
+    monkeypatch.setattr(config, "EXHAUSTIVE_CAP", 64)
+    params = CriteriaParams(density=0.984375)
     rows = _minimal_supports(T, params.density_frac())
     assert rows.shape == (64, 64)
     for k, row in enumerate(rows):
@@ -951,6 +953,34 @@ def test_support_search_past_one_word_of_irreducibles():
     tqr2, tqr3 = check_tqr(T, params, names=("tqr2", "tqr3"))
     assert tqr2.holds and tqr2.details["triples_checked"] == 262144
     assert tqr3.holds and tqr3.details["supports_checked"] == 64
+
+
+def test_the_complete_search_cap_is_read_off_config(monkeypatch):
+    # affine:23 has r = 23 > 20 irreducibles and, at density 0.2, one minimal
+    # support (the 22-dimensional irreducible); with config.EXHAUSTIVE_CAP
+    # raised to 23 both reports are its complete search, and echo the cap
+    _, _, T = get_table_for_spec(json.dumps({"family": "affine", "params": {"p": 23}}))
+    params = CriteriaParams(density=0.2)
+    assert [rep.mode for rep in check_tqr(T, params, names=("tqr2", "tqr3"))] == [
+        "randomized", "randomized"]
+    monkeypatch.setattr(config, "EXHAUSTIVE_CAP", 23)
+    tqr2, tqr3 = check_tqr(T, params, names=("tqr2", "tqr3"))
+    for rep, key in ((tqr2, "triples_checked"), (tqr3, "supports_checked")):
+        assert rep.holds and rep.mode == "exhaustive-minimal+randomized"
+        assert rep.details == {key: 1}
+        assert rep.to_json_dict()["parameters"]["exhaustive_cap"] == 23
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIXTURE_SPECS) if get_table(n).num_irreps <= 20])
+def test_minimal_supports_within_the_cap_obey_the_sperner_bound(name):
+    # the minimal supports are an antichain, so at most C(r, r // 2) of them
+    T = get_table(name)
+    r = T.num_irreps
+    cap = config.EXHAUSTIVE_CAP
+    for density in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+        s = len(_minimal_supports(T, Fraction(str(density))))
+        assert s <= math.comb(r, r // 2) <= math.comb(cap, cap // 2), density
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1014,7 @@ _TQR_RULE_CASES = [("tqr2", 3), ("tqr3", 1), ("tqr3", 2), ("tqr3", 3)]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
-def test_tqr_rule_refutations_match_exhaustive_search(name):
+def test_tqr_rule_refutations_match_exhaustive_search(name, monkeypatch):
     # with the cap at 0 every report above is a rule's or the sampler's; a
     # rule's refutation must re-verify and agree with the exhaustive search
     # with the cap lifted (r <= 20, every fixture group but C64 and ES5) and,
@@ -995,12 +1025,13 @@ def test_tqr_rule_refutations_match_exhaustive_search(name):
     abelian = r == T.group.order
     for density in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5):
         for criterion, power in _TQR_RULE_CASES:
-            params = CriteriaParams(density=density, power=power, exhaustive_cap=0)
+            params = CriteriaParams(density=density, power=power)
+            monkeypatch.setattr(config, "EXHAUSTIVE_CAP", 0)
             rep, = check_tqr(T, params, names=(criterion,))
             exact = None
             if r <= 20:
-                lifted = CriteriaParams(density=density, power=power, exhaustive_cap=r)
-                full, = check_tqr(T, lifted, names=(criterion,))
+                monkeypatch.setattr(config, "EXHAUSTIVE_CAP", r)
+                full, = check_tqr(T, params, names=(criterion,))
                 assert full.mode == "exhaustive-minimal+randomized"
                 exact = not full.holds
             if abelian:
@@ -1042,7 +1073,7 @@ _ES5 = {"family": "extraspecial", "params": {"p": 5}}
 def test_tqr_table_witnesses_above_the_cap(spec, density, power, names, decided_by,
                                            measure):
     _, _, T = get_table_for_spec(json.dumps(spec))
-    assert T.num_irreps > CriteriaParams().exhaustive_cap
+    assert T.num_irreps > config.EXHAUSTIVE_CAP
     params = CriteriaParams(density=density, power=power)
     for rep in check_tqr(T, params, names=names):
         key = "triples_checked" if rep.criterion == "tqr2" else "supports_checked"

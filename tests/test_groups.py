@@ -1233,7 +1233,7 @@ def test_element_orders_by_doubling_match_the_power_walk():
         G = build_group(spec)
         elems = np.arange(G.order)
         mul_fn = lambda a, b: G.mul[a, b]   # noqa: E731
-        assert np.array_equal(groups.element_orders(mul_fn, G.identity, elems),
+        assert np.array_equal(groups.element_orders(mul_fn, G.identity, elems, G.order),
                               oracle.power_walk_element_orders(mul_fn, G.identity, elems)), spec
 
 
@@ -1254,7 +1254,7 @@ def test_element_orders_keep_the_power_block_within_the_slab(spec, monkeypatch):
         return out
 
     elems = np.arange(G.order)
-    orders = groups.element_orders(mul_fn, G.identity, elems)
+    orders = groups.element_orders(mul_fn, G.identity, elems, G.order)
     assert max(largest) <= 1 << 12
     assert np.array_equal(orders, oracle.power_walk_element_orders(
         lambda a, b: G.mul[a, b], G.identity, elems))

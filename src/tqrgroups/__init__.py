@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
                "subgroup_from_members", "AbelianGroup"),
     "chartable": ("CharTable", "CharTableError",
                   "compute_char_table", "induce_character", "from_interchange",
-                  "dumps_interchange", "loads_interchange"),
+                  "dumps_interchange"),
     "classfuncs": ("DecompositionError", "plancherel", "support_measure_frac",
                    "character_of", "decompose", "rep_from_selector"),
     "criteria": ("CriteriaParams", "CriterionReport", "two_factor_cover",

@@ -265,21 +265,6 @@ def induce_character(G: GroupTable, subgroup_members, theta) -> np.ndarray:
 # Interchange format
 
 
-def _interchange_header(T: CharTable) -> dict:
-    """Every field of T's interchange document but `values`. A cayley group
-    spec in it holds its table as an array; a quotient table, whose source
-    build_group cannot rebuild, is written as one."""
-    G, spec = T.group, T.group.source
-    if spec.get("type") == "quotient":
-        spec = groups.cayley_spec(G)
-    return {
-        "group": spec,
-        "class_sizes": T.classes.sizes.tolist(),
-        "class_reps": T.classes.representatives.tolist(),
-        "dims": T.dims.tolist(),
-    }
-
-
 def from_interchange(doc: dict) -> CharTable:
     """Rebuild a CharTable from its interchange form, revalidating everything:
     the document here, and its table by _certified_table, as a computed one.
@@ -336,9 +321,10 @@ def from_interchange(doc: dict) -> CharTable:
 _PAIR = "\n      [\n        %s,\n        %s\n      ]"
 
 
-def dumps_interchange(T: CharTable) -> str:
+def dumps_interchange(T: CharTable, spec: dict) -> str:
     """T's interchange document as json.dumps(doc, indent=2) writes it: the
-    header, a cayley table as lists, and `values` as rows of [re, im] pairs.
+    JSON group `spec` T was built from, as given, T's class sizes,
+    representatives and dims, and `values` as rows of [re, im] pairs.
     The header goes through json.dumps; `values` is formatted from the array
     in blocks of whole rows, at most groups._FILL_CELLS floats a block (or one
     row). Each distinct bit pattern of a block goes once through
@@ -348,7 +334,9 @@ def dumps_interchange(T: CharTable) -> str:
     a string that one name holds in place, so the peak is the document plus
     one block."""
     r = T.num_irreps
-    head = json.dumps(_interchange_header(T), indent=2, default=np.ndarray.tolist)
+    head = json.dumps({"group": spec, "class_sizes": T.classes.sizes.tolist(),
+                       "class_reps": T.classes.representatives.tolist(),
+                       "dims": T.dims.tolist()}, indent=2)
     row = "\n    [" + ",".join([_PAIR] * r) + "\n    ]"
     text = head[:-2] + ',\n  "values": ['          # head without its closing "\n}"
     floats = T.values.view(np.float64)
@@ -360,7 +348,3 @@ def dumps_interchange(T: CharTable) -> str:
             text += ("," if i else "") + row % tuple(cells)
     text += "\n  ]\n}"
     return text
-
-
-def loads_interchange(text: str) -> CharTable:
-    return from_interchange(json.loads(text))

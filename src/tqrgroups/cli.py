@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, config
 from .chartable import (CharTableError, compute_char_table, dumps_interchange,
-                        loads_interchange)
+                        from_interchange)
 from .classfuncs import plancherel, rep_from_selector
 from .counterexample import build_counterexample_rep, m_fold_sumset, translate_cover
 from .criteria import (QR_CRITERIA, TQR_CRITERIA, CriteriaParams, check_qr,
@@ -56,6 +56,7 @@ def parse_group_spec(text: str) -> dict:
 
 
 def _split_top(s: str) -> list[str]:
+    """The arguments of `s`, split at depth-0 commas, empty ones too; none if `s` is empty."""
     out, depth, cur = [], 0, []
     for ch in s:
         if ch == "(":
@@ -67,9 +68,8 @@ def _split_top(s: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+    out.append("".join(cur))
+    return out if s else []
 
 
 def _parse_compact(s: str) -> dict:
@@ -236,13 +236,14 @@ def run_chartable(args: dict) -> tuple[dict, int]:
         raise UsageError("chartable takes exactly one of --group and --import")
     if args["import_path"]:   # in a suite, relative to the output directory
         with open(os.path.join(args.get("_filedir", ""), args["import_path"])) as fh:
-            T = loads_interchange(fh.read())
-        spec = T.group.source
+            doc = json.load(fh)
+        T = from_interchange(doc)
+        spec = doc["group"]
     else:
         spec = parse_group_spec(args["group"])
         T = _load_table(spec)
     if args["export"]:
-        _atomic_write(_side_path(args, args["export"]), dumps_interchange(T))
+        _atomic_write(_side_path(args, args["export"]), dumps_interchange(T, spec))
     payload = {"dims": T.dims.tolist(), "quality": T.quality,
                "num_irreps": T.num_irreps, "source": T.source,
                "exported_to": args["export"]}
@@ -270,6 +271,8 @@ def run_check(args: dict) -> tuple[dict, int]:
 
 
 def run_cover(args: dict) -> tuple[dict, int]:
+    if args["profile"] and not args["v3"]:
+        raise UsageError("--profile needs --v3: it profiles the three-factor cover")
     spec = parse_group_spec(args["group"])
     T = _load_table(spec)
     v1 = rep_from_selector(T, args["v1"])

@@ -42,7 +42,6 @@ class GroupTable:
 
     mul: np.ndarray          # shape (order, order), mul[a, b] = index of a*b, table_dtype(order)
     labels: list[str] | None = None
-    source: dict = field(default_factory=dict)
     generators: tuple[int, ...] = None
     order: int = field(init=False)
     identity: int = field(init=False)
@@ -60,8 +59,7 @@ class GroupTable:
         self.classes = conjugacy_classes(self)
 
     def __repr__(self):
-        name = self.source.get("family", self.source.get("type", "group"))
-        return f"GroupTable({name}, order={self.order})"
+        return f"GroupTable(order={self.order})"
 
     def is_abelian(self) -> bool:
         """True iff every class has one element."""
@@ -91,17 +89,25 @@ def element_orders(mul_fn, identity, elems, bound) -> np.ndarray:
     the first row of its powers x^1, x^2, ... that holds the identity, plus
     1. `mul_fn` multiplies index arrays elementwise, with broadcasting. Each
     slab of max(1, _SLAB_CELLS // (2 * bound)) columns doubles its block of
-    powers by _doubled until every column has met the identity; a block is
+    powers by _doubled until every column has met the identity; once at
+    least half of its columns have, their orders are recorded and they are
+    dropped, so each compaction at least halves the slab. A block is
     doubled only while it is shorter than some order, and no order passes
     `bound`, so no block passes _SLAB_CELLS cells."""
     elems = np.asarray(elems, dtype=np.int64)
     width = max(1, _SLAB_CELLS // (2 * bound))
     orders = np.empty(len(elems), dtype=np.int64)
     for lo in range(0, len(elems), width):
-        pw = elems[None, lo:lo + width]
-        while not (hit := pw == identity).any(axis=0).all():
+        cols = np.arange(lo, min(lo + width, len(elems)))
+        pw = elems[None, cols]
+        while True:
+            met = (hit := pw == identity).any(axis=0)
+            if 2 * np.count_nonzero(met) >= len(cols):
+                orders[cols[met]] = hit[:, met].argmax(axis=0) + 1
+                if met.all():
+                    break
+                cols, pw = cols[~met], pw[:, ~met]
             pw = _doubled(mul_fn, pw)
-        orders[lo:lo + width] = hit.argmax(axis=0) + 1
     return orders
 
 
@@ -259,8 +265,7 @@ def _cyclic(n: int) -> GroupTable:
         raise GroupError("cyclic order must be >= 1")
     mul = np.empty((n, n), dtype=table_dtype(n))
     _fill_circulant(mul, 1)
-    return GroupTable(mul, [str(k) for k in range(n)],
-                      {"family": "cyclic", "params": {"n": n}}, [1] if n > 1 else [])
+    return GroupTable(mul, [str(k) for k in range(n)], [1] if n > 1 else [])
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -276,7 +281,7 @@ def _dihedral(n: int) -> GroupTable:
     np.add(mul[n:, n:], n, out=mul[n:, :n])
     labels = [f"r{k}" for k in range(n)] + [f"s·r{k}" for k in range(n)]
     # generated by the rotation r1 and the reflection s = s·r0
-    return GroupTable(mul, labels, {"family": "dihedral", "params": {"n": n}}, sorted({1, n}))
+    return GroupTable(mul, labels, sorted({1, n}))
 
 
 def _perm_family(n: int, family: str) -> GroupTable:
@@ -289,7 +294,7 @@ def _perm_family(n: int, family: str) -> GroupTable:
     else:
         gens = [[1, 2, 0, *range(3, n)],
                 [*range(1, n), 0] if n % 2 else [0, *range(2, n), 1]] if n > 2 else []
-    return _perm_group(n, gens, {"family": family, "params": {"n": n}})
+    return _perm_group(n, gens)
 
 
 def permutation_closure(gens: np.ndarray) -> tuple[np.ndarray, Callable]:
@@ -323,7 +328,7 @@ def permutation_closure(gens: np.ndarray) -> tuple[np.ndarray, Callable]:
     return np.concatenate(found), position
 
 
-def _perm_group(degree: int, gens, source: dict) -> GroupTable:
+def _perm_group(degree: int, gens) -> GroupTable:
     """The closure of `gens` on its rows in lexicographic order, labelled by
     their digits up to degree 10 and by str(tuple) above. Each distinct
     non-identity generator's row is looked up in the closure; the rest are
@@ -331,7 +336,7 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
     The distinct generators are handed over if at most floor(log2 m), the
     bound of a greedy set; a spec may list any number."""
     if degree == 0:   # the one empty permutation, which no void key holds
-        return GroupTable(np.zeros((1, 1), dtype=np.int64), [""], source, [])
+        return GroupTable(np.zeros((1, 1), dtype=np.int64), [""], [])
     gens = np.array(gens, dtype=np.int64).reshape(-1, degree)
     found, position = permutation_closure(gens)
     m = len(found)
@@ -365,7 +370,7 @@ def _perm_group(degree: int, gens, source: dict) -> GroupTable:
         frontier = np.concatenate(reached)
     labels = ([str(tuple(p)) for p in perms.tolist()] if degree > 10 else np.frombuffer(
         (perms + 48).astype(np.uint8).tobytes(), f"S{degree}").astype(str).tolist())
-    return GroupTable(mul, labels, source, rows if len(rows) < m.bit_length() else None)
+    return GroupTable(mul, labels, rows if len(rows) < m.bit_length() else None)
 
 
 def _quaternion8() -> GroupTable:
@@ -381,7 +386,7 @@ def _quaternion8() -> GroupTable:
            + (s[:, None, None] + s + NEG[:, None, :, None]) % 2).reshape(8, 8)
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     # generated by i and j
-    return GroupTable(mul, names, {"family": "quaternion8", "params": {}}, [2, 4])
+    return GroupTable(mul, names, [2, 4])
 
 
 def _is_prime(p: int) -> bool:
@@ -406,8 +411,7 @@ def _extraspecial(p: int) -> GroupTable:
     np.add(head[:, :, None, :, :, None], tail[:, None, :, None, :, :], out=mul)
     labels = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
     # generated by (0, 1, 0) and (1, 0, 0), whose commutator is (0, 0, 1)
-    return GroupTable(mul.reshape(m, m), labels,
-                      {"family": "extraspecial", "params": {"p": p}}, [p, p * p])
+    return GroupTable(mul.reshape(m, m), labels, [p, p * p])
 
 
 def _primitive_root(p: int) -> int:
@@ -432,10 +436,10 @@ def _affine(p: int) -> GroupTable:
     np.add(high[:, None, :, None], low[:, :, None, :], out=mul)
     # generated by the translation x -> x + 1 and x -> r x for a primitive root r
     gens = [1] if p == 2 else [1, (_primitive_root(p) - 1) * p]
-    return GroupTable(mul.reshape(m, m), labels, {"family": "affine", "params": {"p": p}}, gens)
+    return GroupTable(mul.reshape(m, m), labels, gens)
 
 
-def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupTable:
+def _direct_product(left: GroupTable, right: GroupTable) -> GroupTable:
     na, nb = left.order, right.order
     _check_order(na * nb)
     # (a, b)(c, d) has index ac*nb + bd, summed in int64 and written straight
@@ -450,7 +454,7 @@ def _direct_product(left: GroupTable, right: GroupTable, source: dict) -> GroupT
     # (g, e) and (e, h) for the generators g of the left factor and h of the right
     gens = ([g * nb + right.identity for g in left.generators]
             + [left.identity * nb + h for h in right.generators])
-    return GroupTable(mul, labels, source, gens)
+    return GroupTable(mul, labels, gens)
 
 
 def _field(spec: dict, key: str):
@@ -513,11 +517,8 @@ def build_group(spec: dict, _depth: int = 0) -> GroupTable:
         if name in ("product", "direct_product"):
             if _depth == _MAX_PRODUCT_DEPTH:
                 raise GroupError(f"products nest more than {_MAX_PRODUCT_DEPTH} deep")
-            left = build_group(_field(params, "left"), _depth + 1)
-            right = build_group(_field(params, "right"), _depth + 1)
-            return _direct_product(left, right,
-                                   {"family": "product",
-                                    "params": {"left": left.source, "right": right.source}})
+            return _direct_product(build_group(_field(params, "left"), _depth + 1),
+                                   build_group(_field(params, "right"), _depth + 1))
         if name == "quaternion8":
             return _quaternion8()
         if name not in _FAMILIES:
@@ -537,7 +538,6 @@ def build_group(spec: dict, _depth: int = 0) -> GroupTable:
         # GroupTable checks the range and axioms on the int64 array, so no
         # entry wraps into range when it is narrowed
         G = GroupTable(table, labels)
-        G.source = cayley_spec(G)
         _check_associative(G)
         return G
     if kind == "permutation":
@@ -555,15 +555,8 @@ def build_group(spec: dict, _depth: int = 0) -> GroupTable:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise GroupError(f"{tuple(g)} is not a permutation of 0..{degree - 1}")
-        return _perm_group(degree, gens, {"type": "permutation", "degree": degree,
-                                          "generators": [list(g) for g in gens]})
+        return _perm_group(degree, gens)
     raise GroupError(f"unrecognized group spec: {spec!r}")
-
-
-def cayley_spec(G: GroupTable) -> dict:
-    """G as a cayley spec, sharing its read-only mul; the JSON writers make it lists."""
-    labels = {} if G.labels is None else {"labels": G.labels}
-    return {"type": "cayley", "table": G.mul, **labels}
 
 
 def is_list_of(items, kind) -> bool:
@@ -740,9 +733,8 @@ def quotient(G: GroupTable, N) -> GroupTable:
     if not (union and G.identity in members):
         raise GroupError("quotient requires a normal subgroup")
     members = subgroup_from_members(G, members)
-    source = {"type": "quotient", "parent": G.source, "kernel_order": len(members)}
     if len(members) == G.order:   # one coset, named by its least element 0
-        return GroupTable(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], source, [])
+        return GroupTable(np.zeros((1, 1), dtype=np.int64), [f"[{G.label(0)}]"], [])
     coset_rep = G.mul[:, members].min(axis=1)  # minimal element of gN
     reps = sorted_unique(coset_rep)
     coset = np.searchsorted(reps, coset_rep).astype(table_dtype(len(reps)))   # x -> rank of xN
@@ -756,7 +748,7 @@ def quotient(G: GroupTable, N) -> GroupTable:
     slab = max(1, _FILL_CELLS // m)
     for lo in range(0, m, slab):
         mul[lo:lo + slab] = coset[G.mul[reps[lo:lo + slab, None], reps]]
-    return GroupTable(mul, labels, source, gens)
+    return GroupTable(mul, labels, gens)
 
 
 def center_free_quotient_chain(G: GroupTable) -> list[GroupTable]:

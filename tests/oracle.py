@@ -326,8 +326,7 @@ def itertools_perm_family(n, even_only):
         assert np.array_equal(keys[np.minimum(rank, m - 1)], products), "not closed"
         mul[lo:lo + slab] = rank
     labels = ["".join(map(str, p)) for p in perms.tolist()]
-    family = "alternating" if even_only else "symmetric"
-    return groups.GroupTable(mul, labels, {"family": family, "params": {"n": n}})
+    return groups.GroupTable(mul, labels)
 
 
 def queue_closure(perms):
@@ -1103,9 +1102,8 @@ def brute_normaliser(G, members) -> list[int]:
 def subgroup_table(G, members):
     """A subgroup as a GroupTable of its own, from one lookup of G's table per
     pair of members, with the list mapping its indices to G's: the distinct
-    members, ascending, so index 0 need not be G's identity. Its source is
-    its cayley spec, which build_group rebuilds."""
-    from tqrgroups.groups import GroupError, GroupTable, _member_array, cayley_spec
+    members, ascending, so index 0 need not be G's identity."""
+    from tqrgroups.groups import GroupError, GroupTable, _member_array
     elems = _member_array(G, members).tolist()
     if not elems:   # any other set without the identity is not closed
         raise GroupError("subgroup must contain the identity")
@@ -1115,7 +1113,6 @@ def subgroup_table(G, members):
     if (mul < 0).any():
         raise GroupError("member set is not closed under multiplication")
     H = GroupTable(mul, [G.label(e) for e in elems] if G.labels is not None else None)
-    H.source = cayley_spec(H)
     return H, elems
 
 
@@ -1147,12 +1144,20 @@ def lp_norm(C, f, p) -> float:
     return float(np.sum(C.sizes * mags ** p) ** (1 / p))
 
 
-def to_interchange(T):
-    """T's interchange document as a dict, for json.dumps: the header, and
+def to_interchange(T, spec):
+    """T's interchange document, built from the group `spec`, as a dict for
+    json.dumps: the spec, the class sizes, representatives and dims, and
     `values` as rows of [re, im] float pairs from one complex() per entry."""
-    from tqrgroups.chartable import _interchange_header
-    return {**_interchange_header(T),
+    return {"group": spec, "class_sizes": [int(s) for s in T.classes.sizes],
+            "class_reps": [int(c) for c in T.classes.representatives],
+            "dims": [int(d) for d in T.dims],
             "values": [[[complex(v).real, complex(v).imag] for v in row] for row in T.values]}
+
+
+def cayley_spec(G):
+    """G as a cayley spec of JSON lists, with its labels where it has any."""
+    labels = {} if G.labels is None else {"labels": list(G.labels)}
+    return {"type": "cayley", "table": [[int(x) for x in row] for row in G.mul], **labels}
 
 
 def verify_vtheta_partition(T, K_members):

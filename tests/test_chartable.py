@@ -9,7 +9,7 @@ from conftest import (FIXTURE_SPECS, get_classes, get_group, get_table,
 from tqrgroups import (CharTable, CharTableError, GroupError, build_group, center,
                        chartable, compute_char_table, config, conjugacy_classes,
                        decompose, dumps_interchange, from_interchange, groups,
-                       induce_character, loads_interchange, normal_subgroups)
+                       induce_character, normal_subgroups)
 from tqrgroups.chartable import (_canonical_irrep_order, _certified_table, _eigen_table,
                                   _orthogonality_residuals)
 
@@ -372,9 +372,10 @@ def test_interchange_round_trip_bit_exact(case):
     # the values block is formatted from the array, yet the document is
     # json.dumps's to the byte; the floats come back bit for bit
     if case in FIXTURE_SPECS:
-        T = get_table(case)
+        T, spec = get_table(case), FIXTURE_SPECS[case]
     elif case == "C1":
-        T = compute_char_table(build_group({"family": "cyclic", "params": {"n": 1}}))
+        spec = {"family": "cyclic", "params": {"n": 1}}
+        T = compute_char_table(build_group(spec))
     elif case == "S3-negative-zero":
         # no fixture table holds both -0.0 and 0.0, so only this case tells
         # a writer keyed on bit patterns from one keyed on values
@@ -383,14 +384,15 @@ def test_interchange_round_trip_bit_exact(case):
         floats.flat[np.flatnonzero(floats == 0)[0]] = -0.0
         zeros = np.signbit(floats[floats == 0])
         assert zeros.any() and not zeros.all()
-        T = CharTable(S3.group, floats.view(np.complex128))
+        T, spec = CharTable(S3.group, floats.view(np.complex128)), FIXTURE_SPECS["S3"]
     else:
         cases = ["quotient", "subgroup", "unlabelled-subgroup"]
-        T = compute_char_table(_quotient_and_subgroup_tables()[cases.index(case)])
-    text = dumps_interchange(T)
-    assert text == json.dumps(oracle.to_interchange(T), indent=2, default=np.ndarray.tolist)
-    T2 = loads_interchange(text)
-    assert dumps_interchange(T2) == text
+        G = _quotient_and_subgroup_tables()[cases.index(case)]
+        T, spec = compute_char_table(G), oracle.cayley_spec(G)
+    text = dumps_interchange(T, spec)
+    assert text == json.dumps(oracle.to_interchange(T, spec), indent=2)
+    T2 = from_interchange(json.loads(text))
+    assert dumps_interchange(T2, spec) == text
     assert T2.dims.tolist() == T.dims.tolist()
     assert np.array_equal(T2.values, T.values)
     assert T2.source == "imported"
@@ -398,12 +400,12 @@ def test_interchange_round_trip_bit_exact(case):
 
 def test_cayley_interchange_keeps_one_table_and_writes_lists():
     table = get_group("S3").mul.tolist()
-    G = build_group({"type": "cayley", "table": table})
-    assert G.source["table"] is G.mul           # no second copy of the table
+    spec = {"type": "cayley", "table": table}
+    G = build_group(spec)
     T = compute_char_table(G, conjugacy_classes(G))
-    text = dumps_interchange(T)
+    text = dumps_interchange(T, spec)
     assert json.loads(text)["group"] == {"type": "cayley", "table": table}
-    assert dumps_interchange(loads_interchange(text)) == text
+    assert dumps_interchange(from_interchange(json.loads(text)), spec) == text
 
 
 def _quotient_and_subgroup_tables():
@@ -417,18 +419,18 @@ def _quotient_and_subgroup_tables():
 
 @pytest.mark.parametrize("case", range(3))
 def test_quotient_and_subgroup_tables_round_trip(case):
-    # a quotient's source names its parent, which build_group cannot
-    # rebuild, and a subgroup table's is its cayley spec, so either document
-    # carries the table, and the labels where there are any
+    # no spec builds a quotient or subgroup table, so its document carries
+    # its cayley spec: the table, and the labels where there are any
     G = _quotient_and_subgroup_tables()[case]
     T = compute_char_table(G)
-    text = dumps_interchange(T)
+    text = dumps_interchange(T, oracle.cayley_spec(G))
     spec = json.loads(text)["group"]
     assert spec["type"] == "cayley" and spec["table"] == G.mul.tolist()
     assert spec.get("labels") == G.labels
     assert ("labels" in spec) == (G.labels is not None)
-    T2 = loads_interchange(text)
-    assert dumps_interchange(T2) == text
+    T2 = from_interchange(json.loads(text))
+    assert np.array_equal(T2.group.mul, G.mul) and T2.group.labels == G.labels
+    assert dumps_interchange(T2, spec) == text
     assert T2.dims.tolist() == T.dims.tolist()
     assert np.array_equal(T2.values, T.values)
     assert T2.classes.sizes.tolist() == T.classes.sizes.tolist()
@@ -438,15 +440,15 @@ def test_quotient_and_subgroup_tables_round_trip(case):
 
 def test_interchange_rejects_tampering():
     T = get_table("S3")
-    doc = json.loads(dumps_interchange(T))
+    doc = json.loads(dumps_interchange(T, FIXTURE_SPECS["S3"]))
     doc["values"][2][0][0] = 3.0   # break chi(e) of the 2-dim irrep
     with pytest.raises(CharTableError):
         from_interchange(doc)
-    doc2 = json.loads(dumps_interchange(T))
+    doc2 = json.loads(dumps_interchange(T, FIXTURE_SPECS["S3"]))
     doc2["dims"] = [1, 1, 3]
     with pytest.raises(CharTableError):
         from_interchange(doc2)
-    doc3 = json.loads(dumps_interchange(T))
+    doc3 = json.loads(dumps_interchange(T, FIXTURE_SPECS["S3"]))
     doc3["dims"] = [1, 1, 1]      # the identity column agrees; 1 + 1 + 1 != 6
     doc3["values"][2][0] = [1.0, 0.0]
     with pytest.raises(CharTableError, match="^dims violate sum of squares$"):
@@ -454,7 +456,7 @@ def test_interchange_rejects_tampering():
 
 
 def test_interchange_rejects_dims_contradicting_identity_column():
-    doc = json.loads(dumps_interchange(get_table("S3")))
+    doc = json.loads(dumps_interchange(get_table("S3"), FIXTURE_SPECS["S3"]))
     assert doc["dims"] == [1, 1, 2]
     doc["dims"] = [1, 2, 1]      # squares still sum to |G|
     with pytest.raises(CharTableError, match="identity column"):
@@ -462,7 +464,7 @@ def test_interchange_rejects_dims_contradicting_identity_column():
 
 
 def test_interchange_rejects_nontrivial_first_row():
-    doc = json.loads(dumps_interchange(get_table("S3")))
+    doc = json.loads(dumps_interchange(get_table("S3"), FIXTURE_SPECS["S3"]))
     doc["values"][0], doc["values"][1] = doc["values"][1], doc["values"][0]
     with pytest.raises(CharTableError, match="trivial character"):
         from_interchange(doc)
@@ -470,12 +472,12 @@ def test_interchange_rejects_nontrivial_first_row():
 
 def test_interchange_computes_column_residual():
     T = get_table("aff7")
-    T2 = loads_interchange(dumps_interchange(T))
+    T2 = from_interchange(json.loads(dumps_interchange(T, FIXTURE_SPECS["aff7"])))
     # the values round-trip bit for bit, so both residuals are recomputed
     # from the same numbers as the computed table's
     assert T2.quality["row_residual"] == T.quality["row_residual"]
     assert T2.quality["col_residual"] == T.quality["col_residual"]
-    doc = json.loads(dumps_interchange(T))
+    doc = json.loads(dumps_interchange(T, FIXTURE_SPECS["aff7"]))
     doc["values"][1][1][0] += 1e-3
     with pytest.raises(CharTableError, match="orthogonality"):
         from_interchange(doc)

@@ -30,6 +30,7 @@ def test_parse_group_specs():
     assert cli.parse_group_spec("family:affine:5") == \
         {"family": "affine", "params": {"p": 5}}
     assert cli.parse_group_spec("quaternion8")["family"] == "quaternion8"
+    assert cli.parse_group_spec("quaternion8()") == {"family": "quaternion8", "params": {}}
     nested = cli.parse_group_spec("product(cyclic(2),symmetric(4))")
     assert nested["params"]["left"] == {"family": "cyclic", "params": {"n": 2}}
     assert nested["params"]["right"] == {"family": "symmetric", "params": {"n": 4}}
@@ -43,6 +44,9 @@ def test_parse_group_specs():
     ("nosuch:3", "unknown group family 'nosuch'"),
     ("quaternion8:99", "quaternion8 takes no parameter"),
     ("quaternion8(1,2,3)", "quaternion8 takes no parameter"),
+    # an empty last argument is an argument, as in cyclic:12:
+    ("affine(5,)", "affine takes one parameter p"),
+    ("product(cyclic(2),cyclic(3),)", "product takes exactly two factor specs"),
 ])
 def test_parse_group_spec_errors(text, message):
     with pytest.raises(cli.UsageError, match=f"^{message}$"):
@@ -102,6 +106,24 @@ def test_cover_exit_code_on_violation(monkeypatch, capsys):
                       "--v2", "all"], capsys)
     assert code == 1
     assert doc["report"]["guarantee_violated"]
+
+
+def test_cover_profile_without_v3_is_bad_input(tmp_path, capsys):
+    # the profile is of the three-factor cover, so it needs --v3, in a suite too
+    argv = ["cover", "--group", "affine:5", "--v1", "irrep:1", "--v2", "irrep:1", "--profile"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --profile needs --v3: it profiles the three-factor cover\n"
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"experiments": [{"id": "p", "command": "cover", "args": {
+        "group": "affine:5", "v1": "irrep:1", "v2": "irrep:1", "profile": True}}]}))
+    assert cli.main(["suite", "--config", str(path), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    entries = json.loads((tmp_path / "summary.json").read_text())["experiments"]
+    assert [(e["status"], e["error"]) for e in entries] == [
+        ("error", "UsageError: --profile needs --v3: it profiles the three-factor cover")]
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_markov_subcommand(tmp_path, capsys):
@@ -198,6 +220,23 @@ def test_chartable_export_import(tmp_path, capsys):
     assert code2 == 0
     assert doc["report"]["source"] == "imported"
     assert doc["report"]["dims"] == [1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("spec", [
+    # its keys in another order than build_group reads them, and one it ignores
+    {"table": [[(i + j) % 3 for j in range(3)] for i in range(3)], "labels": ["e", "a", "b"],
+     "type": "cayley", "note": "Z/3"},
+    {"type": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+    {"family": "dihedral", "params": {"n": 5}}], ids=["cayley", "permutation", "family"])
+def test_an_export_holds_the_spec_as_read(spec, tmp_path, capsys):
+    # and an import exports its document's spec again, so the bytes repeat
+    path, out, again = tmp_path / "g.json", tmp_path / "out.json", tmp_path / "again.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["chartable", "--group", f"@{path}", "--export", str(out)]) == 0
+    assert json.dumps(json.loads(out.read_text())["group"]) == json.dumps(spec)
+    assert cli.main(["chartable", "--import", str(out), "--export", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    capsys.readouterr()
 
 
 def test_reports_echo_a_cayley_table_as_its_order_and_sha256(tmp_path, capsys):

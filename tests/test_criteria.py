@@ -229,7 +229,7 @@ def test_core_types_take_only_what_they_cannot_compute():
     def init(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
-    assert init(GroupTable) == ["mul", "labels", "source", "generators"]
+    assert init(GroupTable) == ["mul", "labels", "generators"]
     assert init(ClassData) == ["sizes", "class_of", "representatives"]
     assert init(CharTable) == ["group", "values", "quality", "source"]
     assert init(CriterionReport) == ["criterion", "params", "witness", "mode", "details"]

@@ -126,6 +126,7 @@ def _relabelled(G, seed):
 
 
 def _with_normal_quotients_and_subgroups(G):
+    """G, then for each normal subgroup N its quotient G/N and N's subgroup table."""
     T = compute_char_table(G, conjugacy_classes(G))
     out = [G]
     for N in T.normal_subgroups:
@@ -254,11 +255,10 @@ def test_the_closure_search_runs_once_for_cayley_input_and_never_otherwise(
         conjugacy_classes(G)
         center_free_quotient_chain(G)   # center and quotients
         G.is_abelian()
-    # every subgroup table, a cayley table as the oracle builds it, and no
-    # other, searches exactly once; the quotients, and the quotients of their
-    # chains, carry a set
-    assert {id(mul) for mul in searched} == {id(G.mul) for G in tables
-                                             if G.source.get("type") == "cayley"}
+    # every subgroup table, a cayley table as the oracle builds it (each
+    # even entry after the group), and no other, searches exactly once; the
+    # quotients, and the quotients of their chains, carry a set
+    assert {id(mul) for mul in searched} == {id(G.mul) for G in tables[2::2]}
     assert len({id(mul) for mul in searched}) == len(searched)
     searched.clear()
     cayley = tmp_path / "s4.json"
@@ -629,7 +629,6 @@ def test_the_quotient_by_g_is_the_one_element_group(name):
     Q = quotient(G, N)
     assert Q.order == 1 and Q.mul.tolist() == [[0]] and Q.generators == ()
     assert Q.labels == [f"[{G.label(0)}]"]   # the coset G named by its least element
-    assert Q.source == {"type": "quotient", "parent": G.source, "kernel_order": G.order}
 
 
 def test_center_free_quotient_chain():
@@ -891,7 +890,7 @@ def test_a_missing_inverse_names_the_first_failing_element(table, bad, slab_cell
 
 def test_a_cayley_source_shares_the_narrow_table():
     G = build_group(_cayley(get_group("S4").mul.tolist()))
-    assert G.source["table"] is G.mul and G.mul.dtype == np.int16
+    assert G.mul.dtype == np.int16
 
 
 def test_subgroup_table_rejects_non_closed_members():
@@ -1002,12 +1001,12 @@ def test_center_and_abelian_from_generators_match_full_table_compare(name, monke
     assert searched == []   # handed over by the constructor
     # and the quotient and subgroup tables of every normal subgroup
     tables = [G] if name in _DEGREE_SEVEN else _with_normal_quotients_and_subgroups(G)
-    for H in tables:
+    for i, H in enumerate(tables):
         gens = H.generators
         assert isinstance(gens, tuple) and H.identity not in gens
-        # floor(log2 |H|), or for a quotient, whose set is the cosets of
-        # G's, floor(log2 |G|)
-        bound = G.order if H.source.get("type") == "quotient" else H.order
+        # floor(log2 |H|), or for a quotient (each odd entry), whose set is
+        # the cosets of G's, floor(log2 |G|)
+        bound = G.order if i % 2 else H.order
         assert len(gens) <= bound.bit_length() - 1
         if H.order <= 1000:  # the oracle's closure is quadratic in the order
             assert oracle._closure(H, gens) == frozenset(range(H.order))
@@ -1262,7 +1261,7 @@ def test_element_orders_keep_the_power_block_within_the_slab(spec, monkeypatch):
 
 def test_only_groups_reads_the_cayley_table():
     # the modules above groups reach elements through its functions
-    # (conjugates, class_matrix, product_sizes, cayley_spec, ...), so the
+    # (conjugates, class_matrix, product_sizes, ...), so the
     # table's layout is known in one module
     src = Path(groups.__file__).parent
     reads = [f"{name}.py:{node.lineno}"
